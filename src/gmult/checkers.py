@@ -237,7 +237,7 @@ def _dense_laplace(table: np.ndarray, n: int) -> np.ndarray:
 def _check_range(model: GroupModel, band: int) -> None:
     per_direction = band + 1 if model.kind == "su2" else 2 * band + 1
     if per_direction < _MIN_LABELS_PER_DIRECTION:
-        raise GmultError(
+        raise BandOverflowError(
             f"range too small: {per_direction} labels per direction, "
             f"need at least {_MIN_LABELS_PER_DIRECTION}")
 

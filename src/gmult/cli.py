@@ -67,33 +67,35 @@ __all__ = [
 # ---------------------------------------------------------------------------
 
 def parse_complex(text: str) -> complex:
-    """Parse a complex scalar; the imaginary unit may be written i or j."""
-    s = text.strip().replace(" ", "").replace("i", "j")
+    """Parse a finite complex scalar; the imaginary unit may be written i
+    or j."""
+    s = re.sub(r"i(?!nf)", "j", text.strip().replace(" ", ""))
     s = re.sub(r"(?<![\d.)])j", "1j", s)
     try:
-        return complex(s)
+        z = complex(s)
     except ValueError:
         raise SymbolFormatError(f"could not parse complex number {text!r}")
+    if not np.isfinite(z):
+        raise SymbolFormatError(f"complex number {text!r} is not finite")
+    return z
 
 
 def parse_ladder(text: str) -> List[float]:
-    """Parse a scale ladder: ``4:9`` (dyadic exponent range, 2^-4..2^-9)
-    or an explicit comma-separated list of positive scales."""
+    """Parse a scale ladder of at least 4 positive finite scales: ``4:9``
+    (dyadic exponent range, 2^-4..2^-9) or a comma-separated list."""
     s = text.strip()
     m = re.fullmatch(r"(\d+):(\d+)", s)
-    if m:
-        lo, hi = int(m.group(1)), int(m.group(2))
-        if hi < lo:
-            lo, hi = hi, lo
-        return default_ladder(lo, hi)
     try:
-        rs = [float(tok) for tok in s.split(",") if tok.strip()]
+        rs = (default_ladder(*sorted(map(int, m.groups()))) if m
+              else [float(tok) for tok in s.split(",") if tok.strip()])
     except ValueError:
         raise SymbolFormatError(f"could not parse ladder {text!r}")
     if len(rs) < 4:
-        raise SymbolFormatError("ladder needs at least 4 scales for a fit")
-    if any(r <= 0 for r in rs):
-        raise SymbolFormatError("ladder scales must be positive")
+        raise SymbolFormatError(
+            f"ladder {text!r} has {len(rs)} scales; a fit needs at least 4")
+    if not all(math.isfinite(r) and r > 0 for r in rs):
+        raise SymbolFormatError(
+            f"ladder {text!r}: scales must be positive and finite")
     return rs
 
 

@@ -40,6 +40,9 @@ def test_parse_complex_forms():
     assert parse_complex(" 2 - i ") == 2 - 1j
     with pytest.raises(SymbolFormatError):
         parse_complex("one")
+    for text in ("nan", "inf", "-inf", "1e999", "NaN"):
+        with pytest.raises(SymbolFormatError, match="not finite"):
+            parse_complex(text)
 
 
 def test_parse_ladder_dyadic_and_explicit():
@@ -53,6 +56,12 @@ def test_parse_ladder_dyadic_and_explicit():
         parse_ladder("0.5,-0.25,0.125,0.0625")
     with pytest.raises(SymbolFormatError):
         parse_ladder("a:b")
+    # the dyadic form needs 4 scales too, and scales must be finite
+    with pytest.raises(SymbolFormatError, match="at least 4"):
+        parse_ladder("4:6")
+    for text in ("nan,0.5,0.25,0.125", "inf,0.5,0.25,0.125"):
+        with pytest.raises(SymbolFormatError, match="finite"):
+            parse_ladder(text)
 
 
 def test_parse_torus_expression_origin_patch():
@@ -197,6 +206,22 @@ def test_invert_recursion_check_passes(capsys):
     rec = report["results"]["recursion_residuals"]
     assert rec["block_0"]["residual"] < 1e-9
     assert rec["block_1"]["residual"] < 1e-9
+
+
+def test_bad_ranges_ladders_and_shifts_exit_config(capsys):
+    assert main(["check", "--group", "su2", "--band", "4",
+                 "--symbol", "identity", "--checker", "mikhlin"]) \
+        == EXIT_CONFIG
+    assert "range too small" in capsys.readouterr().err
+    for ladder in ("4:6", "nan,0.5,0.25,0.125"):
+        assert main(["probe", "--ladder", ladder]) == EXIT_CONFIG
+        assert "ladder" in capsys.readouterr().err
+    for argv in (["invert", "--band", "8", "--c", "nan"],
+                 ["invert", "--band", "8", "--c", "inf"],
+                 ["check", "--group", "su2", "--band", "8",
+                  "--symbol", "vf-inverse:nan", "--checker", "mikhlin"]):
+        assert main(argv) == EXIT_CONFIG
+        assert "not finite" in capsys.readouterr().err
 
 
 def test_probe_underresolved_grid_band_exits_config(capsys):

@@ -8,7 +8,8 @@ from hypothesis import given, settings, strategies as st
 
 from gmult.errors import BandOverflowError, GmultError, UnderResolvedError
 from gmult.groups import model_from_name, su2_exp_point
-from gmult.mollifier import (build_phi_r, build_psi_r, bump_profile,
+from gmult.mollifier import (_cz_norm_sq, _leggauss, _LineBatch,
+                             build_phi_r, build_psi_r, bump_profile,
                              cz_consistency, cz_probe, default_ladder,
                              fit_loglog, identity_diagonals, l1_modulus,
                              mollifier_family, mollifier_l2_norm,
@@ -305,3 +306,76 @@ def test_riesz_diagonals_closed_form(su2):
     for t in (0, 1, 4, 10):
         assert np.allclose(provider(t), np.diag(ref.get(t)), atol=1e-12)
     assert np.allclose(identity_diagonals(5), np.ones(6))
+
+
+# ---------------------------------------------------------------------------
+# Second-difference norm: label stencil against independent routes
+# ---------------------------------------------------------------------------
+
+def _quadrature_cz_norm_sq(sym_diags, coeffs, m):
+    """Oracle for `_cz_norm_sq`: synthesize the kernel, which depends only
+    on the polar angle and the sum of the two azimuthal angles, by the
+    label recurrence and an FFT, multiply by ``rho^{4m}`` and integrate.
+    After the azimuthal integral the polar integrand is a polynomial in
+    cos(theta) of degree at most band + 2m, so Gauss-Legendre with half
+    that many nodes is exact."""
+    band = coeffs.size - 1
+    n_theta = (band + 2 * m) // 2 + 2
+    x, glw = _leggauss(n_theta)
+    theta = np.arccos(np.clip(x, -1.0, 1.0))
+    n_v = 2 * band + 8 * m + 8
+    parities = sorted({t % 2 for t in range(band + 1) if coeffs[t] != 0.0})
+    spectrum = np.zeros((n_v, theta.size), dtype=complex)
+    for parity in parities:
+        batch = _LineBatch(parity, band, theta, offset=0)
+        while True:
+            t = batch.advance()
+            if t > band:
+                break
+            if coeffs[t] == 0.0:
+                continue
+            act = batch.rows_active()
+            mus_act = batch.mus[act]
+            values = ((t + 1.0) * coeffs[t]
+                      * sym_diags[t][(mus_act + t) // 2])
+            spectrum[mus_act % n_v] += values[:, None] * batch.cur[act]
+    kernel = np.fft.fft(spectrum, axis=0)
+    v = 4.0 * math.pi * np.arange(n_v) / n_v
+    half_trace = np.cos(0.5 * theta)[None, :] * np.cos(0.5 * v)[:, None]
+    rho_sq = 4.0 - 4.0 * half_trace ** 2
+    values = np.abs(kernel) ** 2 * rho_sq ** (2 * m)
+    return float(np.sum(values @ (0.5 * glw)) / n_v)
+
+
+def _psi_coeffs(model, r, band):
+    seq = psi_hat_coefficients(model, r, band=band)
+    return np.array([float(np.real(seq.value(t))) for t in range(band + 1)])
+
+
+@pytest.mark.parametrize("m", [1, 2])
+def test_cz_norm_stencil_matches_quadrature(su2, m):
+    rng = np.random.default_rng(11)
+    cases = [(_psi_coeffs(su2, 0.25, band), band) for band in (40, 200)]
+    # random coefficients on both label parities exercise every stencil arm
+    cases.append((rng.standard_normal(121), 120))
+    for coeffs, band in cases:
+        random_diags = {t: rng.standard_normal(t + 1)
+                        + 1j * rng.standard_normal(t + 1)
+                        for t in range(band + 1)}
+        identity = {t: identity_diagonals(t) for t in range(band + 1)}
+        for diags in (identity, random_diags):
+            fast = _cz_norm_sq(diags, coeffs, m)
+            oracle = _quadrature_cz_norm_sq(diags, coeffs, m)
+            assert fast == pytest.approx(oracle, rel=1e-10)
+
+
+@pytest.mark.parametrize("r", [0.5, 0.25])
+def test_cz_norm_stencil_matches_grid_route(su2, r):
+    # cz_consistency's lhs applies the grid Laplace difference to the same
+    # band-20 truncation of the dyadic piece
+    coeffs = _psi_coeffs(su2, r, 20)
+    for provider in (riesz_field_diagonals(su2), identity_diagonals):
+        lhs = cz_consistency(su2, _diag_symbol(su2, provider, 24), r=r)["lhs"]
+        diags = {t: provider(t) for t in range(21)}
+        assert math.sqrt(_cz_norm_sq(diags, coeffs, 1)) == pytest.approx(
+            lhs, rel=1e-12)
