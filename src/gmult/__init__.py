@@ -7,17 +7,17 @@ from .groups import (GroupModel, casimir_lambda, euler_from_su2, irrep_dimension
                      su2_exp, su2_exp_point, su2_matrix, su2_model, torus_model,
                      wigner_little_d, wigner_matrix)
 from .grids import GroupFunction, GroupGrid, build_grid, rho_squared_samples
-from .symbols import (DifferenceWord, DistanceFunction, MatrixSymbol,
+from .symbols import (DifferenceWord, MatrixSymbol, TorusSymbol,
                       apply_difference, default_grid, difference_generators,
                       generator_words, identity_symbol, laplace_difference,
                       laplace_decomposition_residual, laplace_leibniz_residual,
-                      leibniz_residual, op_norm, quantize_apply, rho_squared,
-                      seminorm, symbol_add, symbol_product, symbol_scale,
-                      symbol_to_kernel, vector_field_symbol, word_sup_table)
+                      leibniz_residual, op_norm, quantize_apply, seminorm,
+                      symbol_add, symbol_product, symbol_scale,
+                      vector_field_symbol, word_sup_table)
 from .transform import (fourier_forward, fourier_inverse, function_norm_l2,
                         plancherel_norm, sobolev_norm)
-from .central import (CentralSequence, ClassGrid, WeightLatticePoint,
-                      central_part, character_inner, character_orbit_product,
+from .central import (CentralSequence, ClassGrid, central_part,
+                      character_inner, character_orbit_product,
                       character_table, class_grid, class_rho_squared, delta2,
                       dimension_sequence, forward_difference,
                       function_of_laplacian, hypoellipticity_ratio,
@@ -25,9 +25,8 @@ from .central import (CentralSequence, ClassGrid, WeightLatticePoint,
                       orbit_exponential_sum, riesz_symbol, weyl_character,
                       weyl_dimension)
 from .checkers import (ConditionReport, MultiplierReport, SymbolClassSpec,
-                       TorusLatticeSymbol, check_mikhlin, check_refined,
-                       check_symbol_class, check_torus3, empirical_lp_ratio,
-                       torus_lattice_symbol)
+                       check_mikhlin, check_refined, check_symbol_class,
+                       check_torus3, empirical_lp_ratio, torus_lattice_symbol)
 from .vfield import (VectorFieldSpec, build_field, exceptional_set,
                      field_difference_table, fundamental_difference,
                      invert_vf_symbol, recursion_residual, rotated_symbol,

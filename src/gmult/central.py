@@ -36,29 +36,13 @@ from .symbols import MatrixSymbol, vector_field_symbol
 # Weight lattice
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class WeightLatticePoint:
-    """A point of the (rank-one) weight lattice in twice-weight units.
-
-    ``twice_rho = 1`` is half the positive root in the same units.
-    """
-
-    twice_weight: int
-    twice_rho: int = 1
-
-    def reflected(self) -> "WeightLatticePoint":
-        """Image under the nontrivial Weyl reflection about ``-rho``."""
-        return WeightLatticePoint(-2 - self.twice_weight, self.twice_rho)
-
-
 def weyl_dimension(w) -> int:
     """Signed dimension on the extended lattice: ``t + 1``.
 
     Dominant labels give the honest dimension; the reflection
     ``t' = -2 - t`` flips the sign, and the wall ``t = -1`` gives 0.
     """
-    t = w.twice_weight if isinstance(w, WeightLatticePoint) else int(w)
-    return t + 1
+    return int(w) + 1
 
 
 def weyl_character(w, angle) -> np.ndarray:
@@ -68,7 +52,7 @@ def weyl_character(w, angle) -> np.ndarray:
     singular angles filled by continuity (the recurrence evaluation used here
     has no singularities).  Extended labels follow the signed reflection.
     """
-    t = w.twice_weight if isinstance(w, WeightLatticePoint) else int(w)
+    t = int(w)
     s = np.asarray(angle, dtype=float)
     if t == -1:
         return np.zeros_like(s)

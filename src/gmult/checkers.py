@@ -7,9 +7,12 @@ full range to the constant on the nested half range — stays below a
 threshold; this is the honest finite-range rendering of an all-label bound,
 and reports say so.
 
-Torus symbols at large band are handled through a dense lattice table with
-pure slicing shifts (no wraparound): each applied difference shrinks the
-valid box by the factor's band, so constants read off the table are exact.
+One code path serves both models.  The difference tables come from
+:func:`gmult.symbols.word_sup_table` and
+:func:`gmult.symbols.laplace_difference` (lattice slices of the dense box on
+the torus, quadrature on SU(2)) as label tables, and every constant is a
+weighted sup over such a table.  Reads stay inside the symbol's exactness
+certificate.
 """
 
 from __future__ import annotations
@@ -17,15 +20,16 @@ from __future__ import annotations
 import math
 import statistics
 from dataclasses import dataclass, field
-from typing import Callable, Dict, List, Optional, Sequence, Tuple, Union
+from typing import Callable, Dict, List, Optional, Tuple
 
 import numpy as np
 
 from .errors import BandOverflowError, GmultError
-from .groups import GroupModel, japanese_bracket, label_band, labels_up_to
+from .groups import GroupModel, bracket_powers, label_bands, label_box
 from .grids import GroupGrid, build_grid
-from .symbols import (MatrixSymbol, generator_words, laplace_difference,
-                      op_norm, quantize_apply, word_sup_table)
+from .symbols import (DifferenceWord, TorusSymbol, apply_difference,
+                      laplace_difference, quantize_apply, random_symbol,
+                      symbol_scale, word_sup_table)
 from .transform import fourier_inverse
 
 GROWTH_THRESHOLD = 1.25
@@ -130,109 +134,22 @@ def _range_note() -> str:
 
 
 # ---------------------------------------------------------------------------
-# Dense torus lattice tables
+# Torus lattice tables and range plumbing
 # ---------------------------------------------------------------------------
 
-@dataclass
-class TorusLatticeSymbol:
-    """Scalar torus symbol tabulated on the box ``|k|_inf <= radius``.
-
-    The table is exact (it is the symbol, not a truncation), so differences
-    computed by shifting stay exact on the shrunken box.
-    """
-
-    model: GroupModel
-    radius: int
-    table: np.ndarray
-
-    def __post_init__(self) -> None:
-        if self.model.kind != "torus":
-            raise ValueError("lattice tables are a torus structure")
-        want = (2 * self.radius + 1,) * self.model.n
-        if self.table.shape != want:
-            raise ValueError(f"table shape {self.table.shape} != {want}")
-
-
 def torus_lattice_symbol(model: GroupModel, fn: Callable[..., np.ndarray],
-                         band: int, pad: int) -> TorusLatticeSymbol:
+                         band: int, pad: int) -> TorusSymbol:
     """Tabulate a vectorized symbol function over ``|k|_inf <= band + pad``.
 
     ``fn`` receives ``n`` integer coordinate arrays (broadcast over the box)
-    and must return the symbol values elementwise.
+    and must return the symbol values elementwise.  The table is the symbol
+    itself on the box, so it is exact through its radius.
     """
-    radius = band + pad
-    axes = np.meshgrid(*([np.arange(-radius, radius + 1)] * model.n),
-                       indexing="ij")
+    axes = label_box(model.n, band + pad)
     values = np.asarray(fn(*axes), dtype=complex)
     values = np.broadcast_to(values, axes[0].shape).copy()
-    return TorusLatticeSymbol(model, radius, values)
+    return TorusSymbol(model, values, exact_band=band + pad)
 
-
-def _box_shrink(table: np.ndarray, margin: int) -> np.ndarray:
-    if margin == 0:
-        return table
-    sl = tuple(slice(margin, s - margin) for s in table.shape)
-    return table[sl]
-
-
-def _box_shift(table: np.ndarray, step: Sequence[int]) -> np.ndarray:
-    """View of ``sigma(k - step)`` on the box shrunk by ``max|step| = 1``."""
-    sl = []
-    for s, size in zip(step, table.shape):
-        lo = 1 - s
-        sl.append(slice(lo, size - 1 - s))
-    return table[tuple(sl)]
-
-
-def _dense_shift_difference(table: np.ndarray, step: Sequence[int]) -> np.ndarray:
-    """One shell difference ``sigma(k - step) - sigma(k)`` on the shrunk box."""
-    return _box_shift(table, step) - _box_shrink(table, 1)
-
-
-def _dense_word_sup(sym: TorusLatticeSymbol, order: int) -> Tuple[np.ndarray, int]:
-    """Max over generator words of order ``order`` of ``|D^alpha sigma|``,
-    on the box of radius ``radius - order``; returns (array, radius)."""
-    if order == 0:
-        return np.abs(sym.table), sym.radius
-    words = generator_words(sym.model, order)
-    best: Optional[np.ndarray] = None
-    for word in words:
-        cur = sym.table
-        for (lb, _i, _j) in word.factors:
-            cur = _dense_shift_difference(cur, lb)
-        mag = np.abs(cur)
-        best = mag if best is None else np.maximum(best, mag)
-    return best, sym.radius - order
-
-
-def _dense_weights(model: GroupModel, radius: int, exponent: float) -> np.ndarray:
-    axes = np.meshgrid(*([np.arange(-radius, radius + 1)] * model.n),
-                       indexing="ij")
-    lam = 2.0 * math.pi * np.sqrt(sum(a.astype(float) ** 2 for a in axes))
-    return np.maximum(1.0, lam) ** exponent
-
-
-def _dense_masked_sup(values: np.ndarray, radius: int, within: int) -> float:
-    if within > radius:
-        raise BandOverflowError(
-            f"range band {within} exceeds the exact box radius {radius}; "
-            f"tabulate the symbol with more padding")
-    return float(_box_shrink(values, radius - within).max()) if values.size else 0.0
-
-
-def _dense_laplace(table: np.ndarray, n: int) -> np.ndarray:
-    out = 2.0 * n * _box_shrink(table, 1)
-    for j in range(n):
-        for sign in (1, -1):
-            step = [0] * n
-            step[j] = sign
-            out = out - _box_shift(table, step)
-    return out
-
-
-# ---------------------------------------------------------------------------
-# Range plumbing
-# ---------------------------------------------------------------------------
 
 def _check_range(model: GroupModel, band: int) -> None:
     per_direction = band + 1 if model.kind == "su2" else 2 * band + 1
@@ -248,44 +165,32 @@ def _range_description(model: GroupModel, band: int) -> str:
     return f"|k|_inf <= {band}"
 
 
-def _sparse_order_constants(sym: MatrixSymbol, order: int, weight: float,
-                            band: int, grid: Optional[GroupGrid]) -> Tuple[float, float]:
-    """(full, half) weighted sups over nested label ranges from one table."""
-    labels = list(labels_up_to(sym.model, band))
-    table = word_sup_table(sym, order, labels, grid)
-    full = 0.0
-    half = 0.0
-    for lb, val in table.items():
-        w = japanese_bracket(sym.model, lb) ** weight * val
-        full = max(full, w)
-        if label_band(sym.model, lb) <= band // 2:
-            half = max(half, w)
-    return full, half
+def _nested_sups(model: GroupModel, values: np.ndarray,
+                 band: int) -> Tuple[float, float]:
+    """(full, half) sups of a label table through ``band`` and over its
+    nested half range."""
+    half = values[label_bands(model, band) <= band // 2]
+    return float(values.max()), float(half.max())
 
 
-def _dense_order_constants(sym: TorusLatticeSymbol, order: int, weight: float,
-                           band: int) -> Tuple[float, float]:
-    mags, radius = _dense_word_sup(sym, order)
-    weighted = _dense_weights(sym.model, radius, weight) * mags
-    return (_dense_masked_sup(weighted, radius, band),
-            _dense_masked_sup(weighted, radius, band // 2))
+def _weighted_sups(model: GroupModel, table: np.ndarray, weight: float,
+                   band: int) -> Tuple[float, float]:
+    """:func:`_nested_sups` of ``<xi>^weight * table``."""
+    return _nested_sups(model, bracket_powers(model, band, weight) * table, band)
 
 
-SymbolLike = Union[MatrixSymbol, TorusLatticeSymbol]
-
-
-def _order_constants(sym: SymbolLike, order: int, weight: float, band: int,
+def _order_constants(sym, order: int, weight: float, band: int,
                      grid: Optional[GroupGrid]) -> Tuple[float, float]:
-    if isinstance(sym, TorusLatticeSymbol):
-        return _dense_order_constants(sym, order, weight, band)
-    return _sparse_order_constants(sym, order, weight, band, grid)
+    """(full, half) sups of ``<xi>^weight max_words ||D^alpha sigma||_op``."""
+    return _weighted_sups(sym.model, word_sup_table(sym, order, band, grid),
+                          weight, band)
 
 
 # ---------------------------------------------------------------------------
 # Checkers
 # ---------------------------------------------------------------------------
 
-def check_mikhlin(sym: SymbolLike, band: int, kappa: Optional[int] = None,
+def check_mikhlin(sym, band: int, kappa: Optional[int] = None,
                   grid: Optional[GroupGrid] = None,
                   threshold: float = GROWTH_THRESHOLD) -> MultiplierReport:
     """Difference-operator conditions of every order up to kappa with weight
@@ -309,35 +214,20 @@ def check_mikhlin(sym: SymbolLike, band: int, kappa: Optional[int] = None,
         conditions=conds, notes=[_range_note()])
 
 
-def _laplace_power_constants(sym: SymbolLike, power: int, weight: float,
-                             band: int, grid: Optional[GroupGrid]) -> Tuple[float, float]:
+def _laplace_power_constants(sym, power: int, weight: float, band: int,
+                             grid: Optional[GroupGrid]) -> Tuple[float, float]:
     """(full, half) sups of ``<xi>^weight ||A^power sigma(xi)||_op``."""
-    if isinstance(sym, TorusLatticeSymbol):
-        cur = sym.table
-        for _ in range(power):
-            cur = _dense_laplace(cur, sym.model.n)
-        radius = sym.radius - power
-        weighted = _dense_weights(sym.model, radius, weight) * np.abs(cur)
-        return (_dense_masked_sup(weighted, radius, band),
-                _dense_masked_sup(weighted, radius, band // 2))
     cur = sym
     for _ in range(power):
         cur = laplace_difference(cur, grid)
-    full = 0.0
-    half = 0.0
-    for lb in list(labels_up_to(sym.model, band)):
-        if label_band(sym.model, lb) > cur.exact_band:
-            raise BandOverflowError(
-                f"label band {label_band(sym.model, lb)} beyond the laplace "
-                f"certificate {cur.exact_band}; extend the stored symbol")
-        w = japanese_bracket(sym.model, lb) ** weight * op_norm(cur.get(lb))
-        full = max(full, w)
-        if label_band(sym.model, lb) <= band // 2:
-            half = max(half, w)
-    return full, half
+    if band > cur.exact_band:
+        raise BandOverflowError(
+            f"label band {band} beyond the laplace certificate "
+            f"{cur.exact_band}; extend the stored symbol")
+    return _weighted_sups(sym.model, cur.norms(band), weight, band)
 
 
-def check_refined(sym: SymbolLike, band: int,
+def check_refined(sym, band: int,
                   grid: Optional[GroupGrid] = None,
                   threshold: float = GROWTH_THRESHOLD) -> MultiplierReport:
     """Reduced condition set: the top-order condition is carried by the
@@ -373,7 +263,7 @@ def check_refined(sym: SymbolLike, band: int,
         conditions=conds, notes=notes)
 
 
-def check_torus3(sym: SymbolLike, band: int,
+def check_torus3(sym, band: int,
                  threshold: float = GROWTH_THRESHOLD) -> MultiplierReport:
     """The three-condition test specific to the three-torus, with plain
     Euclidean ``|k|`` weights:
@@ -386,42 +276,23 @@ def check_torus3(sym: SymbolLike, band: int,
     if model.kind != "torus" or model.n != 3:
         raise GmultError("this check is specific to the three-torus")
     _check_range(model, band)
-    if isinstance(sym, MatrixSymbol):
-        if sym.exact_band < band + 1:
-            raise BandOverflowError(
-                f"need the symbol exact through band {band + 1}, "
-                f"certificate is {sym.exact_band}")
-        radius = band + 1
-        axes = np.meshgrid(*([np.arange(-radius, radius + 1)] * 3), indexing="ij")
-        table = np.empty(axes[0].shape, dtype=complex)
-        it = np.nditer(axes[0], flags=["multi_index"])
-        for _ in it:
-            idx = it.multi_index
-            k = tuple(int(a[idx]) for a in axes)
-            table[idx] = complex(sym.get(k)[0, 0])
-        sym = TorusLatticeSymbol(model, radius, table)
+    if sym.exact_band < band + 1:
+        raise BandOverflowError(
+            f"need the symbol exact through band {band + 1}, "
+            f"certificate is {sym.exact_band}")
+    absk = np.sqrt(sum(a.astype(float) ** 2 for a in label_box(3, band)))
+    # the factors -e_j give sigma(k + e_j) - sigma(k)
+    first = np.max([apply_difference(DifferenceWord(model, ((step, 0, 0),)),
+                                     sym).norms(band)
+                    for step in model.delta0[1::2]], axis=0)
+    second = absk ** 2 * laplace_difference(sym).norms(band) / 6.0
 
-    radius = sym.radius
-    axes = np.meshgrid(*([np.arange(-radius, radius + 1)] * 3), indexing="ij")
-    absk = np.sqrt(sum(a.astype(float) ** 2 for a in axes))
-
-    mag0 = np.abs(sym.table)
-    first = None
-    for j in range(3):
-        step = [0] * 3
-        step[j] = -1          # sigma(k + e_j) - sigma(k)
-        diff = np.abs(_dense_shift_difference(sym.table, step))
-        first = diff if first is None else np.maximum(first, diff)
-    first = _box_shrink(absk, 1) * first
-    second = (_box_shrink(absk, 1) ** 2) * np.abs(_dense_laplace(sym.table, 3)) / 6.0
-
-    floor = 1e-11 * max(float(mag0.max()), 0.0)
+    floor = 1e-11 * max(float(np.abs(sym.table).max()), 0.0)
     conds = []
-    for name, values, rad in (("bounded", mag0, radius),
-                              ("first-difference", first, radius - 1),
-                              ("second-difference", second, radius - 1)):
-        full = _dense_masked_sup(values, rad, band)
-        half = _dense_masked_sup(values, rad, band // 2)
+    for name, values in (("bounded", sym.norms(band)),
+                         ("first-difference", absk * first),
+                         ("second-difference", second)):
+        full, half = _nested_sups(model, values, band)
         g = _growth(full, half, floor)
         conds.append(ConditionReport(
             name=name, constant=full, half_constant=half, growth=g,
@@ -433,17 +304,12 @@ def check_torus3(sym: SymbolLike, band: int,
         conditions=conds, notes=[_range_note()])
 
 
-def _reweighted(sym: SymbolLike, exponent: float) -> SymbolLike:
+def _reweighted(sym, exponent: float):
     """Per-label multiplication by ``<xi>^exponent`` (certificates carry)."""
-    if isinstance(sym, TorusLatticeSymbol):
-        w = _dense_weights(sym.model, sym.radius, exponent)
-        return TorusLatticeSymbol(sym.model, sym.radius, sym.table * w)
-    entries = {lb: mat * japanese_bracket(sym.model, lb) ** exponent
-               for lb, mat in sym.entries.items()}
-    return MatrixSymbol(sym.model, entries, exact_band=sym.exact_band)
+    return symbol_scale(sym, bracket_powers(sym.model, sym.support_band, exponent))
 
 
-def check_symbol_class(sym: SymbolLike, spec: SymbolClassSpec, band: int,
+def check_symbol_class(sym, spec: SymbolClassSpec, band: int,
                        grid: Optional[GroupGrid] = None,
                        threshold: float = GROWTH_THRESHOLD) -> MultiplierReport:
     """Graded difference estimates ``||D^alpha sigma||_op <= C <xi>^{m - rho
@@ -484,7 +350,7 @@ def _function_norm_p(samples: np.ndarray, weights: np.ndarray, p: float) -> floa
     return float(np.sum(weights * np.abs(samples) ** p) ** (1.0 / p))
 
 
-def empirical_lp_ratio(sym: MatrixSymbol, p: float, trials: int, band: int,
+def empirical_lp_ratio(sym, p: float, trials: int, band: int,
                        seed: int = 0,
                        grid: Optional[GroupGrid] = None) -> Dict[str, float]:
     """Max/median of ``||Op(sigma) f||_p / ||f||_p`` over random
@@ -497,17 +363,10 @@ def empirical_lp_ratio(sym: MatrixSymbol, p: float, trials: int, band: int,
         grid = build_grid(model, band if model.kind == "torus"
                           else max(2, (2 * band + 3) // 4 + 1))
     rng = np.random.default_rng(seed)
-    labels = list(labels_up_to(model, band))
     ratios = []
     for _ in range(trials):
         while True:
-            entries = {}
-            for lb in labels:
-                d = 1 if model.kind == "torus" else lb + 1
-                entries[lb] = (rng.standard_normal((d, d))
-                               + 1j * rng.standard_normal((d, d)))
-            f = fourier_inverse(MatrixSymbol(model, entries, exact_band=math.inf),
-                                grid)
+            f = fourier_inverse(random_symbol(model, band, rng), grid)
             nf = _function_norm_p(f.samples, grid.weights, p)
             if nf >= 1e-12:
                 break

@@ -36,7 +36,9 @@ from . import __version__
 from .errors import (BandOverflowError, ExceptionalValueError, GmultError,
                      SymbolFormatError, UnderResolvedError)
 from .groups import GroupModel, irrep_dimension, labels_up_to, model_from_name
-from .symbols import MatrixSymbol, default_grid, identity_symbol, op_norm
+from .symbols import (MatrixSymbol, TorusSymbol, default_grid,
+                      identity_symbol, op_norm, random_symbol, symbol_add,
+                      symbol_scale)
 from .transform import (fourier_forward, fourier_inverse, function_norm_l2,
                         plancherel_norm)
 from .central import function_of_laplacian, riesz_symbol
@@ -230,7 +232,7 @@ def parse_scalar_expression(text: str) -> Callable[[float], complex]:
 # Symbol files
 # ---------------------------------------------------------------------------
 
-def write_symbol_file(sym: MatrixSymbol, path: str) -> None:
+def write_symbol_file(sym, path: str) -> None:
     """Serialize a symbol: header (format tag, group, band), then one
     record per label (label coordinates, dimension, row-major entries as
     re/im decimal pairs, one row per line)."""
@@ -251,8 +253,9 @@ def write_symbol_file(sym: MatrixSymbol, path: str) -> None:
         fh.write("\n".join(lines) + "\n")
 
 
-def load_symbol_file(path: str) -> MatrixSymbol:
-    """Parse a symbol file written by ``write_symbol_file``."""
+def load_symbol_file(path: str):
+    """Parse a symbol file written by ``write_symbol_file``.  Torus files
+    load into the dense box through their largest stored label band."""
     try:
         with open(path) as fh:
             raw_lines = fh.read().splitlines()
@@ -282,12 +285,14 @@ def load_symbol_file(path: str) -> MatrixSymbol:
         try:
             coords = tuple(int(v) for v in toks[1:di])
             d = int(toks[di + 1])
-        except ValueError as exc:
+            label = coords if model.kind == "torus" else coords[0]
+            expected = irrep_dimension(model, label)
+        except (IndexError, ValueError) as exc:
             raise SymbolFormatError(f"{path!r} line {i + 1}: {exc}")
-        label = coords if model.kind == "torus" else coords[0]
-        if model.kind == "torus" and len(coords) != model.n:
+        if d != expected:
             raise SymbolFormatError(
-                f"{path!r} line {i + 1}: label needs {model.n} coordinates")
+                f"{path!r} line {i + 1}: label {label} must have dimension "
+                f"{expected}, file says {d}")
         mat = np.zeros((d, d), dtype=complex)
         for r in range(d):
             i += 1
@@ -303,15 +308,24 @@ def load_symbol_file(path: str) -> MatrixSymbol:
                 nums = [float(v) for v in vals]
             except ValueError as exc:
                 raise SymbolFormatError(f"{path!r} line {i + 1}: {exc}")
+            if not all(math.isfinite(v) for v in nums):
+                raise SymbolFormatError(
+                    f"{path!r} line {i + 1}: entries must be finite")
             mat[r] = np.array(nums[0::2]) + 1j * np.array(nums[1::2])
-        expected = irrep_dimension(model, label)
-        if d != expected:
-            raise SymbolFormatError(
-                f"{path!r}: label {label} must have dimension {expected}, "
-                f"file says {d}")
         entries[label] = mat
         i += 1
-    return MatrixSymbol(model, entries, exact_band=band)
+    if model.kind == "su2":
+        return MatrixSymbol(model, entries, exact_band=band)
+    coords = np.array(list(entries), dtype=int).reshape(len(entries), model.n)
+    radius = int(np.abs(coords).max(initial=0))
+    try:
+        table = np.zeros((2 * radius + 1,) * model.n, dtype=complex)
+    except (ValueError, MemoryError):
+        raise SymbolFormatError(
+            f"{path!r}: labels reach band {radius}; a torus-{model.n} box "
+            "of that radius does not fit in memory")
+    table[tuple((coords + radius).T)] = np.reshape(list(entries.values()), -1)
+    return TorusSymbol(model, table, exact_band=band)
 
 
 # ---------------------------------------------------------------------------
@@ -354,16 +368,9 @@ def build_cli_symbol(model: GroupModel, text: str, band: int):
         return sym
     pad = 2 * model.kappa  # headroom for difference words at the band edge
     if spec == "identity":
-        if model.kind == "torus":
-            return torus_lattice_symbol(model, lambda *a: np.ones_like(
-                np.asarray(a[0], dtype=complex)), band, pad=pad)
         return identity_symbol(model, band + pad)
     if spec == "zero":
-        if model.kind == "torus":
-            return torus_lattice_symbol(model, lambda *a: np.zeros_like(
-                np.asarray(a[0], dtype=complex)), band, pad=pad)
-        return MatrixSymbol(model, {0: np.zeros((1, 1), dtype=complex)},
-                            exact_band=band + pad)
+        return symbol_scale(identity_symbol(model, band + pad), 0.0)
     if model.kind == "torus":
         fn = parse_torus_expression(spec, model.n)
         return torus_lattice_symbol(model, fn, band, pad=pad)
@@ -498,7 +505,7 @@ def cmd_check(args: argparse.Namespace) -> int:
     extras: Dict[str, object] = {}
     if checker == "mikhlin":
         report = check_mikhlin(sym, band)
-        if model.kind == "su2" and isinstance(sym, MatrixSymbol):
+        if model.kind == "su2":
             extras["empirical_l4"] = empirical_lp_ratio(
                 sym, 4.0, trials=3, band=min(band, 8), seed=args.seed)
     elif checker == "refined":
@@ -660,22 +667,12 @@ def cmd_probe(args: argparse.Namespace) -> int:
 
 def _selftest_one(model: GroupModel, band: int, seed: int
                   ) -> Dict[str, object]:
-    rng = np.random.default_rng(seed)
-    entries = {}
-    for lb in labels_up_to(model, band):
-        d = irrep_dimension(model, lb)
-        entries[lb] = (rng.standard_normal((d, d))
-                       + 1j * rng.standard_normal((d, d)))
-    sym = MatrixSymbol(model, entries, exact_band=band)
-    grid = default_grid(model, band)
-    f = fourier_inverse(sym, grid)
-    back = fourier_forward(f, labels=list(labels_up_to(model, band)))
-    num = 0.0
-    den = 0.0
-    for lb in labels_up_to(model, band):
-        num += float(np.sum(np.abs(back.get(lb) - sym.get(lb)) ** 2))
-        den += float(np.sum(np.abs(sym.get(lb)) ** 2))
-    roundtrip = math.sqrt(num / den)
+    sym = random_symbol(model, band, np.random.default_rng(seed),
+                        exact_band=band)
+    f = fourier_inverse(sym, default_grid(model, band))
+    back = fourier_forward(f, band=band)
+    roundtrip = math.sqrt(symbol_add(back, sym, beta=-1.0).energy(band)
+                          / sym.energy(band))
     pn = plancherel_norm(sym)
     fn = function_norm_l2(f)
     parseval = abs(pn / fn - 1.0)

@@ -203,16 +203,6 @@ class GroupFunction:
                     f"{self.grid.max_label_band}; build the grid with band >= "
                     f"{_required_grid_band(self.grid.model, self.declared_band)}")
 
-    def multiply(self, other: "GroupFunction") -> "GroupFunction":
-        """Pointwise product; declared bands add (None is absorbing)."""
-        if other.grid is not self.grid and other.grid != self.grid:
-            raise ValueError("functions live on different grids")
-        band = None
-        if self.declared_band is not None and other.declared_band is not None:
-            band = self.declared_band + other.declared_band
-            band = min(band, self.grid.max_label_band)
-        return GroupFunction(self.grid, self.samples * other.samples, band)
-
     def integral(self) -> complex:
         return self.grid.integrate(self.samples)
 

@@ -30,7 +30,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from itertools import product
-from typing import Iterable, Iterator, Sequence, Tuple, Union
+from typing import Iterable, Iterator, List, Sequence, Tuple, Union
 
 import numpy as np
 
@@ -157,6 +157,34 @@ def labels_up_to(model: GroupModel, band: int) -> Iterator[IrrepLabel]:
     else:
         for k in product(range(-band, band + 1), repeat=model.n):
             yield k
+
+
+def label_box(n: int, band: int) -> List[np.ndarray]:
+    """Integer coordinate arrays ``k_1..k_n`` of the torus labels
+    ``|k|_inf <= band``, broadcast over the box ``(2 band + 1)^n``."""
+    return np.meshgrid(*([np.arange(-band, band + 1)] * n), indexing="ij")
+
+
+def label_bands(model: GroupModel, band: int) -> np.ndarray:
+    """Band of every label through ``band``, laid out as a *label table*:
+    index ``t`` on SU(2); on the torus the box ``|k|_inf <= band`` with the
+    origin at its centre (the order of :func:`labels_up_to`).  Per-label
+    quantities such as block norms and weights share this layout."""
+    if model.kind == "su2":
+        return np.arange(band + 1)
+    return np.max(np.abs(label_box(model.n, band)), axis=0)
+
+
+def bracket_powers(model: GroupModel, band: int, exponent: float) -> np.ndarray:
+    """``<xi>^exponent`` at every label through ``band``, as a label table."""
+    if model.kind == "su2":
+        # one label at a time: numpy's vectorized power may round the last
+        # bit differently from the scalar weights used elsewhere
+        return np.array([japanese_bracket(model, t) ** exponent
+                         for t in range(band + 1)])
+    lam = _TWO_PI * np.sqrt(sum(a.astype(float) ** 2
+                                for a in label_box(model.n, band)))
+    return np.maximum(1.0, lam) ** exponent
 
 
 # ---------------------------------------------------------------------------

@@ -1,34 +1,51 @@
 """Matrix symbols, quantization, difference operators, and seminorms.
 
-A left-invariant operator is stored through its matrix symbol: one complex
-``(d, d)`` block per representation label.  Difference operators act by the
-defining recipe "inverse transform, multiply by a coefficient function
-vanishing at the identity, forward transform"; on the torus the same
-operators also have an exact lattice-shift route, and agreement of the two
-routes is part of the test suite.
+A left-invariant operator is stored through its matrix symbol, in one of two
+layouts:
 
-Band bookkeeping: ``MatrixSymbol.exact_band`` records through which label
-band the stored entries faithfully represent the (possibly infinite) symbol
-being approximated.  ``math.inf`` means the symbol *is* the stored finitely
+* SU(2): :class:`MatrixSymbol`, one complex ``(d, d)`` block per label;
+* the torus: :class:`TorusSymbol`, one dense complex box over the labels
+  ``|k|_inf <= R``; labels outside the box are zero.
+
+Difference operators multiply the operator kernel by a coefficient function
+vanishing at the identity.  On the torus each such factor is a character,
+so a difference is an exact lattice shift and the distance-squared
+(Laplace) operator a five-point-per-axis stencil: both are array slices
+that zero-extend the box by the factor's band.  On SU(2) they follow the
+defining recipe "inverse transform, multiply on a quadrature grid, forward
+transform"; the test suite runs the same grid route on torus boxes as the
+oracle for the slices.
+
+Band bookkeeping: ``exact_band`` records through which label band the
+stored entries faithfully represent the (possibly infinite) symbol being
+approximated.  ``math.inf`` means the symbol *is* the stored finitely
 supported object.  Every operation derates this certificate: a difference
 word whose factors have total band ``w`` lowers it by ``w``, because entries
 within ``w`` of a truncation edge feel the missing tail.  Checkers only ever
 read labels inside the certificate.
+
+Per-label real quantities (block norms, weights) come as label tables laid
+out like :func:`gmult.groups.label_bands`.
 """
 
 from __future__ import annotations
 
+import copy
 import math
+from collections.abc import Mapping
 from dataclasses import dataclass, field
+from functools import partial
 from itertools import combinations_with_replacement
-from typing import Callable, Dict, Iterable, List, Optional, Sequence, Tuple
+from typing import (Callable, Dict, Iterable, Iterator, List, Optional,
+                    Sequence, Tuple)
 
 import numpy as np
 
 from .errors import BandOverflowError
 from .grids import GroupFunction, GroupGrid, build_grid, rho_squared_samples
-from .groups import (GroupModel, IrrepLabel, irrep_dimension, label_band,
-                     su2_exp_point, validate_label, wigner_matrix)
+from .groups import (GroupModel, IrrepLabel, bracket_powers, irrep_dimension,
+                     label_band, labels_up_to, su2_exp_point, validate_label,
+                     wigner_matrix)
 
 _GRID_CACHE: Dict[Tuple[str, int, int], GroupGrid] = {}
 
@@ -43,10 +60,10 @@ def default_grid(model: GroupModel, band: int) -> GroupGrid:
 
 @dataclass
 class MatrixSymbol:
-    """Finitely many stored blocks of a matrix symbol.
+    """Finitely many stored blocks of an SU(2) matrix symbol.
 
-    ``entries`` maps labels to ``(d, d)`` complex arrays (``(1, 1)`` on the
-    torus).  See the module docstring for the meaning of ``exact_band``.
+    ``entries`` maps twice-spin labels to ``(d, d)`` complex arrays.  See the
+    module docstring for the meaning of ``exact_band``.
     """
 
     model: GroupModel
@@ -54,6 +71,8 @@ class MatrixSymbol:
     exact_band: float = math.inf
 
     def __post_init__(self) -> None:
+        if self.model.kind != "su2":
+            raise ValueError("torus symbols are stored as TorusSymbol boxes")
         fixed = {}
         for label, mat in self.entries.items():
             label = validate_label(self.model, label)
@@ -68,12 +87,7 @@ class MatrixSymbol:
 
     @property
     def support_band(self) -> int:
-        if not self.entries:
-            return 0
-        return max(label_band(self.model, lb) for lb in self.entries)
-
-    def labels(self) -> List[IrrepLabel]:
-        return sorted(self.entries.keys(), key=_label_sort_key)
+        return max(self.entries, default=0)
 
     def get(self, label: IrrepLabel) -> np.ndarray:
         """Stored block, or a zero block if the label is absent."""
@@ -83,57 +97,180 @@ class MatrixSymbol:
         d = irrep_dimension(self.model, label)
         return np.zeros((d, d), dtype=complex)
 
-    def scalar(self, label: IrrepLabel) -> complex:
-        """Convenience accessor for one-dimensional (torus) blocks."""
-        mat = self.get(label)
-        if mat.shape != (1, 1):
-            raise ValueError("scalar() requires a one-dimensional block")
-        return complex(mat[0, 0])
-
     def restrict(self, band: int) -> "MatrixSymbol":
-        kept = {lb: m.copy() for lb, m in self.entries.items()
-                if label_band(self.model, lb) <= band}
+        kept = {lb: m.copy() for lb, m in self.entries.items() if lb <= band}
         return MatrixSymbol(self.model, kept, min(self.exact_band, band))
 
     def exact_labels(self, band: Optional[int] = None) -> List[IrrepLabel]:
         """Stored labels within the exactness certificate (and within band)."""
         cap = self.exact_band if band is None else min(self.exact_band, band)
-        return [lb for lb in self.labels() if label_band(self.model, lb) <= cap]
+        return [lb for lb in sorted(self.entries) if lb <= cap]
+
+    def norms(self, band: int, hs: bool = False) -> np.ndarray:
+        """Operator (``hs``: Hilbert-Schmidt) norm of every block through
+        ``band``, as a label table."""
+        norm = np.linalg.norm if hs else op_norm
+        return np.array([norm(self.get(t)) for t in range(band + 1)])
+
+    def energy(self, band: int) -> float:
+        """``sum ||sigma(xi)||_HS^2`` over the labels through ``band``."""
+        total = 0.0
+        for t in range(band + 1):
+            total += float(np.sum(np.abs(self.get(t)) ** 2))
+        return total
 
 
-def _label_sort_key(label):
-    return (label,) if isinstance(label, int) else tuple(label)
+def resize_box(table: np.ndarray, radius: int) -> np.ndarray:
+    """A centred torus box cropped (a view) or zero-extended to ``radius``."""
+    have = table.shape[0] // 2
+    if radius <= have:
+        return table[(slice(have - radius, have + radius + 1),) * table.ndim]
+    return np.pad(table, radius - have)
 
 
-def symbol_add(a: MatrixSymbol, b: MatrixSymbol, beta: complex = 1.0) -> MatrixSymbol:
-    """Entrywise ``a + beta * b`` on the union of supports."""
+@dataclass
+class TorusSymbol:
+    """A torus symbol on the dense box ``|k|_inf <= radius``.
+
+    ``table[k_1 + radius, ..., k_n + radius]`` holds ``sigma(k)``; labels
+    outside the box are zero.  ``entries`` is a read-only label ->
+    ``(1, 1)`` block view of the box.  See the module docstring for the
+    meaning of ``exact_band``.
+    """
+
+    model: GroupModel
+    table: np.ndarray
+    exact_band: float = math.inf
+
+    def __post_init__(self) -> None:
+        if self.model.kind != "torus":
+            raise ValueError("a TorusSymbol needs a torus model")
+        self.table = np.asarray(self.table, dtype=complex)
+        side = self.table.shape[0] if self.table.ndim else 0
+        if side % 2 == 0 or self.table.shape != (side,) * self.model.n:
+            raise ValueError(f"a torus-{self.model.n} box must have shape "
+                             f"(2R + 1,) * {self.model.n}, got {self.table.shape}")
+
+    @property
+    def radius(self) -> int:
+        return self.table.shape[0] // 2
+
+    @property
+    def support_band(self) -> int:
+        return self.radius
+
+    @property
+    def entries(self) -> Mapping:
+        return _BoxEntries(self)
+
+    def get(self, label: IrrepLabel) -> np.ndarray:
+        """The ``(1, 1)`` block at a label (zero outside the box)."""
+        k = validate_label(self.model, label)
+        block = np.zeros((1, 1), dtype=complex)
+        if label_band(self.model, k) <= self.radius:
+            block[0, 0] = self.table[tuple(c + self.radius for c in k)]
+        return block
+
+    def scalar(self, label: IrrepLabel) -> complex:
+        return complex(self.get(label)[0, 0])
+
+    def restrict(self, band: int) -> "TorusSymbol":
+        table = resize_box(self.table, min(self.radius, int(band))).copy()
+        return TorusSymbol(self.model, table, min(self.exact_band, band))
+
+    def exact_labels(self, band: Optional[int] = None) -> List[IrrepLabel]:
+        """Box labels within the exactness certificate (and within band)."""
+        cap = self.exact_band if band is None else min(self.exact_band, band)
+        return list(labels_up_to(self.model, int(min(self.radius, cap))))
+
+    def norms(self, band: int, hs: bool = False) -> np.ndarray:
+        """``|sigma(k)|`` through ``band`` as a label table (on ``1 x 1``
+        blocks the operator and Hilbert-Schmidt norms agree)."""
+        return np.abs(resize_box(self.table, band))
+
+    def energy(self, band: int) -> float:
+        """``sum |sigma(k)|^2`` over the labels through ``band``."""
+        return float(np.sum(np.abs(resize_box(self.table, band)) ** 2))
+
+
+class _BoxEntries(Mapping):
+    """Read-only label -> ``(1, 1)`` block view of a torus box."""
+
+    def __init__(self, sym: TorusSymbol):
+        self._sym = sym
+
+    def __len__(self) -> int:
+        return self._sym.table.size
+
+    def __iter__(self) -> Iterator[IrrepLabel]:
+        return labels_up_to(self._sym.model, self._sym.radius)
+
+    def __getitem__(self, label: IrrepLabel) -> np.ndarray:
+        if label_band(self._sym.model, label) > self._sym.radius:
+            raise KeyError(label)
+        return self._sym.get(label)
+
+
+def _same_model(a, b) -> None:
     if a.model != b.model:
         raise ValueError("symbols live on different models")
+
+
+def symbol_add(a, b, beta: complex = 1.0):
+    """Entrywise ``a + beta * b`` on the union of supports."""
+    _same_model(a, b)
+    cert = min(a.exact_band, b.exact_band)
+    if a.model.kind == "torus":
+        r = max(a.radius, b.radius)
+        return TorusSymbol(a.model, resize_box(a.table, r)
+                           + beta * resize_box(b.table, r), cert)
     out = {lb: m.copy() for lb, m in a.entries.items()}
     for lb, m in b.entries.items():
         out[lb] = out.get(lb, 0.0) + beta * m
-    return MatrixSymbol(a.model, out, min(a.exact_band, b.exact_band))
+    return MatrixSymbol(a.model, out, cert)
 
 
-def symbol_product(a: MatrixSymbol, b: MatrixSymbol) -> MatrixSymbol:
+def symbol_product(a, b):
     """Pointwise matrix product ``a(xi) b(xi)``, the symbol of the composition."""
-    if a.model != b.model:
-        raise ValueError("symbols live on different models")
+    _same_model(a, b)
+    cert = min(a.exact_band, b.exact_band)
+    if a.model.kind == "torus":
+        r = min(a.radius, b.radius)
+        return TorusSymbol(a.model, resize_box(a.table, r)
+                           * resize_box(b.table, r), cert)
     out = {lb: a.entries[lb] @ b.entries[lb] for lb in a.entries if lb in b.entries}
-    return MatrixSymbol(a.model, out, min(a.exact_band, b.exact_band))
+    return MatrixSymbol(a.model, out, cert)
 
 
-def symbol_scale(a: MatrixSymbol, factor: complex) -> MatrixSymbol:
-    return MatrixSymbol(a.model, {lb: factor * m for lb, m in a.entries.items()},
+def symbol_scale(a, factor):
+    """``factor * a`` for a scalar factor, or labelwise for a label table
+    ``factor`` through ``a.support_band``."""
+    if a.model.kind == "torus":
+        return TorusSymbol(a.model, factor * a.table, a.exact_band)
+    f = np.broadcast_to(factor, (a.support_band + 1,))
+    return MatrixSymbol(a.model, {lb: f[lb] * m for lb, m in a.entries.items()},
                         a.exact_band)
 
 
-def identity_symbol(model: GroupModel, band: int) -> MatrixSymbol:
-    from .groups import labels_up_to
-
-    entries = {lb: np.eye(irrep_dimension(model, lb), dtype=complex)
-               for lb in labels_up_to(model, band)}
+def identity_symbol(model: GroupModel, band: int):
+    if model.kind == "torus":
+        return TorusSymbol(model, np.ones((2 * band + 1,) * model.n), band)
+    entries = {t: np.eye(t + 1, dtype=complex) for t in range(band + 1)}
     return MatrixSymbol(model, entries, exact_band=band)
+
+
+def random_symbol(model: GroupModel, band: int, rng: np.random.Generator,
+                  exact_band: float = math.inf):
+    """Symbol through ``band`` with independent standard complex Gaussian
+    entries (real parts drawn before imaginary parts)."""
+    if model.kind == "torus":
+        shape = (2 * band + 1,) * model.n
+        return TorusSymbol(model, rng.standard_normal(shape)
+                           + 1j * rng.standard_normal(shape), exact_band)
+    entries = {t: rng.standard_normal((t + 1, t + 1))
+               + 1j * rng.standard_normal((t + 1, t + 1))
+               for t in range(band + 1)}
+    return MatrixSymbol(model, entries, exact_band)
 
 
 def op_norm(mat: np.ndarray) -> float:
@@ -148,15 +285,7 @@ def op_norm(mat: np.ndarray) -> float:
 # Quantization
 # ---------------------------------------------------------------------------
 
-def symbol_to_kernel(sym: MatrixSymbol, grid: GroupGrid) -> GroupFunction:
-    """Right-convolution kernel of the operator: the inverse transform of the
-    symbol, ``sum_xi d_xi trace(xi(g) sigma(xi))``."""
-    from . import transform
-
-    return transform.fourier_inverse(sym, grid)
-
-
-def quantize_apply(sym: MatrixSymbol, f: GroupFunction) -> GroupFunction:
+def quantize_apply(sym, f: GroupFunction) -> GroupFunction:
     """Apply the operator with the given symbol to a sampled function.
 
     Computes ``sum_xi d_xi trace(xi(g) sigma(xi) fhat(xi))`` over the stored
@@ -166,55 +295,11 @@ def quantize_apply(sym: MatrixSymbol, f: GroupFunction) -> GroupFunction:
     from . import transform
 
     grid = f.grid
-    labels = [lb for lb in sym.entries
-              if label_band(grid.model, lb) <= grid.max_label_band]
+    cap = grid.max_label_band
     if f.declared_band is not None:
-        labels = [lb for lb in labels
-                  if label_band(grid.model, lb) <= f.declared_band]
-    coeffs = transform.fourier_forward(f, labels=labels)
-    prod = MatrixSymbol(grid.model,
-                        {lb: sym.entries[lb] @ coeffs.entries[lb] for lb in labels},
-                        exact_band=coeffs.exact_band)
-    return transform.fourier_inverse(prod, grid)
-
-
-def convolve_oracle(f: GroupFunction, sym: MatrixSymbol) -> np.ndarray:
-    """Independent group-convolution oracle for :func:`quantize_apply`.
-
-    Evaluates ``(f * kernel)(g) = integral f(h) kernel(h^{-1} g) dh`` by the
-    double quadrature sum, with the kernel evaluated pointwise through its
-    matrix-coefficient series.  Quadratic in the node count; test-scale only.
-    """
-    grid = f.grid
-    out = np.zeros(grid.node_count, dtype=complex)
-    w = grid.weights
-    if grid.model.kind == "torus":
-        shape = grid.shape
-        F = f.samples.reshape(shape)
-        K = symbol_to_kernel(sym, grid).samples.reshape(shape)
-        for shift in np.ndindex(*shape):
-            # kernel evaluated at g - h over the lattice via np.roll
-            rolled = K
-            for ax, s in enumerate(shift):
-                rolled = np.roll(rolled, s, axis=ax)
-            out = out.reshape(shape)
-            out += F[shift] * rolled * w[0]
-        return out.reshape(-1)
-    nodes = grid.nodes
-    from .groups import su2_matrix, euler_from_su2
-
-    mats = [su2_matrix(p) for p in nodes]
-    reps = {lb: np.stack([wigner_matrix(lb, p) for p in nodes]) for lb in sym.entries}
-    for hidx in range(grid.node_count):
-        Uh_inv = mats[hidx].conj().T
-        acc = np.zeros(grid.node_count, dtype=complex)
-        for lb, sig in sym.entries.items():
-            # xi(h^-1 g) = xi(h)^* xi(g); trace(xi(h^-1 g) sigma)
-            Dh = reps[lb][hidx].conj().T
-            acc += np.einsum("nab,ba->n", reps[lb], sig @ Dh) * (lb + 1)
-        out += f.samples[hidx] * w[hidx] * acc
-        del Uh_inv
-    return out
+        cap = min(cap, f.declared_band)
+    coeffs = transform.fourier_forward(f, band=min(cap, sym.support_band))
+    return transform.fourier_inverse(symbol_product(sym, coeffs), grid)
 
 
 # ---------------------------------------------------------------------------
@@ -223,65 +308,19 @@ def convolve_oracle(f: GroupFunction, sym: MatrixSymbol) -> np.ndarray:
 
 def vector_field_symbol(model: GroupModel, coeffs: Sequence[float], band: int,
                         step: float = 1e-4) -> MatrixSymbol:
-    """Symbol of a left-invariant frame field ``X = sum_j a_j D_j``.
+    """Symbol of a left-invariant frame field ``X = sum_j a_j D_j`` on SU(2).
 
     Entries are the derivative of ``xi(exp(t X))`` at ``t = 0``, computed by
     the five-point centered difference (one Richardson step) with the given
     step; the result is skew-Hermitian to within discretization error.
-    On the torus the frame is ``D_j = d/dx_j`` and the coefficient vector has
-    length n.
     """
-    from .groups import labels_up_to
-
+    a = np.asarray(coeffs, dtype=float)
+    pts = {s: su2_exp_point(a, s * step) for s in (1, 2, -1, -2)}
     entries: Dict[IrrepLabel, np.ndarray] = {}
-    if model.kind == "su2":
-        a = np.asarray(coeffs, dtype=float)
-        pts = {s: su2_exp_point(a, s * step) for s in (1, 2, -1, -2)}
-        for t in labels_up_to(model, band):
-            D = {s: wigner_matrix(t, p) for s, p in pts.items()}
-            entries[t] = (8.0 * (D[1] - D[-1]) - (D[2] - D[-2])) / (12.0 * step)
-    else:
-        a = np.asarray(coeffs, dtype=float)
-        if a.shape != (model.n,):
-            raise ValueError(f"torus frame vector needs {model.n} components")
-        for k in labels_up_to(model, band):
-            phase = 2.0 * math.pi * float(np.dot(k, a))
-            vals = [np.exp(1j * phase * s * step) for s in (1, 2, -1, -2)]
-            d1 = (8.0 * (vals[0] - vals[2]) - (vals[1] - vals[3])) / (12.0 * step)
-            entries[k] = np.array([[d1]], dtype=complex)
+    for t in range(band + 1):
+        D = {s: wigner_matrix(t, p) for s, p in pts.items()}
+        entries[t] = (8.0 * (D[1] - D[-1]) - (D[2] - D[-2])) / (12.0 * step)
     return MatrixSymbol(model, entries, exact_band=band)
-
-
-# ---------------------------------------------------------------------------
-# Distance function
-# ---------------------------------------------------------------------------
-
-@dataclass(frozen=True)
-class DistanceFunction:
-    """The pseudo-distance whose square drives the second-order calculus."""
-
-    model: GroupModel
-
-    def squared_value(self, point) -> float:
-        if self.model.kind == "su2":
-            from .groups import su2_matrix
-
-            tr = float(np.trace(su2_matrix(point)).real)
-            return max(4.0 - tr * tr, 0.0)
-        x = np.asarray(point, dtype=float)
-        return float(np.sum(2.0 - 2.0 * np.cos(2.0 * math.pi * x)))
-
-    def value(self, point) -> float:
-        return math.sqrt(self.squared_value(point))
-
-    def squared_on(self, grid: GroupGrid) -> GroupFunction:
-        band = 2 if self.model.kind == "su2" else 1
-        return GroupFunction(grid, rho_squared_samples(grid).astype(complex), band)
-
-
-def rho_squared(model: GroupModel) -> DistanceFunction:
-    """Distance-squared object; ``squared_on`` samples it onto a grid."""
-    return DistanceFunction(model)
 
 
 # ---------------------------------------------------------------------------
@@ -355,19 +394,27 @@ def _q_samples(grid: GroupGrid, factor: Tuple[IrrepLabel, int, int]) -> np.ndarr
     return grid._misc[key]
 
 
+def _word_samples(grid: GroupGrid, word: DifferenceWord) -> np.ndarray:
+    """Samples of the word's multiplier ``prod (xi_ij - delta_ij)``."""
+    q = np.ones(grid.node_count, dtype=complex)
+    for factor in word.factors:
+        q = q * _q_samples(grid, factor)
+    return q
+
+
 def required_difference_band(model: GroupModel, kernel_band: int, out_band: int) -> int:
-    """Smallest grid band making the forward transform exact for a kernel of
-    the given band evaluated at labels up to ``out_band``."""
+    """Smallest grid band that represents labels up to ``out_band`` and makes
+    the forward transform exact there for a kernel of the given band."""
     total = kernel_band + out_band
     if model.kind == "su2":
-        return max(1, (total + 3) // 4)
-    return max(1, (total + 1) // 2)
+        return max(1, (total + 3) // 4, (out_band + 1) // 2)
+    return max(1, (total + 1) // 2, out_band)
 
 
-def _difference_grid(sym: MatrixSymbol, wband: int, grid: Optional[GroupGrid]) -> GroupGrid:
+def _difference_grid(sym, wband: int, out_band: int,
+                     grid: Optional[GroupGrid]) -> GroupGrid:
     model = sym.model
     kernel_band = sym.support_band + wband
-    out_band = sym.support_band + wband
     needed = required_difference_band(model, kernel_band, out_band)
     if grid is None:
         return default_grid(model, needed)
@@ -378,123 +425,116 @@ def _difference_grid(sym: MatrixSymbol, wband: int, grid: Optional[GroupGrid]) -
     return grid
 
 
-def apply_difference(word: DifferenceWord, sym: MatrixSymbol,
-                     grid: Optional[GroupGrid] = None,
-                     route: str = "auto") -> MatrixSymbol:
+def _grid_differences(sym, wband: int, out_band: int,
+                      multipliers: Iterable[Callable[[GroupGrid], np.ndarray]],
+                      grid: Optional[GroupGrid] = None) -> Iterator:
+    """The quadrature route: synthesize the kernel once on a grid exact for
+    the products, multiply it by each multiplier's samples (a function of
+    band <= ``wband`` vanishing at the identity) and transform back through
+    ``out_band``.  The SU(2) difference path; on the torus the tests run it
+    as the oracle for the box slices."""
+    from . import transform
+
+    grid = _difference_grid(sym, wband, out_band, grid)
+    kernel = transform.fourier_inverse(sym, grid)
+    declared = min(kernel.declared_band + wband, grid.max_label_band)
+    for multiplier in multipliers:
+        # a named operand: numpy would reuse a temporary's buffer for the
+        # product, which rounds complex products differently
+        q = multiplier(grid)
+        product = GroupFunction(grid, kernel.samples * q, declared)
+        coeffs = transform.fourier_forward(product, band=out_band)
+        coeffs.exact_band = min(sym.exact_band - wband, coeffs.exact_band)
+        yield coeffs
+
+
+def _box_at(step: Sequence[int], side: int, margin: int) -> Tuple[slice, ...]:
+    """Where a box of the given side lands when moved by ``step`` inside
+    its extension by ``margin``."""
+    return tuple(slice(margin + s, margin + s + side) for s in step)
+
+
+def _box_difference(table: np.ndarray, step: Sequence[int]) -> np.ndarray:
+    """``sigma(k - step) - sigma(k)``, the difference with factor
+    ``e^{2 pi i step.x} - 1``, on the box zero-extended by ``max|step|``."""
+    margin = max(abs(s) for s in step)
+    out = -np.pad(table, margin)
+    out[_box_at(step, table.shape[0], margin)] += table
+    return out
+
+
+def _box_laplace(table: np.ndarray, shell: Sequence[Sequence[int]]) -> np.ndarray:
+    """``2 n sigma(k) - sum_j (sigma(k - e_j) + sigma(k + e_j))``, the
+    difference with factor ``rho^2``, on the box zero-extended by 1;
+    ``shell`` lists the first-shell labels ``+-e_j``."""
+    n = len(shell) // 2
+    out = 2.0 * n * np.pad(table, 1)
+    for step in shell:
+        out[_box_at(step, table.shape[0], 1)] -= table
+    return out
+
+
+def apply_difference(word: DifferenceWord, sym, grid: Optional[GroupGrid] = None):
     """Apply a difference word to a symbol.
 
-    ``route`` is ``"auto"`` (torus: exact lattice shifts; SU(2): quadrature),
-    ``"shift"`` (torus only) or ``"grid"``.  The result's exactness
-    certificate drops by the word's total factor band.
+    Torus: each factor ``xi`` is the exact shift ``sigma(k - xi) - sigma(k)``
+    of the box.  SU(2): the quadrature route on ``grid`` (default: a cached
+    grid exact for the product).  The result's exactness certificate drops
+    by the word's total factor band.
     """
     if word.model != sym.model:
         raise ValueError("word and symbol live on different models")
     if word.order == 0:
-        return MatrixSymbol(sym.model, {lb: m.copy() for lb, m in sym.entries.items()},
-                            sym.exact_band)
-    if route not in ("auto", "shift", "grid"):
-        raise ValueError(f"unknown route {route!r}")
-    if sym.model.kind == "torus" and route in ("auto", "shift"):
-        return _apply_difference_shift(word, sym)
-    if sym.model.kind == "torus" and route == "grid":
-        return _apply_difference_grid(word, sym, grid)
-    if route == "shift":
-        raise ValueError("the shift route exists only on the torus")
-    return _apply_difference_grid(word, sym, grid)
-
-
-def _apply_difference_shift(word: DifferenceWord, sym: MatrixSymbol) -> MatrixSymbol:
-    cur = {lb: m for lb, m in sym.entries.items()}
-    n = sym.model.n
-    for lb, _, _ in word.factors:
-        shifted: Dict[IrrepLabel, np.ndarray] = {}
-        keys = set(cur)
-        for k in keys:
-            shifted[k] = shifted.get(k, 0.0) - cur[k]
-            moved = tuple(k[d] + lb[d] for d in range(n))
-            shifted[moved] = shifted.get(moved, 0.0) + cur[k]
-        cur = {k: np.asarray(v) for k, v in shifted.items()}
-    return MatrixSymbol(sym.model, cur, sym.exact_band - word.band_sum)
-
-
-def _apply_difference_grid(word: DifferenceWord, sym: MatrixSymbol,
-                           grid: Optional[GroupGrid]) -> MatrixSymbol:
-    from . import transform
-    from .groups import labels_up_to
-
+        return copy.deepcopy(sym)
+    if sym.model.kind == "torus":
+        table = sym.table
+        for lb, _, _ in word.factors:
+            table = _box_difference(table, lb)
+        return TorusSymbol(sym.model, table, sym.exact_band - word.band_sum)
     wband = word.band_sum
-    grid = _difference_grid(sym, wband, grid)
-    kernel = transform.fourier_inverse(sym, grid)
-    q = np.ones(grid.node_count, dtype=complex)
-    for factor in word.factors:
-        q = q * _q_samples(grid, factor)
-    product = GroupFunction(grid, kernel.samples * q,
-                            min(kernel.declared_band + wband, grid.max_label_band))
-    out_band = sym.support_band + wband
-    labels = [lb for lb in labels_up_to(sym.model, out_band)]
-    coeffs = transform.fourier_forward(product, labels=labels)
-    return MatrixSymbol(sym.model, coeffs.entries,
-                        exact_band=min(sym.exact_band - wband, coeffs.exact_band))
+    return next(_grid_differences(sym, wband, sym.support_band + wband,
+                                  [partial(_word_samples, word=word)], grid))
 
 
-def laplace_difference(sym: MatrixSymbol, grid: Optional[GroupGrid] = None,
-                       route: str = "auto") -> MatrixSymbol:
+def laplace_difference(sym, grid: Optional[GroupGrid] = None):
     """The second-order difference operator driven by ``rho^2``.
 
-    Torus (shift route): ``2 n sigma(k) - sum_j (sigma(k + e_j) + sigma(k - e_j))``.
-    SU(2) (quadrature route): transform, multiply by ``rho^2``, transform back.
-    The exactness certificate drops by the band of ``rho^2`` (2 on SU(2),
-    1 on the torus).
+    Torus: ``2 n sigma(k) - sum_j (sigma(k + e_j) + sigma(k - e_j))`` on the
+    box.  SU(2): the quadrature route (transform, multiply by ``rho^2``,
+    transform back).  The exactness certificate drops by the band of
+    ``rho^2`` (2 on SU(2), 1 on the torus).
     """
     model = sym.model
-    if route not in ("auto", "shift", "grid"):
-        raise ValueError(f"unknown route {route!r}")
-    if model.kind == "torus" and route in ("auto", "shift"):
-        n = model.n
-        out: Dict[IrrepLabel, np.ndarray] = {}
-        for k, m in sym.entries.items():
-            out[k] = out.get(k, 0.0) + 2.0 * n * m
-            for d_axis in range(n):
-                for sign in (1, -1):
-                    moved = list(k)
-                    moved[d_axis] += sign
-                    moved = tuple(moved)
-                    out[moved] = out.get(moved, 0.0) - m
-        cleaned = {k: np.asarray(v) for k, v in out.items()}
-        return MatrixSymbol(model, cleaned, sym.exact_band - 1)
-    if route == "shift":
-        raise ValueError("the shift route exists only on the torus")
-    from . import transform
-    from .groups import labels_up_to
-
-    wband = 2 if model.kind == "su2" else 1
-    grid = _difference_grid(sym, wband, grid)
-    kernel = transform.fourier_inverse(sym, grid)
-    product = GroupFunction(grid, kernel.samples * rho_squared_samples(grid),
-                            min(kernel.declared_band + wband, grid.max_label_band))
-    labels = list(labels_up_to(model, sym.support_band + wband))
-    coeffs = transform.fourier_forward(product, labels=labels)
-    return MatrixSymbol(model, coeffs.entries,
-                        exact_band=min(sym.exact_band - wband, coeffs.exact_band))
+    if model.kind == "torus":
+        return TorusSymbol(model, _box_laplace(sym.table, model.delta0),
+                           sym.exact_band - 1)
+    return next(_grid_differences(sym, 2, sym.support_band + 2,
+                                  [rho_squared_samples], grid))
 
 
-def laplace_decomposition_residual(sym: MatrixSymbol,
-                                   grid: Optional[GroupGrid] = None) -> float:
+def laplace_decomposition_residual(sym, grid: Optional[GroupGrid] = None) -> float:
     """Residual of the first-shell decomposition of the rho^2 operator:
     ``laplace(sigma) + sum_{xi0 in delta0} sum_i xi0 D_ii sigma = 0``."""
     model = sym.model
-    total = laplace_difference(sym, grid, route="grid" if model.kind == "su2" else "auto")
+    total = laplace_difference(sym, grid)
     for lb in model.delta0:
         d = irrep_dimension(model, lb)
         for i in range(d):
             word = DifferenceWord(model, ((lb, i, i),))
             total = symbol_add(total, apply_difference(word, sym, grid))
-    return max((op_norm(m) for m in total.entries.values()), default=0.0)
+    return float(np.max(total.norms(total.support_band), initial=0.0))
 
 
 # ---------------------------------------------------------------------------
 # Leibniz rules
 # ---------------------------------------------------------------------------
+
+def _residual_norm(resid, cap: float) -> float:
+    """Largest Hilbert-Schmidt block norm of ``resid`` at labels within
+    ``cap``."""
+    band = int(min(resid.support_band, cap))
+    return float(np.max(resid.norms(band, hs=True), initial=0.0))
+
 
 def _expand_product_terms(word: DifferenceWord):
     """Expand ``D^word (sigma tau)`` into ``(word_on_sigma, word_on_tau)`` pairs
@@ -540,11 +580,8 @@ def leibniz_residual(word: DifferenceWord, sym: MatrixSymbol, tau: MatrixSymbol,
     for left, right in terms:
         piece = symbol_product(diff_of(sym, left, cache_s), diff_of(tau, right, cache_t))
         rhs = piece if rhs is None else symbol_add(rhs, piece)
-    resid = symbol_add(lhs, rhs, beta=-1.0)
-    cap = min(sym.exact_band, tau.exact_band)
-    vals = [np.linalg.norm(m) for lb, m in resid.entries.items()
-            if label_band(word.model, lb) <= cap]
-    return max(vals, default=0.0)
+    return _residual_norm(symbol_add(lhs, rhs, beta=-1.0),
+                          min(sym.exact_band, tau.exact_band))
 
 
 def laplace_leibniz_residual(sym: MatrixSymbol, tau: MatrixSymbol,
@@ -566,74 +603,47 @@ def laplace_leibniz_residual(sym: MatrixSymbol, tau: MatrixSymbol,
                 cross = symbol_product(apply_difference(wij, sym, grid),
                                        apply_difference(wji, tau, grid))
                 rhs = symbol_add(rhs, cross, beta=-1.0)
-    resid = symbol_add(lhs, rhs, beta=-1.0)
-    cap = min(sym.exact_band, tau.exact_band)
-    vals = [np.linalg.norm(m) for lb, m in resid.entries.items()
-            if label_band(model, lb) <= cap]
-    return max(vals, default=0.0)
+    return _residual_norm(symbol_add(lhs, rhs, beta=-1.0),
+                          min(sym.exact_band, tau.exact_band))
 
 
 # ---------------------------------------------------------------------------
 # Seminorms
 # ---------------------------------------------------------------------------
 
-def word_sup_table(sym: MatrixSymbol, order: int, labels: Sequence[IrrepLabel],
-                   grid: Optional[GroupGrid] = None) -> Dict[IrrepLabel, float]:
-    """Per-label sup over all generator words of the given order of
-    ``||D^alpha sigma(xi)||_op``.  Labels must lie within the derated
-    exactness certificate, else BandOverflowError."""
+def word_sup_table(sym, order: int, band: int,
+                   grid: Optional[GroupGrid] = None) -> np.ndarray:
+    """Label table through ``band`` of the sup over all generator words of
+    the given order of ``||D^alpha sigma(xi)||_op``.  The band must lie
+    within the derated exactness certificate, else BandOverflowError."""
     model = sym.model
-    labels = [validate_label(model, lb) for lb in labels]
-    if order == 0:
-        return {lb: op_norm(sym.get(lb)) for lb in labels}
     words = generator_words(model, order)
     wband = max(w.band_sum for w in words)
     cap = sym.exact_band - wband
-    bad = [lb for lb in labels if label_band(model, lb) > cap]
-    if bad:
+    if band > cap:
         raise BandOverflowError(
-            f"labels up to band {max(label_band(model, lb) for lb in bad)} requested, "
-            f"but order-{order} differences are only exact through band {cap}; "
+            f"labels up to band {band} requested, but order-{order} "
+            f"differences are only exact through band {cap}; "
             f"extend the stored symbol")
-    best = {lb: 0.0 for lb in labels}
+    if order == 0:
+        return sym.norms(band)
     if model.kind == "torus":
-        for word in words:
-            diff = apply_difference(word, sym)
-            for lb in labels:
-                best[lb] = max(best[lb], op_norm(diff.get(lb)))
-        return best
-    # SU(2): one kernel, one multiplier product per word, one forward each.
-    from . import transform
-
-    out_band = max((label_band(model, lb) for lb in labels), default=0)
-    kernel_band = sym.support_band + wband
-    needed = required_difference_band(model, kernel_band, out_band)
-    if grid is None:
-        grid = default_grid(model, needed)
-    elif grid.exact_total_band < kernel_band + out_band:
-        raise BandOverflowError(
-            f"grid band {grid.band} too small; need band >= {needed}")
-    kernel = transform.fourier_inverse(sym, grid)
-    for word in words:
-        q = np.ones(grid.node_count, dtype=complex)
-        for factor in word.factors:
-            q = q * _q_samples(grid, factor)
-        product = GroupFunction(grid, kernel.samples * q,
-                                min(kernel.declared_band + wband, grid.max_label_band))
-        coeffs = transform.fourier_forward(product, labels=labels)
-        for lb in labels:
-            best[lb] = max(best[lb], op_norm(coeffs.entries[lb]))
+        diffs = (apply_difference(word, sym) for word in words)
+    else:
+        # one kernel transform shared by every word
+        diffs = _grid_differences(
+            sym, wband, band, [partial(_word_samples, word=w) for w in words],
+            grid)
+    best = None
+    for diff in diffs:
+        norms = diff.norms(band)
+        best = norms if best is None else np.maximum(best, norms)
     return best
 
 
-def seminorm(sym: MatrixSymbol, order: int, weight_exponent: float,
-             labels: Sequence[IrrepLabel],
+def seminorm(sym, order: int, weight_exponent: float, band: int,
              grid: Optional[GroupGrid] = None) -> float:
-    """``sup_xi <xi>^w max_words ||D^alpha sigma(xi)||_op`` over the labels."""
-    from .groups import japanese_bracket
-
-    table = word_sup_table(sym, order, labels, grid)
-    best = 0.0
-    for lb, val in table.items():
-        best = max(best, japanese_bracket(sym.model, lb) ** weight_exponent * val)
-    return best
+    """``sup_xi <xi>^w max_words ||D^alpha sigma(xi)||_op`` over the labels
+    through ``band``."""
+    table = word_sup_table(sym, order, band, grid)
+    return float((bracket_powers(sym.model, band, weight_exponent) * table).max())

@@ -7,9 +7,10 @@ Conventions (matching :mod:`gmult.groups`):
 * inverse:  ``f(g) = sum_xi d_xi trace(xi(g) fhat(xi))``.
 
 On the torus this is the ordinary Fourier series with characters
-``exp(2 pi i k . x)`` and is evaluated by the FFT.  On SU(2) the transform
-separates over the Euler product grid: two phase sums (uniform angles) and a
-Gauss-Legendre sum against the little-d tables.
+``exp(2 pi i k . x)``, evaluated by the FFT between the samples and the
+symbol's dense label box.  On SU(2) the transform separates over the Euler
+product grid: two phase sums (uniform angles) and a Gauss-Legendre sum
+against the little-d tables.
 
 Exactness accounting: for a function carrying a ``declared_band``
 certificate ``b``, computed coefficients at labels of band ``t`` are exact
@@ -22,15 +23,14 @@ discrete quadrature transform, certified exact nowhere).
 from __future__ import annotations
 
 import math
-from typing import Dict, Iterable, List, Optional, Sequence, Tuple
+from typing import Dict, Optional, Sequence
 
 import numpy as np
 
 from .errors import BandOverflowError
 from .grids import GroupFunction, GroupGrid
-from .groups import (IrrepLabel, irrep_dimension, japanese_bracket, label_band,
-                     labels_up_to, validate_label)
-from .symbols import MatrixSymbol
+from .groups import bracket_powers, irrep_dimension, japanese_bracket
+from .symbols import MatrixSymbol, TorusSymbol, resize_box
 
 
 def _su2_phase_tables(grid: GroupGrid, tmax: int):
@@ -94,62 +94,35 @@ def _su2_inverse(grid: GroupGrid, sym: MatrixSymbol) -> np.ndarray:
     return out.reshape(-1)
 
 
-def _torus_forward(grid: GroupGrid, samples: np.ndarray,
-                   labels: Sequence[Tuple[int, ...]]) -> Dict[Tuple[int, ...], np.ndarray]:
-    shape = grid.shape
-    table = np.fft.fftn(samples.reshape(shape)) / samples.size
-    out: Dict[Tuple[int, ...], np.ndarray] = {}
-    for k in labels:
-        idx = tuple(int(c) % shape[d] for d, c in enumerate(k))
-        out[k] = np.array([[table[idx]]], dtype=complex)
-    return out
+def fourier_forward(f: GroupFunction, band: Optional[int] = None):
+    """Transform sampled function values into the matrix coefficients at
+    every label through ``band`` (default: the grid's representable band).
 
-
-def _torus_inverse(grid: GroupGrid, sym: MatrixSymbol) -> np.ndarray:
-    shape = grid.shape
-    table = np.zeros(shape, dtype=complex)
-    for k, mat in sym.entries.items():
-        idx = tuple(int(c) % shape[d] for d, c in enumerate(k))
-        table[idx] += complex(mat[0, 0])
-    return (np.fft.ifftn(table) * table.size).reshape(-1)
-
-
-def fourier_forward(f: GroupFunction, labels: Optional[Iterable[IrrepLabel]] = None,
-                    band: Optional[int] = None) -> MatrixSymbol:
-    """Transform sampled function values into matrix coefficients.
-
-    ``labels`` selects which coefficients to compute; alternatively ``band``
-    requests all labels through that band.  With neither, all labels through
-    the grid's representable band are computed.  Labels beyond the grid's
-    representable band raise BandOverflowError (they alias onto lower ones).
+    On the torus the result is the box of radius ``band``: the FFT table,
+    re-centred on the origin and cropped.  A band beyond the grid's
+    representable band raises BandOverflowError (those labels alias onto
+    lower ones).
     """
     grid = f.grid
     model = grid.model
-    if labels is not None and band is not None:
-        raise ValueError("pass labels or band, not both")
-    if labels is None:
-        cap = grid.max_label_band if band is None else band
-        labels = list(labels_up_to(model, cap))
-    else:
-        labels = [validate_label(model, lb) for lb in labels]
-    for lb in labels:
-        if label_band(model, lb) > grid.max_label_band:
-            raise BandOverflowError(
-                f"label {lb} has band {label_band(model, lb)}, beyond the grid's "
-                f"representable band {grid.max_label_band}")
-    if model.kind == "su2":
-        entries = _su2_forward(grid, f.samples, labels)
-    else:
-        entries = _torus_forward(grid, f.samples, labels)
+    band = grid.max_label_band if band is None else int(band)
+    if band > grid.max_label_band:
+        raise BandOverflowError(
+            f"band {band} is beyond the grid's representable band "
+            f"{grid.max_label_band}")
     if f.declared_band is None:
         cert = -1.0
     else:
         cert = min(float(grid.max_label_band),
                    float(grid.exact_total_band - f.declared_band))
-    return MatrixSymbol(model, entries, exact_band=cert)
+    if model.kind == "su2":
+        return MatrixSymbol(model, _su2_forward(grid, f.samples, range(band + 1)),
+                            exact_band=cert)
+    table = np.fft.fftshift(np.fft.fftn(f.samples.reshape(grid.shape)))
+    return TorusSymbol(model, resize_box(table, band) / f.samples.size, cert)
 
 
-def fourier_inverse(sym: MatrixSymbol, grid: GroupGrid) -> GroupFunction:
+def fourier_inverse(sym, grid: GroupGrid) -> GroupFunction:
     """Evaluate ``sum_xi d_xi trace(xi(g) sigma(xi))`` at the grid nodes."""
     if sym.support_band > grid.max_label_band and sym.entries:
         raise BandOverflowError(
@@ -158,21 +131,21 @@ def fourier_inverse(sym: MatrixSymbol, grid: GroupGrid) -> GroupFunction:
     if grid.model.kind == "su2":
         samples = _su2_inverse(grid, sym)
     else:
-        samples = _torus_inverse(grid, sym)
+        table = np.fft.ifftshift(resize_box(sym.table, grid.band))
+        samples = (np.fft.ifftn(table) * table.size).reshape(-1)
     return GroupFunction(grid, samples, declared_band=sym.support_band)
 
 
-def plancherel_norm(sym: MatrixSymbol) -> float:
+def plancherel_norm(sym) -> float:
     """sqrt( sum_xi d_xi ||sigma(xi)||_HS^2 ) over the stored labels."""
-    total = 0.0
-    for lb, mat in sym.entries.items():
-        d = irrep_dimension(sym.model, lb)
-        total += d * float(np.sum(np.abs(mat) ** 2))
-    return math.sqrt(total)
+    return sobolev_norm(sym, 0.0)
 
 
-def sobolev_norm(sym: MatrixSymbol, order: float) -> float:
+def sobolev_norm(sym, order: float) -> float:
     """Plancherel norm with weights ``<xi>^order`` on each block."""
+    if sym.model.kind == "torus":
+        w = bracket_powers(sym.model, sym.radius, order)
+        return math.sqrt(float(np.sum(w * w * np.abs(sym.table) ** 2)))
     total = 0.0
     for lb, mat in sym.entries.items():
         d = irrep_dimension(sym.model, lb)

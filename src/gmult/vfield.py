@@ -245,8 +245,7 @@ def _measure_tau(model: GroupModel, sym: MatrixSymbol, V1: np.ndarray,
     return out
 
 
-def field_difference_table(spec: VectorFieldSpec,
-                           grid: Optional[GroupGrid] = None) -> np.ndarray:
+def field_difference_table(spec: VectorFieldSpec) -> np.ndarray:
     """Quadrature re-measurement of the ``tau`` table from the stored field."""
     return _measure_tau(spec.model, spec.symbol, spec.unitaries[1])
 

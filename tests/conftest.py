@@ -1,10 +1,11 @@
-"""Shared fixtures: group models, deterministic RNG, random symbol factory."""
+"""Shared fixtures: group models, deterministic RNG, random symbol factory
+(``random_symbol``, from :mod:`gmult.symbols`)."""
 import numpy as np
 import pytest
 from hypothesis import settings
 
-from gmult.groups import irrep_dimension, labels_up_to, model_from_name
-from gmult.symbols import MatrixSymbol
+from gmult.groups import model_from_name
+from gmult.symbols import random_symbol  # noqa: F401  (shared by the tests)
 
 settings.register_profile("suite", max_examples=25, deadline=None)
 settings.load_profile("suite")
@@ -28,14 +29,3 @@ def torus2():
 @pytest.fixture
 def rng():
     return np.random.default_rng(20240816)
-
-
-def random_symbol(model, band, rng, exact=np.inf):
-    """Random dense symbol supported through ``band``.  ``exact=inf`` views
-    it as the transform of a band-limited function (zero blocks beyond)."""
-    entries = {}
-    for lb in labels_up_to(model, band):
-        d = irrep_dimension(model, lb)
-        entries[lb] = (rng.standard_normal((d, d))
-                       + 1j * rng.standard_normal((d, d)))
-    return MatrixSymbol(model, entries, exact_band=exact)

@@ -4,12 +4,11 @@ import numpy as np
 import pytest
 
 from gmult.central import function_of_laplacian, riesz_symbol
-from gmult.checkers import (SymbolClassSpec, TorusLatticeSymbol,
-                            check_mikhlin, check_refined, check_symbol_class,
-                            check_torus3, empirical_lp_ratio,
-                            torus_lattice_symbol)
+from gmult.checkers import (SymbolClassSpec, check_mikhlin, check_refined,
+                            check_symbol_class, check_torus3,
+                            empirical_lp_ratio, torus_lattice_symbol)
 from gmult.cli import parse_torus_expression
-from gmult.symbols import identity_symbol
+from gmult.symbols import TorusSymbol, identity_symbol
 
 
 def _t3_symbol(torus3, expr, band):
@@ -91,7 +90,7 @@ def test_torus3_constant_passes(torus3):
 
 def test_lattice_symbol_table(torus3):
     sym = _t3_symbol(torus3, "k1/abs(k)", 6)
-    assert isinstance(sym, TorusLatticeSymbol)
+    assert isinstance(sym, TorusSymbol)
     r = sym.radius
     assert r == 10  # band + pad
     assert sym.table[r, r, r] == pytest.approx(0.0)  # origin patched

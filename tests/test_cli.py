@@ -3,22 +3,28 @@
 Covered here:
   - scalar/ladder/expression parsers, including the origin patch and the
     vector-coordinate guard,
-  - symbol file round-trip and malformed-file rejection,
+  - symbol file round-trip and malformed-file rejection (non-finite
+    entries, block dimensions), sparse files, file/expression parity,
   - exit codes: 0 pass, 1 failed check, 2 mathematical obstruction,
     3 configuration / resolution error,
   - report envelope schema and determinism of seeded reruns,
-  - CSV rendering and the output-directory environment variable.
+  - CSV rendering and the output-directory environment variable,
+  - a traced run of the benchmark harness.
 
-All invocations go through ``cli.main`` in-process.
+All invocations but the harness run go through ``cli.main`` in-process.
 """
 
 import json
 import math
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from gmult import cli
+from gmult.checkers import torus_lattice_symbol
 from gmult.cli import (EXIT_CONFIG, EXIT_FAIL, EXIT_MATH, EXIT_PASS,
                        load_symbol_file, main, parse_complex, parse_ladder,
                        parse_scalar_expression, parse_torus_expression,
@@ -147,6 +153,65 @@ def test_check_reads_symbol_file(su2, tmp_path, monkeypatch, capsys):
     code = main(["check", "--group", "su2", "--band", "14",
                  "--symbol", path, "--checker", "mikhlin"])
     assert code == EXIT_CONFIG
+
+
+def _conditions(capsys):
+    report = json.loads(capsys.readouterr().out)
+    return report["results"]["report"]["conditions"]
+
+
+@pytest.mark.parametrize("value", ["nan", "inf", "-inf", "1e999"])
+def test_symbol_file_rejects_nonfinite_entries(tmp_path, capsys, value):
+    path = tmp_path / "nonfinite.gsym"
+    path.write_text("gmult-symbol 1\ngroup torus-3\nband 10\n"
+                    f"label 0 0 0 d 1\n{value} 0.0\n")
+    code = main(["check", "--group", "torus-3", "--band", "8",
+                 "--symbol", str(path), "--checker", "mikhlin"])
+    assert code == EXIT_CONFIG
+    assert "line 5: entries must be finite" in capsys.readouterr().err
+
+
+def test_symbol_file_checks_dimension_before_allocating(tmp_path, capsys):
+    path = tmp_path / "huge.gsym"
+    path.write_text("gmult-symbol 1\ngroup su2\nband 4\n"
+                    "label 2 d 3000000000\n1.0 0.0\n")
+    code = main(["check", "--group", "su2", "--band", "4",
+                 "--symbol", str(path), "--checker", "mikhlin"])
+    assert code == EXIT_CONFIG
+    assert "line 4: label 2 must have dimension 3" in capsys.readouterr().err
+
+
+def test_sparse_su2_file_gets_a_grid_for_the_requested_band(tmp_path,
+                                                            capsys):
+    # the file stores label 0 only, far below the band the check reads
+    path = tmp_path / "sparse.gsym"
+    path.write_text("gmult-symbol 1\ngroup su2\nband 30\n"
+                    "label 0 d 1\n1.0 0.0\n")
+    code = main(["check", "--group", "su2", "--band", "24",
+                 "--symbol", str(path), "--checker", "mikhlin"])
+    assert code == EXIT_PASS
+    consts = {c["name"]: c["constant"] for c in _conditions(capsys)}
+    assert consts["order-0"] == pytest.approx(1.0, abs=1e-12)
+    assert consts["order-1"] == pytest.approx(1.0, abs=1e-12)
+    assert consts["order-2"] == pytest.approx(4.0 / 3.0, abs=1e-12)
+
+
+def test_torus_file_and_expression_give_identical_conditions(torus3,
+                                                              tmp_path,
+                                                              capsys):
+    expr = "(0.7)*k1/abs(k)+(-0.4)*k3/abs(k)+(0.5)/sqrt(1+abs(k)**2)"
+    sym = torus_lattice_symbol(torus3, parse_torus_expression(expr, 3), 8,
+                               pad=2)
+    path = str(tmp_path / "multiplier.gsym")
+    write_symbol_file(sym, path)
+    assert load_symbol_file(path).exact_band == 10
+    for checker in ("mikhlin", "refined"):
+        runs = []
+        for spec in (path, expr):
+            assert main(["check", "--group", "torus-3", "--band", "8",
+                         "--symbol", spec, "--checker", checker]) == EXIT_PASS
+            runs.append(_conditions(capsys))
+        assert runs[0] == runs[1]
 
 
 # ---------------------------------------------------------------------------
@@ -298,3 +363,25 @@ def test_out_dir_env_routing(tmp_path, monkeypatch, capsys):
     report = json.loads(target.read_text())
     assert report["schema"] == "gmult-report/1"
     assert isinstance(report["passed"], bool)
+
+
+# ---------------------------------------------------------------------------
+# Benchmark interface
+# ---------------------------------------------------------------------------
+
+def test_traced_benchmark_run_records_forward_labels(tmp_path):
+    # perfbench/harness.py wraps the layers and reads the size of every
+    # forward transform's result; a traced run must keep working
+    root = Path(__file__).resolve().parents[1]
+    spans = tmp_path / "spans.jsonl"
+    proc = subprocess.run(
+        [sys.executable, str(root / "perfbench" / "harness.py"),
+         "--spans", str(spans), "--command-id", "t", "--src",
+         str(root / "src"), "--", "fourier-selftest", "--group", "torus-3",
+         "--band", "4"],
+        capture_output=True, text=True, timeout=300)
+    assert proc.returncode == 0, proc.stderr
+    records = [json.loads(line) for line in spans.read_text().splitlines()]
+    forward = [r for r in records if r["name"] == "transform.fourier_forward"]
+    assert forward
+    assert all(r["labels"] == 9 ** 3 for r in forward)

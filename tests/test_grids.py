@@ -98,4 +98,4 @@ def test_overflow_guard(su2):
     f = GroupFunction(grid, np.ones(grid.node_count, dtype=complex),
                       declared_band=3)
     with pytest.raises(BandOverflowError):
-        fourier_forward(f, labels=[grid.max_label_band + 1])
+        fourier_forward(f, band=grid.max_label_band + 1)

@@ -1,24 +1,29 @@
 """Symbol algebra and difference calculus: product rules, certificates,
 operator quantization."""
+from functools import partial
+
 import numpy as np
 import pytest
 
 from gmult.errors import BandOverflowError
-from gmult.groups import irrep_dimension, labels_up_to
-from gmult.symbols import (DifferenceWord, MatrixSymbol, apply_difference,
-                           default_grid, difference_generators,
+from gmult.grids import rho_squared_samples
+from gmult.groups import irrep_dimension, labels_up_to, model_from_name
+from gmult.symbols import (DifferenceWord, MatrixSymbol, TorusSymbol,
+                           apply_difference, default_grid,
+                           difference_generators,
                            generator_words, identity_symbol,
                            laplace_decomposition_residual, laplace_difference,
                            laplace_leibniz_residual, leibniz_residual,
                            op_norm, quantize_apply, seminorm, symbol_add,
                            symbol_product, symbol_scale, vector_field_symbol)
+from gmult.symbols import _grid_differences, _word_samples, resize_box
 from gmult.transform import fourier_forward, fourier_inverse
 from conftest import random_symbol
 
 
 def test_symbol_algebra(su2, rng):
-    a = random_symbol(su2, 4, rng, exact=4)
-    b = random_symbol(su2, 4, rng, exact=6)
+    a = random_symbol(su2, 4, rng, exact_band=4)
+    b = random_symbol(su2, 4, rng, exact_band=6)
     s = symbol_add(a, b, beta=-2.0)
     for t in labels_up_to(su2, 4):
         assert np.allclose(s.get(t), a.get(t) - 2.0 * b.get(t))
@@ -46,7 +51,9 @@ def test_generator_inventory(su2, torus3):
 def test_torus_difference_shift(torus3):
     # on the torus the difference of a lattice delta telescopes exactly
     k = (2, 0, -1)
-    sym = MatrixSymbol(torus3, {k: np.array([[1.0]], dtype=complex)})
+    table = np.zeros((5, 5, 5), dtype=complex)
+    table[2 + 2, 2 + 0, 2 - 1] = 1.0
+    sym = TorusSymbol(torus3, table)
     word = DifferenceWord(torus3, (((1, 0, 0), 0, 0),))
     out = apply_difference(word, sym)
     moved = (3, 0, -1)
@@ -54,13 +61,41 @@ def test_torus_difference_shift(torus3):
     assert out.scalar(k) == pytest.approx(-1.0)
 
 
+@pytest.mark.parametrize("name", ["torus-2", "torus-3"])
+@pytest.mark.parametrize("exact", [np.inf, 3])
+def test_torus_box_routes_match_grid_oracle(name, exact, rng):
+    # the box slices against the FFT grid route, inside the certificate
+    model = model_from_name(name)
+    sym = random_symbol(model, 4, rng, exact_band=exact)
+    cases = [(apply_difference(w, sym), w.band_sum,
+              partial(_word_samples, word=w))
+             for w in generator_words(model, 1) + generator_words(model, 2)]
+    cases.append((laplace_difference(sym), 1, rho_squared_samples))
+    for got, wband, multiplier in cases:
+        assert got.exact_band == exact - wband
+        want = next(_grid_differences(sym, wband, sym.support_band + wband,
+                                      [multiplier]))
+        cap = int(min(got.radius, got.exact_band))
+        assert np.max(np.abs(resize_box(got.table, cap)
+                             - resize_box(want.table, cap))) < 1e-12
+
+
+def test_torus_product_rules(torus2, rng):
+    # the Leibniz and decomposition identities hold on finitely supported
+    # boxes, so they also exercise box sums and products
+    a = random_symbol(torus2, 3, rng)
+    b = random_symbol(torus2, 2, rng)
+    for word in generator_words(torus2, 1) + generator_words(torus2, 2):
+        assert leibniz_residual(word, a, b) < 1e-12
+    assert laplace_leibniz_residual(a, b) < 1e-12
+    assert laplace_decomposition_residual(a) < 1e-12
+
+
 def test_difference_of_identity_vanishes(torus3, su2, rng):
     # the identity symbol is the transform of the delta kernel; every
     # first difference annihilates it
     word_t = DifferenceWord(torus3, (((0, 1, 0), 0, 0),))
-    ident_t = MatrixSymbol(
-        torus3, {lb: np.ones((1, 1), dtype=complex)
-                 for lb in labels_up_to(torus3, 3)}, exact_band=3)
+    ident_t = identity_symbol(torus3, 3)
     out = apply_difference(word_t, ident_t)
     for lb in labels_up_to(torus3, 2):
         assert abs(out.scalar(lb)) < 1e-13
@@ -73,7 +108,7 @@ def test_difference_of_identity_vanishes(torus3, su2, rng):
 
 
 def test_difference_certificate_drops(su2, rng):
-    sym = random_symbol(su2, 6, rng, exact=6)
+    sym = random_symbol(su2, 6, rng, exact_band=6)
     word = DifferenceWord(su2, ((2, 1, 1),))
     out = apply_difference(word, sym, default_grid(su2, 10))
     assert out.exact_band <= 4
@@ -152,13 +187,12 @@ def test_vector_field_symbol_diagonal(su2):
 
 def test_seminorm_identity(su2):
     ident = identity_symbol(su2, 12)
-    labels = list(labels_up_to(su2, 6))
-    val = seminorm(ident, 0, 0.0, labels)
+    val = seminorm(ident, 0, 0.0, 6)
     assert val == pytest.approx(1.0, abs=1e-12)
 
 
 def test_band_guard(su2, rng):
-    sym = random_symbol(su2, 6, rng, exact=6)
+    sym = random_symbol(su2, 6, rng, exact_band=6)
     small = default_grid(su2, 2)
     with pytest.raises(BandOverflowError):
         fourier_inverse(sym, small)
