@@ -141,14 +141,15 @@ def torus_lattice_symbol(model: GroupModel, fn: Callable[..., np.ndarray],
                          band: int, pad: int) -> TorusSymbol:
     """Tabulate a vectorized symbol function over ``|k|_inf <= band + pad``.
 
-    ``fn`` receives ``n`` integer coordinate arrays (broadcast over the box)
-    and must return the symbol values elementwise.  The table is the symbol
-    itself on the box, so it is exact through its radius.
+    ``fn`` receives the ``n`` broadcastable integer coordinate axes of
+    :func:`gmult.groups.label_box` and must return the symbol values
+    elementwise.  The table is the symbol itself on the box, so it is exact
+    through its radius.
     """
-    axes = label_box(model.n, band + pad)
-    values = np.asarray(fn(*axes), dtype=complex)
-    values = np.broadcast_to(values, axes[0].shape).copy()
-    return TorusSymbol(model, values, exact_band=band + pad)
+    radius = band + pad
+    values = np.asarray(fn(*label_box(model.n, radius)), dtype=complex)
+    values = np.broadcast_to(values, (2 * radius + 1,) * model.n).copy()
+    return TorusSymbol(model, values, exact_band=radius)
 
 
 def _check_range(model: GroupModel, band: int) -> None:

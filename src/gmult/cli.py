@@ -181,7 +181,8 @@ def _parse_expression(text: str) -> ast.Expression:
 def parse_torus_expression(text: str, n: int) -> Callable:
     """Compile a lattice-symbol expression in ``k1..kn`` and ``abs(k)``.
 
-    Returns a vectorized function of the ``n`` integer coordinate arrays.
+    Returns a vectorized function of the ``n`` integer coordinate arrays
+    (broadcastable against each other, as from ``label_box``).
     A non-finite value at the origin (e.g. ``k1/abs(k)``) is replaced by 0;
     non-finite values elsewhere raise ``GmultError``.
     """
@@ -194,7 +195,8 @@ def parse_torus_expression(text: str, n: int) -> Callable:
         env["k"] = _VectorK(axes)
         with np.errstate(all="ignore"):
             values = np.asarray(_expr_eval(tree, env), dtype=complex)
-        values = np.broadcast_to(values, np.asarray(axes[0]).shape).copy()
+        shape = np.broadcast_shapes(*(np.shape(a) for a in axes))
+        values = np.broadcast_to(values, shape).copy()
         bad = ~np.isfinite(values)
         if bad.any():
             origin = np.ones_like(bad)

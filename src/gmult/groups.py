@@ -29,6 +29,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from functools import reduce
 from itertools import product
 from typing import Iterable, Iterator, List, Sequence, Tuple, Union
 
@@ -160,9 +161,12 @@ def labels_up_to(model: GroupModel, band: int) -> Iterator[IrrepLabel]:
 
 
 def label_box(n: int, band: int) -> List[np.ndarray]:
-    """Integer coordinate arrays ``k_1..k_n`` of the torus labels
-    ``|k|_inf <= band``, broadcast over the box ``(2 band + 1)^n``."""
-    return np.meshgrid(*([np.arange(-band, band + 1)] * n), indexing="ij")
+    """Integer coordinate axes ``k_1..k_n`` of the torus labels
+    ``|k|_inf <= band``: axis ``j`` has length ``2 band + 1`` along
+    dimension ``j`` and 1 elsewhere, so elementwise expressions in them
+    broadcast over the box ``(2 band + 1)^n``."""
+    return np.meshgrid(*([np.arange(-band, band + 1)] * n), indexing="ij",
+                       sparse=True)
 
 
 def label_bands(model: GroupModel, band: int) -> np.ndarray:
@@ -172,7 +176,7 @@ def label_bands(model: GroupModel, band: int) -> np.ndarray:
     quantities such as block norms and weights share this layout."""
     if model.kind == "su2":
         return np.arange(band + 1)
-    return np.max(np.abs(label_box(model.n, band)), axis=0)
+    return reduce(np.maximum, (np.abs(a) for a in label_box(model.n, band)))
 
 
 def bracket_powers(model: GroupModel, band: int, exponent: float) -> np.ndarray:
@@ -314,16 +318,30 @@ def euler_from_su2(U: np.ndarray) -> Tuple[float, float, float]:
     return phi, theta, psi
 
 
-# Left-invariant frame on SU(2): the fundamental images of the frame fields
-# are -i J_k in the ascending-m basis.  exp(t X) for X = a . frame then has
-# the closed form below because (a . J)^2 = |a|^2 / 4 * I.
-_J1 = np.array([[0.0, 0.5], [0.5, 0.0]], dtype=complex)
-_J2 = np.array([[0.0, 0.5j], [-0.5j, 0.0]], dtype=complex)
-_J3 = np.array([[-0.5, 0.0], [0.0, 0.5]], dtype=complex)
+def angular_momentum(coeffs: Sequence[float], twice_spin: int) -> np.ndarray:
+    """``a1 J1 + a2 J2 + a3 J3`` for the spin-``l`` angular-momentum
+    matrices, rows and columns ascending in ``m``: ``J3 = diag(m)``,
+    ``J1 = (J+ + J-) / 2``, ``J2 = (J+ - J-) / (2 i)``, ``J- = J+^T`` and
+    ``J+[m + 1, m] = sqrt((l - m)(l + m + 1))``.  Exactly Hermitian.
+
+    The frame field ``X = a . frame`` acts in the representation as
+    ``-i a . J`` (Ruzhansky & Turunen, *Pseudo-Differential Operators and
+    Symmetries*, 2010, SU(2) chapter).
+    """
+    a = np.asarray(coeffs, dtype=float)
+    T = int(twice_spin)
+    twice_m = np.arange(-T, T + 1, 2)
+    raising = np.diag(np.sqrt((T - twice_m[:-1]) * (T + twice_m[1:])) / 2.0,
+                      -1)
+    lowering = raising.T
+    return (a[0] * 0.5 * (raising + lowering)
+            + a[1] * (raising - lowering) / 2j + a[2] * np.diag(0.5 * twice_m))
 
 
 def su2_exp(coeffs: Sequence[float], t: float = 1.0) -> np.ndarray:
-    """2x2 matrix of ``exp(t X)`` for ``X = a1 D1 + a2 D2 + a3 D3``.
+    """2x2 matrix of ``exp(t X)`` for ``X = a1 D1 + a2 D2 + a3 D3``, in
+    closed form because ``(a . J)^2 = |a|^2 / 4 * I`` on the fundamental
+    block.
 
     ``D3`` generates the psi-translations: ``su2_exp((0, 0, 1), t)`` equals
     ``diag(exp(i t / 2), exp(-i t / 2))``.
@@ -334,7 +352,7 @@ def su2_exp(coeffs: Sequence[float], t: float = 1.0) -> np.ndarray:
     norm = float(np.linalg.norm(a))
     if norm == 0.0:
         return np.eye(2, dtype=complex)
-    M = a[0] * _J1 + a[1] * _J2 + a[2] * _J3
+    M = angular_momentum(a, 1)
     half = 0.5 * t * norm
     return math.cos(half) * np.eye(2, dtype=complex) - 1j * math.sin(half) * (2.0 / norm) * M
 

@@ -797,8 +797,8 @@ def riesz_field_diagonals(model: GroupModel) -> Callable[[int], np.ndarray]:
     """Closed-form diagonal provider for the Riesz transform of the third
     frame field: at label ``t`` the entries over ascending weights are
     ``-i (mu/2) / sqrt(l (l + 1))`` with ``l = t/2`` (zero at the trivial
-    label).  Matches the finite-difference construction to rounding and
-    stays affordable at the large bands the fine-scale probe needs.
+    label), the diagonal of ``central.riesz_symbol(model, (0, 0, 1), t)``;
+    one label at a time, affordable at the fine-scale probe's large bands.
     """
     _require_su2(model, "riesz_field_diagonals")
 

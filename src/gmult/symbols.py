@@ -43,9 +43,9 @@ import numpy as np
 
 from .errors import BandOverflowError
 from .grids import GroupFunction, GroupGrid, build_grid, rho_squared_samples
-from .groups import (GroupModel, IrrepLabel, bracket_powers, irrep_dimension,
-                     label_band, labels_up_to, su2_exp_point, validate_label,
-                     wigner_matrix)
+from .groups import (GroupModel, IrrepLabel, angular_momentum, bracket_powers,
+                     irrep_dimension, label_band, labels_up_to,
+                     validate_label)
 
 _GRID_CACHE: Dict[Tuple[str, int, int], GroupGrid] = {}
 
@@ -306,20 +306,17 @@ def quantize_apply(sym, f: GroupFunction) -> GroupFunction:
 # Vector field symbols
 # ---------------------------------------------------------------------------
 
-def vector_field_symbol(model: GroupModel, coeffs: Sequence[float], band: int,
-                        step: float = 1e-4) -> MatrixSymbol:
+def vector_field_symbol(model: GroupModel, coeffs: Sequence[float],
+                        band: int) -> MatrixSymbol:
     """Symbol of a left-invariant frame field ``X = sum_j a_j D_j`` on SU(2).
 
-    Entries are the derivative of ``xi(exp(t X))`` at ``t = 0``, computed by
-    the five-point centered difference (one Richardson step) with the given
-    step; the result is skew-Hermitian to within discretization error.
+    The block at label ``t`` is the Lie-algebra action of ``X`` in the
+    spin-``t/2`` representation, ``-i (a1 J1 + a2 J2 + a3 J3)`` (see
+    :func:`gmult.groups.angular_momentum`): the derivative of
+    ``xi(exp(s X))`` at ``s = 0`` in closed form.  Blocks are exactly
+    skew-Hermitian, with eigenvalues ``-i |a| m``, ``m = -t/2..t/2``.
     """
-    a = np.asarray(coeffs, dtype=float)
-    pts = {s: su2_exp_point(a, s * step) for s in (1, 2, -1, -2)}
-    entries: Dict[IrrepLabel, np.ndarray] = {}
-    for t in range(band + 1):
-        D = {s: wigner_matrix(t, p) for s, p in pts.items()}
-        entries[t] = (8.0 * (D[1] - D[-1]) - (D[2] - D[-2])) / (12.0 * step)
+    entries = {t: -1j * angular_momentum(coeffs, t) for t in range(band + 1)}
     return MatrixSymbol(model, entries, exact_band=band)
 
 

@@ -1,12 +1,14 @@
 """Inverse symbols of perturbed frame fields on SU(2).
 
-A real left-invariant field X has a skew-hermitian symbol, so each block
-diagonalizes unitarily.  Rotate the fundamental representation into the
-eigenbasis of the fundamental block: the four first-order differences built
-from its coefficients act on the field symbol as constants ``tau_ij`` that
-vanish off the diagonal and sum to zero on it (the constants are scalar
-multiples of the identity, so no per-label basis change is needed on the
-symbol side).  That turns inversion of ``X + c`` into scalar arithmetic per
+The symbol of a real left-invariant field ``X = a . frame`` is the exact
+spin-matrix action ``-i a . J``: each block is skew-Hermitian with
+eigenvalues ``-i |a| m`` and diagonalizes unitarily.  Rotate the
+fundamental representation into the eigenbasis of the fundamental block:
+the four first-order differences built from its coefficients act on the
+field symbol as the constants ``tau = diag(i |a| / 2, -i |a| / 2)``
+(scalar multiples of the identity, so no per-label basis change is needed
+on the symbol side; :func:`field_difference_table` re-measures them by
+quadrature).  That turns inversion of ``X + c`` into scalar arithmetic per
 eigenvalue and yields a closed-form expression for the diagonal differences
 of the inverse symbol, checked here against an independent quadrature route.
 
@@ -24,7 +26,7 @@ from typing import Dict, List, Optional, Tuple
 import numpy as np
 
 from .errors import ExceptionalValueError, GmultError
-from .groups import GroupModel, su2_exp_point, wigner_matrix
+from .groups import GroupModel
 from .grids import GroupGrid
 from .symbols import (DifferenceWord, MatrixSymbol, apply_difference,
                       vector_field_symbol)
@@ -35,12 +37,13 @@ _SPECTRAL_MARGIN = 1e-8
 
 @dataclass
 class VectorFieldSpec:
-    """A frame field on SU(2) with its per-label diagonalization data.
+    """A frame field on SU(2) with its exact symbol and per-label
+    eigenbases.
 
-    ``unitaries[t]`` columns are eigenvectors of the symbol block at label
-    ``t`` ordered so the eigenvalues (stored in ``eigenvalues[t]``) have
-    ascending imaginary part; ``tau`` is the 2x2 derivative table of the
-    rotated fundamental representation at the identity.
+    ``symbol`` is the exact Lie-algebra action of the field.  The columns
+    of ``unitaries[t]`` are eigenvectors of the block at label ``t``, in
+    the order of :meth:`eigenvalues`; the eigenvalues and the ``tau``
+    table follow from ``|a|`` alone.
     """
 
     model: GroupModel
@@ -48,38 +51,29 @@ class VectorFieldSpec:
     band: int
     symbol: MatrixSymbol
     unitaries: Dict[int, np.ndarray] = field(repr=False, default_factory=dict)
-    eigenvalues: Dict[int, np.ndarray] = field(repr=False, default_factory=dict)
-    tau: np.ndarray = field(default_factory=lambda: np.zeros((2, 2), complex))
-    derivative_sign: int = 1
 
     @property
     def field_norm(self) -> float:
         return float(np.linalg.norm(self.coeffs))
 
-    def tau_diagonal(self) -> np.ndarray:
-        return np.diagonal(self.tau).copy()
+    def eigenvalues(self, t: int) -> np.ndarray:
+        """Eigenvalues ``-i |a| m`` of the block at label ``t``, in
+        ascending imaginary part."""
+        return 0.5j * self.field_norm * np.arange(-t, t + 1, 2)
 
-
-def _fundamental_derivative(coeffs: np.ndarray, V1: np.ndarray,
-                            step: float = 1e-4) -> np.ndarray:
-    """Derivative at the identity of the rotated fundamental representation
-    along the field, by a centered five-point stencil."""
-
-    def rotated(s: float) -> np.ndarray:
-        U = wigner_matrix(1, su2_exp_point(coeffs, s))
-        return V1.conj().T @ U @ V1
-
-    acc = (8.0 * (rotated(step) - rotated(-step))
-           - (rotated(2 * step) - rotated(-2 * step))) / (12.0 * step)
-    return acc
+    @property
+    def tau(self) -> np.ndarray:
+        """The 2x2 table of the rotated fundamental differences acting on
+        the field symbol: minus the label-1 eigenvalues on the diagonal."""
+        return -np.diag(self.eigenvalues(1))
 
 
 def build_field(model: GroupModel, coeffs, band: int,
                 tol: float = _SPECTRAL_MARGIN) -> VectorFieldSpec:
     """Diagonalize the symbol of a nonzero real frame field through ``band``.
 
-    Validates the structural invariants: each rotated block is diagonal
-    within ``tol``, the tau table is diagonal, and its trace vanishes.
+    ``eigh`` on the Hermitian block ``i sigma`` supplies the eigenvectors;
+    each rotated block must match the exact eigenvalues within ``tol``.
     """
     if model.kind != "su2":
         raise GmultError("vector-field inversion is implemented on su2")
@@ -88,38 +82,19 @@ def build_field(model: GroupModel, coeffs, band: int,
         raise ValueError("expected three real frame coefficients")
     if np.linalg.norm(a) < 1e-12:
         raise ValueError("the zero field has no inverse theory")
-    sym = vector_field_symbol(model, a, band)
-    unitaries: Dict[int, np.ndarray] = {}
-    eigenvalues: Dict[int, np.ndarray] = {}
+    spec = VectorFieldSpec(model=model, coeffs=a, band=band,
+                           symbol=vector_field_symbol(model, a, band))
     for t in range(band + 1):
-        block = sym.entries[t]
-        herm = 1j * block
-        herm = 0.5 * (herm + herm.conj().T)
-        w, V = np.linalg.eigh(herm)
-        # symbol eigenvalue is -i w; ascending imaginary part = descending w
-        V = V[:, ::-1]
-        vals = -1j * w[::-1]
-        resid = np.abs(V.conj().T @ block @ V - np.diag(vals)).max()
+        block = spec.symbol.entries[t]
+        # i sigma has eigenvalues |a| m: descending order puts the symbol's
+        # eigenvalues -i |a| m in ascending imaginary part
+        V = np.linalg.eigh(1j * block)[1][:, ::-1]
+        resid = np.abs(V.conj().T @ block @ V
+                       - np.diag(spec.eigenvalues(t))).max()
         if resid > tol:
             raise GmultError(f"diagonalization residual {resid:.2e} at label {t}")
-        unitaries[t] = V
-        eigenvalues[t] = vals
-    tau = _measure_tau(model, sym, unitaries[1])
-    off = max(abs(tau[0, 1]), abs(tau[1, 0]))
-    if off > tol or abs(tau[0, 0] + tau[1, 1]) > tol:
-        raise GmultError("difference table failed its structural invariants")
-    tau = np.diag(np.diagonal(tau))
-    deriv = np.diagonal(_fundamental_derivative(a, unitaries[1]))
-    if np.abs(np.diagonal(tau) - deriv).max() < 1e-6:
-        sign = 1
-    elif np.abs(np.diagonal(tau) + deriv).max() < 1e-6:
-        sign = -1
-    else:
-        raise GmultError("difference constants do not match the derivative "
-                         "of the rotated fundamental representation")
-    return VectorFieldSpec(model=model, coeffs=a, band=band, symbol=sym,
-                           unitaries=unitaries, eigenvalues=eigenvalues,
-                           tau=tau, derivative_sign=sign)
+        spec.unitaries[t] = V
+    return spec
 
 
 def exceptional_set(spec: VectorFieldSpec, bound: float) -> List[complex]:
@@ -165,7 +140,7 @@ def invert_vf_symbol(spec: VectorFieldSpec, c: complex,
     entries = {}
     for t in range(band + 1):
         V = spec.unitaries[t]
-        inv_diag = 1.0 / (spec.eigenvalues[t] + c)
+        inv_diag = 1.0 / (spec.eigenvalues(t) + c)
         entries[t] = (V * inv_diag[None, :]) @ V.conj().T
     return MatrixSymbol(spec.model, entries, exact_band=band)
 
@@ -283,7 +258,7 @@ def recursion_residual(spec: VectorFieldSpec, c: complex, j: int,
                 if i == jj:
                     if jj != j:
                         continue
-                    lam = spec.eigenvalues[t]
+                    lam = spec.eigenvalues(t)
                     V = spec.unitaries[t]
                     scalars = -tau_jj / ((lam + c) * (lam + c + tau_jj))
                     predicted = (V * scalars[None, :]) @ V.conj().T

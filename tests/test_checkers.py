@@ -8,6 +8,7 @@ from gmult.checkers import (SymbolClassSpec, check_mikhlin, check_refined,
                             check_symbol_class, check_torus3,
                             empirical_lp_ratio, torus_lattice_symbol)
 from gmult.cli import parse_torus_expression
+from gmult.groups import bracket_powers, label_bands, model_from_name
 from gmult.symbols import TorusSymbol, identity_symbol
 
 
@@ -96,6 +97,26 @@ def test_lattice_symbol_table(torus3):
     assert sym.table[r, r, r] == pytest.approx(0.0)  # origin patched
     assert sym.table[r + 3, r, r] == pytest.approx(1.0)
     assert sym.table[r, r + 4, r] == pytest.approx(0.0)
+
+
+@pytest.mark.parametrize("name,expr", [("torus-2", "k1/abs(k) + k2"),
+                                       ("torus-3", "k1/abs(k) + k2 * k3"),
+                                       ("torus-3", "2")])
+def test_sparse_label_axes_match_dense_box(name, expr):
+    # the broadcastable axes of label_box give the same tables as full
+    # coordinate meshgrids
+    model = model_from_name(name)
+    band = 5
+    dense = np.meshgrid(*([np.arange(-band, band + 1)] * model.n),
+                        indexing="ij")
+    assert np.array_equal(label_bands(model, band),
+                          np.max(np.abs(dense), axis=0))
+    lam = 2.0 * np.pi * np.sqrt(sum(a.astype(float) ** 2 for a in dense))
+    assert np.array_equal(bracket_powers(model, band, -1.5),
+                          np.maximum(1.0, lam) ** -1.5)
+    fn = parse_torus_expression(expr, model.n)
+    sym = torus_lattice_symbol(model, fn, band - 1, pad=1)
+    assert np.array_equal(sym.table, fn(*dense))
 
 
 def test_symbol_class_membership(su2):

@@ -292,6 +292,15 @@ def test_cz_consistency_frozen(su2):
     assert out["rhs"] == pytest.approx(28.181184, rel=1e-3)
 
 
+def test_riesz_diagonals_match_riesz_symbol(su2):
+    from gmult.central import riesz_symbol
+    provider = riesz_field_diagonals(su2)
+    sym = riesz_symbol(su2, (0.0, 0.0, 1.0), 40)
+    for t in range(41):
+        block = sym.get(t)
+        assert np.max(np.abs(block - np.diag(provider(t)))) <= 1e-15
+
+
 def _diag_symbol(model, provider, band):
     from gmult.symbols import MatrixSymbol
     entries = {t: np.diag(provider(t)).astype(complex)

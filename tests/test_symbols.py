@@ -7,7 +7,8 @@ import pytest
 
 from gmult.errors import BandOverflowError
 from gmult.grids import rho_squared_samples
-from gmult.groups import irrep_dimension, labels_up_to, model_from_name
+from gmult.groups import (irrep_dimension, labels_up_to, model_from_name,
+                          su2_exp_point, wigner_matrix)
 from gmult.symbols import (DifferenceWord, MatrixSymbol, TorusSymbol,
                            apply_difference, default_grid,
                            difference_generators,
@@ -183,6 +184,46 @@ def test_vector_field_symbol_diagonal(su2):
         assert np.max(np.abs(off)) < 1e-10
         mus = np.arange(-t, t + 1, 2)
         assert np.allclose(np.diag(mat), -1j * mus / 2.0, atol=1e-10)
+
+
+def _stencil_vector_field_symbol(model, coeffs, band, step=1e-4):
+    """Oracle: the derivative of ``xi(exp(s X))`` at ``s = 0`` by the
+    centered five-point stencil on Wigner matrices."""
+    pts = {s: su2_exp_point(coeffs, s * step) for s in (1, 2, -1, -2)}
+    entries = {}
+    for t in range(band + 1):
+        D = {s: wigner_matrix(t, p) for s, p in pts.items()}
+        entries[t] = (8.0 * (D[1] - D[-1]) - (D[2] - D[-2])) / (12.0 * step)
+    return MatrixSymbol(model, entries, exact_band=band)
+
+
+def test_vector_field_symbol_is_a_lie_algebra_action(su2, rng):
+    # exactly skew-Hermitian blocks with [X(a), X(b)] = X(a x b)
+    a, b = rng.standard_normal(3), rng.standard_normal(3)
+    xa, xb, xab = (vector_field_symbol(su2, v, 40)
+                   for v in (a, b, np.cross(a, b)))
+    for t in range(41):
+        A, B = xa.get(t), xb.get(t)
+        assert np.array_equal(A, -A.conj().T)
+        assert np.max(np.abs(A @ B - B @ A - xab.get(t))) < 1e-12
+
+
+def test_vector_field_symbol_matches_stencil_oracle(su2, rng):
+    for _ in range(3):
+        a = rng.standard_normal(3)
+        exact = vector_field_symbol(su2, a, 20)
+        oracle = _stencil_vector_field_symbol(su2, a, 20)
+        for t in range(21):
+            assert np.max(np.abs(exact.get(t) - oracle.get(t))) < 1e-9
+
+
+def test_vector_field_symbol_spectrum(su2, rng):
+    # the label-120 block has eigenvalues -i |a| m, m = -60..60
+    a = rng.standard_normal(3)
+    block = vector_field_symbol(su2, a, 120).get(120)
+    herm_eigs = np.linalg.eigvalsh(1j * block)
+    expected = np.linalg.norm(a) * np.arange(-60, 61)
+    assert np.max(np.abs(herm_eigs - expected)) < 1e-12
 
 
 def test_seminorm_identity(su2):

@@ -121,12 +121,17 @@ def test_rotated_inverse_same_spectrum(su2, d3_field):
         assert np.allclose(a, b, atol=1e-10)
 
 
-def test_difference_table_matches_stored(d3_field):
-    # re-measuring the 2x2 derivative table by quadrature reproduces the
-    # stored one
-    table = field_difference_table(d3_field)
-    assert table.shape == (2, 2)
-    assert np.allclose(table, d3_field.tau, atol=1e-10)
+def test_difference_table_matches_stored(su2):
+    # re-measuring the 2x2 difference table by quadrature reproduces the
+    # closed form diag(i |a| / 2, -i |a| / 2): a non-axis, a non-unit and
+    # the axis field
+    for coeffs in ((0.6, 0.0, 0.8), (0.0, 0.0, 2.0), (0.0, 0.0, 1.0)):
+        spec = build_field(su2, coeffs, 8)
+        half = 0.5 * np.linalg.norm(coeffs)
+        assert np.array_equal(spec.tau, np.diag([1j * half, -1j * half]))
+        table = field_difference_table(spec)
+        assert table.shape == (2, 2)
+        assert np.allclose(table, spec.tau, atol=1e-10)
 
 
 @settings(max_examples=10)
