@@ -638,7 +638,8 @@ def cmd_probe(args: argparse.Namespace) -> int:
         passes.append(decay_pass)
         results["negative_sobolev"] = dict(decay, passed=decay_pass)
         results["negative_sobolev_csv"] = ladder_csv({
-            "r": decay["ladder"], "norm": decay["norms"]})
+            "r": decay["ladder"], "norm": decay["norms"],
+            "band": [float(b) for b in decay["bands"]]})
 
         probe_symbol = args.symbol or "riesz:D3"
         if probe_symbol.startswith("riesz:"):
@@ -779,9 +780,13 @@ def _build_parser() -> argparse.ArgumentParser:
                               "comma-separated scales")
     p_probe.add_argument("--q", choices=("one", "rho2", "adcoef"),
                          default="rho2",
-                         help="vanishing factor of the decay probe")
+                         help="vanishing factor of the decay probe: one "
+                              "(order 0), rho2 (squared radial coordinate, "
+                              "order 2) or adcoef (off-diagonal fundamental "
+                              "coefficient, order 1)")
     p_probe.add_argument("--s", type=float, default=0.0,
-                         help="negative Sobolev order")
+                         help="negative Sobolev order, in [0, 1 + n/2]; "
+                              "--q rho2 needs s <= n/2")
     p_probe.add_argument("--symbol", default=None,
                          help="probe multiplier: riesz:<field> or identity")
     p_probe.add_argument("--grid-band", type=int, default=None,

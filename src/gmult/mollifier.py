@@ -23,12 +23,11 @@ profile is integrated over a small coordinate cube containing the support.
 Grid-sampled versions (`build_phi_r` / `build_psi_r`) guard against
 under-resolved supports.
 
-The fine-scale probes need Fourier data of central products to high label
-bands.  The second-difference probe gets them from an exact Clebsch-Gordan
-stencil in (label, weight).  The off-diagonal Sobolev probe evaluates
-matrix coefficients along "lines" in the label by a three-term recurrence,
-seeded with closed-form extremal-weight entries; it is self-starting since
-the down-coupling coefficient vanishes at the lowest admissible label.
+The fine-scale probes need Fourier data of products with ``psi_r`` to high
+label bands.  Both get them from ``psi_r``'s central coefficients through
+exact Clebsch-Gordan stencils on the label lattice: the decay probe applies
+its vanishing factor per label, the second-difference probe works in
+(label, weight).
 """
 from __future__ import annotations
 
@@ -46,7 +45,7 @@ from .symbols import (DifferenceWord, MatrixSymbol, apply_difference,
                       default_grid, laplace_difference, op_norm,
                       symbol_product)
 from .transform import plancherel_norm, sobolev_norm
-from .central import CentralSequence, laplace_central
+from .central import CentralSequence, delta2, laplace_central
 
 __all__ = [
     "bump_profile", "MollifierFamily", "mollifier_family",
@@ -559,108 +558,17 @@ def mollifier_scaling_report(model: GroupModel,
 
 
 # ---------------------------------------------------------------------------
-# Matrix-coefficient lines by label recurrence
-# ---------------------------------------------------------------------------
-
-def _line_seed(mu: int, nu: int, theta: np.ndarray) -> np.ndarray:
-    """Closed-form ``d^{t_min}_{mu nu}`` at the lowest admissible label
-    ``t_min = max(|mu|, |nu|)``, for extremal lines (``nu = t_min`` or
-    ``mu = -t_min``); labels and weights are in doubled (integer) units.
-
-    Both cases reduce to the highest-weight column entry
-    ``d^j_{m, j} = binom(2j, j+m)^{1/2} cos^{j+m}(theta/2)
-    sin^{j-m}(theta/2)`` (the second via ``d_{mn} = d_{-n,-m}``).
-    """
-    if (mu - nu) % 2 != 0:
-        raise GmultError("line weights must share parity")
-    t_min = max(abs(mu), abs(nu))
-    if t_min == 0:
-        return np.ones_like(theta)
-    if nu == t_min:
-        k_cos, k_sin = (t_min + mu) // 2, (t_min - mu) // 2
-    elif mu == -t_min:
-        k_cos, k_sin = (t_min - nu) // 2, (t_min + nu) // 2
-    else:
-        raise GmultError("closed-form seed exists only for extremal lines")
-    log_coef = 0.5 * (math.lgamma(t_min + 1) - math.lgamma(k_cos + 1)
-                      - math.lgamma(k_sin + 1))
-    half = 0.5 * theta
-    return math.exp(log_coef) * np.cos(half) ** k_cos * np.sin(half) ** k_sin
-
-
-class _LineBatch:
-    """Batched three-term recurrence over all fixed-offset coefficient lines
-    ``d^t_{mu, mu + offset}`` of one parity, advanced label by label.
-
-    Rows are indexed by the left twice-weight ``mu``; a row activates (with
-    its closed-form seed) once ``t`` reaches the lowest admissible label of
-    its line.  The down-coupling coefficient vanishes at activation, so a
-    single seed suffices; the only degenerate step, the diagonal ``mu = 0``
-    line at ``t = 0 -> 2``, is stepped explicitly.
-    """
-
-    def __init__(self, parity: int, band: int, theta: np.ndarray,
-                 offset: int = 0):
-        if offset % 2 != 0:
-            raise GmultError("line offset must be even")
-        self.parity = parity % 2
-        self.band = int(band)
-        self.theta = theta
-        self.offset = int(offset)
-        self.mus = np.array([mu for mu in range(-band, band + 1 - offset)
-                             if abs(mu) % 2 == self.parity], dtype=int)
-        self.nus = self.mus + offset
-        self.tmins = np.maximum(np.abs(self.mus), np.abs(self.nus))
-        self.index = {int(mu): i for i, mu in enumerate(self.mus)}
-        self.cur = np.zeros((self.mus.size, theta.size))
-        self.prev = np.zeros((self.mus.size, theta.size))
-        self.cos_theta = np.cos(theta)
-        self.t: Optional[int] = None
-
-    def advance(self) -> int:
-        """Move to the next label of this parity; returns the new label."""
-        t_new = self.parity if self.t is None else self.t + 2
-        rec = self.tmins <= t_new - 2
-        degenerate = (self.offset == 0 and t_new == 2
-                      and 0 in self.index)
-        if degenerate:
-            rec = rec.copy()
-            rec[self.index[0]] = False
-        if rec.any():
-            j = 0.5 * (t_new - 2)
-            mm = 0.5 * self.mus[rec]
-            nn = 0.5 * self.nus[rec]
-            lead = j * np.sqrt((j + 1.0) ** 2 - mm ** 2) \
-                * np.sqrt((j + 1.0) ** 2 - nn ** 2)
-            a = (2.0 * j + 1.0) * j * (j + 1.0) / lead
-            b = -(2.0 * j + 1.0) * mm * nn / lead
-            c = -(j + 1.0) * np.sqrt(np.maximum(j * j - mm ** 2, 0.0)) \
-                * np.sqrt(np.maximum(j * j - nn ** 2, 0.0)) / lead
-            nxt = ((a[:, None] * self.cos_theta[None, :] + b[:, None])
-                   * self.cur[rec] + c[:, None] * self.prev[rec])
-            self.prev[rec] = self.cur[rec]
-            self.cur[rec] = nxt
-        if degenerate:
-            i = self.index[0]
-            self.prev[i] = self.cur[i]
-            self.cur[i] = self.cos_theta.copy()
-        for i in np.nonzero(self.tmins == t_new)[0]:
-            self.prev[i] = 0.0
-            self.cur[i] = _line_seed(int(self.mus[i]), int(self.nus[i]),
-                                     self.theta)
-        self.t = t_new
-        return t_new
-
-    def rows_active(self) -> np.ndarray:
-        assert self.t is not None
-        return self.tmins <= self.t
-
-
-# ---------------------------------------------------------------------------
 # Negative-order Sobolev decay
 # ---------------------------------------------------------------------------
 
 _VANISHING_ORDERS = {"one": 0, "rho2": 2, "adcoef": 1}
+
+
+def _real_coefficients(seq: CentralSequence) -> np.ndarray:
+    """Real parts of a finitely supported central sequence through its
+    support band, as an array indexed by label."""
+    return np.array([float(np.real(seq.value(t)))
+                     for t in range(seq.support_band + 1)])
 
 
 def _sobolev_sq_radial(model: GroupModel, coeffs: np.ndarray,
@@ -671,56 +579,28 @@ def _sobolev_sq_radial(model: GroupModel, coeffs: np.ndarray,
                         * np.abs(coeffs) ** 2))
 
 
-def _adcoef_sobolev_sq(model: GroupModel, r: float, s: float,
-                       profile: Callable, rel_tol: float,
-                       band: Optional[int] = None) -> float:
-    """Squared H^{-s} norm of ``q psi_r`` for ``q`` the off-diagonal
-    fundamental coefficient with twice-weights (-1, +1) (vanishing order 1).
+def _times_q(q: str, seq: CentralSequence) -> np.ndarray:
+    """Per-label amplitudes ``v_t`` of ``q psi_r``: the block at label ``t``
+    carries Plancherel mass ``(t+1)^2 v_t^2``, so ``v`` equals the central
+    coefficients when the product is central.
 
-    The product's Fourier blocks are supported on the second superdiagonal;
-    each entry reduces to a polar integral of the central profile lines
-    against one off-diagonal coefficient line, evaluated with a
-    Gauss-Legendre rule exact for the polynomial degrees involved.
+    ``"rho2"``: ``rho^2 = 3 - chi_2`` is the dimension-weighted second
+    difference `central.delta2`.  ``"adcoef"``: the off-diagonal
+    fundamental coefficient with twice-weights (-1, +1) couples label ``u``
+    to ``u -+ 1``; the spin-1/2 Clebsch-Gordan weights of both neighbours
+    multiply to ``sqrt(L^2 - m^2)``, ``L = (u+1)/2``, so the block at ``u``
+    lies on the second superdiagonal with entries proportional to
+    ``sqrt(L^2 - m^2) (c_{u-1} - c_{u+1})`` and Plancherel mass
+    ``u (u+2) (c_{u-1} - c_{u+1})^2 / 6``.
     """
-    seq = psi_hat_coefficients(model, r, profile, band=band,
-                               rel_tol=rel_tol)
-    band = seq.support_band
-    even = np.array([float(np.real(seq.value(t))) for t in range(band + 1)])
-    n_theta = band // 2 + 10
-    x, glw = _leggauss(n_theta)
-    theta = np.arccos(np.clip(x, -1.0, 1.0))
-    # Central profile lines Psi_c(theta) = sum_t (t+1) s_t d^t_{cc}(theta)
-    # over even twice-weights c.
-    diag = _LineBatch(0, band, theta, offset=0)
-    psi_lines = np.zeros((diag.mus.size, theta.size))
-    while True:
-        t = diag.advance()
-        if t > band:
-            break
-        if even[t] != 0.0:
-            act = diag.rows_active()
-            psi_lines[act] += (t + 1.0) * even[t] * diag.cur[act]
-    # Left factor folded with the quadrature: (1/2) w sin(theta/2) Psi_{mu+1}.
-    q_line = np.sin(0.5 * theta)
-    off = _LineBatch(1, band + 1, theta, offset=2)
-    g_rows = np.zeros((off.mus.size, theta.size))
-    for i, mu in enumerate(off.mus):
-        c = int(mu) + 1
-        if c in diag.index:
-            g_rows[i] = 0.5 * glw * q_line * psi_lines[diag.index[c]]
-    total = 0.0
-    while True:
-        u = off.advance()
-        if u > band + 1:
-            break
-        act = off.rows_active()
-        if not act.any():
-            continue
-        entries = np.sum(g_rows[act] * off.cur[act], axis=1)
-        block_sq = float(np.sum(entries ** 2))
-        weight = japanese_bracket(model, int(u)) ** (-2.0 * s)
-        total += (u + 1.0) * weight * block_sq
-    return total
+    if q == "rho2":
+        return _real_coefficients(delta2(seq))
+    c = _real_coefficients(seq)
+    if q == "one":
+        return c
+    c = np.concatenate(([0.0], c, [0.0, 0.0]))
+    u = np.arange(c.size - 2, dtype=float)
+    return np.sqrt(u * (u + 2.0) / 6.0) / (u + 1.0) * (c[:-2] - c[2:])
 
 
 def negative_sobolev_decay(model: GroupModel, q: str = "rho2", s: float = 0.0,
@@ -733,10 +613,15 @@ def negative_sobolev_decay(model: GroupModel, q: str = "rho2", s: float = 0.0,
     ``"one"`` (order 0), ``"rho2"`` (the squared radial coordinate,
     order 2), or ``"adcoef"`` (an off-diagonal fundamental matrix
     coefficient, order 1).  The expected exponent is
-    ``(order + s)/n - 1/2``.  ``rel_tol`` is the relative truncation
-    tolerance of the coefficient bands; for ``"adcoef"`` (a quadratic-cost
-    route) a looser value such as 1e-4 keeps fine scales affordable at a
-    per-point relative error far below slope-fit resolution.
+    ``(order + s)/n - 1/2``.  ``rho^2 psi_r`` has mean of size
+    ``r^{2/n}``, which caps its exponent at ``2/n``, so ``"rho2"`` accepts
+    ``s <= n/2`` only.
+
+    Each scale takes the central coefficients of ``psi_r`` once
+    (`psi_hat_coefficients`, truncated at ``rel_tol``), applies ``q`` as
+    an exact lattice operator (`_times_q`) and sums
+    ``(t+1)^2 <t>^{-2s} v_t^2``.  ``bands`` reports the coefficient band of
+    ``psi_r`` at each scale.
     """
     _require_su2(model, "negative_sobolev_decay")
     if q not in _VANISHING_ORDERS:
@@ -744,22 +629,19 @@ def negative_sobolev_decay(model: GroupModel, q: str = "rho2", s: float = 0.0,
                          f"choose from {sorted(_VANISHING_ORDERS)}")
     if not 0.0 <= s <= 1.0 + 0.5 * model.n:
         raise GmultError(f"the Sobolev order s={s} is outside [0, 1 + n/2]")
+    if q == "rho2" and s > 0.5 * model.n:
+        raise GmultError(
+            f"the Sobolev order s={s} exceeds n/2 = {0.5 * model.n:g} for "
+            f"q='rho2': rho^2 psi_r has mean ~r^(2/n), so its decay exponent "
+            f"cannot reach the expected (2 + s)/n - 1/2")
     rs = list(ladder) if ladder is not None else default_ladder()
     norms: List[float] = []
+    bands: List[int] = []
     for r in rs:
-        if q == "adcoef":
-            norms.append(math.sqrt(max(
-                _adcoef_sobolev_sq(model, r, s, profile, rel_tol), 0.0)))
-            continue
-        values_fn, R = _psi_radial_values(model, r, profile)
-        if q == "rho2":
-            def weighted(sv, base=values_fn):
-                return (2.0 - 2.0 * np.cos(sv)) * base(sv)
-        else:
-            weighted = values_fn
-        coeffs = _adaptive_band(weighted, R, max(32, int(12.0 / R)), rel_tol)
-        norms.append(math.sqrt(max(_sobolev_sq_radial(model, coeffs, s),
-                                   0.0)))
+        seq = psi_hat_coefficients(model, r, profile, rel_tol=rel_tol)
+        v = _times_q(q, seq)
+        norms.append(math.sqrt(max(_sobolev_sq_radial(model, v, s), 0.0)))
+        bands.append(seq.support_band)
     fit = fit_loglog(rs, norms)
     order = _VANISHING_ORDERS[q]
     expected = (order + s) / model.n - 0.5
@@ -768,6 +650,7 @@ def negative_sobolev_decay(model: GroupModel, q: str = "rho2", s: float = 0.0,
         "vanishing_order": order,
         "ladder": [float(r) for r in rs],
         "norms": [float(v) for v in norms],
+        "bands": [int(b) for b in bands],
         "fit": fit.as_dict(),
         "expected_slope": float(expected),
     }
@@ -915,8 +798,7 @@ def cz_probe(model: GroupModel, sym,
                     f"{sym.exact_band}; rebuild the symbol with a larger "
                     "band or raise the ladder")
             diags = _symbol_diagonals(sym, band)
-        coeffs = np.array([float(np.real(seq.value(t)))
-                           for t in range(band + 1)])
+        coeffs = _real_coefficients(seq)
         norms.append(math.sqrt(max(_cz_norm_sq(diags, coeffs, m), 0.0)))
         bands.append(band)
     fit = fit_loglog(rs, norms)

@@ -295,6 +295,24 @@ def test_probe_underresolved_grid_band_exits_config(capsys):
     assert "smallest" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("q", ["one", "rho2", "adcoef"])
+def test_probe_passes_for_every_vanishing_factor(q, capsys):
+    assert main(["probe", "--group", "su2", "--q", q]) == EXIT_PASS
+    results = json.loads(capsys.readouterr().out)["results"]
+    decay = results["negative_sobolev"]
+    assert decay["q"] == q and decay["passed"] is True
+    rows = results["negative_sobolev_csv"].splitlines()
+    assert rows[0] == "r,norm,band"
+    assert [float(row.split(",")[2]) for row in rows[1:]] == decay["bands"]
+
+
+def test_probe_rho2_refuses_s_beyond_half_dimension(capsys):
+    # the expected slope (2 + s)/3 - 1/2 is out of reach for s > 3/2
+    for s in ("1.75", "2.5"):
+        assert main(["probe", "--q", "rho2", "--s", s]) == EXIT_MATH
+        assert "n/2 = 1.5" in capsys.readouterr().err
+
+
 def test_config_errors_exit_3(capsys, tmp_path):
     assert main(["check", "--group", "nosuch", "--symbol", "identity",
                  "--checker", "mikhlin"]) == EXIT_CONFIG

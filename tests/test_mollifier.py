@@ -1,14 +1,21 @@
 """Scale-family machinery: bump profiles, normalization and L2 scaling,
-spectral coefficients of the dyadic shell, decay probes."""
+spectral coefficients of the dyadic shell, decay probes.
+
+The label recurrence for Wigner-d coefficient lines (`_LineBatch`) lives
+here as the engine of two quadrature oracles: the off-diagonal decay norm
+and the second-difference norm."""
 import math
+from typing import Optional
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from gmult.errors import BandOverflowError, GmultError, UnderResolvedError
-from gmult.groups import model_from_name, su2_exp_point
-from gmult.mollifier import (_cz_norm_sq, _leggauss, _LineBatch,
+from gmult.groups import japanese_bracket, model_from_name, su2_exp_point
+from gmult.mollifier import (_adaptive_band, _cz_norm_sq, _leggauss,
+                             _psi_radial_values, _real_coefficients,
+                             _sobolev_sq_radial, _times_q,
                              build_phi_r, build_psi_r, bump_profile,
                              cz_consistency, cz_probe, default_ladder,
                              fit_loglog, identity_diagonals, l1_modulus,
@@ -238,6 +245,105 @@ def test_psi_hat_torus_not_supported(torus3):
 
 
 # ---------------------------------------------------------------------------
+# Coefficient lines by label recurrence (oracle engine)
+# ---------------------------------------------------------------------------
+
+def _line_seed(mu: int, nu: int, theta: np.ndarray) -> np.ndarray:
+    """Closed-form ``d^{t_min}_{mu nu}`` at the lowest admissible label
+    ``t_min = max(|mu|, |nu|)``, for extremal lines (``nu = t_min`` or
+    ``mu = -t_min``); labels and weights are in doubled (integer) units.
+
+    Both cases reduce to the highest-weight column entry
+    ``d^j_{m, j} = binom(2j, j+m)^{1/2} cos^{j+m}(theta/2)
+    sin^{j-m}(theta/2)`` (the second via ``d_{mn} = d_{-n,-m}``).
+    """
+    if (mu - nu) % 2 != 0:
+        raise GmultError("line weights must share parity")
+    t_min = max(abs(mu), abs(nu))
+    if t_min == 0:
+        return np.ones_like(theta)
+    if nu == t_min:
+        k_cos, k_sin = (t_min + mu) // 2, (t_min - mu) // 2
+    elif mu == -t_min:
+        k_cos, k_sin = (t_min - nu) // 2, (t_min + nu) // 2
+    else:
+        raise GmultError("closed-form seed exists only for extremal lines")
+    log_coef = 0.5 * (math.lgamma(t_min + 1) - math.lgamma(k_cos + 1)
+                      - math.lgamma(k_sin + 1))
+    half = 0.5 * theta
+    return math.exp(log_coef) * np.cos(half) ** k_cos * np.sin(half) ** k_sin
+
+
+class _LineBatch:
+    """Batched three-term recurrence over all fixed-offset coefficient lines
+    ``d^t_{mu, mu + offset}`` of one parity, advanced label by label.
+
+    Rows are indexed by the left twice-weight ``mu``; a row activates (with
+    its closed-form seed) once ``t`` reaches the lowest admissible label of
+    its line.  The down-coupling coefficient vanishes at activation, so a
+    single seed suffices; the only degenerate step, the diagonal ``mu = 0``
+    line at ``t = 0 -> 2``, is stepped explicitly.
+    """
+
+    def __init__(self, parity: int, band: int, theta: np.ndarray,
+                 offset: int = 0):
+        if offset % 2 != 0:
+            raise GmultError("line offset must be even")
+        self.parity = parity % 2
+        self.band = int(band)
+        self.theta = theta
+        self.offset = int(offset)
+        self.mus = np.array([mu for mu in range(-band, band + 1 - offset)
+                             if abs(mu) % 2 == self.parity], dtype=int)
+        self.nus = self.mus + offset
+        self.tmins = np.maximum(np.abs(self.mus), np.abs(self.nus))
+        self.index = {int(mu): i for i, mu in enumerate(self.mus)}
+        self.cur = np.zeros((self.mus.size, theta.size))
+        self.prev = np.zeros((self.mus.size, theta.size))
+        self.cos_theta = np.cos(theta)
+        self.t: Optional[int] = None
+
+    def advance(self) -> int:
+        """Move to the next label of this parity; returns the new label."""
+        t_new = self.parity if self.t is None else self.t + 2
+        rec = self.tmins <= t_new - 2
+        degenerate = (self.offset == 0 and t_new == 2
+                      and 0 in self.index)
+        if degenerate:
+            rec = rec.copy()
+            rec[self.index[0]] = False
+        if rec.any():
+            j = 0.5 * (t_new - 2)
+            mm = 0.5 * self.mus[rec]
+            nn = 0.5 * self.nus[rec]
+            lead = j * np.sqrt((j + 1.0) ** 2 - mm ** 2) \
+                * np.sqrt((j + 1.0) ** 2 - nn ** 2)
+            a = (2.0 * j + 1.0) * j * (j + 1.0) / lead
+            b = -(2.0 * j + 1.0) * mm * nn / lead
+            c = -(j + 1.0) * np.sqrt(np.maximum(j * j - mm ** 2, 0.0)) \
+                * np.sqrt(np.maximum(j * j - nn ** 2, 0.0)) / lead
+            nxt = ((a[:, None] * self.cos_theta[None, :] + b[:, None])
+                   * self.cur[rec] + c[:, None] * self.prev[rec])
+            self.prev[rec] = self.cur[rec]
+            self.cur[rec] = nxt
+        if degenerate:
+            i = self.index[0]
+            self.prev[i] = self.cur[i]
+            self.cur[i] = self.cos_theta.copy()
+        for i in np.nonzero(self.tmins == t_new)[0]:
+            self.prev[i] = 0.0
+            self.cur[i] = _line_seed(int(self.mus[i]), int(self.nus[i]),
+                                     self.theta)
+        self.t = t_new
+        return t_new
+
+    def rows_active(self) -> np.ndarray:
+        assert self.t is not None
+        return self.tmins <= self.t
+
+
+
+# ---------------------------------------------------------------------------
 # Decay probes
 # ---------------------------------------------------------------------------
 
@@ -256,6 +362,99 @@ def test_negative_sobolev_guards(su2, torus3):
         negative_sobolev_decay(su2, q="rho2", s=9.0)
     with pytest.raises(GmultError):
         negative_sobolev_decay(su2, q="nope", s=0.0)
+
+
+def test_rho2_refuses_s_beyond_half_dimension(su2):
+    # rho^2 psi_r has mean ~r^(2/3), so no slope above 2/3 is reachable and
+    # the expected (2 + s)/3 - 1/2 passes it for s > 3/2
+    ladder = [0.5, 0.25, 0.125, 0.0625]
+    for s in (1.75, 2.5):
+        with pytest.raises(GmultError, match=r"n/2 = 1\.5"):
+            negative_sobolev_decay(su2, q="rho2", s=s, ladder=ladder)
+    negative_sobolev_decay(su2, q="rho2", s=1.5, ladder=ladder)
+    for q in ("one", "adcoef"):
+        negative_sobolev_decay(su2, q=q, s=2.5, ladder=ladder)
+
+
+def test_negative_sobolev_reports_psi_bands(su2):
+    ladder = [0.5, 0.25, 0.125, 0.0625]
+    bands = [psi_hat_coefficients(su2, r).support_band for r in ladder]
+    for q in ("one", "rho2", "adcoef"):
+        assert negative_sobolev_decay(su2, q=q, ladder=ladder)["bands"] \
+            == bands
+
+
+def _line_adcoef_masses(coeffs):
+    """Oracle for the ``"adcoef"`` factor: Plancherel mass of ``q psi_r``
+    at each label ``u = 0..B+1``, with ``q`` the fundamental coefficient of
+    twice-weights (-1, +1) and ``psi_r`` given by its even-label central
+    coefficients.
+
+    The product's blocks sit on the second superdiagonal; each entry is a
+    polar integral of a central profile line against one off-diagonal
+    coefficient line, both advanced by the label recurrence, with a
+    Gauss-Legendre rule exact for the polynomial degrees involved."""
+    band = coeffs.size - 1
+    n_theta = band // 2 + 10
+    x, glw = _leggauss(n_theta)
+    theta = np.arccos(np.clip(x, -1.0, 1.0))
+    # Central profile lines Psi_c(theta) = sum_t (t+1) s_t d^t_{cc}(theta)
+    # over even twice-weights c.
+    diag = _LineBatch(0, band, theta, offset=0)
+    psi_lines = np.zeros((diag.mus.size, theta.size))
+    while True:
+        t = diag.advance()
+        if t > band:
+            break
+        if coeffs[t] != 0.0:
+            act = diag.rows_active()
+            psi_lines[act] += (t + 1.0) * coeffs[t] * diag.cur[act]
+    # Left factor folded with the quadrature: (1/2) w sin(theta/2) Psi_{mu+1}.
+    q_line = np.sin(0.5 * theta)
+    off = _LineBatch(1, band + 1, theta, offset=2)
+    g_rows = np.zeros((off.mus.size, theta.size))
+    for i, mu in enumerate(off.mus):
+        c = int(mu) + 1
+        if c in diag.index:
+            g_rows[i] = 0.5 * glw * q_line * psi_lines[diag.index[c]]
+    masses = np.zeros(band + 2)
+    while True:
+        u = off.advance()
+        if u > band + 1:
+            break
+        act = off.rows_active()
+        if act.any():
+            entries = np.sum(g_rows[act] * off.cur[act], axis=1)
+            masses[u] = (u + 1.0) * float(np.sum(entries ** 2))
+    return masses
+
+
+def test_adcoef_formula_matches_line_recurrence(su2):
+    for r in (0.5, 0.25, 1.0 / 64.0):
+        seq = psi_hat_coefficients(su2, r, rel_tol=1e-4)
+        masses = _line_adcoef_masses(_real_coefficients(seq))
+        brackets = np.array([japanese_bracket(su2, u)
+                             for u in range(masses.size)])
+        amplitudes = _times_q("adcoef", seq)
+        assert amplitudes.size == masses.size
+        for s in (0.0, 0.5, 1.0):
+            oracle = float(np.sum(brackets ** (-2.0 * s) * masses))
+            fast = _sobolev_sq_radial(su2, amplitudes, s)
+            assert fast == pytest.approx(oracle, rel=1e-10)
+
+
+def test_rho2_stencil_matches_weighted_quadrature(su2):
+    # the quadrature route integrates rho^2 psi_r against the characters
+    # directly and truncates its own band
+    for r in default_ladder():
+        values_fn, R = _psi_radial_values(su2, r, bump_profile)
+        quad = _adaptive_band(
+            lambda sv: (2.0 - 2.0 * np.cos(sv)) * values_fn(sv), R,
+            max(32, int(12.0 / R)), 1e-9)
+        stencil = _times_q("rho2", psi_hat_coefficients(su2, r))
+        for s in (0.0, 0.5, 1.0):
+            assert _sobolev_sq_radial(su2, stencil, s) == pytest.approx(
+                _sobolev_sq_radial(su2, quad, s), rel=1e-12)
 
 
 def test_cz_probe_identity_short_ladder(su2):
@@ -357,8 +556,7 @@ def _quadrature_cz_norm_sq(sym_diags, coeffs, m):
 
 
 def _psi_coeffs(model, r, band):
-    seq = psi_hat_coefficients(model, r, band=band)
-    return np.array([float(np.real(seq.value(t))) for t in range(band + 1)])
+    return _real_coefficients(psi_hat_coefficients(model, r, band=band))
 
 
 @pytest.mark.parametrize("m", [1, 2])
