@@ -22,8 +22,9 @@ carries ``d = 0`` and ``chi = 0``.
 from __future__ import annotations
 
 import math
+from collections.abc import Mapping
 from dataclasses import dataclass, field
-from typing import Callable, Dict, Iterable, List, Optional, Sequence, Tuple
+from typing import Callable, Dict, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -126,40 +127,49 @@ def class_rho_squared(angles: np.ndarray) -> np.ndarray:
 # Central sequences
 # ---------------------------------------------------------------------------
 
-@dataclass
 class CentralSequence:
     """Scalar values indexed by twice-spin, with Weyl-even extension.
 
-    ``values`` holds labels ``t >= -1`` (the wall value, when it matters to a
-    lattice operator, may be stored at ``-1``).  ``zero_beyond`` declares the
-    sequence finitely supported: missing dominant labels read as zero.
-    Without it, reading a missing label is an error.
+    ``values`` is a 1-D array over labels ``0..B`` or a dict from labels to
+    values; a dict may also give the wall value at ``-1``.  Either way the
+    sequence is held as one array ``table`` over ``0..B`` plus ``wall``.
+    ``zero_beyond`` declares the sequence finitely supported: labels past
+    ``B``, labels a dict leaves out and a missing wall read as zero.
+    Without it a dict must give every label ``0..B``, and reading past
+    ``B`` or a missing wall is an error.
     """
 
-    model: GroupModel
-    values: Dict[int, complex] = field(default_factory=dict)
-    zero_beyond: bool = False
-
-    def __post_init__(self) -> None:
-        if self.model.kind != "su2":
+    def __init__(self, model: GroupModel, values=(),
+                 zero_beyond: bool = False) -> None:
+        if model.kind != "su2":
             raise ValueError("central sequences are implemented on su2")
-        self.values = {int(t): complex(v) for t, v in self.values.items()}
-        if any(t < -1 for t in self.values):
-            raise ValueError("store values at twice_spin >= -1; lower labels "
-                             "follow by reflection")
+        self.model, self.wall, self.zero_beyond = model, None, zero_beyond
+        if isinstance(values, Mapping):
+            given = {int(t): complex(v) for t, v in values.items()}
+            if any(t < -1 for t in given):
+                raise ValueError("store values at twice_spin >= -1; lower "
+                                 "labels follow by reflection")
+            self.wall = given.pop(-1, None)
+            values = np.zeros(max(given, default=-1) + 1, dtype=complex)
+            if not self.zero_beyond and len(given) < values.size:
+                raise ValueError("without zero_beyond every label 0..B needs "
+                                 "a value")
+            values[list(given)] = list(given.values())
+        self.table = np.array(values, dtype=complex).reshape(-1)
 
     @property
     def support_band(self) -> int:
-        dom = [t for t in self.values if t >= 0]
-        return max(dom) if dom else 0
+        return max(self.table.size - 1, 0)
 
     def value(self, t: int) -> complex:
         """Evenly extended value; missing labels are 0 only if zero_beyond."""
         t = int(t)
         if t < -1:
             t = -2 - t
-        if t in self.values:
-            return self.values[t]
+        if t == -1 and self.wall is not None:
+            return self.wall
+        if 0 <= t < self.table.size:
+            return complex(self.table[t])
         if self.zero_beyond:
             return 0.0
         raise KeyError(f"central sequence has no value at twice_spin {t}")
@@ -175,9 +185,10 @@ class CentralSequence:
 
 
 def central_part(sym: MatrixSymbol, tol: float = 1e-8) -> CentralSequence:
-    """Extract ``s_t`` from a central symbol; raises if any block deviates
-    from a scalar matrix by more than ``tol`` in max-norm."""
-    vals: Dict[int, complex] = {}
+    """Extract ``s_t`` from a central symbol (labels without a stored block
+    read as 0); raises if any block deviates from a scalar matrix by more
+    than ``tol`` in max-norm."""
+    vals = np.zeros(sym.support_band + 1, dtype=complex)
     for t, mat in sym.entries.items():
         s = complex(np.trace(mat)) / mat.shape[0]
         if np.abs(mat - s * np.eye(mat.shape[0])).max() > tol:
@@ -187,34 +198,25 @@ def central_part(sym: MatrixSymbol, tol: float = 1e-8) -> CentralSequence:
                            zero_beyond=math.isinf(sym.exact_band))
 
 
-def _weighted(seq: CentralSequence, t: int) -> complex:
-    """Dimension-weighted, odd-extended value ``d_t * s_t`` (0 at the wall)."""
-    d = weyl_dimension(t)
-    if d == 0:
-        return 0.0
-    return d * seq.value(t)
-
-
 def delta2(seq: CentralSequence) -> CentralSequence:
     """Root-shift second difference realizing the distance-squared operator
-    on central symbols: with ``tau_t = d_t s_t`` (odd-extended),
+    on central symbols: with ``tau_t = d_t s_t`` (odd-extended, so
+    ``tau_{-1} = 0`` and ``tau_{-2} = -tau_0``),
 
         d_t * out_t = 2 tau_t - tau_{t-2} - tau_{t+2}.
 
-    Agrees with ``laplace_difference`` applied to ``as_symbol`` on every
-    label where the input values are available.
+    Labels ``0..B+2`` for a finitely supported input, else ``0..B-2``;
+    agrees with ``laplace_difference`` applied to ``as_symbol`` there.
     """
-    out: Dict[int, complex] = {}
-    if seq.zero_beyond:
-        labels = range(seq.support_band + 3)
-    else:
-        dom = sorted(t for t in seq.values if t >= 0)
-        labels = [t for t in dom if all(
-            (nb in seq.values or nb <= -1 or -2 - nb in seq.values)
-            for nb in (t - 2, t + 2))]
-    for t in labels:
-        num = 2.0 * _weighted(seq, t) - _weighted(seq, t - 2) - _weighted(seq, t + 2)
-        out[t] = num / weyl_dimension(t)
+    s = seq.table
+    top = seq.support_band + 2 if seq.zero_beyond else max(s.size - 3, -1)
+    tau = np.zeros(top + 5, dtype=complex)  # labels -2 .. top+2
+    tau[2:s.size + 2] = np.arange(1, s.size + 1) * s
+    tau[0] = -tau[2]
+    num = 2.0 * tau[2:top + 3] - tau[:top + 1] - tau[4:top + 5]
+    # part by part, as scalar complex-by-real division rounds
+    d = np.arange(1.0, top + 2.0)
+    out = num.real / d + 1j * (num.imag / d)
     return CentralSequence(seq.model, out, zero_beyond=seq.zero_beyond)
 
 
@@ -228,12 +230,11 @@ def laplace_central(seq: CentralSequence, out_band: Optional[int] = None) -> Cen
     out_band = sup + 2 if out_band is None else int(out_band)
     grid = class_grid(sup + out_band + 6)
     chi = grid.characters(max(sup, out_band))
-    coeffs = np.array([_weighted(seq, t) for t in range(sup + 1)])
-    kernel = coeffs @ chi[: sup + 1]
+    size = seq.table.size
+    kernel = (np.arange(1, size + 1) * seq.table) @ chi[:size]
     kernel = kernel * class_rho_squared(grid.angles)
-    out: Dict[int, complex] = {}
-    for t in range(out_band + 1):
-        out[t] = grid.integrate(kernel * chi[t]) / weyl_dimension(t)
+    out = [grid.integrate(kernel * chi[t]) / weyl_dimension(t)
+           for t in range(out_band + 1)]
     return CentralSequence(seq.model, out, zero_beyond=True)
 
 
@@ -254,13 +255,10 @@ def nweiss_delta(seq: CentralSequence) -> CentralSequence:
     out_band = sup + 1
     grid = class_grid(sup + out_band + 6)
     chi = grid.characters(max(sup, out_band))
-    coeffs = np.array([seq.value(t) for t in range(sup + 1)])
-    kernel = coeffs @ chi[: sup + 1]
+    kernel = seq.table @ chi[:seq.table.size]
     gamma = 2.0 * np.cos(0.5 * grid.angles) - 2.0
     kernel = kernel * gamma
-    out: Dict[int, complex] = {}
-    for t in range(out_band + 1):
-        out[t] = grid.integrate(kernel * chi[t])
+    out = [grid.integrate(kernel * chi[t]) for t in range(out_band + 1)]
     return CentralSequence(seq.model, out, zero_beyond=True)
 
 
@@ -372,5 +370,5 @@ def function_of_laplacian(f: Callable[[float], complex], band: int) -> CentralSe
     """Central sequence ``s_t = f(lambda_t^2)`` with the Laplacian eigenvalue
     ``lambda_t^2 = (t/2)(t/2 + 1)``.  The caller supplies the value at the
     trivial label through ``f(0)`` (singular functions must patch it)."""
-    vals = {t: complex(f((t / 2.0) * (t / 2.0 + 1.0))) for t in range(band + 1)}
+    vals = [complex(f((t / 2.0) * (t / 2.0 + 1.0))) for t in range(band + 1)]
     return CentralSequence(su2_model(), vals, zero_beyond=False)

@@ -282,10 +282,12 @@ def check_torus3(sym, band: int,
             f"need the symbol exact through band {band + 1}, "
             f"certificate is {sym.exact_band}")
     absk = np.sqrt(sum(a.astype(float) ** 2 for a in label_box(3, band)))
-    # the factors -e_j give sigma(k + e_j) - sigma(k)
-    first = np.max([apply_difference(DifferenceWord(model, ((step, 0, 0),)),
-                                     sym).norms(band)
-                    for step in model.delta0[1::2]], axis=0)
+    # the factors -e_j give sigma(k + e_j) - sigma(k); a running maximum
+    # holds one norm table per direction at a time
+    first = 0.0
+    for step in model.delta0[1::2]:
+        word = DifferenceWord(model, ((step, 0, 0),))
+        first = np.maximum(first, apply_difference(word, sym).norms(band))
     second = absk ** 2 * laplace_difference(sym).norms(band) / 6.0
 
     floor = 1e-11 * max(float(np.abs(sym.table).max()), 0.0)

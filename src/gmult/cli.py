@@ -47,8 +47,8 @@ from .checkers import (SymbolClassSpec, check_mikhlin, check_refined,
                        torus_lattice_symbol)
 from .vfield import (build_field, exceptional_set, invert_vf_symbol,
                      recursion_residual, verify_s00)
-from .mollifier import (build_phi_r, cz_probe, default_ladder,
-                        identity_diagonals, mollifier_family,
+from .mollifier import (build_phi_r, check_sobolev_order, cz_probe,
+                        default_ladder, identity_diagonals, mollifier_family,
                         mollifier_scaling_report, negative_sobolev_decay,
                         required_mollifier_band, riesz_field_diagonals,
                         smallest_resolved_scale)
@@ -276,7 +276,10 @@ def load_symbol_file(path: str):
         band = int(lines[2].split()[1])
     except (IndexError, ValueError, GmultError) as exc:
         raise SymbolFormatError(f"{path!r}: malformed header: {exc}")
-    entries: Dict[object, np.ndarray] = {}
+    # Check every record's layout first, then parse all value rows at once.
+    records: List[Tuple[object, int]] = []
+    rows: List[int] = []
+    tokens: List[str] = []
     i = 3
     while i < len(lines):
         toks = lines[i].split()
@@ -295,27 +298,39 @@ def load_symbol_file(path: str):
             raise SymbolFormatError(
                 f"{path!r} line {i + 1}: label {label} must have dimension "
                 f"{expected}, file says {d}")
-        mat = np.zeros((d, d), dtype=complex)
-        for r in range(d):
-            i += 1
-            if i >= len(lines):
-                raise SymbolFormatError(
-                    f"{path!r}: record for label {label} is truncated")
-            vals = lines[i].split()
+        if i + d >= len(lines):
+            raise SymbolFormatError(
+                f"{path!r}: record for label {label} is truncated")
+        for j in range(i + 1, i + d + 1):
+            vals = lines[j].split()
             if len(vals) != 2 * d:
                 raise SymbolFormatError(
-                    f"{path!r} line {i + 1}: expected {2 * d} numbers "
+                    f"{path!r} line {j + 1}: expected {2 * d} numbers "
                     f"(re/im pairs), found {len(vals)}")
+            tokens += vals
+        rows += range(i + 1, i + d + 1)
+        records.append((label, d))
+        i += d + 1
+    try:
+        nums = np.array(tokens, dtype=float)
+        parsed = bool(np.isfinite(nums).all())
+    except ValueError:
+        parsed = False
+    if not parsed:  # name the first offending line
+        for j in rows:
             try:
-                nums = [float(v) for v in vals]
+                finite = all(math.isfinite(float(v)) for v in lines[j].split())
             except ValueError as exc:
-                raise SymbolFormatError(f"{path!r} line {i + 1}: {exc}")
-            if not all(math.isfinite(v) for v in nums):
+                raise SymbolFormatError(f"{path!r} line {j + 1}: {exc}")
+            if not finite:
                 raise SymbolFormatError(
-                    f"{path!r} line {i + 1}: entries must be finite")
-            mat[r] = np.array(nums[0::2]) + 1j * np.array(nums[1::2])
-        entries[label] = mat
-        i += 1
+                    f"{path!r} line {j + 1}: entries must be finite")
+    values = nums[0::2] + 1j * nums[1::2]
+    entries: Dict[object, np.ndarray] = {}
+    start = 0
+    for label, d in records:
+        entries[label] = values[start:start + d * d].reshape(d, d)
+        start += d * d
     if model.kind == "su2":
         return MatrixSymbol(model, entries, exact_band=band)
     coords = np.array(list(entries), dtype=int).reshape(len(entries), model.n)
@@ -590,6 +605,8 @@ def cmd_invert(args: argparse.Namespace) -> int:
 def cmd_probe(args: argparse.Namespace) -> int:
     started = time.time()
     model = model_from_name(args.group)
+    if model.kind == "su2":
+        check_sobolev_order(model, args.q, args.s, SymbolFormatError)
     ladder = parse_ladder(args.ladder)
     ladder = sorted(ladder, reverse=True)
     grid_band = args.grid_band

@@ -24,7 +24,8 @@ Grid-sampled versions (`build_phi_r` / `build_psi_r`) guard against
 under-resolved supports.
 
 The fine-scale probes need Fourier data of products with ``psi_r`` to high
-label bands.  Both get them from ``psi_r``'s central coefficients through
+label bands.  Both get them from ``psi_r``'s central coefficients, which one
+blocked matrix product of phase tables gives for every label at once, and
 exact Clebsch-Gordan stencils on the label lattice: the decay probe applies
 its vanishing factor per label, the second-difference probe works in
 (label, weight).
@@ -53,8 +54,8 @@ __all__ = [
     "l1_modulus", "build_phi_r", "build_psi_r", "required_mollifier_band",
     "smallest_resolved_scale", "psi_hat_coefficients", "SlopeFit",
     "fit_loglog", "default_ladder", "mollifier_scaling_report",
-    "negative_sobolev_decay", "cz_probe", "cz_consistency",
-    "riesz_field_diagonals", "identity_diagonals",
+    "check_sobolev_order", "negative_sobolev_decay", "cz_probe",
+    "cz_consistency", "riesz_field_diagonals", "identity_diagonals",
 ]
 
 
@@ -413,23 +414,28 @@ def _require_su2(model: GroupModel, what: str) -> None:
 def _su2_central_coefficients(values_fn: Callable[[np.ndarray], np.ndarray],
                               R: float, band: int) -> np.ndarray:
     """Coefficients ``s_t`` (t = 0..band) of a central function supported in
-    ``rho <= R``: ``s_t = (1/(t+1)) (1/pi) integral F chi_t sin^2(s/2) ds``."""
+    ``rho <= R``: ``s_t = (1/(t+1)) (1/pi) integral F chi_t sin^2(s/2) ds``.
+
+    As ``chi_t = sin((t+1) theta) / sin(theta)`` with ``theta = s/2``, the
+    rule gives ``(t+1) s_t = Im sum_j g_j e^{i(t+1) theta_j}``, ``g_j = F_j
+    w_j / sin(theta_j)``.  With ``t = b K + k`` and ``K ~ sqrt(band + 1)``
+    all labels come from one blocked product ``H E^T`` (done in real
+    cosine/sine parts) of ``E[k, j] = e^{i k theta_j}`` and ``H[b, j] = g_j
+    e^{i (b K + 1) theta_j}``: ``(K + band/K) N`` phases, no temporary
+    beyond O(sqrt(band) N) entries.
+    """
     panels = _su2_support_panels(R)
     width = max(b - a for a, b in panels)
     nodes = max(48, int(0.35 * (band + 2) * width) + 16)
     s, w = _su2_class_rule(panels, nodes)
-    F = values_fn(s) * w
-    x = 2.0 * np.cos(0.5 * s)
-    prev = np.ones_like(s)
-    cur = x.copy()
-    coeffs = np.empty(band + 1)
-    coeffs[0] = np.sum(F * prev)
-    if band >= 1:
-        coeffs[1] = np.sum(F * cur)
-    for t in range(2, band + 1):
-        prev, cur = cur, x * cur - prev
-        coeffs[t] = np.sum(F * cur)
-    return coeffs / (np.arange(band + 1) + 1.0)
+    theta = 0.5 * s
+    g = values_fn(s) * w / np.sin(theta)
+    K = math.isqrt(band) + 1
+    low = np.arange(K)[:, None] * theta
+    high = (K * np.arange(-(-(band + 1) // K)) + 1.0)[:, None] * theta
+    E = np.concatenate((np.cos(low), np.sin(low)), axis=1)
+    H = np.concatenate((g * np.sin(high), g * np.cos(high)), axis=1)
+    return (H @ E.T).reshape(-1)[:band + 1] / (np.arange(band + 1) + 1.0)
 
 
 def _psi_radial_values(model: GroupModel, r: float,
@@ -487,11 +493,8 @@ def psi_hat_coefficients(model: GroupModel, r: float,
                                 rel_tol)
     else:
         coeffs = _su2_central_coefficients(values_fn, R, band)
-    peak = float(np.max(np.abs(coeffs))) if coeffs.size else 0.0
-    if peak > 0:
-        coeffs[np.abs(coeffs) < 1e-14 * peak] = 0.0
-    values = {t: complex(coeffs[t]) for t in range(coeffs.size)}
-    return CentralSequence(model, values, zero_beyond=True)
+    coeffs[np.abs(coeffs) < 1e-14 * np.max(np.abs(coeffs), initial=0.0)] = 0.0
+    return CentralSequence(model, coeffs, zero_beyond=True)
 
 
 # ---------------------------------------------------------------------------
@@ -564,17 +567,10 @@ def mollifier_scaling_report(model: GroupModel,
 _VANISHING_ORDERS = {"one": 0, "rho2": 2, "adcoef": 1}
 
 
-def _real_coefficients(seq: CentralSequence) -> np.ndarray:
-    """Real parts of a finitely supported central sequence through its
-    support band, as an array indexed by label."""
-    return np.array([float(np.real(seq.value(t)))
-                     for t in range(seq.support_band + 1)])
-
-
-def _sobolev_sq_radial(model: GroupModel, coeffs: np.ndarray,
-                       s: float) -> float:
+def _sobolev_sq_radial(coeffs: np.ndarray, s: float) -> float:
     t = np.arange(coeffs.size)
-    brackets = np.array([japanese_bracket(model, int(tt)) for tt in t])
+    ell = t / 2.0  # japanese_bracket of every label at once
+    brackets = np.maximum(1.0, np.sqrt(ell * (ell + 1.0)))
     return float(np.sum((t + 1.0) ** 2 * brackets ** (-2.0 * s)
                         * np.abs(coeffs) ** 2))
 
@@ -594,13 +590,26 @@ def _times_q(q: str, seq: CentralSequence) -> np.ndarray:
     ``u (u+2) (c_{u-1} - c_{u+1})^2 / 6``.
     """
     if q == "rho2":
-        return _real_coefficients(delta2(seq))
-    c = _real_coefficients(seq)
+        return delta2(seq).table.real
+    c = seq.table.real
     if q == "one":
         return c
     c = np.concatenate(([0.0], c, [0.0, 0.0]))
     u = np.arange(c.size - 2, dtype=float)
     return np.sqrt(u * (u + 2.0) / 6.0) / (u + 1.0) * (c[:-2] - c[2:])
+
+
+def check_sobolev_order(model: GroupModel, q: str, s: float,
+                        error: type = GmultError) -> None:
+    """Raise ``error`` unless the decay probe accepts the order ``s`` for
+    ``q``: ``0 <= s <= 1 + n/2``, and ``s <= n/2`` for ``"rho2"``."""
+    if not 0.0 <= s <= 1.0 + 0.5 * model.n:
+        raise error(f"the Sobolev order s={s} is outside [0, 1 + n/2]")
+    if q == "rho2" and s > 0.5 * model.n:
+        raise error(
+            f"the Sobolev order s={s} exceeds n/2 = {0.5 * model.n:g} for "
+            f"q='rho2': rho^2 psi_r has mean ~r^(2/n), so its decay exponent "
+            f"cannot reach the expected (2 + s)/n - 1/2")
 
 
 def negative_sobolev_decay(model: GroupModel, q: str = "rho2", s: float = 0.0,
@@ -613,9 +622,7 @@ def negative_sobolev_decay(model: GroupModel, q: str = "rho2", s: float = 0.0,
     ``"one"`` (order 0), ``"rho2"`` (the squared radial coordinate,
     order 2), or ``"adcoef"`` (an off-diagonal fundamental matrix
     coefficient, order 1).  The expected exponent is
-    ``(order + s)/n - 1/2``.  ``rho^2 psi_r`` has mean of size
-    ``r^{2/n}``, which caps its exponent at ``2/n``, so ``"rho2"`` accepts
-    ``s <= n/2`` only.
+    ``(order + s)/n - 1/2``; `check_sobolev_order` gives the accepted ``s``.
 
     Each scale takes the central coefficients of ``psi_r`` once
     (`psi_hat_coefficients`, truncated at ``rel_tol``), applies ``q`` as
@@ -627,20 +634,14 @@ def negative_sobolev_decay(model: GroupModel, q: str = "rho2", s: float = 0.0,
     if q not in _VANISHING_ORDERS:
         raise GmultError(f"unknown vanishing factor {q!r}; "
                          f"choose from {sorted(_VANISHING_ORDERS)}")
-    if not 0.0 <= s <= 1.0 + 0.5 * model.n:
-        raise GmultError(f"the Sobolev order s={s} is outside [0, 1 + n/2]")
-    if q == "rho2" and s > 0.5 * model.n:
-        raise GmultError(
-            f"the Sobolev order s={s} exceeds n/2 = {0.5 * model.n:g} for "
-            f"q='rho2': rho^2 psi_r has mean ~r^(2/n), so its decay exponent "
-            f"cannot reach the expected (2 + s)/n - 1/2")
+    check_sobolev_order(model, q, s)
     rs = list(ladder) if ladder is not None else default_ladder()
     norms: List[float] = []
     bands: List[int] = []
     for r in rs:
         seq = psi_hat_coefficients(model, r, profile, rel_tol=rel_tol)
         v = _times_q(q, seq)
-        norms.append(math.sqrt(max(_sobolev_sq_radial(model, v, s), 0.0)))
+        norms.append(math.sqrt(_sobolev_sq_radial(v, s)))
         bands.append(seq.support_band)
     fit = fit_loglog(rs, norms)
     order = _VANISHING_ORDERS[q]
@@ -798,8 +799,7 @@ def cz_probe(model: GroupModel, sym,
                     f"{sym.exact_band}; rebuild the symbol with a larger "
                     "band or raise the ladder")
             diags = _symbol_diagonals(sym, band)
-        coeffs = _real_coefficients(seq)
-        norms.append(math.sqrt(max(_cz_norm_sq(diags, coeffs, m), 0.0)))
+        norms.append(math.sqrt(_cz_norm_sq(diags, seq.table.real, m)))
         bands.append(band)
     fit = fit_loglog(rs, norms)
     target = 2.0 * m / model.n - 0.5

@@ -103,6 +103,81 @@ def test_central_sequence_extension():
         strict.value(2)
 
 
+def _dict_read(values, zero_beyond, t):
+    """Evenly extended read of a label -> value dict."""
+    t = -2 - t if t < -1 else t
+    if t in values:
+        return values[t]
+    if zero_beyond:
+        return 0.0
+    raise KeyError(t)
+
+
+def _dict_delta2(values, zero_beyond):
+    """Reference for `delta2`: the per-label dict formula with ``tau_t =
+    d_t s_t`` odd-extended (0 at the wall), over the labels whose
+    neighbours are known."""
+    def tau(t):
+        return 0.0 if t == -1 else (t + 1) * _dict_read(values, zero_beyond, t)
+    dom = sorted(t for t in values if t >= 0)
+    if zero_beyond:
+        labels = range(max(dom, default=0) + 3)
+    else:
+        labels = [t for t in dom if all(
+            nb in values or nb <= -1 or -2 - nb in values
+            for nb in (t - 2, t + 2))]
+    return {t: (2.0 * tau(t) - tau(t - 2) - tau(t + 2)) / (t + 1)
+            for t in labels}
+
+
+def _assert_matches_dict(seq, values, zero_beyond):
+    dom = [t for t in values if t >= 0]
+    assert seq.support_band == max(dom, default=0)
+    for t in range(-12, seq.support_band + 6):
+        try:
+            want = _dict_read(values, zero_beyond, t)
+        except KeyError:
+            with pytest.raises(KeyError):
+                seq.value(t)
+            continue
+        assert seq.value(t) == want
+
+
+@pytest.mark.parametrize("case", ["sparse", "wall", "dense"])
+def test_central_sequence_array_matches_dict_semantics(su2, case):
+    # value, support_band and delta2 (exactly) as read off a label dict
+    rng = np.random.default_rng(17)
+    if case == "sparse":
+        values = {t: complex(*rng.standard_normal(2)) for t in (0, 2, 5, 9)}
+        seq, zero_beyond = CentralSequence(su2, values, zero_beyond=True), True
+    elif case == "wall":
+        values = {t: complex(*rng.standard_normal(2)) for t in range(-1, 8)}
+        seq, zero_beyond = CentralSequence(su2, values, zero_beyond=True), True
+    else:
+        seq = function_of_laplacian(lambda lam2: 1.0 / (1.0 + lam2) ** 0.3, 11)
+        values, zero_beyond = {t: seq.value(t) for t in range(12)}, False
+    _assert_matches_dict(seq, values, zero_beyond)
+    out = delta2(seq)
+    want = _dict_delta2(values, zero_beyond)
+    assert out.zero_beyond == zero_beyond
+    _assert_matches_dict(out, want, zero_beyond)
+
+
+def test_central_sequence_array_and_dict_constructors_agree(su2):
+    vals = np.array([1.0, -0.5j, 0.25, 0.0, 2.0])
+    dense = CentralSequence(su2, vals, zero_beyond=True)
+    assert dense.support_band == 4
+    assert dense.value(-1) == 0.0
+    assert np.array_equal(
+        dense.table, CentralSequence(su2, dict(enumerate(vals)), True).table)
+    assert CentralSequence(su2, {3: 1.0}, zero_beyond=True).value(1) == 0.0
+    with pytest.raises(ValueError):
+        CentralSequence(su2, {0: 1.0, 2: 1.0}, zero_beyond=False)
+    # too short for a strict second difference: no label has both
+    # neighbours
+    assert delta2(CentralSequence(su2, [1.0, 2.0])).table.size == 0
+
+
 def test_delta2_matches_quadrature_route():
     rng = np.random.default_rng(3)
     vals = {t: complex(v) for t, v in enumerate(rng.standard_normal(9))}

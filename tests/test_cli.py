@@ -139,6 +139,25 @@ def test_symbol_file_rejects_malformed(su2, tmp_path):
         load_symbol_file(str(good))
 
 
+@pytest.mark.parametrize("row, message", [
+    ("1.0 x", "line 7: could not convert string to float: 'x'"),
+    ("1.0 -inf", "line 7: entries must be finite"),
+    ("1.0", "line 7: expected 2 numbers"),
+])
+def test_symbol_file_errors_name_the_line(tmp_path, row, message):
+    # the value rows are parsed in one array; errors still name the line
+    path = tmp_path / "rows.gsym"
+    path.write_text("gmult-symbol 1\ngroup torus-3\nband 2\n"
+                    "label 0 0 0 d 1\n1.0 0.0\n"
+                    f"label 0 0 1 d 1\n{row}\nlabel 0 1 0 d 1\n2.0 0.0\n")
+    with pytest.raises(SymbolFormatError, match=message):
+        load_symbol_file(str(path))
+    path.write_text("gmult-symbol 1\ngroup su2\nband 2\n"
+                    "label 0 d 1\n1.0 0.0\nlabel 1 d 2\n1.0 0.0 0.0 0.0\n")
+    with pytest.raises(SymbolFormatError, match="label 1 is truncated"):
+        load_symbol_file(str(path))
+
+
 def test_check_reads_symbol_file(su2, tmp_path, monkeypatch, capsys):
     sym = identity_symbol(su2, 14)
     path = str(tmp_path / "ident.gsym")
@@ -309,8 +328,23 @@ def test_probe_passes_for_every_vanishing_factor(q, capsys):
 def test_probe_rho2_refuses_s_beyond_half_dimension(capsys):
     # the expected slope (2 + s)/3 - 1/2 is out of reach for s > 3/2
     for s in ("1.75", "2.5"):
-        assert main(["probe", "--q", "rho2", "--s", s]) == EXIT_MATH
+        assert main(["probe", "--q", "rho2", "--s", s]) == EXIT_CONFIG
         assert "n/2 = 1.5" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("q", ["one", "rho2", "adcoef"])
+def test_probe_refuses_out_of_range_s_before_any_work(q, capsys, tmp_path,
+                                                      monkeypatch):
+    def no_work(*args, **kwargs):
+        raise AssertionError("the probe started before checking --s")
+
+    monkeypatch.setattr(cli, "mollifier_scaling_report", no_work)
+    out = tmp_path / "report.json"
+    assert main(["probe", "--q", q, "--s", "9", "--out", str(out)]) \
+        == EXIT_CONFIG
+    captured = capsys.readouterr()
+    assert "outside [0, 1 + n/2]" in captured.err
+    assert captured.out == "" and not out.exists()
 
 
 def test_config_errors_exit_3(capsys, tmp_path):

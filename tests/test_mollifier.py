@@ -14,8 +14,9 @@ from hypothesis import given, settings, strategies as st
 from gmult.errors import BandOverflowError, GmultError, UnderResolvedError
 from gmult.groups import japanese_bracket, model_from_name, su2_exp_point
 from gmult.mollifier import (_adaptive_band, _cz_norm_sq, _leggauss,
-                             _psi_radial_values, _real_coefficients,
-                             _sobolev_sq_radial, _times_q,
+                             _psi_radial_values, _sobolev_sq_radial,
+                             _su2_central_coefficients, _su2_class_rule,
+                             _su2_support_panels, _times_q,
                              build_phi_r, build_psi_r, bump_profile,
                              cz_consistency, cz_probe, default_ladder,
                              fit_loglog, identity_diagonals, l1_modulus,
@@ -244,6 +245,52 @@ def test_psi_hat_torus_not_supported(torus3):
         psi_hat_coefficients(torus3, 0.5)
 
 
+def _recurrence_central_coefficients(values_fn, R, band):
+    """Oracle for `_su2_central_coefficients`: the same rule, with each
+    character advanced by the Chebyshev recurrence
+    ``chi_{t+1} = 2 cos(s/2) chi_t - chi_{t-1}`` and one sum per label."""
+    panels = _su2_support_panels(R)
+    width = max(b - a for a, b in panels)
+    nodes = max(48, int(0.35 * (band + 2) * width) + 16)
+    s, w = _su2_class_rule(panels, nodes)
+    F = values_fn(s) * w
+    x = 2.0 * np.cos(0.5 * s)
+    prev = np.ones_like(s)
+    cur = x.copy()
+    coeffs = np.empty(band + 1)
+    coeffs[0] = np.sum(F * prev)
+    if band >= 1:
+        coeffs[1] = np.sum(F * cur)
+    for t in range(2, band + 1):
+        prev, cur = cur, x * cur - prev
+        coeffs[t] = np.sum(F * cur)
+    return coeffs / (np.arange(band + 1) + 1.0)
+
+
+@pytest.mark.parametrize("r, band", [(8.0, 2), (8.0, 3), (8.0, 47),
+                                     (2.0, 120), (1.0 / 16.0, 1198),
+                                     (1.0 / 512.0, 8297)])
+def test_blocked_coefficients_match_recurrence(su2, r, band):
+    # r = 8 and r = 2 give R >= 2 (one full panel); the others give two
+    # mirror panels, up to the decay probe's largest band.  The bands cover
+    # a full last block (3, 120) and a trimmed one (2, 47, 1198, 8297).
+    values_fn, R = _psi_radial_values(su2, r, bump_profile)
+    fast = _su2_central_coefficients(values_fn, R, band)
+    oracle = _recurrence_central_coefficients(values_fn, R, band)
+    assert fast.shape == (band + 1,)
+    peak = float(np.max(np.abs(oracle)))
+    assert float(np.max(np.abs(fast - oracle))) <= 1e-12 * peak
+
+
+def test_default_ladder_bands_are_pinned(su2):
+    # the quadrature, growth schedule and trimming rule fix every band
+    ladder = default_ladder()
+    assert [psi_hat_coefficients(su2, r, rel_tol=1e-4).support_band
+            for r in ladder] == [454, 572, 720, 860, 952, 1198]
+    assert [psi_hat_coefficients(su2, r, rel_tol=1e-9).support_band
+            for r in ladder] == [2226, 2808, 3504, 4300, 5372, 6768]
+
+
 # ---------------------------------------------------------------------------
 # Coefficient lines by label recurrence (oracle engine)
 # ---------------------------------------------------------------------------
@@ -432,14 +479,14 @@ def _line_adcoef_masses(coeffs):
 def test_adcoef_formula_matches_line_recurrence(su2):
     for r in (0.5, 0.25, 1.0 / 64.0):
         seq = psi_hat_coefficients(su2, r, rel_tol=1e-4)
-        masses = _line_adcoef_masses(_real_coefficients(seq))
+        masses = _line_adcoef_masses(seq.table.real)
         brackets = np.array([japanese_bracket(su2, u)
                              for u in range(masses.size)])
         amplitudes = _times_q("adcoef", seq)
         assert amplitudes.size == masses.size
         for s in (0.0, 0.5, 1.0):
             oracle = float(np.sum(brackets ** (-2.0 * s) * masses))
-            fast = _sobolev_sq_radial(su2, amplitudes, s)
+            fast = _sobolev_sq_radial(amplitudes, s)
             assert fast == pytest.approx(oracle, rel=1e-10)
 
 
@@ -453,8 +500,8 @@ def test_rho2_stencil_matches_weighted_quadrature(su2):
             max(32, int(12.0 / R)), 1e-9)
         stencil = _times_q("rho2", psi_hat_coefficients(su2, r))
         for s in (0.0, 0.5, 1.0):
-            assert _sobolev_sq_radial(su2, stencil, s) == pytest.approx(
-                _sobolev_sq_radial(su2, quad, s), rel=1e-12)
+            assert _sobolev_sq_radial(stencil, s) == pytest.approx(
+                _sobolev_sq_radial(quad, s), rel=1e-12)
 
 
 def test_cz_probe_identity_short_ladder(su2):
@@ -556,7 +603,7 @@ def _quadrature_cz_norm_sq(sym_diags, coeffs, m):
 
 
 def _psi_coeffs(model, r, band):
-    return _real_coefficients(psi_hat_coefficients(model, r, band=band))
+    return psi_hat_coefficients(model, r, band=band).table.real
 
 
 @pytest.mark.parametrize("m", [1, 2])
