@@ -144,11 +144,14 @@ def torus_lattice_symbol(model: GroupModel, fn: Callable[..., np.ndarray],
     ``fn`` receives the ``n`` broadcastable integer coordinate axes of
     :func:`gmult.groups.label_box` and must return the symbol values
     elementwise.  The table is the symbol itself on the box, so it is exact
-    through its radius.
+    through its radius.  A complex result that already fills the box becomes
+    the table without a copy.
     """
     radius = band + pad
+    shape = (2 * radius + 1,) * model.n
     values = np.asarray(fn(*label_box(model.n, radius)), dtype=complex)
-    values = np.broadcast_to(values, (2 * radius + 1,) * model.n).copy()
+    if values.shape != shape:
+        values = np.broadcast_to(values, shape).copy()
     return TorusSymbol(model, values, exact_band=radius)
 
 

@@ -35,9 +35,9 @@ import numpy as np
 from . import __version__
 from .errors import (BandOverflowError, ExceptionalValueError, GmultError,
                      SymbolFormatError, UnderResolvedError)
-from .groups import GroupModel, irrep_dimension, labels_up_to, model_from_name
+from .groups import GroupModel, irrep_dimension, model_from_name
 from .symbols import (MatrixSymbol, TorusSymbol, default_grid,
-                      identity_symbol, op_norm, random_symbol, symbol_add,
+                      identity_symbol, random_symbol, symbol_add,
                       symbol_scale)
 from .transform import (fourier_forward, fourier_inverse, function_norm_l2,
                         plancherel_norm)
@@ -578,8 +578,7 @@ def cmd_invert(args: argparse.Namespace) -> int:
             f"c = {args.c} is exceptional for this field: i*c lies in the "
             f"half-integer lattice {lattice} of eigenvalue gaps "
             f"(resolvent undefined); detail: {exc}")
-    sup_norm = max(op_norm(inverse.get(lb))
-                   for lb in labels_up_to(model, band))
+    sup_norm = float(inverse.norms(band).max())
     s00 = verify_s00(spec, c, band)
     results: Dict[str, object] = {
         "exceptional_set": [{"re": z.real, "im": z.imag}

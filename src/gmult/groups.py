@@ -217,8 +217,11 @@ def wigner_little_d(twice_spin: int, theta) -> np.ndarray:
         Polar angle(s).  For an array of shape ``(N,)`` the result has shape
         ``(N, d, d)``; a scalar gives ``(d, d)``.
 
-    Evaluated by the explicit sum over Wigner's auxiliary index with
+    Evaluated by the explicit sum over Wigner's auxiliary index ``k`` with
     log-factorial stabilization; real-valued and orthogonal for each theta.
+    Each ``k`` step touches only the entries ``(m, n)`` where its term is
+    nonzero (every factorial argument ``>= 0``), adding the terms in
+    ascending ``k``.
     """
     if twice_spin < 0:
         raise ValueError("twice_spin must be >= 0")
@@ -231,21 +234,17 @@ def wigner_little_d(twice_spin: int, theta) -> np.ndarray:
     cp = c[:, None] ** powers[None, :]
     sp = s[:, None] ** powers[None, :]
     lf = _log_factorials(T)
-    mi, ni = np.meshgrid(np.arange(d), np.arange(d), indexing="ij")
+    mi, ni = np.divmod(np.arange(d * d), d)      # flat (m, n) of a block
     pref = 0.5 * (lf[mi] + lf[T - mi] + lf[ni] + lf[T - ni])
-    out = np.zeros((th.size, d, d))
+    out = np.zeros((th.size, d * d))
     for k in range(T + 1):
-        valid = (ni >= k) & (mi - ni + k >= 0) & (T - mi >= k)
-        if not valid.any():
-            continue
-        logden = np.where(valid, lf[np.clip(ni - k, 0, T)] + lf[k]
-                          + lf[np.clip(mi - ni + k, 0, T)]
-                          + lf[np.clip(T - mi - k, 0, T)], 0.0)
-        sign = np.where((mi - ni + k) % 2 == 0, 1.0, -1.0)
-        coef = np.where(valid, sign * np.exp(pref - logden), 0.0)
-        cospow = np.clip(T + ni - mi - 2 * k, 0, T)
-        sinpow = np.clip(mi - ni + 2 * k, 0, T)
-        out += coef[None, :, :] * cp[:, cospow] * sp[:, sinpow]
+        at = np.flatnonzero((ni >= k) & (mi - ni + k >= 0) & (T - mi >= k))
+        m, n = mi[at], ni[at]
+        logden = lf[n - k] + lf[k] + lf[m - n + k] + lf[T - m - k]
+        sign = np.where((m - n + k) % 2 == 0, 1.0, -1.0)
+        coef = sign * np.exp(pref[at] - logden)
+        out[:, at] += coef * cp[:, T + n - m - 2 * k] * sp[:, m - n + 2 * k]
+    out = out.reshape(th.size, d, d)
     if np.isscalar(theta) or np.asarray(theta).ndim == 0:
         return out[0]
     return out

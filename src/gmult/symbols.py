@@ -48,6 +48,8 @@ from .groups import (GroupModel, IrrepLabel, angular_momentum, bracket_powers,
                      validate_label)
 
 _GRID_CACHE: Dict[Tuple[str, int, int], GroupGrid] = {}
+#: Labels normed per stack in :meth:`MatrixSymbol.norms`.
+_NORM_BUCKET = 4
 
 
 def default_grid(model: GroupModel, band: int) -> GroupGrid:
@@ -108,9 +110,21 @@ class MatrixSymbol:
 
     def norms(self, band: int, hs: bool = False) -> np.ndarray:
         """Operator (``hs``: Hilbert-Schmidt) norm of every block through
-        ``band``, as a label table."""
-        norm = np.linalg.norm if hs else op_norm
-        return np.array([norm(self.get(t)) for t in range(band + 1)])
+        ``band``, as a label table.
+
+        Runs of ``_NORM_BUCKET`` consecutive stored labels are zero-padded
+        to the largest block of the run and normed as one stack; zero
+        padding changes neither norm."""
+        out = np.zeros(band + 1)
+        labels = [t for t in sorted(self.entries) if t <= band]
+        for lo in range(0, len(labels), _NORM_BUCKET):
+            run = labels[lo:lo + _NORM_BUCKET]
+            size = run[-1] + 1
+            stack = np.zeros((len(run), size, size), dtype=complex)
+            for i, t in enumerate(run):
+                stack[i, :t + 1, :t + 1] = self.entries[t]
+            out[run] = np.linalg.norm(stack, None if hs else 2, axis=(1, 2))
+        return out
 
     def energy(self, band: int) -> float:
         """``sum ||sigma(xi)||_HS^2`` over the labels through ``band``."""

@@ -33,13 +33,17 @@ from .groups import bracket_powers, irrep_dimension, japanese_bracket
 from .symbols import MatrixSymbol, TorusSymbol, resize_box
 
 
-def _su2_phase_tables(grid: GroupGrid, tmax: int):
-    """Forward phase matrices e^{+i u phi / 2}/N at all twice-weights |u|<=tmax."""
-    key = ("fwd_phases", tmax)
+def _su2_phase_tables(grid: GroupGrid, tmax: int, sign: int):
+    """Phase matrices ``e^{sign i u phi / 2}`` and ``e^{sign i u psi / 2}``,
+    shaped ``(u, node)``, at all twice-weights ``|u| <= tmax``; the forward
+    tables (``sign = +1``) are divided by their node counts."""
+    key = ("phases", sign, tmax)
     if key not in grid._misc:
         u = np.arange(-tmax, tmax + 1)
-        ephi = np.exp(0.5j * np.outer(u, grid.phis)) / grid.phis.size
-        epsi = np.exp(0.5j * np.outer(u, grid.psis)) / grid.psis.size
+        ephi = np.exp(sign * 0.5j * np.outer(u, grid.phis))
+        epsi = np.exp(sign * 0.5j * np.outer(u, grid.psis))
+        if sign > 0:
+            ephi, epsi = ephi / grid.phis.size, epsi / grid.psis.size
         grid._misc[key] = (ephi, epsi)
     return grid._misc[key]
 
@@ -48,9 +52,8 @@ def _su2_forward_stages(grid: GroupGrid, samples: np.ndarray, tmax: int) -> np.n
     """Collapse the phi and psi axes: returns ``A[u, a, v]`` with
     ``A = (1/(Nphi Npsi)) sum_{j,k} f(phi_j, theta_a, psi_k)
     e^{i u phi_j / 2} e^{i v psi_k / 2}`` for twice-weights ``u, v``."""
-    nphi, ntheta, npsi = grid.shape
     F = samples.reshape(grid.shape)
-    ephi, epsi = _su2_phase_tables(grid, tmax)
+    ephi, epsi = _su2_phase_tables(grid, tmax, +1)
     A1 = np.tensordot(ephi, F, axes=(1, 0))          # (u, theta, psi)
     return np.tensordot(A1, epsi, axes=(2, 1))       # (u, theta, v)
 
@@ -64,33 +67,29 @@ def _su2_forward(grid: GroupGrid, samples: np.ndarray,
     w2 = grid.theta_weights / 2.0
     out: Dict[int, np.ndarray] = {}
     for t in labels:
-        dtab = grid.little_d(t)                      # (theta, m, n) ascending
-        idx = np.arange(-t, t + 1, 2) + tmax
-        block = A[np.ix_(idx, np.arange(grid.thetas.size), idx)]
-        # fhat_{mn} = sum_a w_a/2 d^t_{nm}(theta_a) A[u=2n, a, v=2m]
-        out[t] = np.einsum("a,anm,nam->mn", w2, dtab, block, optimize=True)
+        at = slice(tmax - t, tmax + t + 1, 2)         # twice-weights -t..t
+        # fhat_{mn} = sum_a w_a/2 d^t_{nm}(theta_a) A[u=2n, a, v=2m]: the
+        # product over (m, n, a), laid out in C order so that the reshape is
+        # a view, then one matrix-vector product with w/2
+        prod = np.multiply(A[at, :, at].transpose(2, 0, 1),
+                           grid.little_d(t).transpose(2, 1, 0), order="C")
+        out[t] = (prod.reshape((t + 1) ** 2, -1) @ w2).reshape(t + 1, t + 1)
     return out
 
 
 def _su2_inverse(grid: GroupGrid, sym: MatrixSymbol) -> np.ndarray:
-    labels = [t for t in sym.entries]
-    if not labels:
+    if not sym.entries:
         return np.zeros(grid.node_count, dtype=complex)
-    tmax = max(labels)
-    nu = tmax + 1
-    ntheta = grid.thetas.size
-    H = np.zeros((2 * tmax + 1, ntheta, 2 * tmax + 1), dtype=complex)
+    tmax = max(sym.entries)
+    H = np.zeros((2 * tmax + 1, grid.thetas.size, 2 * tmax + 1), dtype=complex)
     for t, mat in sym.entries.items():
-        dtab = grid.little_d(t)
-        idx = np.arange(-t, t + 1, 2) + tmax
+        at = slice(tmax - t, tmax + t + 1, 2)
         # f = sum_t d_t sum_{mn} e^{-i m phi} d^t_{mn} e^{-i n psi} sigma_{nm}
-        contrib = (t + 1) * np.einsum("amn,nm->man", dtab, mat, optimize=True)
-        H[np.ix_(idx, np.arange(ntheta), idx)] += contrib
-    u = np.arange(-tmax, tmax + 1)
-    pphi = np.exp(-0.5j * np.outer(grid.phis, u))    # (phi, u)
-    ppsi = np.exp(-0.5j * np.outer(u, grid.psis))    # (v, psi)
-    out = np.tensordot(pphi, H, axes=(1, 0))         # (phi, theta, v)
-    out = np.tensordot(out, ppsi, axes=(2, 0))       # (phi, theta, psi)
+        H[at, :, at] += (t + 1) * (grid.little_d(t).transpose(1, 0, 2)
+                                   * mat.T[:, None, :])
+    ephi, epsi = _su2_phase_tables(grid, tmax, -1)
+    out = np.tensordot(ephi, H, axes=(0, 0))         # (phi, theta, v)
+    out = np.tensordot(out, epsi, axes=(2, 0))       # (phi, theta, psi)
     return out.reshape(-1)
 
 

@@ -119,6 +119,20 @@ def test_sparse_label_axes_match_dense_box(name, expr):
     assert np.array_equal(sym.table, fn(*dense))
 
 
+def test_lattice_symbol_copies_only_partial_results(torus3):
+    # a complex result that fills the box is the table itself; a result
+    # built from one axis becomes the full, writable box
+    full = np.zeros((7, 7, 7), dtype=complex)
+    sym = torus_lattice_symbol(torus3, lambda *axes: full, 2, pad=1)
+    assert np.shares_memory(sym.table, full)
+    one_axis = torus_lattice_symbol(torus3, lambda k1, k2, k3: 1.0 * k1, 2, pad=1)
+    assert one_axis.table.shape == (7, 7, 7)
+    assert one_axis.table.flags.writeable
+    assert one_axis.table[5, 0, 6] == 2.0
+    one_axis.table[0, 0, 0] = 9.0
+    assert one_axis.table[0, 1, 0] == -3.0
+
+
 def test_symbol_class_membership(su2):
     seq = function_of_laplacian(lambda x: (1.0 + x) ** -0.5, 24)
     rep = check_symbol_class(seq.as_symbol(24), SymbolClassSpec(-1.0, 1.0, 2),

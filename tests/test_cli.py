@@ -18,6 +18,7 @@ import json
 import math
 import subprocess
 import sys
+from collections import Counter
 from pathlib import Path
 
 import numpy as np
@@ -421,19 +422,34 @@ def test_out_dir_env_routing(tmp_path, monkeypatch, capsys):
 # Benchmark interface
 # ---------------------------------------------------------------------------
 
-def test_traced_benchmark_run_records_forward_labels(tmp_path):
-    # perfbench/harness.py wraps the layers and reads the size of every
-    # forward transform's result; a traced run must keep working
+def _traced_spans(tmp_path, *argv):
+    """Run ``argv`` under perfbench/harness.py; returns its span records."""
     root = Path(__file__).resolve().parents[1]
     spans = tmp_path / "spans.jsonl"
     proc = subprocess.run(
         [sys.executable, str(root / "perfbench" / "harness.py"),
          "--spans", str(spans), "--command-id", "t", "--src",
-         str(root / "src"), "--", "fourier-selftest", "--group", "torus-3",
-         "--band", "4"],
+         str(root / "src"), "--", *argv],
         capture_output=True, text=True, timeout=300)
     assert proc.returncode == 0, proc.stderr
-    records = [json.loads(line) for line in spans.read_text().splitlines()]
+    return [json.loads(line) for line in spans.read_text().splitlines()]
+
+
+def test_traced_benchmark_run_records_forward_labels(tmp_path):
+    # perfbench/harness.py wraps the layers and reads the size of every
+    # forward transform's result; a traced run must keep working
+    records = _traced_spans(tmp_path, "fourier-selftest", "--group",
+                            "torus-3", "--band", "4")
     forward = [r for r in records if r["name"] == "transform.fourier_forward"]
     assert forward
     assert all(r["labels"] == 9 ** 3 for r in forward)
+    # an SU(2) check makes the same number of transform and little-d table
+    # calls as before the per-label work was batched: speedups come per
+    # call, not from skipping work
+    records = _traced_spans(tmp_path, "check", "--group", "su2", "--band",
+                            "8", "--symbol", "riesz:D3", "--checker",
+                            "mikhlin")
+    counts = Counter(r["name"] for r in records)
+    assert counts["transform.fourier_forward"] == 57
+    assert counts["transform.fourier_inverse"] == 8
+    assert counts["grids.GroupGrid.little_d"] == 602

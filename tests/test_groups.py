@@ -4,11 +4,12 @@ import math
 import numpy as np
 import pytest
 from hypothesis import given, strategies as st
+from numpy.polynomial.legendre import leggauss
 
-from gmult.groups import (casimir_lambda, irrep_dimension, japanese_bracket,
-                          label_band, labels_up_to, model_from_name, su2_exp,
-                          su2_matrix, torus_model, validate_label,
-                          wigner_little_d, wigner_matrix)
+from gmult.groups import (_log_factorials, casimir_lambda, irrep_dimension,
+                          japanese_bracket, label_band, labels_up_to,
+                          model_from_name, su2_exp, su2_matrix, torus_model,
+                          validate_label, wigner_little_d, wigner_matrix)
 
 
 def test_model_names_roundtrip():
@@ -83,6 +84,53 @@ def test_validate_label_rejects(su2, torus3):
         validate_label(su2, -1)
     with pytest.raises(Exception):
         validate_label(torus3, (1, 2))
+
+
+def _dense_little_d(twice_spin, theta):
+    """The explicit Wigner sum run over the full ``d x d`` block at every
+    ``k``, with masks (zero terms included): the oracle for the nonzero-term
+    loop of :func:`wigner_little_d`."""
+    th = np.atleast_1d(np.asarray(theta, dtype=float))
+    T = int(twice_spin)
+    d = T + 1
+    half = th / 2.0
+    c, s = np.cos(half), np.sin(half)
+    powers = np.arange(T + 1)
+    cp = c[:, None] ** powers[None, :]
+    sp = s[:, None] ** powers[None, :]
+    lf = _log_factorials(T)
+    mi, ni = np.meshgrid(np.arange(d), np.arange(d), indexing="ij")
+    pref = 0.5 * (lf[mi] + lf[T - mi] + lf[ni] + lf[T - ni])
+    out = np.zeros((th.size, d, d))
+    for k in range(T + 1):
+        valid = (ni >= k) & (mi - ni + k >= 0) & (T - mi >= k)
+        if not valid.any():
+            continue
+        logden = np.where(valid, lf[np.clip(ni - k, 0, T)] + lf[k]
+                          + lf[np.clip(mi - ni + k, 0, T)]
+                          + lf[np.clip(T - mi - k, 0, T)], 0.0)
+        sign = np.where((mi - ni + k) % 2 == 0, 1.0, -1.0)
+        coef = np.where(valid, sign * np.exp(pref - logden), 0.0)
+        cospow = np.clip(T + ni - mi - 2 * k, 0, T)
+        sinpow = np.clip(mi - ni + 2 * k, 0, T)
+        out += coef[None, :, :] * cp[:, cospow] * sp[:, sinpow]
+    if np.isscalar(theta) or np.asarray(theta).ndim == 0:
+        return out[0]
+    return out
+
+
+def test_little_d_matches_dense_sum_bitwise():
+    # a grid of band B tabulates twice_spin 0..2B on its B + 1 Gauss-Legendre
+    # nodes; every such table of bands 1..30 (twice_spin 0..60) must be
+    # bit-identical to the dense sum.  Both sums are elementwise in theta,
+    # so the nodes of the bands that need a twice_spin are evaluated at once.
+    nodes = {b: np.arccos(leggauss(b + 1)[0]) for b in range(1, 31)}
+    for t in range(61):
+        theta = np.concatenate([nodes[b]
+                                for b in range(max(1, (t + 1) // 2), 31)])
+        assert np.array_equal(wigner_little_d(t, theta),
+                              _dense_little_d(t, theta)), t
+        assert np.array_equal(wigner_little_d(t, 0.7), _dense_little_d(t, 0.7)), t
 
 
 def test_little_d_orthogonal():

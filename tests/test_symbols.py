@@ -40,6 +40,29 @@ def test_identity_symbol_and_op_norm(su2):
         assert op_norm(ident.get(t)) == pytest.approx(1.0, abs=1e-14)
 
 
+@pytest.mark.parametrize("hs", [False, True])
+def test_matrix_symbol_norms_match_per_block(su2, rng, hs):
+    # the batched, zero-padded stacks against one norm per block: sparse
+    # labels (runs span gaps), a band beyond the support, label 0 alone
+    sparse = {t: rng.standard_normal((t + 1, t + 1))
+              + 1j * rng.standard_normal((t + 1, t + 1))
+              for t in (0, 1, 3, 4, 7, 9, 10, 11, 12, 13, 14, 15, 16, 17, 18, 22)}
+    sparse[5] = np.zeros((6, 6))
+    sparse[9][:, 1:] = 0.0                       # rank one
+    cases = [(MatrixSymbol(su2, sparse), 20), (MatrixSymbol(su2, sparse), 30),
+             (MatrixSymbol(su2, {0: np.array([[3.0 - 4.0j]])}), 0),
+             (MatrixSymbol(su2, {0: np.array([[3.0 - 4.0j]])}), 5),
+             (MatrixSymbol(su2, {}), 3)]
+    for sym, band in cases:
+        got = sym.norms(band, hs=hs)
+        assert got.shape == (band + 1,)
+        for t in range(band + 1):
+            block = sym.get(t)
+            for want in ((np.linalg.norm(block),) if hs
+                         else (op_norm(block), np.linalg.norm(block, 2))):
+                assert got[t] == pytest.approx(want, rel=1e-14, abs=0.0)
+
+
 def test_generator_inventory(su2, torus3):
     gens = difference_generators(su2)
     assert len(gens) == 9  # one 3x3 first-shell coefficient block

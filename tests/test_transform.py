@@ -3,6 +3,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from gmult.grids import GroupFunction
 from gmult.groups import irrep_dimension, labels_up_to, model_from_name
 from gmult.symbols import MatrixSymbol, default_grid
 from gmult.transform import (fourier_forward, fourier_inverse,
@@ -94,3 +95,28 @@ def test_constant_function_transform(su2):
     back = fourier_forward(f, band=2)
     assert back.get(0)[0, 0] == pytest.approx(2.5, abs=1e-13)
     assert np.allclose(back.get(2), 0.0, atol=1e-13)
+
+
+@pytest.mark.parametrize("band", range(1, 7))
+def test_su2_transforms_match_direct_quadrature(su2, band):
+    # each coefficient as one weighted sum over the grid nodes,
+    # fhat(t)_{mn} = sum_g w_g f(g) conj(xi_t(g)_{nm}), and each sample as
+    # f(g) = sum_t (t + 1) sum_{mn} xi_t(g)_{mn} sigma(t)_{nm}
+    grid = default_grid(su2, band)
+    rng = np.random.default_rng(band)
+    samples = (rng.standard_normal(grid.node_count)
+               + 1j * rng.standard_normal(grid.node_count))
+    top = grid.max_label_band
+    got = fourier_forward(GroupFunction(grid, samples), band=top)
+    sym = random_symbol(su2, top, rng)
+    back = np.zeros(grid.node_count, dtype=complex)
+    for t in range(top + 1):
+        want = np.empty((t + 1, t + 1), dtype=complex)
+        for m in range(t + 1):
+            for n in range(t + 1):
+                xi = grid.coefficient_function(t, n, m)
+                want[m, n] = np.sum(grid.weights * samples * np.conj(xi))
+                back += (t + 1) * sym.get(t)[m, n] * xi
+        assert np.max(np.abs(got.get(t) - want)) <= 1e-13 * np.max(np.abs(want))
+    err = np.max(np.abs(fourier_inverse(sym, grid).samples - back))
+    assert err <= 1e-13 * np.max(np.abs(back))
