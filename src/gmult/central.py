@@ -24,7 +24,7 @@ from __future__ import annotations
 import math
 from collections.abc import Mapping
 from dataclasses import dataclass, field
-from typing import Callable, Dict, Optional, Sequence, Tuple
+from typing import Callable, Dict, Optional, Sequence
 
 import numpy as np
 
@@ -184,20 +184,6 @@ class CentralSequence:
         return MatrixSymbol(self.model, entries, exact_band=cert)
 
 
-def central_part(sym: MatrixSymbol, tol: float = 1e-8) -> CentralSequence:
-    """Extract ``s_t`` from a central symbol (labels without a stored block
-    read as 0); raises if any block deviates from a scalar matrix by more
-    than ``tol`` in max-norm."""
-    vals = np.zeros(sym.support_band + 1, dtype=complex)
-    for t, mat in sym.entries.items():
-        s = complex(np.trace(mat)) / mat.shape[0]
-        if np.abs(mat - s * np.eye(mat.shape[0])).max() > tol:
-            raise GmultError(f"symbol block at label {t} is not central")
-        vals[t] = s
-    return CentralSequence(sym.model, vals,
-                           zero_beyond=math.isinf(sym.exact_band))
-
-
 def delta2(seq: CentralSequence) -> CentralSequence:
     """Root-shift second difference realizing the distance-squared operator
     on central symbols: with ``tau_t = d_t s_t`` (odd-extended, so
@@ -269,36 +255,8 @@ def dimension_sequence(band: int) -> CentralSequence:
 
 
 # ---------------------------------------------------------------------------
-# Orbit sums and character orthogonality
+# Character orthogonality
 # ---------------------------------------------------------------------------
-
-def orbit_exponential_sum(tw: int, angle) -> np.ndarray:
-    """Sum of ``e^{i w s / 2}`` over the Weyl orbit of the weight ``tw``."""
-    s = np.asarray(angle, dtype=float)
-    if tw == 0:
-        return np.ones_like(s)
-    return 2.0 * np.cos(0.5 * abs(tw) * s)
-
-
-def orbit_character_sum(tw: int, angle) -> np.ndarray:
-    """Sum of extended characters over the Weyl orbit of the weight ``tw``."""
-    tw = abs(int(tw))
-    if tw == 0:
-        return weyl_character(0, angle)
-    return weyl_character(tw, angle) + weyl_character(-tw, angle)
-
-
-def character_orbit_product(tw: int, tstar: int, angle) -> Tuple[np.ndarray, np.ndarray]:
-    """Both sides of the orbit product identity: the orbit sum of weight
-    ``tw`` times ``chi_{tstar}`` equals the orbit sum of shifted characters."""
-    lhs = orbit_character_sum(tw, angle) * weyl_character(tstar, angle)
-    tw = abs(int(tw))
-    if tw == 0:
-        rhs = weyl_character(tstar, angle)
-    else:
-        rhs = weyl_character(tstar + tw, angle) + weyl_character(tstar - tw, angle)
-    return lhs, rhs
-
 
 def character_inner(ta: int, tb: int) -> complex:
     """Quadrature value of ``integral chi_a conj(chi_b)`` on extended labels:
@@ -312,14 +270,6 @@ def character_inner(ta: int, tb: int) -> complex:
 # Hypoellipticity of the dimension sequence
 # ---------------------------------------------------------------------------
 
-def forward_difference(values: np.ndarray, order: int) -> np.ndarray:
-    """Iterated forward difference along the lattice (unit twice-spin step)."""
-    out = np.asarray(values, dtype=float)
-    for _ in range(order):
-        out = out[1:] - out[:-1]
-    return out
-
-
 def hypoellipticity_ratio(order: int, band: int) -> Dict[str, float]:
     """Report on ``<xi>^k |Delta_k d| / d`` over labels ``t <= band``.
 
@@ -331,7 +281,7 @@ def hypoellipticity_ratio(order: int, band: int) -> Dict[str, float]:
     model = su2_model()
     t = np.arange(band + 1 + order)
     d = (t + 1).astype(float)
-    diff = forward_difference(d, order)
+    diff = np.diff(d, order)
     brackets = np.array([japanese_bracket(model, int(x)) for x in t[: band + 1]])
     ratios = brackets ** order * np.abs(diff[: band + 1]) / d[: band + 1]
     half = ratios[: band // 2 + 1]

@@ -155,7 +155,10 @@ def torus_lattice_symbol(model: GroupModel, fn: Callable[..., np.ndarray],
     return TorusSymbol(model, values, exact_band=radius)
 
 
-def _check_range(model: GroupModel, band: int) -> None:
+def check_range(model: GroupModel, band: int) -> None:
+    """Refuse a label range with fewer than ``_MIN_LABELS_PER_DIRECTION``
+    labels per direction (BandOverflowError); every checker needs that
+    many for its nested half range."""
     per_direction = band + 1 if model.kind == "su2" else 2 * band + 1
     if per_direction < _MIN_LABELS_PER_DIRECTION:
         raise BandOverflowError(
@@ -200,7 +203,7 @@ def check_mikhlin(sym, band: int, kappa: Optional[int] = None,
     """Difference-operator conditions of every order up to kappa with weight
     equal to the order: ``||D^alpha sigma(xi)||_op <= C <xi>^{-|alpha|}``."""
     model = sym.model
-    _check_range(model, band)
+    check_range(model, band)
     kappa = model.kappa if kappa is None else int(kappa)
     pairs = [_order_constants(sym, a, float(a), band, grid)
              for a in range(kappa + 1)]
@@ -238,7 +241,7 @@ def check_refined(sym, band: int,
     distance-squared operator alone, ``<xi>^kappa ||A^{kappa/2} sigma||_op``,
     alongside generator words only of order <= kappa - 1."""
     model = sym.model
-    _check_range(model, band)
+    check_range(model, band)
     kappa = model.kappa
     pairs = [_order_constants(sym, a, float(a), band, grid)
              for a in range(kappa)]
@@ -279,7 +282,7 @@ def check_torus3(sym, band: int,
     model = sym.model
     if model.kind != "torus" or model.n != 3:
         raise GmultError("this check is specific to the three-torus")
-    _check_range(model, band)
+    check_range(model, band)
     if sym.exact_band < band + 1:
         raise BandOverflowError(
             f"need the symbol exact through band {band + 1}, "
@@ -323,7 +326,7 @@ def check_symbol_class(sym, spec: SymbolClassSpec, band: int,
     |1/p - 1/2|`` and the reduction step: the reweighted symbol
     ``<xi>^{-m - kappa (1 - rho)} sigma`` must pass check_mikhlin."""
     model = sym.model
-    _check_range(model, band)
+    check_range(model, band)
     kappa = model.kappa
     pairs = [_order_constants(sym, a, spec.rho * a - spec.order, band, grid)
              for a in range(spec.max_order + 1)]

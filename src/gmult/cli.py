@@ -42,9 +42,9 @@ from .symbols import (MatrixSymbol, TorusSymbol, default_grid,
 from .transform import (fourier_forward, fourier_inverse, function_norm_l2,
                         plancherel_norm)
 from .central import function_of_laplacian, riesz_symbol
-from .checkers import (SymbolClassSpec, check_mikhlin, check_refined,
-                       check_symbol_class, check_torus3, empirical_lp_ratio,
-                       torus_lattice_symbol)
+from .checkers import (SymbolClassSpec, check_mikhlin, check_range,
+                       check_refined, check_symbol_class, check_torus3,
+                       empirical_lp_ratio, torus_lattice_symbol)
 from .vfield import (build_field, exceptional_set, invert_vf_symbol,
                      recursion_residual, verify_s00)
 from .mollifier import (build_phi_r, check_sobolev_order, cz_probe,
@@ -60,7 +60,7 @@ _MAX_PROBE_GRID_BAND = 96
 
 __all__ = [
     "main", "parse_complex", "parse_ladder", "parse_torus_expression",
-    "load_symbol_file", "write_symbol_file", "build_cli_symbol",
+    "load_symbol_file", "build_cli_symbol",
 ]
 
 
@@ -234,30 +234,10 @@ def parse_scalar_expression(text: str) -> Callable[[float], complex]:
 # Symbol files
 # ---------------------------------------------------------------------------
 
-def write_symbol_file(sym, path: str) -> None:
-    """Serialize a symbol: header (format tag, group, band), then one
-    record per label (label coordinates, dimension, row-major entries as
-    re/im decimal pairs, one row per line)."""
-    band = (sym.support_band if math.isinf(sym.exact_band)
-            else int(min(sym.exact_band, sym.support_band)))
-    lines = [f"gmult-symbol 1", f"group {sym.model.name}",
-             f"band {band}"]
-    for lb in sorted(sym.exact_labels()):
-        mat = np.atleast_2d(sym.entries[lb])
-        d = mat.shape[0]
-        coords = " ".join(str(int(v)) for v in
-                          (lb if isinstance(lb, tuple) else (lb,)))
-        lines.append(f"label {coords} d {d}")
-        for row in mat:
-            lines.append(" ".join(f"{float(v.real)!r} {float(v.imag)!r}"
-                                  for v in row))
-    with open(path, "w") as fh:
-        fh.write("\n".join(lines) + "\n")
-
-
 def load_symbol_file(path: str):
-    """Parse a symbol file written by ``write_symbol_file``.  Torus files
-    load into the dense box through their largest stored label band."""
+    """Parse a symbol file (layout in the README): header, then one record
+    per label.  Torus files load into the dense box through their largest
+    stored label band."""
     try:
         with open(path) as fh:
             raw_lines = fh.read().splitlines()
@@ -517,6 +497,8 @@ def cmd_check(args: argparse.Namespace) -> int:
             f"band {band} cannot cover range {args.range} plus the "
             f"difference-order margin {model.kappa}; use band >= "
             f"{args.range + model.kappa}")
+    # before the symbol is built: a torus box grows like (2 band + 1)^n
+    check_range(model, band)
     sym = build_cli_symbol(model, args.symbol, band)
     checker = args.checker
     extras: Dict[str, object] = {}
@@ -750,7 +732,6 @@ def _build_parser() -> argparse.ArgumentParser:
 
     def common(p: argparse.ArgumentParser, group_required: bool) -> None:
         p.add_argument("--group", required=group_required,
-                       default=None if not group_required else None,
                        help="group model: su2 or torus-<n>")
         p.add_argument("--band", type=int, default=None,
                        help="label band (defaults depend on the command)")
@@ -823,6 +804,9 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     parser = _build_parser()
     args = parser.parse_args(argv)
     try:
+        if args.band is not None and args.band < 0:
+            raise SymbolFormatError(
+                f"--band must be a nonnegative integer, got {args.band}")
         return args.func(args)
     except UnderResolvedError as exc:
         sys.stderr.write(f"resolution error: {exc}\n")
@@ -838,6 +822,14 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         return EXIT_MATH
     except ValueError as exc:
         sys.stderr.write(f"configuration error: {exc}\n")
+        return EXIT_CONFIG
+    except MemoryError:
+        band = ("its default band" if args.band is None
+                else f"band {args.band}")
+        sys.stderr.write(
+            f"configuration error: {args.group or 'su2+torus-3'} at {band} "
+            "needs more memory than is available; a torus-<n> box holds "
+            "(2 band + 1)^n labels, so lower --band or n\n")
         return EXIT_CONFIG
 
 

@@ -27,7 +27,7 @@ import numpy as np
 from numpy.polynomial.legendre import leggauss
 
 from .errors import BandOverflowError
-from .groups import GroupModel, IrrepLabel, label_band, validate_label
+from .groups import GroupModel, IrrepLabel, validate_label
 
 _TWO_PI = 2.0 * math.pi
 _FOUR_PI = 4.0 * math.pi
@@ -202,9 +202,6 @@ class GroupFunction:
                     f"declared band {self.declared_band} exceeds grid capacity "
                     f"{self.grid.max_label_band}; build the grid with band >= "
                     f"{_required_grid_band(self.grid.model, self.declared_band)}")
-
-    def integral(self) -> complex:
-        return self.grid.integrate(self.samples)
 
 
 def _required_grid_band(model: GroupModel, label_band_value: int) -> int:

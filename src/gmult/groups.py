@@ -31,7 +31,7 @@ import math
 from dataclasses import dataclass, field
 from functools import reduce
 from itertools import product
-from typing import Iterable, Iterator, List, Sequence, Tuple, Union
+from typing import Iterator, List, Sequence, Tuple, Union
 
 import numpy as np
 
@@ -39,8 +39,6 @@ TorusLabel = Tuple[int, ...]
 IrrepLabel = Union[int, TorusLabel]
 
 _TWO_PI = 2.0 * math.pi
-_FOUR_PI = 4.0 * math.pi
-_ANGLE_TOL = 1e-9
 
 
 @dataclass(frozen=True)
@@ -250,73 +248,6 @@ def wigner_little_d(twice_spin: int, theta) -> np.ndarray:
     return out
 
 
-def _check_angles(point: Sequence[float]) -> Tuple[float, float, float]:
-    if len(point) != 3:
-        raise ValueError(f"SU(2) points are Euler triples, got {point!r}")
-    phi, theta, psi = (float(v) for v in point)
-    if not (-_ANGLE_TOL <= phi < _TWO_PI + _ANGLE_TOL):
-        raise ValueError(f"phi out of range [0, 2pi): {phi}")
-    if not (-_ANGLE_TOL <= theta <= math.pi + _ANGLE_TOL):
-        raise ValueError(f"theta out of range [0, pi]: {theta}")
-    if not (-_ANGLE_TOL <= psi < _FOUR_PI + _ANGLE_TOL):
-        raise ValueError(f"psi out of range [0, 4pi): {psi}")
-    phi = min(max(phi, 0.0), np.nextafter(_TWO_PI, 0.0))
-    theta = min(max(theta, 0.0), math.pi)
-    psi = min(max(psi, 0.0), np.nextafter(_FOUR_PI, 0.0))
-    return phi, theta, psi
-
-
-def wigner_matrix(twice_spin: int, point: Sequence[float]) -> np.ndarray:
-    """Full Wigner matrix ``D^l(phi, theta, psi)`` (unitary, ``(d, d)`` complex).
-
-    ``point`` must satisfy ``phi in [0, 2pi)``, ``theta in [0, pi]``,
-    ``psi in [0, 4pi)``; anything outside raises ValueError.
-    """
-    phi, theta, psi = _check_angles(point)
-    T = int(twice_spin)
-    little = wigner_little_d(T, theta)
-    twice_m = np.arange(-T, T + 1, 2)
-    row = np.exp(-0.5j * twice_m * phi)
-    col = np.exp(-0.5j * twice_m * psi)
-    return row[:, None] * little * col[None, :]
-
-
-def su2_matrix(point: Sequence[float]) -> np.ndarray:
-    """Fundamental 2x2 matrix of the Euler triple (equals ``wigner_matrix(1, .)``)."""
-    return wigner_matrix(1, point)
-
-
-def euler_from_su2(U: np.ndarray) -> Tuple[float, float, float]:
-    """Euler triple of a 2x2 special unitary matrix.
-
-    Inverse of :func:`su2_matrix` up to the usual coordinate degeneracies at
-    ``theta in {0, pi}`` (where only ``phi + psi`` resp. ``phi - psi`` is
-    determined; a fixed representative is returned).
-    """
-    U = np.asarray(U, dtype=complex)
-    if U.shape != (2, 2):
-        raise ValueError("expected a 2x2 matrix")
-    if not np.allclose(U @ U.conj().T, np.eye(2), atol=1e-10):
-        raise ValueError("matrix is not unitary")
-    if abs(np.linalg.det(U) - 1.0) > 1e-10:
-        raise ValueError("matrix does not have unit determinant")
-    alpha, beta = U[0, 0], U[0, 1]
-    theta = 2.0 * math.atan2(abs(beta), abs(alpha))
-    s = math.atan2(alpha.imag, alpha.real) if abs(alpha) > 1e-14 else 0.0
-    dd = math.atan2(beta.imag, beta.real) if abs(beta) > 1e-14 else 0.0
-    phi = s + dd
-    psi = s - dd
-    if phi < 0.0:
-        phi += _TWO_PI
-        psi += _TWO_PI
-    if phi >= _TWO_PI:
-        phi -= _TWO_PI
-        psi -= _TWO_PI
-    psi = psi % _FOUR_PI
-    theta = min(max(theta, 0.0), math.pi)
-    return phi, theta, psi
-
-
 def angular_momentum(coeffs: Sequence[float], twice_spin: int) -> np.ndarray:
     """``a1 J1 + a2 J2 + a3 J3`` for the spin-``l`` angular-momentum
     matrices, rows and columns ascending in ``m``: ``J3 = diag(m)``,
@@ -336,26 +267,3 @@ def angular_momentum(coeffs: Sequence[float], twice_spin: int) -> np.ndarray:
     return (a[0] * 0.5 * (raising + lowering)
             + a[1] * (raising - lowering) / 2j + a[2] * np.diag(0.5 * twice_m))
 
-
-def su2_exp(coeffs: Sequence[float], t: float = 1.0) -> np.ndarray:
-    """2x2 matrix of ``exp(t X)`` for ``X = a1 D1 + a2 D2 + a3 D3``, in
-    closed form because ``(a . J)^2 = |a|^2 / 4 * I`` on the fundamental
-    block.
-
-    ``D3`` generates the psi-translations: ``su2_exp((0, 0, 1), t)`` equals
-    ``diag(exp(i t / 2), exp(-i t / 2))``.
-    """
-    a = np.asarray(coeffs, dtype=float)
-    if a.shape != (3,):
-        raise ValueError("frame coefficient vector must have 3 components")
-    norm = float(np.linalg.norm(a))
-    if norm == 0.0:
-        return np.eye(2, dtype=complex)
-    M = angular_momentum(a, 1)
-    half = 0.5 * t * norm
-    return math.cos(half) * np.eye(2, dtype=complex) - 1j * math.sin(half) * (2.0 / norm) * M
-
-
-def su2_exp_point(coeffs: Sequence[float], t: float = 1.0) -> Tuple[float, float, float]:
-    """Euler triple of ``exp(t X)``; see :func:`su2_exp`."""
-    return euler_from_su2(su2_exp(coeffs, t))

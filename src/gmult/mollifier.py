@@ -5,11 +5,10 @@ the dilation-style arguments on a compact group: ``phi_r`` is a central bump
 of unit mass whose support lives in the ball ``rho(g) <= r^{1/n}`` (a set of
 Haar measure comparable to ``r``), and ``psi_r = phi_r - phi_{r/2}`` is the
 dyadic difference.  On top of the family it implements numerical scaling
-probes: the normalization and L2 growth laws, tail and L1-modulus bounds,
-negative-order Sobolev decay for products ``q * psi_r`` with ``q`` vanishing
-at the identity, and the second-difference scaling probe for a multiplier
-symbol (the quantity whose uniform-in-r control drives the weak-type
-machinery).
+probes: the normalization and L2 growth laws, negative-order Sobolev decay
+for products ``q * psi_r`` with ``q`` vanishing at the identity, and the
+second-difference scaling probe for a multiplier symbol (the quantity whose
+uniform-in-r control drives the weak-type machinery).
 
 Two quadrature backends are used.  Class functions on the 3-sphere model are
 integrated exactly in the class angle ``s`` with the weight
@@ -20,8 +19,8 @@ Gauss-Legendre rules are placed on both.  (The second panel doubles every
 constant but leaves all scaling exponents unchanged, and it forces the
 Fourier coefficients of the family onto even labels.)  On the torus the
 profile is integrated over a small coordinate cube containing the support.
-Grid-sampled versions (`build_phi_r` / `build_psi_r`) guard against
-under-resolved supports.
+The grid-sampled ``phi_r`` (`build_phi_r`) guards against under-resolved
+supports.
 
 The fine-scale probes need Fourier data of products with ``psi_r`` to high
 label bands.  Both get them from ``psi_r``'s central coefficients, which one
@@ -39,23 +38,19 @@ from typing import Callable, Dict, List, Optional, Sequence, Tuple
 import numpy as np
 
 from .errors import BandOverflowError, GmultError, UnderResolvedError
-from .groups import (GroupModel, irrep_dimension, japanese_bracket,
-                     labels_up_to, su2_matrix)
+from .groups import GroupModel
 from .grids import GroupFunction, GroupGrid, rho_squared_samples
-from .symbols import (DifferenceWord, MatrixSymbol, apply_difference,
-                      default_grid, laplace_difference, op_norm,
-                      symbol_product)
-from .transform import plancherel_norm, sobolev_norm
-from .central import CentralSequence, delta2, laplace_central
+from .symbols import MatrixSymbol
+from .central import CentralSequence, delta2
 
 __all__ = [
     "bump_profile", "MollifierFamily", "mollifier_family",
-    "mollifier_normalizer", "mollifier_l2_norm", "mollifier_tail",
-    "l1_modulus", "build_phi_r", "build_psi_r", "required_mollifier_band",
-    "smallest_resolved_scale", "psi_hat_coefficients", "SlopeFit",
-    "fit_loglog", "default_ladder", "mollifier_scaling_report",
-    "check_sobolev_order", "negative_sobolev_decay", "cz_probe",
-    "cz_consistency", "riesz_field_diagonals", "identity_diagonals",
+    "mollifier_normalizer", "mollifier_l2_norm", "build_phi_r",
+    "required_mollifier_band", "smallest_resolved_scale",
+    "psi_hat_coefficients", "SlopeFit", "fit_loglog", "default_ladder",
+    "mollifier_scaling_report", "check_sobolev_order",
+    "negative_sobolev_decay", "cz_probe", "riesz_field_diagonals",
+    "identity_diagonals",
 ]
 
 
@@ -144,20 +139,15 @@ def _su2_radial_integral(fn: Callable[[np.ndarray], np.ndarray],
     return float(np.sum(w * fn(s)))
 
 
-def _torus_cube_rule(model: GroupModel, R: float,
-                     nodes_axis: Optional[int] = None, pad: float = 0.0
-                     ) -> Tuple[np.ndarray, np.ndarray]:
+def _torus_cube_rule(model: GroupModel,
+                     R: float) -> Tuple[np.ndarray, np.ndarray]:
     """Tensor Gauss-Legendre rule on the coordinate cube containing the
-    support ``rho(x) <= R`` around 0 in ``T^n``, widened by ``pad`` per
-    side (capped at the whole torus)."""
+    support ``rho(x) <= R`` around 0 in ``T^n``."""
     n = model.n
-    if nodes_axis is None:
-        nodes_axis = 24 if n <= 3 else 12
     if n > 4:
         raise GmultError("mollifier quadrature on the torus supports n <= 4")
     L = 0.5 if R >= 2.0 else math.asin(0.5 * R) / math.pi
-    L = min(0.5, L + pad)
-    x1, w1 = _panel(-L, L, nodes_axis)
+    x1, w1 = _panel(-L, L, 24 if n <= 3 else 12)
     axes = np.meshgrid(*([x1] * n), indexing="ij")
     pts = np.stack([a.reshape(-1) for a in axes], axis=0)
     wts = np.ones(pts.shape[1])
@@ -235,101 +225,6 @@ def mollifier_l2_norm(model: GroupModel, r: float,
     return math.sqrt(max(sq, 0.0))
 
 
-def mollifier_tail(model: GroupModel, r: float, threshold: float,
-                   profile: Callable = bump_profile) -> float:
-    """Mass of ``phi_r`` on the shell ``rho(g) >= threshold^{1/n}``.
-
-    Exactly zero once the exclusion radius reaches the (compact) support;
-    below that it is evaluated by quadrature on the remaining shell.
-    """
-    if threshold < 0:
-        raise GmultError("the exclusion scale must be nonnegative")
-    fam = mollifier_family(model, r, profile)
-    R = fam.support_radius
-    tau = _support_radius(model, threshold) if threshold > 0 else 0.0
-    if tau >= min(R, 2.0):
-        return 0.0
-    if model.kind == "su2":
-        s_lo = 2.0 * math.asin(0.5 * min(tau, 2.0)) if tau > 0 else 0.0
-        if R >= 2.0:
-            shells = [(s_lo, 2.0 * math.pi - s_lo)]
-        else:
-            s_hi = 2.0 * math.asin(0.5 * R)
-            if s_lo >= s_hi:
-                return 0.0
-            shells = [(s_lo, s_hi),
-                      (2.0 * math.pi - s_hi, 2.0 * math.pi - s_lo)]
-        return _su2_radial_integral(
-            lambda s: fam.density(2.0 * np.sin(0.5 * s)), shells)
-    pts, wts = _torus_cube_rule(model, R,
-                                nodes_axis=32 if model.n <= 3 else 12)
-    rho = _torus_rho(pts)
-    keep = rho >= tau
-    return float(np.sum(wts[keep] * fam.density(rho[keep])))
-
-
-# ---------------------------------------------------------------------------
-# Translation modulus
-# ---------------------------------------------------------------------------
-
-def _su2_point_half_angle(point: Sequence[float]) -> float:
-    """Half the class angle of a group point given in Euler coordinates."""
-    U = su2_matrix(tuple(point))
-    half_trace = float(np.clip(0.5 * np.real(np.trace(U)), -1.0, 1.0))
-    return math.acos(half_trace)
-
-
-def l1_modulus(model: GroupModel, r: float, h) -> float:
-    """L1 norm of ``phi_r( . h^{-1}) - phi_r`` by joint radial quadrature.
-
-    On the 3-sphere model the integrand depends only on the half class angle
-    ``alpha`` of the integration variable and the angle ``gamma`` between the
-    rotation axes; the pair density is
-    ``(2/pi) sin^2(alpha) * (1/2) sin(gamma)`` and the translated half angle
-    ``beta`` satisfies ``cos beta = cos alpha cos delta
-    + sin alpha sin delta cos gamma`` with ``delta`` the half class angle of
-    ``h``.  On the torus the translate difference is integrated over a cube
-    containing both supports.  The result is bounded by a constant times
-    ``rho(h) / r^{1/n}`` in the scaling regime.
-    """
-    fam = mollifier_family(model, r)
-    R = fam.support_radius
-    if model.kind == "su2":
-        delta = _su2_point_half_angle(h)
-        if delta == 0.0:
-            return 0.0
-        a_sup = math.asin(0.5 * min(R, 2.0))
-        reach = a_sup + delta + 0.05
-        if R >= 2.0 or reach >= 0.5 * math.pi:
-            panels = [(0.0, math.pi)]
-        else:
-            panels = [(0.0, reach), (math.pi - reach, math.pi)]
-        g1, wg = _panel(0.0, math.pi, 96)
-        cos_g = np.cos(g1)
-        w_gamma = 0.5 * np.sin(g1) * wg
-        total = 0.0
-        for a, b in panels:
-            al, wa = _panel(a, b, 192)
-            dens_a = fam.density(2.0 * np.sin(al))
-            cos_b = (np.cos(al)[:, None] * math.cos(delta)
-                     + np.sin(al)[:, None] * math.sin(delta) * cos_g[None, :])
-            beta = np.arccos(np.clip(cos_b, -1.0, 1.0))
-            dens_b = fam.density(2.0 * np.sin(beta))
-            diff = np.abs(dens_b - dens_a[:, None])
-            w_alpha = (2.0 / math.pi) * np.sin(al) ** 2 * wa
-            total += float(np.sum(w_alpha[:, None] * w_gamma[None, :] * diff))
-        return total
-    shift = np.asarray(h, dtype=float).reshape(-1)
-    if shift.size != model.n:
-        raise GmultError(f"torus point must have {model.n} coordinates")
-    pts, wts = _torus_cube_rule(
-        model, R, 32 if model.n <= 3 else 12,
-        pad=0.5 * float(np.max(np.abs(shift))) + 1e-6)
-    diff = np.abs(fam.density(_torus_rho(pts - shift[:, None]))
-                  - fam.density(_torus_rho(pts)))
-    return float(np.sum(wts * diff))
-
-
 # ---------------------------------------------------------------------------
 # Grid-sampled mollifiers (resolution-guarded)
 # ---------------------------------------------------------------------------
@@ -388,16 +283,6 @@ def build_phi_r(model: GroupModel, grid: GroupGrid, r: float,
         raise GmultError("mollifier samples have nonpositive mass")
     c_r = 1.0 / mass
     return GroupFunction(grid, c_r * raw), c_r
-
-
-def build_psi_r(model: GroupModel, grid: GroupGrid, r: float,
-                profile: Callable = bump_profile,
-                min_nodes: int = 8) -> GroupFunction:
-    """Dyadic difference ``phi_r - phi_{r/2}`` on a grid (zero mean by
-    construction)."""
-    fine, _ = build_phi_r(model, grid, 0.5 * r, profile, min_nodes)
-    coarse, _ = build_phi_r(model, grid, r, profile, min_nodes)
-    return GroupFunction(grid, coarse.samples - fine.samples)
 
 
 # ---------------------------------------------------------------------------
@@ -815,78 +700,3 @@ def cz_probe(model: GroupModel, sym,
         "passed": bool(fit.slope >= target - 0.1),
     }
 
-
-def cz_consistency(model: GroupModel, sym: MatrixSymbol, r: float,
-                   band: int = 20,
-                   grid: Optional[GroupGrid] = None,
-                   profile: Callable = bump_profile) -> Dict[str, object]:
-    """Check the product-rule bound behind the scaling probe at one scale.
-
-    Expands the second difference of ``sigma`` times the dyadic piece by the
-    exact product rule and verifies numerically that the Plancherel norm of
-    the left side is dominated by the weighted sum of the right-side pieces:
-    each symbol factor is bounded by a bracket-weighted sup and each central
-    factor by the bracket-compensated Plancherel norm.
-
-    The dyadic piece is truncated to ``band`` (the bound is structural --
-    it holds for any central sequence -- so the truncated piece is an
-    equally valid test vector, and it keeps the grid-based difference
-    operators affordable).
-    """
-    _require_su2(model, "cz_consistency")
-    seq = psi_hat_coefficients(model, r, profile, band=band)
-    store = int(band)
-    if sym.exact_band < store:
-        raise BandOverflowError(
-            f"the consistency check at band {store} needs symbol data "
-            f"through that band; it is certified only through "
-            f"{sym.exact_band}")
-    if grid is None:
-        grid = default_grid(model, store + 4)
-    psi_sym = seq.as_symbol(store)
-    sigma = sym.restrict(store)
-    product = symbol_product(sigma, psi_sym)
-    lhs = plancherel_norm(laplace_difference(product, grid))
-
-    # The difference operators push mass two labels past the truncation
-    # edge, so every sup and norm on the right side ranges through store+2.
-    labels = list(labels_up_to(model, store + 2))
-    brackets = {lb: japanese_bracket(model, lb) for lb in labels}
-
-    def weighted_sup(symbol: MatrixSymbol, exponent: float) -> float:
-        best = 0.0
-        for lb in labels:
-            best = max(best,
-                       brackets[lb] ** exponent * op_norm(symbol.get(lb)))
-        return best
-
-    terms: Dict[str, float] = {}
-    # Zeroth order: sigma against the second difference of the dyadic piece.
-    lap_psi = laplace_central(seq).as_symbol(store + 2)
-    terms["order-0"] = weighted_sup(sigma, 0.0) * plancherel_norm(lap_psi)
-    # Top order: second difference of sigma against the bracket-compensated
-    # dyadic piece.
-    lap_sigma = laplace_difference(sigma, grid)
-    terms["order-2"] = (weighted_sup(lap_sigma, 2.0)
-                        * sobolev_norm(psi_sym, -2.0))
-    # First order: the cross terms of the product rule, pairing transposed
-    # first differences over the difference shell.
-    cross_total = 0.0
-    for lb in model.delta0:
-        d = irrep_dimension(model, lb)
-        for i in range(d):
-            for j in range(d):
-                wij = DifferenceWord(model, ((lb, i, j),))
-                wji = DifferenceWord(model, ((lb, j, i),))
-                csym = weighted_sup(apply_difference(wij, sigma, grid), 1.0)
-                cpsi = sobolev_norm(apply_difference(wji, psi_sym, grid),
-                                    -1.0)
-                cross_total += csym * cpsi
-    terms["order-1"] = cross_total
-    rhs = sum(terms.values())
-    return {
-        "model": model.name, "r": float(r), "band": int(store),
-        "lhs": float(lhs), "rhs": float(rhs),
-        "terms": {k: float(v) for k, v in terms.items()},
-        "passed": bool(lhs <= rhs * (1.0 + 1e-9) + 1e-12),
-    }

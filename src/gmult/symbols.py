@@ -1,4 +1,4 @@
-"""Matrix symbols, quantization, difference operators, and seminorms.
+"""Matrix symbols, quantization, difference operators, and seminorm tables.
 
 A left-invariant operator is stored through its matrix symbol, in one of two
 layouts:
@@ -43,9 +43,8 @@ import numpy as np
 
 from .errors import BandOverflowError
 from .grids import GroupFunction, GroupGrid, build_grid, rho_squared_samples
-from .groups import (GroupModel, IrrepLabel, angular_momentum, bracket_powers,
-                     irrep_dimension, label_band, labels_up_to,
-                     validate_label)
+from .groups import (GroupModel, IrrepLabel, angular_momentum, irrep_dimension,
+                     label_band, labels_up_to, validate_label)
 
 _GRID_CACHE: Dict[Tuple[str, int, int], GroupGrid] = {}
 #: Labels normed per stack in :meth:`MatrixSymbol.norms`.
@@ -287,14 +286,6 @@ def random_symbol(model: GroupModel, band: int, rng: np.random.Generator,
     return MatrixSymbol(model, entries, exact_band)
 
 
-def op_norm(mat: np.ndarray) -> float:
-    """Largest singular value (the operator norm used throughout)."""
-    mat = np.atleast_2d(np.asarray(mat))
-    if mat.shape == (1, 1):
-        return abs(complex(mat[0, 0]))
-    return float(np.linalg.norm(mat, 2))
-
-
 # ---------------------------------------------------------------------------
 # Quantization
 # ---------------------------------------------------------------------------
@@ -357,14 +348,6 @@ class DifferenceWord:
     @property
     def band_sum(self) -> int:
         return sum(label_band(self.model, lb) for lb, _, _ in self.factors)
-
-    def then(self, factor: Tuple[IrrepLabel, int, int]) -> "DifferenceWord":
-        return DifferenceWord(self.model, self.factors + (factor,))
-
-    def describe(self) -> str:
-        if not self.factors:
-            return "id"
-        return "*".join(f"D[{lb}]({i},{j})" for lb, i, j in self.factors)
 
 
 def difference_generators(model: GroupModel) -> List[DifferenceWord]:
@@ -523,19 +506,6 @@ def laplace_difference(sym, grid: Optional[GroupGrid] = None):
                                   [rho_squared_samples], grid))
 
 
-def laplace_decomposition_residual(sym, grid: Optional[GroupGrid] = None) -> float:
-    """Residual of the first-shell decomposition of the rho^2 operator:
-    ``laplace(sigma) + sum_{xi0 in delta0} sum_i xi0 D_ii sigma = 0``."""
-    model = sym.model
-    total = laplace_difference(sym, grid)
-    for lb in model.delta0:
-        d = irrep_dimension(model, lb)
-        for i in range(d):
-            word = DifferenceWord(model, ((lb, i, i),))
-            total = symbol_add(total, apply_difference(word, sym, grid))
-    return float(np.max(total.norms(total.support_band), initial=0.0))
-
-
 # ---------------------------------------------------------------------------
 # Leibniz rules
 # ---------------------------------------------------------------------------
@@ -651,10 +621,3 @@ def word_sup_table(sym, order: int, band: int,
         best = norms if best is None else np.maximum(best, norms)
     return best
 
-
-def seminorm(sym, order: int, weight_exponent: float, band: int,
-             grid: Optional[GroupGrid] = None) -> float:
-    """``sup_xi <xi>^w max_words ||D^alpha sigma(xi)||_op`` over the labels
-    through ``band``."""
-    table = word_sup_table(sym, order, band, grid)
-    return float((bracket_powers(sym.model, band, weight_exponent) * table).max())

@@ -7,10 +7,10 @@ fundamental representation into the eigenbasis of the fundamental block:
 the four first-order differences built from its coefficients act on the
 field symbol as the constants ``tau = diag(i |a| / 2, -i |a| / 2)``
 (scalar multiples of the identity, so no per-label basis change is needed
-on the symbol side; :func:`field_difference_table` re-measures them by
-quadrature).  That turns inversion of ``X + c`` into scalar arithmetic per
-eigenvalue and yields a closed-form expression for the diagonal differences
-of the inverse symbol, checked here against an independent quadrature route.
+on the symbol side).  That turns inversion of ``X + c`` into scalar
+arithmetic per eigenvalue and yields a closed-form expression for the
+diagonal differences of the inverse symbol, checked here against an
+independent quadrature route.
 
 The inverse symbol is not band-limited; a truncation stored through band B
 still certifies labels <= B because every difference word is lattice-local
@@ -145,15 +145,6 @@ def invert_vf_symbol(spec: VectorFieldSpec, c: complex,
     return MatrixSymbol(spec.model, entries, exact_band=band)
 
 
-def rotated_symbol(spec: VectorFieldSpec, sym: MatrixSymbol) -> MatrixSymbol:
-    """Conjugate each block into the field's eigenbases."""
-    entries = {}
-    for t, mat in sym.entries.items():
-        V = spec.unitaries[t]
-        entries[t] = V.conj().T @ mat @ V
-    return MatrixSymbol(spec.model, entries, exact_band=sym.exact_band)
-
-
 def _rotated_difference(model: GroupModel, sym: MatrixSymbol, V1: np.ndarray,
                         i: int, j: int,
                         grid: Optional[GroupGrid] = None) -> MatrixSymbol:
@@ -189,40 +180,6 @@ def fundamental_difference(spec: VectorFieldSpec, sym: MatrixSymbol,
                            grid: Optional[GroupGrid] = None) -> MatrixSymbol:
     """Difference with the field's rotated fundamental coefficient as factor."""
     return _rotated_difference(spec.model, sym, spec.unitaries[1], i, j, grid)
-
-
-def _measure_tau(model: GroupModel, sym: MatrixSymbol, V1: np.ndarray,
-                 labels: Optional[List[int]] = None) -> np.ndarray:
-    """Measure the constants ``tau_ij``: apply each rotated fundamental
-    difference to the (band-restricted) field symbol and verify every block
-    is that constant times the identity."""
-    small = sym.restrict(min(sym.support_band, 5))
-    if labels is None:
-        labels = list(range(min(4, small.support_band - 1) + 1))
-    out = np.zeros((2, 2), dtype=complex)
-    for i in range(2):
-        for j in range(2):
-            diff = _rotated_difference(model, small, V1, i, j)
-            consts = []
-            for t in labels:
-                mat = diff.get(t)
-                s = complex(np.trace(mat)) / (t + 1)
-                if np.abs(mat - s * np.eye(t + 1)).max() > 1e-7:
-                    raise GmultError(
-                        f"difference of the field symbol is not scalar at "
-                        f"label {t} (entry {i}{j})")
-                consts.append(s)
-            spread = np.abs(np.diff(np.array(consts))).max() if len(consts) > 1 else 0.0
-            if spread > 1e-7:
-                raise GmultError(f"difference constant varies across labels "
-                                 f"(entry {i}{j})")
-            out[i, j] = consts[0]
-    return out
-
-
-def field_difference_table(spec: VectorFieldSpec) -> np.ndarray:
-    """Quadrature re-measurement of the ``tau`` table from the stored field."""
-    return _measure_tau(spec.model, spec.symbol, spec.unitaries[1])
 
 
 def recursion_residual(spec: VectorFieldSpec, c: complex, j: int,

@@ -6,17 +6,16 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from gmult.central import (CentralSequence, central_part, character_inner,
-                           character_orbit_product, character_table,
-                           class_grid, class_rho_squared, delta2,
-                           dimension_sequence, forward_difference,
-                           function_of_laplacian, hypoellipticity_ratio,
-                           laplace_central, nweiss_delta,
-                           orbit_character_sum, orbit_exponential_sum,
-                           riesz_symbol, weyl_character, weyl_dimension)
-from gmult.errors import GmultError
+from gmult.central import (CentralSequence, character_inner,
+                           character_table, class_grid, class_rho_squared,
+                           delta2, dimension_sequence, function_of_laplacian,
+                           hypoellipticity_ratio, laplace_central,
+                           nweiss_delta, riesz_symbol, weyl_character,
+                           weyl_dimension)
 from gmult.groups import labels_up_to
-from gmult.symbols import MatrixSymbol, default_grid, laplace_difference, op_norm
+from gmult.symbols import default_grid, laplace_difference
+
+from conftest import op_norm
 
 
 def test_weyl_dimension_values():
@@ -66,24 +65,6 @@ def test_character_inner_signed_pairs():
         assert character_inner(-t - 2, -t - 2) == pytest.approx(1.0,
                                                                 abs=1e-12)
     assert character_inner(2, -1) == pytest.approx(0.0, abs=1e-13)
-
-
-def test_orbit_product_identity():
-    angles = np.linspace(0.0, 4 * math.pi, 33)
-    for tw in (0, 1, 3):
-        for tstar in (0, 2, 5):
-            lhs, rhs = character_orbit_product(tw, tstar, angles)
-            assert np.allclose(lhs, rhs, atol=1e-10)
-
-
-def test_orbit_sums():
-    angles = np.array([0.0, 0.7, 2.0])
-    assert np.allclose(orbit_exponential_sum(0, angles), 1.0)
-    assert np.allclose(orbit_exponential_sum(3, angles),
-                       2 * np.cos(1.5 * angles), atol=1e-14)
-    assert np.allclose(orbit_character_sum(2, angles),
-                       weyl_character(2, angles) + weyl_character(-2, angles),
-                       atol=1e-14)
 
 
 def test_character_table_shape():
@@ -222,12 +203,6 @@ def test_nweiss_delta_explicit():
     assert abs(out.value(2)) < 1e-12
 
 
-def test_forward_difference_polynomial_kill():
-    t = np.arange(10, dtype=float)
-    assert np.allclose(forward_difference(t + 1, 2), 0.0, atol=1e-14)
-    assert np.allclose(forward_difference(t ** 2, 3), 0.0, atol=1e-12)
-
-
 def test_hypoellipticity_report():
     rep = hypoellipticity_ratio(1, 40)
     assert rep["max_ratio"] <= 2.0 + 1e-12
@@ -235,22 +210,6 @@ def test_hypoellipticity_report():
     assert rep["poly_bound_constant"] >= 1.0
     with pytest.raises(ValueError):
         hypoellipticity_ratio(0, 40)
-
-
-def test_central_part_roundtrip(su2):
-    seq = CentralSequence(su2, {0: 1.0, 1: 0.5j, 2: -0.25},
-                          zero_beyond=True)
-    back = central_part(seq.as_symbol(4))
-    for t in range(5):
-        assert back.value(t) == pytest.approx(seq.value(t), abs=1e-14)
-
-
-def test_central_part_rejects_noncentral(su2):
-    mat = np.eye(3, dtype=complex)
-    mat[0, 1] = 0.5
-    sym = MatrixSymbol(su2, {2: mat})
-    with pytest.raises(GmultError):
-        central_part(sym)
 
 
 def test_riesz_symbol_norms(su2):

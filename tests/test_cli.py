@@ -3,8 +3,9 @@
 Covered here:
   - scalar/ladder/expression parsers, including the origin patch and the
     vector-coordinate guard,
-  - symbol file round-trip and malformed-file rejection (non-finite
-    entries, block dimensions), sparse files, file/expression parity,
+  - symbol file round-trip (through the writer ``write_symbol_file``,
+    kept here) and malformed-file rejection (non-finite entries, block
+    dimensions), sparse files, file/expression parity,
   - exit codes: 0 pass, 1 failed check, 2 mathematical obstruction,
     3 configuration / resolution error,
   - report envelope schema and determinism of seeded reruns,
@@ -28,8 +29,7 @@ from gmult import cli
 from gmult.checkers import torus_lattice_symbol
 from gmult.cli import (EXIT_CONFIG, EXIT_FAIL, EXIT_MATH, EXIT_PASS,
                        load_symbol_file, main, parse_complex, parse_ladder,
-                       parse_scalar_expression, parse_torus_expression,
-                       write_symbol_file)
+                       parse_scalar_expression, parse_torus_expression)
 from gmult.errors import GmultError, SymbolFormatError
 from gmult.symbols import identity_symbol
 
@@ -114,6 +114,27 @@ def test_parse_scalar_expression():
 # Symbol files
 # ---------------------------------------------------------------------------
 
+def write_symbol_file(sym, path: str) -> None:
+    """Serialize a symbol: header (format tag, group, band), then one
+    record per label (label coordinates, dimension, row-major entries as
+    re/im decimal pairs, one row per line)."""
+    band = (sym.support_band if math.isinf(sym.exact_band)
+            else int(min(sym.exact_band, sym.support_band)))
+    lines = [f"gmult-symbol 1", f"group {sym.model.name}",
+             f"band {band}"]
+    for lb in sorted(sym.exact_labels()):
+        mat = np.atleast_2d(sym.entries[lb])
+        d = mat.shape[0]
+        coords = " ".join(str(int(v)) for v in
+                          (lb if isinstance(lb, tuple) else (lb,)))
+        lines.append(f"label {coords} d {d}")
+        for row in mat:
+            lines.append(" ".join(f"{float(v.real)!r} {float(v.imag)!r}"
+                                  for v in row))
+    with open(path, "w") as fh:
+        fh.write("\n".join(lines) + "\n")
+
+
 def test_symbol_file_roundtrip(su2, tmp_path, rng):
     from conftest import random_symbol
 
@@ -195,7 +216,7 @@ def test_symbol_file_checks_dimension_before_allocating(tmp_path, capsys):
     path = tmp_path / "huge.gsym"
     path.write_text("gmult-symbol 1\ngroup su2\nband 4\n"
                     "label 2 d 3000000000\n1.0 0.0\n")
-    code = main(["check", "--group", "su2", "--band", "4",
+    code = main(["check", "--group", "su2", "--band", "8",
                  "--symbol", str(path), "--checker", "mikhlin"])
     assert code == EXIT_CONFIG
     assert "line 4: label 2 must have dimension 3" in capsys.readouterr().err
@@ -364,6 +385,46 @@ def test_config_errors_exit_3(capsys, tmp_path):
                  "--symbol", "identity", "--checker", "mikhlin"]) \
         == EXIT_CONFIG
     capsys.readouterr()
+
+
+@pytest.mark.parametrize("argv", [
+    ["fourier-selftest", "--group", "torus-3", "--band", "-2"],
+    ["invert", "--band", "-1"],
+])
+def test_negative_band_is_refused_by_name(argv, capsys):
+    assert main(argv) == EXIT_CONFIG
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "--band must be a nonnegative integer" in captured.err
+
+
+def test_torus_range_is_checked_before_the_box_is_built(monkeypatch, capsys):
+    # torus-9 at band 2 would tabulate a (2 * 6 + 1)^9 box; the range check
+    # must refuse the band before any symbol is built
+    def no_build(*args):
+        raise AssertionError("the symbol was built before the range check")
+
+    monkeypatch.setattr(cli, "build_cli_symbol", no_build)
+    assert main(["check", "--group", "torus-9", "--band", "2",
+                 "--symbol", "identity", "--checker", "mikhlin"]) \
+        == EXIT_CONFIG
+    assert "range too small" in capsys.readouterr().err
+
+
+def test_memory_error_exits_config_naming_group_and_band(monkeypatch,
+                                                          capsys):
+    def out_of_memory(*args):
+        raise MemoryError
+
+    monkeypatch.setattr(cli, "build_cli_symbol", out_of_memory)
+    assert main(["check", "--group", "torus-9", "--symbol", "identity",
+                 "--checker", "mikhlin"]) == EXIT_CONFIG
+    err = capsys.readouterr().err
+    assert "torus-9 at its default band" in err and "--band" in err
+    assert main(["check", "--group", "torus-6", "--band", "9",
+                 "--symbol", "identity", "--checker", "mikhlin"]) \
+        == EXIT_CONFIG
+    assert "torus-6 at band 9" in capsys.readouterr().err
 
 
 # ---------------------------------------------------------------------------

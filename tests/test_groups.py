@@ -8,8 +8,10 @@ from numpy.polynomial.legendre import leggauss
 
 from gmult.groups import (_log_factorials, casimir_lambda, irrep_dimension,
                           japanese_bracket, label_band, labels_up_to,
-                          model_from_name, su2_exp, su2_matrix, torus_model,
-                          validate_label, wigner_little_d, wigner_matrix)
+                          model_from_name, torus_model, validate_label,
+                          wigner_little_d)
+
+from conftest import su2_exp, wigner_matrix
 
 
 def test_model_names_roundtrip():
@@ -158,9 +160,11 @@ def test_wigner_matrix_unitary():
         D = wigner_matrix(t, point)
         assert np.allclose(D @ D.conj().T, np.eye(t + 1), atol=1e-12)
     # the two-dimensional representation carries the defining trace
-    U = su2_matrix(point)
+    # 2 cos(theta/2) cos((phi + psi)/2)
+    phi, theta, psi = point
     D1 = wigner_matrix(1, point)
-    assert np.trace(U) == pytest.approx(np.trace(D1), abs=1e-12)
+    assert np.trace(D1) == pytest.approx(
+        2.0 * math.cos(theta / 2) * math.cos((phi + psi) / 2), abs=1e-12)
 
 
 def test_su2_exp_identity():

@@ -3,30 +3,38 @@ spectral coefficients of the dyadic shell, decay probes.
 
 The label recurrence for Wigner-d coefficient lines (`_LineBatch`) lives
 here as the engine of two quadrature oracles: the off-diagonal decay norm
-and the second-difference norm."""
+and the second-difference norm.  So do two grid-route references: the
+sampled dyadic difference `build_psi_r` (the grid oracle of
+`psi_hat_coefficients`) and `cz_consistency` (the grid oracle of
+`_cz_norm_sq`)."""
 import math
-from typing import Optional
+from typing import Callable, Dict, Optional
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from gmult.central import laplace_central
 from gmult.errors import BandOverflowError, GmultError, UnderResolvedError
-from gmult.groups import japanese_bracket, model_from_name, su2_exp_point
+from gmult.grids import GroupFunction, GroupGrid
+from gmult.groups import (GroupModel, irrep_dimension, japanese_bracket,
+                          labels_up_to)
 from gmult.mollifier import (_adaptive_band, _cz_norm_sq, _leggauss,
-                             _psi_radial_values, _sobolev_sq_radial,
-                             _su2_central_coefficients, _su2_class_rule,
-                             _su2_support_panels, _times_q,
-                             build_phi_r, build_psi_r, bump_profile,
-                             cz_consistency, cz_probe, default_ladder,
-                             fit_loglog, identity_diagonals, l1_modulus,
+                             _psi_radial_values, _require_su2,
+                             _sobolev_sq_radial, _su2_central_coefficients,
+                             _su2_class_rule, _su2_support_panels, _times_q,
+                             build_phi_r, bump_profile, cz_probe,
+                             default_ladder, fit_loglog, identity_diagonals,
                              mollifier_family, mollifier_l2_norm,
                              mollifier_normalizer, mollifier_scaling_report,
-                             mollifier_tail, negative_sobolev_decay,
-                             psi_hat_coefficients, required_mollifier_band,
-                             riesz_field_diagonals, smallest_resolved_scale)
-from gmult.symbols import default_grid
-from gmult.transform import fourier_forward
+                             negative_sobolev_decay, psi_hat_coefficients,
+                             required_mollifier_band, riesz_field_diagonals,
+                             smallest_resolved_scale)
+from gmult.symbols import (DifferenceWord, MatrixSymbol, apply_difference,
+                           default_grid, laplace_difference, symbol_product)
+from gmult.transform import fourier_forward, plancherel_norm, sobolev_norm
+
+from conftest import op_norm
 
 
 # ---------------------------------------------------------------------------
@@ -58,7 +66,7 @@ def test_bump_profile_monotone_tail(a, b):
 
 
 # ---------------------------------------------------------------------------
-# Families, normalization, tails
+# Families and normalization
 # ---------------------------------------------------------------------------
 
 def test_family_support_radius(su2, torus3):
@@ -84,41 +92,6 @@ def test_normalizer_vs_family(su2):
     assert mollifier_normalizer(su2, r) == pytest.approx(
         mollifier_family(su2, r).c_r, rel=1e-12)
     assert mollifier_l2_norm(su2, r) > mollifier_normalizer(su2, r) ** 0.0
-
-
-def test_tail_semantics(su2):
-    r = 0.5
-    R = mollifier_family(su2, r).support_radius
-    assert mollifier_tail(su2, r, 0.0) == pytest.approx(1.0, abs=1e-10)
-    assert mollifier_tail(su2, r, R) == 0.0  # exactly zero at the support
-    assert mollifier_tail(su2, r, 2.0 * R) == 0.0
-    mid = mollifier_tail(su2, r, 0.6 * R)
-    assert 0.0 < mid < 1.0
-    lo = mollifier_tail(su2, r, 0.3 * R)
-    assert lo >= mid
-
-
-def test_l1_modulus_scaling(su2, torus3):
-    # the translate modulus scales like rho(h) / R with an r-independent
-    # profile constant (~1.9 radially on the 3-sphere model, ~12 for the
-    # one-axis shift against the radial profile on T^3)
-    for r in (0.5, 1.0):
-        R = mollifier_family(su2, r).support_radius
-        for step in (0.01, 0.02):
-            h = su2_exp_point((0.0, 0.0, 1.0), step)
-            rho_h = 2.0 * math.sin(step / 2.0)
-            ratio = l1_modulus(su2, r, h) / (rho_h / R)
-            assert 1.5 <= ratio <= 2.5
-    ratios = []
-    for r_t in (0.008, 0.05):
-        R_t = mollifier_family(torus3, r_t).support_radius
-        step = 0.02 * R_t
-        rho_h = 2.0 * math.sin(step / 2.0)
-        ratios.append(l1_modulus(torus3, r_t, (step, 0.0, 0.0))
-                      / (rho_h / R_t))
-    assert all(10.0 <= v <= 14.0 for v in ratios)
-    assert ratios[0] == pytest.approx(ratios[1], rel=0.05)
-    assert l1_modulus(su2, 1.0, (0.0, 0.0, 0.0)) == 0.0
 
 
 # ---------------------------------------------------------------------------
@@ -173,6 +146,16 @@ def test_resolution_helpers(su2, torus3):
         assert floor_r <= 0.125
         # shrinking the band pushes the resolvable floor up
         assert smallest_resolved_scale(model, max(4, band // 2)) > floor_r
+
+
+def build_psi_r(model: GroupModel, grid: GroupGrid, r: float,
+                profile: Callable = bump_profile,
+                min_nodes: int = 8) -> GroupFunction:
+    """Dyadic difference ``phi_r - phi_{r/2}`` on a grid (zero mean by
+    construction)."""
+    fine, _ = build_phi_r(model, grid, 0.5 * r, profile, min_nodes)
+    coarse, _ = build_phi_r(model, grid, r, profile, min_nodes)
+    return GroupFunction(grid, coarse.samples - fine.samples)
 
 
 def test_build_psi_r_is_dyadic_difference(su2):
@@ -528,6 +511,82 @@ def test_cz_probe_dense_symbol_band_guard(su2):
     small = riesz_symbol(su2, (0.0, 0.0, 1.0), 12)
     with pytest.raises(BandOverflowError):
         cz_probe(su2, small, ladder=[0.5, 0.25, 0.125, 0.0625])
+
+
+def cz_consistency(model: GroupModel, sym: MatrixSymbol, r: float,
+                   band: int = 20,
+                   grid: Optional[GroupGrid] = None,
+                   profile: Callable = bump_profile) -> Dict[str, object]:
+    """Check the product-rule bound behind the scaling probe at one scale.
+
+    Expands the second difference of ``sigma`` times the dyadic piece by the
+    exact product rule and verifies numerically that the Plancherel norm of
+    the left side is dominated by the weighted sum of the right-side pieces:
+    each symbol factor is bounded by a bracket-weighted sup and each central
+    factor by the bracket-compensated Plancherel norm.
+
+    The dyadic piece is truncated to ``band`` (the bound is structural --
+    it holds for any central sequence -- so the truncated piece is an
+    equally valid test vector, and it keeps the grid-based difference
+    operators affordable).
+    """
+    _require_su2(model, "cz_consistency")
+    seq = psi_hat_coefficients(model, r, profile, band=band)
+    store = int(band)
+    if sym.exact_band < store:
+        raise BandOverflowError(
+            f"the consistency check at band {store} needs symbol data "
+            f"through that band; it is certified only through "
+            f"{sym.exact_band}")
+    if grid is None:
+        grid = default_grid(model, store + 4)
+    psi_sym = seq.as_symbol(store)
+    sigma = sym.restrict(store)
+    product = symbol_product(sigma, psi_sym)
+    lhs = plancherel_norm(laplace_difference(product, grid))
+
+    # The difference operators push mass two labels past the truncation
+    # edge, so every sup and norm on the right side ranges through store+2.
+    labels = list(labels_up_to(model, store + 2))
+    brackets = {lb: japanese_bracket(model, lb) for lb in labels}
+
+    def weighted_sup(symbol: MatrixSymbol, exponent: float) -> float:
+        best = 0.0
+        for lb in labels:
+            best = max(best,
+                       brackets[lb] ** exponent * op_norm(symbol.get(lb)))
+        return best
+
+    terms: Dict[str, float] = {}
+    # Zeroth order: sigma against the second difference of the dyadic piece.
+    lap_psi = laplace_central(seq).as_symbol(store + 2)
+    terms["order-0"] = weighted_sup(sigma, 0.0) * plancherel_norm(lap_psi)
+    # Top order: second difference of sigma against the bracket-compensated
+    # dyadic piece.
+    lap_sigma = laplace_difference(sigma, grid)
+    terms["order-2"] = (weighted_sup(lap_sigma, 2.0)
+                        * sobolev_norm(psi_sym, -2.0))
+    # First order: the cross terms of the product rule, pairing transposed
+    # first differences over the difference shell.
+    cross_total = 0.0
+    for lb in model.delta0:
+        d = irrep_dimension(model, lb)
+        for i in range(d):
+            for j in range(d):
+                wij = DifferenceWord(model, ((lb, i, j),))
+                wji = DifferenceWord(model, ((lb, j, i),))
+                csym = weighted_sup(apply_difference(wij, sigma, grid), 1.0)
+                cpsi = sobolev_norm(apply_difference(wji, psi_sym, grid),
+                                    -1.0)
+                cross_total += csym * cpsi
+    terms["order-1"] = cross_total
+    rhs = sum(terms.values())
+    return {
+        "model": model.name, "r": float(r), "band": int(store),
+        "lhs": float(lhs), "rhs": float(rhs),
+        "terms": {k: float(v) for k, v in terms.items()},
+        "passed": bool(lhs <= rhs * (1.0 + 1e-9) + 1e-12),
+    }
 
 
 def test_cz_consistency_frozen(su2):

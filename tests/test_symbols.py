@@ -1,25 +1,24 @@
 """Symbol algebra and difference calculus: product rules, certificates,
 operator quantization."""
 from functools import partial
+from typing import Optional
 
 import numpy as np
 import pytest
 
 from gmult.errors import BandOverflowError
-from gmult.grids import rho_squared_samples
-from gmult.groups import (irrep_dimension, labels_up_to, model_from_name,
-                          su2_exp_point, wigner_matrix)
+from gmult.grids import GroupGrid, rho_squared_samples
+from gmult.groups import irrep_dimension, labels_up_to, model_from_name
 from gmult.symbols import (DifferenceWord, MatrixSymbol, TorusSymbol,
                            apply_difference, default_grid,
                            difference_generators,
                            generator_words, identity_symbol,
-                           laplace_decomposition_residual, laplace_difference,
-                           laplace_leibniz_residual, leibniz_residual,
-                           op_norm, quantize_apply, seminorm, symbol_add,
+                           laplace_difference, laplace_leibniz_residual,
+                           leibniz_residual, quantize_apply, symbol_add,
                            symbol_product, symbol_scale, vector_field_symbol)
 from gmult.symbols import _grid_differences, _word_samples, resize_box
 from gmult.transform import fourier_forward, fourier_inverse
-from conftest import random_symbol
+from conftest import op_norm, random_symbol, su2_exp_point, wigner_matrix
 
 
 def test_symbol_algebra(su2, rng):
@@ -102,6 +101,19 @@ def test_torus_box_routes_match_grid_oracle(name, exact, rng):
         cap = int(min(got.radius, got.exact_band))
         assert np.max(np.abs(resize_box(got.table, cap)
                              - resize_box(want.table, cap))) < 1e-12
+
+
+def laplace_decomposition_residual(sym, grid: Optional[GroupGrid] = None) -> float:
+    """Residual of the first-shell decomposition of the rho^2 operator:
+    ``laplace(sigma) + sum_{xi0 in delta0} sum_i xi0 D_ii sigma = 0``."""
+    model = sym.model
+    total = laplace_difference(sym, grid)
+    for lb in model.delta0:
+        d = irrep_dimension(model, lb)
+        for i in range(d):
+            word = DifferenceWord(model, ((lb, i, i),))
+            total = symbol_add(total, apply_difference(word, sym, grid))
+    return float(np.max(total.norms(total.support_band), initial=0.0))
 
 
 def test_torus_product_rules(torus2, rng):
@@ -247,12 +259,6 @@ def test_vector_field_symbol_spectrum(su2, rng):
     herm_eigs = np.linalg.eigvalsh(1j * block)
     expected = np.linalg.norm(a) * np.arange(-60, 61)
     assert np.max(np.abs(herm_eigs - expected)) < 1e-12
-
-
-def test_seminorm_identity(su2):
-    ident = identity_symbol(su2, 12)
-    val = seminorm(ident, 0, 0.0, 6)
-    assert val == pytest.approx(1.0, abs=1e-12)
 
 
 def test_band_guard(su2, rng):

@@ -1,15 +1,68 @@
 """Frame-field resolvents: exceptional shifts, inverse symbols, the
 difference recursion, and the order-0/type-0 verdict."""
+from typing import List, Optional
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from gmult.errors import ExceptionalValueError, GmultError
-from gmult.groups import labels_up_to, model_from_name
-from gmult.symbols import identity_symbol, op_norm, symbol_add, symbol_product
-from gmult.vfield import (build_field, exceptional_set, field_difference_table,
-                          invert_vf_symbol, recursion_residual,
-                          rotated_symbol, verify_s00)
+from gmult.groups import GroupModel, labels_up_to, model_from_name
+from gmult.symbols import (MatrixSymbol, identity_symbol, symbol_add,
+                           symbol_product)
+from gmult.vfield import (VectorFieldSpec, _rotated_difference, build_field,
+                          exceptional_set, invert_vf_symbol,
+                          recursion_residual, verify_s00)
+
+from conftest import op_norm
+
+
+# ---------------------------------------------------------------------------
+# Reference code: eigenbasis rotation and the quadrature re-measurement of
+# the field's difference table
+# ---------------------------------------------------------------------------
+
+def rotated_symbol(spec: VectorFieldSpec, sym: MatrixSymbol) -> MatrixSymbol:
+    """Conjugate each block into the field's eigenbases."""
+    entries = {}
+    for t, mat in sym.entries.items():
+        V = spec.unitaries[t]
+        entries[t] = V.conj().T @ mat @ V
+    return MatrixSymbol(spec.model, entries, exact_band=sym.exact_band)
+
+
+def _measure_tau(model: GroupModel, sym: MatrixSymbol, V1: np.ndarray,
+                 labels: Optional[List[int]] = None) -> np.ndarray:
+    """Measure the constants ``tau_ij``: apply each rotated fundamental
+    difference to the (band-restricted) field symbol and verify every block
+    is that constant times the identity."""
+    small = sym.restrict(min(sym.support_band, 5))
+    if labels is None:
+        labels = list(range(min(4, small.support_band - 1) + 1))
+    out = np.zeros((2, 2), dtype=complex)
+    for i in range(2):
+        for j in range(2):
+            diff = _rotated_difference(model, small, V1, i, j)
+            consts = []
+            for t in labels:
+                mat = diff.get(t)
+                s = complex(np.trace(mat)) / (t + 1)
+                if np.abs(mat - s * np.eye(t + 1)).max() > 1e-7:
+                    raise GmultError(
+                        f"difference of the field symbol is not scalar at "
+                        f"label {t} (entry {i}{j})")
+                consts.append(s)
+            spread = np.abs(np.diff(np.array(consts))).max() if len(consts) > 1 else 0.0
+            if spread > 1e-7:
+                raise GmultError(f"difference constant varies across labels "
+                                 f"(entry {i}{j})")
+            out[i, j] = consts[0]
+    return out
+
+
+def field_difference_table(spec: VectorFieldSpec) -> np.ndarray:
+    """Quadrature re-measurement of the ``tau`` table from the stored field."""
+    return _measure_tau(spec.model, spec.symbol, spec.unitaries[1])
 
 
 @pytest.fixture(scope="module")
