@@ -47,8 +47,9 @@ from .checkers import (SymbolClassSpec, check_mikhlin, check_range,
                        empirical_lp_ratio, torus_lattice_symbol)
 from .vfield import (build_field, exceptional_set, invert_vf_symbol,
                      recursion_residual, verify_s00)
-from .mollifier import (build_phi_r, check_sobolev_order, cz_probe,
-                        default_ladder, identity_diagonals, mollifier_family,
+from .mollifier import (check_sobolev_order, check_torus_dimension,
+                        cz_probe, default_ladder, grid_normalizer,
+                        identity_diagonals, mollifier_family,
                         mollifier_scaling_report, negative_sobolev_decay,
                         required_mollifier_band, riesz_field_diagonals,
                         smallest_resolved_scale)
@@ -484,13 +485,22 @@ def write_report(envelope: Dict[str, object], out: Optional[str],
 # Commands
 # ---------------------------------------------------------------------------
 
+def _group_model(name: str) -> GroupModel:
+    """The model ``--group`` names; a malformed name is a configuration
+    error that names the option."""
+    try:
+        return model_from_name(name)
+    except ValueError as exc:
+        raise SymbolFormatError(f"--group: {exc}") from None
+
+
 def _default_band(model: GroupModel) -> int:
     return 24 if model.kind == "su2" else 12
 
 
 def cmd_check(args: argparse.Namespace) -> int:
     started = time.time()
-    model = model_from_name(args.group)
+    model = _group_model(args.group)
     band = args.band if args.band is not None else _default_band(model)
     if args.range is not None and band < args.range + model.kappa:
         raise BandOverflowError(
@@ -541,7 +551,7 @@ def cmd_check(args: argparse.Namespace) -> int:
 
 def cmd_invert(args: argparse.Namespace) -> int:
     started = time.time()
-    model = model_from_name(args.group)
+    model = _group_model(args.group)
     if model.kind != "su2":
         raise SymbolFormatError("invert runs on --group su2 only")
     band = args.band if args.band is not None else 40
@@ -585,7 +595,8 @@ def cmd_invert(args: argparse.Namespace) -> int:
 
 def cmd_probe(args: argparse.Namespace) -> int:
     started = time.time()
-    model = model_from_name(args.group)
+    model = _group_model(args.group)
+    check_torus_dimension(model, SymbolFormatError)
     if model.kind == "su2":
         check_sobolev_order(model, args.q, args.s, SymbolFormatError)
     ladder = parse_ladder(args.ladder)
@@ -620,7 +631,7 @@ def cmd_probe(args: argparse.Namespace) -> int:
 
     grid = default_grid(model, grid_band)
     coarse = max(ladder)
-    _, grid_c = build_phi_r(model, grid, coarse)
+    grid_c = grid_normalizer(model, grid, coarse)
     radial_c = mollifier_family(model, coarse).c_r
     results["grid_cross_check"] = {
         "grid_band": grid_band, "r": coarse, "grid_c_r": grid_c,
@@ -689,7 +700,7 @@ def _selftest_one(model: GroupModel, band: int, seed: int
 def cmd_selftest(args: argparse.Namespace) -> int:
     started = time.time()
     if args.group:
-        model = model_from_name(args.group)
+        model = _group_model(args.group)
         band = args.band if args.band is not None else (
             8 if model.kind == "su2" else 16)
         plan = [(model, band)]

@@ -28,6 +28,7 @@ matrix coefficients, which is what the quadrature exactness bookkeeping in
 from __future__ import annotations
 
 import math
+import re
 from dataclasses import dataclass, field
 from functools import reduce
 from itertools import product
@@ -94,12 +95,14 @@ def su2_model() -> GroupModel:
 
 
 def model_from_name(name: str) -> GroupModel:
-    """Parse ``"su2"`` or ``"torus-<n>"``."""
+    """Parse ``"su2"`` or ``"torus-<n>"`` with an integer ``n >= 1``."""
     if name == "su2":
         return su2_model()
-    if name.startswith("torus-"):
-        return torus_model(int(name.split("-", 1)[1]))
-    raise ValueError(f"unknown group name {name!r} (expected 'su2' or 'torus-<n>')")
+    match = re.fullmatch(r"torus-([0-9]+)", name)
+    if match and int(match.group(1)) >= 1:
+        return torus_model(int(match.group(1)))
+    raise ValueError(f"unknown group name {name!r} (expected 'su2' or "
+                     "'torus-<n>' with an integer n >= 1)")
 
 
 def validate_label(model: GroupModel, label: IrrepLabel) -> IrrepLabel:

@@ -19,8 +19,10 @@ Gauss-Legendre rules are placed on both.  (The second panel doubles every
 constant but leaves all scaling exponents unchanged, and it forces the
 Fourier coefficients of the family onto even labels.)  On the torus the
 profile is integrated over a small coordinate cube containing the support.
-The grid-sampled ``phi_r`` (`build_phi_r`) guards against under-resolved
-supports.
+The rules come from Newton steps on the Legendre recurrence (`_leggauss`).
+The grid cross-check (`grid_normalizer`) normalizes ``phi_r`` by a grid's
+own product rule instead, summed only over nodes whose samples can differ,
+and guards against under-resolved supports.
 
 The fine-scale probes need Fourier data of products with ``psi_r`` to high
 label bands.  Both get them from ``psi_r``'s central coefficients, which one
@@ -39,18 +41,18 @@ import numpy as np
 
 from .errors import BandOverflowError, GmultError, UnderResolvedError
 from .groups import GroupModel
-from .grids import GroupFunction, GroupGrid, rho_squared_samples
+from .grids import GroupGrid
 from .symbols import MatrixSymbol
 from .central import CentralSequence, delta2
 
 __all__ = [
     "bump_profile", "MollifierFamily", "mollifier_family",
-    "mollifier_normalizer", "mollifier_l2_norm", "build_phi_r",
+    "mollifier_normalizer", "mollifier_l2_norm", "grid_normalizer",
     "required_mollifier_band", "smallest_resolved_scale",
     "psi_hat_coefficients", "SlopeFit", "fit_loglog", "default_ladder",
     "mollifier_scaling_report", "check_sobolev_order",
-    "negative_sobolev_decay", "cz_probe", "riesz_field_diagonals",
-    "identity_diagonals",
+    "check_torus_dimension", "negative_sobolev_decay", "cz_probe",
+    "riesz_field_diagonals", "identity_diagonals",
 ]
 
 
@@ -87,9 +89,47 @@ def bump_profile(v):
 _LEG_CACHE: Dict[int, Tuple[np.ndarray, np.ndarray]] = {}
 
 
+def _legendre_and_derivative(n: int, x: np.ndarray
+                             ) -> Tuple[np.ndarray, np.ndarray]:
+    """``P_n(x)`` by the three-term recurrence, and ``P_n'(x)`` from it."""
+    p_prev, p = np.ones_like(x), x.copy()
+    for j in range(1, n):
+        # (j + 1) P_{j+1} = (2j + 1) x P_j - j P_{j-1}, in place
+        nxt = x * p
+        nxt *= (2 * j + 1) / (j + 1)
+        p_prev *= j / (j + 1)
+        nxt -= p_prev
+        p_prev, p = p, nxt
+    return p, n * (x * p - p_prev) / (x * x - 1.0)
+
+
 def _leggauss(n: int) -> Tuple[np.ndarray, np.ndarray]:
+    """Gauss-Legendre rule of ``n >= 1`` nodes on ``[-1, 1]``, ascending.
+
+    Tricomi's asymptotic nodes (with their ``n^-4`` term) are polished by
+    Newton steps on ``P_n``, on the positive half only, and mirrored; the
+    weights are ``2 / ((1 - x^2) P_n'(x)^2)`` at the final nodes.  Two
+    steps reach the rounding floor from ``n = 48`` on (the smallest rule of
+    the SU(2) radial integrals); smaller rules take a third.  Each pass is
+    ``n`` vector steps of length ``n/2``, where a dense eigensolve costs
+    ``O(n^3)``.  (`grids.build_grid` keeps numpy's ``leggauss``: at grid
+    sizes the two rules differ only by rounding, which the ill-conditioned
+    ``grid_cross_check.relative_difference`` of `probe` would amplify.)
+    """
+    n = int(n)
     if n not in _LEG_CACHE:
-        _LEG_CACHE[n] = np.polynomial.legendre.leggauss(int(n))
+        phi = math.pi / (4 * n + 2) * (4.0 * np.arange(1, (n + 3) // 2) - 1.0)
+        x = (1.0 - (n - 1.0) / (8.0 * n ** 3)
+             - (39.0 - 28.0 / np.sin(phi) ** 2) / (384.0 * n ** 4)) \
+            * np.cos(phi)
+        for _ in range(2 if n >= 48 else 3):
+            p, dp = _legendre_and_derivative(n, x)
+            x = x - p / dp
+        _, dp = _legendre_and_derivative(n, x)
+        w = 2.0 / ((1.0 - x * x) * dp * dp)
+        mid = n % 2  # an odd rule holds the node 0 once
+        _LEG_CACHE[n] = (np.concatenate((-x, x[::-1][mid:])),
+                         np.concatenate((w, w[::-1][mid:])))
     return _LEG_CACHE[n]
 
 
@@ -139,13 +179,21 @@ def _su2_radial_integral(fn: Callable[[np.ndarray], np.ndarray],
     return float(np.sum(w * fn(s)))
 
 
+def check_torus_dimension(model: GroupModel,
+                          error: type = GmultError) -> None:
+    """Raise ``error`` unless the mollifier quadrature covers ``model``: the
+    torus cube rule (a tensor of 24 or 12 nodes per axis) stops at
+    ``n = 4``."""
+    if model.kind != "su2" and model.n > 4:
+        raise error("mollifier quadrature on the torus supports n <= 4")
+
+
 def _torus_cube_rule(model: GroupModel,
                      R: float) -> Tuple[np.ndarray, np.ndarray]:
     """Tensor Gauss-Legendre rule on the coordinate cube containing the
     support ``rho(x) <= R`` around 0 in ``T^n``."""
+    check_torus_dimension(model)
     n = model.n
-    if n > 4:
-        raise GmultError("mollifier quadrature on the torus supports n <= 4")
     L = 0.5 if R >= 2.0 else math.asin(0.5 * R) / math.pi
     x1, w1 = _panel(-L, L, 24 if n <= 3 else 12)
     axes = np.meshgrid(*([x1] * n), indexing="ij")
@@ -226,7 +274,7 @@ def mollifier_l2_norm(model: GroupModel, r: float,
 
 
 # ---------------------------------------------------------------------------
-# Grid-sampled mollifiers (resolution-guarded)
+# Grid normalization (resolution-guarded)
 # ---------------------------------------------------------------------------
 
 def _axis_spacing(grid: GroupGrid) -> float:
@@ -257,15 +305,23 @@ def smallest_resolved_scale(model: GroupModel, band: int,
     return float((min_nodes * spacing) ** model.n)
 
 
-def build_phi_r(model: GroupModel, grid: GroupGrid, r: float,
-                profile: Callable = bump_profile,
-                min_nodes: int = 8) -> Tuple[GroupFunction, float]:
-    """Sample ``phi_r`` on a grid, normalizing by the grid's own quadrature.
+def grid_normalizer(model: GroupModel, grid: GroupGrid, r: float) -> float:
+    """Normalization ``c_r`` of ``phi_r`` by the grid's own product rule:
+    the reciprocal of the grid quadrature of ``bump_profile(rho / R)``.
 
-    Raises ``UnderResolvedError`` when fewer than ``min_nodes`` grid nodes
-    span the support radius; the message names both the smallest usable
-    scale for this grid and the band that would resolve the request.
+    Raises ``UnderResolvedError`` when fewer than 8 grid nodes span the
+    support radius; the message names both the smallest usable scale for
+    this grid and the band that would resolve the request.
+
+    The sum runs only where the samples can differ.  On SU(2) the ``N =
+    2B + 1`` phi nodes and the ``2N`` psi nodes share the spacing ``2 pi /
+    N``, so a node's class angle depends only on its polar node and on ``m
+    = (j + k) mod 2N``: the ``N 2N`` azimuthal pairs are ``N`` copies of
+    the ``2N`` pairs with ``j = 0``.  On the torus the profile vanishes
+    outside the sub-box where every axis term ``2 - 2 cos 2 pi x`` is at
+    most ``R^2`` (`bump_profile` is 0 from 1 on).
     """
+    min_nodes = 8
     if grid.model != model:
         raise GmultError("grid was built for a different model")
     R = _support_radius(model, r)
@@ -277,12 +333,28 @@ def build_phi_r(model: GroupModel, grid: GroupGrid, r: float,
             f"{smallest_resolved_scale(model, grid.band, min_nodes):.6g}, "
             f"or rebuild the grid with band >= "
             f"{required_mollifier_band(model, r, min_nodes)}")
-    raw = profile(np.sqrt(np.maximum(rho_squared_samples(grid), 0.0)) / R)
-    mass = float(np.real(grid.integrate(raw)))
+    if model.kind == "su2":
+        half_trace = (np.cos(grid.thetas / 2.0)[:, None]
+                      * np.cos(grid.psis / 2.0)[None, :])
+        angle = 2.0 * np.arccos(np.clip(half_trace, -1.0, 1.0))
+        rho_sq = np.maximum(2.0 - 2.0 * np.cos(angle), 0.0)
+        raw = bump_profile(np.sqrt(rho_sq) / R)
+        # weights theta_w / (2 N 2N), each (theta, m) sample taken N times
+        mass = float(grid.theta_weights @ raw.sum(axis=1)) \
+            / (2.0 * grid.psis.size)
+    else:
+        terms = 2.0 - 2.0 * np.cos(2.0 * math.pi * grid.axis)
+        terms = terms[terms <= R * R]
+        rho_sq = np.zeros((terms.size,) * model.n)
+        for d_axis in range(model.n):
+            sh = [1] * model.n
+            sh[d_axis] = terms.size
+            rho_sq = rho_sq + terms.reshape(sh)
+        raw = bump_profile(np.sqrt(np.maximum(rho_sq, 0.0)) / R)
+        mass = float(np.sum(raw)) / grid.node_count
     if mass <= 0:
         raise GmultError("mollifier samples have nonpositive mass")
-    c_r = 1.0 / mass
-    return GroupFunction(grid, c_r * raw), c_r
+    return 1.0 / mass
 
 
 # ---------------------------------------------------------------------------
@@ -586,19 +658,50 @@ def identity_diagonals(t: int) -> np.ndarray:
     return np.ones(t + 1, dtype=complex)
 
 
-def _times_chi1(masses: np.ndarray) -> np.ndarray:
+# Output rows per stencil block: blocks skip the zero columns past each
+# block's last label and keep the temporaries small (whole packed rows at
+# once take longer and raise the peak memory of `probe --group su2`).
+_STENCIL_ROWS = 64
+
+
+def _packed_dims(parity: int, count: int) -> np.ndarray:
+    """Dimensions ``t + 1`` of the ``count`` packed rows of one parity,
+    with 1 on the zero border rows."""
+    dims = np.ones(count + 2)
+    dims[1:-1] = parity + 2 * np.arange(count) + 1.0
+    return dims
+
+
+def _times_chi1_packed(rows: np.ndarray, parity: int,
+                       size: int) -> np.ndarray:
     """Masses ``W[t, i]`` (see `_cz_norm_sq`) of a diagonal kernel times
-    ``chi_1``: squared spin-1/2 Clebsch-Gordan weights send each mass to
-    ``(t+1, i+1)``, ``(t+1, i)``, ``(t-1, i)`` and ``(t-1, i-1)`` with
-    weights ``(i+1, t-i+1, t-i, i) / (t+1)``."""
-    t = np.arange(masses.shape[0], dtype=float)[:, None]
-    i = t.T
-    per_dim = masses / (t + 1.0)
-    out = np.zeros_like(masses)
-    out[1:, 1:] += per_dim[:-1, :-1] * (i[:, :-1] + 1.0)
-    out[1:] += per_dim[:-1] * (t[:-1] - i + 1.0)
-    out[:-1] += per_dim[1:] * (t[1:] - i)
-    out[:-1, :-1] += per_dim[1:, 1:] * i[:, 1:]
+    ``chi_1``, on packed rows of one label parity.
+
+    ``rows[1 + k, 1 + i]`` holds ``W[parity + 2k, i]`` for labels below
+    ``size``, inside a border of zeros; the result holds the other parity
+    in the same layout.  Squared spin-1/2 Clebsch-Gordan weights send each
+    mass to ``(t+1, i+1)``, ``(t+1, i)``, ``(t-1, i)`` and ``(t-1, i-1)``
+    with weights ``(i+1, t-i+1, t-i, i) / (t+1)``, so output ``(t, i)``
+    gathers four terms from rows ``t -+ 1``, added in that order.  Row
+    ``t`` vanishes beyond column ``t``, so each block of output rows
+    computes columns up to its last label plus one.
+    """
+    other = 1 - parity
+    labels = other + 2 * np.arange((size - other + 1) // 2)
+    dims = _packed_dims(parity, rows.shape[0] - 2)
+    out = np.zeros((labels.size + 2, rows.shape[1]))
+    for k0 in range(0, labels.size, _STENCIL_ROWS):
+        k1 = min(k0 + _STENCIL_ROWS, labels.size)
+        t = labels[k0:k1, None].astype(float)
+        cols = min(int(labels[k1 - 1]) + 2, size)
+        i = np.arange(cols, dtype=float)
+        # padded source rows of labels t - 1 (lo) and t + 1 (hi)
+        src = rows[k0 - parity + 1:k1 - parity + 2, :cols + 2] \
+            / dims[k0 - parity + 1:k1 - parity + 2, None]
+        lo, hi = src[:-1], src[1:]
+        out[k0 + 1:k1 + 1, 1:cols + 1] = (
+            lo[:, :cols] * i + lo[:, 1:cols + 1] * (t - i)
+            + hi[:, 1:cols + 1] * (t + 1.0 - i) + hi[:, 2:] * (i + 1.0))
     return out
 
 
@@ -611,22 +714,32 @@ def _cz_norm_sq(sym_diags: Dict[int, np.ndarray], coeffs: np.ndarray,
     ``W[t, i] = (t+1) c_t sigma_t(mu)`` over ``i = (mu + t)/2``, and its
     squared norm is ``sum |W[t, i]|^2 / (t+1)``.  The second difference
     multiplies the kernel by ``rho^2 = 4 - chi_1^2``, and multiplying by
-    ``chi_1`` moves each mass to labels ``t +- 1`` (`_times_chi1`).  So the
-    norm of the truncated band comes out exactly in O(m B^2) whole-array
-    steps on one ``(B + 2m + 1)^2`` buffer; the stencil is real, so the real
-    and imaginary parts run separately.
+    ``chi_1`` moves each mass to labels ``t +- 1`` (`_times_chi1_packed`).
+    So ``chi_1^2`` keeps the label parity, and the even and odd labels
+    evolve and sum apart: each parity present runs on its own packed rows
+    over the labels below ``B + 2m + 1``, in O(m B^2) whole-array steps on
+    the nonzero triangle ``i <= t``.  The stencil is real, so the real and
+    imaginary parts run separately.
     """
     size = coeffs.size + 2 * m
-    masses = np.zeros((size, size), dtype=complex)
-    for t in np.nonzero(coeffs)[0]:
-        masses[t, :t + 1] = (t + 1.0) * coeffs[t] * sym_diags[t]
-    dims = np.arange(1.0, size + 1.0)[:, None]
+    nonzero = np.nonzero(coeffs)[0]
     total = 0.0
-    for part in (masses.real, masses.imag):
-        if part.any():
-            for _ in range(m):
-                part = 4.0 * part - _times_chi1(_times_chi1(part))
-            total += float(np.sum(part ** 2 / dims))
+    for parity in (0, 1):
+        labels = nonzero[nonzero % 2 == parity]
+        if labels.size == 0:
+            continue
+        count = (size - parity + 1) // 2
+        masses = np.zeros((count + 2, size + 2), dtype=complex)
+        for t in labels:
+            masses[1 + t // 2, 1:t + 2] = (t + 1.0) * coeffs[t] * sym_diags[t]
+        dims = _packed_dims(parity, count)
+        for part in (masses.real, masses.imag):
+            if part.any():
+                for _ in range(m):
+                    part = 4.0 * part - _times_chi1_packed(
+                        _times_chi1_packed(part, parity, size),
+                        1 - parity, size)
+                total += float(np.sum(part ** 2 / dims[:, None]))
     return total
 
 

@@ -388,6 +388,39 @@ def test_config_errors_exit_3(capsys, tmp_path):
 
 
 @pytest.mark.parametrize("argv", [
+    ["check", "--group", "torus-x", "--symbol", "identity", "--checker",
+     "mikhlin"],
+    ["probe", "--group", "torus-2.5"],
+    ["fourier-selftest", "--group", "torus-0"],
+])
+def test_malformed_group_name_names_the_option(argv, capsys):
+    assert main(argv) == EXIT_CONFIG
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "--group" in captured.err
+    assert "'su2'" in captured.err and "'torus-<n>'" in captured.err
+    assert "n >= 1" in captured.err
+    assert "invalid literal" not in captured.err
+
+
+def test_probe_refuses_torus_beyond_four_before_any_work(capsys, tmp_path,
+                                                          monkeypatch):
+    # the torus cube rule stops at n = 4: a limit of the implementation,
+    # so a configuration error, found before the scaling report starts
+    def no_work(*args, **kwargs):
+        raise AssertionError("the probe started before checking the group")
+
+    monkeypatch.setattr(cli, "mollifier_scaling_report", no_work)
+    out = tmp_path / "report.json"
+    assert main(["probe", "--group", "torus-5", "--out", str(out)]) \
+        == EXIT_CONFIG
+    captured = capsys.readouterr()
+    assert captured.out == "" and not out.exists()
+    assert "configuration error: mollifier quadrature on the torus " \
+        "supports n <= 4" in captured.err
+
+
+@pytest.mark.parametrize("argv", [
     ["fourier-selftest", "--group", "torus-3", "--band", "-2"],
     ["invert", "--band", "-1"],
 ])
@@ -514,3 +547,20 @@ def test_traced_benchmark_run_records_forward_labels(tmp_path):
     assert counts["transform.fourier_forward"] == 57
     assert counts["transform.fourier_inverse"] == 8
     assert counts["grids.GroupGrid.little_d"] == 602
+
+
+def test_traced_probes_skip_the_sampled_grid(tmp_path):
+    # the grid cross-check sums the profile over the symmetry-reduced node
+    # set, so no run samples rho^2 on the whole grid; the su2 probe takes
+    # the coefficients of psi_r once per scale for each of its two
+    # fine-scale probes
+    records = _traced_spans(tmp_path, "probe", "--group", "su2")
+    counts = Counter(r["name"] for r in records)
+    assert counts["grids.rho_squared_samples"] == 0
+    assert counts["mollifier.grid_normalizer"] == 1
+    assert counts["mollifier.psi_hat_coefficients"] == 12
+    records = _traced_spans(tmp_path, "probe", "--group", "torus-3",
+                            "--ladder", "4:9")
+    counts = Counter(r["name"] for r in records)
+    assert counts["grids.rho_squared_samples"] == 0
+    assert counts["mollifier.grid_normalizer"] == 1

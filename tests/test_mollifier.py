@@ -3,12 +3,14 @@ spectral coefficients of the dyadic shell, decay probes.
 
 The label recurrence for Wigner-d coefficient lines (`_LineBatch`) lives
 here as the engine of two quadrature oracles: the off-diagonal decay norm
-and the second-difference norm.  So do two grid-route references: the
+and the second-difference norm.  So do the grid-route references: the
+sampled mollifier `build_phi_r` (the oracle of `grid_normalizer`), the
 sampled dyadic difference `build_psi_r` (the grid oracle of
 `psi_hat_coefficients`) and `cz_consistency` (the grid oracle of
-`_cz_norm_sq`)."""
+`_cz_norm_sq`); and the full-square ``chi_1`` stencil `_times_chi1` (the
+oracle of the packed one-parity stencil)."""
 import math
-from typing import Callable, Dict, Optional
+from typing import Callable, Dict, Optional, Tuple
 
 import numpy as np
 import pytest
@@ -16,15 +18,16 @@ from hypothesis import given, settings, strategies as st
 
 from gmult.central import laplace_central
 from gmult.errors import BandOverflowError, GmultError, UnderResolvedError
-from gmult.grids import GroupFunction, GroupGrid
+from gmult.grids import GroupFunction, GroupGrid, rho_squared_samples
 from gmult.groups import (GroupModel, irrep_dimension, japanese_bracket,
-                          labels_up_to)
-from gmult.mollifier import (_adaptive_band, _cz_norm_sq, _leggauss,
-                             _psi_radial_values, _require_su2,
+                          labels_up_to, model_from_name)
+from gmult.mollifier import (_adaptive_band, _axis_spacing, _cz_norm_sq,
+                             _leggauss, _psi_radial_values, _require_su2,
                              _sobolev_sq_radial, _su2_central_coefficients,
-                             _su2_class_rule, _su2_support_panels, _times_q,
-                             build_phi_r, bump_profile, cz_probe,
-                             default_ladder, fit_loglog, identity_diagonals,
+                             _su2_class_rule, _su2_support_panels,
+                             _support_radius, _times_chi1_packed, _times_q,
+                             bump_profile, cz_probe, default_ladder,
+                             fit_loglog, grid_normalizer, identity_diagonals,
                              mollifier_family, mollifier_l2_norm,
                              mollifier_normalizer, mollifier_scaling_report,
                              negative_sobolev_decay, psi_hat_coefficients,
@@ -122,6 +125,34 @@ def test_default_ladder():
 # Grid realizations and resolution guards
 # ---------------------------------------------------------------------------
 
+def build_phi_r(model: GroupModel, grid: GroupGrid, r: float,
+                profile: Callable = bump_profile,
+                min_nodes: int = 8) -> Tuple[GroupFunction, float]:
+    """Sample ``phi_r`` on a grid, normalizing by the grid's own quadrature.
+
+    Raises ``UnderResolvedError`` when fewer than ``min_nodes`` grid nodes
+    span the support radius; the message names both the smallest usable
+    scale for this grid and the band that would resolve the request.
+    """
+    if grid.model != model:
+        raise GmultError("grid was built for a different model")
+    R = _support_radius(model, r)
+    count = min(R, 2.0) / _axis_spacing(grid)
+    if count < min_nodes:
+        raise UnderResolvedError(
+            f"support radius {R:.6g} spans only {count:.2f} grid nodes "
+            f"(need >= {min_nodes}); smallest usable r on this grid is "
+            f"{smallest_resolved_scale(model, grid.band, min_nodes):.6g}, "
+            f"or rebuild the grid with band >= "
+            f"{required_mollifier_band(model, r, min_nodes)}")
+    raw = profile(np.sqrt(np.maximum(rho_squared_samples(grid), 0.0)) / R)
+    mass = float(np.real(grid.integrate(raw)))
+    if mass <= 0:
+        raise GmultError("mollifier samples have nonpositive mass")
+    c_r = 1.0 / mass
+    return GroupFunction(grid, c_r * raw), c_r
+
+
 def test_build_phi_r_normalized(su2, torus3):
     for model, band, r in ((su2, 20, 2.0), (torus3, 25, 1.0)):
         grid = default_grid(model, band)
@@ -137,6 +168,27 @@ def test_build_phi_r_under_resolved(su2):
         build_phi_r(su2, grid, 0.01)
     msg = str(exc.value)
     assert "band" in msg
+    # the reduced sum keeps the oracle's guard and message
+    with pytest.raises(UnderResolvedError) as fast:
+        grid_normalizer(su2, grid, 0.01)
+    assert str(fast.value) == msg
+    with pytest.raises(GmultError, match="different model"):
+        grid_normalizer(model_from_name("torus-3"), grid, 1.0)
+
+
+@pytest.mark.parametrize("group", ["su2", "torus-2", "torus-3"])
+@pytest.mark.parametrize("r", [1.0 / 16.0, 0.5, 8.0])
+def test_grid_normalizer_matches_sampled_oracle(group, r):
+    # r = 8 puts the whole group inside the support (R >= 2: one panel on
+    # SU(2), the full box on the torus); each case runs at the smallest
+    # resolving band and three bands above it
+    model = model_from_name(group)
+    band = required_mollifier_band(model, r)
+    for b in (band, band + 3):
+        grid = default_grid(model, b)
+        _, oracle = build_phi_r(model, grid, r)
+        assert grid_normalizer(model, grid, r) == pytest.approx(
+            oracle, rel=1e-13, abs=0.0)
 
 
 def test_resolution_helpers(su2, torus3):
@@ -263,6 +315,20 @@ def test_blocked_coefficients_match_recurrence(su2, r, band):
     assert fast.shape == (band + 1,)
     peak = float(np.max(np.abs(oracle)))
     assert float(np.max(np.abs(fast - oracle))) <= 1e-12 * peak
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 5, 12, 24, 47, 48, 49, 96, 311,
+                               498, 777])
+def test_newton_gauss_rule_matches_eigensolver_and_moments(n):
+    # 12 and 24 are the torus cube rules, 48 and up the SU(2) radial ones
+    x, w = _leggauss(n)
+    ref_x, _ = np.polynomial.legendre.leggauss(n)
+    assert x.shape == w.shape == (n,)
+    assert np.max(np.abs(x - ref_x)) <= 1e-15
+    assert np.all(w > 0.0)
+    moments = np.array([np.sum(w * x ** (2 * k)) for k in range(n)])
+    exact = 2.0 / (2.0 * np.arange(n) + 1.0)
+    assert np.max(np.abs(moments - exact)) <= 1e-14
 
 
 def test_default_ladder_bands_are_pinned(su2):
@@ -692,3 +758,82 @@ def test_cz_norm_stencil_matches_grid_route(su2, r):
         diags = {t: provider(t) for t in range(21)}
         assert math.sqrt(_cz_norm_sq(diags, coeffs, 1)) == pytest.approx(
             lhs, rel=1e-12)
+
+
+def _times_chi1(masses: np.ndarray) -> np.ndarray:
+    """Masses ``W[t, i]`` (see `_cz_norm_sq`) of a diagonal kernel times
+    ``chi_1``: squared spin-1/2 Clebsch-Gordan weights send each mass to
+    ``(t+1, i+1)``, ``(t+1, i)``, ``(t-1, i)`` and ``(t-1, i-1)`` with
+    weights ``(i+1, t-i+1, t-i, i) / (t+1)``."""
+    t = np.arange(masses.shape[0], dtype=float)[:, None]
+    i = t.T
+    per_dim = masses / (t + 1.0)
+    out = np.zeros_like(masses)
+    out[1:, 1:] += per_dim[:-1, :-1] * (i[:, :-1] + 1.0)
+    out[1:] += per_dim[:-1] * (t[:-1] - i + 1.0)
+    out[:-1] += per_dim[1:] * (t[1:] - i)
+    out[:-1, :-1] += per_dim[1:, 1:] * i[:, 1:]
+    return out
+
+
+def _full_square_cz_norm_sq(sym_diags, coeffs, m):
+    """Oracle for `_cz_norm_sq`: the same stencil on every label and every
+    column of one ``(B + 2m + 1)^2`` buffer (`_times_chi1`)."""
+    size = coeffs.size + 2 * m
+    masses = np.zeros((size, size), dtype=complex)
+    for t in np.nonzero(coeffs)[0]:
+        masses[t, :t + 1] = (t + 1.0) * coeffs[t] * sym_diags[t]
+    dims = np.arange(1.0, size + 1.0)[:, None]
+    total = 0.0
+    for part in (masses.real, masses.imag):
+        if part.any():
+            for _ in range(m):
+                part = 4.0 * part - _times_chi1(_times_chi1(part))
+            total += float(np.sum(part ** 2 / dims))
+    return total
+
+
+def _triangle(rng, size):
+    """Random masses on the triangle ``i <= t`` of a ``size``-square."""
+    return np.tril(rng.standard_normal((size, size)))
+
+
+@pytest.mark.parametrize("size", [1, 2, 3, 4, 130, 131, 260])
+@pytest.mark.parametrize("parity", [0, 1])
+def test_packed_chi1_matches_full_square(size, parity):
+    # 130 and up span more than one 64-row block on each parity
+    rng = np.random.default_rng(size + 7 * parity)
+    full = _triangle(rng, size)
+    full[1 - parity::2] = 0.0
+    packed = np.zeros(((size - parity + 1) // 2 + 2, size + 2))
+    packed[1:-1, 1:-1] = full[parity::2]
+    out = _times_chi1_packed(packed, parity, size)
+    oracle = _times_chi1(full)
+    scale = float(np.max(np.abs(oracle)))
+    assert np.max(np.abs(out[1:-1, 1:-1] - oracle[1 - parity::2]),
+                  initial=0.0) <= 1e-15 * scale
+    # the zero border survives, and the source parity's rows stay empty
+    assert not out[0].any() and not out[-1].any()
+    assert not out[:, 0].any() and not out[:, -1].any()
+    assert not oracle[parity::2].any()
+
+
+@pytest.mark.parametrize("m", [1, 2, 3])
+@pytest.mark.parametrize("size", [1, 2, 3, 150, 151])
+def test_cz_norm_packed_parities_match_full_square(m, size):
+    rng = np.random.default_rng(100 * m + size)
+    diags = {t: rng.standard_normal(t + 1) + 1j * rng.standard_normal(t + 1)
+             for t in range(size)}
+    real = {t: d.real.astype(complex) for t, d in diags.items()}
+    both = rng.standard_normal(size)
+    even = both.copy()
+    even[1::2] = 0.0
+    odd = both.copy()
+    odd[::2] = 0.0
+    for coeffs in (both, even, odd):
+        if not coeffs.any():
+            continue
+        for sym in (diags, real):
+            fast = _cz_norm_sq(sym, coeffs, m)
+            oracle = _full_square_cz_norm_sq(sym, coeffs, m)
+            assert fast == pytest.approx(oracle, rel=1e-15, abs=0.0)
