@@ -46,9 +46,10 @@ from .checkers import (SymbolClassSpec, check_mikhlin, check_range,
                        check_refined, check_symbol_class, check_torus3,
                        empirical_lp_ratio, torus_lattice_symbol)
 from .vfield import (build_field, exceptional_set, invert_vf_symbol,
-                     recursion_residual, verify_s00)
+                     recursion_residuals, verify_s00)
 from .mollifier import (check_sobolev_order, check_torus_dimension,
                         cz_probe, default_ladder, grid_normalizer,
+                        grid_normalizer_samples,
                         identity_diagonals, mollifier_family,
                         mollifier_scaling_report, negative_sobolev_decay,
                         required_mollifier_band, riesz_field_diagonals,
@@ -57,7 +58,8 @@ from .mollifier import (check_sobolev_order, check_torus_dimension,
 SCHEMA = "gmult-report/1"
 ENV_OUT_DIR = "GMULT_OUT_DIR"
 EXIT_PASS, EXIT_FAIL, EXIT_MATH, EXIT_CONFIG = 0, 1, 2, 3
-_MAX_PROBE_GRID_BAND = 96
+#: Profile samples the probe's grid cross-check may sum (and hold) at once.
+_MAX_PROBE_SAMPLES = 1 << 22
 
 __all__ = [
     "main", "parse_complex", "parse_ladder", "parse_torus_expression",
@@ -581,8 +583,7 @@ def cmd_invert(args: argparse.Namespace) -> int:
     passed = bool(s00.passed)
     if args.recursion_check:
         residuals = {}
-        for j in (0, 1):
-            res = recursion_residual(spec, c, j, min(band, 12))
+        for j, res in recursion_residuals(spec, c, min(band, 12)).items():
             residuals[f"block_{j}"] = res
             passed = passed and (res["residual"] < 1e-9
                                  and res["offdiagonal"] < 1e-9)
@@ -603,19 +604,20 @@ def cmd_probe(args: argparse.Namespace) -> int:
     ladder = sorted(ladder, reverse=True)
     grid_band = args.grid_band
     if grid_band is not None:
-        if grid_band > _MAX_PROBE_GRID_BAND:
-            raise UnderResolvedError(
-                f"--grid-band {grid_band} exceeds the probe cap "
-                f"{_MAX_PROBE_GRID_BAND}")
         floor_r = smallest_resolved_scale(model, grid_band)
         if min(ladder) < floor_r:
             raise UnderResolvedError(
                 f"grid band {grid_band} cannot resolve the ladder: the "
                 f"smallest usable r on that grid is {floor_r:.6g}, the "
-                f"ladder reaches {min(ladder):.6g}")
+                f"ladder reaches {min(ladder):.6g}; use --grid-band >= "
+                f"{required_mollifier_band(model, min(ladder))}")
     else:
-        grid_band = min(required_mollifier_band(model, max(ladder)),
-                        _MAX_PROBE_GRID_BAND)
+        grid_band = required_mollifier_band(model, max(ladder))
+    samples = grid_normalizer_samples(model, grid_band, max(ladder))
+    if samples > _MAX_PROBE_SAMPLES:
+        raise UnderResolvedError(
+            f"the grid cross-check on a band-{grid_band} grid sums {samples} "
+            f"samples, past the probe cap {_MAX_PROBE_SAMPLES}")
     results: Dict[str, object] = {}
     passes: List[bool] = []
 

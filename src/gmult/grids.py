@@ -38,7 +38,7 @@ class GroupGrid:
     """Product quadrature grid on a group model.
 
     Treat instances as immutable; the dict fields are lazily filled caches
-    (little-d tables and coefficient samples are expensive to rebuild).
+    (little-d tables are expensive to rebuild).
     """
 
     model: GroupModel
@@ -49,7 +49,6 @@ class GroupGrid:
     psis: Optional[np.ndarray] = None
     axis: Optional[np.ndarray] = None
     _little_d: Dict[int, np.ndarray] = field(default_factory=dict, repr=False, compare=False)
-    _coeff: Dict[Tuple, np.ndarray] = field(default_factory=dict, repr=False, compare=False)
     _misc: Dict[str, np.ndarray] = field(default_factory=dict, repr=False, compare=False)
 
     # -- shape bookkeeping ---------------------------------------------------
@@ -87,25 +86,6 @@ class GroupGrid:
                 self._misc["weights"] = np.full(self.node_count, 1.0 / self.node_count)
         return self._misc["weights"]
 
-    @property
-    def nodes(self) -> np.ndarray:
-        """Flattened node coordinates, shape ``(node_count, dim)``."""
-        if "nodes" not in self._misc:
-            if self.model.kind == "su2":
-                P, T, S = np.meshgrid(self.phis, self.thetas, self.psis, indexing="ij")
-                self._misc["nodes"] = np.column_stack([P.ravel(), T.ravel(), S.ravel()])
-            else:
-                axes = np.meshgrid(*([self.axis] * self.model.n), indexing="ij")
-                self._misc["nodes"] = np.column_stack([a.ravel() for a in axes])
-        return self._misc["nodes"]
-
-    def integrate(self, samples: np.ndarray) -> complex:
-        """Quadrature of flattened samples against the Haar weights."""
-        samples = np.asarray(samples).reshape(-1)
-        if samples.size != self.node_count:
-            raise ValueError("sample count does not match grid")
-        return complex(np.dot(self.weights, samples))
-
     # -- cached representation data -------------------------------------------
 
     def little_d(self, twice_spin: int) -> np.ndarray:
@@ -121,9 +101,6 @@ class GroupGrid:
     def coefficient_function(self, label: IrrepLabel, i: int = 0, j: int = 0) -> np.ndarray:
         """Samples of the matrix coefficient ``xi(g)_{ij}`` (0-based indices)."""
         label = validate_label(self.model, label)
-        key = (label, i, j)
-        if key in self._coeff:
-            return self._coeff[key]
         if self.model.kind == "su2":
             t = label
             if not (0 <= i <= t and 0 <= j <= t):
@@ -131,30 +108,16 @@ class GroupGrid:
             dcol = self.little_d(t)[:, i, j]
             ephi = np.exp(-0.5j * (2 * i - t) * self.phis)
             epsi = np.exp(-0.5j * (2 * j - t) * self.psis)
-            out = (ephi[:, None, None] * dcol[None, :, None] * epsi[None, None, :]).reshape(-1)
-        else:
-            if i != 0 or j != 0:
-                raise ValueError("torus representations are one dimensional")
-            out = np.ones(self.shape, dtype=complex)
-            for d_axis, k in enumerate(label):
-                phase = np.exp(2j * math.pi * k * self.axis)
-                sh = [1] * self.model.n
-                sh[d_axis] = self.axis.size
-                out = out * phase.reshape(sh)
-            out = out.reshape(-1)
-        self._coeff[key] = out
-        return out
-
-    def class_angles(self) -> np.ndarray:
-        """SU(2) only: conjugacy-class angle ``t in [0, 2pi]`` of each node."""
-        if self.model.kind != "su2":
-            raise ValueError("class angles exist only on SU(2) grids")
-        if "class_angles" not in self._misc:
-            P, T, S = np.meshgrid(self.phis, self.thetas, self.psis, indexing="ij")
-            half_trace = np.cos(T / 2.0) * np.cos((P + S) / 2.0)
-            self._misc["class_angles"] = (
-                2.0 * np.arccos(np.clip(half_trace, -1.0, 1.0))).reshape(-1)
-        return self._misc["class_angles"]
+            return (ephi[:, None, None] * dcol[None, :, None] * epsi[None, None, :]).reshape(-1)
+        if i != 0 or j != 0:
+            raise ValueError("torus representations are one dimensional")
+        out = np.ones(self.shape, dtype=complex)
+        for d_axis, k in enumerate(label):
+            phase = np.exp(2j * math.pi * k * self.axis)
+            sh = [1] * self.model.n
+            sh[d_axis] = self.axis.size
+            out = out * phase.reshape(sh)
+        return out.reshape(-1)
 
 
 def build_grid(model: GroupModel, band: int) -> GroupGrid:
@@ -208,28 +171,3 @@ def _required_grid_band(model: GroupModel, label_band_value: int) -> int:
     if model.kind == "su2":
         return (label_band_value + 1) // 2
     return label_band_value
-
-
-def rho_squared_samples(grid: GroupGrid) -> np.ndarray:
-    """Samples of the squared pseudo-distance ``rho^2`` at the grid nodes.
-
-    ``rho^2(g) = n - trace Ad(g)`` on SU(2) (adjoint = twice_spin 2) and
-    ``rho^2(x) = 2 n - sum_j (e^{2 pi i x_j} + e^{-2 pi i x_j})`` on the torus.
-    Values are real and nonnegative.
-    """
-    if "rho2" in grid._misc:
-        return grid._misc["rho2"]
-    if grid.model.kind == "su2":
-        t = grid.class_angles()
-        vals = 2.0 - 2.0 * np.cos(t)
-    else:
-        vals = np.zeros(grid.shape)
-        n = grid.model.n
-        for d_axis in range(n):
-            sh = [1] * n
-            sh[d_axis] = grid.axis.size
-            vals = vals + (2.0 - 2.0 * np.cos(_TWO_PI * grid.axis)).reshape(sh)
-        vals = vals.reshape(-1)
-    vals = np.maximum(vals, 0.0)
-    grid._misc["rho2"] = vals
-    return vals

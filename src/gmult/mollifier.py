@@ -48,6 +48,7 @@ from .central import CentralSequence, delta2
 __all__ = [
     "bump_profile", "MollifierFamily", "mollifier_family",
     "mollifier_normalizer", "mollifier_l2_norm", "grid_normalizer",
+    "grid_normalizer_samples",
     "required_mollifier_band", "smallest_resolved_scale",
     "psi_hat_coefficients", "SlopeFit", "fit_loglog", "default_ladder",
     "mollifier_scaling_report", "check_sobolev_order",
@@ -303,6 +304,19 @@ def smallest_resolved_scale(model: GroupModel, band: int,
     else:
         spacing = 2.0 * math.pi / (2 * band + 1)
     return float((min_nodes * spacing) ** model.n)
+
+
+def grid_normalizer_samples(model: GroupModel, band: int, r: float) -> int:
+    """Profile samples :func:`grid_normalizer` sums at scale ``r`` on a
+    band-``band`` grid (at least the torus grid's axis), without building
+    the grid: ``(B + 1) 2N`` on SU(2), the support sub-box on the torus."""
+    nodes = 2 * band + 1
+    if model.kind == "su2":
+        return (band + 1) * 2 * nodes
+    # axis nodes k / N with 2 - 2 cos(2 pi k / N) <= R^2
+    R = _support_radius(model, r)
+    half = math.floor(nodes * math.asin(min(R / 2.0, 1.0)) / math.pi)
+    return max(nodes, min(nodes, 2 * half + 1) ** model.n)
 
 
 def grid_normalizer(model: GroupModel, grid: GroupGrid, r: float) -> float:

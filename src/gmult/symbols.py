@@ -11,10 +11,13 @@ Difference operators multiply the operator kernel by a coefficient function
 vanishing at the identity.  On the torus each such factor is a character,
 so a difference is an exact lattice shift and the distance-squared
 (Laplace) operator a five-point-per-axis stencil: both are array slices
-that zero-extend the box by the factor's band.  On SU(2) they follow the
-defining recipe "inverse transform, multiply on a quadrature grid, forward
-transform"; the test suite runs the same grid route on torus boxes as the
-oracle for the slices.
+that zero-extend the box by the factor's band.  On SU(2) a factor is a
+sum of terms ``e^{-i s phi/2} g(theta) e^{-i s' psi/2}``, which shift the
+kernel's forward phase sums by ``(s, s')``: a difference is a sum of
+shifted, theta-weighted slices of one phase stage of the kernel, then a
+theta quadrature against the Wigner tables.  The tests keep the recipe
+"inverse transform, multiply on the grid, forward transform" as the
+oracle of both routes.
 
 Band bookkeeping: ``exact_band`` records through which label band the
 stored entries faithfully represent the (possibly infinite) symbol being
@@ -34,21 +37,21 @@ import copy
 import math
 from collections.abc import Mapping
 from dataclasses import dataclass, field
-from functools import partial
+from functools import reduce
 from itertools import combinations_with_replacement
-from typing import (Callable, Dict, Iterable, Iterator, List, Optional,
-                    Sequence, Tuple)
+from typing import Dict, Iterator, List, Optional, Sequence, Tuple
 
 import numpy as np
 
 from .errors import BandOverflowError
-from .grids import GroupFunction, GroupGrid, build_grid, rho_squared_samples
+from .grids import GroupFunction, GroupGrid, build_grid
 from .groups import (GroupModel, IrrepLabel, angular_momentum, irrep_dimension,
                      label_band, labels_up_to, validate_label)
 
 _GRID_CACHE: Dict[Tuple[str, int, int], GroupGrid] = {}
-#: Labels normed per stack in :meth:`MatrixSymbol.norms`.
-_NORM_BUCKET = 4
+#: Complex entries of the word stacks :func:`word_sup_table` holds at once
+#: (one chunk of words of the SU(2) phase route).
+_STACK_ENTRIES = 1 << 20
 
 
 def default_grid(model: GroupModel, band: int) -> GroupGrid:
@@ -102,27 +105,13 @@ class MatrixSymbol:
         kept = {lb: m.copy() for lb, m in self.entries.items() if lb <= band}
         return MatrixSymbol(self.model, kept, min(self.exact_band, band))
 
-    def exact_labels(self, band: Optional[int] = None) -> List[IrrepLabel]:
-        """Stored labels within the exactness certificate (and within band)."""
-        cap = self.exact_band if band is None else min(self.exact_band, band)
-        return [lb for lb in sorted(self.entries) if lb <= cap]
-
     def norms(self, band: int, hs: bool = False) -> np.ndarray:
         """Operator (``hs``: Hilbert-Schmidt) norm of every block through
-        ``band``, as a label table.
-
-        Runs of ``_NORM_BUCKET`` consecutive stored labels are zero-padded
-        to the largest block of the run and normed as one stack; zero
-        padding changes neither norm."""
+        ``band``, as a label table."""
         out = np.zeros(band + 1)
-        labels = [t for t in sorted(self.entries) if t <= band]
-        for lo in range(0, len(labels), _NORM_BUCKET):
-            run = labels[lo:lo + _NORM_BUCKET]
-            size = run[-1] + 1
-            stack = np.zeros((len(run), size, size), dtype=complex)
-            for i, t in enumerate(run):
-                stack[i, :t + 1, :t + 1] = self.entries[t]
-            out[run] = np.linalg.norm(stack, None if hs else 2, axis=(1, 2))
+        for t in sorted(self.entries):
+            if t <= band:
+                out[t] = np.linalg.norm(self.entries[t], None if hs else 2)
         return out
 
     def energy(self, band: int) -> float:
@@ -184,17 +173,9 @@ class TorusSymbol:
             block[0, 0] = self.table[tuple(c + self.radius for c in k)]
         return block
 
-    def scalar(self, label: IrrepLabel) -> complex:
-        return complex(self.get(label)[0, 0])
-
     def restrict(self, band: int) -> "TorusSymbol":
         table = resize_box(self.table, min(self.radius, int(band))).copy()
         return TorusSymbol(self.model, table, min(self.exact_band, band))
-
-    def exact_labels(self, band: Optional[int] = None) -> List[IrrepLabel]:
-        """Box labels within the exactness certificate (and within band)."""
-        cap = self.exact_band if band is None else min(self.exact_band, band)
-        return list(labels_up_to(self.model, int(min(self.radius, cap))))
 
     def norms(self, band: int, hs: bool = False) -> np.ndarray:
         """``|sigma(k)|`` through ``band`` as a label table (on ``1 x 1``
@@ -377,23 +358,28 @@ def generator_words(model: GroupModel, order: int) -> List[DifferenceWord]:
     return out
 
 
-def _q_samples(grid: GroupGrid, factor: Tuple[IrrepLabel, int, int]) -> np.ndarray:
-    lb, i, j = factor
-    key = ("qfun", lb if isinstance(lb, int) else tuple(lb), i, j)
-    if key not in grid._misc:
-        vals = grid.coefficient_function(lb, i, j).copy()
-        if i == j:
-            vals = vals - 1.0
-        grid._misc[key] = vals
-    return grid._misc[key]
-
-
-def _word_samples(grid: GroupGrid, word: DifferenceWord) -> np.ndarray:
-    """Samples of the word's multiplier ``prod (xi_ij - delta_ij)``."""
-    q = np.ones(grid.node_count, dtype=complex)
-    for factor in word.factors:
-        q = q * _q_samples(grid, factor)
-    return q
+def _phase_weights(grid: GroupGrid, combination) -> Dict:
+    """The multiplier ``sum c prod (xi^t_ij - delta_ij)`` over ``combination
+    = [(c, factors)]`` in the phase domain: ``{(s, s'): g}`` stands for
+    ``sum g(theta) e^{-i s phi / 2} e^{-i s' psi / 2}``, ``g`` a table at
+    the theta nodes.  ``xi^t_ij`` is the term ``(2i - t, 2j - t): d^t_ij``,
+    so products add the shifts."""
+    out: Dict = {}
+    for c, factors in combination:
+        word = {(0, 0): np.full(grid.thetas.size, c)}
+        for t, i, j in factors:
+            q = {(2 * i - t, 2 * j - t): grid.little_d(t)[:, i, j]}
+            if i == j:
+                q[0, 0] = q.get((0, 0), 0.0) - 1.0
+            prod: Dict = {}
+            for (s1, r1), g1 in word.items():
+                for (s2, r2), g2 in q.items():
+                    key = (s1 + s2, r1 + r2)
+                    prod[key] = prod.get(key, 0.0) + g1 * g2
+            word = prod
+        for key, g in word.items():
+            out[key] = out.get(key, 0.0) + g
+    return out
 
 
 def required_difference_band(model: GroupModel, kernel_band: int, out_band: int) -> int:
@@ -419,27 +405,60 @@ def _difference_grid(sym, wband: int, out_band: int,
     return grid
 
 
-def _grid_differences(sym, wband: int, out_band: int,
-                      multipliers: Iterable[Callable[[GroupGrid], np.ndarray]],
-                      grid: Optional[GroupGrid] = None) -> Iterator:
-    """The quadrature route: synthesize the kernel once on a grid exact for
-    the products, multiply it by each multiplier's samples (a function of
-    band <= ``wband`` vanishing at the identity) and transform back through
-    ``out_band``.  The SU(2) difference path; on the torus the tests run it
-    as the oracle for the box slices."""
+def _kernel_planes(sym: MatrixSymbol, wband: int, out_band: int,
+                   grid: Optional[GroupGrid]):
+    """Synthesize the kernel on a grid exact for its products with
+    multipliers of band <= ``wband``, and its phase planes at every
+    twice-weight ``|u| <= out_band + wband`` a shifted read reaches."""
     from . import transform
 
     grid = _difference_grid(sym, wband, out_band, grid)
     kernel = transform.fourier_inverse(sym, grid)
-    declared = min(kernel.declared_band + wband, grid.max_label_band)
-    for multiplier in multipliers:
-        # a named operand: numpy would reuse a temporary's buffer for the
-        # product, which rounds complex products differently
-        q = multiplier(grid)
-        product = GroupFunction(grid, kernel.samples * q, declared)
-        coeffs = transform.fourier_forward(product, band=out_band)
-        coeffs.exact_band = min(sym.exact_band - wband, coeffs.exact_band)
-        yield coeffs
+    return grid, transform._su2_forward_stages(grid, kernel.samples,
+                                               out_band + wband)
+
+
+def _shifted_sums(grid: GroupGrid, planes, weights: Sequence[Dict],
+                  out_band: int) -> List[np.ndarray]:
+    """Phase planes of the products kernel x multiplier, stacked over the
+    multipliers: ``sum g(theta_a) A[u - s, v - s', a]`` over the terms, at
+    ``|u|, |v| <= out_band``.  Multiplying the samples by ``e^{-i s phi /
+    2}`` moves the forward phase sum from ``u`` to ``u - s`` node by node,
+    so these are the stages of the products' forward transforms."""
+    stacks = []
+    for p in (0, 1):
+        n = out_band - (out_band - p) % 2 + 1       # twice-weights of parity p
+        stack = np.zeros((len(weights), n, n, grid.thetas.size), dtype=complex)
+        for w, terms in enumerate(weights):
+            for (s, r), g in terms.items():
+                src = planes[(p - s) % 2]
+                k, l = (src.shape[0] - n - s) // 2, (src.shape[0] - n - r) // 2
+                stack[w] += g * src[k:k + n, l:l + n]
+        stacks.append(np.moveaxis(stack, 0, 2))     # (u, v, word, theta)
+    return stacks
+
+
+def _su2_differences(sym: MatrixSymbol, wband: int,
+                     combinations: Sequence, grid: Optional[GroupGrid]
+                     ) -> List[MatrixSymbol]:
+    """The SU(2) difference route: the products of one kernel with each
+    multiplier (a combination for :func:`_phase_weights` of band
+    ``wband``, vanishing at the identity), from one phase stage and one
+    theta quadrature against the Wigner tables.  The certificate is the
+    symbol's, derated by ``wband``, capped by the grid's exactness for the
+    product kernel."""
+    from . import transform
+
+    out_band = sym.support_band + wband
+    grid, planes = _kernel_planes(sym, wband, out_band, grid)
+    stacks = _shifted_sums(grid, planes, [_phase_weights(grid, c)
+                                          for c in combinations], out_band)
+    blocks = dict(transform._su2_theta_sums(grid, stacks, range(out_band + 1)))
+    declared = min(out_band, grid.max_label_band)
+    cert = min(sym.exact_band - wband, grid.max_label_band,
+               grid.exact_total_band - declared)
+    return [MatrixSymbol(sym.model, {t: b[w] for t, b in blocks.items()}, cert)
+            for w in range(len(combinations))]
 
 
 def _box_at(step: Sequence[int], side: int, margin: int) -> Tuple[slice, ...]:
@@ -472,7 +491,7 @@ def apply_difference(word: DifferenceWord, sym, grid: Optional[GroupGrid] = None
     """Apply a difference word to a symbol.
 
     Torus: each factor ``xi`` is the exact shift ``sigma(k - xi) - sigma(k)``
-    of the box.  SU(2): the quadrature route on ``grid`` (default: a cached
+    of the box.  SU(2): the phase-domain route on ``grid`` (default: a cached
     grid exact for the product).  The result's exactness certificate drops
     by the word's total factor band.
     """
@@ -485,25 +504,38 @@ def apply_difference(word: DifferenceWord, sym, grid: Optional[GroupGrid] = None
         for lb, _, _ in word.factors:
             table = _box_difference(table, lb)
         return TorusSymbol(sym.model, table, sym.exact_band - word.band_sum)
-    wband = word.band_sum
-    return next(_grid_differences(sym, wband, sym.support_band + wband,
-                                  [partial(_word_samples, word=word)], grid))
+    return _su2_differences(sym, word.band_sum, [[(1.0, word.factors)]],
+                            grid)[0]
+
+
+def apply_differences(words: Sequence[DifferenceWord], sym,
+                      grid: Optional[GroupGrid] = None) -> List:
+    """:func:`apply_difference` of each word; on SU(2) words of one total
+    band share one kernel synthesis and one phase stage."""
+    bands = {word.band_sum for word in words}
+    if (sym.model.kind == "torus" or len(bands) != 1 or 0 in bands
+            or any(word.model != sym.model for word in words)):
+        return [apply_difference(word, sym, grid) for word in words]
+    return _su2_differences(sym, bands.pop(),
+                            [[(1.0, word.factors)] for word in words], grid)
 
 
 def laplace_difference(sym, grid: Optional[GroupGrid] = None):
     """The second-order difference operator driven by ``rho^2``.
 
     Torus: ``2 n sigma(k) - sum_j (sigma(k + e_j) + sigma(k - e_j))`` on the
-    box.  SU(2): the quadrature route (transform, multiply by ``rho^2``,
-    transform back).  The exactness certificate drops by the band of
-    ``rho^2`` (2 on SU(2), 1 on the torus).
+    box.  SU(2): the phase-domain route with ``rho^2 = 3 - trace Ad``.  The
+    exactness certificate drops by the band of ``rho^2`` (2 on SU(2), 1 on
+    the torus).
     """
     model = sym.model
     if model.kind == "torus":
         return TorusSymbol(model, _box_laplace(sym.table, model.delta0),
                            sym.exact_band - 1)
-    return next(_grid_differences(sym, 2, sym.support_band + 2,
-                                  [rho_squared_samples], grid))
+    # rho^2 = sum_i (1 - xi0_ii) over the first shell
+    rho2 = [(-1.0, ((lb, i, i),)) for lb in model.delta0
+            for i in range(irrep_dimension(model, lb))]
+    return _su2_differences(sym, 2, [rho2], grid)[0]
 
 
 # ---------------------------------------------------------------------------
@@ -575,15 +607,12 @@ def laplace_leibniz_residual(sym: MatrixSymbol, tau: MatrixSymbol,
     lhs = laplace_difference(prod, grid)
     rhs = symbol_add(symbol_product(laplace_difference(sym, grid), tau),
                      symbol_product(sym, laplace_difference(tau, grid)))
-    for lb in model.delta0:
-        d = irrep_dimension(model, lb)
-        for i in range(d):
-            for j in range(d):
-                wij = DifferenceWord(model, ((lb, i, j),))
-                wji = DifferenceWord(model, ((lb, j, i),))
-                cross = symbol_product(apply_difference(wij, sym, grid),
-                                       apply_difference(wji, tau, grid))
-                rhs = symbol_add(rhs, cross, beta=-1.0)
+    gens = difference_generators(model)
+    transposed = [DifferenceWord(model, ((lb, j, i),))
+                  for ((lb, i, j),) in (w.factors for w in gens)]
+    for d_sym, d_tau in zip(apply_differences(gens, sym, grid),
+                            apply_differences(transposed, tau, grid)):
+        rhs = symbol_add(rhs, symbol_product(d_sym, d_tau), beta=-1.0)
     return _residual_norm(symbol_add(lhs, rhs, beta=-1.0),
                           min(sym.exact_band, tau.exact_band))
 
@@ -609,15 +638,20 @@ def word_sup_table(sym, order: int, band: int,
     if order == 0:
         return sym.norms(band)
     if model.kind == "torus":
-        diffs = (apply_difference(word, sym) for word in words)
-    else:
-        # one kernel transform shared by every word
-        diffs = _grid_differences(
-            sym, wband, band, [partial(_word_samples, word=w) for w in words],
-            grid)
-    best = None
-    for diff in diffs:
-        norms = diff.norms(band)
-        best = norms if best is None else np.maximum(best, norms)
-    return best
+        return reduce(np.maximum, (apply_difference(word, sym).norms(band)
+                                   for word in words))
+    from . import transform
 
+    # one kernel phase stage shared by every word; the word stacks are
+    # formed a chunk of words at a time, each label normed as one stack
+    grid, planes = _kernel_planes(sym, wband, band, grid)
+    weights = [_phase_weights(grid, [(1.0, w.factors)]) for w in words]
+    step = max(1, _STACK_ENTRIES // (2 * (band + 1) ** 2 * grid.thetas.size))
+    best = np.zeros(band + 1)
+    for lo in range(0, len(words), step):
+        stacks = _shifted_sums(grid, planes, weights[lo:lo + step], band)
+        for t, blocks in transform._su2_theta_sums(grid, stacks,
+                                                   range(band + 1)):
+            best[t] = max(best[t],
+                          np.linalg.norm(blocks, 2, axis=(1, 2)).max())
+    return best

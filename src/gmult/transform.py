@@ -23,7 +23,7 @@ discrete quadrature transform, certified exact nowhere).
 from __future__ import annotations
 
 import math
-from typing import Dict, Optional, Sequence
+from typing import Iterator, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -34,8 +34,11 @@ from .symbols import MatrixSymbol, TorusSymbol, resize_box
 
 
 def _su2_phase_tables(grid: GroupGrid, tmax: int, sign: int):
-    """Phase matrices ``e^{sign i u phi / 2}`` and ``e^{sign i u psi / 2}``,
-    shaped ``(u, node)``, at all twice-weights ``|u| <= tmax``; the forward
+    """Phase matrices ``e^{sign i u phi / 2}`` and ``e^{sign i v psi / 2}``,
+    shaped ``(twice-weight, node)``: the phi tables as one matrix per
+    twice-weight parity ``p``, rows ``u = -U_p, -U_p + 2, ..., U_p`` with
+    ``U_p`` the largest ``u <= tmax`` of parity ``p``, and the psi table
+    with the rows of both parities stacked in that order.  The forward
     tables (``sign = +1``) are divided by their node counts."""
     key = ("phases", sign, tmax)
     if key not in grid._misc:
@@ -44,52 +47,67 @@ def _su2_phase_tables(grid: GroupGrid, tmax: int, sign: int):
         epsi = np.exp(sign * 0.5j * np.outer(u, grid.psis))
         if sign > 0:
             ephi, epsi = ephi / grid.phis.size, epsi / grid.psis.size
-        grid._misc[key] = (ephi, epsi)
+        rows = (slice(tmax % 2, None, 2), slice(1 - tmax % 2, None, 2))
+        grid._misc[key] = ([ephi[r].copy() for r in rows],
+                           np.concatenate([epsi[r] for r in rows]))
     return grid._misc[key]
 
 
-def _su2_forward_stages(grid: GroupGrid, samples: np.ndarray, tmax: int) -> np.ndarray:
-    """Collapse the phi and psi axes: returns ``A[u, a, v]`` with
-    ``A = (1/(Nphi Npsi)) sum_{j,k} f(phi_j, theta_a, psi_k)
-    e^{i u phi_j / 2} e^{i v psi_k / 2}`` for twice-weights ``u, v``."""
-    F = samples.reshape(grid.shape)
-    ephi, epsi = _su2_phase_tables(grid, tmax, +1)
-    A1 = np.tensordot(ephi, F, axes=(1, 0))          # (u, theta, psi)
-    return np.tensordot(A1, epsi, axes=(2, 1))       # (u, theta, v)
+def _plane_slice(plane: np.ndarray, t: int) -> slice:
+    """Rows of the twice-weights ``-t..t`` in a plane of their parity."""
+    top = plane.shape[0] - 1
+    return slice((top - t) // 2, (top + t) // 2 + 1)
 
 
-def _su2_forward(grid: GroupGrid, samples: np.ndarray,
-                 labels: Sequence[int]) -> Dict[int, np.ndarray]:
-    if not labels:
-        return {}
-    tmax = max(labels)
-    A = _su2_forward_stages(grid, samples, tmax)
+def _su2_forward_stages(grid: GroupGrid, samples: np.ndarray, tmax: int):
+    """Collapse the phi and psi axes: ``A[u, v, a] = (1/(Nphi Npsi))
+    sum_{j,k} f(phi_j, theta_a, psi_k) e^{i u phi_j / 2} e^{i v psi_k / 2}``
+    at the twice-weight pairs a label reads, ``u = v = p (mod 2)``, as the
+    two planes ``p = 0, 1`` laid out like :func:`_su2_phase_tables`."""
+    ephis, epsi = _su2_phase_tables(grid, tmax, +1)
+    B = np.tensordot(samples.reshape(grid.shape), epsi,
+                     axes=(2, 1))                   # (phi, theta, v)
+    n0 = ephis[0].shape[0]
+    return [np.tensordot(ephi, B[:, :, cols].transpose(0, 2, 1),
+                         axes=(1, 0))               # (u, v, theta)
+            for ephi, cols in zip(ephis, (slice(0, n0), slice(n0, None)))]
+
+
+def _su2_theta_sums(grid: GroupGrid, planes,
+                    labels: Sequence[int]) -> Iterator[Tuple[int, np.ndarray]]:
+    """The theta quadrature against the little-d tables: ``(t, fhat)`` with
+    ``fhat_{mn} = sum_a w_a/2 d^t_{nm}(theta_a) A[u=2n, v=2m, a]`` for each
+    label, from phase planes ``(u, v, ..., theta)`` with any batch axes
+    between the twice-weights and theta; ``fhat`` carries the batch axes
+    first."""
     w2 = grid.theta_weights / 2.0
-    out: Dict[int, np.ndarray] = {}
     for t in labels:
-        at = slice(tmax - t, tmax + t + 1, 2)         # twice-weights -t..t
-        # fhat_{mn} = sum_a w_a/2 d^t_{nm}(theta_a) A[u=2n, a, v=2m]: the
-        # product over (m, n, a), laid out in C order so that the reshape is
-        # a view, then one matrix-vector product with w/2
-        prod = np.multiply(A[at, :, at].transpose(2, 0, 1),
-                           grid.little_d(t).transpose(2, 1, 0), order="C")
-        out[t] = (prod.reshape((t + 1) ** 2, -1) @ w2).reshape(t + 1, t + 1)
-    return out
+        plane = planes[t % 2]
+        at = _plane_slice(plane, t)
+        batch = plane.shape[2:-1]
+        block = plane[at, at].reshape(t + 1, t + 1, -1, w2.size)
+        # one batched matrix-vector product per (n, m) over theta
+        weights = (grid.little_d(t) * w2[:, None, None]).transpose(1, 2, 0)
+        sums = np.matmul(block, weights[..., None])[..., 0]     # (n, m, b)
+        yield t, sums.transpose(2, 1, 0).reshape(batch + (t + 1, t + 1))
 
 
 def _su2_inverse(grid: GroupGrid, sym: MatrixSymbol) -> np.ndarray:
     if not sym.entries:
         return np.zeros(grid.node_count, dtype=complex)
     tmax = max(sym.entries)
-    H = np.zeros((2 * tmax + 1, grid.thetas.size, 2 * tmax + 1), dtype=complex)
+    ephis, epsi = _su2_phase_tables(grid, tmax, -1)
+    H = [np.zeros((ephi.shape[0], grid.thetas.size, ephi.shape[0]),
+                  dtype=complex) for ephi in ephis]
     for t, mat in sym.entries.items():
-        at = slice(tmax - t, tmax + t + 1, 2)
+        at = _plane_slice(H[t % 2], t)
         # f = sum_t d_t sum_{mn} e^{-i m phi} d^t_{mn} e^{-i n psi} sigma_{nm}
-        H[at, :, at] += (t + 1) * (grid.little_d(t).transpose(1, 0, 2)
-                                   * mat.T[:, None, :])
-    ephi, epsi = _su2_phase_tables(grid, tmax, -1)
-    out = np.tensordot(ephi, H, axes=(0, 0))         # (phi, theta, v)
-    out = np.tensordot(out, epsi, axes=(2, 0))       # (phi, theta, psi)
+        H[t % 2][at, :, at] += (t + 1) * (grid.little_d(t).transpose(1, 0, 2)
+                                          * mat.T[:, None, :])
+    # the phi stage of each parity, (phi, theta, v), its v rows side by side
+    mid = np.concatenate([np.tensordot(ephi, Hp, axes=(0, 0))
+                          for ephi, Hp in zip(ephis, H)], axis=2)
+    out = np.tensordot(mid, epsi, axes=(2, 0))           # (phi, theta, psi)
     return out.reshape(-1)
 
 
@@ -115,7 +133,9 @@ def fourier_forward(f: GroupFunction, band: Optional[int] = None):
         cert = min(float(grid.max_label_band),
                    float(grid.exact_total_band - f.declared_band))
     if model.kind == "su2":
-        return MatrixSymbol(model, _su2_forward(grid, f.samples, range(band + 1)),
+        planes = _su2_forward_stages(grid, f.samples, band)
+        return MatrixSymbol(model, dict(_su2_theta_sums(grid, planes,
+                                                        range(band + 1))),
                             exact_band=cert)
     table = np.fft.fftshift(np.fft.fftn(f.samples.reshape(grid.shape)))
     return TorusSymbol(model, resize_box(table, band) / f.samples.size, cert)

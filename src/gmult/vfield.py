@@ -21,14 +21,14 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
 from .errors import ExceptionalValueError, GmultError
 from .groups import GroupModel
 from .grids import GroupGrid
-from .symbols import (DifferenceWord, MatrixSymbol, apply_difference,
+from .symbols import (DifferenceWord, MatrixSymbol, apply_differences,
                       vector_field_symbol)
 from .checkers import MultiplierReport, SymbolClassSpec, check_symbol_class
 
@@ -145,41 +145,63 @@ def invert_vf_symbol(spec: VectorFieldSpec, c: complex,
     return MatrixSymbol(spec.model, entries, exact_band=band)
 
 
-def _rotated_difference(model: GroupModel, sym: MatrixSymbol, V1: np.ndarray,
-                        i: int, j: int,
-                        grid: Optional[GroupGrid] = None) -> MatrixSymbol:
-    """First-order difference whose factor is the ``(i, j)`` coefficient of
-    the eigenbasis-rotated fundamental representation, applied to a symbol
-    kept in the original frame basis.
+def _rotated_differences(model: GroupModel, sym: MatrixSymbol, V1: np.ndarray,
+                         grid: Optional[GroupGrid] = None
+                         ) -> Dict[Tuple[int, int], MatrixSymbol]:
+    """First-order differences whose factors are the ``(i, j)``
+    coefficients of the eigenbasis-rotated fundamental representation,
+    applied to a symbol kept in the original frame basis.
 
-    The rotated coefficient is a fixed linear combination of the plain
-    fundamental coefficients, so the operator expands over the four plain
-    first-order differences.
+    Each rotated coefficient ``sum_ab conj(V1_ai) V1_bj xi_ab`` is a fixed
+    combination of the plain fundamental coefficients, so all four
+    operators expand over the four plain first-order differences, which
+    share one kernel synthesis.
     """
-    pieces = []
-    for a in range(2):
-        for b in range(2):
-            coef = complex(np.conj(V1[a, i]) * V1[b, j])
-            if abs(coef) < 1e-15:
-                continue
-            word = DifferenceWord(model, ((1, a, b),))
-            pieces.append((coef, apply_difference(word, sym, grid)))
-    entries: Dict[int, np.ndarray] = {}
-    for coef, piece in pieces:
-        for lb, mat in piece.entries.items():
-            if lb in entries:
-                entries[lb] = entries[lb] + coef * mat
-            else:
-                entries[lb] = coef * mat
-    cert = min(piece.exact_band for _, piece in pieces)
-    return MatrixSymbol(model, entries, exact_band=cert)
+    plain = apply_differences([DifferenceWord(model, ((1, a, b),))
+                               for a in range(2) for b in range(2)], sym, grid)
+    coef = np.kron(V1.conj(), V1)                  # [(a, b), (i, j)]
+    cert = min(piece.exact_band for piece in plain)
+    return {(i, j): MatrixSymbol(model, {
+        t: sum(coef[ab, 2 * i + j] * plain[ab].entries[t] for ab in range(4))
+        for t in plain[0].entries}, exact_band=cert)
+        for i in range(2) for j in range(2)}
 
 
-def fundamental_difference(spec: VectorFieldSpec, sym: MatrixSymbol,
-                           i: int, j: int,
-                           grid: Optional[GroupGrid] = None) -> MatrixSymbol:
-    """Difference with the field's rotated fundamental coefficient as factor."""
-    return _rotated_difference(spec.model, sym, spec.unitaries[1], i, j, grid)
+def recursion_residuals(spec: VectorFieldSpec, c: complex, band: int,
+                        grid: Optional[GroupGrid] = None,
+                        blocks: Sequence[int] = (0, 1)
+                        ) -> Dict[int, Dict[str, float]]:
+    """:func:`recursion_residual` for each block ``j`` in ``blocks``, from
+    one inverse symbol whose four plain fundamental differences come from
+    one kernel synthesis and serve every block."""
+    if any(j not in (0, 1) for j in blocks):
+        raise ValueError("j indexes the 2x2 fundamental block: 0 or 1")
+    for shift, tag in [(c, "c")] + [(c + spec.tau[j, j], "c + tau_jj")
+                                    for j in blocks]:
+        dist, bad_label, bad_ev = _nearest_eigenvalue(spec, shift, band + 1)
+        if dist < _SPECTRAL_MARGIN:
+            raise ExceptionalValueError(
+                f"{tag} = {shift} is within {dist:.2e} of eigenvalue "
+                f"{bad_ev} at label {bad_label}")
+    if band + 1 > spec.band:
+        raise GmultError("rebuild the field through at least band + 1")
+    inv = invert_vf_symbol(spec, c, band + 1)
+    diffs = _rotated_differences(spec.model, inv, spec.unitaries[1], grid)
+    off_resid = max(float(np.linalg.norm(diffs[i, 1 - i].get(t)))
+                    for i in range(2) for t in range(band + 1))
+    out = {}
+    for j in blocks:
+        tau_jj = spec.tau[j, j]
+        diag_resid = 0.0
+        for t in range(band + 1):
+            lam, V = spec.eigenvalues(t), spec.unitaries[t]
+            scalars = -tau_jj / ((lam + c) * (lam + c + tau_jj))
+            predicted = (V * scalars[None, :]) @ V.conj().T
+            diag_resid = max(diag_resid, float(np.linalg.norm(
+                diffs[j, j].get(t) - predicted)))
+        out[j] = {"residual": diag_resid, "offdiagonal": off_resid,
+                  "band": float(band), "tau": tau_jj}
+    return out
 
 
 def recursion_residual(spec: VectorFieldSpec, c: complex, j: int,
@@ -193,38 +215,7 @@ def recursion_residual(spec: VectorFieldSpec, c: complex, j: int,
     Also measures the off-diagonal differences, which must vanish.  Returns
     max Hilbert-Schmidt norms over labels <= band.
     """
-    if j not in (0, 1):
-        raise ValueError("j indexes the 2x2 fundamental block: 0 or 1")
-    tau_jj = spec.tau[j, j]
-    for shift, tag in ((c, "c"), (c + tau_jj, "c + tau_jj")):
-        dist, bad_label, bad_ev = _nearest_eigenvalue(spec, shift, band + 1)
-        if dist < _SPECTRAL_MARGIN:
-            raise ExceptionalValueError(
-                f"{tag} = {shift} is within {dist:.2e} of eigenvalue "
-                f"{bad_ev} at label {bad_label}")
-    if band + 1 > spec.band:
-        raise GmultError("rebuild the field through at least band + 1")
-    inv = invert_vf_symbol(spec, c, band + 1)
-    diag_resid = 0.0
-    off_resid = 0.0
-    for i in range(2):
-        for jj in range(2):
-            diff = fundamental_difference(spec, inv, i, jj, grid)
-            for t in range(band + 1):
-                got = diff.get(t)
-                if i == jj:
-                    if jj != j:
-                        continue
-                    lam = spec.eigenvalues(t)
-                    V = spec.unitaries[t]
-                    scalars = -tau_jj / ((lam + c) * (lam + c + tau_jj))
-                    predicted = (V * scalars[None, :]) @ V.conj().T
-                    diag_resid = max(diag_resid,
-                                     float(np.linalg.norm(got - predicted)))
-                else:
-                    off_resid = max(off_resid, float(np.linalg.norm(got)))
-    return {"residual": diag_resid, "offdiagonal": off_resid,
-            "band": float(band), "tau": tau_jj}
+    return recursion_residuals(spec, c, band, grid, blocks=(j,))[j]
 
 
 def verify_s00(spec: VectorFieldSpec, c: complex, band: int,

@@ -2,18 +2,25 @@
 (``random_symbol``, from :mod:`gmult.symbols`).
 
 Also the reference code several test files share: ``op_norm`` (the
-per-block operator norm) and the Euler-chart chain ``wigner_matrix``,
+per-block operator norm), the Euler-chart chain ``wigner_matrix``,
 ``su2_exp``, ``su2_exp_point`` and ``euler_from_su2``, which places group
-points for the five-point-stencil oracle of the frame-field symbols."""
+points for the five-point-stencil oracle of the frame-field symbols, and
+the node-space difference route ``grid_differences`` (with
+``word_samples`` and ``rho_squared_samples``), the oracle of the SU(2)
+phase route and of the torus box slices, and the grid quadrature
+``integrate``."""
 import math
-from typing import Sequence, Tuple
+from typing import Callable, Iterable, Iterator, Optional, Sequence, Tuple
 
 import numpy as np
 import pytest
 from hypothesis import settings
 
+from gmult.grids import GroupFunction, GroupGrid
 from gmult.groups import angular_momentum, model_from_name, wigner_little_d
+from gmult.symbols import DifferenceWord, _difference_grid
 from gmult.symbols import random_symbol  # noqa: F401  (shared by the tests)
+from gmult.transform import fourier_forward, fourier_inverse
 
 _TWO_PI = 2.0 * math.pi
 _FOUR_PI = 4.0 * math.pi
@@ -139,3 +146,56 @@ def su2_exp(coeffs: Sequence[float], t: float = 1.0) -> np.ndarray:
 def su2_exp_point(coeffs: Sequence[float], t: float = 1.0) -> Tuple[float, float, float]:
     """Euler triple of ``exp(t X)``; see :func:`su2_exp`."""
     return euler_from_su2(su2_exp(coeffs, t))
+
+
+# ---------------------------------------------------------------------------
+# Node-space difference route
+# ---------------------------------------------------------------------------
+
+def integrate(grid: GroupGrid, samples: np.ndarray) -> complex:
+    """Quadrature of flattened samples against the grid's Haar weights."""
+    samples = np.asarray(samples).reshape(-1)
+    assert samples.size == grid.node_count, "sample count does not match grid"
+    return complex(np.dot(grid.weights, samples))
+
+
+def rho_squared_samples(grid: GroupGrid) -> np.ndarray:
+    """Samples of the squared pseudo-distance ``rho^2`` at the grid nodes:
+    ``2 - 2 cos t`` at the class angle ``t`` on SU(2), ``2 n - sum_j
+    (e^{2 pi i x_j} + e^{-2 pi i x_j})`` on the torus; clipped at 0."""
+    if grid.model.kind == "su2":
+        P, T, S = np.meshgrid(grid.phis, grid.thetas, grid.psis, indexing="ij")
+        half_trace = np.cos(T / 2.0) * np.cos((P + S) / 2.0)
+        angle = 2.0 * np.arccos(np.clip(half_trace, -1.0, 1.0))
+        vals = (2.0 - 2.0 * np.cos(angle)).reshape(-1)
+    else:
+        terms = 2.0 - 2.0 * np.cos(_TWO_PI * grid.axis)
+        vals = sum(np.meshgrid(*([terms] * grid.model.n), indexing="ij"))
+        vals = vals.reshape(-1)
+    return np.maximum(vals, 0.0)
+
+
+def word_samples(grid: GroupGrid, word: DifferenceWord) -> np.ndarray:
+    """Samples of the word's multiplier ``prod (xi_ij - delta_ij)``."""
+    q = np.ones(grid.node_count, dtype=complex)
+    for lb, i, j in word.factors:
+        q = q * (grid.coefficient_function(lb, i, j) - (1.0 if i == j else 0.0))
+    return q
+
+
+def grid_differences(sym, wband: int, out_band: int,
+                     multipliers: Iterable[Callable[[GroupGrid], np.ndarray]],
+                     grid: Optional[GroupGrid] = None) -> Iterator:
+    """The quadrature route by its definition: synthesize the kernel on a
+    grid exact for the products, multiply it by each multiplier's samples
+    (a function of band <= ``wband`` vanishing at the identity) and
+    transform back through ``out_band``."""
+    grid = _difference_grid(sym, wband, out_band, grid)
+    kernel = fourier_inverse(sym, grid)
+    declared = min(kernel.declared_band + wband, grid.max_label_band)
+    for multiplier in multipliers:
+        product = GroupFunction(grid, kernel.samples * multiplier(grid),
+                                declared)
+        coeffs = fourier_forward(product, band=out_band)
+        coeffs.exact_band = min(sym.exact_band - wband, coeffs.exact_band)
+        yield coeffs

@@ -17,6 +17,7 @@ All invocations but the harness run go through ``cli.main`` in-process.
 
 import json
 import math
+import re
 import subprocess
 import sys
 from collections import Counter
@@ -31,6 +32,7 @@ from gmult.cli import (EXIT_CONFIG, EXIT_FAIL, EXIT_MATH, EXIT_PASS,
                        load_symbol_file, main, parse_complex, parse_ladder,
                        parse_scalar_expression, parse_torus_expression)
 from gmult.errors import GmultError, SymbolFormatError
+from gmult.groups import label_band
 from gmult.symbols import identity_symbol
 
 
@@ -122,7 +124,8 @@ def write_symbol_file(sym, path: str) -> None:
             else int(min(sym.exact_band, sym.support_band)))
     lines = [f"gmult-symbol 1", f"group {sym.model.name}",
              f"band {band}"]
-    for lb in sorted(sym.exact_labels()):
+    for lb in sorted(lb for lb in sym.entries
+                     if label_band(sym.model, lb) <= band):
         mat = np.atleast_2d(sym.entries[lb])
         d = mat.shape[0]
         coords = " ".join(str(int(v)) for v in
@@ -144,7 +147,7 @@ def test_symbol_file_roundtrip(su2, tmp_path, rng):
     back = load_symbol_file(path)
     assert back.model.name == su2.name
     assert back.exact_band == sym.support_band
-    for t in sym.exact_labels():
+    for t in sym.entries:
         assert np.allclose(back.get(t), sym.get(t), atol=0.0)
 
 
@@ -334,6 +337,34 @@ def test_probe_underresolved_grid_band_exits_config(capsys):
     code = main(["probe", "--grid-band", "12"])
     assert code == EXIT_CONFIG
     assert "smallest" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("group", ["torus-1", "torus-2"])
+def test_probe_default_ladder_passes_on_low_dimensional_tori(group, capsys):
+    # the default ladder needs grid bands 402 and 101 here; the probe cap
+    # bounds the samples the cross-check sums, not the band
+    assert main(["probe", "--group", group]) == EXIT_PASS
+    results = json.loads(capsys.readouterr().out)["results"]
+    assert results["mollifier_scaling"]["passed"] is True
+    assert results["grid_cross_check"]["relative_difference"] < 1e-3
+
+
+@pytest.mark.parametrize("argv, exit_code", [
+    (["--group", "su2"], EXIT_PASS),
+    (["--group", "torus-1"], EXIT_PASS),
+    (["--group", "torus-2"], EXIT_PASS),
+    (["--group", "torus-3"], EXIT_PASS),
+    # a coarse scale beyond the torus: the cross-check's own advice (the
+    # huge scales fail the scaling fit, but the band is accepted)
+    (["--group", "torus-2", "--ladder", "400,300,200,100"], EXIT_FAIL),
+])
+def test_probe_accepts_the_grid_band_it_advises(argv, exit_code, capsys):
+    assert main(["probe", *argv, "--grid-band", "3"]) == EXIT_CONFIG
+    advised = re.search(r"band >= (\d+)", capsys.readouterr().err)
+    assert advised is not None
+    assert main(["probe", *argv, "--grid-band", advised.group(1)]) \
+        == exit_code
+    capsys.readouterr()
 
 
 @pytest.mark.parametrize("q", ["one", "rho2", "adcoef"])
@@ -537,30 +568,38 @@ def test_traced_benchmark_run_records_forward_labels(tmp_path):
     forward = [r for r in records if r["name"] == "transform.fourier_forward"]
     assert forward
     assert all(r["labels"] == 9 ** 3 for r in forward)
-    # an SU(2) check makes the same number of transform and little-d table
-    # calls as before the per-label work was batched: speedups come per
-    # call, not from skipping work
+    # an SU(2) check makes no per-word forward transform: each difference
+    # family synthesizes its kernel once and shifts one phase stage per
+    # word.  The 3 forward and 6 of the 8 inverse transforms are the L^p
+    # probe's; the other 2 inverses are the kernels of the order-1 and
+    # order-2 word sup tables
     records = _traced_spans(tmp_path, "check", "--group", "su2", "--band",
                             "8", "--symbol", "riesz:D3", "--checker",
                             "mikhlin")
     counts = Counter(r["name"] for r in records)
-    assert counts["transform.fourier_forward"] == 57
+    assert counts["symbols.word_sup_table"] == 3
+    assert counts["checkers.empirical_lp_ratio"] == 1
+    assert counts["transform.fourier_forward"] == 3
     assert counts["transform.fourier_inverse"] == 8
-    assert counts["grids.GroupGrid.little_d"] == 602
+    assert counts["grids.GroupGrid.little_d"] == 224
 
 
 def test_traced_probes_skip_the_sampled_grid(tmp_path):
     # the grid cross-check sums the profile over the symmetry-reduced node
-    # set, so no run samples rho^2 on the whole grid; the su2 probe takes
-    # the coefficients of psi_r once per scale for each of its two
-    # fine-scale probes
+    # set, so no run samples a function on the whole grid (no transform)
+    # or builds a Wigner table on it; the su2 probe takes the coefficients
+    # of psi_r once per scale for each of its two fine-scale probes
+    sampled = ("transform.fourier_forward", "transform.fourier_inverse",
+               "grids.GroupGrid.little_d")
     records = _traced_spans(tmp_path, "probe", "--group", "su2")
     counts = Counter(r["name"] for r in records)
-    assert counts["grids.rho_squared_samples"] == 0
+    assert [counts[name] for name in sampled] == [0, 0, 0]
+    assert counts["grids.build_grid"] == 1
     assert counts["mollifier.grid_normalizer"] == 1
     assert counts["mollifier.psi_hat_coefficients"] == 12
     records = _traced_spans(tmp_path, "probe", "--group", "torus-3",
                             "--ladder", "4:9")
     counts = Counter(r["name"] for r in records)
-    assert counts["grids.rho_squared_samples"] == 0
+    assert [counts[name] for name in sampled] == [0, 0, 0]
+    assert counts["grids.build_grid"] == 1
     assert counts["mollifier.grid_normalizer"] == 1

@@ -3,14 +3,15 @@ import numpy as np
 import pytest
 
 from gmult.errors import BandOverflowError
-from gmult.grids import build_grid, rho_squared_samples
+from gmult.grids import build_grid
 from gmult.groups import irrep_dimension, labels_up_to
+from conftest import integrate, rho_squared_samples
 
 
 def test_haar_normalization(su2, torus3):
     for model, band in ((su2, 6), (torus3, 4)):
         grid = build_grid(model, band)
-        assert grid.integrate(np.ones(grid.node_count)) == pytest.approx(
+        assert integrate(grid, np.ones(grid.node_count)) == pytest.approx(
             1.0, abs=1e-13)
         assert np.all(grid.weights > 0)
         assert grid.weights.shape == (grid.node_count,)
@@ -35,7 +36,7 @@ def test_character_orthogonality_on_grid(su2):
         chars[t] = samples
     for ta in range(7):
         for tb in range(7):
-            val = grid.integrate(chars[ta] * np.conj(chars[tb]))
+            val = integrate(grid, chars[ta] * np.conj(chars[tb]))
             assert val == pytest.approx(1.0 if ta == tb else 0.0, abs=1e-11)
 
 
@@ -49,7 +50,7 @@ def test_schur_orthogonality_small(su2):
         for (i, j), f in fns.items():
             for (k, l), h in fns.items():
                 want = (1.0 / d) if (i, j) == (k, l) else 0.0
-                assert grid.integrate(f * np.conj(h)) == pytest.approx(
+                assert integrate(grid, f * np.conj(h)) == pytest.approx(
                     want, abs=1e-12)
 
 
@@ -57,18 +58,18 @@ def test_cross_label_orthogonality(su2):
     grid = build_grid(su2, 4)
     f = grid.coefficient_function(2, 0, 1)
     h = grid.coefficient_function(4, 1, 1)
-    assert grid.integrate(f * np.conj(h)) == pytest.approx(0.0, abs=1e-12)
+    assert integrate(grid, f * np.conj(h)) == pytest.approx(0.0, abs=1e-12)
 
 
 def test_torus_characters(torus3):
     grid = build_grid(torus3, 3)
     e100 = grid.coefficient_function((1, 0, 0))
     e111 = grid.coefficient_function((1, 1, 1))
-    assert grid.integrate(e100 * np.conj(e100)) == pytest.approx(1.0,
+    assert integrate(grid, e100 * np.conj(e100)) == pytest.approx(1.0,
                                                                  abs=1e-13)
-    assert grid.integrate(e100 * np.conj(e111)) == pytest.approx(0.0,
+    assert integrate(grid, e100 * np.conj(e111)) == pytest.approx(0.0,
                                                                  abs=1e-13)
-    assert grid.integrate(e100) == pytest.approx(0.0, abs=1e-13)
+    assert integrate(grid, e100) == pytest.approx(0.0, abs=1e-13)
 
 
 def test_distance_squared_range(su2, torus3):
@@ -85,8 +86,10 @@ def test_little_d_grid_consistency(su2):
     grid = build_grid(su2, 4)
     table = grid.little_d(3)
     # table is indexed by the theta nodes of the grid
-    thetas = np.unique(grid.nodes[:, 1])
+    thetas = grid.thetas
     assert table.shape[0] == len(thetas)
+    ref = wigner_little_d(3, float(thetas[1]))
+    assert np.allclose(table[1], ref, atol=1e-12)
     ref = wigner_little_d(3, float(thetas[2]))
     assert np.allclose(table[2], ref, atol=1e-12)
 

@@ -18,7 +18,7 @@ from hypothesis import given, settings, strategies as st
 
 from gmult.central import laplace_central
 from gmult.errors import BandOverflowError, GmultError, UnderResolvedError
-from gmult.grids import GroupFunction, GroupGrid, rho_squared_samples
+from gmult.grids import GroupFunction, GroupGrid
 from gmult.groups import (GroupModel, irrep_dimension, japanese_bracket,
                           labels_up_to, model_from_name)
 from gmult.mollifier import (_adaptive_band, _axis_spacing, _cz_norm_sq,
@@ -37,7 +37,7 @@ from gmult.symbols import (DifferenceWord, MatrixSymbol, apply_difference,
                            default_grid, laplace_difference, symbol_product)
 from gmult.transform import fourier_forward, plancherel_norm, sobolev_norm
 
-from conftest import op_norm
+from conftest import integrate, op_norm, rho_squared_samples
 
 
 # ---------------------------------------------------------------------------
@@ -146,7 +146,7 @@ def build_phi_r(model: GroupModel, grid: GroupGrid, r: float,
             f"or rebuild the grid with band >= "
             f"{required_mollifier_band(model, r, min_nodes)}")
     raw = profile(np.sqrt(np.maximum(rho_squared_samples(grid), 0.0)) / R)
-    mass = float(np.real(grid.integrate(raw)))
+    mass = float(np.real(integrate(grid, raw)))
     if mass <= 0:
         raise GmultError("mollifier samples have nonpositive mass")
     c_r = 1.0 / mass
@@ -157,7 +157,7 @@ def test_build_phi_r_normalized(su2, torus3):
     for model, band, r in ((su2, 20, 2.0), (torus3, 25, 1.0)):
         grid = default_grid(model, band)
         phi, c_r = build_phi_r(model, grid, r)
-        total = grid.integrate(phi.samples)
+        total = integrate(grid, phi.samples)
         assert total == pytest.approx(1.0, rel=1e-12)
         assert c_r == pytest.approx(mollifier_normalizer(model, r), rel=5e-3)
 
@@ -217,7 +217,7 @@ def test_build_psi_r_is_dyadic_difference(su2):
     phi_half, _ = build_phi_r(su2, grid, 1.0)
     assert np.allclose(psi.samples, phi_r.samples - phi_half.samples,
                        atol=1e-12)
-    assert abs(grid.integrate(psi.samples)) < 1e-12
+    assert abs(integrate(grid, psi.samples)) < 1e-12
 
 
 # ---------------------------------------------------------------------------

@@ -6,19 +6,24 @@ from typing import Optional
 import numpy as np
 import pytest
 
+from gmult import symbols
 from gmult.errors import BandOverflowError
-from gmult.grids import GroupGrid, rho_squared_samples
+from gmult.grids import GroupGrid
 from gmult.groups import irrep_dimension, labels_up_to, model_from_name
 from gmult.symbols import (DifferenceWord, MatrixSymbol, TorusSymbol,
-                           apply_difference, default_grid,
+                           apply_difference, apply_differences,
+                           default_grid,
                            difference_generators,
                            generator_words, identity_symbol,
                            laplace_difference, laplace_leibniz_residual,
                            leibniz_residual, quantize_apply, symbol_add,
-                           symbol_product, symbol_scale, vector_field_symbol)
-from gmult.symbols import _grid_differences, _word_samples, resize_box
+                           symbol_product, symbol_scale, vector_field_symbol,
+                           word_sup_table)
+from gmult.symbols import resize_box
 from gmult.transform import fourier_forward, fourier_inverse
-from conftest import op_norm, random_symbol, su2_exp_point, wigner_matrix
+from conftest import (grid_differences, op_norm, random_symbol,
+                      rho_squared_samples, su2_exp_point, wigner_matrix,
+                      word_samples)
 
 
 def test_symbol_algebra(su2, rng):
@@ -41,8 +46,8 @@ def test_identity_symbol_and_op_norm(su2):
 
 @pytest.mark.parametrize("hs", [False, True])
 def test_matrix_symbol_norms_match_per_block(su2, rng, hs):
-    # the batched, zero-padded stacks against one norm per block: sparse
-    # labels (runs span gaps), a band beyond the support, label 0 alone
+    # the label table against one reference norm per block: sparse labels,
+    # a band beyond the support, label 0 alone
     sparse = {t: rng.standard_normal((t + 1, t + 1))
               + 1j * rng.standard_normal((t + 1, t + 1))
               for t in (0, 1, 3, 4, 7, 9, 10, 11, 12, 13, 14, 15, 16, 17, 18, 22)}
@@ -80,8 +85,8 @@ def test_torus_difference_shift(torus3):
     word = DifferenceWord(torus3, (((1, 0, 0), 0, 0),))
     out = apply_difference(word, sym)
     moved = (3, 0, -1)
-    assert out.scalar(moved) == pytest.approx(1.0)
-    assert out.scalar(k) == pytest.approx(-1.0)
+    assert out.get(moved)[0, 0] == pytest.approx(1.0)
+    assert out.get(k)[0, 0] == pytest.approx(-1.0)
 
 
 @pytest.mark.parametrize("name", ["torus-2", "torus-3"])
@@ -91,16 +96,59 @@ def test_torus_box_routes_match_grid_oracle(name, exact, rng):
     model = model_from_name(name)
     sym = random_symbol(model, 4, rng, exact_band=exact)
     cases = [(apply_difference(w, sym), w.band_sum,
-              partial(_word_samples, word=w))
+              partial(word_samples, word=w))
              for w in generator_words(model, 1) + generator_words(model, 2)]
     cases.append((laplace_difference(sym), 1, rho_squared_samples))
     for got, wband, multiplier in cases:
         assert got.exact_band == exact - wband
-        want = next(_grid_differences(sym, wband, sym.support_band + wband,
+        want = next(grid_differences(sym, wband, sym.support_band + wband,
                                       [multiplier]))
         cap = int(min(got.radius, got.exact_band))
         assert np.max(np.abs(resize_box(got.table, cap)
                              - resize_box(want.table, cap))) < 1e-12
+
+
+@pytest.mark.parametrize("band", [0, 1, 4, 12])
+@pytest.mark.parametrize("exact", [np.inf, "band"])
+def test_su2_phase_route_matches_node_space_oracle(su2, band, exact, rng):
+    # the phase-domain shifts against the node-space route (multiply the
+    # kernel samples, transform back), on every stored label: all order-1
+    # and order-2 adjoint words, the four fundamental words and rho^2
+    sym = random_symbol(su2, band, rng,
+                        exact_band=band if exact == "band" else np.inf)
+    cases = [(laplace_difference(sym), 2, rho_squared_samples)]
+    fundamental = [DifferenceWord(su2, ((1, a, b),)) for a in range(2)
+                   for b in range(2)]
+    for words in (generator_words(su2, 1), generator_words(su2, 2),
+                  fundamental):
+        # the words of one band share a kernel
+        cases += [(got, w.band_sum, partial(word_samples, word=w))
+                  for w, got in zip(words, apply_differences(words, sym))]
+    for got, wband, multiplier in cases:
+        want = next(grid_differences(sym, wband, sym.support_band + wband,
+                                     [multiplier]))
+        assert got.exact_band == want.exact_band
+        assert sorted(got.entries) == sorted(want.entries)
+        scale = max(np.abs(m).max() for m in want.entries.values())
+        for t, mat in want.entries.items():
+            assert np.abs(got.entries[t] - mat).max() <= 1e-12 * scale
+
+
+@pytest.mark.parametrize("stack_entries", [None, 1])
+def test_su2_word_sup_table_matches_node_space_oracle(su2, rng, stack_entries,
+                                                      monkeypatch):
+    # all words in one stack, and one word per chunk
+    if stack_entries is not None:
+        monkeypatch.setattr(symbols, "_STACK_ENTRIES", stack_entries)
+    sym = random_symbol(su2, 12, rng, exact_band=12)
+    for order in (1, 2):
+        words = generator_words(su2, order)
+        band = 12 - 2 * order
+        got = word_sup_table(sym, order, band)
+        want = np.max([d.norms(band) for d in grid_differences(
+            sym, 2 * order, band, [partial(word_samples, word=w)
+                                   for w in words])], axis=0)
+        assert np.abs(got - want).max() <= 1e-12 * want.max()
 
 
 def laplace_decomposition_residual(sym, grid: Optional[GroupGrid] = None) -> float:
@@ -134,7 +182,7 @@ def test_difference_of_identity_vanishes(torus3, su2, rng):
     ident_t = identity_symbol(torus3, 3)
     out = apply_difference(word_t, ident_t)
     for lb in labels_up_to(torus3, 2):
-        assert abs(out.scalar(lb)) < 1e-13
+        assert abs(out.get(lb)[0, 0]) < 1e-13
 
     ident_s = identity_symbol(su2, 8)
     word_s = DifferenceWord(su2, ((2, 0, 1),))

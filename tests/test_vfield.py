@@ -10,7 +10,7 @@ from gmult.errors import ExceptionalValueError, GmultError
 from gmult.groups import GroupModel, labels_up_to, model_from_name
 from gmult.symbols import (MatrixSymbol, identity_symbol, symbol_add,
                            symbol_product)
-from gmult.vfield import (VectorFieldSpec, _rotated_difference, build_field,
+from gmult.vfield import (VectorFieldSpec, _rotated_differences, build_field,
                           exceptional_set, invert_vf_symbol,
                           recursion_residual, verify_s00)
 
@@ -40,9 +40,10 @@ def _measure_tau(model: GroupModel, sym: MatrixSymbol, V1: np.ndarray,
     if labels is None:
         labels = list(range(min(4, small.support_band - 1) + 1))
     out = np.zeros((2, 2), dtype=complex)
+    diffs = _rotated_differences(model, small, V1)
     for i in range(2):
         for j in range(2):
-            diff = _rotated_difference(model, small, V1, i, j)
+            diff = diffs[i, j]
             consts = []
             for t in labels:
                 mat = diff.get(t)
