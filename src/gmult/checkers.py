@@ -223,10 +223,12 @@ def check_mikhlin(sym, band: int, kappa: Optional[int] = None,
 
 def _laplace_power_constants(sym, power: int, weight: float, band: int,
                              grid: Optional[GroupGrid]) -> Tuple[float, float]:
-    """(full, half) sups of ``<xi>^weight ||A^power sigma(xi)||_op``."""
+    """(full, half) sups of ``<xi>^weight ||A^power sigma(xi)||_op``; the
+    last application computes only the labels through ``band``, which on
+    SU(2) puts it on the grid of the order-1 words."""
     cur = sym
-    for _ in range(power):
-        cur = laplace_difference(cur, grid)
+    for k in range(power):
+        cur = laplace_difference(cur, grid, band if k == power - 1 else None)
     if band > cur.exact_band:
         raise BandOverflowError(
             f"label band {band} beyond the laplace certificate "

@@ -35,6 +35,7 @@ import numpy as np
 from . import __version__
 from .errors import (BandOverflowError, ExceptionalValueError, GmultError,
                      SymbolFormatError, UnderResolvedError)
+from .grids import _required_grid_band
 from .groups import GroupModel, irrep_dimension, model_from_name
 from .symbols import (MatrixSymbol, TorusSymbol, default_grid,
                       identity_symbol, random_symbol, symbol_add,
@@ -683,7 +684,10 @@ def _selftest_one(model: GroupModel, band: int, seed: int
                   ) -> Dict[str, object]:
     sym = random_symbol(model, band, np.random.default_rng(seed),
                         exact_band=band)
-    f = fourier_inverse(sym, default_grid(model, band))
+    # the smallest grid exact for the pair: it represents the labels and
+    # integrates their products (total band 2 band) exactly
+    grid = default_grid(model, max(1, _required_grid_band(model, band)))
+    f = fourier_inverse(sym, grid)
     back = fourier_forward(f, band=band)
     roundtrip = math.sqrt(symbol_add(back, sym, beta=-1.0).energy(band)
                           / sym.energy(band))

@@ -44,7 +44,7 @@ from typing import Dict, Iterator, List, Optional, Sequence, Tuple
 import numpy as np
 
 from .errors import BandOverflowError
-from .grids import GroupFunction, GroupGrid, build_grid
+from .grids import GroupFunction, GroupGrid, _required_grid_band, build_grid
 from .groups import (GroupModel, IrrepLabel, angular_momentum, irrep_dimension,
                      label_band, labels_up_to, validate_label)
 
@@ -52,6 +52,10 @@ _GRID_CACHE: Dict[Tuple[str, int, int], GroupGrid] = {}
 #: Complex entries of the word stacks :func:`word_sup_table` holds at once
 #: (one chunk of words of the SU(2) phase route).
 _STACK_ENTRIES = 1 << 20
+#: Relative slack on the bound ``||B||_2 <= ||B||_F`` when it prunes an
+#: SVD: the two norms round differently, and a block of rank one has them
+#: equal.  Far above the rounding of either, far below any gap that matters.
+_FRO_SLACK = 1.0 + 1e-10
 
 
 def default_grid(model: GroupModel, band: int) -> GroupGrid:
@@ -382,23 +386,22 @@ def _phase_weights(grid: GroupGrid, combination) -> Dict:
     return out
 
 
-def required_difference_band(model: GroupModel, kernel_band: int, out_band: int) -> int:
-    """Smallest grid band that represents labels up to ``out_band`` and makes
-    the forward transform exact there for a kernel of the given band."""
-    total = kernel_band + out_band
-    if model.kind == "su2":
-        return max(1, (total + 3) // 4, (out_band + 1) // 2)
-    return max(1, (total + 1) // 2, out_band)
-
-
 def _difference_grid(sym, wband: int, out_band: int,
                      grid: Optional[GroupGrid]) -> GroupGrid:
+    """The grid of a difference of word band ``wband`` read through
+    ``out_band``.  It must represent the symbol's labels, so that the
+    kernel can be synthesized, and the labels up to ``out_band``, and
+    integrate exactly the forward products of the kernel times the
+    multiplier there.  Default: the smallest such grid, cached; a given
+    ``grid`` that falls short raises BandOverflowError."""
     model = sym.model
-    kernel_band = sym.support_band + wband
-    needed = required_difference_band(model, kernel_band, out_band)
+    reach = max(sym.support_band, out_band)
+    total = sym.support_band + wband + out_band
+    needed = max(1, _required_grid_band(model, reach),
+                 (total + 3) // 4 if model.kind == "su2" else (total + 1) // 2)
     if grid is None:
         return default_grid(model, needed)
-    if grid.max_label_band < out_band or grid.exact_total_band < kernel_band + out_band:
+    if grid.max_label_band < reach or grid.exact_total_band < total:
         raise BandOverflowError(
             f"grid band {grid.band} too small for a difference of word band {wband} "
             f"on a symbol of support band {sym.support_band}; need band >= {needed}")
@@ -439,24 +442,26 @@ def _shifted_sums(grid: GroupGrid, planes, weights: Sequence[Dict],
 
 
 def _su2_differences(sym: MatrixSymbol, wband: int,
-                     combinations: Sequence, grid: Optional[GroupGrid]
-                     ) -> List[MatrixSymbol]:
+                     combinations: Sequence, grid: Optional[GroupGrid],
+                     band: Optional[int] = None) -> List[MatrixSymbol]:
     """The SU(2) difference route: the products of one kernel with each
     multiplier (a combination for :func:`_phase_weights` of band
     ``wband``, vanishing at the identity), from one phase stage and one
-    theta quadrature against the Wigner tables.  The certificate is the
-    symbol's, derated by ``wband``, capped by the grid's exactness for the
-    product kernel."""
+    theta quadrature against the Wigner tables, at the labels through
+    ``band`` (default: all, through ``support_band + wband``).  The
+    certificate is the symbol's, derated by ``wband``, capped by the grid's
+    exactness for the product kernel and by ``band`` when it cuts labels
+    off."""
     from . import transform
 
-    out_band = sym.support_band + wband
+    full = sym.support_band + wband
+    out_band = full if band is None else min(band, full)
     grid, planes = _kernel_planes(sym, wband, out_band, grid)
     stacks = _shifted_sums(grid, planes, [_phase_weights(grid, c)
                                           for c in combinations], out_band)
     blocks = dict(transform._su2_theta_sums(grid, stacks, range(out_band + 1)))
-    declared = min(out_band, grid.max_label_band)
-    cert = min(sym.exact_band - wband, grid.max_label_band,
-               grid.exact_total_band - declared)
+    cert = min(sym.exact_band - wband, grid.exact_total_band - full,
+               grid.max_label_band if out_band == full else out_band)
     return [MatrixSymbol(sym.model, {t: b[w] for t, b in blocks.items()}, cert)
             for w in range(len(combinations))]
 
@@ -520,13 +525,16 @@ def apply_differences(words: Sequence[DifferenceWord], sym,
                             [[(1.0, word.factors)] for word in words], grid)
 
 
-def laplace_difference(sym, grid: Optional[GroupGrid] = None):
+def laplace_difference(sym, grid: Optional[GroupGrid] = None,
+                       band: Optional[int] = None):
     """The second-order difference operator driven by ``rho^2``.
 
     Torus: ``2 n sigma(k) - sum_j (sigma(k + e_j) + sigma(k - e_j))`` on the
-    box.  SU(2): the phase-domain route with ``rho^2 = 3 - trace Ad``.  The
-    exactness certificate drops by the band of ``rho^2`` (2 on SU(2), 1 on
-    the torus).
+    box.  SU(2): the phase-domain route with ``rho^2 = 3 - trace Ad``, at
+    the labels through ``band`` (default: every label the result reaches);
+    the torus box is a few slices and always comes whole.  The exactness
+    certificate drops by the band of ``rho^2`` (2 on SU(2), 1 on the
+    torus), and on SU(2) to ``band`` when that cuts labels off.
     """
     model = sym.model
     if model.kind == "torus":
@@ -535,7 +543,7 @@ def laplace_difference(sym, grid: Optional[GroupGrid] = None):
     # rho^2 = sum_i (1 - xi0_ii) over the first shell
     rho2 = [(-1.0, ((lb, i, i),)) for lb in model.delta0
             for i in range(irrep_dimension(model, lb))]
-    return _su2_differences(sym, 2, [rho2], grid)[0]
+    return _su2_differences(sym, 2, [rho2], grid, band)[0]
 
 
 # ---------------------------------------------------------------------------
@@ -566,6 +574,17 @@ def _expand_product_terms(word: DifferenceWord):
     return terms
 
 
+def _differences_of(sym, factor_sets, grid: Optional[GroupGrid]) -> Dict:
+    """``{factors: D^factors sym}``, one :func:`apply_differences` call per
+    total band, so words of one band share a kernel."""
+    by_band: Dict[int, List[DifferenceWord]] = {}
+    for factors in sorted(factor_sets):
+        word = DifferenceWord(sym.model, factors)
+        by_band.setdefault(word.band_sum, []).append(word)
+    return {word.factors: diff for words in by_band.values()
+            for word, diff in zip(words, apply_differences(words, sym, grid))}
+
+
 def leibniz_residual(word: DifferenceWord, sym: MatrixSymbol, tau: MatrixSymbol,
                      grid: Optional[GroupGrid] = None) -> float:
     """Max deviation (HS norm) of the product rule for a difference word.
@@ -577,21 +596,13 @@ def leibniz_residual(word: DifferenceWord, sym: MatrixSymbol, tau: MatrixSymbol,
     """
     if word.order == 0:
         return 0.0
-    prod = symbol_product(sym, tau)
-    lhs = apply_difference(word, prod, grid)
+    lhs = apply_difference(word, symbol_product(sym, tau), grid)
     terms = _expand_product_terms(word)
-    cache_s: Dict[Tuple, MatrixSymbol] = {}
-    cache_t: Dict[Tuple, MatrixSymbol] = {}
-
-    def diff_of(base: MatrixSymbol, factors, cache):
-        if factors not in cache:
-            cache[factors] = apply_difference(DifferenceWord(word.model, factors),
-                                              base, grid)
-        return cache[factors]
-
+    on_sym = _differences_of(sym, {left for left, _ in terms}, grid)
+    on_tau = _differences_of(tau, {right for _, right in terms}, grid)
     rhs: Optional[MatrixSymbol] = None
     for left, right in terms:
-        piece = symbol_product(diff_of(sym, left, cache_s), diff_of(tau, right, cache_t))
+        piece = symbol_product(on_sym[left], on_tau[right])
         rhs = piece if rhs is None else symbol_add(rhs, piece)
     return _residual_norm(symbol_add(lhs, rhs, beta=-1.0),
                           min(sym.exact_band, tau.exact_band))
@@ -652,6 +663,22 @@ def word_sup_table(sym, order: int, band: int,
         stacks = _shifted_sums(grid, planes, weights[lo:lo + step], band)
         for t, blocks in transform._su2_theta_sums(grid, stacks,
                                                    range(band + 1)):
-            best[t] = max(best[t],
-                          np.linalg.norm(blocks, 2, axis=(1, 2)).max())
+            best[t] = _op_norm_sup(blocks, best[t])
+    return best
+
+
+def _op_norm_sup(blocks: np.ndarray, floor: float) -> float:
+    """``max(floor, max_k ||blocks[k]||_2)``, bit for bit, with an SVD only
+    for the blocks that can raise it: one for the block of largest
+    Frobenius norm, then one batch for those whose Frobenius norm still
+    exceeds the best value so far (``||B||_2 <= ||B||_F``)."""
+    fro = np.linalg.norm(blocks, axis=(1, 2)) * _FRO_SLACK
+    top = int(fro.argmax())
+    if fro[top] <= floor:
+        return floor
+    best = max(floor, np.linalg.norm(blocks[top], 2))
+    rest = fro > best
+    rest[top] = False
+    if rest.any():
+        best = max(best, np.linalg.norm(blocks[rest], 2, axis=(1, 2)).max())
     return best

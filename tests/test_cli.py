@@ -273,6 +273,37 @@ def test_selftest_passes(capsys):
     assert report["command"] == "fourier-selftest"
 
 
+@pytest.mark.parametrize("group", ["su2", "torus-3"])
+def test_selftest_at_band_zero_passes(group, capsys):
+    assert main(["fourier-selftest", "--group", group,
+                 "--band", "0"]) == EXIT_PASS
+    report = json.loads(capsys.readouterr().out)
+    assert report["results"][group]["passed"] is True
+
+
+def _riesz_order0_constant(band: int) -> float:
+    """Largest operator norm of the unit-field Riesz symbol through
+    ``band``: ``(t/2) / sqrt((t/2)(t/2 + 1))``, increasing in ``t``."""
+    return math.sqrt(band / (band + 2))
+
+
+@pytest.mark.parametrize("checker", ["mikhlin", "refined"])
+def test_su2_check_runs_at_odd_bands(checker, capsys):
+    # at an odd band the symbol (band + 4) reaches one label past the
+    # grid the words alone need, so the grid must fit the kernel too
+    order1 = {}
+    for band in (7, 8, 9):
+        code = main(["check", "--group", "su2", "--band", str(band),
+                     "--symbol", "riesz:D3", "--checker", checker])
+        assert code != EXIT_CONFIG
+        consts = {c["name"]: c["constant"] for c in _conditions(capsys)}
+        assert consts["order-0"] == pytest.approx(
+            _riesz_order0_constant(band), rel=0.0, abs=1e-12)
+        order1[band] = consts["order-1"]
+    assert order1[7] == pytest.approx(order1[8], rel=0.0, abs=1e-12)
+    assert order1[9] == pytest.approx(order1[8], rel=0.0, abs=1e-12)
+
+
 def test_check_refined_passes(capsys):
     code = main(["check", "--group", "su2", "--band", "12",
                  "--symbol", "riesz:D3", "--checker", "refined"])
@@ -582,6 +613,22 @@ def test_traced_benchmark_run_records_forward_labels(tmp_path):
     assert counts["transform.fourier_forward"] == 3
     assert counts["transform.fourier_inverse"] == 8
     assert counts["grids.GroupGrid.little_d"] == 224
+
+
+def test_traced_runs_build_the_smallest_grids(tmp_path):
+    # the self-test of a band-8 symbol runs on the band-4 grid (labels up
+    # to 8, products up to 16 exact): 9 phi x 5 theta x 18 psi nodes
+    records = _traced_spans(tmp_path, "fourier-selftest", "--group", "su2",
+                            "--band", "8")
+    grids = [r for r in records if r["name"] == "grids.build_grid"]
+    assert [r["nodes"] for r in grids] == [9 * 5 * 18]
+    # the refined check reads rho^2 through its band on the grid of the
+    # order-1 words
+    records = _traced_spans(tmp_path, "check", "--group", "su2", "--band",
+                            "8", "--symbol", "riesz:D3", "--checker",
+                            "refined")
+    counts = Counter(r["name"] for r in records)
+    assert counts["grids.build_grid"] == 1
 
 
 def test_traced_probes_skip_the_sampled_grid(tmp_path):

@@ -151,6 +151,65 @@ def test_su2_word_sup_table_matches_node_space_oracle(su2, rng, stack_entries,
         assert np.abs(got - want).max() <= 1e-12 * want.max()
 
 
+def test_pruned_operator_norm_sup_is_the_stacked_norm_bitwise(rng):
+    # the sup over a label's words against the norm of every block:
+    # random stacks of several sizes; rank-one blocks, whose computed
+    # operator norm can round above their computed Frobenius norm; tied
+    # Frobenius norms; a zero stack; floors below, between and above the
+    # blocks' norms, and at each block's Frobenius norm
+    def gaussian(*shape):
+        return rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+
+    stacks = [gaussian(n, d, d) for n, d in ((40, 1), (30, 3), (12, 17))]
+    rank_one = gaussian(60, 4)[:, :, None] * gaussian(60, 4)[:, None, :]
+    stacks += [rank_one] + [rank_one[k:k + 1] for k in range(60)]
+    tied = np.array([[[1, 1], [1, -1]], [[1, 1], [1, 1]], [[1, 1], [1, 1]],
+                     [[1, -1], [1, 1]]], dtype=complex)
+    stacks += [tied, 0.5 * tied, np.zeros((5, 3, 3), dtype=complex)]
+    for blocks in stacks:
+        norms = np.linalg.norm(blocks, 2, axis=(1, 2))
+        floors = [0.0, float(np.median(norms)), 2.0 * norms.max() + 1.0]
+        floors += list(np.linalg.norm(blocks, axis=(1, 2)))
+        for floor in floors:
+            want = max(floor, norms.max())
+            assert symbols._op_norm_sup(blocks, floor) == want
+
+
+def test_su2_laplace_through_a_band_matches_the_full_route(su2, rng):
+    # the labels through the band on the order-1 words' grid against every
+    # label on the grid the full result needs
+    sym = random_symbol(su2, 12, rng, exact_band=12)
+    full = laplace_difference(sym)
+    cut = laplace_difference(sym, band=8)
+    assert sorted(cut.entries) == list(range(9))
+    assert cut.exact_band == 8
+    scale = max(np.abs(m).max() for m in full.entries.values())
+    for t in range(9):
+        assert np.abs(cut.get(t) - full.get(t)).max() <= 1e-12 * scale
+
+
+@pytest.mark.parametrize("order, kernels", [(1, 3), (2, 5)])
+def test_leibniz_residual_shares_kernels(su2, rng, monkeypatch, order,
+                                         kernels):
+    # one kernel for the product, and one per symbol and word band: the
+    # differences on sigma and tau come from apply_differences
+    from gmult import transform
+
+    calls = []
+    inverse = transform.fourier_inverse
+
+    def counted(sym, grid):
+        calls.append(sym)
+        return inverse(sym, grid)
+
+    monkeypatch.setattr(transform, "fourier_inverse", counted)
+    a = random_symbol(su2, 4, rng)
+    b = random_symbol(su2, 4, rng)
+    word = generator_words(su2, order)[-1]
+    assert leibniz_residual(word, a, b, default_grid(su2, 8)) < 1e-10
+    assert len(calls) == kernels
+
+
 def laplace_decomposition_residual(sym, grid: Optional[GroupGrid] = None) -> float:
     """Residual of the first-shell decomposition of the rho^2 operator:
     ``laplace(sigma) + sum_{xi0 in delta0} sum_i xi0 D_ii sigma = 0``."""
