@@ -25,7 +25,7 @@ from typing import Callable, Dict, List, Optional, Tuple
 import numpy as np
 
 from .errors import BandOverflowError, GmultError
-from .groups import GroupModel, bracket_powers, label_bands, label_box
+from .groups import GroupModel, bracket_powers, label_box
 from .grids import GroupGrid, build_grid
 from .symbols import (DifferenceWord, TorusSymbol, apply_difference,
                       laplace_difference, quantize_apply, random_symbol,
@@ -175,8 +175,14 @@ def _range_description(model: GroupModel, band: int) -> str:
 def _nested_sups(model: GroupModel, values: np.ndarray,
                  band: int) -> Tuple[float, float]:
     """(full, half) sups of a label table through ``band`` and over its
-    nested half range."""
-    half = values[label_bands(model, band) <= band // 2]
+    nested half range: twice-spins through ``(band + 1) // 2`` on SU(2),
+    so that an odd band's half range reaches its middle label, and the
+    central box ``|k|_inf <= band // 2`` on the torus."""
+    if model.kind == "su2":
+        half = values[:(band + 1) // 2 + 1]
+    else:
+        h = band // 2
+        half = values[(slice(band - h, band + h + 1),) * model.n]
     return float(values.max()), float(half.max())
 
 

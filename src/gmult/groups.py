@@ -30,7 +30,6 @@ from __future__ import annotations
 import math
 import re
 from dataclasses import dataclass, field
-from functools import reduce
 from itertools import product
 from typing import Iterator, List, Sequence, Tuple, Union
 
@@ -170,18 +169,11 @@ def label_box(n: int, band: int) -> List[np.ndarray]:
                        sparse=True)
 
 
-def label_bands(model: GroupModel, band: int) -> np.ndarray:
-    """Band of every label through ``band``, laid out as a *label table*:
-    index ``t`` on SU(2); on the torus the box ``|k|_inf <= band`` with the
-    origin at its centre (the order of :func:`labels_up_to`).  Per-label
-    quantities such as block norms and weights share this layout."""
-    if model.kind == "su2":
-        return np.arange(band + 1)
-    return reduce(np.maximum, (np.abs(a) for a in label_box(model.n, band)))
-
-
 def bracket_powers(model: GroupModel, band: int, exponent: float) -> np.ndarray:
-    """``<xi>^exponent`` at every label through ``band``, as a label table."""
+    """``<xi>^exponent`` at every label through ``band``, as a *label
+    table*: index ``t`` on SU(2); on the torus the box ``|k|_inf <= band``
+    with the origin at its centre (the order of :func:`labels_up_to`).
+    Per-label quantities such as block norms share this layout."""
     if model.kind == "su2":
         # one label at a time: numpy's vectorized power may round the last
         # bit differently from the scalar weights used elsewhere

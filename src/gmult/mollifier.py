@@ -35,6 +35,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import partial
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
@@ -632,20 +633,17 @@ def negative_sobolev_decay(model: GroupModel, q: str = "rho2", s: float = 0.0,
 # Second-difference scaling probe
 # ---------------------------------------------------------------------------
 
-def _symbol_diagonals(sym: MatrixSymbol, band: int,
-                      tol: float = 1e-12) -> Dict[int, np.ndarray]:
-    """Diagonal entries of a (required diagonal) symbol through ``band``."""
-    diags: Dict[int, np.ndarray] = {}
-    for t in range(band + 1):
-        mat = sym.get(t)
-        off = float(np.max(np.abs(mat - np.diag(np.diag(mat)))))
-        scale = max(float(np.max(np.abs(mat))), 1.0)
-        if off > tol * scale:
-            raise GmultError(
-                "the scaling probe's fast path needs a diagonal symbol; "
-                f"label {t} has off-diagonal mass {off:.3g}")
-        diags[t] = np.diag(mat).astype(complex)
-    return diags
+def _symbol_diagonal(sym: MatrixSymbol, t: int,
+                     tol: float = 1e-12) -> np.ndarray:
+    """Diagonal entries at label ``t`` of a (required diagonal) symbol."""
+    mat = sym.get(t)
+    off = float(np.max(np.abs(mat - np.diag(np.diag(mat)))))
+    scale = max(float(np.max(np.abs(mat))), 1.0)
+    if off > tol * scale:
+        raise GmultError(
+            "the scaling probe's fast path needs a diagonal symbol; "
+            f"label {t} has off-diagonal mass {off:.3g}")
+    return np.diag(mat)
 
 
 def riesz_field_diagonals(model: GroupModel) -> Callable[[int], np.ndarray]:
@@ -719,7 +717,7 @@ def _times_chi1_packed(rows: np.ndarray, parity: int,
     return out
 
 
-def _cz_norm_sq(sym_diags: Dict[int, np.ndarray], coeffs: np.ndarray,
+def _cz_norm_sq(diagonal: Callable[[int], np.ndarray], coeffs: np.ndarray,
                 m: int) -> float:
     """Squared Plancherel norm of the ``m``-fold second difference of a
     diagonal symbol times central coefficients, by an exact label stencil.
@@ -730,30 +728,45 @@ def _cz_norm_sq(sym_diags: Dict[int, np.ndarray], coeffs: np.ndarray,
     multiplies the kernel by ``rho^2 = 4 - chi_1^2``, and multiplying by
     ``chi_1`` moves each mass to labels ``t +- 1`` (`_times_chi1_packed`).
     So ``chi_1^2`` keeps the label parity, and the even and odd labels
-    evolve and sum apart: each parity present runs on its own packed rows
-    over the labels below ``B + 2m + 1``, in O(m B^2) whole-array steps on
-    the nonzero triangle ``i <= t``.  The stencil is real, so the real and
-    imaginary parts run separately.
+    evolve and sum apart: each parity runs on its own packed rows over the
+    labels below ``B + 2m + 1``, in O(m B^2) whole-array steps on the
+    nonzero triangle ``i <= t``.  ``diagonal(t)`` gives ``sigma_t``; it is
+    called and size-checked at every label ``0..B``, one parity at a time,
+    and its rows go straight into that parity's packed rows.  The stencil
+    is real, so the real and imaginary parts are separate real planes, each
+    allocated only when nonzero and evolved in place.
     """
     size = coeffs.size + 2 * m
-    nonzero = np.nonzero(coeffs)[0]
     total = 0.0
     for parity in (0, 1):
-        labels = nonzero[nonzero % 2 == parity]
-        if labels.size == 0:
-            continue
         count = (size - parity + 1) // 2
-        masses = np.zeros((count + 2, size + 2), dtype=complex)
-        for t in labels:
-            masses[1 + t // 2, 1:t + 2] = (t + 1.0) * coeffs[t] * sym_diags[t]
-        dims = _packed_dims(parity, count)
-        for part in (masses.real, masses.imag):
-            if part.any():
+        planes: List[Optional[np.ndarray]] = [None, None]
+        for t in range(parity, coeffs.size, 2):
+            row = np.asarray(diagonal(t), dtype=complex).reshape(-1)
+            if row.size != t + 1:
+                raise GmultError(
+                    f"diagonal provider returned {row.size} entries at "
+                    f"label {t}; expected {t + 1}")
+            for k, values in enumerate((row.real, row.imag)):
+                masses = (t + 1.0) * coeffs[t] * values
+                if masses.any():
+                    if planes[k] is None:
+                        planes[k] = np.zeros((count + 2, size + 2))
+                    planes[k][1 + t // 2, 1:t + 2] = masses
+        dims = _packed_dims(parity, count)[:, None]
+        while planes:                   # real part, then imaginary part
+            part = planes.pop(0)
+            if part is not None:
                 for _ in range(m):
-                    part = 4.0 * part - _times_chi1_packed(
-                        _times_chi1_packed(part, parity, size),
-                        1 - parity, size)
-                total += float(np.sum(part ** 2 / dims[:, None]))
+                    moved = _times_chi1_packed(_times_chi1_packed(
+                        part, parity, size), 1 - parity, size)
+                    part *= 4.0
+                    part -= moved
+                    del moved
+                np.square(part, out=part)
+                part /= dims
+                total += float(np.sum(part))
+            del part
     return total
 
 
@@ -795,14 +808,7 @@ def cz_probe(model: GroupModel, sym,
         seq = psi_hat_coefficients(model, r, profile, rel_tol=rel_tol)
         band = seq.support_band
         if callable(sym):
-            diags = {}
-            for t in range(band + 1):
-                row = np.asarray(sym(t), dtype=complex).reshape(-1)
-                if row.size != t + 1:
-                    raise GmultError(
-                        f"diagonal provider returned {row.size} entries at "
-                        f"label {t}; expected {t + 1}")
-                diags[t] = row
+            diagonal = sym
         else:
             if band > sym.exact_band:
                 raise BandOverflowError(
@@ -810,8 +816,8 @@ def cz_probe(model: GroupModel, sym,
                     f"but the symbol is certified only through "
                     f"{sym.exact_band}; rebuild the symbol with a larger "
                     "band or raise the ladder")
-            diags = _symbol_diagonals(sym, band)
-        norms.append(math.sqrt(_cz_norm_sq(diags, seq.table.real, m)))
+            diagonal = partial(_symbol_diagonal, sym)
+        norms.append(math.sqrt(_cz_norm_sq(diagonal, seq.table.real, m)))
         bands.append(band)
     fit = fit_loglog(rs, norms)
     target = 2.0 * m / model.n - 0.5

@@ -28,7 +28,7 @@ within ``w`` of a truncation edge feel the missing tail.  Checkers only ever
 read labels inside the certificate.
 
 Per-label real quantities (block norms, weights) come as label tables laid
-out like :func:`gmult.groups.label_bands`.
+out like :func:`gmult.groups.bracket_powers`.
 """
 
 from __future__ import annotations
@@ -49,9 +49,10 @@ from .groups import (GroupModel, IrrepLabel, angular_momentum, irrep_dimension,
                      label_band, labels_up_to, validate_label)
 
 _GRID_CACHE: Dict[Tuple[str, int, int], GroupGrid] = {}
-#: Complex entries of the word stacks :func:`word_sup_table` holds at once
-#: (one chunk of words of the SU(2) phase route).
-_STACK_ENTRIES = 1 << 20
+#: Complex entries (8 MiB) of the one word stack :func:`word_sup_table`
+#: holds at once: a chunk of words of the SU(2) phase route at the
+#: twice-weights of one parity.
+_STACK_ENTRIES = 1 << 19
 #: Relative slack on the bound ``||B||_2 <= ||B||_F`` when it prunes an
 #: SVD: the two norms round differently, and a block of rank one has them
 #: equal.  Far above the rounding of either, far below any gap that matters.
@@ -422,23 +423,35 @@ def _kernel_planes(sym: MatrixSymbol, wband: int, out_band: int,
 
 
 def _shifted_sums(grid: GroupGrid, planes, weights: Sequence[Dict],
-                  out_band: int) -> List[np.ndarray]:
-    """Phase planes of the products kernel x multiplier, stacked over the
-    multipliers: ``sum g(theta_a) A[u - s, v - s', a]`` over the terms, at
-    ``|u|, |v| <= out_band``.  Multiplying the samples by ``e^{-i s phi /
-    2}`` moves the forward phase sum from ``u`` to ``u - s`` node by node,
-    so these are the stages of the products' forward transforms."""
-    stacks = []
+                  out_band: int, parity: int) -> np.ndarray:
+    """Phase planes of the products kernel x multiplier at the
+    twice-weights of one parity, stacked over the multipliers: ``sum
+    g(theta_a) A[u - s, v - s', a]`` over the terms, at ``|u|, |v| <=
+    out_band``.  Multiplying the samples by ``e^{-i s phi / 2}`` moves the
+    forward phase sum from ``u`` to ``u - s`` node by node, so these are
+    the stages of the products' forward transforms."""
+    n = out_band - (out_band - parity) % 2 + 1
+    stack = np.zeros((len(weights), n, n, grid.thetas.size), dtype=complex)
+    for w, terms in enumerate(weights):
+        for (s, r), g in terms.items():
+            src = planes[(parity - s) % 2]
+            k, l = (src.shape[0] - n - s) // 2, (src.shape[0] - n - r) // 2
+            stack[w] += g * src[k:k + n, l:l + n]
+    return np.moveaxis(stack, 0, 2)                 # (u, v, word, theta)
+
+
+def _word_blocks(grid: GroupGrid, planes, weights: Sequence[Dict],
+                 out_band: int):
+    """``(t, blocks)`` at every label through ``out_band``: the theta
+    quadrature of :func:`_shifted_sums`, even labels first, each parity's
+    stack dropped before the next one is built."""
+    from . import transform
+
     for p in (0, 1):
-        n = out_band - (out_band - p) % 2 + 1       # twice-weights of parity p
-        stack = np.zeros((len(weights), n, n, grid.thetas.size), dtype=complex)
-        for w, terms in enumerate(weights):
-            for (s, r), g in terms.items():
-                src = planes[(p - s) % 2]
-                k, l = (src.shape[0] - n - s) // 2, (src.shape[0] - n - r) // 2
-                stack[w] += g * src[k:k + n, l:l + n]
-        stacks.append(np.moveaxis(stack, 0, 2))     # (u, v, word, theta)
-    return stacks
+        stack = {p: _shifted_sums(grid, planes, weights, out_band, p)}
+        yield from transform._su2_theta_sums(grid, stack,
+                                             range(p, out_band + 1, 2))
+        del stack
 
 
 def _su2_differences(sym: MatrixSymbol, wband: int,
@@ -452,17 +465,15 @@ def _su2_differences(sym: MatrixSymbol, wband: int,
     certificate is the symbol's, derated by ``wband``, capped by the grid's
     exactness for the product kernel and by ``band`` when it cuts labels
     off."""
-    from . import transform
-
     full = sym.support_band + wband
     out_band = full if band is None else min(band, full)
     grid, planes = _kernel_planes(sym, wband, out_band, grid)
-    stacks = _shifted_sums(grid, planes, [_phase_weights(grid, c)
-                                          for c in combinations], out_band)
-    blocks = dict(transform._su2_theta_sums(grid, stacks, range(out_band + 1)))
+    blocks = dict(_word_blocks(grid, planes, [_phase_weights(grid, c)
+                                              for c in combinations], out_band))
     cert = min(sym.exact_band - wband, grid.exact_total_band - full,
                grid.max_label_band if out_band == full else out_band)
-    return [MatrixSymbol(sym.model, {t: b[w] for t, b in blocks.items()}, cert)
+    return [MatrixSymbol(sym.model, {t: blocks[t][w]
+                                     for t in range(out_band + 1)}, cert)
             for w in range(len(combinations))]
 
 
@@ -651,18 +662,16 @@ def word_sup_table(sym, order: int, band: int,
     if model.kind == "torus":
         return reduce(np.maximum, (apply_difference(word, sym).norms(band)
                                    for word in words))
-    from . import transform
-
     # one kernel phase stage shared by every word; the word stacks are
-    # formed a chunk of words at a time, each label normed as one stack
+    # formed a chunk of words and a parity at a time, each label normed
+    # as one stack
     grid, planes = _kernel_planes(sym, wband, band, grid)
     weights = [_phase_weights(grid, [(1.0, w.factors)]) for w in words]
-    step = max(1, _STACK_ENTRIES // (2 * (band + 1) ** 2 * grid.thetas.size))
+    step = max(1, _STACK_ENTRIES // ((band + 1) ** 2 * grid.thetas.size))
     best = np.zeros(band + 1)
     for lo in range(0, len(words), step):
-        stacks = _shifted_sums(grid, planes, weights[lo:lo + step], band)
-        for t, blocks in transform._su2_theta_sums(grid, stacks,
-                                                   range(band + 1)):
+        for t, blocks in _word_blocks(grid, planes, weights[lo:lo + step],
+                                      band):
             best[t] = _op_norm_sup(blocks, best[t])
     return best
 

@@ -4,11 +4,11 @@ import numpy as np
 import pytest
 
 from gmult.central import function_of_laplacian, riesz_symbol
-from gmult.checkers import (SymbolClassSpec, check_mikhlin, check_refined,
-                            check_symbol_class, check_torus3,
+from gmult.checkers import (SymbolClassSpec, _nested_sups, check_mikhlin,
+                            check_refined, check_symbol_class, check_torus3,
                             empirical_lp_ratio, torus_lattice_symbol)
 from gmult.cli import parse_torus_expression
-from gmult.groups import bracket_powers, label_bands, model_from_name
+from gmult.groups import bracket_powers, model_from_name
 from gmult.symbols import TorusSymbol, identity_symbol
 
 
@@ -109,8 +109,6 @@ def test_sparse_label_axes_match_dense_box(name, expr):
     band = 5
     dense = np.meshgrid(*([np.arange(-band, band + 1)] * model.n),
                         indexing="ij")
-    assert np.array_equal(label_bands(model, band),
-                          np.max(np.abs(dense), axis=0))
     lam = 2.0 * np.pi * np.sqrt(sum(a.astype(float) ** 2 for a in dense))
     assert np.array_equal(bracket_powers(model, band, -1.5),
                           np.maximum(1.0, lam) ** -1.5)
@@ -195,3 +193,25 @@ def test_report_serialization(su2):
     for c in data["conditions"]:
         assert set(c) >= {"name", "constant", "half_constant", "growth",
                           "passed"}
+
+
+@pytest.mark.parametrize("name", ["su2", "torus-1", "torus-2", "torus-3"])
+@pytest.mark.parametrize("band", [4, 7, 8, 9])
+def test_nested_sups_slice_the_half_range(name, band):
+    # the half range as a mask on the band of every label: twice-spins
+    # through (band + 1) // 2 on SU(2), |k|_inf <= band // 2 on the torus
+    model = model_from_name(name)
+    rng = np.random.default_rng(band)
+    if model.kind == "su2":
+        labels = np.arange(band + 1)
+        half_band = (band + 1) // 2
+    else:
+        dense = np.meshgrid(*([np.arange(-band, band + 1)] * model.n),
+                            indexing="ij")
+        labels = np.max(np.abs(dense), axis=0)
+        half_band = band // 2
+    # growing with the band, so each sup sits on the outermost shell
+    values = labels + rng.random(labels.shape)
+    full, half = _nested_sups(model, values, band)
+    assert full == values.max()
+    assert half == values[labels <= half_band].max()

@@ -290,18 +290,25 @@ def _riesz_order0_constant(band: int) -> float:
 @pytest.mark.parametrize("checker", ["mikhlin", "refined"])
 def test_su2_check_runs_at_odd_bands(checker, capsys):
     # at an odd band the symbol (band + 4) reaches one label past the
-    # grid the words alone need, so the grid must fit the kernel too
-    order1 = {}
+    # grid the words alone need, so the grid must fit the kernel too; and
+    # the half range runs through twice-spin (band + 1) // 2, so at band 7
+    # it holds mikhlin's order-2 sup at twice-spin 4 (through band // 2 = 3
+    # the growth was 1.338, a FAIL), and bands 7-9 give one verdict
+    order1, verdicts = {}, {}
     for band in (7, 8, 9):
         code = main(["check", "--group", "su2", "--band", str(band),
                      "--symbol", "riesz:D3", "--checker", checker])
-        assert code != EXIT_CONFIG
-        consts = {c["name"]: c["constant"] for c in _conditions(capsys)}
-        assert consts["order-0"] == pytest.approx(
+        assert code == EXIT_PASS
+        conds = {c["name"]: c for c in _conditions(capsys)}
+        assert conds["order-0"]["constant"] == pytest.approx(
             _riesz_order0_constant(band), rel=0.0, abs=1e-12)
-        order1[band] = consts["order-1"]
+        assert conds["order-0"]["half_constant"] == pytest.approx(
+            _riesz_order0_constant((band + 1) // 2), rel=0.0, abs=1e-12)
+        order1[band] = conds["order-1"]["constant"]
+        verdicts[band] = {name: c["passed"] for name, c in conds.items()}
     assert order1[7] == pytest.approx(order1[8], rel=0.0, abs=1e-12)
     assert order1[9] == pytest.approx(order1[8], rel=0.0, abs=1e-12)
+    assert verdicts[7] == verdicts[8] == verdicts[9]
 
 
 def test_check_refined_passes(capsys):

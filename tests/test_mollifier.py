@@ -7,9 +7,11 @@ and the second-difference norm.  So do the grid-route references: the
 sampled mollifier `build_phi_r` (the oracle of `grid_normalizer`), the
 sampled dyadic difference `build_psi_r` (the grid oracle of
 `psi_hat_coefficients`) and `cz_consistency` (the grid oracle of
-`_cz_norm_sq`); and the full-square ``chi_1`` stencil `_times_chi1` (the
-oracle of the packed one-parity stencil)."""
+`_cz_norm_sq`); the full-square ``chi_1`` stencil `_times_chi1` (the
+oracle of the packed one-parity stencil); and the complex-mass form of
+`_cz_norm_sq` (its bitwise oracle)."""
 import math
+from functools import partial
 from typing import Callable, Dict, Optional, Tuple
 
 import numpy as np
@@ -22,10 +24,11 @@ from gmult.grids import GroupFunction, GroupGrid
 from gmult.groups import (GroupModel, irrep_dimension, japanese_bracket,
                           labels_up_to, model_from_name)
 from gmult.mollifier import (_adaptive_band, _axis_spacing, _cz_norm_sq,
-                             _leggauss, _psi_radial_values, _require_su2,
-                             _sobolev_sq_radial, _su2_central_coefficients,
-                             _su2_class_rule, _su2_support_panels,
-                             _support_radius, _times_chi1_packed, _times_q,
+                             _leggauss, _packed_dims, _psi_radial_values,
+                             _require_su2, _sobolev_sq_radial,
+                             _su2_central_coefficients, _su2_class_rule,
+                             _su2_support_panels, _support_radius,
+                             _symbol_diagonal, _times_chi1_packed, _times_q,
                              bump_profile, cz_probe, default_ladder,
                              fit_loglog, grid_normalizer, identity_diagonals,
                              mollifier_family, mollifier_l2_norm,
@@ -743,7 +746,7 @@ def test_cz_norm_stencil_matches_quadrature(su2, m):
                         for t in range(band + 1)}
         identity = {t: identity_diagonals(t) for t in range(band + 1)}
         for diags in (identity, random_diags):
-            fast = _cz_norm_sq(diags, coeffs, m)
+            fast = _cz_norm_sq(diags.__getitem__, coeffs, m)
             oracle = _quadrature_cz_norm_sq(diags, coeffs, m)
             assert fast == pytest.approx(oracle, rel=1e-10)
 
@@ -755,8 +758,7 @@ def test_cz_norm_stencil_matches_grid_route(su2, r):
     coeffs = _psi_coeffs(su2, r, 20)
     for provider in (riesz_field_diagonals(su2), identity_diagonals):
         lhs = cz_consistency(su2, _diag_symbol(su2, provider, 24), r=r)["lhs"]
-        diags = {t: provider(t) for t in range(21)}
-        assert math.sqrt(_cz_norm_sq(diags, coeffs, 1)) == pytest.approx(
+        assert math.sqrt(_cz_norm_sq(provider, coeffs, 1)) == pytest.approx(
             lhs, rel=1e-12)
 
 
@@ -834,6 +836,69 @@ def test_cz_norm_packed_parities_match_full_square(m, size):
         if not coeffs.any():
             continue
         for sym in (diags, real):
-            fast = _cz_norm_sq(sym, coeffs, m)
+            fast = _cz_norm_sq(sym.__getitem__, coeffs, m)
             oracle = _full_square_cz_norm_sq(sym, coeffs, m)
             assert fast == pytest.approx(oracle, rel=1e-15, abs=0.0)
+
+
+def _complex_masses_cz_norm_sq(sym_diags, coeffs, m):
+    """Bitwise oracle for `_cz_norm_sq`: the same stencil on one complex
+    mass array per parity, every diagonal gathered in a per-label dict
+    first."""
+    size = coeffs.size + 2 * m
+    nonzero = np.nonzero(coeffs)[0]
+    total = 0.0
+    for parity in (0, 1):
+        labels = nonzero[nonzero % 2 == parity]
+        if labels.size == 0:
+            continue
+        count = (size - parity + 1) // 2
+        masses = np.zeros((count + 2, size + 2), dtype=complex)
+        for t in labels:
+            masses[1 + t // 2, 1:t + 2] = (t + 1.0) * coeffs[t] * sym_diags[t]
+        dims = _packed_dims(parity, count)
+        for part in (masses.real, masses.imag):
+            if part.any():
+                for _ in range(m):
+                    part = 4.0 * part - _times_chi1_packed(
+                        _times_chi1_packed(part, parity, size),
+                        1 - parity, size)
+                total += float(np.sum(part ** 2 / dims[:, None]))
+    return total
+
+
+@pytest.mark.parametrize("m", [1, 2])
+def test_cz_norm_one_plane_matches_complex_masses_bitwise(su2, m):
+    # each diagonal written straight into one real plane at a time gives
+    # the complex-mass norm bit for bit: purely imaginary (Riesz), real
+    # (identity, a diagonal MatrixSymbol) and complex rows, on the probe's
+    # even-label coefficients and on random coefficients of both parities
+    rng = np.random.default_rng(29 + m)
+    band = 150
+    random_rows = {t: rng.standard_normal(t + 1)
+                   + 1j * rng.standard_normal(t + 1) for t in range(band + 1)}
+    sym = _diag_symbol(su2, lambda t: np.arange(1.0, t + 2.0) - 0.5 * t, band)
+    providers = [riesz_field_diagonals(su2), identity_diagonals,
+                 partial(_symbol_diagonal, sym), random_rows.__getitem__]
+    for coeffs in (_psi_coeffs(su2, 0.25, band),
+                   rng.standard_normal(band + 1)):
+        for provider in providers:
+            rows = {t: np.asarray(provider(t), dtype=complex)
+                    for t in range(band + 1)}
+            assert (_cz_norm_sq(provider, coeffs, m)
+                    == _complex_masses_cz_norm_sq(rows, coeffs, m))
+
+
+def test_cz_norm_checks_rows_at_zero_coefficient_labels(su2):
+    # the probe's coefficients vanish at odd labels; a wrong-size row there
+    # is still refused, by the stencil and by the probe
+    coeffs = _psi_coeffs(su2, 0.25, 40)
+    assert not coeffs[1::2].any()
+
+    def provider(t):
+        return identity_diagonals(t + (t == 3))
+
+    with pytest.raises(GmultError, match="at label 3"):
+        _cz_norm_sq(provider, coeffs, 1)
+    with pytest.raises(GmultError, match="at label 3"):
+        cz_probe(su2, provider)

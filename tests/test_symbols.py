@@ -1,5 +1,6 @@
 """Symbol algebra and difference calculus: product rules, certificates,
 operator quantization."""
+import weakref
 from functools import partial
 from typing import Optional
 
@@ -149,6 +150,60 @@ def test_su2_word_sup_table_matches_node_space_oracle(su2, rng, stack_entries,
             sym, 2 * order, band, [partial(word_samples, word=w)
                                    for w in words])], axis=0)
         assert np.abs(got - want).max() <= 1e-12 * want.max()
+
+
+def _watch_stacks(monkeypatch):
+    """Wrap `_shifted_sums`: record the parity, band and shape of each
+    stack it returns, and check at every call that no stack it returned
+    before (nor the array under it) is still alive."""
+    real, live, seen = symbols._shifted_sums, [], []
+
+    def watched(grid, planes, weights, out_band, parity):
+        assert all(ref() is None for ref in live)
+        stack = real(grid, planes, weights, out_band, parity)
+        live.extend(weakref.ref(a) for a in (stack, stack.base))
+        seen.append((parity, out_band, len(weights), stack.shape))
+        return stack
+
+    monkeypatch.setattr(symbols, "_shifted_sums", watched)
+    return live, seen
+
+
+def _assert_one_parity_at_a_time(live, seen, chunks):
+    # each chunk of words: the even twice-weights, then the odd ones; a
+    # stack holds the twice-weights |u|, |v| <= out_band of its parity
+    assert [p for p, *_ in seen] == [0, 1] * chunks
+    for parity, out_band, words, shape in seen:
+        n = len(range(-out_band + (out_band - parity) % 2, out_band + 1, 2))
+        assert shape[:3] == (n, n, words)
+    assert all(ref() is None for ref in live)
+
+
+@pytest.mark.parametrize("stack_entries", [None, 1])
+def test_word_sup_table_holds_one_parity_stack_at_a_time(
+        su2, rng, stack_entries, monkeypatch):
+    if stack_entries is not None:
+        monkeypatch.setattr(symbols, "_STACK_ENTRIES", stack_entries)
+    live, seen = _watch_stacks(monkeypatch)
+    sym = random_symbol(su2, 12, rng, exact_band=12)
+    for order, band in ((1, 9), (2, 8)):
+        seen.clear()
+        word_sup_table(sym, order, band)
+        words = len(generator_words(su2, order))
+        _assert_one_parity_at_a_time(
+            live, seen, words if stack_entries == 1 else 1)
+
+
+def test_apply_differences_holds_one_parity_stack_at_a_time(su2, rng,
+                                                            monkeypatch):
+    live, seen = _watch_stacks(monkeypatch)
+    sym = random_symbol(su2, 7, rng, exact_band=7)
+    for words in (generator_words(su2, 1), generator_words(su2, 2)):
+        seen.clear()
+        got = apply_differences(words, sym)
+        _assert_one_parity_at_a_time(live, seen, 1)
+        assert seen[0][2] == len(got) == len(words)
+        assert sorted(got[0].entries) == list(range(seen[0][1] + 1))
 
 
 def test_pruned_operator_norm_sup_is_the_stacked_norm_bitwise(rng):
