@@ -50,23 +50,17 @@ def weyl_character(w, angle) -> np.ndarray:
     """Character value(s) at class angle(s), on the extended lattice.
 
     For dominant ``t``: ``chi_t(s) = sin((t+1)s/2) / sin(s/2)`` with the
-    singular angles filled by continuity (the recurrence evaluation used here
-    has no singularities).  Extended labels follow the signed reflection.
+    singular angles filled by continuity (the last row of
+    :func:`character_table`, whose recurrence has no singularities).
+    Extended labels follow the signed reflection.
     """
     t = int(w)
     s = np.asarray(angle, dtype=float)
     if t == -1:
         return np.zeros_like(s)
-    sign = 1.0
     if t < -1:
-        t = -2 - t
-        sign = -1.0
-    x = 2.0 * np.cos(0.5 * s)
-    prev = np.zeros_like(x)
-    cur = np.ones_like(x)
-    for _ in range(t):
-        prev, cur = cur, x * cur - prev
-    return sign * cur
+        return -weyl_character(-2 - t, s)
+    return character_table(t, s.reshape(-1))[t].reshape(s.shape)[()]
 
 
 def character_table(tmax: int, angles: np.ndarray) -> np.ndarray:
@@ -206,16 +200,17 @@ def delta2(seq: CentralSequence) -> CentralSequence:
     return CentralSequence(seq.model, out, zero_beyond=seq.zero_beyond)
 
 
-def laplace_central(seq: CentralSequence, out_band: Optional[int] = None) -> CentralSequence:
+def laplace_central(seq: CentralSequence) -> CentralSequence:
     """Distance-squared operator on a central sequence by class-function
     quadrature: transform to the kernel ``sum_t d_t s_t chi_t``, multiply by
-    ``rho^2`` on the class circle, expand back in characters."""
+    ``rho^2`` on the class circle, expand back in characters, through the
+    band ``B + 2`` the product reaches."""
     if not seq.zero_beyond:
         raise GmultError("quadrature route needs a finitely supported sequence")
     sup = seq.support_band
-    out_band = sup + 2 if out_band is None else int(out_band)
+    out_band = sup + 2
     grid = class_grid(sup + out_band + 6)
-    chi = grid.characters(max(sup, out_band))
+    chi = grid.characters(out_band)
     size = seq.table.size
     kernel = (np.arange(1, size + 1) * seq.table) @ chi[:size]
     kernel = kernel * class_rho_squared(grid.angles)

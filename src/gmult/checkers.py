@@ -3,9 +3,9 @@
 Each checker evaluates a family of difference-operator seminorms on a finite
 label range and reports per-condition constants.  "Pass" means every required
 constant is finite and a growth diagnostic — the ratio of the constant on the
-full range to the constant on the nested half range — stays below a
-threshold; this is the honest finite-range rendering of an all-label bound,
-and reports say so.
+full range to the constant on the nested half range — stays below
+``GROWTH_THRESHOLD``; this is the honest finite-range rendering of an
+all-label bound, and reports say so.
 
 One code path serves both models.  The difference tables come from
 :func:`gmult.symbols.word_sup_table` and
@@ -26,7 +26,7 @@ import numpy as np
 
 from .errors import BandOverflowError, GmultError
 from .groups import GroupModel, bracket_powers, label_box
-from .grids import GroupGrid, build_grid
+from .grids import build_grid
 from .symbols import (DifferenceWord, TorusSymbol, apply_difference,
                       laplace_difference, quantize_apply, random_symbol,
                       symbol_scale, word_sup_table)
@@ -124,13 +124,39 @@ def _growth(full: float, half: float, floor: float) -> float:
     return full / half
 
 
-def _finish(conds: List[ConditionReport]) -> bool:
-    return all(c.passed for c in conds)
+def _conditions(constants: Dict[str, Tuple[float, float]],
+                floor: Optional[float] = None) -> List[ConditionReport]:
+    """One condition per named (full, half) constant pair.  A condition
+    passes when its constant is finite and its growth stays below
+    ``GROWTH_THRESHOLD``; the growth's noise floor defaults to 1e-11 of
+    the first constant."""
+    if floor is None:
+        floor = 1e-11 * max(next(iter(constants.values()))[0], 0.0)
+    conds = []
+    for name, (full, half) in constants.items():
+        g = _growth(full, half, floor)
+        conds.append(ConditionReport(
+            name=name, constant=full, half_constant=half, growth=g,
+            passed=bool(math.isfinite(full) and g < GROWTH_THRESHOLD)))
+    return conds
 
 
-def _range_note() -> str:
-    return ("finite-range semantics: pass means finite constants with a "
-            "non-growing tail diagnostic on nested ranges")
+def _report(model: GroupModel, check: str, band: int,
+            conds: List[ConditionReport], extras: Optional[dict] = None,
+            reduction: Optional[MultiplierReport] = None) -> MultiplierReport:
+    """The report of one checker run: passed when every condition (and
+    the reduction, if any) passed."""
+    return MultiplierReport(
+        model_name=model.name, check=check,
+        range_description=(f"twice_spin <= {band}" if model.kind == "su2"
+                           else f"|k|_inf <= {band}"),
+        band=band, kappa=model.kappa, threshold=GROWTH_THRESHOLD,
+        passed=(all(c.passed for c in conds)
+                and (reduction is None or reduction.passed)),
+        conditions=conds, extras=extras or {},
+        notes=["finite-range semantics: pass means finite constants with a "
+               "non-growing tail diagnostic on nested ranges"],
+        reduction=reduction)
 
 
 # ---------------------------------------------------------------------------
@@ -166,12 +192,6 @@ def check_range(model: GroupModel, band: int) -> None:
             f"need at least {_MIN_LABELS_PER_DIRECTION}")
 
 
-def _range_description(model: GroupModel, band: int) -> str:
-    if model.kind == "su2":
-        return f"twice_spin <= {band}"
-    return f"|k|_inf <= {band}"
-
-
 def _nested_sups(model: GroupModel, values: np.ndarray,
                  band: int) -> Tuple[float, float]:
     """(full, half) sups of a label table through ``band`` and over its
@@ -192,49 +212,36 @@ def _weighted_sups(model: GroupModel, table: np.ndarray, weight: float,
     return _nested_sups(model, bracket_powers(model, band, weight) * table, band)
 
 
-def _order_constants(sym, order: int, weight: float, band: int,
-                     grid: Optional[GroupGrid]) -> Tuple[float, float]:
-    """(full, half) sups of ``<xi>^weight max_words ||D^alpha sigma||_op``."""
-    return _weighted_sups(sym.model, word_sup_table(sym, order, band, grid),
-                          weight, band)
+def _order_constants(sym, band: int, top: int, rho: float,
+                     order: float) -> Dict[str, Tuple[float, float]]:
+    """(full, half) sups of ``<xi>^{rho a - order} max_words ||D^alpha
+    sigma||_op`` for every order ``a <= top``, named ``order-<a>``."""
+    return {f"order-{a}": _weighted_sups(sym.model,
+                                         word_sup_table(sym, a, band),
+                                         rho * a - order, band)
+            for a in range(top + 1)}
 
 
 # ---------------------------------------------------------------------------
 # Checkers
 # ---------------------------------------------------------------------------
 
-def check_mikhlin(sym, band: int, kappa: Optional[int] = None,
-                  grid: Optional[GroupGrid] = None,
-                  threshold: float = GROWTH_THRESHOLD) -> MultiplierReport:
+def check_mikhlin(sym, band: int) -> MultiplierReport:
     """Difference-operator conditions of every order up to kappa with weight
     equal to the order: ``||D^alpha sigma(xi)||_op <= C <xi>^{-|alpha|}``."""
-    model = sym.model
-    check_range(model, band)
-    kappa = model.kappa if kappa is None else int(kappa)
-    pairs = [_order_constants(sym, a, float(a), band, grid)
-             for a in range(kappa + 1)]
-    floor = 1e-11 * max(pairs[0][0], 0.0)
-    conds = []
-    for a, (full, half) in enumerate(pairs):
-        g = _growth(full, half, floor)
-        conds.append(ConditionReport(
-            name=f"order-{a}", constant=full, half_constant=half, growth=g,
-            passed=bool(math.isfinite(full) and g < threshold)))
-    return MultiplierReport(
-        model_name=model.name, check="mikhlin",
-        range_description=_range_description(model, band), band=band,
-        kappa=kappa, threshold=threshold, passed=_finish(conds),
-        conditions=conds, notes=[_range_note()])
+    check_range(sym.model, band)
+    return _report(sym.model, "mikhlin", band, _conditions(
+        _order_constants(sym, band, sym.model.kappa, 1.0, 0.0)))
 
 
-def _laplace_power_constants(sym, power: int, weight: float, band: int,
-                             grid: Optional[GroupGrid]) -> Tuple[float, float]:
+def _laplace_power_constants(sym, power: int, weight: float,
+                             band: int) -> Tuple[float, float]:
     """(full, half) sups of ``<xi>^weight ||A^power sigma(xi)||_op``; the
     last application computes only the labels through ``band``, which on
     SU(2) puts it on the grid of the order-1 words."""
     cur = sym
     for k in range(power):
-        cur = laplace_difference(cur, grid, band if k == power - 1 else None)
+        cur = laplace_difference(cur, band=band if k == power - 1 else None)
     if band > cur.exact_band:
         raise BandOverflowError(
             f"label band {band} beyond the laplace certificate "
@@ -242,44 +249,24 @@ def _laplace_power_constants(sym, power: int, weight: float, band: int,
     return _weighted_sups(sym.model, cur.norms(band), weight, band)
 
 
-def check_refined(sym, band: int,
-                  grid: Optional[GroupGrid] = None,
-                  threshold: float = GROWTH_THRESHOLD) -> MultiplierReport:
+def check_refined(sym, band: int) -> MultiplierReport:
     """Reduced condition set: the top-order condition is carried by the
     distance-squared operator alone, ``<xi>^kappa ||A^{kappa/2} sigma||_op``,
     alongside generator words only of order <= kappa - 1."""
     model = sym.model
     check_range(model, band)
     kappa = model.kappa
-    pairs = [_order_constants(sym, a, float(a), band, grid)
-             for a in range(kappa)]
-    floor = 1e-11 * max(pairs[0][0], 0.0)
-    conds = []
-    for a, (full, half) in enumerate(pairs):
-        g = _growth(full, half, floor)
-        conds.append(ConditionReport(
-            name=f"order-{a}", constant=full, half_constant=half, growth=g,
-            passed=bool(math.isfinite(full) and g < threshold)))
-    top_full, top_half = _laplace_power_constants(sym, kappa // 2,
-                                                  float(kappa), band, grid)
-    g = _growth(top_full, top_half, floor)
-    conds.append(ConditionReport(
-        name=f"laplace-{kappa // 2}", constant=top_full, half_constant=top_half,
-        growth=g, passed=bool(math.isfinite(top_full) and g < threshold)))
-    passed = _finish(conds)
-    notes = [_range_note()]
-    if passed:
-        notes.append("refined conditions passed; the full difference family "
-                     "at top order was not evaluated")
-    return MultiplierReport(
-        model_name=model.name, check="refined",
-        range_description=_range_description(model, band), band=band,
-        kappa=kappa, threshold=threshold, passed=passed,
-        conditions=conds, notes=notes)
+    constants = _order_constants(sym, band, kappa - 1, 1.0, 0.0)
+    constants[f"laplace-{kappa // 2}"] = _laplace_power_constants(
+        sym, kappa // 2, float(kappa), band)
+    report = _report(model, "refined", band, _conditions(constants))
+    if report.passed:
+        report.notes.append("refined conditions passed; the full difference "
+                            "family at top order was not evaluated")
+    return report
 
 
-def check_torus3(sym, band: int,
-                 threshold: float = GROWTH_THRESHOLD) -> MultiplierReport:
+def check_torus3(sym, band: int) -> MultiplierReport:
     """The three-condition test specific to the three-torus, with plain
     Euclidean ``|k|`` weights:
 
@@ -303,22 +290,12 @@ def check_torus3(sym, band: int,
         word = DifferenceWord(model, ((step, 0, 0),))
         first = np.maximum(first, apply_difference(word, sym).norms(band))
     second = absk ** 2 * laplace_difference(sym).norms(band) / 6.0
-
+    constants = {name: _nested_sups(model, values, band)
+                 for name, values in (("bounded", sym.norms(band)),
+                                      ("first-difference", absk * first),
+                                      ("second-difference", second))}
     floor = 1e-11 * max(float(np.abs(sym.table).max()), 0.0)
-    conds = []
-    for name, values in (("bounded", sym.norms(band)),
-                         ("first-difference", absk * first),
-                         ("second-difference", second)):
-        full, half = _nested_sups(model, values, band)
-        g = _growth(full, half, floor)
-        conds.append(ConditionReport(
-            name=name, constant=full, half_constant=half, growth=g,
-            passed=bool(math.isfinite(full) and g < threshold)))
-    return MultiplierReport(
-        model_name=model.name, check="torus3",
-        range_description=_range_description(model, band), band=band,
-        kappa=model.kappa, threshold=threshold, passed=_finish(conds),
-        conditions=conds, notes=[_range_note()])
+    return _report(model, "torus3", band, _conditions(constants, floor))
 
 
 def _reweighted(sym, exponent: float):
@@ -326,9 +303,8 @@ def _reweighted(sym, exponent: float):
     return symbol_scale(sym, bracket_powers(sym.model, sym.support_band, exponent))
 
 
-def check_symbol_class(sym, spec: SymbolClassSpec, band: int,
-                       grid: Optional[GroupGrid] = None,
-                       threshold: float = GROWTH_THRESHOLD) -> MultiplierReport:
+def check_symbol_class(sym, spec: SymbolClassSpec,
+                       band: int) -> MultiplierReport:
     """Graded difference estimates ``||D^alpha sigma||_op <= C <xi>^{m - rho
     |alpha|}`` together with the Sobolev-loss table ``r(p) = kappa (1 - rho)
     |1/p - 1/2|`` and the reduction step: the reweighted symbol
@@ -336,27 +312,15 @@ def check_symbol_class(sym, spec: SymbolClassSpec, band: int,
     model = sym.model
     check_range(model, band)
     kappa = model.kappa
-    pairs = [_order_constants(sym, a, spec.rho * a - spec.order, band, grid)
-             for a in range(spec.max_order + 1)]
-    floor = 1e-11 * max(pairs[0][0], 0.0)
-    conds = []
-    for a, (full, half) in enumerate(pairs):
-        g = _growth(full, half, floor)
-        conds.append(ConditionReport(
-            name=f"order-{a}", constant=full, half_constant=half, growth=g,
-            passed=bool(math.isfinite(full) and g < threshold)))
+    conds = _conditions(_order_constants(sym, band, spec.max_order,
+                                         spec.rho, spec.order))
     extras = {f"r({p:g})": kappa * (1.0 - spec.rho) * abs(1.0 / p - 0.5)
               for p in (1.5, 2.0, 3.0, 4.0)}
     reduction = check_mikhlin(
-        _reweighted(sym, -spec.order - kappa * (1.0 - spec.rho)),
-        band, kappa=kappa, grid=grid, threshold=threshold)
-    passed = _finish(conds) and reduction.passed
-    return MultiplierReport(
-        model_name=model.name, check="symbol-class",
-        range_description=_range_description(model, band), band=band,
-        kappa=kappa, threshold=threshold, passed=passed, conditions=conds,
-        extras={"order": spec.order, "rho": spec.rho, **extras},
-        notes=[_range_note()], reduction=reduction)
+        _reweighted(sym, -spec.order - kappa * (1.0 - spec.rho)), band)
+    return _report(model, "symbol-class", band, conds,
+                   extras={"order": spec.order, "rho": spec.rho, **extras},
+                   reduction=reduction)
 
 
 # ---------------------------------------------------------------------------
@@ -368,17 +332,15 @@ def _function_norm_p(samples: np.ndarray, weights: np.ndarray, p: float) -> floa
 
 
 def empirical_lp_ratio(sym, p: float, trials: int, band: int,
-                       seed: int = 0,
-                       grid: Optional[GroupGrid] = None) -> Dict[str, float]:
+                       seed: int = 0) -> Dict[str, float]:
     """Max/median of ``||Op(sigma) f||_p / ||f||_p`` over random
     band-limited inputs, by grid quadrature.  A regression probe, not a
     bound: the statistics are seeded and reproducible."""
     if not 1.0 < p < math.inf:
         raise ValueError("p must lie in (1, infinity)")
     model = sym.model
-    if grid is None:
-        grid = build_grid(model, band if model.kind == "torus"
-                          else max(2, (2 * band + 3) // 4 + 1))
+    grid = build_grid(model, band if model.kind == "torus"
+                      else max(2, (2 * band + 3) // 4 + 1))
     rng = np.random.default_rng(seed)
     ratios = []
     for _ in range(trials):

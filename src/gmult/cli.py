@@ -87,8 +87,9 @@ def parse_complex(text: str) -> complex:
 
 
 def parse_ladder(text: str) -> List[float]:
-    """Parse a scale ladder of at least 4 positive finite scales: ``4:9``
-    (dyadic exponent range, 2^-4..2^-9) or a comma-separated list."""
+    """Parse a scale ladder of at least 4 distinct positive finite scales:
+    ``4:9`` (dyadic exponent range, 2^-4..2^-9) or a comma-separated
+    list."""
     s = text.strip()
     m = re.fullmatch(r"(\d+):(\d+)", s)
     try:
@@ -102,6 +103,8 @@ def parse_ladder(text: str) -> List[float]:
     if not all(math.isfinite(r) and r > 0 for r in rs):
         raise SymbolFormatError(
             f"ladder {text!r}: scales must be positive and finite")
+    if len(set(rs)) < len(rs):
+        raise SymbolFormatError(f"ladder {text!r} repeats a scale")
     return rs
 
 

@@ -51,8 +51,6 @@ class GroupModel:
         Either ``"torus"`` or ``"su2"``.
     n : int
         Manifold dimension (``n`` for the torus, 3 for SU(2)).
-    rank : int
-        Rank of a maximal torus.
     kappa : int
         Smallest even integer strictly greater than ``n / 2``; the number of
         difference orders the boundedness checkers must control.
@@ -63,7 +61,6 @@ class GroupModel:
 
     kind: str
     n: int
-    rank: int
     kappa: int
     delta0: Tuple[IrrepLabel, ...] = field(default=())
 
@@ -85,12 +82,12 @@ def torus_model(n: int) -> GroupModel:
             k = [0] * n
             k[j] = sign
             shells.append(tuple(k))
-    return GroupModel(kind="torus", n=n, rank=n, kappa=kappa, delta0=tuple(shells))
+    return GroupModel(kind="torus", n=n, kappa=kappa, delta0=tuple(shells))
 
 
 def su2_model() -> GroupModel:
     """The SU(2) model (manifold dimension 3, kappa = 2, adjoint first shell)."""
-    return GroupModel(kind="su2", n=3, rank=1, kappa=2, delta0=(2,))
+    return GroupModel(kind="su2", n=3, kappa=2, delta0=(2,))
 
 
 def model_from_name(name: str) -> GroupModel:

@@ -35,15 +35,13 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import partial
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from .errors import BandOverflowError, GmultError, UnderResolvedError
+from .errors import GmultError, UnderResolvedError
 from .groups import GroupModel
 from .grids import GroupGrid
-from .symbols import MatrixSymbol
 from .central import CentralSequence, delta2
 
 __all__ = [
@@ -173,9 +171,8 @@ def _su2_support_panels(R: float) -> List[Tuple[float, float]]:
 
 
 def _su2_radial_integral(fn: Callable[[np.ndarray], np.ndarray],
-                         intervals: Sequence[Tuple[float, float]],
-                         nodes: int = 96) -> float:
-    s, w = _su2_class_rule(intervals, nodes)
+                         intervals: Sequence[Tuple[float, float]]) -> float:
+    s, w = _su2_class_rule(intervals, 96)
     if s.size == 0:
         return 0.0
     return float(np.sum(w * fn(s)))
@@ -210,9 +207,9 @@ def _torus_rho(points: np.ndarray) -> np.ndarray:
     return np.sqrt(np.sum(4.0 * np.sin(math.pi * points) ** 2, axis=0))
 
 
-def mollifier_normalizer(model: GroupModel, r: float,
-                         profile: Callable = bump_profile) -> float:
-    """Normalization constant making the scaled profile a unit-mass density.
+def mollifier_normalizer(model: GroupModel, r: float) -> float:
+    """Normalization constant making the scaled `bump_profile` a unit-mass
+    density.
 
     Computed by quadrature against the bi-invariant radial coordinate; grows
     like ``1/r`` as ``r`` shrinks because the support ball has Haar measure
@@ -221,11 +218,11 @@ def mollifier_normalizer(model: GroupModel, r: float,
     R = _support_radius(model, r)
     if model.kind == "su2":
         mass = _su2_radial_integral(
-            lambda s: profile(2.0 * np.sin(0.5 * s) / R),
+            lambda s: bump_profile(2.0 * np.sin(0.5 * s) / R),
             _su2_support_panels(R))
     else:
         pts, wts = _torus_cube_rule(model, R)
-        mass = float(np.sum(wts * profile(_torus_rho(pts) / R)))
+        mass = float(np.sum(wts * bump_profile(_torus_rho(pts) / R)))
     if mass <= 0:
         raise GmultError(f"mollifier profile has nonpositive mass at r={r!r}")
     return 1.0 / mass
@@ -233,7 +230,7 @@ def mollifier_normalizer(model: GroupModel, r: float,
 
 @dataclass(frozen=True)
 class MollifierFamily:
-    """One scale of the mollifier family: profile, scale, normalization.
+    """One scale of the mollifier family: scale and normalization.
 
     ``density(rho_values)`` evaluates the central density through the radial
     coordinate; ``support_radius`` is the radius in ``rho`` units beyond
@@ -243,27 +240,23 @@ class MollifierFamily:
     model: GroupModel
     r: float
     c_r: float
-    profile: Callable = bump_profile
 
     @property
     def support_radius(self) -> float:
         return _support_radius(self.model, self.r)
 
     def density(self, rho_values):
-        return self.c_r * self.profile(np.asarray(rho_values, dtype=float)
+        return self.c_r * bump_profile(np.asarray(rho_values, dtype=float)
                                        / self.support_radius)
 
 
-def mollifier_family(model: GroupModel, r: float,
-                     profile: Callable = bump_profile) -> MollifierFamily:
-    return MollifierFamily(model, float(r),
-                           mollifier_normalizer(model, r, profile), profile)
+def mollifier_family(model: GroupModel, r: float) -> MollifierFamily:
+    return MollifierFamily(model, float(r), mollifier_normalizer(model, r))
 
 
-def mollifier_l2_norm(model: GroupModel, r: float,
-                      profile: Callable = bump_profile) -> float:
+def mollifier_l2_norm(model: GroupModel, r: float) -> float:
     """Quadrature L2 norm of ``phi_r``; grows like ``r^{-1/2}``."""
-    fam = mollifier_family(model, r, profile)
+    fam = mollifier_family(model, r)
     R = fam.support_radius
     if model.kind == "su2":
         sq = _su2_radial_integral(
@@ -279,6 +272,10 @@ def mollifier_l2_norm(model: GroupModel, r: float,
 # Grid normalization (resolution-guarded)
 # ---------------------------------------------------------------------------
 
+#: Grid nodes the support radius of ``phi_r`` must span.
+_MIN_NODES = 8
+
+
 def _axis_spacing(grid: GroupGrid) -> float:
     """Node spacing along the least-resolved axis, in ``rho`` units."""
     model = grid.model
@@ -287,24 +284,22 @@ def _axis_spacing(grid: GroupGrid) -> float:
     return 2.0 * math.pi / grid.shape[0]
 
 
-def required_mollifier_band(model: GroupModel, r: float,
-                            min_nodes: int = 8) -> int:
-    """Smallest grid band placing ``min_nodes`` nodes across the support
+def required_mollifier_band(model: GroupModel, r: float) -> int:
+    """Smallest grid band placing ``_MIN_NODES`` nodes across the support
     radius of ``phi_r``."""
     R = min(_support_radius(model, r), 2.0)
     if model.kind == "su2":
-        return max(2, int(math.ceil(min_nodes * math.pi / R)) - 2)
-    return max(2, int(math.ceil(0.5 * (min_nodes * 2.0 * math.pi / R - 1.0))))
+        return max(2, int(math.ceil(_MIN_NODES * math.pi / R)) - 2)
+    return max(2, int(math.ceil(0.5 * (_MIN_NODES * 2.0 * math.pi / R - 1.0))))
 
 
-def smallest_resolved_scale(model: GroupModel, band: int,
-                            min_nodes: int = 8) -> float:
+def smallest_resolved_scale(model: GroupModel, band: int) -> float:
     """Smallest scale ``r`` whose support a band-``band`` grid resolves."""
     if model.kind == "su2":
         spacing = math.pi / (band + 2)
     else:
         spacing = 2.0 * math.pi / (2 * band + 1)
-    return float((min_nodes * spacing) ** model.n)
+    return float((_MIN_NODES * spacing) ** model.n)
 
 
 def grid_normalizer_samples(model: GroupModel, band: int, r: float) -> int:
@@ -324,9 +319,10 @@ def grid_normalizer(model: GroupModel, grid: GroupGrid, r: float) -> float:
     """Normalization ``c_r`` of ``phi_r`` by the grid's own product rule:
     the reciprocal of the grid quadrature of ``bump_profile(rho / R)``.
 
-    Raises ``UnderResolvedError`` when fewer than 8 grid nodes span the
-    support radius; the message names both the smallest usable scale for
-    this grid and the band that would resolve the request.
+    Raises ``UnderResolvedError`` when fewer than ``_MIN_NODES`` grid
+    nodes span the support radius; the message names both the smallest
+    usable scale for this grid and the band that would resolve the
+    request.
 
     The sum runs only where the samples can differ.  On SU(2) the ``N =
     2B + 1`` phi nodes and the ``2N`` psi nodes share the spacing ``2 pi /
@@ -336,18 +332,17 @@ def grid_normalizer(model: GroupModel, grid: GroupGrid, r: float) -> float:
     outside the sub-box where every axis term ``2 - 2 cos 2 pi x`` is at
     most ``R^2`` (`bump_profile` is 0 from 1 on).
     """
-    min_nodes = 8
     if grid.model != model:
         raise GmultError("grid was built for a different model")
     R = _support_radius(model, r)
     count = min(R, 2.0) / _axis_spacing(grid)
-    if count < min_nodes:
+    if count < _MIN_NODES:
         raise UnderResolvedError(
             f"support radius {R:.6g} spans only {count:.2f} grid nodes "
-            f"(need >= {min_nodes}); smallest usable r on this grid is "
-            f"{smallest_resolved_scale(model, grid.band, min_nodes):.6g}, "
+            f"(need >= {_MIN_NODES}); smallest usable r on this grid is "
+            f"{smallest_resolved_scale(model, grid.band):.6g}, "
             f"or rebuild the grid with band >= "
-            f"{required_mollifier_band(model, r, min_nodes)}")
+            f"{required_mollifier_band(model, r)}")
     if model.kind == "su2":
         half_trace = (np.cos(grid.thetas / 2.0)[:, None]
                       * np.cos(grid.psis / 2.0)[None, :])
@@ -410,10 +405,9 @@ def _su2_central_coefficients(values_fn: Callable[[np.ndarray], np.ndarray],
     return (H @ E.T).reshape(-1)[:band + 1] / (np.arange(band + 1) + 1.0)
 
 
-def _psi_radial_values(model: GroupModel, r: float,
-                       profile: Callable) -> Tuple[Callable, float]:
-    fam_c = mollifier_family(model, r, profile)
-    fam_f = mollifier_family(model, 0.5 * r, profile)
+def _psi_radial_values(model: GroupModel, r: float) -> Tuple[Callable, float]:
+    fam_c = mollifier_family(model, r)
+    fam_f = mollifier_family(model, 0.5 * r)
 
     def values(s: np.ndarray) -> np.ndarray:
         rho = 2.0 * np.sin(0.5 * s)
@@ -443,28 +437,21 @@ def _adaptive_band(values_fn: Callable, R: float, start: int,
 
 
 def psi_hat_coefficients(model: GroupModel, r: float,
-                         profile: Callable = bump_profile,
-                         band: Optional[int] = None,
                          rel_tol: float = 1e-9) -> CentralSequence:
     """Central Fourier coefficients of the dyadic difference ``psi_r``.
 
-    With ``band=None`` the band grows adaptively until the trailing
-    Plancherel-weighted coefficients fall below ``rel_tol`` of the
-    accumulated norm; the sub-threshold tail is then dropped, so the
-    support certificate of the returned sequence means "negligible at the
-    requested relative tolerance", not exact vanishing (the smooth bump's
-    spectrum has no finite support).  An explicit ``band`` computes exactly
-    that truncation instead.  The coefficients vanish on odd labels because
+    The band grows adaptively until the trailing Plancherel-weighted
+    coefficients fall below ``rel_tol`` of the accumulated norm; the
+    sub-threshold tail is then dropped, so the support certificate of the
+    returned sequence means "negligible at the requested relative
+    tolerance", not exact vanishing (the smooth bump's spectrum has no
+    finite support).  The coefficients vanish on odd labels because
     the radial coordinate does not separate the two central elements (the
     mirror support panels cancel there).
     """
     _require_su2(model, "psi_hat_coefficients")
-    values_fn, R = _psi_radial_values(model, r, profile)
-    if band is None:
-        coeffs = _adaptive_band(values_fn, R, max(32, int(12.0 / R)),
-                                rel_tol)
-    else:
-        coeffs = _su2_central_coefficients(values_fn, R, band)
+    values_fn, R = _psi_radial_values(model, r)
+    coeffs = _adaptive_band(values_fn, R, max(32, int(12.0 / R)), rel_tol)
     coeffs[np.abs(coeffs) < 1e-14 * np.max(np.abs(coeffs), initial=0.0)] = 0.0
     return CentralSequence(model, coeffs, zero_beyond=True)
 
@@ -487,13 +474,18 @@ class SlopeFit:
                 "r_squared": self.r_squared, "points": self.points}
 
 
+def _check_ladder(scales: Sequence[float]) -> None:
+    if len(set(map(float, scales))) < 4:
+        raise GmultError("ladder too short: slope fits need >= 4 distinct "
+                         "scales")
+
+
 def fit_loglog(scales: Sequence[float], values: Sequence[float]) -> SlopeFit:
     xs = np.asarray(scales, dtype=float)
     ys = np.asarray(values, dtype=float)
     if xs.size != ys.size:
         raise GmultError("scales and values must have matching lengths")
-    if xs.size < 4:
-        raise GmultError("ladder too short: slope fits need >= 4 points")
+    _check_ladder(xs)
     if np.any(xs <= 0) or np.any(ys <= 0):
         raise GmultError("slope fits need positive scales and values")
     lx, ly = np.log(xs), np.log(ys)
@@ -585,9 +577,8 @@ def check_sobolev_order(model: GroupModel, q: str, s: float,
 
 
 def negative_sobolev_decay(model: GroupModel, q: str = "rho2", s: float = 0.0,
-                           ladder: Optional[Sequence[float]] = None,
-                           profile: Callable = bump_profile,
-                           rel_tol: float = 1e-9) -> Dict[str, object]:
+                           ladder: Optional[Sequence[float]] = None
+                           ) -> Dict[str, object]:
     """Fitted decay exponent of ``|| q psi_r ||_{H^{-s}}`` over a ladder.
 
     ``q`` selects a factor vanishing at the identity to a known order:
@@ -597,7 +588,7 @@ def negative_sobolev_decay(model: GroupModel, q: str = "rho2", s: float = 0.0,
     ``(order + s)/n - 1/2``; `check_sobolev_order` gives the accepted ``s``.
 
     Each scale takes the central coefficients of ``psi_r`` once
-    (`psi_hat_coefficients`, truncated at ``rel_tol``), applies ``q`` as
+    (`psi_hat_coefficients`, truncated at 1e-9), applies ``q`` as
     an exact lattice operator (`_times_q`) and sums
     ``(t+1)^2 <t>^{-2s} v_t^2``.  ``bands`` reports the coefficient band of
     ``psi_r`` at each scale.
@@ -608,10 +599,11 @@ def negative_sobolev_decay(model: GroupModel, q: str = "rho2", s: float = 0.0,
                          f"choose from {sorted(_VANISHING_ORDERS)}")
     check_sobolev_order(model, q, s)
     rs = list(ladder) if ladder is not None else default_ladder()
+    _check_ladder(rs)
     norms: List[float] = []
     bands: List[int] = []
     for r in rs:
-        seq = psi_hat_coefficients(model, r, profile, rel_tol=rel_tol)
+        seq = psi_hat_coefficients(model, r)
         v = _times_q(q, seq)
         norms.append(math.sqrt(_sobolev_sq_radial(v, s)))
         bands.append(seq.support_band)
@@ -632,19 +624,6 @@ def negative_sobolev_decay(model: GroupModel, q: str = "rho2", s: float = 0.0,
 # ---------------------------------------------------------------------------
 # Second-difference scaling probe
 # ---------------------------------------------------------------------------
-
-def _symbol_diagonal(sym: MatrixSymbol, t: int,
-                     tol: float = 1e-12) -> np.ndarray:
-    """Diagonal entries at label ``t`` of a (required diagonal) symbol."""
-    mat = sym.get(t)
-    off = float(np.max(np.abs(mat - np.diag(np.diag(mat)))))
-    scale = max(float(np.max(np.abs(mat))), 1.0)
-    if off > tol * scale:
-        raise GmultError(
-            "the scaling probe's fast path needs a diagonal symbol; "
-            f"label {t} has off-diagonal mass {off:.3g}")
-    return np.diag(mat)
-
 
 def riesz_field_diagonals(model: GroupModel) -> Callable[[int], np.ndarray]:
     """Closed-form diagonal provider for the Riesz transform of the third
@@ -770,55 +749,36 @@ def _cz_norm_sq(diagonal: Callable[[int], np.ndarray], coeffs: np.ndarray,
     return total
 
 
-def cz_probe(model: GroupModel, sym,
-             ladder: Optional[Sequence[float]] = None,
-             m: Optional[int] = None,
-             profile: Callable = bump_profile,
-             rel_tol: float = 1e-4) -> Dict[str, object]:
+def cz_probe(model: GroupModel, diagonal: Callable[[int], np.ndarray],
+             ladder: Optional[Sequence[float]] = None) -> Dict[str, object]:
     """Scaling probe for dyadically localized second differences of a
-    multiplier symbol.
+    diagonal multiplier symbol.
 
-    ``sym`` is either a diagonal ``MatrixSymbol`` (band-checked against the
-    ladder's needs) or a callable ``t -> diagonal entries`` usable at any
-    band (see ``riesz_field_diagonals`` / ``identity_diagonals``).
+    ``diagonal`` maps a label ``t`` to the symbol's diagonal entries there
+    (see ``riesz_field_diagonals`` / ``identity_diagonals``), at any band.
 
     Computes the Plancherel norm of the ``m``-fold second difference of
     ``sigma`` times the dyadic-piece coefficients over a scale ladder and
     fits the log-log slope; the probe passes when the slope is at least
     ``2 m / n - 1/2 - 0.1``, the exponent forced by the scaling of the
-    dyadic pieces.  ``m`` defaults to half the even differentiability
-    budget of the model (1 on the 3-sphere model).
+    dyadic pieces.  ``m`` is half the even differentiability budget of the
+    model (1 on the 3-sphere model).
 
-    ``rel_tol`` truncates the dyadic-piece coefficients at that relative
-    Plancherel-weighted size (the induced per-point norm error is of the
-    same order, far below the 0.1 slope tolerance); the label stencil of
-    `_cz_norm_sq` then gives each truncated norm exactly.
+    The dyadic-piece coefficients are truncated at relative
+    Plancherel-weighted size 1e-4 (the induced per-point norm error is of
+    the same order, far below the 0.1 slope tolerance); the label stencil
+    of `_cz_norm_sq` then gives each truncated norm exactly.
     """
     _require_su2(model, "cz_probe")
-    if m is None:
-        m = model.kappa // 2
-    if m < 1:
-        raise GmultError("the probe needs a positive difference power m")
+    m = model.kappa // 2
     rs = list(ladder) if ladder is not None else default_ladder()
-    if len(rs) < 4:
-        raise GmultError("ladder too short: slope fits need >= 4 points")
+    _check_ladder(rs)
     norms: List[float] = []
     bands: List[int] = []
     for r in rs:
-        seq = psi_hat_coefficients(model, r, profile, rel_tol=rel_tol)
-        band = seq.support_band
-        if callable(sym):
-            diagonal = sym
-        else:
-            if band > sym.exact_band:
-                raise BandOverflowError(
-                    f"scale r={r!r} needs symbol data through band {band}, "
-                    f"but the symbol is certified only through "
-                    f"{sym.exact_band}; rebuild the symbol with a larger "
-                    "band or raise the ladder")
-            diagonal = partial(_symbol_diagonal, sym)
+        seq = psi_hat_coefficients(model, r, rel_tol=1e-4)
         norms.append(math.sqrt(_cz_norm_sq(diagonal, seq.table.real, m)))
-        bands.append(band)
+        bands.append(seq.support_band)
     fit = fit_loglog(rs, norms)
     target = 2.0 * m / model.n - 0.5
     return {
@@ -832,4 +792,3 @@ def cz_probe(model: GroupModel, sym,
         "slope_floor": float(target - 0.1),
         "passed": bool(fit.slope >= target - 0.1),
     }
-

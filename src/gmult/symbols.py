@@ -643,8 +643,7 @@ def laplace_leibniz_residual(sym: MatrixSymbol, tau: MatrixSymbol,
 # Seminorms
 # ---------------------------------------------------------------------------
 
-def word_sup_table(sym, order: int, band: int,
-                   grid: Optional[GroupGrid] = None) -> np.ndarray:
+def word_sup_table(sym, order: int, band: int) -> np.ndarray:
     """Label table through ``band`` of the sup over all generator words of
     the given order of ``||D^alpha sigma(xi)||_op``.  The band must lie
     within the derated exactness certificate, else BandOverflowError."""
@@ -665,7 +664,7 @@ def word_sup_table(sym, order: int, band: int,
     # one kernel phase stage shared by every word; the word stacks are
     # formed a chunk of words and a parity at a time, each label normed
     # as one stack
-    grid, planes = _kernel_planes(sym, wband, band, grid)
+    grid, planes = _kernel_planes(sym, wband, band, None)
     weights = [_phase_weights(grid, [(1.0, w.factors)]) for w in words]
     step = max(1, _STACK_ENTRIES // ((band + 1) ** 2 * grid.thetas.size))
     best = np.zeros(band + 1)

@@ -27,7 +27,6 @@ import numpy as np
 
 from .errors import ExceptionalValueError, GmultError
 from .groups import GroupModel
-from .grids import GroupGrid
 from .symbols import (DifferenceWord, MatrixSymbol, apply_differences,
                       vector_field_symbol)
 from .checkers import MultiplierReport, SymbolClassSpec, check_symbol_class
@@ -68,12 +67,12 @@ class VectorFieldSpec:
         return -np.diag(self.eigenvalues(1))
 
 
-def build_field(model: GroupModel, coeffs, band: int,
-                tol: float = _SPECTRAL_MARGIN) -> VectorFieldSpec:
+def build_field(model: GroupModel, coeffs, band: int) -> VectorFieldSpec:
     """Diagonalize the symbol of a nonzero real frame field through ``band``.
 
     ``eigh`` on the Hermitian block ``i sigma`` supplies the eigenvectors;
-    each rotated block must match the exact eigenvalues within ``tol``.
+    each rotated block must match the exact eigenvalues within
+    ``_SPECTRAL_MARGIN``.
     """
     if model.kind != "su2":
         raise GmultError("vector-field inversion is implemented on su2")
@@ -91,7 +90,7 @@ def build_field(model: GroupModel, coeffs, band: int,
         V = np.linalg.eigh(1j * block)[1][:, ::-1]
         resid = np.abs(V.conj().T @ block @ V
                        - np.diag(spec.eigenvalues(t))).max()
-        if resid > tol:
+        if resid > _SPECTRAL_MARGIN:
             raise GmultError(f"diagonalization residual {resid:.2e} at label {t}")
         spec.unitaries[t] = V
     return spec
@@ -125,15 +124,15 @@ def _nearest_eigenvalue(spec: VectorFieldSpec, c: complex,
 
 
 def invert_vf_symbol(spec: VectorFieldSpec, c: complex,
-                     band: Optional[int] = None,
-                     margin: float = _SPECTRAL_MARGIN) -> MatrixSymbol:
+                     band: Optional[int] = None) -> MatrixSymbol:
     """Per-label inverse of the shifted-field symbol, assembled through the
-    eigenbases.  Refuses parameters within ``margin`` of the spectrum."""
+    eigenbases.  Refuses parameters within ``_SPECTRAL_MARGIN`` of the
+    spectrum."""
     band = spec.band if band is None else int(band)
     if band > spec.band:
         raise GmultError("field was built through a smaller band; rebuild it")
     dist, bad_label, bad_ev = _nearest_eigenvalue(spec, c, band)
-    if dist < margin:
+    if dist < _SPECTRAL_MARGIN:
         raise ExceptionalValueError(
             f"parameter {c} is within {dist:.2e} of eigenvalue {bad_ev} "
             f"at label {bad_label}; the shifted field is not invertible")
@@ -145,8 +144,7 @@ def invert_vf_symbol(spec: VectorFieldSpec, c: complex,
     return MatrixSymbol(spec.model, entries, exact_band=band)
 
 
-def _rotated_differences(model: GroupModel, sym: MatrixSymbol, V1: np.ndarray,
-                         grid: Optional[GroupGrid] = None
+def _rotated_differences(model: GroupModel, sym: MatrixSymbol, V1: np.ndarray
                          ) -> Dict[Tuple[int, int], MatrixSymbol]:
     """First-order differences whose factors are the ``(i, j)``
     coefficients of the eigenbasis-rotated fundamental representation,
@@ -158,7 +156,7 @@ def _rotated_differences(model: GroupModel, sym: MatrixSymbol, V1: np.ndarray,
     share one kernel synthesis.
     """
     plain = apply_differences([DifferenceWord(model, ((1, a, b),))
-                               for a in range(2) for b in range(2)], sym, grid)
+                               for a in range(2) for b in range(2)], sym)
     coef = np.kron(V1.conj(), V1)                  # [(a, b), (i, j)]
     cert = min(piece.exact_band for piece in plain)
     return {(i, j): MatrixSymbol(model, {
@@ -168,7 +166,6 @@ def _rotated_differences(model: GroupModel, sym: MatrixSymbol, V1: np.ndarray,
 
 
 def recursion_residuals(spec: VectorFieldSpec, c: complex, band: int,
-                        grid: Optional[GroupGrid] = None,
                         blocks: Sequence[int] = (0, 1)
                         ) -> Dict[int, Dict[str, float]]:
     """:func:`recursion_residual` for each block ``j`` in ``blocks``, from
@@ -186,7 +183,7 @@ def recursion_residuals(spec: VectorFieldSpec, c: complex, band: int,
     if band + 1 > spec.band:
         raise GmultError("rebuild the field through at least band + 1")
     inv = invert_vf_symbol(spec, c, band + 1)
-    diffs = _rotated_differences(spec.model, inv, spec.unitaries[1], grid)
+    diffs = _rotated_differences(spec.model, inv, spec.unitaries[1])
     off_resid = max(float(np.linalg.norm(diffs[i, 1 - i].get(t)))
                     for i in range(2) for t in range(band + 1))
     out = {}
@@ -205,8 +202,7 @@ def recursion_residuals(spec: VectorFieldSpec, c: complex, band: int,
 
 
 def recursion_residual(spec: VectorFieldSpec, c: complex, j: int,
-                       band: int,
-                       grid: Optional[GroupGrid] = None) -> Dict[str, float]:
+                       band: int) -> Dict[str, float]:
     """Residual of the closed-form expression for the diagonal differences
     of the inverse symbol, with the difference side computed by quadrature:
 
@@ -215,11 +211,11 @@ def recursion_residual(spec: VectorFieldSpec, c: complex, j: int,
     Also measures the off-diagonal differences, which must vanish.  Returns
     max Hilbert-Schmidt norms over labels <= band.
     """
-    return recursion_residuals(spec, c, band, grid, blocks=(j,))[j]
+    return recursion_residuals(spec, c, band, blocks=(j,))[j]
 
 
-def verify_s00(spec: VectorFieldSpec, c: complex, band: int,
-               grid: Optional[GroupGrid] = None) -> MultiplierReport:
+def verify_s00(spec: VectorFieldSpec, c: complex,
+               band: int) -> MultiplierReport:
     """Graded check that the inverse symbol sits at order 0, type 0: all
     difference words up to the model's kappa stay bounded with no decay
     claimed.  The report's Sobolev-loss table gives the order
@@ -231,7 +227,6 @@ def verify_s00(spec: VectorFieldSpec, c: complex, band: int,
             f"rebuild the field through band {stored} for this range")
     inv = invert_vf_symbol(spec, c, stored)
     report = check_symbol_class(inv, SymbolClassSpec(order=0.0, rho=0.0,
-                                                     max_order=kappa),
-                                band, grid=grid)
+                                                     max_order=kappa), band)
     report.notes.append("inverse symbol of a shifted frame field")
     return report

@@ -7,18 +7,18 @@ and the second-difference norm.  So do the grid-route references: the
 sampled mollifier `build_phi_r` (the oracle of `grid_normalizer`), the
 sampled dyadic difference `build_psi_r` (the grid oracle of
 `psi_hat_coefficients`) and `cz_consistency` (the grid oracle of
-`_cz_norm_sq`); the full-square ``chi_1`` stencil `_times_chi1` (the
+`_cz_norm_sq`), both fed by the fixed-band truncation `psi_r_fixed_band`
+of the dyadic piece; the full-square ``chi_1`` stencil `_times_chi1` (the
 oracle of the packed one-parity stencil); and the complex-mass form of
 `_cz_norm_sq` (its bitwise oracle)."""
 import math
-from functools import partial
-from typing import Callable, Dict, Optional, Tuple
+from typing import Dict, Optional, Tuple
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from gmult.central import laplace_central
+from gmult.central import CentralSequence, laplace_central
 from gmult.errors import BandOverflowError, GmultError, UnderResolvedError
 from gmult.grids import GroupFunction, GroupGrid
 from gmult.groups import (GroupModel, irrep_dimension, japanese_bracket,
@@ -28,7 +28,7 @@ from gmult.mollifier import (_adaptive_band, _axis_spacing, _cz_norm_sq,
                              _require_su2, _sobolev_sq_radial,
                              _su2_central_coefficients, _su2_class_rule,
                              _su2_support_panels, _support_radius,
-                             _symbol_diagonal, _times_chi1_packed, _times_q,
+                             _times_chi1_packed, _times_q,
                              bump_profile, cz_probe, default_ladder,
                              fit_loglog, grid_normalizer, identity_diagonals,
                              mollifier_family, mollifier_l2_norm,
@@ -114,9 +114,18 @@ def test_fit_loglog_exact_line():
     assert fit.as_dict()["slope"] == fit.slope
 
 
-def test_fit_loglog_short_ladder_rejected():
-    with pytest.raises(GmultError):
-        fit_loglog([0.5, 0.25, 0.125], [1.0, 2.0, 4.0])
+def test_fit_loglog_short_ladder_rejected(su2):
+    # four points on two (or one) scales give no slope to fit either
+    for rs in ([0.5, 0.25, 0.125], [0.5, 0.5, 0.5, 0.5],
+               [0.25, 0.25, 0.125, 0.125]):
+        with pytest.raises(GmultError, match="4 distinct scales"):
+            fit_loglog(rs, [1.0, 2.0, 4.0, 8.0][:len(rs)])
+    # the probes refuse such a ladder before any work
+    ladder = [0.5, 0.5, 0.25, 0.125]
+    with pytest.raises(GmultError, match="4 distinct scales"):
+        cz_probe(su2, identity_diagonals, ladder=ladder)
+    with pytest.raises(GmultError, match="4 distinct scales"):
+        negative_sobolev_decay(su2, ladder=ladder)
 
 
 def test_default_ladder():
@@ -128,27 +137,26 @@ def test_default_ladder():
 # Grid realizations and resolution guards
 # ---------------------------------------------------------------------------
 
-def build_phi_r(model: GroupModel, grid: GroupGrid, r: float,
-                profile: Callable = bump_profile,
-                min_nodes: int = 8) -> Tuple[GroupFunction, float]:
+def build_phi_r(model: GroupModel, grid: GroupGrid,
+                r: float) -> Tuple[GroupFunction, float]:
     """Sample ``phi_r`` on a grid, normalizing by the grid's own quadrature.
 
-    Raises ``UnderResolvedError`` when fewer than ``min_nodes`` grid nodes
-    span the support radius; the message names both the smallest usable
-    scale for this grid and the band that would resolve the request.
+    Raises ``UnderResolvedError`` when fewer than 8 grid nodes span the
+    support radius; the message names both the smallest usable scale for
+    this grid and the band that would resolve the request.
     """
     if grid.model != model:
         raise GmultError("grid was built for a different model")
     R = _support_radius(model, r)
     count = min(R, 2.0) / _axis_spacing(grid)
-    if count < min_nodes:
+    if count < 8:
         raise UnderResolvedError(
             f"support radius {R:.6g} spans only {count:.2f} grid nodes "
-            f"(need >= {min_nodes}); smallest usable r on this grid is "
-            f"{smallest_resolved_scale(model, grid.band, min_nodes):.6g}, "
+            f"(need >= 8); smallest usable r on this grid is "
+            f"{smallest_resolved_scale(model, grid.band):.6g}, "
             f"or rebuild the grid with band >= "
-            f"{required_mollifier_band(model, r, min_nodes)}")
-    raw = profile(np.sqrt(np.maximum(rho_squared_samples(grid), 0.0)) / R)
+            f"{required_mollifier_band(model, r)}")
+    raw = bump_profile(np.sqrt(np.maximum(rho_squared_samples(grid), 0.0)) / R)
     mass = float(np.real(integrate(grid, raw)))
     if mass <= 0:
         raise GmultError("mollifier samples have nonpositive mass")
@@ -203,13 +211,12 @@ def test_resolution_helpers(su2, torus3):
         assert smallest_resolved_scale(model, max(4, band // 2)) > floor_r
 
 
-def build_psi_r(model: GroupModel, grid: GroupGrid, r: float,
-                profile: Callable = bump_profile,
-                min_nodes: int = 8) -> GroupFunction:
+def build_psi_r(model: GroupModel, grid: GroupGrid,
+                r: float) -> GroupFunction:
     """Dyadic difference ``phi_r - phi_{r/2}`` on a grid (zero mean by
     construction)."""
-    fine, _ = build_phi_r(model, grid, 0.5 * r, profile, min_nodes)
-    coarse, _ = build_phi_r(model, grid, r, profile, min_nodes)
+    fine, _ = build_phi_r(model, grid, 0.5 * r)
+    coarse, _ = build_phi_r(model, grid, r)
     return GroupFunction(grid, coarse.samples - fine.samples)
 
 
@@ -312,7 +319,7 @@ def test_blocked_coefficients_match_recurrence(su2, r, band):
     # r = 8 and r = 2 give R >= 2 (one full panel); the others give two
     # mirror panels, up to the decay probe's largest band.  The bands cover
     # a full last block (3, 120) and a trimmed one (2, 47, 1198, 8297).
-    values_fn, R = _psi_radial_values(su2, r, bump_profile)
+    values_fn, R = _psi_radial_values(su2, r)
     fast = _su2_central_coefficients(values_fn, R, band)
     oracle = _recurrence_central_coefficients(values_fn, R, band)
     assert fast.shape == (band + 1,)
@@ -546,7 +553,7 @@ def test_rho2_stencil_matches_weighted_quadrature(su2):
     # the quadrature route integrates rho^2 psi_r against the characters
     # directly and truncates its own band
     for r in default_ladder():
-        values_fn, R = _psi_radial_values(su2, r, bump_profile)
+        values_fn, R = _psi_radial_values(su2, r)
         quad = _adaptive_band(
             lambda sv: (2.0 - 2.0 * np.cos(sv)) * values_fn(sv), R,
             max(32, int(12.0 / R)), 1e-9)
@@ -575,17 +582,20 @@ def test_cz_probe_provider_validation(su2):
         cz_probe(su2, bad_provider, ladder=[0.5, 0.25, 0.125, 0.0625])
 
 
-def test_cz_probe_dense_symbol_band_guard(su2):
-    from gmult.central import riesz_symbol
-    small = riesz_symbol(su2, (0.0, 0.0, 1.0), 12)
-    with pytest.raises(BandOverflowError):
-        cz_probe(su2, small, ladder=[0.5, 0.25, 0.125, 0.0625])
+def psi_r_fixed_band(model: GroupModel, r: float,
+                     band: int) -> CentralSequence:
+    """Central coefficients of ``psi_r`` truncated at a fixed ``band``
+    rather than at a tolerance (`psi_hat_coefficients`), with the same
+    zeroing of entries below 1e-14 of the largest."""
+    values_fn, R = _psi_radial_values(model, r)
+    coeffs = _su2_central_coefficients(values_fn, R, band)
+    coeffs[np.abs(coeffs) < 1e-14 * np.max(np.abs(coeffs), initial=0.0)] = 0.0
+    return CentralSequence(model, coeffs, zero_beyond=True)
 
 
 def cz_consistency(model: GroupModel, sym: MatrixSymbol, r: float,
                    band: int = 20,
-                   grid: Optional[GroupGrid] = None,
-                   profile: Callable = bump_profile) -> Dict[str, object]:
+                   grid: Optional[GroupGrid] = None) -> Dict[str, object]:
     """Check the product-rule bound behind the scaling probe at one scale.
 
     Expands the second difference of ``sigma`` times the dyadic piece by the
@@ -600,7 +610,7 @@ def cz_consistency(model: GroupModel, sym: MatrixSymbol, r: float,
     operators affordable).
     """
     _require_su2(model, "cz_consistency")
-    seq = psi_hat_coefficients(model, r, profile, band=band)
+    seq = psi_r_fixed_band(model, r, band)
     store = int(band)
     if sym.exact_band < store:
         raise BandOverflowError(
@@ -731,7 +741,7 @@ def _quadrature_cz_norm_sq(sym_diags, coeffs, m):
 
 
 def _psi_coeffs(model, r, band):
-    return psi_hat_coefficients(model, r, band=band).table.real
+    return psi_r_fixed_band(model, r, band).table.real
 
 
 @pytest.mark.parametrize("m", [1, 2])
@@ -879,7 +889,7 @@ def test_cz_norm_one_plane_matches_complex_masses_bitwise(su2, m):
                    + 1j * rng.standard_normal(t + 1) for t in range(band + 1)}
     sym = _diag_symbol(su2, lambda t: np.arange(1.0, t + 2.0) - 0.5 * t, band)
     providers = [riesz_field_diagonals(su2), identity_diagonals,
-                 partial(_symbol_diagonal, sym), random_rows.__getitem__]
+                 lambda t: np.diag(sym.get(t)), random_rows.__getitem__]
     for coeffs in (_psi_coeffs(su2, 0.25, band),
                    rng.standard_normal(band + 1)):
         for provider in providers:
