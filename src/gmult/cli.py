@@ -351,6 +351,9 @@ def _parse_field(text: str) -> Tuple[float, float, float]:
                                 "D2, D3 or three comma-separated floats")
     if len(parts) != 3:
         raise SymbolFormatError("a frame field needs three coefficients")
+    if not 0.0 < sum(v * v for v in parts) < math.inf:
+        raise SymbolFormatError(f"frame field {text!r} needs finite "
+                                "coefficients and a nonzero, finite norm")
     return parts
 
 
@@ -381,8 +384,6 @@ def build_cli_symbol(model: GroupModel, text: str, band: int):
     if spec.startswith("riesz:"):
         coeffs = np.asarray(_parse_field(spec[len("riesz:"):]), dtype=float)
         nrm = float(np.linalg.norm(coeffs))
-        if nrm == 0:
-            raise SymbolFormatError("riesz builder needs a nonzero field")
         return riesz_symbol(model, tuple(coeffs / nrm), band + pad)
     if spec.startswith("laplacian-function:"):
         fn = parse_scalar_expression(spec[len("laplacian-function:"):])
@@ -563,8 +564,6 @@ def cmd_invert(args: argparse.Namespace) -> int:
     band = args.band if args.band is not None else 40
     coeffs = np.asarray(_parse_field(args.field), dtype=float)
     amp = float(np.linalg.norm(coeffs))
-    if amp == 0:
-        raise SymbolFormatError("the frame field must be nonzero")
     c = parse_complex(args.c)
     spec = build_field(model, tuple(coeffs), band + 2 * model.kappa)
     exc_points = exceptional_set(spec, bound=max(2.0, abs(c) + 1.0))
@@ -604,6 +603,18 @@ def cmd_probe(args: argparse.Namespace) -> int:
     check_torus_dimension(model, SymbolFormatError)
     if model.kind == "su2":
         check_sobolev_order(model, args.q, args.s, SymbolFormatError)
+        probe_symbol = args.symbol or "riesz:D3"
+        if probe_symbol.startswith("riesz:"):
+            # every direction has D3's norms: a rotation conjugates each
+            # block by a unitary, and rho^2 and psi_r are central
+            _parse_field(probe_symbol[len("riesz:"):])
+            provider = riesz_field_diagonals(model)
+        elif probe_symbol == "identity":
+            provider = identity_diagonals
+        else:
+            raise SymbolFormatError(
+                f"the scaling probe supports --symbol riesz:<field> or "
+                f"identity, not {probe_symbol!r}")
     ladder = parse_ladder(args.ladder)
     ladder = sorted(ladder, reverse=True)
     grid_band = args.grid_band
@@ -656,16 +667,6 @@ def cmd_probe(args: argparse.Namespace) -> int:
             "r": decay["ladder"], "norm": decay["norms"],
             "band": [float(b) for b in decay["bands"]]})
 
-        probe_symbol = args.symbol or "riesz:D3"
-        if probe_symbol.startswith("riesz:"):
-            _parse_field(probe_symbol[len("riesz:"):])  # validate
-            provider = riesz_field_diagonals(model)
-        elif probe_symbol == "identity":
-            provider = identity_diagonals
-        else:
-            raise SymbolFormatError(
-                f"the scaling probe supports --symbol riesz:<field> or "
-                f"identity, not {probe_symbol!r}")
         cz = cz_probe(model, provider, ladder=ladder)
         passes.append(bool(cz["passed"]))
         results["cz_probe"] = cz

@@ -649,10 +649,10 @@ def identity_diagonals(t: int) -> np.ndarray:
     return np.ones(t + 1, dtype=complex)
 
 
-# Output rows per stencil block: blocks skip the zero columns past each
-# block's last label and keep the temporaries small (whole packed rows at
-# once take longer and raise the peak memory of `probe --group su2`).
-_STENCIL_ROWS = 64
+# Label rows per stencil block: `_cz_norm_sq` evolves each plane in place,
+# one block at a time, so its temporaries are a few rows of the plane's
+# width and skip the zero columns past each block's last label.
+_STENCIL_ROWS = 16
 
 
 def _packed_dims(parity: int, count: int) -> np.ndarray:
@@ -663,37 +663,58 @@ def _packed_dims(parity: int, count: int) -> np.ndarray:
     return dims
 
 
-def _times_chi1_packed(rows: np.ndarray, parity: int,
+def _times_chi1_packed(rows: np.ndarray, first: int,
                        size: int) -> np.ndarray:
     """Masses ``W[t, i]`` (see `_cz_norm_sq`) of a diagonal kernel times
-    ``chi_1``, on packed rows of one label parity.
+    ``chi_1``, on the output labels ``t = first, first + 2, ...`` of one
+    parity.
 
-    ``rows[1 + k, 1 + i]`` holds ``W[parity + 2k, i]`` for labels below
-    ``size``, inside a border of zeros; the result holds the other parity
-    in the same layout.  Squared spin-1/2 Clebsch-Gordan weights send each
-    mass to ``(t+1, i+1)``, ``(t+1, i)``, ``(t-1, i)`` and ``(t-1, i-1)``
-    with weights ``(i+1, t-i+1, t-i, i) / (t+1)``, so output ``(t, i)``
-    gathers four terms from rows ``t -+ 1``, added in that order.  Row
-    ``t`` vanishes beyond column ``t``, so each block of output rows
-    computes columns up to its last label plus one.
+    ``rows[j, 1 + i]`` holds ``W[first - 1 + 2j, i]``, zero at labels
+    outside ``0..size - 1`` and in column 0; the result has one row fewer,
+    in the same layout, and zero rows at labels outside ``0..size - 1``.
+    Squared spin-1/2 Clebsch-Gordan weights send each mass to
+    ``(t+1, i+1)``, ``(t+1, i)``, ``(t-1, i)`` and ``(t-1, i-1)`` with
+    weights ``(i+1, t-i+1, t-i, i) / (t+1)``, so output ``(t, i)`` gathers
+    four terms from rows ``t -+ 1``, added in that order.  Row ``t``
+    vanishes beyond column ``t``, so the result has columns up to its last
+    label plus one, inside a zero border.
     """
-    other = 1 - parity
-    labels = other + 2 * np.arange((size - other + 1) // 2)
-    dims = _packed_dims(parity, rows.shape[0] - 2)
-    out = np.zeros((labels.size + 2, rows.shape[1]))
-    for k0 in range(0, labels.size, _STENCIL_ROWS):
-        k1 = min(k0 + _STENCIL_ROWS, labels.size)
-        t = labels[k0:k1, None].astype(float)
-        cols = min(int(labels[k1 - 1]) + 2, size)
-        i = np.arange(cols, dtype=float)
-        # padded source rows of labels t - 1 (lo) and t + 1 (hi)
-        src = rows[k0 - parity + 1:k1 - parity + 2, :cols + 2] \
-            / dims[k0 - parity + 1:k1 - parity + 2, None]
-        lo, hi = src[:-1], src[1:]
-        out[k0 + 1:k1 + 1, 1:cols + 1] = (
-            lo[:, :cols] * i + lo[:, 1:cols + 1] * (t - i)
-            + hi[:, 1:cols + 1] * (t + 1.0 - i) + hi[:, 2:] * (i + 1.0))
+    n = rows.shape[0] - 1
+    j0 = max(0, (1 - first) // 2)
+    j1 = min(n, (size - first + 1) // 2)
+    t = (first + 2 * np.arange(j0, j1, dtype=float))[:, None]
+    cols = min(first + 2 * j1, size)
+    i = np.arange(cols, dtype=float)
+    dims = np.maximum(first + 2.0 * np.arange(j0, j1 + 1), 1.0)[:, None]
+    # source rows of labels t - 1 (lo) and t + 1 (hi)
+    src = rows[j0:j1 + 1, :cols + 2] / dims
+    lo, hi = src[:-1], src[1:]
+    out = np.zeros((n, cols + 2))
+    out[j0:j1, 1:cols + 1] = (
+        lo[:, :cols] * i + lo[:, 1:cols + 1] * (t - i)
+        + hi[:, 1:cols + 1] * (t + 1.0 - i) + hi[:, 2:] * (i + 1.0))
     return out
+
+
+def _times_rho2_in_place(part: np.ndarray, parity: int) -> None:
+    """Multiply the kernel of one parity's bordered plane of masses
+    (see `_cz_norm_sq`) by ``rho^2 = 4 - chi_1^2``, in place, one block of
+    `_STENCIL_ROWS` label rows at a time.  A block's ``chi_1``
+    intermediate comes from the block and a one-row halo on each side, so
+    each block is written back once the next block has read its halo row.
+    """
+    count, size = part.shape[0] - 2, part.shape[1] - 2
+    rows, block = slice(0, 0), part[:0]         # nothing held yet
+    for k0 in range(0, count, _STENCIL_ROWS):
+        k1 = min(k0 + _STENCIL_ROWS, count)
+        moved = _times_chi1_packed(_times_chi1_packed(
+            part[k0:k1 + 2], parity + 2 * k0 - 1, size),
+            parity + 2 * k0, size)
+        new = part[k0 + 1:k1 + 1, :moved.shape[1]] * 4.0
+        new -= moved
+        part[rows, :block.shape[1]] = block
+        rows, block = slice(k0 + 1, k1 + 1), new
+    part[rows, :block.shape[1]] = block
 
 
 def _cz_norm_sq(diagonal: Callable[[int], np.ndarray], coeffs: np.ndarray,
@@ -708,12 +729,13 @@ def _cz_norm_sq(diagonal: Callable[[int], np.ndarray], coeffs: np.ndarray,
     ``chi_1`` moves each mass to labels ``t +- 1`` (`_times_chi1_packed`).
     So ``chi_1^2`` keeps the label parity, and the even and odd labels
     evolve and sum apart: each parity runs on its own packed rows over the
-    labels below ``B + 2m + 1``, in O(m B^2) whole-array steps on the
-    nonzero triangle ``i <= t``.  ``diagonal(t)`` gives ``sigma_t``; it is
-    called and size-checked at every label ``0..B``, one parity at a time,
-    and its rows go straight into that parity's packed rows.  The stencil
-    is real, so the real and imaginary parts are separate real planes, each
-    allocated only when nonzero and evolved in place.
+    labels below ``B + 2m + 1``, in O(m B^2) steps on the nonzero triangle
+    ``i <= t``.  ``diagonal(t)`` gives ``sigma_t``; it is called and
+    size-checked at every label ``0..B``, one parity at a time, and its
+    rows go straight into that parity's packed rows.  The stencil is real,
+    so the real and imaginary parts are separate real planes, each
+    allocated only when nonzero and evolved in place
+    (`_times_rho2_in_place`).
     """
     size = coeffs.size + 2 * m
     total = 0.0
@@ -737,11 +759,7 @@ def _cz_norm_sq(diagonal: Callable[[int], np.ndarray], coeffs: np.ndarray,
             part = planes.pop(0)
             if part is not None:
                 for _ in range(m):
-                    moved = _times_chi1_packed(_times_chi1_packed(
-                        part, parity, size), 1 - parity, size)
-                    part *= 4.0
-                    part -= moved
-                    del moved
+                    _times_rho2_in_place(part, parity)
                 np.square(part, out=part)
                 part /= dims
                 total += float(np.sum(part))

@@ -492,6 +492,28 @@ def test_probe_refuses_torus_beyond_four_before_any_work(capsys, tmp_path,
         "supports n <= 4" in captured.err
 
 
+@pytest.mark.parametrize("field", ["0,0,0", "nan,0,1", "inf,0,1",
+                                   "1e-200,0,0", "1e200,0,0"])
+@pytest.mark.parametrize("command", ["check", "probe", "invert"])
+def test_degenerate_frame_field_exits_config_with_no_report(
+        command, field, capsys, tmp_path, monkeypatch):
+    # zero, non-finite, or a norm that under- or overflows: refused by the
+    # field parser, before the probe's work and before any LAPACK call
+    def no_work(*args, **kwargs):
+        raise AssertionError("the probe started before checking --symbol")
+
+    monkeypatch.setattr(cli, "mollifier_scaling_report", no_work)
+    out = tmp_path / "report.json"
+    argv = {"check": ["check", "--group", "su2", "--band", "8", "--symbol",
+                      f"riesz:{field}", "--checker", "mikhlin"],
+            "probe": ["probe", "--symbol", f"riesz:{field}"],
+            "invert": ["invert", f"--field={field}", "--band", "8"]}[command]
+    assert main(argv + ["--out", str(out)]) == EXIT_CONFIG
+    captured = capsys.readouterr()
+    assert captured.out == "" and not out.exists()
+    assert f"frame field {field!r} needs finite coefficients" in captured.err
+
+
 @pytest.mark.parametrize("argv", [
     ["fourier-selftest", "--group", "torus-3", "--band", "-2"],
     ["invert", "--band", "-1"],

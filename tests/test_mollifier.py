@@ -12,6 +12,7 @@ of the dyadic piece; the full-square ``chi_1`` stencil `_times_chi1` (the
 oracle of the packed one-parity stencil); and the complex-mass form of
 `_cz_norm_sq` (its bitwise oracle)."""
 import math
+import tracemalloc
 from typing import Dict, Optional, Tuple
 
 import numpy as np
@@ -23,9 +24,10 @@ from gmult.errors import BandOverflowError, GmultError, UnderResolvedError
 from gmult.grids import GroupFunction, GroupGrid
 from gmult.groups import (GroupModel, irrep_dimension, japanese_bracket,
                           labels_up_to, model_from_name)
-from gmult.mollifier import (_adaptive_band, _axis_spacing, _cz_norm_sq,
-                             _leggauss, _packed_dims, _psi_radial_values,
-                             _require_su2, _sobolev_sq_radial,
+from gmult.mollifier import (_STENCIL_ROWS, _adaptive_band, _axis_spacing,
+                             _cz_norm_sq, _leggauss, _packed_dims,
+                             _psi_radial_values, _require_su2,
+                             _sobolev_sq_radial,
                              _su2_central_coefficients, _su2_class_rule,
                              _su2_support_panels, _support_radius,
                              _times_chi1_packed, _times_q,
@@ -813,19 +815,24 @@ def _triangle(rng, size):
 @pytest.mark.parametrize("size", [1, 2, 3, 4, 130, 131, 260])
 @pytest.mark.parametrize("parity", [0, 1])
 def test_packed_chi1_matches_full_square(size, parity):
-    # 130 and up span more than one 64-row block on each parity
     rng = np.random.default_rng(size + 7 * parity)
     full = _triangle(rng, size)
     full[1 - parity::2] = 0.0
     packed = np.zeros(((size - parity + 1) // 2 + 2, size + 2))
     packed[1:-1, 1:-1] = full[parity::2]
-    out = _times_chi1_packed(packed, parity, size)
+    # the bordered plane holds labels parity - 2, parity, ...; as one
+    # window it gives the other parity's labels parity - 1, parity + 1, ...
+    out = _times_chi1_packed(packed, parity - 1, size)
     oracle = _times_chi1(full)
+    labels = parity - 1 + 2 * np.arange(out.shape[0])
+    inside = (labels >= 0) & (labels < size)
     scale = float(np.max(np.abs(oracle)))
-    assert np.max(np.abs(out[1:-1, 1:-1] - oracle[1 - parity::2]),
+    assert out.shape == (packed.shape[0] - 1, size + 2)
+    assert np.max(np.abs(out[inside, 1:-1] - oracle[labels[inside]]),
                   initial=0.0) <= 1e-15 * scale
-    # the zero border survives, and the source parity's rows stay empty
-    assert not out[0].any() and not out[-1].any()
+    # labels outside 0..size-1 and the border columns stay zero, and the
+    # source parity's rows stay empty
+    assert not out[~inside].any()
     assert not out[:, 0].any() and not out[:, -1].any()
     assert not oracle[parity::2].any()
 
@@ -854,7 +861,8 @@ def test_cz_norm_packed_parities_match_full_square(m, size):
 def _complex_masses_cz_norm_sq(sym_diags, coeffs, m):
     """Bitwise oracle for `_cz_norm_sq`: the same stencil on one complex
     mass array per parity, every diagonal gathered in a per-label dict
-    first."""
+    first, each step one whole-plane window of `_times_chi1_packed` into
+    new arrays."""
     size = coeffs.size + 2 * m
     nonzero = np.nonzero(coeffs)[0]
     total = 0.0
@@ -870,33 +878,56 @@ def _complex_masses_cz_norm_sq(sym_diags, coeffs, m):
         for part in (masses.real, masses.imag):
             if part.any():
                 for _ in range(m):
-                    part = 4.0 * part - _times_chi1_packed(
-                        _times_chi1_packed(part, parity, size),
-                        1 - parity, size)
+                    moved = _times_chi1_packed(_times_chi1_packed(
+                        part, parity - 1, size), parity, size)
+                    part = 4.0 * part - np.pad(moved, ((1, 1), (0, 0)))
                 total += float(np.sum(part ** 2 / dims[:, None]))
     return total
 
 
 @pytest.mark.parametrize("m", [1, 2])
 def test_cz_norm_one_plane_matches_complex_masses_bitwise(su2, m):
-    # each diagonal written straight into one real plane at a time gives
-    # the complex-mass norm bit for bit: purely imaginary (Riesz), real
-    # (identity, a diagonal MatrixSymbol) and complex rows, on the probe's
-    # even-label coefficients and on random coefficients of both parities
+    # each diagonal written straight into one real plane at a time, and
+    # each plane evolved in place block by block, gives the complex-mass
+    # norm bit for bit: purely imaginary (Riesz), real (identity, a
+    # diagonal MatrixSymbol) and complex rows, on the probe's even-label
+    # coefficients and on random coefficients of both parities; at band
+    # `edge` one parity's rows end on a block boundary and the other's one
+    # row past it
     rng = np.random.default_rng(29 + m)
     band = 150
+    edge = 6 * _STENCIL_ROWS - 2 * m
     random_rows = {t: rng.standard_normal(t + 1)
                    + 1j * rng.standard_normal(t + 1) for t in range(band + 1)}
     sym = _diag_symbol(su2, lambda t: np.arange(1.0, t + 2.0) - 0.5 * t, band)
     providers = [riesz_field_diagonals(su2), identity_diagonals,
                  lambda t: np.diag(sym.get(t)), random_rows.__getitem__]
     for coeffs in (_psi_coeffs(su2, 0.25, band),
-                   rng.standard_normal(band + 1)):
+                   rng.standard_normal(band + 1),
+                   rng.standard_normal(edge + 1)):
         for provider in providers:
             rows = {t: np.asarray(provider(t), dtype=complex)
                     for t in range(band + 1)}
             assert (_cz_norm_sq(provider, coeffs, m)
                     == _complex_masses_cz_norm_sq(rows, coeffs, m))
+
+
+def test_cz_norm_peaks_near_one_plane(su2):
+    # the step 4 - chi_1^2 runs in place on block rows, so at the default
+    # ladder's finest scale the probe holds one packed plane plus a few
+    # block rows; a step on whole planes would hold three
+    coeffs = psi_hat_coefficients(su2, min(default_ladder()),
+                                  rel_tol=1e-4).table.real
+    size = coeffs.size + 2
+    plane = ((size + 1) // 2 + 2) * (size + 2) * 8
+    for provider in (riesz_field_diagonals(su2), identity_diagonals):
+        tracemalloc.start()
+        try:
+            _cz_norm_sq(provider, coeffs, 1)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 1.5 * plane
 
 
 def test_cz_norm_checks_rows_at_zero_coefficient_labels(su2):
