@@ -23,7 +23,7 @@ from __future__ import annotations
 
 import math
 from collections.abc import Mapping
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, Dict, Optional, Sequence
 
 import numpy as np
@@ -89,16 +89,10 @@ class ClassGrid:
 
     angles: np.ndarray
     weights: np.ndarray
-    _chi: Dict[int, np.ndarray] = field(default_factory=dict, repr=False)
 
     @property
     def size(self) -> int:
         return self.angles.size
-
-    def characters(self, tmax: int) -> np.ndarray:
-        if tmax not in self._chi:
-            self._chi[tmax] = character_table(tmax, self.angles)
-        return self._chi[tmax]
 
     def integrate(self, values: np.ndarray) -> complex:
         return complex(np.sum(self.weights * values))
@@ -210,7 +204,7 @@ def laplace_central(seq: CentralSequence) -> CentralSequence:
     sup = seq.support_band
     out_band = sup + 2
     grid = class_grid(sup + out_band + 6)
-    chi = grid.characters(out_band)
+    chi = character_table(out_band, grid.angles)
     size = seq.table.size
     kernel = (np.arange(1, size + 1) * seq.table) @ chi[:size]
     kernel = kernel * class_rho_squared(grid.angles)
@@ -235,7 +229,7 @@ def nweiss_delta(seq: CentralSequence) -> CentralSequence:
     sup = seq.support_band
     out_band = sup + 1
     grid = class_grid(sup + out_band + 6)
-    chi = grid.characters(max(sup, out_band))
+    chi = character_table(max(sup, out_band), grid.angles)
     kernel = seq.table @ chi[:seq.table.size]
     gamma = 2.0 * np.cos(0.5 * grid.angles) - 2.0
     kernel = kernel * gamma

@@ -53,8 +53,7 @@ from .mollifier import (check_sobolev_order, check_torus_dimension,
                         grid_normalizer_samples,
                         identity_diagonals, mollifier_family,
                         mollifier_scaling_report, negative_sobolev_decay,
-                        required_mollifier_band, riesz_field_diagonals,
-                        smallest_resolved_scale)
+                        required_mollifier_band, riesz_field_diagonals)
 
 SCHEMA = "gmult-report/1"
 ENV_OUT_DIR = "GMULT_OUT_DIR"
@@ -568,19 +567,18 @@ def cmd_invert(args: argparse.Namespace) -> int:
     spec = build_field(model, tuple(coeffs), band + 2 * model.kappa)
     exc_points = exceptional_set(spec, bound=max(2.0, abs(c) + 1.0))
     try:
-        inverse = invert_vf_symbol(spec, c, band)
+        s00 = verify_s00(spec, c, band)
     except ExceptionalValueError as exc:
         lattice = "(1/2)Z" if abs(amp - 1.0) < 1e-12 else f"({amp / 2:g})Z"
         raise ExceptionalValueError(
             f"c = {args.c} is exceptional for this field: i*c lies in the "
             f"half-integer lattice {lattice} of eigenvalue gaps "
             f"(resolvent undefined); detail: {exc}")
-    sup_norm = float(inverse.norms(band).max())
-    s00 = verify_s00(spec, c, band)
     results: Dict[str, object] = {
         "exceptional_set": [{"re": z.real, "im": z.imag}
                             for z in exc_points],
-        "inverse_sup_norm": sup_norm,
+        # the order-0 weight <xi>^0 is 1: the constant is the sup norm
+        "inverse_sup_norm": s00.condition("order-0").constant,
         "s00": s00.as_dict(),
     }
     passed = bool(s00.passed)
@@ -617,23 +615,24 @@ def cmd_probe(args: argparse.Namespace) -> int:
                 f"identity, not {probe_symbol!r}")
     ladder = parse_ladder(args.ladder)
     ladder = sorted(ladder, reverse=True)
+    coarse = max(ladder)
     grid_band = args.grid_band
-    if grid_band is not None:
-        floor_r = smallest_resolved_scale(model, grid_band)
-        if min(ladder) < floor_r:
-            raise UnderResolvedError(
-                f"grid band {grid_band} cannot resolve the ladder: the "
-                f"smallest usable r on that grid is {floor_r:.6g}, the "
-                f"ladder reaches {min(ladder):.6g}; use --grid-band >= "
-                f"{required_mollifier_band(model, min(ladder))}")
-    else:
-        grid_band = required_mollifier_band(model, max(ladder))
-    samples = grid_normalizer_samples(model, grid_band, max(ladder))
+    if grid_band is None:
+        grid_band = required_mollifier_band(model, coarse)
+    samples = grid_normalizer_samples(model, grid_band, coarse)
     if samples > _MAX_PROBE_SAMPLES:
         raise UnderResolvedError(
             f"the grid cross-check on a band-{grid_band} grid sums {samples} "
             f"samples, past the probe cap {_MAX_PROBE_SAMPLES}")
-    results: Dict[str, object] = {}
+    # the grid normalizes phi_r at the coarsest scale only, and refuses a
+    # grid too coarse for it before any probe runs
+    grid_c = grid_normalizer(model, default_grid(model, grid_band), coarse)
+    radial_c = mollifier_family(model, coarse).c_r
+    results: Dict[str, object] = {"grid_cross_check": {
+        "grid_band": grid_band, "r": coarse, "grid_c_r": grid_c,
+        "radial_c_r": radial_c,
+        "relative_difference": abs(grid_c / radial_c - 1.0),
+    }}
     passes: List[bool] = []
 
     scaling = mollifier_scaling_report(model, ladder)
@@ -645,16 +644,6 @@ def cmd_probe(args: argparse.Namespace) -> int:
     results["mollifier_scaling"] = dict(scaling, passed=scale_pass)
     results["ladder_csv"] = ladder_csv({
         "r": scaling["ladder"], "c_r": scaling["c_r"], "l2": scaling["l2"]})
-
-    grid = default_grid(model, grid_band)
-    coarse = max(ladder)
-    grid_c = grid_normalizer(model, grid, coarse)
-    radial_c = mollifier_family(model, coarse).c_r
-    results["grid_cross_check"] = {
-        "grid_band": grid_band, "r": coarse, "grid_c_r": grid_c,
-        "radial_c_r": radial_c,
-        "relative_difference": abs(grid_c / radial_c - 1.0),
-    }
 
     if model.kind == "su2":
         decay = negative_sobolev_decay(model, q=args.q, s=args.s,

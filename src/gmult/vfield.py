@@ -27,8 +27,8 @@ import numpy as np
 
 from .errors import ExceptionalValueError, GmultError
 from .groups import GroupModel
-from .symbols import (DifferenceWord, MatrixSymbol, apply_differences,
-                      vector_field_symbol)
+from .symbols import (MatrixSymbol, _residual_norm, _su2_differences,
+                      symbol_add, symbol_product, vector_field_symbol)
 from .checkers import MultiplierReport, SymbolClassSpec, check_symbol_class
 
 _SPECTRAL_MARGIN = 1e-8
@@ -72,7 +72,8 @@ def build_field(model: GroupModel, coeffs, band: int) -> VectorFieldSpec:
 
     ``eigh`` on the Hermitian block ``i sigma`` supplies the eigenvectors;
     each rotated block must match the exact eigenvalues within
-    ``_SPECTRAL_MARGIN``.
+    ``_SPECTRAL_MARGIN`` relative to the block's spectral radius ``|a| t /
+    2`` (absolute below radius 1).
     """
     if model.kind != "su2":
         raise GmultError("vector-field inversion is implemented on su2")
@@ -90,37 +91,32 @@ def build_field(model: GroupModel, coeffs, band: int) -> VectorFieldSpec:
         V = np.linalg.eigh(1j * block)[1][:, ::-1]
         resid = np.abs(V.conj().T @ block @ V
                        - np.diag(spec.eigenvalues(t))).max()
-        if resid > _SPECTRAL_MARGIN:
+        if resid > _SPECTRAL_MARGIN * max(1.0, 0.5 * spec.field_norm * t):
             raise GmultError(f"diagonalization residual {resid:.2e} at label {t}")
         spec.unitaries[t] = V
     return spec
 
 
 def exceptional_set(spec: VectorFieldSpec, bound: float) -> List[complex]:
-    """All parameters inside the closed disk of the given radius at which
-    some block of the shifted-field symbol becomes singular: integer
-    multiples of ``i |X| / 2``."""
+    """The parameters inside the closed disk of the given radius at which a
+    stored block (labels through ``spec.band``) of the shifted-field symbol
+    is singular: ``i |X| q / 2`` for the integers ``|q| <= spec.band``."""
     if bound <= 0:
         raise ValueError("bound must be positive")
     half = 0.5 * spec.field_norm
-    qmax = int(math.floor(bound / half + 1e-12))
+    qmax = min(spec.band, int(math.floor(bound / half + 1e-12)))
     return [1j * half * q for q in range(-qmax, qmax + 1)]
 
 
 def _nearest_eigenvalue(spec: VectorFieldSpec, c: complex,
                         band: int) -> Tuple[float, int, complex]:
     """(distance, label, eigenvalue) of the spectral point closest to -c
-    among blocks through ``band``."""
-    best = (math.inf, -1, 0j)
+    among blocks through ``band``.  Those points are ``-i |a| q / 2`` for
+    the integers ``|q| <= band``, each first reached at label ``|q|``."""
     A = spec.field_norm
-    for t in range(band + 1):
-        # block eigenvalues are -i A m, m = -t/2 .. t/2
-        for twice_m in range(-t, t + 1, 2):
-            ev = -0.5j * A * twice_m
-            dist = abs(ev + c)
-            if dist < best[0]:
-                best = (dist, t, ev)
-    return best
+    twice_m = int(round(min(max(2.0 * c.imag / A, -band), band)))
+    ev = -0.5j * A * twice_m
+    return abs(ev + c), abs(twice_m), ev
 
 
 def invert_vf_symbol(spec: VectorFieldSpec, c: complex,
@@ -152,52 +148,34 @@ def _rotated_differences(model: GroupModel, sym: MatrixSymbol, V1: np.ndarray
 
     Each rotated coefficient ``sum_ab conj(V1_ai) V1_bj xi_ab`` is a fixed
     combination of the plain fundamental coefficients, so all four
-    operators expand over the four plain first-order differences, which
-    share one kernel synthesis.
+    operators come from one kernel synthesis.
     """
-    plain = apply_differences([DifferenceWord(model, ((1, a, b),))
-                               for a in range(2) for b in range(2)], sym)
-    coef = np.kron(V1.conj(), V1)                  # [(a, b), (i, j)]
-    cert = min(piece.exact_band for piece in plain)
-    return {(i, j): MatrixSymbol(model, {
-        t: sum(coef[ab, 2 * i + j] * plain[ab].entries[t] for ab in range(4))
-        for t in plain[0].entries}, exact_band=cert)
-        for i in range(2) for j in range(2)}
+    pairs = [(i, j) for i in range(2) for j in range(2)]
+    diffs = _su2_differences(sym, 1, [
+        [(V1[a, i].conjugate() * V1[b, j], ((1, a, b),)) for a, b in pairs]
+        for i, j in pairs], None)
+    return dict(zip(pairs, diffs))
 
 
 def recursion_residuals(spec: VectorFieldSpec, c: complex, band: int,
                         blocks: Sequence[int] = (0, 1)
                         ) -> Dict[int, Dict[str, float]]:
     """:func:`recursion_residual` for each block ``j`` in ``blocks``, from
-    one inverse symbol whose four plain fundamental differences come from
+    one inverse symbol whose four rotated fundamental differences come from
     one kernel synthesis and serve every block."""
     if any(j not in (0, 1) for j in blocks):
         raise ValueError("j indexes the 2x2 fundamental block: 0 or 1")
-    for shift, tag in [(c, "c")] + [(c + spec.tau[j, j], "c + tau_jj")
-                                    for j in blocks]:
-        dist, bad_label, bad_ev = _nearest_eigenvalue(spec, shift, band + 1)
-        if dist < _SPECTRAL_MARGIN:
-            raise ExceptionalValueError(
-                f"{tag} = {shift} is within {dist:.2e} of eigenvalue "
-                f"{bad_ev} at label {bad_label}")
-    if band + 1 > spec.band:
-        raise GmultError("rebuild the field through at least band + 1")
     inv = invert_vf_symbol(spec, c, band + 1)
     diffs = _rotated_differences(spec.model, inv, spec.unitaries[1])
-    off_resid = max(float(np.linalg.norm(diffs[i, 1 - i].get(t)))
-                    for i in range(2) for t in range(band + 1))
+    off_resid = max(_residual_norm(diffs[i, 1 - i], band) for i in range(2))
     out = {}
     for j in blocks:
         tau_jj = spec.tau[j, j]
-        diag_resid = 0.0
-        for t in range(band + 1):
-            lam, V = spec.eigenvalues(t), spec.unitaries[t]
-            scalars = -tau_jj / ((lam + c) * (lam + c + tau_jj))
-            predicted = (V * scalars[None, :]) @ V.conj().T
-            diag_resid = max(diag_resid, float(np.linalg.norm(
-                diffs[j, j].get(t) - predicted)))
-        out[j] = {"residual": diag_resid, "offdiagonal": off_resid,
-                  "band": float(band), "tau": tau_jj}
+        shifted = invert_vf_symbol(spec, c + tau_jj, band + 1)
+        resid = symbol_add(diffs[j, j], symbol_product(inv, shifted),
+                           beta=tau_jj)
+        out[j] = {"residual": _residual_norm(resid, band),
+                  "offdiagonal": off_resid, "band": float(band), "tau": tau_jj}
     return out
 
 

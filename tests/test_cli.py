@@ -18,6 +18,7 @@ All invocations but the harness run go through ``cli.main`` in-process.
 import json
 import math
 import re
+import shlex
 import subprocess
 import sys
 from collections import Counter
@@ -355,6 +356,17 @@ def test_invert_recursion_check_passes(capsys):
     assert rec["block_1"]["residual"] < 1e-9
 
 
+@pytest.mark.parametrize("field, points", [("1e-11,0,0", 25),
+                                           ("1e150,0,0", 1)])
+def test_invert_tiny_and_huge_fields_pass(field, points, capsys):
+    # the exceptional set stops at the stored labels (through band + 2
+    # kappa = 12), and the diagonalization margin scales with the field
+    assert main(["invert", f"--field={field}", "--band", "8"]) == EXIT_PASS
+    results = json.loads(capsys.readouterr().out)["results"]
+    assert len(results["exceptional_set"]) == points
+    assert results["inverse_sup_norm"] == pytest.approx(1.0)
+
+
 def test_bad_ranges_ladders_and_shifts_exit_config(capsys):
     assert main(["check", "--group", "su2", "--band", "4",
                  "--symbol", "identity", "--checker", "mikhlin"]) \
@@ -379,6 +391,16 @@ def test_probe_underresolved_grid_band_exits_config(capsys):
     assert code == EXIT_CONFIG
     assert "smallest" in capsys.readouterr().err
 
+
+def test_probe_accepts_the_grid_band_it_picks(capsys):
+    # the grid normalizes phi_r only at the coarsest scale, so the band
+    # the plain probe picks is accepted when given explicitly
+    assert main(["probe", "--group", "su2"]) == EXIT_PASS
+    plain = json.loads(capsys.readouterr().out)["results"]
+    assert plain["grid_cross_check"]["grid_band"] == 62
+    assert main(["probe", "--group", "su2", "--grid-band", "62"]) \
+        == EXIT_PASS
+    assert json.loads(capsys.readouterr().out)["results"] == plain
 
 @pytest.mark.parametrize("group", ["torus-1", "torus-2"])
 def test_probe_default_ladder_passes_on_low_dimensional_tori(group, capsys):
@@ -682,3 +704,34 @@ def test_traced_probes_skip_the_sampled_grid(tmp_path):
     assert [counts[name] for name in sampled] == [0, 0, 0]
     assert counts["grids.build_grid"] == 1
     assert counts["mollifier.grid_normalizer"] == 1
+
+
+def _readme_commands():
+    """``(argv, exit code)`` of each ``gmult`` line in the README's usage
+    block; a trailing ``# exits N`` comment states a nonzero code."""
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    out = []
+    for block in re.findall(r"```sh\n(.*?)```", readme, re.S):
+        for line in block.splitlines():
+            if line.startswith("gmult "):
+                command, _, comment = line.partition("#")
+                code = re.match(r"\s*exits (\d+)", comment)
+                out.append((shlex.split(command)[1:],
+                            int(code.group(1)) if code else EXIT_PASS))
+    return out
+
+
+README_COMMANDS = _readme_commands()
+
+
+def test_readme_usage_block_is_found():
+    assert len(README_COMMANDS) == 8
+
+
+@pytest.mark.parametrize("argv, exit_code", README_COMMANDS,
+                         ids=[" ".join(argv) for argv, _ in README_COMMANDS])
+def test_readme_commands_exit_as_documented(argv, exit_code, capsys,
+                                            monkeypatch):
+    monkeypatch.delenv(cli.ENV_OUT_DIR, raising=False)
+    assert main(argv) == exit_code
+    capsys.readouterr()

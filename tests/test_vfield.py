@@ -1,6 +1,7 @@
 """Frame-field resolvents: exceptional shifts, inverse symbols, the
 difference recursion, and the order-0/type-0 verdict."""
-from typing import List, Optional
+import math
+from typing import List, Optional, Tuple
 
 import numpy as np
 import pytest
@@ -10,8 +11,9 @@ from gmult.errors import ExceptionalValueError, GmultError
 from gmult.groups import GroupModel, labels_up_to, model_from_name
 from gmult.symbols import (MatrixSymbol, identity_symbol, symbol_add,
                            symbol_product)
-from gmult.vfield import (VectorFieldSpec, _rotated_differences, build_field,
-                          exceptional_set, invert_vf_symbol,
+from gmult.vfield import (_SPECTRAL_MARGIN, VectorFieldSpec,
+                          _nearest_eigenvalue, _rotated_differences,
+                          build_field, exceptional_set, invert_vf_symbol,
                           recursion_residual, verify_s00)
 
 from conftest import op_norm
@@ -64,6 +66,21 @@ def _measure_tau(model: GroupModel, sym: MatrixSymbol, V1: np.ndarray,
 def field_difference_table(spec: VectorFieldSpec) -> np.ndarray:
     """Quadrature re-measurement of the ``tau`` table from the stored field."""
     return _measure_tau(spec.model, spec.symbol, spec.unitaries[1])
+
+
+def scan_nearest_eigenvalue(spec: VectorFieldSpec, c: complex,
+                            band: int) -> Tuple[float, int, complex]:
+    """(distance, label, eigenvalue) of the spectral point closest to -c,
+    by scanning every block eigenvalue ``-i |a| m`` through ``band``."""
+    best = (math.inf, -1, 0j)
+    A = spec.field_norm
+    for t in range(band + 1):
+        for twice_m in range(-t, t + 1, 2):
+            ev = -0.5j * A * twice_m
+            dist = abs(ev + c)
+            if dist < best[0]:
+                best = (dist, t, ev)
+    return best
 
 
 @pytest.fixture(scope="module")
@@ -198,3 +215,66 @@ def test_near_exceptional_norm_blows_up(q, eps):
     inv = invert_vf_symbol(spec, c, max(abs(q) + 2, 4))
     sup = max(op_norm(inv.get(t)) for t in range(max(abs(q) + 2, 4)))
     assert sup >= 0.99 / eps
+
+
+def test_nearest_eigenvalue_matches_scan(su2):
+    # the closed form against the scan over random field sizes, bands, and
+    # shifts on, near and off the lattice: the refusal decision agrees
+    # everywhere, the label and eigenvalue wherever the nearest lattice
+    # point is unique by more than rounding (not at half-way ties)
+    rng = np.random.default_rng(15)
+    for _ in range(2000):
+        amp = 10.0 ** rng.uniform(-3.0, 3.0)
+        spec = build_field(su2, (0.0, 0.0, amp), 0)
+        band = int(rng.integers(0, 31))
+        q = int(rng.integers(-band - 3, band + 4))
+        offset = rng.choice([0.0, 1e-10, -3e-9, rng.uniform(-0.5, 0.5)])
+        re = rng.choice([0.0, 1e-9, rng.uniform(-2.0, 2.0)])
+        x = q + offset
+        c = complex(re, 0.5 * amp * x)
+        got, want = _nearest_eigenvalue(spec, c, band), \
+            scan_nearest_eigenvalue(spec, c, band)
+        assert (got[0] < _SPECTRAL_MARGIN) == (want[0] < _SPECTRAL_MARGIN)
+        assert got[0] == pytest.approx(want[0], rel=1e-12, abs=1e-300)
+        if abs(abs(x - math.floor(x)) - 0.5) > 1e-9 or abs(x) > band:
+            assert got[1:] == want[1:]
+
+
+def test_exceptional_set_stops_at_stored_labels(su2):
+    # a tiny field puts millions of lattice points in the disk, but only
+    # the 2 * 8 + 1 shifts that a stored block reaches are exceptional
+    spec = build_field(su2, (1e-6, 0.0, 0.0), 8)
+    pts = exceptional_set(spec, bound=2.0)
+    assert len(pts) == 17
+    assert max(abs(z) for z in pts) == pytest.approx(8 * 0.5e-6)
+
+
+@pytest.mark.parametrize("coeffs", [(0.0, 0.0, 1.0), (0.0, 0.0, 2.0),
+                                    (0.6, 0.0, 0.8), (1e-6, 0.0, 0.0)])
+def test_invert_refuses_every_exceptional_point(su2, coeffs):
+    spec = build_field(su2, coeffs, 6)
+    pts = exceptional_set(spec, bound=4.0)
+    assert pts
+    for z in pts:
+        with pytest.raises(ExceptionalValueError):
+            invert_vf_symbol(spec, z, spec.band)
+
+
+def test_build_field_margin_scales_with_the_field(su2):
+    # the residual is rounding relative to the block's spectral radius
+    spec = build_field(su2, (1e150, 0.0, 0.0), 8)
+    inv = invert_vf_symbol(spec, 1.0, 8)
+    assert np.all(np.isfinite(inv.norms(8)))
+
+
+def test_build_field_refuses_a_wrong_basis(su2, monkeypatch):
+    eigh = np.linalg.eigh
+
+    def reversed_basis(mat):
+        vals, vecs = eigh(mat)
+        return vals, vecs[:, ::-1]
+
+    monkeypatch.setattr(np.linalg, "eigh", reversed_basis)
+    for coeffs in ((0.0, 0.0, 1.0), (1e150, 0.0, 0.0)):
+        with pytest.raises(GmultError, match="diagonalization residual"):
+            build_field(su2, coeffs, 4)
