@@ -58,7 +58,8 @@ from .mollifier import (check_sobolev_order, check_torus_dimension,
 SCHEMA = "gmult-report/1"
 ENV_OUT_DIR = "GMULT_OUT_DIR"
 EXIT_PASS, EXIT_FAIL, EXIT_MATH, EXIT_CONFIG = 0, 1, 2, 3
-#: Profile samples the probe's grid cross-check may sum (and hold) at once.
+#: Profile samples the probe's grid cross-check may sum (the torus sum holds
+#: them at once, the SU(2) sum a chunk of polar rows).
 _MAX_PROBE_SAMPLES = 1 << 22
 
 __all__ = [
@@ -202,7 +203,9 @@ def parse_torus_expression(text: str, n: int) -> Callable:
         with np.errstate(all="ignore"):
             values = np.asarray(_expr_eval(tree, env), dtype=complex)
         shape = np.broadcast_shapes(*(np.shape(a) for a in axes))
-        values = np.broadcast_to(values, shape).copy()
+        if values.shape != shape:
+            # a fresh evaluation of the full shape is already private
+            values = np.broadcast_to(values, shape).copy()
         bad = ~np.isfinite(values)
         if bad.any():
             origin = np.ones_like(bad)

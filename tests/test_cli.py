@@ -21,6 +21,7 @@ import re
 import shlex
 import subprocess
 import sys
+import tracemalloc
 from collections import Counter
 from pathlib import Path
 
@@ -33,7 +34,7 @@ from gmult.cli import (EXIT_CONFIG, EXIT_FAIL, EXIT_MATH, EXIT_PASS,
                        load_symbol_file, main, parse_complex, parse_ladder,
                        parse_scalar_expression, parse_torus_expression)
 from gmult.errors import GmultError, SymbolFormatError
-from gmult.groups import label_band
+from gmult.groups import label_band, label_box
 from gmult.symbols import identity_symbol
 
 
@@ -84,6 +85,23 @@ def test_parse_torus_expression_origin_patch():
     assert vals[1] == pytest.approx(1.0)
     assert vals[2] == pytest.approx(0.0)
     assert vals[3] == pytest.approx(3.0 / 5.0)
+
+
+def test_parse_torus_expression_keeps_a_full_box_uncopied():
+    # k1/abs(k) evaluates to a fresh box: it is held once as complex, next
+    # to the real quotient it came from, and not copied again (the label
+    # axes and the parser's scalars are the 64 KiB allowance)
+    fn = parse_torus_expression("k1/abs(k)", 3)
+    axes = label_box(3, 40)
+    box = 81 ** 3 * 16
+    tracemalloc.start()
+    try:
+        values = fn(*axes)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert values.shape == (81,) * 3 and values[40, 40, 40] == 0.0
+    assert peak <= 1.5 * box + 64 * 1024
 
 
 def test_parse_torus_expression_nonfinite_off_origin():

@@ -24,8 +24,10 @@ from gmult.errors import BandOverflowError, GmultError, UnderResolvedError
 from gmult.grids import GroupFunction, GroupGrid
 from gmult.groups import (GroupModel, irrep_dimension, japanese_bracket,
                           labels_up_to, model_from_name)
-from gmult.mollifier import (_STENCIL_ROWS, _adaptive_band, _axis_spacing,
-                             _cz_norm_sq, _leggauss, _packed_dims,
+from gmult import mollifier
+from gmult.mollifier import (_CHUNK_ENTRIES, _STENCIL_ROWS, _adaptive_band,
+                             _axis_spacing, _cz_norm_sq, _leggauss,
+                             _packed_dims,
                              _psi_radial_values, _require_su2,
                              _sobolev_sq_radial,
                              _su2_central_coefficients, _su2_class_rule,
@@ -204,6 +206,50 @@ def test_grid_normalizer_matches_sampled_oracle(group, r):
             oracle, rel=1e-13, abs=0.0)
 
 
+def one_shot_grid_normalizer(grid: GroupGrid, r: float) -> float:
+    """Oracle for `grid_normalizer` on SU(2): the same samples formed over
+    the whole ``(B + 1) x 2N`` plane at once, then summed by rows."""
+    R = _support_radius(grid.model, r)
+    half_trace = (np.cos(grid.thetas / 2.0)[:, None]
+                  * np.cos(grid.psis / 2.0)[None, :])
+    angle = 2.0 * np.arccos(np.clip(half_trace, -1.0, 1.0))
+    rho_sq = np.maximum(2.0 - 2.0 * np.cos(angle), 0.0)
+    raw = bump_profile(np.sqrt(rho_sq) / R)
+    return 1.0 / (float(grid.theta_weights @ raw.sum(axis=1))
+                  / (2.0 * grid.psis.size))
+
+
+@pytest.mark.parametrize("entries", [_CHUNK_ENTRIES, 1, 150])
+def test_grid_normalizer_chunks_match_one_shot_bitwise(su2, monkeypatch,
+                                                       entries):
+    # chunks of the module's size, of one polar row, and of three rows of
+    # the band-12 grid (2N = 50), whose 13 rows leave a remainder of one;
+    # r = 8 puts the whole group inside the support; each scale runs at
+    # its smallest resolving band (12 for r = 8)
+    monkeypatch.setattr(mollifier, "_CHUNK_ENTRIES", entries)
+    for r in (8.0, 0.5, 1.0 / 16.0):
+        band = required_mollifier_band(su2, r)
+        grid = default_grid(su2, band + (r == 8.0))
+        assert grid_normalizer(su2, grid, r) == one_shot_grid_normalizer(
+            grid, r)
+
+
+def test_grid_normalizer_peak_is_a_few_chunks(su2):
+    # the fine ladder's grid (band 582, 583 x 2330 samples per plane):
+    # the one-shot samples held ~6 planes, 68 MB
+    r = 8e-5
+    grid = default_grid(su2, required_mollifier_band(su2, r))
+    assert grid.band == 582
+    plane = 8 * grid.thetas.size * grid.psis.size
+    tracemalloc.start()
+    try:
+        grid_normalizer(su2, grid, r)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 8 * 8 * _CHUNK_ENTRIES < plane / 2
+
+
 def test_resolution_helpers(su2, torus3):
     for model in (su2, torus3):
         band = required_mollifier_band(model, 0.125)
@@ -327,6 +373,72 @@ def test_blocked_coefficients_match_recurrence(su2, r, band):
     assert fast.shape == (band + 1,)
     peak = float(np.max(np.abs(oracle)))
     assert float(np.max(np.abs(fast - oracle))) <= 1e-12 * peak
+
+
+def one_shot_central_coefficients(values_fn, R, band):
+    """Oracle for `_su2_central_coefficients`: the same blocked rule as one
+    product ``H E^T`` of the whole phase tables."""
+    panels = _su2_support_panels(R)
+    width = max(b - a for a, b in panels)
+    nodes = max(48, int(0.35 * (band + 2) * width) + 16)
+    s, w = _su2_class_rule(panels, nodes)
+    theta = 0.5 * s
+    g = values_fn(s) * w / np.sin(theta)
+    K = math.isqrt(band) + 1
+    low = np.arange(K)[:, None] * theta
+    high = (K * np.arange(-(-(band + 1) // K)) + 1.0)[:, None] * theta
+    E = np.concatenate((np.cos(low), np.sin(low)), axis=1)
+    H = np.concatenate((g * np.sin(high), g * np.cos(high)), axis=1)
+    return (H @ E.T).reshape(-1)[:band + 1] / (np.arange(band + 1) + 1.0)
+
+
+def test_chunked_coefficients_match_one_shot(su2):
+    # one chunk (band 3), several, and a remainder merged into the last;
+    # the bound is one rounding of the largest coefficient
+    for r, band in ((8.0, 3), (2.0, 120), (1.0 / 16.0, 1198),
+                    (1.0 / 512.0, 6076), (1e-5, 15595), (1e-5, 39964)):
+        values_fn, R = _psi_radial_values(su2, r)
+        fast = _su2_central_coefficients(values_fn, R, band)
+        oracle = one_shot_central_coefficients(values_fn, R, band)
+        assert fast.shape == oracle.shape
+        peak = float(np.max(np.abs(oracle)))
+        assert float(np.max(np.abs(fast - oracle))) <= 1e-15 * peak
+
+
+@pytest.mark.parametrize("entries", [4096, 1])
+def test_small_coefficient_chunks_match_recurrence(su2, monkeypatch,
+                                                    entries):
+    # chunks of a few rows, and of two rows (the floor) with a remainder
+    # of three; BLAS sums such small products in its own order, so they
+    # meet the recurrence oracle's bound, not the one-shot product's bits
+    monkeypatch.setattr(mollifier, "_CHUNK_ENTRIES", entries)
+    for r, band in ((8.0, 3), (8.0, 8), (2.0, 120), (1.0 / 16.0, 1198)):
+        values_fn, R = _psi_radial_values(su2, r)
+        fast = _su2_central_coefficients(values_fn, R, band)
+        oracle = _recurrence_central_coefficients(values_fn, R, band)
+        peak = float(np.max(np.abs(oracle)))
+        assert float(np.max(np.abs(fast - oracle))) <= 1e-12 * peak
+
+
+def test_chunked_coefficients_peak_is_the_table_and_a_few_chunks(su2):
+    # the fine ladder's largest coefficient band (the decay probe's last
+    # try at r = 1e-5): the one-shot product peaked at 8.1 MB
+    values_fn, R = _psi_radial_values(su2, 1e-5)
+    band = 39964
+    panels = _su2_support_panels(R)
+    nodes = _su2_class_rule(panels, max(
+        48, int(0.35 * (band + 2) * max(b - a for a, b in panels)) + 16)
+    )[0].size
+    K = math.isqrt(band) + 1
+    table = 8 * K * 2 * nodes                  # E, held whole
+    output = 8 * K * -(-(band + 1) // K)
+    tracemalloc.start()
+    try:
+        _su2_central_coefficients(values_fn, R, band)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= table + output + 4 * 8 * _CHUNK_ENTRIES
 
 
 @pytest.mark.parametrize("n", [1, 2, 3, 5, 12, 24, 47, 48, 49, 96, 311,
@@ -574,6 +686,22 @@ def test_cz_probe_identity_short_ladder(su2):
     assert out["passed"]
     assert out["fit"]["slope"] == pytest.approx(0.1643, abs=2e-3)
     assert len(out["bands"]) == len(ladder)
+
+
+@pytest.mark.parametrize("scatter, passed", [((1.0, 1.0, 1.0, 1.0), True),
+                                             ((1.0, 1.3, 0.8, 1.2), False)])
+def test_cz_probe_needs_the_r_squared_floor(su2, monkeypatch, scatter,
+                                            passed):
+    # norms r^0.3 times a scatter: the slope clears the floor 1/6 - 0.1
+    # either way, but the scattered fit has r^2 0.59 < 0.95 and fails
+    ladder = [0.5, 0.25, 0.125, 0.0625]
+    norms = iter([r ** 0.3 * f for r, f in zip(ladder, scatter)])
+    monkeypatch.setattr(mollifier, "_cz_norm_sq",
+                        lambda diagonal, coeffs, m: next(norms) ** 2)
+    rep = cz_probe(su2, identity_diagonals, ladder=ladder)
+    assert rep["fit"]["slope"] >= rep["slope_floor"]
+    assert (rep["fit"]["r_squared"] >= 0.95) is passed
+    assert rep["passed"] is passed
 
 
 def test_cz_probe_provider_validation(su2):
@@ -862,7 +990,7 @@ def _complex_masses_cz_norm_sq(sym_diags, coeffs, m):
     """Bitwise oracle for `_cz_norm_sq`: the same stencil on one complex
     mass array per parity, every diagonal gathered in a per-label dict
     first, each step one whole-plane window of `_times_chi1_packed` into
-    new arrays."""
+    new arrays, and the rows summed in `_cz_norm_sq`'s stated order."""
     size = coeffs.size + 2 * m
     nonzero = np.nonzero(coeffs)[0]
     total = 0.0
@@ -881,19 +1009,25 @@ def _complex_masses_cz_norm_sq(sym_diags, coeffs, m):
                     moved = _times_chi1_packed(_times_chi1_packed(
                         part, parity - 1, size), parity, size)
                     part = 4.0 * part - np.pad(moved, ((1, 1), (0, 0)))
-                total += float(np.sum(part ** 2 / dims[:, None]))
+                # one sum per row over its columns i = 0..t, then one sum
+                # of the row sums in label order
+                squares = part ** 2 / dims[:, None]
+                rows = [np.sum(squares[1 + k, 1:parity + 2 * k + 2])
+                        for k in range(count)]
+                total += float(np.sum(rows))
     return total
 
 
 @pytest.mark.parametrize("m", [1, 2])
 def test_cz_norm_one_plane_matches_complex_masses_bitwise(su2, m):
-    # each diagonal written straight into one real plane at a time, and
-    # each plane evolved in place block by block, gives the complex-mass
-    # norm bit for bit: purely imaginary (Riesz), real (identity, a
-    # diagonal MatrixSymbol) and complex rows, on the probe's even-label
-    # coefficients and on random coefficients of both parities; at band
-    # `edge` one parity's rows end on a block boundary and the other's one
-    # row past it
+    # each diagonal written straight into the real windows of its blocks,
+    # and each window evolved apart, gives the complex-mass norm bit for
+    # bit when both sum in the stated order: purely imaginary (Riesz),
+    # real (identity, a diagonal MatrixSymbol) and complex rows, on the
+    # probe's even-label coefficients and on random coefficients of both
+    # parities; at band `edge` one parity's rows end on a block boundary
+    # and the other's one row past it; `gapped` has zero coefficients at
+    # labels 30..109, so whole windows in the middle are skipped
     rng = np.random.default_rng(29 + m)
     band = 150
     edge = 6 * _STENCIL_ROWS - 2 * m
@@ -902,9 +1036,11 @@ def test_cz_norm_one_plane_matches_complex_masses_bitwise(su2, m):
     sym = _diag_symbol(su2, lambda t: np.arange(1.0, t + 2.0) - 0.5 * t, band)
     providers = [riesz_field_diagonals(su2), identity_diagonals,
                  lambda t: np.diag(sym.get(t)), random_rows.__getitem__]
+    gapped = rng.standard_normal(band + 1)
+    gapped[30:110] = 0.0
     for coeffs in (_psi_coeffs(su2, 0.25, band),
                    rng.standard_normal(band + 1),
-                   rng.standard_normal(edge + 1)):
+                   rng.standard_normal(edge + 1), gapped):
         for provider in providers:
             rows = {t: np.asarray(provider(t), dtype=complex)
                     for t in range(band + 1)}
@@ -912,12 +1048,12 @@ def test_cz_norm_one_plane_matches_complex_masses_bitwise(su2, m):
                     == _complex_masses_cz_norm_sq(rows, coeffs, m))
 
 
-def test_cz_norm_peaks_near_one_plane(su2):
-    # the step 4 - chi_1^2 runs in place on block rows, so at the default
-    # ladder's finest scale the probe holds one packed plane plus a few
-    # block rows; a step on whole planes would hold three
-    coeffs = psi_hat_coefficients(su2, min(default_ladder()),
-                                  rel_tol=1e-4).table.real
+def test_cz_norm_peak_is_a_few_block_rows(su2):
+    # each parity streams its rows in blocks, so at band 4400 the norm
+    # holds a few block rows, not the packed plane of one parity that the
+    # stencil runs over (77 MB here)
+    band = 4400
+    coeffs = _psi_coeffs(su2, 1.0 / 512.0, band)
     size = coeffs.size + 2
     plane = ((size + 1) // 2 + 2) * (size + 2) * 8
     for provider in (riesz_field_diagonals(su2), identity_diagonals):
@@ -927,7 +1063,7 @@ def test_cz_norm_peaks_near_one_plane(su2):
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak <= 1.5 * plane
+        assert peak <= 0.05 * plane
 
 
 def test_cz_norm_checks_rows_at_zero_coefficient_labels(su2):
