@@ -21,6 +21,7 @@ from __future__ import annotations
 
 import argparse
 import ast
+import bisect
 import json
 import math
 import os
@@ -53,13 +54,15 @@ from .mollifier import (check_sobolev_order, check_torus_dimension,
                         grid_normalizer_samples,
                         identity_diagonals, mollifier_family,
                         mollifier_scaling_report, negative_sobolev_decay,
-                        required_mollifier_band, riesz_field_diagonals)
+                        required_mollifier_band, riesz_field_diagonals,
+                        smallest_resolved_scale)
 
 SCHEMA = "gmult-report/1"
 ENV_OUT_DIR = "GMULT_OUT_DIR"
 EXIT_PASS, EXIT_FAIL, EXIT_MATH, EXIT_CONFIG = 0, 1, 2, 3
-#: Profile samples the probe's grid cross-check may sum (the torus sum holds
-#: them at once, the SU(2) sum a chunk of polar rows).
+#: Profile samples the probe's grid cross-check may sum.  On the torus the
+#: sum holds them at once, so the cap bounds its memory; on SU(2) it forms a
+#: chunk of polar rows at a time, so the cap bounds its time.
 _MAX_PROBE_SAMPLES = 1 << 22
 
 __all__ = [
@@ -624,9 +627,16 @@ def cmd_probe(args: argparse.Namespace) -> int:
         grid_band = required_mollifier_band(model, coarse)
     samples = grid_normalizer_samples(model, grid_band, coarse)
     if samples > _MAX_PROBE_SAMPLES:
+        # the samples grow with the band (band 0 sums at most 2)
+        low = bisect.bisect_right(
+            range(grid_band), _MAX_PROBE_SAMPLES,
+            key=lambda b: grid_normalizer_samples(model, b, coarse)) - 1
         raise UnderResolvedError(
             f"the grid cross-check on a band-{grid_band} grid sums {samples} "
-            f"samples, past the probe cap {_MAX_PROBE_SAMPLES}")
+            f"samples, past the probe cap {_MAX_PROBE_SAMPLES}; at the "
+            f"coarsest scale r={coarse:g} the cap admits --grid-band up to "
+            f"{low}, which resolves coarsest scales from "
+            f"{smallest_resolved_scale(model, low):.6g} up")
     # the grid normalizes phi_r at the coarsest scale only, and refuses a
     # grid too coarse for it before any probe runs
     grid_c = grid_normalizer(model, default_grid(model, grid_band), coarse)

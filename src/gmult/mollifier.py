@@ -26,10 +26,11 @@ and guards against under-resolved supports.
 
 The fine-scale probes need Fourier data of products with ``psi_r`` to high
 label bands.  Both get them from ``psi_r``'s central coefficients, which one
-blocked matrix product of phase tables gives for every label at once, and
-exact Clebsch-Gordan stencils on the label lattice: the decay probe applies
-its vanishing factor per label, the second-difference probe works in
-(label, weight).
+blocked matrix product of phase tables gives for every label at once.  The
+decay probe applies its vanishing factor per label, by an exact
+Clebsch-Gordan stencil on the label lattice; the second-difference probe
+reduces, for its two multipliers, to one exact integral over the class
+angle (`_cz_norm_sq`).
 """
 from __future__ import annotations
 
@@ -477,11 +478,19 @@ def psi_hat_coefficients(model: GroupModel, r: float,
     finite support).  The coefficients vanish on odd labels because
     the radial coordinate does not separate the two central elements (the
     mirror support panels cancel there).
+
+    Raises ``UnderResolvedError`` when every coefficient is 0, at scales
+    where ``phi_r`` and ``phi_{r/2}`` are both the uniform density.
     """
     _require_su2(model, "psi_hat_coefficients")
     values_fn, R = _psi_radial_values(model, r)
     coeffs = _adaptive_band(values_fn, R, max(32, int(12.0 / R)), rel_tol)
     coeffs[np.abs(coeffs) < 1e-14 * np.max(np.abs(coeffs), initial=0.0)] = 0.0
+    if not coeffs.any():
+        raise UnderResolvedError(
+            f"the dyadic piece psi_r vanishes at r={r!r}: phi_r and "
+            "phi_{r/2} are both the uniform density there; use smaller "
+            "scales")
     return CentralSequence(model, coeffs, zero_beyond=True)
 
 
@@ -654,185 +663,82 @@ def negative_sobolev_decay(model: GroupModel, q: str = "rho2", s: float = 0.0,
 # Second-difference scaling probe
 # ---------------------------------------------------------------------------
 
-def riesz_field_diagonals(model: GroupModel) -> Callable[[int], np.ndarray]:
-    """Closed-form diagonal provider for the Riesz transform of the third
-    frame field: at label ``t`` the entries over ascending weights are
-    ``-i (mu/2) / sqrt(l (l + 1))`` with ``l = t/2`` (zero at the trivial
-    label), the diagonal of ``central.riesz_symbol(model, (0, 0, 1), t)``;
-    one label at a time, affordable at the fine-scale probe's large bands.
-    """
-    _require_su2(model, "riesz_field_diagonals")
+@dataclass(frozen=True)
+class _DiagonalMultiplier:
+    """A diagonal multiplier of the second-difference probe: called at label
+    ``t`` it gives the entries ``w_t (-i mu/2)^order`` over ascending
+    twice-weights ``mu``.  Order 1 is the Riesz transform ``X_3
+    Lambda^{-1}`` (``w_t = 1 / sqrt(l (l + 1))``, ``l = t/2``, ``w_0 =
+    0``), order 0 the identity (``w_t = 1``)."""
 
-    def diagonals(t: int) -> np.ndarray:
-        if t == 0:
-            return np.zeros(1, dtype=complex)
-        ell = 0.5 * t
+    order: int
+
+    def weights(self, band: int) -> np.ndarray:
+        """The weights ``w_t`` for ``t = 0..band``."""
+        if self.order == 0:
+            return np.ones(band + 1)
+        ell = 0.5 * np.arange(1, band + 1)
+        return np.concatenate(([0.0], 1.0 / np.sqrt(ell * (ell + 1.0))))
+
+    def __call__(self, t: int) -> np.ndarray:
         mus = np.arange(-t, t + 1, 2, dtype=float)
-        return -1j * (0.5 * mus) / math.sqrt(ell * (ell + 1.0))
-
-    return diagonals
+        return (-0.5j * mus) ** self.order * self.weights(t)[t]
 
 
-def identity_diagonals(t: int) -> np.ndarray:
-    """Diagonal provider of the identity multiplier."""
-    return np.ones(t + 1, dtype=complex)
+def riesz_field_diagonals(model: GroupModel) -> _DiagonalMultiplier:
+    """The Riesz transform of the third frame field as a probe multiplier:
+    at ``t`` the diagonal of ``central.riesz_symbol(model, (0, 0, 1), t)``."""
+    _require_su2(model, "riesz_field_diagonals")
+    return _DiagonalMultiplier(1)
 
 
-# Label rows per stencil block: `_cz_norm_sq` streams each parity's packed
-# rows a block at a time, so its arrays are a few rows of the block's live
-# width.
-_STENCIL_ROWS = 16
+#: The identity multiplier of the second-difference probe.
+identity_diagonals = _DiagonalMultiplier(0)
 
 
-def _packed_dims(parity: int, count: int) -> np.ndarray:
-    """Dimensions ``t + 1`` of the ``count`` packed rows of one parity,
-    with 1 on the zero border rows."""
-    dims = np.ones(count + 2)
-    dims[1:-1] = parity + 2 * np.arange(count) + 1.0
-    return dims
-
-
-def _times_chi1_packed(rows: np.ndarray, first: int,
-                       size: int) -> np.ndarray:
-    """Masses ``W[t, i]`` (see `_cz_norm_sq`) of a diagonal kernel times
-    ``chi_1``, on the output labels ``t = first, first + 2, ...`` of one
-    parity.
-
-    ``rows[j, 1 + i]`` holds ``W[first - 1 + 2j, i]``, zero at labels
-    outside ``0..size - 1`` and in column 0; the result has one row fewer,
-    in the same layout, and zero rows at labels outside ``0..size - 1``.
-    Squared spin-1/2 Clebsch-Gordan weights send each mass to
-    ``(t+1, i+1)``, ``(t+1, i)``, ``(t-1, i)`` and ``(t-1, i-1)`` with
-    weights ``(i+1, t-i+1, t-i, i) / (t+1)``, so output ``(t, i)`` gathers
-    four terms from rows ``t -+ 1``, added in that order.  Row ``t``
-    vanishes beyond column ``t``, so the result has columns up to its last
-    label plus one, inside a zero border.
-    """
-    n = rows.shape[0] - 1
-    j0 = max(0, (1 - first) // 2)
-    j1 = min(n, (size - first + 1) // 2)
-    t = (first + 2 * np.arange(j0, j1, dtype=float))[:, None]
-    cols = min(first + 2 * j1, size)
-    i = np.arange(cols, dtype=float)
-    dims = np.maximum(first + 2.0 * np.arange(j0, j1 + 1), 1.0)[:, None]
-    # source rows of labels t - 1 (lo) and t + 1 (hi)
-    src = rows[j0:j1 + 1, :cols + 2] / dims
-    lo, hi = src[:-1], src[1:]
-    out = np.zeros((n, cols + 2))
-    acc = out[j0:j1, 1:cols + 1]
-    np.multiply(lo[:, :cols], i, out=acc)
-    term = t - i
-    term *= lo[:, 1:cols + 1]
-    acc += term
-    np.subtract(t + 1.0, i, out=term)
-    term *= hi[:, 1:cols + 1]
-    acc += term
-    np.multiply(hi[:, 2:], i + 1.0, out=term)
-    acc += term
-    return out
-
-
-def _block_row_sums(window: np.ndarray, first: int, size: int, m: int,
-                    dims: np.ndarray) -> List[float]:
-    """Row sums of ``W[t, i]^2 / (t+1)`` over ``i = 0..t`` after ``m``
-    steps of ``4 - chi_1^2`` on one window of packed rows (see
-    `_cz_norm_sq`): ``window`` holds labels ``first, first + 2, ...``, and
-    each step drops its first and last row."""
-    for _ in range(m):
-        moved = _times_chi1_packed(_times_chi1_packed(
-            window, first + 1, size), first + 2, size)
-        new = window[1:-1, :moved.shape[1]] * 4.0
-        new -= moved
-        window, first = new, first + 2
-    np.square(window, out=window)
-    window /= dims
-    return [np.add.reduce(row[1:first + 2 * j + 2])
-            for j, row in enumerate(window)]
-
-
-def _cz_norm_sq(diagonal: Callable[[int], np.ndarray], coeffs: np.ndarray,
+def _cz_norm_sq(multiplier: _DiagonalMultiplier, coeffs: np.ndarray,
                 m: int) -> float:
     """Squared Plancherel norm of the ``m``-fold second difference of a
-    diagonal symbol times central coefficients, by an exact label stencil.
+    probe multiplier times central coefficients ``c_t``: one exact integral
+    over the class angle ``theta = s/2``.
 
-    The product's kernel is ``sum_t sum_mu W[t, i] t^t_{mu mu}`` with masses
-    ``W[t, i] = (t+1) c_t sigma_t(mu)`` over ``i = (mu + t)/2``, and its
-    squared norm is ``sum |W[t, i]|^2 / (t+1)``.  The second difference
-    multiplies the kernel by ``rho^2 = 4 - chi_1^2``, and multiplying by
-    ``chi_1`` moves each mass to labels ``t +- 1`` (`_times_chi1_packed`).
-    So ``chi_1^2`` keeps the label parity, and the even and odd labels
-    evolve and sum apart: each parity runs on its own packed rows over the
-    labels below ``B + 2m + 1``, in O(m B^2) steps on the nonzero triangle
-    ``i <= t``.
-
-    No plane is held: each parity streams its rows in blocks of
-    `_STENCIL_ROWS` labels.  A block's window adds the ``m`` rows on each
-    side that ``m`` steps of ``4 - chi_1^2`` read; the ``2m`` rows it
-    shares with the previous window are carried over, so ``diagonal(t)``
-    (giving ``sigma_t``) is called and size-checked once at every label
-    ``0..B``, in label order, one parity at a time.  The stencil is real,
-    so the real and imaginary parts evolve apart, and a window part with
-    no nonzero mass is skipped.  Summation order: each row's
-    ``W[t, i]^2 / (t+1)`` over ``i = 0..t`` is one ``np.sum``; per parity
-    and part, the row sums in label order (0 for a skipped row) are one
-    ``np.sum``; these add to the total as even real, even imaginary, odd
-    real, odd imaginary.
+    With ``S = sum_t a_t sin((t+1) theta)``, ``a_t = (t+1) c_t w_t``, the
+    kernel is ``F = f(cos theta) = S / sin theta`` (identity) or ``X_3 F =
+    -f'(x) y / 2`` (Riesz), where Haar measure sends the fundamental
+    coefficient ``z = x + i y`` to ``dA / pi`` on the unit disk.  Times
+    ``rho^{2m} = (4 sin^2 theta)^m``, with ``y`` integrated out, the squared
+    norms are ``(2 16^m / pi) int_0^pi sin^{4m} S^2`` and ``(16^m / (6 pi))
+    int_0^pi sin^{4m-2} (S' sin - S cos)^2``: even trigonometric polynomials
+    of degree at most ``2B + 4m + 2``, so half the uniform rule of ``n = 2
+    (B + 2m + 3)`` nodes on ``[0, 2 pi)`` is exact.  ``S`` and ``S'`` take
+    one inverse real FFT each.
     """
-    size = coeffs.size + 2 * m
-    scales = (np.arange(coeffs.size) + 1.0) * coeffs
-    total = 0.0
-    for parity in (0, 1):
-        count = (size - parity + 1) // 2      # packed row k: label parity + 2k
-        filled = (coeffs.size - parity + 1) // 2
-        dims = _packed_dims(parity, count)
-        sums = np.zeros((2, count))
-        carry: List[Optional[np.ndarray]] = [None, None]
-        fetched = 0
-        for k0 in range(0, count, _STENCIL_ROWS):
-            k1 = min(k0 + _STENCIL_ROWS, count)
-            # the window holds rows k0 - m .. k1 + m - 1, up to the last
-            # label's columns plus one inside the zero border
-            shape = (k1 - k0 + 2 * m, min(parity + 2 * (k1 + m) + 1,
-                                          size + 2))
-            windows: List[Optional[np.ndarray]] = [None, None]
-            for part, kept in enumerate(carry):
-                if kept is not None:
-                    windows[part] = np.zeros(shape)
-                    windows[part][:2 * m, :kept.shape[1]] = kept
-            stop = min(k1 + m, filled)
-            for k in range(fetched, stop):
-                t = parity + 2 * k
-                row = np.asarray(diagonal(t), dtype=complex).reshape(-1)
-                if row.size != t + 1:
-                    raise GmultError(
-                        f"diagonal provider returned {row.size} entries at "
-                        f"label {t}; expected {t + 1}")
-                for part, values in enumerate((row.real, row.imag)):
-                    masses = scales[t] * values
-                    if np.count_nonzero(masses):
-                        if windows[part] is None:
-                            windows[part] = np.zeros(shape)
-                        windows[part][k - k0 + m, 1:t + 2] = masses
-            fetched = stop
-            for part in (0, 1):
-                if windows[part] is not None:
-                    shared = windows[part][k1 - k0:]
-                    carry[part] = shared.copy() if shared.any() else None
-                    sums[part, k0:k1] = _block_row_sums(
-                        windows[part], parity + 2 * (k0 - m), size, m,
-                        dims[1 + k0:1 + k1, None])
-        total += float(np.sum(sums[0]))
-        total += float(np.sum(sums[1]))
-    return total
+    band = coeffs.size - 1
+    n = 2 * (band + 2 * m + 3)
+    k = np.arange(1.0, band + 2.0)
+    a = k * coeffs * multiplier.weights(band)
+    spectrum = np.zeros(n // 2 + 1, dtype=complex)
+    spectrum[1:band + 2] = -1j * a
+    s = np.fft.irfft(spectrum, n) * (0.5 * n)
+    theta = (2.0 * math.pi / n) * np.arange(n)
+    sin = np.sin(theta)
+    if multiplier.order == 0:
+        return 2.0 * 16.0 ** m / n * float(np.sum(sin ** (4 * m) * s * s))
+    spectrum[1:band + 2] = k * a
+    ds = np.fft.irfft(spectrum, n) * (0.5 * n)
+    ds *= sin
+    ds -= s * np.cos(theta)
+    return 16.0 ** m / (6.0 * n) * float(np.sum(sin ** (4 * m - 2) * ds * ds))
 
 
-def cz_probe(model: GroupModel, diagonal: Callable[[int], np.ndarray],
+def cz_probe(model: GroupModel, diagonal: _DiagonalMultiplier,
              ladder: Optional[Sequence[float]] = None) -> Dict[str, object]:
     """Scaling probe for dyadically localized second differences of a
     diagonal multiplier symbol.
 
-    ``diagonal`` maps a label ``t`` to the symbol's diagonal entries there
-    (see ``riesz_field_diagonals`` / ``identity_diagonals``), at any band.
+    ``diagonal`` is ``riesz_field_diagonals(model)`` or
+    ``identity_diagonals``, whose norms `_cz_norm_sq` gives in closed form;
+    anything else is refused with ``GmultError``.
 
     Computes the Plancherel norm of the ``m``-fold second difference of
     ``sigma`` times the dyadic-piece coefficients over a scale ladder and
@@ -842,8 +748,8 @@ def cz_probe(model: GroupModel, diagonal: Callable[[int], np.ndarray],
     even differentiability budget of the model (1 on the 3-sphere model).
 
     The dyadic-piece coefficients are truncated at relative
-    Plancherel-weighted size 1e-4; the label stencil of `_cz_norm_sq` then
-    gives each truncated norm exactly.  The cut is measured against
+    Plancherel-weighted size 1e-4; the class-angle integral of `_cz_norm_sq`
+    then gives each truncated norm exactly.  The cut is measured against
     ``psi_r``'s norm, not against the much smaller reported norm, so its
     error grows as the scale shrinks.  On the default ladder the fit's r^2
     is 0.9999996, but on the fine ladder ``1e-5..8e-5`` the slope is
@@ -851,6 +757,10 @@ def cz_probe(model: GroupModel, diagonal: Callable[[int], np.ndarray],
     (ROADMAP item 5).
     """
     _require_su2(model, "cz_probe")
+    if not isinstance(diagonal, _DiagonalMultiplier):
+        raise GmultError("the second-difference probe takes "
+                         "riesz_field_diagonals(model) or identity_diagonals, "
+                         f"not {diagonal!r}")
     m = model.kappa // 2
     rs = list(ladder) if ladder is not None else default_ladder()
     _check_ladder(rs)

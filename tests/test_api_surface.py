@@ -1,10 +1,11 @@
 """Guard on the package surface, by static analysis of the sources (``ast``).
 
-1. Every public top-level function or class of ``src/gmult`` is referenced
-   by name outside its own definition: in another ``src/gmult``
-   definition, in ``tests/test_acceptance.py``, or in backticks in the
-   README.  ``cli.main`` is the program's root.  Strings in ``__all__``
-   and the imports of ``__init__`` do not count.
+1. Every public top-level function, class or instance (a name bound to
+   the result of a call) of ``src/gmult`` is referenced by name outside
+   its own definition: in another ``src/gmult`` definition, in
+   ``tests/test_acceptance.py``, or in backticks in the README.
+   ``cli.main`` is the program's root.  Strings in ``__all__`` and the
+   imports of ``__init__`` do not count.
 2. ``gmult/__init__.py`` re-exports exactly the library names the README
    documents in backticks.
 3. Every defaulted parameter of a public function, or of a public method
@@ -35,6 +36,18 @@ def _public_defs(tree):
             and not node.name.startswith("_")]
 
 
+def _public_names(tree):
+    """(name, node) of the public definitions and of the public names
+    bound at top level to the result of a call, such as an instance."""
+    return ([(node.name, node) for node in _public_defs(tree)]
+            + [(target.id, node) for node in tree.body
+               if isinstance(node, ast.Assign)
+               and isinstance(node.value, ast.Call)
+               for target in node.targets
+               if isinstance(target, ast.Name)
+               and not target.id.startswith("_")])
+
+
 def _names_in(node):
     """Identifiers a node refers to, as bare names or attributes; string
     constants (such as the entries of ``__all__``) and the names an
@@ -59,23 +72,23 @@ def test_every_public_definition_is_referenced():
                                   .read_text())) | _readme_names()
     unreferenced = []
     for mod, tree in modules.items():
-        for node in _public_defs(tree):
-            if (mod, node.name) in ROOTS or node.name in outside:
+        for name, node in _public_names(tree):
+            if (mod, name) in ROOTS or name in outside:
                 continue
-            used = any(node.name in _names_in(other)
+            used = any(name in _names_in(other)
                        for other_tree in modules.values()
                        for other in other_tree.body
                        if other is not node)
             if not used:
-                unreferenced.append(f"{mod}.{node.name}")
+                unreferenced.append(f"{mod}.{name}")
     assert not unreferenced, (
         "public definitions that nothing in src, the acceptance suite or "
         f"the README refers to: {unreferenced}")
 
 
 def test_init_reexports_exactly_the_documented_names():
-    library = {node.name for mod, tree in _modules().items() if mod != "cli"
-               for node in _public_defs(tree)}
+    library = {name for mod, tree in _modules().items() if mod != "cli"
+               for name, _ in _public_names(tree)}
     documented = _readme_names() & library
     init = ast.parse((SRC / "__init__.py").read_text())
     exported = {alias.asname or alias.name for node in init.body

@@ -35,6 +35,7 @@ from gmult.cli import (EXIT_CONFIG, EXIT_FAIL, EXIT_MATH, EXIT_PASS,
                        parse_scalar_expression, parse_torus_expression)
 from gmult.errors import GmultError, SymbolFormatError
 from gmult.groups import label_band, label_box
+from gmult.mollifier import grid_normalizer_samples
 from gmult.symbols import identity_symbol
 
 
@@ -408,6 +409,37 @@ def test_probe_underresolved_grid_band_exits_config(capsys):
     code = main(["probe", "--grid-band", "12"])
     assert code == EXIT_CONFIG
     assert "smallest" in capsys.readouterr().err
+
+
+def test_probe_cap_names_the_largest_grid_band_it_admits(su2, capsys):
+    # on SU(2) a band-B cross-check sums (B + 1) 2 (2B + 1) samples: 4192256
+    # at band 1023, 4200450 at band 1024, past the cap 2^22
+    assert (grid_normalizer_samples(su2, 1023, 1.0)
+            <= cli._MAX_PROBE_SAMPLES
+            < grid_normalizer_samples(su2, 1024, 1.0))
+    for argv in (["--grid-band", "1100"],
+                 ["--ladder", "1e-9,2e-9,4e-9,8e-9"]):
+        assert main(["probe", "--group", "su2", *argv]) == EXIT_CONFIG
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "past the probe cap 4194304" in captured.err
+        assert "admits --grid-band up to 1023," in captured.err
+
+
+@pytest.mark.parametrize("ladder, scale", [("1,2,4,127", "127.0"),
+                                           ("1,2,4,128", "128.0"),
+                                           ("100,200,400,800", "800.0")])
+def test_probe_refuses_scales_whose_dyadic_piece_vanishes(ladder, scale,
+                                                          capsys, tmp_path):
+    # phi_r and phi_{r/2} are both the uniform density there, so psi_r is
+    # 0 and no slope can be fitted: a resolution error, with no report
+    out = tmp_path / "report.json"
+    assert main(["probe", "--group", "su2", "--ladder", ladder,
+                 "--out", str(out)]) == EXIT_CONFIG
+    captured = capsys.readouterr()
+    assert captured.out == "" and not out.exists()
+    assert f"psi_r vanishes at r={scale}" in captured.err
+    assert "use smaller scales" in captured.err
 
 
 def test_probe_accepts_the_grid_band_it_picks(capsys):

@@ -8,9 +8,8 @@ sampled mollifier `build_phi_r` (the oracle of `grid_normalizer`), the
 sampled dyadic difference `build_psi_r` (the grid oracle of
 `psi_hat_coefficients`) and `cz_consistency` (the grid oracle of
 `_cz_norm_sq`), both fed by the fixed-band truncation `psi_r_fixed_band`
-of the dyadic piece; the full-square ``chi_1`` stencil `_times_chi1` (the
-oracle of the packed one-parity stencil); and the complex-mass form of
-`_cz_norm_sq` (its bitwise oracle)."""
+of the dyadic piece; and the full-square ``chi_1`` label stencil
+`_times_chi1` (the engine of a third oracle of `_cz_norm_sq`)."""
 import math
 import tracemalloc
 from typing import Dict, Optional, Tuple
@@ -25,14 +24,12 @@ from gmult.grids import GroupFunction, GroupGrid
 from gmult.groups import (GroupModel, irrep_dimension, japanese_bracket,
                           labels_up_to, model_from_name)
 from gmult import mollifier
-from gmult.mollifier import (_CHUNK_ENTRIES, _STENCIL_ROWS, _adaptive_band,
+from gmult.mollifier import (_CHUNK_ENTRIES, _adaptive_band,
                              _axis_spacing, _cz_norm_sq, _leggauss,
-                             _packed_dims,
                              _psi_radial_values, _require_su2,
                              _sobolev_sq_radial,
                              _su2_central_coefficients, _su2_class_rule,
-                             _su2_support_panels, _support_radius,
-                             _times_chi1_packed, _times_q,
+                             _su2_support_panels, _support_radius, _times_q,
                              bump_profile, cz_probe, default_ladder,
                              fit_loglog, grid_normalizer, identity_diagonals,
                              mollifier_family, mollifier_l2_norm,
@@ -832,7 +829,7 @@ def test_riesz_diagonals_closed_form(su2):
 
 
 # ---------------------------------------------------------------------------
-# Second-difference norm: label stencil against independent routes
+# Second-difference norm: the class-angle integral against independent routes
 # ---------------------------------------------------------------------------
 
 def _quadrature_cz_norm_sq(sym_diags, coeffs, m):
@@ -874,21 +871,22 @@ def _psi_coeffs(model, r, band):
     return psi_r_fixed_band(model, r, band).table.real
 
 
+def _diagonals(multiplier, band):
+    return {t: multiplier(t) for t in range(band + 1)}
+
+
 @pytest.mark.parametrize("m", [1, 2])
 def test_cz_norm_stencil_matches_quadrature(su2, m):
     rng = np.random.default_rng(11)
     cases = [(_psi_coeffs(su2, 0.25, band), band) for band in (40, 200)]
-    # random coefficients on both label parities exercise every stencil arm
+    # random coefficients on both label parities
     cases.append((rng.standard_normal(121), 120))
     for coeffs, band in cases:
-        random_diags = {t: rng.standard_normal(t + 1)
-                        + 1j * rng.standard_normal(t + 1)
-                        for t in range(band + 1)}
-        identity = {t: identity_diagonals(t) for t in range(band + 1)}
-        for diags in (identity, random_diags):
-            fast = _cz_norm_sq(diags.__getitem__, coeffs, m)
-            oracle = _quadrature_cz_norm_sq(diags, coeffs, m)
-            assert fast == pytest.approx(oracle, rel=1e-10)
+        for multiplier in (identity_diagonals, riesz_field_diagonals(su2)):
+            fast = _cz_norm_sq(multiplier, coeffs, m)
+            oracle = _quadrature_cz_norm_sq(_diagonals(multiplier, band),
+                                            coeffs, m)
+            assert fast == pytest.approx(oracle, rel=1e-12)
 
 
 @pytest.mark.parametrize("r", [0.5, 0.25])
@@ -896,17 +894,19 @@ def test_cz_norm_stencil_matches_grid_route(su2, r):
     # cz_consistency's lhs applies the grid Laplace difference to the same
     # band-20 truncation of the dyadic piece
     coeffs = _psi_coeffs(su2, r, 20)
-    for provider in (riesz_field_diagonals(su2), identity_diagonals):
-        lhs = cz_consistency(su2, _diag_symbol(su2, provider, 24), r=r)["lhs"]
-        assert math.sqrt(_cz_norm_sq(provider, coeffs, 1)) == pytest.approx(
-            lhs, rel=1e-12)
+    for multiplier in (riesz_field_diagonals(su2), identity_diagonals):
+        lhs = cz_consistency(su2, _diag_symbol(su2, multiplier, 24),
+                             r=r)["lhs"]
+        assert math.sqrt(_cz_norm_sq(multiplier, coeffs, 1)) \
+            == pytest.approx(lhs, rel=1e-12)
 
 
 def _times_chi1(masses: np.ndarray) -> np.ndarray:
-    """Masses ``W[t, i]`` (see `_cz_norm_sq`) of a diagonal kernel times
-    ``chi_1``: squared spin-1/2 Clebsch-Gordan weights send each mass to
-    ``(t+1, i+1)``, ``(t+1, i)``, ``(t-1, i)`` and ``(t-1, i-1)`` with
-    weights ``(i+1, t-i+1, t-i, i) / (t+1)``."""
+    """Masses ``W[t, i]`` of a diagonal kernel ``sum_t sum_mu W[t, i]
+    t^t_{mu mu}`` (``i = (mu + t)/2``) times ``chi_1``: squared spin-1/2
+    Clebsch-Gordan weights send each mass to ``(t+1, i+1)``, ``(t+1, i)``,
+    ``(t-1, i)`` and ``(t-1, i-1)`` with weights ``(i+1, t-i+1, t-i, i) /
+    (t+1)``."""
     t = np.arange(masses.shape[0], dtype=float)[:, None]
     i = t.T
     per_dim = masses / (t + 1.0)
@@ -919,8 +919,10 @@ def _times_chi1(masses: np.ndarray) -> np.ndarray:
 
 
 def _full_square_cz_norm_sq(sym_diags, coeffs, m):
-    """Oracle for `_cz_norm_sq`: the same stencil on every label and every
-    column of one ``(B + 2m + 1)^2`` buffer (`_times_chi1`)."""
+    """Oracle for `_cz_norm_sq`: the kernel's masses ``W[t, i] = (t+1) c_t
+    sigma_t(mu)`` on one ``(B + 2m + 1)^2`` buffer, ``m`` steps of ``rho^2 =
+    4 - chi_1^2`` by the label stencil `_times_chi1`, and the squared norm
+    ``sum |W[t, i]|^2 / (t+1)``."""
     size = coeffs.size + 2 * m
     masses = np.zeros((size, size), dtype=complex)
     for t in np.nonzero(coeffs)[0]:
@@ -935,43 +937,11 @@ def _full_square_cz_norm_sq(sym_diags, coeffs, m):
     return total
 
 
-def _triangle(rng, size):
-    """Random masses on the triangle ``i <= t`` of a ``size``-square."""
-    return np.tril(rng.standard_normal((size, size)))
-
-
-@pytest.mark.parametrize("size", [1, 2, 3, 4, 130, 131, 260])
-@pytest.mark.parametrize("parity", [0, 1])
-def test_packed_chi1_matches_full_square(size, parity):
-    rng = np.random.default_rng(size + 7 * parity)
-    full = _triangle(rng, size)
-    full[1 - parity::2] = 0.0
-    packed = np.zeros(((size - parity + 1) // 2 + 2, size + 2))
-    packed[1:-1, 1:-1] = full[parity::2]
-    # the bordered plane holds labels parity - 2, parity, ...; as one
-    # window it gives the other parity's labels parity - 1, parity + 1, ...
-    out = _times_chi1_packed(packed, parity - 1, size)
-    oracle = _times_chi1(full)
-    labels = parity - 1 + 2 * np.arange(out.shape[0])
-    inside = (labels >= 0) & (labels < size)
-    scale = float(np.max(np.abs(oracle)))
-    assert out.shape == (packed.shape[0] - 1, size + 2)
-    assert np.max(np.abs(out[inside, 1:-1] - oracle[labels[inside]]),
-                  initial=0.0) <= 1e-15 * scale
-    # labels outside 0..size-1 and the border columns stay zero, and the
-    # source parity's rows stay empty
-    assert not out[~inside].any()
-    assert not out[:, 0].any() and not out[:, -1].any()
-    assert not oracle[parity::2].any()
-
-
 @pytest.mark.parametrize("m", [1, 2, 3])
 @pytest.mark.parametrize("size", [1, 2, 3, 150, 151])
-def test_cz_norm_packed_parities_match_full_square(m, size):
+def test_cz_norm_packed_parities_match_full_square(su2, m, size):
+    # random coefficients on both label parities, and on each alone
     rng = np.random.default_rng(100 * m + size)
-    diags = {t: rng.standard_normal(t + 1) + 1j * rng.standard_normal(t + 1)
-             for t in range(size)}
-    real = {t: d.real.astype(complex) for t, d in diags.items()}
     both = rng.standard_normal(size)
     even = both.copy()
     even[1::2] = 0.0
@@ -980,102 +950,34 @@ def test_cz_norm_packed_parities_match_full_square(m, size):
     for coeffs in (both, even, odd):
         if not coeffs.any():
             continue
-        for sym in (diags, real):
-            fast = _cz_norm_sq(sym.__getitem__, coeffs, m)
-            oracle = _full_square_cz_norm_sq(sym, coeffs, m)
-            assert fast == pytest.approx(oracle, rel=1e-15, abs=0.0)
+        for multiplier in (identity_diagonals, riesz_field_diagonals(su2)):
+            fast = _cz_norm_sq(multiplier, coeffs, m)
+            oracle = _full_square_cz_norm_sq(
+                _diagonals(multiplier, size - 1), coeffs, m)
+            assert fast == pytest.approx(oracle, rel=1e-12, abs=0.0)
 
 
-def _complex_masses_cz_norm_sq(sym_diags, coeffs, m):
-    """Bitwise oracle for `_cz_norm_sq`: the same stencil on one complex
-    mass array per parity, every diagonal gathered in a per-label dict
-    first, each step one whole-plane window of `_times_chi1_packed` into
-    new arrays, and the rows summed in `_cz_norm_sq`'s stated order."""
-    size = coeffs.size + 2 * m
-    nonzero = np.nonzero(coeffs)[0]
-    total = 0.0
-    for parity in (0, 1):
-        labels = nonzero[nonzero % 2 == parity]
-        if labels.size == 0:
-            continue
-        count = (size - parity + 1) // 2
-        masses = np.zeros((count + 2, size + 2), dtype=complex)
-        for t in labels:
-            masses[1 + t // 2, 1:t + 2] = (t + 1.0) * coeffs[t] * sym_diags[t]
-        dims = _packed_dims(parity, count)
-        for part in (masses.real, masses.imag):
-            if part.any():
-                for _ in range(m):
-                    moved = _times_chi1_packed(_times_chi1_packed(
-                        part, parity - 1, size), parity, size)
-                    part = 4.0 * part - np.pad(moved, ((1, 1), (0, 0)))
-                # one sum per row over its columns i = 0..t, then one sum
-                # of the row sums in label order
-                squares = part ** 2 / dims[:, None]
-                rows = [np.sum(squares[1 + k, 1:parity + 2 * k + 2])
-                        for k in range(count)]
-                total += float(np.sum(rows))
-    return total
-
-
-@pytest.mark.parametrize("m", [1, 2])
-def test_cz_norm_one_plane_matches_complex_masses_bitwise(su2, m):
-    # each diagonal written straight into the real windows of its blocks,
-    # and each window evolved apart, gives the complex-mass norm bit for
-    # bit when both sum in the stated order: purely imaginary (Riesz),
-    # real (identity, a diagonal MatrixSymbol) and complex rows, on the
-    # probe's even-label coefficients and on random coefficients of both
-    # parities; at band `edge` one parity's rows end on a block boundary
-    # and the other's one row past it; `gapped` has zero coefficients at
-    # labels 30..109, so whole windows in the middle are skipped
-    rng = np.random.default_rng(29 + m)
-    band = 150
-    edge = 6 * _STENCIL_ROWS - 2 * m
-    random_rows = {t: rng.standard_normal(t + 1)
-                   + 1j * rng.standard_normal(t + 1) for t in range(band + 1)}
-    sym = _diag_symbol(su2, lambda t: np.arange(1.0, t + 2.0) - 0.5 * t, band)
-    providers = [riesz_field_diagonals(su2), identity_diagonals,
-                 lambda t: np.diag(sym.get(t)), random_rows.__getitem__]
-    gapped = rng.standard_normal(band + 1)
-    gapped[30:110] = 0.0
-    for coeffs in (_psi_coeffs(su2, 0.25, band),
-                   rng.standard_normal(band + 1),
-                   rng.standard_normal(edge + 1), gapped):
-        for provider in providers:
-            rows = {t: np.asarray(provider(t), dtype=complex)
-                    for t in range(band + 1)}
-            assert (_cz_norm_sq(provider, coeffs, m)
-                    == _complex_masses_cz_norm_sq(rows, coeffs, m))
-
-
-def test_cz_norm_peak_is_a_few_block_rows(su2):
-    # each parity streams its rows in blocks, so at band 4400 the norm
-    # holds a few block rows, not the packed plane of one parity that the
-    # stencil runs over (77 MB here)
-    band = 4400
-    coeffs = _psi_coeffs(su2, 1.0 / 512.0, band)
-    size = coeffs.size + 2
-    plane = ((size + 1) // 2 + 2) * (size + 2) * 8
-    for provider in (riesz_field_diagonals(su2), identity_diagonals):
+def test_cz_norm_peak_is_linear_in_the_band(su2):
+    # band 6016 is the probe's band at r = 1e-5; one parity's packed plane
+    # of masses there (what a label stencil runs over) takes 145 MB, the
+    # class-angle rule's few node arrays about 1 MB
+    coeffs = np.random.default_rng(5).standard_normal(6017)
+    for multiplier in (riesz_field_diagonals(su2), identity_diagonals):
         tracemalloc.start()
         try:
-            _cz_norm_sq(provider, coeffs, 1)
+            _cz_norm_sq(multiplier, coeffs, 1)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak <= 0.05 * plane
+        assert peak <= 3 * 2 ** 20
 
 
 def test_cz_norm_checks_rows_at_zero_coefficient_labels(su2):
-    # the probe's coefficients vanish at odd labels; a wrong-size row there
-    # is still refused, by the stencil and by the probe
-    coeffs = _psi_coeffs(su2, 0.25, 40)
-    assert not coeffs[1::2].any()
-
+    # the probe's coefficients vanish at odd labels; a provider that is
+    # wrong at label 3 is still refused: the probe takes only its two
+    # closed-form multipliers
     def provider(t):
         return identity_diagonals(t + (t == 3))
 
-    with pytest.raises(GmultError, match="at label 3"):
-        _cz_norm_sq(provider, coeffs, 1)
-    with pytest.raises(GmultError, match="at label 3"):
+    with pytest.raises(GmultError, match="riesz_field_diagonals"):
         cz_probe(su2, provider)
