@@ -2,28 +2,31 @@
 
 A central symbol assigns to each label a scalar multiple of the identity; it
 corresponds to a conjugation-invariant convolution kernel, i.e. a class
-function.  Class functions live on the conjugacy-angle circle, so this module
-carries a one-dimensional quadrature engine for them: the conjugation-
-invariant integral of a class function F is
+function.  Class functions live on the conjugacy-angle circle: the
+conjugation-invariant integral of a class function F is
 
     integral_G F dg = (1/pi) * int_0^{2pi} F(s) sin^2(s/2) ds,
 
 where ``s`` is the class angle (the fundamental representation has trace
-``2 cos(s/2)``).  Characters are evaluated through the stable three-term
-recurrence ``chi_{t+1} = 2 cos(s/2) chi_t - chi_{t-1}`` (Chebyshev kind II).
+``2 cos(s/2)``).  With ``theta = s/2`` Weyl's character formula reads
+``chi_t sin(theta) = sin((t+1) theta)``, so a class function times
+``sin(theta)`` is a sine series and the class integral of a product of two
+is ``(2/pi) int_0^pi`` of their sine series.  The class routes evaluate a
+sine series at the uniform nodes ``theta_j = 2 pi j / n`` with one inverse
+real FFT (`_sine_values`) and read sine coefficients back with one real FFT
+(`_sine_coefficients`); both are exact below degree ``n/2``.
 
 Lattice conventions: labels are twice-spin integers ``t``; the weight lattice
 extends them to all integers with the reflection ``t' = -2 - t``.  Scalar
 sequences extend evenly (``s_{t'} = s_t``) while dimensions and characters
-extend oddly (``d_{t'} = -d_t``, ``chi_{t'} = -chi_t``); the wall ``t = -1``
-carries ``d = 0`` and ``chi = 0``.
+extend oddly (``d_{t'} = -d_t``, ``chi_{t'} = -chi_t``, the oddness of the
+sine); the wall ``t = -1`` carries ``d = 0`` and ``chi = 0``.
 """
 
 from __future__ import annotations
 
 import math
 from collections.abc import Mapping
-from dataclasses import dataclass
 from typing import Callable, Dict, Optional, Sequence
 
 import numpy as np
@@ -34,81 +37,37 @@ from .symbols import MatrixSymbol, vector_field_symbol
 
 
 # ---------------------------------------------------------------------------
-# Weight lattice
+# Sine series on the class circle
 # ---------------------------------------------------------------------------
 
-def weyl_dimension(w) -> int:
-    """Signed dimension on the extended lattice: ``t + 1``.
-
-    Dominant labels give the honest dimension; the reflection
-    ``t' = -2 - t`` flips the sign, and the wall ``t = -1`` gives 0.
-    """
-    return int(w) + 1
-
-
-def weyl_character(w, angle) -> np.ndarray:
-    """Character value(s) at class angle(s), on the extended lattice.
-
-    For dominant ``t``: ``chi_t(s) = sin((t+1)s/2) / sin(s/2)`` with the
-    singular angles filled by continuity (the last row of
-    :func:`character_table`, whose recurrence has no singularities).
-    Extended labels follow the signed reflection.
-    """
-    t = int(w)
-    s = np.asarray(angle, dtype=float)
-    if t == -1:
-        return np.zeros_like(s)
-    if t < -1:
-        return -weyl_character(-2 - t, s)
-    return character_table(t, s.reshape(-1))[t].reshape(s.shape)[()]
+def _sine_values(a: np.ndarray, n: int, derivative=False) -> np.ndarray:
+    """``sum_k a_k sin(k theta)`` over ``k = 1..a.size`` (or its derivative
+    in ``theta``) at the nodes ``theta_j = 2 pi j / n``, for real ``a`` with
+    ``a.size < n/2``: one inverse real FFT."""
+    spectrum = np.zeros(n // 2 + 1, dtype=complex)
+    spectrum[1:a.size + 1] = (np.arange(1.0, a.size + 1.0) * a if derivative
+                              else -1j * a)
+    return np.fft.irfft(spectrum, n) * (0.5 * n)
 
 
-def character_table(tmax: int, angles: np.ndarray) -> np.ndarray:
-    """``(tmax+1, len(angles))`` table of characters chi_0..chi_tmax."""
-    x = 2.0 * np.cos(0.5 * np.asarray(angles, dtype=float))
-    out = np.empty((tmax + 1, x.size), dtype=float)
-    out[0] = 1.0
-    if tmax >= 1:
-        out[1] = x
-    for t in range(2, tmax + 1):
-        out[t] = x * out[t - 1] - out[t - 2]
-    return out
+def _sine_coefficients(values: np.ndarray, top: int) -> np.ndarray:
+    """Coefficients ``b_1..b_top`` of an odd real trigonometric polynomial
+    of degree below ``n/2`` from its values at the ``n`` nodes: ``b_k =
+    (2/n) sum_j f(theta_j) sin(k theta_j)``, one real FFT."""
+    return np.fft.rfft(values)[1:top + 1].imag * (-2.0 / values.size)
 
 
-# ---------------------------------------------------------------------------
-# Class-function quadrature
-# ---------------------------------------------------------------------------
+def _class_product(a: np.ndarray, factor: Callable, top: int) -> np.ndarray:
+    """Sine coefficients ``1..top`` of ``factor(theta) sum_k a_k sin(k
+    theta)``, real and imaginary parts of ``a`` apart; for a product of
+    degree at most ``top`` the rule of ``n = 2 (top + 2)`` nodes is exact."""
+    n = 2 * (top + 2)
+    weight = factor((2.0 * math.pi / n) * np.arange(n))
 
-@dataclass
-class ClassGrid:
-    """Uniform class-angle grid exact for bounded-degree character products.
+    def part(x: np.ndarray) -> np.ndarray:
+        return _sine_coefficients(_sine_values(x, n) * weight, top)
 
-    Nodes ``s_j = 4 pi j / N`` with weights ``(2/N) sin^2(s_j/2)`` integrate
-    any product of characters whose total label sum stays below ``N - 4``.
-    """
-
-    angles: np.ndarray
-    weights: np.ndarray
-
-    @property
-    def size(self) -> int:
-        return self.angles.size
-
-    def integrate(self, values: np.ndarray) -> complex:
-        return complex(np.sum(self.weights * values))
-
-
-def class_grid(total_band: int) -> ClassGrid:
-    """Grid exact for class functions of total character band ``total_band``."""
-    n = 2 * total_band + 16
-    s = 4.0 * math.pi * np.arange(n) / n
-    w = (2.0 / n) * np.sin(0.5 * s) ** 2
-    return ClassGrid(s, w)
-
-
-def class_rho_squared(angles: np.ndarray) -> np.ndarray:
-    """Distance squared as a function of the class angle: ``2 - 2 cos s``."""
-    return 2.0 - 2.0 * np.cos(np.asarray(angles, dtype=float))
+    return part(a.real) + 1j * part(a.imag)
 
 
 # ---------------------------------------------------------------------------
@@ -196,21 +155,18 @@ def delta2(seq: CentralSequence) -> CentralSequence:
 
 def laplace_central(seq: CentralSequence) -> CentralSequence:
     """Distance-squared operator on a central sequence by class-function
-    quadrature: transform to the kernel ``sum_t d_t s_t chi_t``, multiply by
-    ``rho^2`` on the class circle, expand back in characters, through the
-    band ``B + 2`` the product reaches."""
+    quadrature: the kernel ``sum_t d_t s_t chi_t`` times ``sin(theta)`` is
+    ``N = sum_t d_t s_t sin((t+1) theta)``, and ``d_t out_t`` is the
+    ``(t+1)``-th sine coefficient of ``N rho^2 = N 4 sin^2(theta)``,
+    through the band ``B + 2`` the product reaches."""
     if not seq.zero_beyond:
         raise GmultError("quadrature route needs a finitely supported sequence")
-    sup = seq.support_band
-    out_band = sup + 2
-    grid = class_grid(sup + out_band + 6)
-    chi = character_table(out_band, grid.angles)
-    size = seq.table.size
-    kernel = (np.arange(1, size + 1) * seq.table) @ chi[:size]
-    kernel = kernel * class_rho_squared(grid.angles)
-    out = [grid.integrate(kernel * chi[t]) / weyl_dimension(t)
-           for t in range(out_band + 1)]
-    return CentralSequence(seq.model, out, zero_beyond=True)
+    d = np.arange(1.0, seq.table.size + 1.0)
+    out = _class_product(d * seq.table, lambda th: 4.0 * np.sin(th) ** 2,
+                         seq.support_band + 3)
+    d = np.arange(1.0, out.size + 1.0)
+    return CentralSequence(seq.model, out.real / d + 1j * (out.imag / d),
+                           zero_beyond=True)
 
 
 def nweiss_delta(seq: CentralSequence) -> CentralSequence:
@@ -218,41 +174,36 @@ def nweiss_delta(seq: CentralSequence) -> CentralSequence:
 
     The input is read as a lattice sequence ``u`` (the dimension-weighted
     convention), its kernel ``sum_t u_t chi_t`` is multiplied by
-    ``gamma(s) = 2 cos(s/2) - 2`` — the orbit sum of the Weyl vector minus
-    the Weyl group order — and re-expanded.  The result equals
-    ``u_{t-1} + u_{t+1} - 2 u_t`` with ``u_{-1}`` read as 0 (the wall label
-    carries no kernel mass); in particular the signed dimension sequence is
-    annihilated identically.
+    ``gamma = 2 cos(theta) - 2`` — the orbit sum of the Weyl vector minus
+    the Weyl group order — and re-expanded: ``out_t`` is the ``(t+1)``-th
+    sine coefficient of ``gamma sum_t u_t sin((t+1) theta)``.  The result
+    equals ``u_{t-1} + u_{t+1} - 2 u_t`` with ``u_{-1}`` read as 0 (the
+    wall label carries no kernel mass); in particular the signed dimension
+    sequence is annihilated identically.
     """
     if not seq.zero_beyond:
         raise GmultError("quadrature route needs a finitely supported sequence")
-    sup = seq.support_band
-    out_band = sup + 1
-    grid = class_grid(sup + out_band + 6)
-    chi = character_table(max(sup, out_band), grid.angles)
-    kernel = seq.table @ chi[:seq.table.size]
-    gamma = 2.0 * np.cos(0.5 * grid.angles) - 2.0
-    kernel = kernel * gamma
-    out = [grid.integrate(kernel * chi[t]) for t in range(out_band + 1)]
+    out = _class_product(seq.table, lambda th: 2.0 * np.cos(th) - 2.0,
+                         seq.support_band + 2)
     return CentralSequence(seq.model, out, zero_beyond=True)
 
 
 def dimension_sequence(band: int) -> CentralSequence:
     """The signed dimension sequence through the given band (wall included)."""
-    vals = {t: complex(weyl_dimension(t)) for t in range(-1, band + 1)}
+    vals = {t: complex(t + 1) for t in range(-1, band + 1)}
     return CentralSequence(su2_model(), vals, zero_beyond=True)
 
 
-# ---------------------------------------------------------------------------
-# Character orthogonality
-# ---------------------------------------------------------------------------
-
 def character_inner(ta: int, tb: int) -> complex:
     """Quadrature value of ``integral chi_a conj(chi_b)`` on extended labels:
-    1 for equal labels, -1 for a signed reflection pair, else 0."""
-    grid = class_grid(abs(ta) + abs(tb) + 8)
-    return grid.integrate(weyl_character(ta, grid.angles)
-                          * np.conj(weyl_character(tb, grid.angles)))
+    1 for equal labels, -1 for a signed reflection pair, else 0.  It is
+    ``(2/n) sum_j sin((a+1) theta_j) sin((b+1) theta_j)``, exact for ``n >
+    |a+1| + |b+1|``; the sine's oddness carries the signed labels."""
+    ka, kb = int(ta) + 1, int(tb) + 1
+    n = 2 * (max(abs(ka), abs(kb)) + 2)
+    a, b = np.zeros(abs(ka)), np.zeros(abs(kb))
+    a[-1:], b[-1:] = np.sign(ka), np.sign(kb)  # nothing at the wall k = 0
+    return complex(2.0 / n * np.dot(_sine_values(a, n), _sine_values(b, n)))
 
 
 # ---------------------------------------------------------------------------
@@ -273,9 +224,8 @@ def hypoellipticity_ratio(order: int, band: int) -> Dict[str, float]:
     diff = np.diff(d, order)
     brackets = np.array([japanese_bracket(model, int(x)) for x in t[: band + 1]])
     ratios = brackets ** order * np.abs(diff[: band + 1]) / d[: band + 1]
-    half = ratios[: band // 2 + 1]
     full_c = float(ratios.max())
-    half_c = float(half.max())
+    half_c = float(ratios[: band // 2 + 1].max())
     growth = 1.0 if full_c <= 1e-300 else (math.inf if half_c <= 1e-300
                                            else full_c / half_c)
     poly = float((d[: band + 1] / brackets).max())

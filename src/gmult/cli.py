@@ -269,7 +269,7 @@ def load_symbol_file(path: str):
     except (IndexError, ValueError, GmultError) as exc:
         raise SymbolFormatError(f"{path!r}: malformed header: {exc}")
     # Check every record's layout first, then parse all value rows at once.
-    records: List[Tuple[object, int]] = []
+    records: Dict[object, Tuple[int, int]] = {}  # label: (line, dim)
     rows: List[int] = []
     tokens: List[str] = []
     i = 3
@@ -290,6 +290,10 @@ def load_symbol_file(path: str):
             raise SymbolFormatError(
                 f"{path!r} line {i + 1}: label {label} must have dimension "
                 f"{expected}, file says {d}")
+        if label in records:
+            raise SymbolFormatError(
+                f"{path!r} line {i + 1}: label {label} is listed again "
+                f"(first at line {records[label][0]})")
         if i + d >= len(lines):
             raise SymbolFormatError(
                 f"{path!r}: record for label {label} is truncated")
@@ -301,7 +305,7 @@ def load_symbol_file(path: str):
                     f"(re/im pairs), found {len(vals)}")
             tokens += vals
         rows += range(i + 1, i + d + 1)
-        records.append((label, d))
+        records[label] = (i + 1, d)
         i += d + 1
     try:
         nums = np.array(tokens, dtype=float)
@@ -320,7 +324,7 @@ def load_symbol_file(path: str):
     values = nums[0::2] + 1j * nums[1::2]
     entries: Dict[object, np.ndarray] = {}
     start = 0
-    for label, d in records:
+    for label, (_, d) in records.items():
         entries[label] = values[start:start + d * d].reshape(d, d)
         start += d * d
     if model.kind == "su2":
@@ -746,18 +750,28 @@ def _config_echo(args: argparse.Namespace, model: GroupModel,
 # Argument parsing / dispatch
 # ---------------------------------------------------------------------------
 
+class _Parser(argparse.ArgumentParser):
+    """A malformed command line exits 3, not argparse's 2 (see EXIT_MATH)."""
+
+    def error(self, message: str):
+        self.exit(EXIT_CONFIG,
+                  f"{self.format_usage()}{self.prog}: error: {message}\n")
+
+
 def _build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="gmult",
         description="Multiplier-condition checks, inverse symbols, and "
                     "scaling probes on the torus and the 3-sphere model.")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p: argparse.ArgumentParser, group_required: bool) -> None:
+    def common(p: argparse.ArgumentParser, group_required: bool,
+               band: bool = True) -> None:
         p.add_argument("--group", required=group_required,
                        help="group model: su2 or torus-<n>")
-        p.add_argument("--band", type=int, default=None,
-                       help="label band (defaults depend on the command)")
+        if band:
+            p.add_argument("--band", type=int, default=None,
+                           help="label band (default set per command)")
         p.add_argument("--seed", type=int, default=0,
                        help="seed for randomized diagnostics")
         p.add_argument("--out", default=None,
@@ -793,7 +807,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p_invert.set_defaults(func=cmd_invert)
 
     p_probe = sub.add_parser("probe", help="scaling probes over a ladder")
-    common(p_probe, group_required=False)
+    common(p_probe, group_required=False, band=False)
     p_probe.set_defaults(group="su2")
     p_probe.add_argument("--ladder", default="4:9",
                          help="dyadic range 'kmin:kmax' (2^-k) or "
@@ -826,10 +840,11 @@ def _build_parser() -> argparse.ArgumentParser:
 def main(argv: Optional[Sequence[str]] = None) -> int:
     parser = _build_parser()
     args = parser.parse_args(argv)
+    band = getattr(args, "band", None)  # probe takes --grid-band instead
     try:
-        if args.band is not None and args.band < 0:
+        if band is not None and band < 0:
             raise SymbolFormatError(
-                f"--band must be a nonnegative integer, got {args.band}")
+                f"--band must be a nonnegative integer, got {band}")
         return args.func(args)
     except UnderResolvedError as exc:
         sys.stderr.write(f"resolution error: {exc}\n")
@@ -847,10 +862,9 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         sys.stderr.write(f"configuration error: {exc}\n")
         return EXIT_CONFIG
     except MemoryError:
-        band = ("its default band" if args.band is None
-                else f"band {args.band}")
+        where = "its default band" if band is None else f"band {band}"
         sys.stderr.write(
-            f"configuration error: {args.group or 'su2+torus-3'} at {band} "
+            f"configuration error: {args.group or 'su2+torus-3'} at {where} "
             "needs more memory than is available; a torus-<n> box holds "
             "(2 band + 1)^n labels, so lower --band or n\n")
         return EXIT_CONFIG

@@ -43,7 +43,7 @@ import numpy as np
 from .errors import GmultError, UnderResolvedError
 from .groups import GroupModel
 from .grids import GroupGrid
-from .central import CentralSequence, delta2
+from .central import CentralSequence, _sine_values, delta2
 
 __all__ = [
     "bump_profile", "MollifierFamily", "mollifier_family",
@@ -711,21 +711,17 @@ def _cz_norm_sq(multiplier: _DiagonalMultiplier, coeffs: np.ndarray,
     int_0^pi sin^{4m-2} (S' sin - S cos)^2``: even trigonometric polynomials
     of degree at most ``2B + 4m + 2``, so half the uniform rule of ``n = 2
     (B + 2m + 3)`` nodes on ``[0, 2 pi)`` is exact.  ``S`` and ``S'`` take
-    one inverse real FFT each.
+    one inverse real FFT each (`central._sine_values`).
     """
     band = coeffs.size - 1
     n = 2 * (band + 2 * m + 3)
-    k = np.arange(1.0, band + 2.0)
-    a = k * coeffs * multiplier.weights(band)
-    spectrum = np.zeros(n // 2 + 1, dtype=complex)
-    spectrum[1:band + 2] = -1j * a
-    s = np.fft.irfft(spectrum, n) * (0.5 * n)
+    a = np.arange(1.0, band + 2.0) * coeffs * multiplier.weights(band)
+    s = _sine_values(a, n)
     theta = (2.0 * math.pi / n) * np.arange(n)
     sin = np.sin(theta)
     if multiplier.order == 0:
         return 2.0 * 16.0 ** m / n * float(np.sum(sin ** (4 * m) * s * s))
-    spectrum[1:band + 2] = k * a
-    ds = np.fft.irfft(spectrum, n) * (0.5 * n)
+    ds = _sine_values(a, n, derivative=True)
     ds *= sin
     ds -= s * np.cos(theta)
     return 16.0 ** m / (6.0 * n) * float(np.sum(sin ** (4 * m - 2) * ds * ds))
@@ -747,14 +743,15 @@ def cz_probe(model: GroupModel, diagonal: _DiagonalMultiplier,
     dyadic pieces, and the fit's r^2 is at least 0.95.  ``m`` is half the
     even differentiability budget of the model (1 on the 3-sphere model).
 
-    The dyadic-piece coefficients are truncated at relative
-    Plancherel-weighted size 1e-4; the class-angle integral of `_cz_norm_sq`
-    then gives each truncated norm exactly.  The cut is measured against
-    ``psi_r``'s norm, not against the much smaller reported norm, so its
-    error grows as the scale shrinks.  On the default ladder the fit's r^2
-    is 0.9999996, but on the fine ladder ``1e-5..8e-5`` the slope is
-    0.054 with r^2 0.72, where a 1e-5 cut gives slope 0.165 with r^2 1.0
-    (ROADMAP item 5).
+    `_cz_norm_sq` integrates the coefficients it is given exactly, but
+    they are inexact twice over: the Gauss rule of
+    `_su2_central_coefficients` is sized to the band, not to ``psi_r``
+    (the default ladder's norms are off by 3e-9 to 7e-7 relative), and they
+    are cut at relative Plancherel-weighted size 1e-4 of ``psi_r``'s norm,
+    not of the much smaller reported one.  The cut's error grows as the
+    scale shrinks: on the default ladder the fit's r^2 is 0.9999996, but on
+    ``1e-5..8e-5`` the slope is 0.054 with r^2 0.72, where a 1e-5 cut gives
+    slope 0.165 with r^2 1.0 (ROADMAP item 5).
     """
     _require_su2(model, "cz_probe")
     if not isinstance(diagonal, _DiagonalMultiplier):

@@ -1,54 +1,133 @@
 """Central machinery: characters, class quadrature, lattice operators on
-radial coefficient sequences, central symbol builders."""
+radial coefficient sequences, central symbol builders.
+
+The class routes are held to an independent oracle kept here: characters
+from the Chebyshev recurrence ``chi_{t+1} = 2 cos(s/2) chi_t - chi_{t-1}``
+on a uniform grid over the class angle ``s`` in ``[0, 4 pi)`` with weights
+``(2/N) sin^2(s/2)``."""
 import math
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from gmult.central import (CentralSequence, character_inner,
-                           character_table, class_grid, class_rho_squared,
+from gmult.central import (CentralSequence, _sine_values, character_inner,
                            delta2, dimension_sequence, function_of_laplacian,
                            hypoellipticity_ratio, laplace_central,
-                           nweiss_delta, riesz_symbol, weyl_character,
-                           weyl_dimension)
+                           nweiss_delta, riesz_symbol)
 from gmult.groups import labels_up_to
 from gmult.symbols import default_grid, laplace_difference
 
 from conftest import op_norm
 
 
+# ---------------------------------------------------------------------------
+# Oracle: the character recurrence on the 4 pi class grid
+# ---------------------------------------------------------------------------
+
+def _recurrence_table(tmax, angles):
+    """``(tmax+1, len(angles))`` table of characters chi_0..chi_tmax."""
+    x = 2.0 * np.cos(0.5 * angles)
+    out = np.empty((tmax + 1, x.size))
+    out[0] = 1.0
+    if tmax >= 1:
+        out[1] = x
+    for t in range(2, tmax + 1):
+        out[t] = x * out[t - 1] - out[t - 2]
+    return out
+
+
+def _class_grid(total_band):
+    """Nodes ``s_j = 4 pi j / N`` and weights ``(2/N) sin^2(s_j/2)``, exact
+    for character products of total label sum below ``N - 4``."""
+    n = 2 * total_band + 16
+    s = 4.0 * math.pi * np.arange(n) / n
+    return s, (2.0 / n) * np.sin(0.5 * s) ** 2
+
+
+def _signed_characters(labels, angles):
+    """Rows chi_t for extended labels: ``chi_{-2-t} = -chi_t``, and 0 at
+    the wall ``t = -1``."""
+    table = _recurrence_table(max(max(t, -2 - t) for t in labels), angles)
+    return np.array([np.zeros_like(angles) if t == -1 else
+                     (table[t] if t >= 0 else -table[-2 - t])
+                     for t in labels])
+
+
+def _oracle_route(table, factor, out_band, weighted):
+    """Expand ``sum_t w_t s_t chi_t`` (``w_t = t + 1`` if weighted, else 1)
+    times ``factor(s)`` back in characters through ``out_band``."""
+    s, w = _class_grid(table.size - 1 + out_band + 6)
+    chi = _recurrence_table(max(table.size - 1, out_band), s)
+    weights = np.arange(1, table.size + 1) if weighted else 1.0
+    kernel = (weights * table) @ chi[:table.size] * factor(s)
+    return np.array([np.sum(w * kernel * chi[t])
+                     for t in range(out_band + 1)])
+
+
 def test_weyl_dimension_values():
+    # d_t = t + 1 on dominant labels, 0 at the wall
+    seq = dimension_sequence(7)
     for t in range(8):
-        assert weyl_dimension(t) == t + 1
-    # signed extension: reflection across the wall flips the sign
-    assert weyl_dimension(-1) == 0
-    assert weyl_dimension(-2) == -1
-    assert weyl_dimension(-5) == -4
+        assert seq.value(t) == t + 1
+    assert seq.value(-1) == 0.0
 
 
 def test_character_at_identity():
-    angles = np.array([0.0, 1.3])
-    for t in (0, 1, 4):
-        chi = weyl_character(t, angles)
-        assert chi[0] == pytest.approx(t + 1, abs=1e-12)
+    # chi_t(0) is the limit of sin((t+1) theta) / sin(theta): the theta
+    # derivative of sin((t+1) theta) at 0
+    for t in (0, 1, 4, 30):
+        a = np.zeros(t + 1)
+        a[t] = 1.0
+        got = _sine_values(a, 2 * t + 6, derivative=True)[0]
+        assert got == pytest.approx(t + 1, abs=1e-12)
 
 
-def test_character_signed_reflection():
-    angles = np.linspace(0.1, 6.0, 7)
-    for t in (0, 2, 5):
-        plus = weyl_character(t, angles)
-        minus = weyl_character(-t - 2, angles)
-        assert np.allclose(minus, -plus, atol=1e-12)
-    assert np.allclose(weyl_character(-1, angles), 0.0, atol=1e-14)
+def test_class_measure_normalized(su2):
+    # integral of 1 is 1; integral of rho^2 = 3 - chi_2 is 3, read off the
+    # class route of the distance-squared operator on the constant kernel
+    assert character_inner(0, 0) == pytest.approx(1.0, abs=1e-13)
+    out = laplace_central(CentralSequence(su2, [1.0], zero_beyond=True))
+    assert out.value(0) == pytest.approx(3.0, abs=1e-12)
+    assert out.value(2) == pytest.approx(-1.0 / 3.0, abs=1e-12)
 
 
-def test_class_measure_normalized():
-    grid = class_grid(12)
-    assert grid.integrate(np.ones(grid.size)) == pytest.approx(1.0,
-                                                               abs=1e-13)
-    assert grid.integrate(class_rho_squared(grid.angles)) == pytest.approx(
-        3.0, abs=1e-12)
+@pytest.mark.parametrize("band", [0, 1, 2, 5, 20, 200])
+def test_class_routes_match_the_recurrence_oracle(su2, band):
+    # laplace_central is compared on the scale of the sine coefficients
+    # d_t out_t the class rules compute: the oracle's own quadrature error
+    # there is uniform in t (3e-14 of the largest at band 200), while
+    # out_t = (d_t out_t) / d_t spreads it to 1.5e-12 at small t.  The
+    # exact stencil delta2 then checks out_t itself.
+    rng = np.random.default_rng(band)
+    vals = rng.standard_normal(band + 1) + 1j * rng.standard_normal(band + 1)
+    seq = CentralSequence(su2, vals, zero_beyond=True)
+    d = np.arange(1.0, band + 4.0)
+    want = _oracle_route(vals, lambda s: 2.0 - 2.0 * np.cos(s), band + 2,
+                         weighted=True)
+    got = laplace_central(seq).table
+    assert got.shape == want.shape
+    assert np.abs(d * got - want).max() <= 1e-12 * np.abs(want).max()
+    stencil = delta2(seq).table
+    assert np.abs(got - stencil).max() <= 1e-13 * np.abs(stencil).max()
+    want = _oracle_route(vals, lambda s: 2.0 * np.cos(0.5 * s) - 2.0,
+                         band + 1, weighted=False)
+    got = nweiss_delta(seq).table
+    assert got.shape == want.shape
+    assert np.abs(got - want).max() <= 1e-12 * np.abs(want).max()
+
+
+def test_character_inner_matches_the_recurrence_oracle():
+    labels = list(range(-42, 41))
+    s, w = _class_grid(2 * 42 + 8)
+    chi = _signed_characters(labels, s)
+    want = (chi * w) @ chi.T
+    got = np.array([[character_inner(ta, tb) for tb in labels]
+                    for ta in labels])
+    assert np.abs(got - want).max() <= 1e-12
+    exact = (np.equal.outer(labels, labels).astype(float)
+             - np.equal.outer(labels, [-2 - t for t in labels]))
+    assert np.abs(got - exact).max() <= 1e-13
 
 
 def test_character_inner_orthonormal():
@@ -65,13 +144,6 @@ def test_character_inner_signed_pairs():
         assert character_inner(-t - 2, -t - 2) == pytest.approx(1.0,
                                                                 abs=1e-12)
     assert character_inner(2, -1) == pytest.approx(0.0, abs=1e-13)
-
-
-def test_character_table_shape():
-    angles = np.linspace(0, 2 * math.pi, 9)
-    table = character_table(5, angles)
-    assert table.shape == (6, 9)
-    assert np.allclose(table[0], 1.0)
 
 
 def test_central_sequence_extension():
@@ -243,7 +315,4 @@ def test_function_of_laplacian_eigenvalues(su2):
 @settings(max_examples=15)
 @given(t=st.integers(min_value=0, max_value=30))
 def test_character_l2_normalized_property(t):
-    grid = class_grid(2 * t + 4)
-    chi = weyl_character(t, grid.angles)
-    assert grid.integrate(chi * np.conj(chi)) == pytest.approx(1.0,
-                                                               abs=1e-11)
+    assert character_inner(t, t) == pytest.approx(1.0, abs=1e-11)

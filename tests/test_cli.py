@@ -203,6 +203,26 @@ def test_symbol_file_errors_name_the_line(tmp_path, row, message):
         load_symbol_file(str(path))
 
 
+@pytest.mark.parametrize("group, label, shown", [("su2", "2", "2"),
+                                                 ("torus-1", "-1", "(-1,)")])
+def test_symbol_file_refuses_a_label_listed_twice(tmp_path, capsys, group,
+                                                  label, shown):
+    # the second record used to replace the first silently
+    path = tmp_path / "twice.gsym"
+    d = 3 if group == "su2" else 1
+    block = "\n".join(" ".join(["1.0 0.0"] * d) for _ in range(d))
+    path.write_text(f"gmult-symbol 1\ngroup {group}\nband 12\n"
+                    f"label {label} d {d}\n{block}\nlabel 0 d 1\n1.0 0.0\n"
+                    f"label {label} d {d}\n{block}\n")
+    message = f"line {7 + d}: label {shown} is listed again (first at line 4)"
+    with pytest.raises(SymbolFormatError, match=re.escape(message)):
+        load_symbol_file(str(path))
+    code = main(["check", "--group", group, "--band", "8", "--symbol",
+                 str(path), "--checker", "mikhlin"])
+    assert code == EXIT_CONFIG
+    assert message in capsys.readouterr().err
+
+
 def test_check_reads_symbol_file(su2, tmp_path, monkeypatch, capsys):
     sym = identity_symbol(su2, 14)
     path = str(tmp_path / "ident.gsym")
@@ -584,6 +604,38 @@ def test_degenerate_frame_field_exits_config_with_no_report(
     captured = capsys.readouterr()
     assert captured.out == "" and not out.exists()
     assert f"frame field {field!r} needs finite coefficients" in captured.err
+
+
+@pytest.mark.parametrize("argv", [
+    ["check", "--group", "su2", "--checker", "mikhlin"],
+    ["fourier-selftest", "--band", "x"],
+    ["fourier-selftest", "--no-such-option"],
+    ["probe", "--q", "nope"],
+    ["invert", "--format", "xml"],
+    ["probe", "--band", "5"],
+])
+def test_malformed_command_lines_exit_config(argv, capsys):
+    # argparse's own exit code, 2, is the one for a mathematical obstruction
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == EXIT_CONFIG
+    captured = capsys.readouterr()
+    assert captured.out == "" and "gmult" in captured.err \
+        and "error:" in captured.err
+    with pytest.raises(SystemExit) as exc:
+        main([argv[0], "--help"])
+    assert exc.value.code == 0
+
+
+def test_cli_import_loads_no_fft():
+    # numpy.fft is imported by the calls that use it: the CLI's start-up
+    # time and the SU(2) commands' memory do not pay for it
+    code = ("import sys, gmult.cli; "
+            "sys.exit('numpy.fft' in sys.modules)")
+    src = str(Path(cli.__file__).resolve().parents[1])
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                          text=True, env={"PYTHONPATH": src})
+    assert proc.returncode == 0, proc.stderr
 
 
 @pytest.mark.parametrize("argv", [
