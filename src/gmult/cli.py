@@ -256,7 +256,13 @@ def load_symbol_file(path: str):
     except OSError as exc:
         raise SymbolFormatError(f"could not read symbol file {path!r}: "
                                 f"{exc}")
-    lines = [ln.strip() for ln in raw_lines if ln.strip()]
+    # the non-blank lines; messages name a line by its number in the file
+    at = [n for n, ln in enumerate(raw_lines, 1) if ln.strip()]
+    lines = [raw_lines[n - 1].strip() for n in at]
+
+    def bad(i: int, msg) -> SymbolFormatError:
+        return SymbolFormatError(f"{path!r} line {at[i]}: {msg}")
+
     if len(lines) < 3 or not lines[0].startswith("gmult-symbol"):
         raise SymbolFormatError(
             f"{path!r} is not a symbol file (missing 'gmult-symbol' header)")
@@ -269,15 +275,14 @@ def load_symbol_file(path: str):
     except (IndexError, ValueError, GmultError) as exc:
         raise SymbolFormatError(f"{path!r}: malformed header: {exc}")
     # Check every record's layout first, then parse all value rows at once.
-    records: Dict[object, Tuple[int, int]] = {}  # label: (line, dim)
+    records: Dict[object, Tuple[int, int]] = {}  # label: (line index, dim)
     rows: List[int] = []
     tokens: List[str] = []
     i = 3
     while i < len(lines):
         toks = lines[i].split()
         if toks[0] != "label" or "d" not in toks:
-            raise SymbolFormatError(
-                f"{path!r} line {i + 1}: expected 'label <coords> d <dim>'")
+            raise bad(i, "expected 'label <coords> d <dim>'")
         di = toks.index("d")
         try:
             coords = tuple(int(v) for v in toks[1:di])
@@ -285,27 +290,23 @@ def load_symbol_file(path: str):
             label = coords if model.kind == "torus" else coords[0]
             expected = irrep_dimension(model, label)
         except (IndexError, ValueError) as exc:
-            raise SymbolFormatError(f"{path!r} line {i + 1}: {exc}")
+            raise bad(i, exc)
         if d != expected:
-            raise SymbolFormatError(
-                f"{path!r} line {i + 1}: label {label} must have dimension "
-                f"{expected}, file says {d}")
+            raise bad(i, f"label {label} must have dimension {expected}, "
+                         f"file says {d}")
         if label in records:
-            raise SymbolFormatError(
-                f"{path!r} line {i + 1}: label {label} is listed again "
-                f"(first at line {records[label][0]})")
+            raise bad(i, f"label {label} is listed again (first at line "
+                         f"{at[records[label][0]]})")
         if i + d >= len(lines):
-            raise SymbolFormatError(
-                f"{path!r}: record for label {label} is truncated")
+            raise bad(i, f"record for label {label} is truncated")
         for j in range(i + 1, i + d + 1):
             vals = lines[j].split()
             if len(vals) != 2 * d:
-                raise SymbolFormatError(
-                    f"{path!r} line {j + 1}: expected {2 * d} numbers "
-                    f"(re/im pairs), found {len(vals)}")
+                raise bad(j, f"expected {2 * d} numbers (re/im pairs), "
+                             f"found {len(vals)}")
             tokens += vals
         rows += range(i + 1, i + d + 1)
-        records[label] = (i + 1, d)
+        records[label] = (i, d)
         i += d + 1
     try:
         nums = np.array(tokens, dtype=float)
@@ -317,10 +318,9 @@ def load_symbol_file(path: str):
             try:
                 finite = all(math.isfinite(float(v)) for v in lines[j].split())
             except ValueError as exc:
-                raise SymbolFormatError(f"{path!r} line {j + 1}: {exc}")
+                raise bad(j, exc)
             if not finite:
-                raise SymbolFormatError(
-                    f"{path!r} line {j + 1}: entries must be finite")
+                raise bad(j, "entries must be finite")
     values = nums[0::2] + 1j * nums[1::2]
     entries: Dict[object, np.ndarray] = {}
     start = 0

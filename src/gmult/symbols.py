@@ -13,11 +13,12 @@ so a difference is an exact lattice shift and the distance-squared
 (Laplace) operator a five-point-per-axis stencil: both are array slices
 that zero-extend the box by the factor's band.  On SU(2) a factor is a
 sum of terms ``e^{-i s phi/2} g(theta) e^{-i s' psi/2}``, which shift the
-kernel's forward phase sums by ``(s, s')``: a difference is a sum of
-shifted, theta-weighted slices of one phase stage of the kernel, then a
-theta quadrature against the Wigner tables.  The tests keep the recipe
-"inverse transform, multiply on the grid, forward transform" as the
-oracle of both routes.
+kernel's forward phase sums by ``(s, s')``.  On a grid that resolves the
+kernel those sums are the inverse transform's label stage, the blocks
+against the Wigner tables, built with no sampling: a difference is a sum
+of shifted, theta-weighted slices of that stage, then a theta quadrature
+against the Wigner tables.  The tests keep the recipe "inverse transform,
+multiply on the grid, forward transform" as the oracle of both routes.
 
 Band bookkeeping: ``exact_band`` records through which label band the
 stored entries faithfully represent the (possibly infinite) symbol being
@@ -35,6 +36,7 @@ from __future__ import annotations
 
 import copy
 import math
+from collections import defaultdict
 from collections.abc import Mapping
 from dataclasses import dataclass, field
 from functools import reduce
@@ -369,21 +371,20 @@ def _phase_weights(grid: GroupGrid, combination) -> Dict:
     ``sum g(theta) e^{-i s phi / 2} e^{-i s' psi / 2}``, ``g`` a table at
     the theta nodes.  ``xi^t_ij`` is the term ``(2i - t, 2j - t): d^t_ij``,
     so products add the shifts."""
-    out: Dict = {}
+    out: Dict = defaultdict(float)
     for c, factors in combination:
         word = {(0, 0): np.full(grid.thetas.size, c)}
         for t, i, j in factors:
             q = {(2 * i - t, 2 * j - t): grid.little_d(t)[:, i, j]}
             if i == j:
                 q[0, 0] = q.get((0, 0), 0.0) - 1.0
-            prod: Dict = {}
+            prod: Dict = defaultdict(float)
             for (s1, r1), g1 in word.items():
                 for (s2, r2), g2 in q.items():
-                    key = (s1 + s2, r1 + r2)
-                    prod[key] = prod.get(key, 0.0) + g1 * g2
+                    prod[s1 + s2, r1 + r2] += g1 * g2
             word = prod
         for key, g in word.items():
-            out[key] = out.get(key, 0.0) + g
+            out[key] += g
     return out
 
 
@@ -411,15 +412,15 @@ def _difference_grid(sym, wband: int, out_band: int,
 
 def _kernel_planes(sym: MatrixSymbol, wband: int, out_band: int,
                    grid: Optional[GroupGrid]):
-    """Synthesize the kernel on a grid exact for its products with
-    multipliers of band <= ``wband``, and its phase planes at every
-    twice-weight ``|u| <= out_band + wband`` a shifted read reaches."""
+    """The kernel's phase planes ``(u, v, theta)`` at every twice-weight
+    ``|u| <= out_band + wband`` a shifted read reaches, on a grid exact for
+    its products with multipliers of band <= ``wband``: that grid resolves
+    the kernel, so they are its label stage, built with no sampling."""
     from . import transform
 
     grid = _difference_grid(sym, wband, out_band, grid)
-    kernel = transform.fourier_inverse(sym, grid)
-    return grid, transform._su2_forward_stages(grid, kernel.samples,
-                                               out_band + wband)
+    return grid, [H.transpose(0, 2, 1) for H in transform._su2_label_planes(
+        grid, sym, out_band + wband)]
 
 
 def _shifted_sums(grid: GroupGrid, planes, weights: Sequence[Dict],
@@ -459,7 +460,7 @@ def _su2_differences(sym: MatrixSymbol, wband: int,
                      band: Optional[int] = None) -> List[MatrixSymbol]:
     """The SU(2) difference route: the products of one kernel with each
     multiplier (a combination for :func:`_phase_weights` of band
-    ``wband``, vanishing at the identity), from one phase stage and one
+    ``wband``, vanishing at the identity), from one label stage and one
     theta quadrature against the Wigner tables, at the labels through
     ``band`` (default: all, through ``support_band + wband``).  The
     certificate is the symbol's, derated by ``wband``, capped by the grid's
@@ -527,7 +528,7 @@ def apply_difference(word: DifferenceWord, sym, grid: Optional[GroupGrid] = None
 def apply_differences(words: Sequence[DifferenceWord], sym,
                       grid: Optional[GroupGrid] = None) -> List:
     """:func:`apply_difference` of each word; on SU(2) words of one total
-    band share one kernel synthesis and one phase stage."""
+    band share one label stage of the kernel."""
     bands = {word.band_sum for word in words}
     if (sym.model.kind == "torus" or len(bands) != 1 or 0 in bands
             or any(word.model != sym.model for word in words)):
@@ -661,9 +662,8 @@ def word_sup_table(sym, order: int, band: int) -> np.ndarray:
     if model.kind == "torus":
         return reduce(np.maximum, (apply_difference(word, sym).norms(band)
                                    for word in words))
-    # one kernel phase stage shared by every word; the word stacks are
-    # formed a chunk of words and a parity at a time, each label normed
-    # as one stack
+    # one label stage of the kernel for every word; the word stacks come a
+    # chunk of words and a parity at a time, each label normed as one stack
     grid, planes = _kernel_planes(sym, wband, band, None)
     weights = [_phase_weights(grid, [(1.0, w.factors)]) for w in words]
     step = max(1, _STACK_ENTRIES // ((band + 1) ** 2 * grid.thetas.size))

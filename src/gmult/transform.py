@@ -10,7 +10,9 @@ On the torus this is the ordinary Fourier series with characters
 ``exp(2 pi i k . x)``, evaluated by the FFT between the samples and the
 symbol's dense label box.  On SU(2) the transform separates over the Euler
 product grid: two phase sums (uniform angles) and a Gauss-Legendre sum
-against the little-d tables.
+against the little-d tables.  The inverse transform's label stage (the
+blocks against the little-d tables) is the forward phase stage of the
+kernel on any grid that resolves it; the difference route reads it there.
 
 Exactness accounting: for a function carrying a ``declared_band``
 certificate ``b``, computed coefficients at labels of band ``t`` are exact
@@ -92,23 +94,22 @@ def _su2_theta_sums(grid: GroupGrid, planes,
         yield t, sums.transpose(2, 1, 0).reshape(batch + (t + 1, t + 1))
 
 
-def _su2_inverse(grid: GroupGrid, sym: MatrixSymbol) -> np.ndarray:
-    if not sym.entries:
-        return np.zeros(grid.node_count, dtype=complex)
-    tmax = max(sym.entries)
-    ephis, epsi = _su2_phase_tables(grid, tmax, -1)
-    H = [np.zeros((ephi.shape[0], grid.thetas.size, ephi.shape[0]),
-                  dtype=complex) for ephi in ephis]
+def _su2_label_planes(grid: GroupGrid, sym: MatrixSymbol, tmax: int):
+    """The label stage of the inverse transform, ``H[u, a, v] = sum_t
+    (t + 1) d^t_{mn}(theta_a) sigma_t[n, m]`` at ``u = 2m``, ``v = 2n``,
+    laid out like :func:`_su2_phase_tables` through ``tmax``, theta in the
+    middle; built through the support (higher labels reach the rows kept)
+    and cropped.  Where the grid's phase sums resolve ``|u| <= tmax``
+    against the symbol's twice-weights, it is the kernel's forward stage."""
+    top = max(tmax, sym.support_band)
+    H = [np.zeros((n, grid.thetas.size, n), dtype=complex)
+         for n in (top + 1 - top % 2, top + top % 2)]
     for t, mat in sym.entries.items():
         at = _plane_slice(H[t % 2], t)
-        # f = sum_t d_t sum_{mn} e^{-i m phi} d^t_{mn} e^{-i n psi} sigma_{nm}
         H[t % 2][at, :, at] += (t + 1) * (grid.little_d(t).transpose(1, 0, 2)
                                           * mat.T[:, None, :])
-    # the phi stage of each parity, (phi, theta, v), its v rows side by side
-    mid = np.concatenate([np.tensordot(ephi, Hp, axes=(0, 0))
-                          for ephi, Hp in zip(ephis, H)], axis=2)
-    out = np.tensordot(mid, epsi, axes=(2, 0))           # (phi, theta, psi)
-    return out.reshape(-1)
+    keep = [_plane_slice(Hp, tmax - (tmax - p) % 2) for p, Hp in enumerate(H)]
+    return [Hp[at, :, at] for Hp, at in zip(H, keep)]
 
 
 def fourier_forward(f: GroupFunction, band: Optional[int] = None):
@@ -148,7 +149,13 @@ def fourier_inverse(sym, grid: GroupGrid) -> GroupFunction:
             f"symbol support band {sym.support_band} exceeds the grid's "
             f"representable band {grid.max_label_band}")
     if grid.model.kind == "su2":
-        samples = _su2_inverse(grid, sym)
+        # f = sum_t d_t sum_{mn} e^{-i m phi} d^t_{mn} e^{-i n psi} sigma_{nm}:
+        # the phi stage of each parity, (phi, theta, v), side by side in v
+        ephis, epsi = _su2_phase_tables(grid, sym.support_band, -1)
+        planes = _su2_label_planes(grid, sym, sym.support_band)
+        mid = np.concatenate([np.tensordot(ephi, H, axes=(0, 0))
+                              for ephi, H in zip(ephis, planes)], axis=2)
+        samples = np.tensordot(mid, epsi, axes=(2, 0)).reshape(-1)
     else:
         table = np.fft.ifftshift(resize_box(sym.table, grid.band))
         samples = (np.fft.ifftn(table) * table.size).reshape(-1)

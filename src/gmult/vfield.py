@@ -2,15 +2,13 @@
 
 The symbol of a real left-invariant field ``X = a . frame`` is the exact
 spin-matrix action ``-i a . J``: each block is skew-Hermitian with
-eigenvalues ``-i |a| m`` and diagonalizes unitarily.  Rotate the
-fundamental representation into the eigenbasis of the fundamental block:
-the four first-order differences built from its coefficients act on the
-field symbol as the constants ``tau = diag(i |a| / 2, -i |a| / 2)``
-(scalar multiples of the identity, so no per-label basis change is needed
-on the symbol side).  That turns inversion of ``X + c`` into scalar
-arithmetic per eigenvalue and yields a closed-form expression for the
-diagonal differences of the inverse symbol, checked here against an
-independent quadrature route.
+eigenvalues ``-i |a| m``, diagonalized at label ``t`` by the spin-``t/2``
+power of the fundamental block's eigenbasis.  So ``X + c`` is inverted a
+block at a time against the exact eigenvalues, and the four first-order
+differences built from the rotated fundamental coefficients act on the
+field symbol as the constants ``tau = diag(i |a| / 2, -i |a| / 2)``.  That
+yields a closed-form expression for the diagonal differences of the
+inverse symbol, checked here against the difference route.
 
 The inverse symbol is not band-limited; a truncation stored through band B
 still certifies labels <= B because every difference word is lattice-local
@@ -21,14 +19,14 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, Iterator, List, Optional, Sequence, Tuple
 
 import numpy as np
 
 from .errors import ExceptionalValueError, GmultError
-from .groups import GroupModel
+from .groups import GroupModel, angular_momentum
 from .symbols import (MatrixSymbol, _residual_norm, _su2_differences,
-                      symbol_add, symbol_product, vector_field_symbol)
+                      symbol_add, symbol_product)
 from .checkers import MultiplierReport, SymbolClassSpec, check_symbol_class
 
 _SPECTRAL_MARGIN = 1e-8
@@ -36,20 +34,16 @@ _SPECTRAL_MARGIN = 1e-8
 
 @dataclass
 class VectorFieldSpec:
-    """A frame field on SU(2) with its exact symbol and per-label
-    eigenbases.
-
-    ``symbol`` is the exact Lie-algebra action of the field.  The columns
-    of ``unitaries[t]`` are eigenvectors of the block at label ``t``, in
-    the order of :meth:`eigenvalues`; the eigenvalues and the ``tau``
-    table follow from ``|a|`` alone.
-    """
+    """A frame field ``a . frame`` on SU(2), stored through label ``band``
+    (its symbol is :func:`gmult.symbols.vector_field_symbol`).  The columns
+    of ``basis`` are eigenvectors of its block at label 1, in the order of
+    :meth:`eigenvalues`; the eigenvalues and the ``tau`` table follow from
+    ``|a|`` alone."""
 
     model: GroupModel
     coeffs: np.ndarray
     band: int
-    symbol: MatrixSymbol
-    unitaries: Dict[int, np.ndarray] = field(repr=False, default_factory=dict)
+    basis: np.ndarray = field(repr=False)
 
     @property
     def field_norm(self) -> float:
@@ -68,13 +62,9 @@ class VectorFieldSpec:
 
 
 def build_field(model: GroupModel, coeffs, band: int) -> VectorFieldSpec:
-    """Diagonalize the symbol of a nonzero real frame field through ``band``.
-
-    ``eigh`` on the Hermitian block ``i sigma`` supplies the eigenvectors;
-    each rotated block must match the exact eigenvalues within
-    ``_SPECTRAL_MARGIN`` relative to the block's spectral radius ``|a| t /
-    2`` (absolute below radius 1).
-    """
+    """A nonzero real frame field through ``band``, with the eigenbasis of
+    its fundamental block from one ``eigh`` of ``a . J`` (whatever
+    ``band`` is)."""
     if model.kind != "su2":
         raise GmultError("vector-field inversion is implemented on su2")
     a = np.asarray(coeffs, dtype=float)
@@ -82,19 +72,10 @@ def build_field(model: GroupModel, coeffs, band: int) -> VectorFieldSpec:
         raise ValueError("expected three real frame coefficients")
     if np.linalg.norm(a) < 1e-12:
         raise ValueError("the zero field has no inverse theory")
-    spec = VectorFieldSpec(model=model, coeffs=a, band=band,
-                           symbol=vector_field_symbol(model, a, band))
-    for t in range(band + 1):
-        block = spec.symbol.entries[t]
-        # i sigma has eigenvalues |a| m: descending order puts the symbol's
-        # eigenvalues -i |a| m in ascending imaginary part
-        V = np.linalg.eigh(1j * block)[1][:, ::-1]
-        resid = np.abs(V.conj().T @ block @ V
-                       - np.diag(spec.eigenvalues(t))).max()
-        if resid > _SPECTRAL_MARGIN * max(1.0, 0.5 * spec.field_norm * t):
-            raise GmultError(f"diagonalization residual {resid:.2e} at label {t}")
-        spec.unitaries[t] = V
-    return spec
+    # i sigma = a . J has eigenvalues |a| m: descending order puts the
+    # symbol's eigenvalues -i |a| m in ascending imaginary part
+    basis = np.linalg.eigh(angular_momentum(a, 1))[1][:, ::-1]
+    return VectorFieldSpec(model=model, coeffs=a, band=band, basis=basis)
 
 
 def exceptional_set(spec: VectorFieldSpec, bound: float) -> List[complex]:
@@ -119,24 +100,40 @@ def _nearest_eigenvalue(spec: VectorFieldSpec, c: complex,
     return abs(ev + c), abs(twice_m), ev
 
 
+def _spin_powers(V: np.ndarray, band: int) -> Iterator[np.ndarray]:
+    """The spin-``t/2`` representations of a 2x2 unitary, ``t = 0..band``
+    (rows and columns ascending in ``m``): label ``t`` couples label ``t -
+    1`` with ``V`` by the stretched Clebsch-Gordan weights ``sqrt(i / t)``,
+    ``sqrt((t - i) / t)``, an isometry; renormalized columns keep the
+    rounding near ``1e-16 t``."""
+    U = np.ones((1, 1), dtype=complex)
+    yield U
+    for t in range(1, band + 1):
+        pad, w = np.pad(U, 1), np.sqrt(np.arange(t + 1) / t)
+        w = (w[::-1], w)                      # m - 1/2, then m + 1/2
+        U = sum(V[k, l] * np.outer(w[k], w[l])
+                * pad[1 - k:t + 2 - k, 1 - l:t + 2 - l]
+                for k in (0, 1) for l in (0, 1))
+        U /= np.linalg.norm(U, axis=0)
+        yield U
+
+
 def invert_vf_symbol(spec: VectorFieldSpec, c: complex,
                      band: Optional[int] = None) -> MatrixSymbol:
-    """Per-label inverse of the shifted-field symbol, assembled through the
-    eigenbases.  Refuses parameters within ``_SPECTRAL_MARGIN`` of the
-    spectrum."""
+    """Per-label inverse of the shifted-field symbol, each block solved in
+    its eigenbasis against the exact eigenvalues, however ill-conditioned.
+    Refuses parameters within ``_SPECTRAL_MARGIN`` of the spectrum."""
     band = spec.band if band is None else int(band)
     if band > spec.band:
-        raise GmultError("field was built through a smaller band; rebuild it")
+        raise GmultError(f"field was built through band {spec.band}; "
+                         f"rebuild it through band {band}")
     dist, bad_label, bad_ev = _nearest_eigenvalue(spec, c, band)
     if dist < _SPECTRAL_MARGIN:
         raise ExceptionalValueError(
             f"parameter {c} is within {dist:.2e} of eigenvalue {bad_ev} "
             f"at label {bad_label}; the shifted field is not invertible")
-    entries = {}
-    for t in range(band + 1):
-        V = spec.unitaries[t]
-        inv_diag = 1.0 / (spec.eigenvalues(t) + c)
-        entries[t] = (V * inv_diag[None, :]) @ V.conj().T
+    entries = {t: (U / (spec.eigenvalues(t) + c)) @ U.conj().T
+               for t, U in enumerate(_spin_powers(spec.basis, band))}
     return MatrixSymbol(spec.model, entries, exact_band=band)
 
 
@@ -144,12 +141,10 @@ def _rotated_differences(model: GroupModel, sym: MatrixSymbol, V1: np.ndarray
                          ) -> Dict[Tuple[int, int], MatrixSymbol]:
     """First-order differences whose factors are the ``(i, j)``
     coefficients of the eigenbasis-rotated fundamental representation,
-    applied to a symbol kept in the original frame basis.
-
-    Each rotated coefficient ``sum_ab conj(V1_ai) V1_bj xi_ab`` is a fixed
-    combination of the plain fundamental coefficients, so all four
-    operators come from one kernel synthesis.
-    """
+    applied to a symbol kept in the original frame basis.  Each rotated
+    coefficient ``sum_ab conj(V1_ai) V1_bj xi_ab`` is a fixed combination
+    of the plain fundamental coefficients, so all four operators come from
+    one label stage of the kernel."""
     pairs = [(i, j) for i in range(2) for j in range(2)]
     diffs = _su2_differences(sym, 1, [
         [(V1[a, i].conjugate() * V1[b, j], ((1, a, b),)) for a, b in pairs]
@@ -162,11 +157,11 @@ def recursion_residuals(spec: VectorFieldSpec, c: complex, band: int,
                         ) -> Dict[int, Dict[str, float]]:
     """:func:`recursion_residual` for each block ``j`` in ``blocks``, from
     one inverse symbol whose four rotated fundamental differences come from
-    one kernel synthesis and serve every block."""
+    one label stage of its kernel and serve every block."""
     if any(j not in (0, 1) for j in blocks):
         raise ValueError("j indexes the 2x2 fundamental block: 0 or 1")
     inv = invert_vf_symbol(spec, c, band + 1)
-    diffs = _rotated_differences(spec.model, inv, spec.unitaries[1])
+    diffs = _rotated_differences(spec.model, inv, spec.basis)
     off_resid = max(_residual_norm(diffs[i, 1 - i], band) for i in range(2))
     out = {}
     for j in blocks:
@@ -199,11 +194,7 @@ def verify_s00(spec: VectorFieldSpec, c: complex,
     claimed.  The report's Sobolev-loss table gives the order
     ``kappa |1/p - 1/2|`` required at each sample p."""
     kappa = spec.model.kappa
-    stored = band + 2 * kappa
-    if stored > spec.band:
-        raise GmultError(
-            f"rebuild the field through band {stored} for this range")
-    inv = invert_vf_symbol(spec, c, stored)
+    inv = invert_vf_symbol(spec, c, band + 2 * kappa)
     report = check_symbol_class(inv, SymbolClassSpec(order=0.0, rho=0.0,
                                                      max_order=kappa), band)
     report.notes.append("inverse symbol of a shifted frame field")

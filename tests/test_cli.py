@@ -223,6 +223,26 @@ def test_symbol_file_refuses_a_label_listed_twice(tmp_path, capsys, group,
     assert message in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("records, message", [
+    ("label 0 d 1\n1.0 x\n",
+     "line 7: could not convert string to float: 'x'"),
+    ("label 0 d 1\n1.0 0.0\n\nlabel 0 d 1\n1.0 0.0\n",
+     "line 9: label 0 is listed again (first at line 6)"),
+    ("label 0 d 1\n1.0 0.0\n\nlabel 1 d 2\n1.0 0.0 0.0 0.0\n",
+     "line 9: record for label 1 is truncated"),
+], ids=["bad-value", "repeated-label", "truncated-record"])
+def test_symbol_file_errors_count_blank_lines(tmp_path, capsys, records,
+                                              message):
+    # blank lines 2 and 5 (and 8): messages give the line in the file, not
+    # the index among the non-blank lines
+    path = tmp_path / "blank.gsym"
+    path.write_text(f"gmult-symbol 1\n\ngroup su2\nband 2\n\n{records}")
+    code = main(["check", "--group", "su2", "--band", "8", "--symbol",
+                 str(path), "--checker", "mikhlin"])
+    assert code == EXIT_CONFIG
+    assert message in capsys.readouterr().err
+
+
 def test_check_reads_symbol_file(su2, tmp_path, monkeypatch, capsys):
     sym = identity_symbol(su2, 14)
     path = str(tmp_path / "ident.gsym")
@@ -404,6 +424,21 @@ def test_invert_tiny_and_huge_fields_pass(field, points, capsys):
     results = json.loads(capsys.readouterr().out)["results"]
     assert len(results["exceptional_set"]) == points
     assert results["inverse_sup_norm"] == pytest.approx(1.0)
+
+
+def test_invert_huge_oblique_field_keeps_its_constants(capsys):
+    # at |a| = 1.1e150 and c = 1 the blocks sigma_t + c have condition
+    # numbers ~1e150: inverses read through the field's eigenbases keep the
+    # constants the exact spectrum gives (a solve from the entries printed
+    # order-1 1.0 and order-2 1.333, and failed the recursion check)
+    assert main(["invert", "--field=3e149,4e149,1e150", "--c", "1", "--band",
+                 "8", "--recursion-check"]) == EXIT_PASS
+    results = json.loads(capsys.readouterr().out)["results"]
+    consts = {c["name"]: c["constant"] for c in results["s00"]["conditions"]}
+    assert consts["order-1"] == pytest.approx(0.9, rel=1e-12)
+    assert consts["order-2"] == pytest.approx(1.615, rel=1e-12)
+    for block in results["recursion_residuals"].values():
+        assert block["residual"] < 1e-13 and block["offdiagonal"] < 1e-13
 
 
 def test_bad_ranges_ladders_and_shifts_exit_config(capsys):
@@ -755,11 +790,9 @@ def test_traced_benchmark_run_records_forward_labels(tmp_path):
     forward = [r for r in records if r["name"] == "transform.fourier_forward"]
     assert forward
     assert all(r["labels"] == 9 ** 3 for r in forward)
-    # an SU(2) check makes no per-word forward transform: each difference
-    # family synthesizes its kernel once and shifts one phase stage per
-    # word.  The 3 forward and 6 of the 8 inverse transforms are the L^p
-    # probe's; the other 2 inverses are the kernels of the order-1 and
-    # order-2 word sup tables
+    # an SU(2) check makes no transform for its differences: each
+    # difference family reads the kernel's label stage once and shifts it
+    # per word.  The 3 forward and 6 inverse transforms are the L^p probe's
     records = _traced_spans(tmp_path, "check", "--group", "su2", "--band",
                             "8", "--symbol", "riesz:D3", "--checker",
                             "mikhlin")
@@ -767,8 +800,16 @@ def test_traced_benchmark_run_records_forward_labels(tmp_path):
     assert counts["symbols.word_sup_table"] == 3
     assert counts["checkers.empirical_lp_ratio"] == 1
     assert counts["transform.fourier_forward"] == 3
-    assert counts["transform.fourier_inverse"] == 8
+    assert counts["transform.fourier_inverse"] == 6
     assert counts["grids.GroupGrid.little_d"] == 224
+
+    def ancestors(record):
+        while record["parent"] >= 0:
+            record = records[record["parent"]]
+            yield record["name"]
+
+    assert not any("symbols.word_sup_table" in ancestors(r) for r in records
+                   if r["name"].startswith("transform."))
 
 
 def test_traced_runs_build_the_smallest_grids(tmp_path):

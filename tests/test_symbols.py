@@ -152,6 +152,28 @@ def test_su2_word_sup_table_matches_node_space_oracle(su2, rng, stack_entries,
         assert np.abs(got - want).max() <= 1e-12 * want.max()
 
 
+@pytest.mark.parametrize("wband", [1, 2, 4])
+def test_kernel_planes_are_the_sampled_kernels_phase_stage(su2, wband):
+    # the label stage read directly against the forward phase stage of the
+    # kernel synthesized on the difference grid, both parities, at output
+    # bands 0 and half the support (planes cropped where out + wband falls
+    # below the support), at the support and at support + wband
+    from gmult import transform
+
+    rng = np.random.default_rng(wband)
+    for support in range(13):
+        sym = random_symbol(su2, support, rng)
+        for out in sorted({0, support // 2, support, support + wband}):
+            grid, planes = symbols._kernel_planes(sym, wband, out, None)
+            kernel = fourier_inverse(sym, grid)
+            want = transform._su2_forward_stages(grid, kernel.samples,
+                                                 out + wband)
+            scale = max(np.abs(w).max() for w in want)
+            for got, ref in zip(planes, want):
+                assert got.shape == ref.shape
+                assert np.abs(got - ref).max(initial=0.0) <= 1e-13 * scale
+
+
 def _watch_stacks(monkeypatch):
     """Wrap `_shifted_sums`: record the parity, band and shape of each
     stack it returns, and check at every call that no stack it returned
@@ -246,18 +268,18 @@ def test_su2_laplace_through_a_band_matches_the_full_route(su2, rng):
 @pytest.mark.parametrize("order, kernels", [(1, 3), (2, 5)])
 def test_leibniz_residual_shares_kernels(su2, rng, monkeypatch, order,
                                          kernels):
-    # one kernel for the product, and one per symbol and word band: the
-    # differences on sigma and tau come from apply_differences
+    # one kernel label stage for the product, and one per symbol and word
+    # band: the differences on sigma and tau come from apply_differences
     from gmult import transform
 
     calls = []
-    inverse = transform.fourier_inverse
+    label_planes = transform._su2_label_planes
 
-    def counted(sym, grid):
+    def counted(grid, sym, tmax):
         calls.append(sym)
-        return inverse(sym, grid)
+        return label_planes(grid, sym, tmax)
 
-    monkeypatch.setattr(transform, "fourier_inverse", counted)
+    monkeypatch.setattr(transform, "_su2_label_planes", counted)
     a = random_symbol(su2, 4, rng)
     b = random_symbol(su2, 4, rng)
     word = generator_words(su2, order)[-1]

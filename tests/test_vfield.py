@@ -8,13 +8,15 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from gmult.errors import ExceptionalValueError, GmultError
-from gmult.groups import GroupModel, labels_up_to, model_from_name
+from gmult.groups import (GroupModel, angular_momentum, labels_up_to,
+                          model_from_name)
 from gmult.symbols import (MatrixSymbol, identity_symbol, symbol_add,
-                           symbol_product)
+                           symbol_product, vector_field_symbol)
 from gmult.vfield import (_SPECTRAL_MARGIN, VectorFieldSpec,
                           _nearest_eigenvalue, _rotated_differences,
-                          build_field, exceptional_set, invert_vf_symbol,
-                          recursion_residual, verify_s00)
+                          _spin_powers, build_field, exceptional_set,
+                          invert_vf_symbol, recursion_residual,
+                          recursion_residuals, verify_s00)
 
 from conftest import op_norm
 
@@ -24,11 +26,17 @@ from conftest import op_norm
 # the field's difference table
 # ---------------------------------------------------------------------------
 
+def eigenbasis(spec: VectorFieldSpec, t: int) -> np.ndarray:
+    """``eigh`` of the Hermitian block ``i sigma_t = a . J``, columns in the
+    order of ``spec.eigenvalues(t)``."""
+    return np.linalg.eigh(angular_momentum(spec.coeffs, t))[1][:, ::-1]
+
+
 def rotated_symbol(spec: VectorFieldSpec, sym: MatrixSymbol) -> MatrixSymbol:
     """Conjugate each block into the field's eigenbases."""
     entries = {}
     for t, mat in sym.entries.items():
-        V = spec.unitaries[t]
+        V = eigenbasis(spec, t)
         entries[t] = V.conj().T @ mat @ V
     return MatrixSymbol(spec.model, entries, exact_band=sym.exact_band)
 
@@ -65,7 +73,8 @@ def _measure_tau(model: GroupModel, sym: MatrixSymbol, V1: np.ndarray,
 
 def field_difference_table(spec: VectorFieldSpec) -> np.ndarray:
     """Quadrature re-measurement of the ``tau`` table from the stored field."""
-    return _measure_tau(spec.model, spec.symbol, spec.unitaries[1])
+    return _measure_tau(spec.model, vector_field_symbol(
+        spec.model, spec.coeffs, spec.band), spec.basis)
 
 
 def scan_nearest_eigenvalue(spec: VectorFieldSpec, c: complex,
@@ -118,7 +127,7 @@ def test_invert_accepts_near_lattice_real_shift(d3_field):
 def test_inverse_is_a_right_inverse(su2, d3_field):
     c = 1.0 + 0.0j
     inv = invert_vf_symbol(d3_field, c, 10)
-    shifted = symbol_add(d3_field.symbol.restrict(10),
+    shifted = symbol_add(vector_field_symbol(su2, d3_field.coeffs, 10),
                          identity_symbol(su2, 10), beta=c)
     prod = symbol_product(shifted, inv)
     for t in labels_up_to(su2, 10):
@@ -261,20 +270,65 @@ def test_invert_refuses_every_exceptional_point(su2, coeffs):
 
 
 def test_build_field_margin_scales_with_the_field(su2):
-    # the residual is rounding relative to the block's spectral radius
+    # a field of norm 1e150 builds and inverts to finite blocks
     spec = build_field(su2, (1e150, 0.0, 0.0), 8)
     inv = invert_vf_symbol(spec, 1.0, 8)
     assert np.all(np.isfinite(inv.norms(8)))
 
 
-def test_build_field_refuses_a_wrong_basis(su2, monkeypatch):
+#: An axis direction, and an oblique one with the largest rounding seen in
+#: the spin powers.
+DIRECTIONS = [np.array(d) / np.linalg.norm(d) for d in
+              ((1.0, 0.0, 0.0), (0.04, 0.94, -0.34))]
+
+
+@pytest.mark.parametrize("amp", [1e-11, 1.0, 1e3, 1e150])
+def test_inverse_matches_the_eigenbasis_oracle(su2, amp):
+    # the blocks through label 120 (every fifth read) against eigh's
+    # eigenbasis with the exact eigenvalues; shifts far from the spectrum,
+    # and (where the margin allows) 1e-6 |a| off the lattice point
+    # i |a| 3 / 2, where a solve of sigma_t + c from its entries loses the
+    # 1/(c - lambda) part
+    for direction in DIRECTIONS:
+        spec = build_field(su2, amp * direction, 120)
+        shifts = [1.0, 0.3 - 0.7j] + ([1e-6 * amp + 1.5j * amp]
+                                      if amp >= 1.0 else [])
+        bases = {t: eigenbasis(spec, t) for t in range(0, 121, 5)}
+        for c in shifts:
+            inv = invert_vf_symbol(spec, c, 120)
+            for t, V in bases.items():
+                want = (V / (spec.eigenvalues(t) + c)) @ V.conj().T
+                err = np.abs(inv.entries[t] - want).max()
+                assert err <= 1e-13 * np.abs(want).max(), (direction, c, t)
+
+
+def test_spin_powers_diagonalize_every_block(su2):
+    # the powers of the fundamental eigenbasis stay unitary and diagonalize
+    # the blocks to their exact eigenvalues through label 200, relative to
+    # the block's spectral radius (every fifth label read)
+    for coeffs in DIRECTIONS + [np.array((0.36, 0.48, 0.8))]:
+        spec = build_field(su2, coeffs, 1)
+        for t, U in enumerate(_spin_powers(spec.basis, 200)):
+            if t % 5:
+                continue
+            block = -1j * angular_momentum(coeffs, t)
+            resid = U.conj().T @ block @ U - np.diag(spec.eigenvalues(t))
+            assert np.abs(resid).max() <= 1e-13 * 0.5 * max(t, 1)
+            assert np.abs(U.conj().T @ U - np.eye(t + 1)).max() <= 1e-13
+
+
+def test_field_inversion_makes_one_eigh(su2, monkeypatch):
+    # one 2x2 eigh for the fundamental eigenbasis, whatever the band; the
+    # inverse, the S00 check and the recursion read its spin powers
+    calls = []
     eigh = np.linalg.eigh
 
-    def reversed_basis(mat):
-        vals, vecs = eigh(mat)
-        return vals, vecs[:, ::-1]
+    def counted(mat):
+        calls.append(mat.shape)
+        return eigh(mat)
 
-    monkeypatch.setattr(np.linalg, "eigh", reversed_basis)
-    for coeffs in ((0.0, 0.0, 1.0), (1e150, 0.0, 0.0)):
-        with pytest.raises(GmultError, match="diagonalization residual"):
-            build_field(su2, coeffs, 4)
+    monkeypatch.setattr(np.linalg, "eigh", counted)
+    spec = build_field(su2, (0.36, 0.48, 0.8), 48)
+    verify_s00(spec, 1.0, 44)
+    recursion_residuals(spec, 1.0, 12)
+    assert calls == [(2, 2)]
