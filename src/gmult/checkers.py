@@ -106,6 +106,8 @@ class SymbolClassSpec:
     max_order: int
 
     def __post_init__(self) -> None:
+        if not math.isfinite(self.order):
+            raise ValueError("order must be finite")
         if not 0.0 <= self.rho <= 1.0:
             raise ValueError("type parameter rho must lie in [0, 1]")
         if self.max_order < 0:

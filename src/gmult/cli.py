@@ -842,9 +842,11 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     args = parser.parse_args(argv)
     band = getattr(args, "band", None)  # probe takes --grid-band instead
     try:
-        if band is not None and band < 0:
-            raise SymbolFormatError(
-                f"--band must be a nonnegative integer, got {band}")
+        for option in ("band", "range"):
+            value = getattr(args, option, None)
+            if value is not None and value < 0:
+                raise SymbolFormatError(
+                    f"--{option} must be a nonnegative integer, got {value}")
         return args.func(args)
     except UnderResolvedError as exc:
         sys.stderr.write(f"resolution error: {exc}\n")

@@ -14,23 +14,25 @@ Two quadrature backends are used.  Class functions on the 3-sphere model are
 integrated exactly in the class angle ``s`` with the weight
 ``sin^2(s/2) / pi`` on ``[0, 2 pi]``; because the radial coordinate ``rho``
 vanishes both at the identity (``s = 0``) and at the central element ``-I``
-(``s = 2 pi``), the support of ``phi_r`` splits into two mirror panels and
-Gauss-Legendre rules are placed on both.  (The second panel doubles every
-constant but leaves all scaling exponents unchanged, and it forces the
-Fourier coefficients of the family onto even labels.)  On the torus the
-profile is integrated over a small coordinate cube containing the support.
-The rules come from Newton steps on the Legendre recurrence (`_leggauss`).
+(``s = 2 pi``), the support of ``phi_r`` splits into two mirror panels,
+exchanged by ``s -> 2 pi - s``.  (The second panel doubles every constant
+but leaves all scaling exponents unchanged, and it forces the Fourier
+coefficients of the family onto even labels.)  So a Gauss-Legendre rule on
+the first panel, with doubled weights, stands for both (`_su2_half_rule`).
+On the torus the profile is integrated over a small coordinate cube
+containing the support.  The rules come from one pass of the Legendre
+recurrence and Newton steps on a Taylor polynomial (`_leggauss`).
 The grid cross-check (`grid_normalizer`) normalizes ``phi_r`` by a grid's
 own product rule instead, summed only over nodes whose samples can differ,
 and guards against under-resolved supports.
 
 The fine-scale probes need Fourier data of products with ``psi_r`` to high
 label bands.  Both get them from ``psi_r``'s central coefficients, which one
-blocked matrix product of phase tables gives for every label at once.  The
-decay probe applies its vanishing factor per label, by an exact
-Clebsch-Gordan stencil on the label lattice; the second-difference probe
-reduces, for its two multipliers, to one exact integral over the class
-angle (`_cz_norm_sq`).
+blocked matrix product of phase tables gives for every even label at once
+(odd labels vanish).  The decay probe applies its vanishing factor per
+label, by an exact Clebsch-Gordan stencil on the label lattice; the
+second-difference probe reduces, for its two multipliers, to one exact
+integral over the class angle (`_cz_norm_sq`).
 """
 from __future__ import annotations
 
@@ -39,6 +41,7 @@ from dataclasses import dataclass
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
+from numpy.polynomial import polynomial
 
 from .errors import GmultError, UnderResolvedError
 from .groups import GroupModel
@@ -107,12 +110,15 @@ def _legendre_and_derivative(n: int, x: np.ndarray
 def _leggauss(n: int) -> Tuple[np.ndarray, np.ndarray]:
     """Gauss-Legendre rule of ``n >= 1`` nodes on ``[-1, 1]``, ascending.
 
-    Tricomi's asymptotic nodes (with their ``n^-4`` term) are polished by
-    Newton steps on ``P_n``, on the positive half only, and mirrored; the
-    weights are ``2 / ((1 - x^2) P_n'(x)^2)`` at the final nodes.  Two
-    steps reach the rounding floor from ``n = 48`` on (the smallest rule of
-    the SU(2) radial integrals); smaller rules take a third.  Each pass is
-    ``n`` vector steps of length ``n/2``, where a dense eigensolve costs
+    Tricomi's asymptotic nodes (with their ``n^-4`` term), on the positive
+    half only (then mirrored), take one recurrence pass for ``P_n`` and
+    ``P_n'``; the Legendre equation ``(1 - x^2) y'' - 2 x y' + n (n + 1) y
+    = 0`` gives the higher derivatives, and Newton steps on that degree-7
+    Taylor polynomial reach the rounding floor (Glaser, Liu & Rokhlin
+    2007).  The weights are ``2 / ((1 - x^2) P_n'(x)^2)``, with the
+    polynomial's ``P_n'`` at the final nodes.  Rules below ``n = 48`` (the
+    smallest SU(2) radial rule) take two plain Newton passes first.  A pass
+    is ``n`` vector steps of length ``n/2``, where a dense eigensolve costs
     ``O(n^3)``.  (`grids.build_grid` keeps numpy's ``leggauss``: at grid
     sizes the two rules differ only by rounding, which the ill-conditioned
     ``grid_cross_check.relative_difference`` of `probe` would amplify.)
@@ -123,10 +129,22 @@ def _leggauss(n: int) -> Tuple[np.ndarray, np.ndarray]:
         x = (1.0 - (n - 1.0) / (8.0 * n ** 3)
              - (39.0 - 28.0 / np.sin(phi) ** 2) / (384.0 * n ** 4)) \
             * np.cos(phi)
-        for _ in range(2 if n >= 48 else 3):
+        for _ in range(0 if n >= 48 else 2):
             p, dp = _legendre_and_derivative(n, x)
             x = x - p / dp
-        _, dp = _legendre_and_derivative(n, x)
+        # Taylor coefficients c_k = P_n^(k)(x) / k!: (1 - x^2) (k + 1)
+        # (k + 2) c_{k+2} = 2 (k + 1)^2 x c_{k+1} - (n (n + 1) - k (k + 1)) c_k
+        c = list(_legendre_and_derivative(n, x))
+        for k in range(6):
+            c.append((2.0 * (k + 1) ** 2 * x * c[k + 1]
+                      - (n * (n + 1.0) - k * (k + 1.0)) * c[k])
+                     / ((k + 1) * (k + 2) * (1.0 - x * x)))
+        taylor, h = np.array(c), np.zeros_like(x)
+        slope = polynomial.polyder(taylor)
+        for _ in range(3):
+            h -= (polynomial.polyval(h, taylor, tensor=False)
+                  / polynomial.polyval(h, slope, tensor=False))
+        x, dp = x + h, polynomial.polyval(h, slope, tensor=False)
         w = 2.0 / ((1.0 - x * x) * dp * dp)
         mid = n % 2  # an odd rule holds the node 0 once
         _LEG_CACHE[n] = (np.concatenate((-x, x[::-1][mid:])),
@@ -146,37 +164,26 @@ def _support_radius(model: GroupModel, r: float) -> float:
     return float(r) ** (1.0 / model.n)
 
 
-def _su2_class_rule(intervals: Sequence[Tuple[float, float]],
-                    nodes: int) -> Tuple[np.ndarray, np.ndarray]:
-    """Nodes/weights for ``(1/pi) integral F(s) sin^2(s/2) ds`` over a union
-    of class-angle intervals."""
-    ss, ww = [], []
-    for a, b in intervals:
-        if b <= a:
-            continue
-        s, w = _panel(a, b, nodes)
-        ss.append(s)
-        ww.append(w * np.sin(0.5 * s) ** 2 / math.pi)
-    if not ss:
-        return np.zeros(0), np.zeros(0)
-    return np.concatenate(ss), np.concatenate(ww)
+def _su2_support_width(R: float) -> float:
+    """Class-angle width of the support's component at ``s = 0``: ``s_+``,
+    or ``2 pi`` once ``R >= 2``."""
+    return 2.0 * math.pi if R >= 2.0 else 2.0 * math.asin(0.5 * R)
 
 
-def _su2_support_panels(R: float) -> List[Tuple[float, float]]:
-    """Class-angle intervals covering ``rho(g) = 2 sin(s/2) <= R``; the set
-    has mirror components around both central elements."""
+def _su2_half_rule(R: float, nodes: int) -> Tuple[np.ndarray, np.ndarray]:
+    """Nodes/weights for ``(1/pi) integral F(s) sin^2(s/2) ds`` over ``rho
+    = 2 sin(s/2) <= R``, for ``F`` a function of ``rho``: the ``nodes``-point
+    rule on ``[0, s_+]``, with doubled weights for its mirror panel at ``2
+    pi``.  Once ``R >= 2`` it is the first half of the rule on ``[0, 2
+    pi]``, whose middle node (odd ``nodes``) keeps its single weight."""
+    s, w = _panel(0.0, _su2_support_width(R), nodes)
+    w = 2.0 * w
     if R >= 2.0:
-        return [(0.0, 2.0 * math.pi)]
-    s_plus = 2.0 * math.asin(0.5 * R)
-    return [(0.0, s_plus), (2.0 * math.pi - s_plus, 2.0 * math.pi)]
-
-
-def _su2_radial_integral(fn: Callable[[np.ndarray], np.ndarray],
-                         intervals: Sequence[Tuple[float, float]]) -> float:
-    s, w = _su2_class_rule(intervals, 96)
-    if s.size == 0:
-        return 0.0
-    return float(np.sum(w * fn(s)))
+        half = (nodes + 1) // 2
+        s, w = s[:half], w[:half]
+        if nodes % 2:
+            w[-1] *= 0.5
+    return s, w * np.sin(0.5 * s) ** 2 / math.pi
 
 
 def check_torus_dimension(model: GroupModel,
@@ -218,9 +225,8 @@ def mollifier_normalizer(model: GroupModel, r: float) -> float:
     """
     R = _support_radius(model, r)
     if model.kind == "su2":
-        mass = _su2_radial_integral(
-            lambda s: bump_profile(2.0 * np.sin(0.5 * s) / R),
-            _su2_support_panels(R))
+        s, w = _su2_half_rule(R, 96)
+        mass = float(np.sum(w * bump_profile(2.0 * np.sin(0.5 * s) / R)))
     else:
         pts, wts = _torus_cube_rule(model, R)
         mass = float(np.sum(wts * bump_profile(_torus_rho(pts) / R)))
@@ -260,9 +266,8 @@ def mollifier_l2_norm(model: GroupModel, r: float) -> float:
     fam = mollifier_family(model, r)
     R = fam.support_radius
     if model.kind == "su2":
-        sq = _su2_radial_integral(
-            lambda s: fam.density(2.0 * np.sin(0.5 * s)) ** 2,
-            _su2_support_panels(R))
+        s, w = _su2_half_rule(R, 96)
+        sq = float(np.sum(w * fam.density(2.0 * np.sin(0.5 * s)) ** 2))
     else:
         pts, wts = _torus_cube_rule(model, R)
         sq = float(np.sum(wts * fam.density(_torus_rho(pts)) ** 2))
@@ -390,31 +395,33 @@ def _require_su2(model: GroupModel, what: str) -> None:
 
 def _su2_central_coefficients(values_fn: Callable[[np.ndarray], np.ndarray],
                               R: float, band: int) -> np.ndarray:
-    """Coefficients ``s_t`` (t = 0..band) of a central function supported in
-    ``rho <= R``: ``s_t = (1/(t+1)) (1/pi) integral F chi_t sin^2(s/2) ds``.
+    """Coefficients ``s_t`` (t = 0..band) of a central function of ``rho``
+    supported in ``rho <= R``: ``s_t = (1/(t+1)) (1/pi) integral F chi_t
+    sin^2(s/2) ds``.
 
     As ``chi_t = sin((t+1) theta) / sin(theta)`` with ``theta = s/2``, the
-    rule gives ``(t+1) s_t = Im sum_j g_j e^{i(t+1) theta_j}``, ``g_j = F_j
-    w_j / sin(theta_j)``.  With ``t = b K + k`` and ``K ~ sqrt(band + 1)``
-    all labels come from one blocked product ``H E^T`` (done in real
-    cosine/sine parts) of ``E[k, j] = e^{i k theta_j}`` and ``H[b, j] = g_j
-    e^{i (b K + 1) theta_j}``: ``(K + band/K) N`` phases.  ``E`` is written
-    in place and ``H`` is formed and multiplied `_CHUNK_ENTRIES` at a time,
-    by whole rows, so each output entry is one dot over the same ``2N``
-    nodes.
+    mirror ``theta -> pi - theta`` multiplies ``sin((t+1) theta)`` by
+    ``(-1)^t``: odd labels vanish, and are written as exact zeros, and the
+    half rule `_su2_half_rule` gives the even ones, ``(2u+1) s_{2u} = Im
+    sum_j g_j e^{i(2u+1) theta_j}``, ``g_j = F_j w_j / sin(theta_j)``.
+    With ``u = b K + k`` and ``K ~ sqrt(band/2 + 1)`` all of them come from
+    one blocked product ``H E^T`` (done in real cosine/sine parts) of
+    ``E[k, j] = e^{2 i k theta_j}`` and ``H[b, j] = g_j e^{i (2 b K + 1)
+    theta_j}``: ``(K + band/(2K)) N`` phases.  ``E`` is written in place
+    and ``H`` is formed and multiplied `_CHUNK_ENTRIES` at a time, by whole
+    rows, so each output entry is one dot over the same ``2N`` terms.
     """
-    panels = _su2_support_panels(R)
-    width = max(b - a for a, b in panels)
-    nodes = max(48, int(0.35 * (band + 2) * width) + 16)
-    s, w = _su2_class_rule(panels, nodes)
+    nodes = max(48, int(0.35 * (band + 2) * _su2_support_width(R)) + 16)
+    s, w = _su2_half_rule(R, nodes)
     theta = 0.5 * s
     g = values_fn(s) * w / np.sin(theta)
-    K, N = math.isqrt(band) + 1, theta.size
+    evens = band // 2 + 1
+    K, N = math.isqrt(evens - 1) + 1, theta.size
     E = np.empty((K, 2 * N))
-    np.multiply(np.arange(K)[:, None], theta, out=E[:, N:])
+    np.multiply(2.0 * np.arange(K)[:, None], theta, out=E[:, N:])
     np.cos(E[:, N:], out=E[:, :N])
     np.sin(E[:, N:], out=E[:, N:])
-    rows = -(-(band + 1) // K)
+    rows = -(-evens // K)
     out = np.empty((rows, K))
     weights = np.concatenate((g, g))
     step = max(2, _CHUNK_ENTRIES // (2 * N))
@@ -424,7 +431,7 @@ def _su2_central_coefficients(values_fn: Callable[[np.ndarray], np.ndarray],
         # the remainder): BLAS may sum a one-row or a small product in
         # another order than a large one
         b1 = rows if rows - b0 < 2 * step else b0 + step
-        high = (K * np.arange(b0, b1) + 1.0)[:, None] * theta
+        high = (2.0 * K * np.arange(b0, b1) + 1.0)[:, None] * theta
         H = np.empty((b1 - b0, 2 * N))
         np.sin(high, out=H[:, :N])
         np.cos(high, out=H[:, N:])
@@ -432,7 +439,9 @@ def _su2_central_coefficients(values_fn: Callable[[np.ndarray], np.ndarray],
         np.matmul(H, E.T, out=out[b0:b1])
         del high, H                 # before the next chunk is formed
         b0 = b1
-    return out.reshape(-1)[:band + 1] / (np.arange(band + 1) + 1.0)
+    coeffs = np.zeros(band + 1)
+    coeffs[::2] = out.reshape(-1)[:evens] / (2.0 * np.arange(evens) + 1.0)
+    return coeffs
 
 
 def _psi_radial_values(model: GroupModel, r: float) -> Tuple[Callable, float]:
@@ -450,7 +459,8 @@ def _adaptive_band(values_fn: Callable, R: float, start: int,
                    rel_tol: float) -> np.ndarray:
     """Grow the coefficient band until the trailing Plancherel-weighted
     window drops below ``rel_tol`` of the accumulated norm, then trim the
-    sub-threshold tail."""
+    sub-threshold tail.  A band past 40,000 that has not decayed raises
+    ``UnderResolvedError``: the scale is too fine for the walk."""
     band = max(start, 16)
     while True:
         coeffs = _su2_central_coefficients(values_fn, R, band)
@@ -461,8 +471,10 @@ def _adaptive_band(values_fn: Callable, R: float, start: int,
             keep = np.nonzero(weighted > rel_tol * math.sqrt(total))[0]
             return coeffs[:int(keep[-1]) + 1] if keep.size else coeffs[:1]
         if band > 40000:
-            raise GmultError("radial coefficients did not decay below the "
-                             f"tolerance by band {band}")
+            raise UnderResolvedError(
+                f"the radial coefficients of psi_r at r={R ** 3:.6g} did not "
+                f"decay below {rel_tol:g} by band {band} (the walk stops "
+                "past band 40000); use larger scales")
         band = int(band * 1.6) + 16
 
 
@@ -475,12 +487,13 @@ def psi_hat_coefficients(model: GroupModel, r: float,
     sub-threshold tail is then dropped, so the support certificate of the
     returned sequence means "negligible at the requested relative
     tolerance", not exact vanishing (the smooth bump's spectrum has no
-    finite support).  The coefficients vanish on odd labels because
-    the radial coordinate does not separate the two central elements (the
-    mirror support panels cancel there).
+    finite support).  The coefficients on odd labels are exact zeros by
+    construction: the radial coordinate does not separate the two central
+    elements, so the mirror support panels cancel there.
 
     Raises ``UnderResolvedError`` when every coefficient is 0, at scales
-    where ``phi_r`` and ``phi_{r/2}`` are both the uniform density.
+    where ``phi_r`` and ``phi_{r/2}`` are both the uniform density, and
+    when the coefficients have not decayed by band 40,000.
     """
     _require_su2(model, "psi_hat_coefficients")
     values_fn, R = _psi_radial_values(model, r)

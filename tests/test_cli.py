@@ -497,6 +497,20 @@ def test_probe_refuses_scales_whose_dyadic_piece_vanishes(ladder, scale,
     assert "use smaller scales" in captured.err
 
 
+def test_probe_refuses_scales_past_the_coefficient_ceiling(capsys,
+                                                          tmp_path):
+    # psi_r's coefficients at r = 1e-7 have not decayed by band 43785,
+    # past the walk's ceiling: a resolution limit, with no report
+    out = tmp_path / "report.json"
+    assert main(["probe", "--group", "su2", "--ladder", "1e-2,1e-7,1e-8,1e-9",
+                 "--out", str(out)]) == EXIT_CONFIG
+    captured = capsys.readouterr()
+    assert captured.out == "" and not out.exists()
+    assert "psi_r at r=1e-07 did not decay" in captured.err
+    assert "by band 43785" in captured.err
+    assert "use larger scales" in captured.err
+
+
 def test_probe_accepts_the_grid_band_it_picks(capsys):
     # the grid normalizes phi_r only at the coarsest scale, so the band
     # the plain probe picks is accepted when given explicitly
@@ -682,6 +696,27 @@ def test_negative_band_is_refused_by_name(argv, capsys):
     captured = capsys.readouterr()
     assert captured.out == ""
     assert "--band must be a nonnegative integer" in captured.err
+
+
+def test_negative_range_is_refused_by_name(capsys):
+    assert main(["check", "--group", "su2", "--band", "24", "--symbol",
+                 "riesz:D3", "--checker", "mikhlin", "--range", "-1"]) \
+        == EXIT_CONFIG
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "--range must be a nonnegative integer, got -1" in captured.err
+
+
+@pytest.mark.parametrize("order", ["nan", "-inf", "inf"])
+def test_symbol_class_refuses_a_non_finite_order(order, capsys):
+    # nan and -inf reached an SVD that did not converge (exit 2); inf
+    # passed and reported the order as "inf"
+    assert main(["check", "--group", "su2", "--band", "12", "--symbol",
+                 "identity", "--checker", f"symbol-class:{order},0,2"]) \
+        == EXIT_CONFIG
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "order must be finite" in captured.err
 
 
 def test_torus_range_is_checked_before_the_box_is_built(monkeypatch, capsys):

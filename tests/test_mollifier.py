@@ -25,11 +25,11 @@ from gmult.groups import (GroupModel, irrep_dimension, japanese_bracket,
                           labels_up_to, model_from_name)
 from gmult import mollifier
 from gmult.mollifier import (_CHUNK_ENTRIES, _adaptive_band,
-                             _axis_spacing, _cz_norm_sq, _leggauss,
+                             _axis_spacing, _cz_norm_sq, _leggauss, _panel,
                              _psi_radial_values, _require_su2,
                              _sobolev_sq_radial,
-                             _su2_central_coefficients, _su2_class_rule,
-                             _su2_support_panels, _support_radius, _times_q,
+                             _su2_central_coefficients, _su2_half_rule,
+                             _su2_support_width, _support_radius, _times_q,
                              bump_profile, cz_probe, default_ladder,
                              fit_loglog, grid_normalizer, identity_diagonals,
                              mollifier_family, mollifier_l2_norm,
@@ -335,14 +335,29 @@ def test_psi_hat_torus_not_supported(torus3):
         psi_hat_coefficients(torus3, 0.5)
 
 
+def _coefficient_nodes(R, band):
+    """Nodes per panel of the class rule behind `_su2_central_coefficients`
+    at ``band``."""
+    return max(48, int(0.35 * (band + 2) * _su2_support_width(R)) + 16)
+
+
+def two_panel_rule(R, nodes):
+    """The class rule whose mirror half `_su2_half_rule` is: ``nodes``
+    Gauss-Legendre nodes on each component ``[0, s_+]`` and ``[2 pi - s_+,
+    2 pi]`` of ``rho <= R``, or on the whole circle once ``R >= 2``."""
+    width = _su2_support_width(R)
+    panels = ([(0.0, width)] if R >= 2.0
+              else [(0.0, width), (2.0 * math.pi - width, 2.0 * math.pi)])
+    s, w = (np.concatenate(parts)
+            for parts in zip(*(_panel(a, b, nodes) for a, b in panels)))
+    return s, w * np.sin(0.5 * s) ** 2 / math.pi
+
+
 def _recurrence_central_coefficients(values_fn, R, band):
-    """Oracle for `_su2_central_coefficients`: the same rule, with each
+    """Oracle for `_su2_central_coefficients`: the two-panel rule, with each
     character advanced by the Chebyshev recurrence
     ``chi_{t+1} = 2 cos(s/2) chi_t - chi_{t-1}`` and one sum per label."""
-    panels = _su2_support_panels(R)
-    width = max(b - a for a, b in panels)
-    nodes = max(48, int(0.35 * (band + 2) * width) + 16)
-    s, w = _su2_class_rule(panels, nodes)
+    s, w = two_panel_rule(R, _coefficient_nodes(R, band))
     F = values_fn(s) * w
     x = 2.0 * np.cos(0.5 * s)
     prev = np.ones_like(s)
@@ -374,19 +389,21 @@ def test_blocked_coefficients_match_recurrence(su2, r, band):
 
 def one_shot_central_coefficients(values_fn, R, band):
     """Oracle for `_su2_central_coefficients`: the same blocked rule as one
-    product ``H E^T`` of the whole phase tables."""
-    panels = _su2_support_panels(R)
-    width = max(b - a for a, b in panels)
-    nodes = max(48, int(0.35 * (band + 2) * width) + 16)
-    s, w = _su2_class_rule(panels, nodes)
+    product ``H E^T`` of the whole phase tables, on the half rule and the
+    even labels."""
+    s, w = _su2_half_rule(R, _coefficient_nodes(R, band))
     theta = 0.5 * s
     g = values_fn(s) * w / np.sin(theta)
-    K = math.isqrt(band) + 1
-    low = np.arange(K)[:, None] * theta
-    high = (K * np.arange(-(-(band + 1) // K)) + 1.0)[:, None] * theta
+    evens = band // 2 + 1
+    K = math.isqrt(evens - 1) + 1
+    low = 2.0 * np.arange(K)[:, None] * theta
+    high = (2.0 * K * np.arange(-(-evens // K)) + 1.0)[:, None] * theta
     E = np.concatenate((np.cos(low), np.sin(low)), axis=1)
     H = np.concatenate((g * np.sin(high), g * np.cos(high)), axis=1)
-    return (H @ E.T).reshape(-1)[:band + 1] / (np.arange(band + 1) + 1.0)
+    coeffs = np.zeros(band + 1)
+    coeffs[::2] = ((H @ E.T).reshape(-1)[:evens]
+                   / (2.0 * np.arange(evens) + 1.0))
+    return coeffs
 
 
 def test_chunked_coefficients_match_one_shot(su2):
@@ -402,6 +419,42 @@ def test_chunked_coefficients_match_one_shot(su2):
         assert float(np.max(np.abs(fast - oracle))) <= 1e-15 * peak
 
 
+def two_panel_central_coefficients(values_fn, R, band):
+    """Oracle for `_su2_central_coefficients`: one product of the whole
+    phase tables on the two-panel rule, for every label ``t = b K + k``."""
+    s, w = two_panel_rule(R, _coefficient_nodes(R, band))
+    theta = 0.5 * s
+    g = values_fn(s) * w / np.sin(theta)
+    K = math.isqrt(band) + 1
+    low = np.arange(K)[:, None] * theta
+    high = (K * np.arange(-(-(band + 1) // K)) + 1.0)[:, None] * theta
+    E = np.concatenate((np.cos(low), np.sin(low)), axis=1)
+    H = np.concatenate((g * np.sin(high), g * np.cos(high)), axis=1)
+    return ((H @ E.T).reshape(-1)[:band + 1] / (np.arange(band + 1) + 1.0),
+            float(np.sum(np.abs(g))))
+
+
+@pytest.mark.parametrize("r, band", [(8.0, 3), (12.0, 2), (12.0, 47),
+                                     (12.0, 49), (2.0, 120),
+                                     (1.0 / 16.0, 1198), (1.0 / 512.0, 6076),
+                                     (1e-5, 15595), (1e-5, 39964)])
+def test_half_rule_matches_both_panels(su2, r, band):
+    # r = 8 and 12 give R >= 2: the whole-circle rule, of 48 nodes at bands
+    # 2 and 3, 123 at band 47 (odd: the middle node counts once) and 128
+    # at band 49; at r = 12 psi_r is nonzero at the middle node s = pi.
+    # Each label of the half rule is the two-panel sum regrouped, so it
+    # may differ by the rounding of that sum: (t + 1) |delta_t| <= eps (B
+    # + 1) sum |g_j| over the two-panel terms g_j (at most 0.1 of it
+    # here).  Odd labels are exact zeros.
+    values_fn, R = _psi_radial_values(su2, r)
+    fast = _su2_central_coefficients(values_fn, R, band)
+    oracle, mass = two_panel_central_coefficients(values_fn, R, band)
+    t = np.arange(band + 1)
+    assert np.all(fast[1::2] == 0.0)
+    bound = np.finfo(float).eps * (band + 1) * mass
+    assert float(np.max((t + 1.0) * np.abs(fast - oracle))) <= bound
+
+
 @pytest.mark.parametrize("entries", [4096, 1])
 def test_small_coefficient_chunks_match_recurrence(su2, monkeypatch,
                                                     entries):
@@ -409,7 +462,7 @@ def test_small_coefficient_chunks_match_recurrence(su2, monkeypatch,
     # of three; BLAS sums such small products in its own order, so they
     # meet the recurrence oracle's bound, not the one-shot product's bits
     monkeypatch.setattr(mollifier, "_CHUNK_ENTRIES", entries)
-    for r, band in ((8.0, 3), (8.0, 8), (2.0, 120), (1.0 / 16.0, 1198)):
+    for r, band in ((8.0, 3), (8.0, 12), (2.0, 120), (1.0 / 16.0, 1198)):
         values_fn, R = _psi_radial_values(su2, r)
         fast = _su2_central_coefficients(values_fn, R, band)
         oracle = _recurrence_central_coefficients(values_fn, R, band)
@@ -422,13 +475,11 @@ def test_chunked_coefficients_peak_is_the_table_and_a_few_chunks(su2):
     # try at r = 1e-5): the one-shot product peaked at 8.1 MB
     values_fn, R = _psi_radial_values(su2, 1e-5)
     band = 39964
-    panels = _su2_support_panels(R)
-    nodes = _su2_class_rule(panels, max(
-        48, int(0.35 * (band + 2) * max(b - a for a, b in panels)) + 16)
-    )[0].size
-    K = math.isqrt(band) + 1
+    nodes = _su2_half_rule(R, _coefficient_nodes(R, band))[0].size
+    evens = band // 2 + 1
+    K = math.isqrt(evens - 1) + 1
     table = 8 * K * 2 * nodes                  # E, held whole
-    output = 8 * K * -(-(band + 1) // K)
+    output = 8 * K * -(-evens // K) + 8 * (band + 1)
     tracemalloc.start()
     try:
         _su2_central_coefficients(values_fn, R, band)
@@ -450,6 +501,24 @@ def test_newton_gauss_rule_matches_eigensolver_and_moments(n):
     moments = np.array([np.sum(w * x ** (2 * k)) for k in range(n)])
     exact = 2.0 / (2.0 * np.arange(n) + 1.0)
     assert np.max(np.abs(moments - exact)) <= 1e-14
+
+
+@pytest.mark.parametrize("n", [48, 96, 311, 777])
+def test_leggauss_makes_one_recurrence_pass(monkeypatch, n):
+    # from 48 nodes on, the Taylor steps replace the Newton passes and the
+    # weight pass: one recurrence pass per rule (the cache is emptied so
+    # the rule is built here)
+    calls = []
+    engine = mollifier._legendre_and_derivative
+
+    def counted(degree, x):
+        calls.append(degree)
+        return engine(degree, x)
+
+    monkeypatch.setattr(mollifier, "_LEG_CACHE", {})
+    monkeypatch.setattr(mollifier, "_legendre_and_derivative", counted)
+    _leggauss(n)
+    assert calls == [n]
 
 
 def test_default_ladder_bands_are_pinned(su2):
