@@ -113,133 +113,111 @@ def parse_ladder(text: str) -> List[float]:
 
 _EXPR_FUNCS: Dict[str, Callable] = {
     "sqrt": np.sqrt, "exp": np.exp, "log": np.log, "sin": np.sin,
-    "cos": np.cos, "tan": np.tan, "sign": np.sign, "min": np.minimum,
-    "max": np.maximum, "abs": None,  # handled specially (vector norm)
+    "cos": np.cos, "tan": np.tan, "sign": np.sign, "abs": np.abs,
+    "min": np.minimum, "max": np.maximum,
 }
 
 _EXPR_OPS = {
     ast.Add: np.add, ast.Sub: np.subtract, ast.Mult: np.multiply,
     ast.Div: np.true_divide, ast.Pow: np.power,
+    ast.USub: np.negative, ast.UAdd: np.positive,
 }
 
 
-class _VectorK:
-    """Sentinel for the full coordinate vector ``k``; only ``abs(k)``
-    (the Euclidean norm) is defined on it."""
+def _compile_expression(text: str, names: Sequence[str],
+                        vector: Optional[str] = None) -> Callable:
+    """Compile an expression in the variables ``names`` (and, when
+    ``vector`` names them together, their Euclidean norm ``abs(vector)``)
+    into a vectorized function of one array per variable.
 
-    def __init__(self, axes: Sequence[np.ndarray]):
-        self.axes = axes
-
-    def norm(self) -> np.ndarray:
-        return np.sqrt(sum(np.asarray(a, dtype=float) ** 2
-                           for a in self.axes))
-
-
-def _expr_eval(node: ast.AST, env: Dict[str, object]):
-    if isinstance(node, ast.Expression):
-        return _expr_eval(node.body, env)
-    if isinstance(node, ast.Constant):
-        if isinstance(node.value, (int, float, complex)):
-            return node.value
-        raise SymbolFormatError(f"literal {node.value!r} is not numeric")
-    if isinstance(node, ast.Name):
-        if node.id in env:
-            return env[node.id]
-        raise SymbolFormatError(f"unknown name {node.id!r} in expression")
-    if isinstance(node, ast.UnaryOp) and isinstance(node.op, (ast.USub,
-                                                              ast.UAdd)):
-        val = _expr_eval(node.operand, env)
-        return -val if isinstance(node.op, ast.USub) else val
-    if isinstance(node, ast.BinOp) and type(node.op) in _EXPR_OPS:
-        left = _expr_eval(node.left, env)
-        right = _expr_eval(node.right, env)
-        if isinstance(left, _VectorK) or isinstance(right, _VectorK):
-            raise SymbolFormatError(
-                "the vector k supports only abs(k); use k1..kn otherwise")
-        return _EXPR_OPS[type(node.op)](left, right)
-    if isinstance(node, ast.Call) and isinstance(node.func, ast.Name):
-        name = node.func.id
-        if name not in _EXPR_FUNCS:
-            raise SymbolFormatError(f"unknown function {name!r}; allowed: "
-                                    + ", ".join(sorted(_EXPR_FUNCS)))
-        if node.keywords:
-            raise SymbolFormatError("keyword arguments are not supported")
-        args = [_expr_eval(a, env) for a in node.args]
-        if name == "abs":
-            if len(args) != 1:
-                raise SymbolFormatError("abs takes one argument")
-            if isinstance(args[0], _VectorK):
-                return args[0].norm()
-            return np.abs(args[0])
-        if any(isinstance(a, _VectorK) for a in args):
-            raise SymbolFormatError(
-                "the vector k supports only abs(k); use k1..kn otherwise")
-        if name in ("min", "max") and len(args) != 2:
-            raise SymbolFormatError(f"{name} takes two arguments")
-        return _EXPR_FUNCS[name](*args)
-    raise SymbolFormatError(
-        f"unsupported syntax in expression: {ast.dump(node)[:60]}")
-
-
-def _parse_expression(text: str) -> ast.Expression:
-    try:
-        return ast.parse(text, mode="eval")
-    except SyntaxError as exc:
-        raise SymbolFormatError(f"could not parse expression {text!r}: {exc}")
-
-
-def parse_torus_expression(text: str, n: int) -> Callable:
-    """Compile a lattice-symbol expression in ``k1..kn`` and ``abs(k)``.
-
-    Returns a vectorized function of the ``n`` integer coordinate arrays
-    (broadcastable against each other, as from ``label_box``).
-    A non-finite value at the origin (e.g. ``k1/abs(k)``) is replaced by 0;
+    Literals are floats (or complex); every function takes one argument
+    but ``min`` and ``max``, which take two.  A malformed expression is
+    refused when the function runs.  A non-finite value where every
+    variable is 0 (e.g. ``k1/abs(k)`` at the origin) is replaced by 0;
     non-finite values elsewhere raise ``GmultError``.
     """
-    tree = _parse_expression(text)
+    try:
+        tree = ast.parse(text, mode="eval").body
+    except (SyntaxError, RecursionError) as exc:
+        raise SymbolFormatError(f"could not parse expression {text!r}: {exc}")
 
-    def fn(*axes: np.ndarray) -> np.ndarray:
-        env: Dict[str, object] = {f"k{j + 1}": np.asarray(axes[j],
-                                                          dtype=float)
-                                  for j in range(n)}
-        env["k"] = _VectorK(axes)
-        with np.errstate(all="ignore"):
-            values = np.asarray(_expr_eval(tree, env), dtype=complex)
-        shape = np.broadcast_shapes(*(np.shape(a) for a in axes))
+    def value(node: ast.AST, env: Dict[str, np.ndarray]):
+        if isinstance(node, ast.Constant):
+            if type(node.value) not in (int, float, complex):
+                raise SymbolFormatError(
+                    f"literal {node.value!r} is not numeric")
+            if type(node.value) is not int:
+                return node.value
+            try:
+                return float(node.value)
+            except OverflowError:  # as the float literal 1e999 reads
+                return math.inf
+        if isinstance(node, ast.Name):
+            if node.id in env:
+                return env[node.id]
+            if node.id == vector:
+                raise SymbolFormatError(f"the vector {vector} supports only "
+                                        f"abs({vector}); use {names[0]}.."
+                                        f"{names[-1]} otherwise")
+            raise SymbolFormatError(f"unknown name {node.id!r} in expression")
+        if isinstance(node, ast.UnaryOp) and type(node.op) in _EXPR_OPS:
+            return _EXPR_OPS[type(node.op)](value(node.operand, env))
+        if isinstance(node, ast.BinOp) and type(node.op) in _EXPR_OPS:
+            return _EXPR_OPS[type(node.op)](value(node.left, env),
+                                            value(node.right, env))
+        if isinstance(node, ast.Call) and isinstance(node.func, ast.Name):
+            name = node.func.id
+            if name not in _EXPR_FUNCS:
+                raise SymbolFormatError(f"unknown function {name!r}; "
+                                        "allowed: "
+                                        + ", ".join(sorted(_EXPR_FUNCS)))
+            arity = 2 if name in ("min", "max") else 1
+            if len(node.args) != arity or node.keywords:
+                raise SymbolFormatError(f"{name} takes {arity} argument"
+                                        + "s" * (arity > 1))
+            arg = node.args[0]
+            if name == "abs" and isinstance(arg, ast.Name) \
+                    and arg.id == vector:
+                return np.sqrt(sum(env[v] ** 2 for v in names))
+            return _EXPR_FUNCS[name](*(value(a, env) for a in node.args))
+        raise SymbolFormatError(
+            f"unsupported syntax in expression: {ast.dump(node)[:60]}")
+
+    def fn(*variables) -> np.ndarray:
+        env = {v: np.asarray(a, dtype=float) for v, a in zip(names, variables)}
+        try:
+            with np.errstate(all="ignore"):
+                values = np.asarray(value(tree, env), dtype=complex)
+        except RecursionError:
+            raise SymbolFormatError(f"expression {text!r} nests too deeply")
+        shape = np.broadcast_shapes(*(a.shape for a in env.values()))
         if values.shape != shape:
             # a fresh evaluation of the full shape is already private
             values = np.broadcast_to(values, shape).copy()
         bad = ~np.isfinite(values)
         if bad.any():
             origin = np.ones_like(bad)
-            for a in axes:
-                origin &= (np.asarray(a) == 0)
+            for a in env.values():
+                origin &= (a == 0)
             values[bad & origin] = 0.0
-            if (bad & ~origin).any():
-                raise GmultError(
-                    f"expression {text!r} is non-finite away from the "
-                    "origin")
+            bad &= ~origin
+            if bad.any():
+                at = np.unravel_index(np.argmax(bad), shape)
+                point = ", ".join(f"{v}={np.broadcast_to(a, shape)[at]:g}"
+                                  for v, a in env.items())
+                raise GmultError(f"expression {text!r} is non-finite at "
+                                 f"{point}")
         return values
 
     return fn
 
 
-def parse_scalar_expression(text: str) -> Callable[[float], complex]:
-    """Compile a one-variable expression in ``x`` (used for functions of
-    the Laplacian eigenvalue); a non-finite value at ``x = 0`` becomes 0."""
-    tree = _parse_expression(text)
-
-    def fn(x: float) -> complex:
-        with np.errstate(all="ignore"):
-            val = complex(np.asarray(_expr_eval(tree, {"x": float(x)}),
-                                     dtype=complex))
-        if not (math.isfinite(val.real) and math.isfinite(val.imag)):
-            if x == 0.0:
-                return 0.0
-            raise GmultError(f"expression {text!r} is non-finite at x={x}")
-        return val
-
-    return fn
+def parse_torus_expression(text: str, n: int) -> Callable:
+    """Compile a lattice-symbol expression in ``k1..kn`` and ``abs(k)``:
+    a vectorized function of the ``n`` integer coordinate arrays
+    (broadcastable against each other, as from ``label_box``), with the
+    rules of ``_compile_expression``."""
+    return _compile_expression(text, [f"k{j + 1}" for j in range(n)], "k")
 
 
 # ---------------------------------------------------------------------------
@@ -395,7 +373,7 @@ def build_cli_symbol(model: GroupModel, text: str, band: int):
         nrm = float(np.linalg.norm(coeffs))
         return riesz_symbol(model, tuple(coeffs / nrm), band + pad)
     if spec.startswith("laplacian-function:"):
-        fn = parse_scalar_expression(spec[len("laplacian-function:"):])
+        fn = _compile_expression(spec[len("laplacian-function:"):], ["x"])
         return function_of_laplacian(fn, band + pad).as_symbol(band + pad)
     if spec.startswith("vf-inverse"):
         rest = spec[len("vf-inverse"):]
@@ -514,8 +492,7 @@ def _default_band(model: GroupModel) -> int:
     return 24 if model.kind == "su2" else 12
 
 
-def cmd_check(args: argparse.Namespace) -> int:
-    started = time.time()
+def cmd_check(args: argparse.Namespace) -> Tuple[Dict, Dict, bool]:
     model = _group_model(args.group)
     band = args.band if args.band is not None else _default_band(model)
     if args.range is not None and band < args.range + model.kappa:
@@ -559,14 +536,10 @@ def cmd_check(args: argparse.Namespace) -> int:
     results = {"report": report.as_dict()}
     if extras:
         results["extras"] = extras
-    envelope = make_envelope("check", _config_echo(args, model, band),
-                             results, report.passed, started)
-    write_report(envelope, args.out, args.format)
-    return EXIT_PASS if report.passed else EXIT_FAIL
+    return _config_echo(args, model, band), results, report.passed
 
 
-def cmd_invert(args: argparse.Namespace) -> int:
-    started = time.time()
+def cmd_invert(args: argparse.Namespace) -> Tuple[Dict, Dict, bool]:
     model = _group_model(args.group)
     if model.kind != "su2":
         raise SymbolFormatError("invert runs on --group su2 only")
@@ -599,18 +572,14 @@ def cmd_invert(args: argparse.Namespace) -> int:
             passed = passed and (res["residual"] < 1e-9
                                  and res["offdiagonal"] < 1e-9)
         results["recursion_residuals"] = residuals
-    envelope = make_envelope("invert", _config_echo(args, model, band),
-                             results, passed, started)
-    write_report(envelope, args.out, args.format)
-    return EXIT_PASS if passed else EXIT_FAIL
+    return _config_echo(args, model, band), results, passed
 
 
-def cmd_probe(args: argparse.Namespace) -> int:
-    started = time.time()
+def cmd_probe(args: argparse.Namespace) -> Tuple[Dict, Dict, bool]:
     model = _group_model(args.group)
-    check_torus_dimension(model, SymbolFormatError)
+    check_torus_dimension(model)
     if model.kind == "su2":
-        check_sobolev_order(model, args.q, args.s, SymbolFormatError)
+        check_sobolev_order(model, args.q, args.s)
         probe_symbol = args.symbol or "riesz:D3"
         if probe_symbol.startswith("riesz:"):
             # every direction has D3's norms: a rotation conjugates each
@@ -683,11 +652,7 @@ def cmd_probe(args: argparse.Namespace) -> int:
         results["notes"] = ["negative-Sobolev and second-difference probes "
                             "are implemented on the 3-sphere model only"]
 
-    passed = all(passes)
-    envelope = make_envelope("probe", _config_echo(args, model, grid_band),
-                             results, passed, started)
-    write_report(envelope, args.out, args.format)
-    return EXIT_PASS if passed else EXIT_FAIL
+    return _config_echo(args, model, grid_band), results, all(passes)
 
 
 def _selftest_one(model: GroupModel, band: int, seed: int
@@ -713,8 +678,7 @@ def _selftest_one(model: GroupModel, band: int, seed: int
     }
 
 
-def cmd_selftest(args: argparse.Namespace) -> int:
-    started = time.time()
+def cmd_selftest(args: argparse.Namespace) -> Tuple[Dict, Dict, bool]:
     if args.group:
         model = _group_model(args.group)
         band = args.band if args.band is not None else (
@@ -723,16 +687,11 @@ def cmd_selftest(args: argparse.Namespace) -> int:
     else:
         plan = [(model_from_name("su2"), 8),
                 (model_from_name("torus-3"), 16)]
-    results = {}
-    for model, band in plan:
-        results[model.name] = _selftest_one(model, band, args.seed)
-    passed = all(r["passed"] for r in results.values())
+    results = {model.name: _selftest_one(model, band, args.seed)
+               for model, band in plan}
     config = {"group": args.group or "su2+torus-3", "seed": args.seed,
               "format": args.format}
-    envelope = make_envelope("fourier-selftest", config, results, passed,
-                             started)
-    write_report(envelope, args.out, args.format)
-    return EXIT_PASS if passed else EXIT_FAIL
+    return config, results, all(r["passed"] for r in results.values())
 
 
 def _config_echo(args: argparse.Namespace, model: GroupModel,
@@ -841,13 +800,17 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     parser = _build_parser()
     args = parser.parse_args(argv)
     band = getattr(args, "band", None)  # probe takes --grid-band instead
+    started = time.time()
     try:
         for option in ("band", "range"):
             value = getattr(args, option, None)
             if value is not None and value < 0:
                 raise SymbolFormatError(
                     f"--{option} must be a nonnegative integer, got {value}")
-        return args.func(args)
+        config, results, passed = args.func(args)
+        write_report(make_envelope(args.command, config, results, passed,
+                                   started), args.out, args.format)
+        return EXIT_PASS if passed else EXIT_FAIL
     except UnderResolvedError as exc:
         sys.stderr.write(f"resolution error: {exc}\n")
         return EXIT_CONFIG
@@ -864,11 +827,14 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         sys.stderr.write(f"configuration error: {exc}\n")
         return EXIT_CONFIG
     except MemoryError:
+        group = args.group or "su2+torus-3"
         where = "its default band" if band is None else f"band {band}"
-        sys.stderr.write(
-            f"configuration error: {args.group or 'su2+torus-3'} at {where} "
-            "needs more memory than is available; a torus-<n> box holds "
-            "(2 band + 1)^n labels, so lower --band or n\n")
+        law = ("an su2 symbol holds the blocks t = 0..band, sum (t + 1)^2 "
+               "entries, so lower --band" if group == "su2" else
+               "a torus-<n> box holds (2 band + 1)^n labels, so lower --band "
+               "or n")
+        sys.stderr.write(f"configuration error: {group} at {where} needs "
+                         f"more memory than is available; {law}\n")
         return EXIT_CONFIG
 
 

@@ -24,4 +24,6 @@ class ExceptionalValueError(GmultError):
 
 
 class SymbolFormatError(GmultError):
-    """A symbol file or symbol expression could not be parsed."""
+    """Malformed input: a symbol file or expression, a group name, a
+    ladder, a checker or frame-field spec, or a probe setting outside its
+    domain."""

@@ -43,7 +43,7 @@ from typing import Callable, Dict, List, Optional, Sequence, Tuple
 import numpy as np
 from numpy.polynomial import polynomial
 
-from .errors import GmultError, UnderResolvedError
+from .errors import GmultError, SymbolFormatError, UnderResolvedError
 from .groups import GroupModel
 from .grids import GroupGrid
 from .central import CentralSequence, _sine_values, delta2
@@ -186,13 +186,13 @@ def _su2_half_rule(R: float, nodes: int) -> Tuple[np.ndarray, np.ndarray]:
     return s, w * np.sin(0.5 * s) ** 2 / math.pi
 
 
-def check_torus_dimension(model: GroupModel,
-                          error: type = GmultError) -> None:
-    """Raise ``error`` unless the mollifier quadrature covers ``model``: the
-    torus cube rule (a tensor of 24 or 12 nodes per axis) stops at
-    ``n = 4``."""
+def check_torus_dimension(model: GroupModel) -> None:
+    """Raise ``SymbolFormatError`` unless the mollifier quadrature covers
+    ``model``: the torus cube rule (a tensor of 24 or 12 nodes per axis)
+    stops at ``n = 4``."""
     if model.kind != "su2" and model.n > 4:
-        raise error("mollifier quadrature on the torus supports n <= 4")
+        raise SymbolFormatError(
+            "mollifier quadrature on the torus supports n <= 4")
 
 
 def _torus_cube_rule(model: GroupModel,
@@ -614,14 +614,15 @@ def _times_q(q: str, seq: CentralSequence) -> np.ndarray:
     return np.sqrt(u * (u + 2.0) / 6.0) / (u + 1.0) * (c[:-2] - c[2:])
 
 
-def check_sobolev_order(model: GroupModel, q: str, s: float,
-                        error: type = GmultError) -> None:
-    """Raise ``error`` unless the decay probe accepts the order ``s`` for
-    ``q``: ``0 <= s <= 1 + n/2``, and ``s <= n/2`` for ``"rho2"``."""
+def check_sobolev_order(model: GroupModel, q: str, s: float) -> None:
+    """Raise ``SymbolFormatError`` unless the decay probe accepts the order
+    ``s`` for ``q``: ``0 <= s <= 1 + n/2``, and ``s <= n/2`` for
+    ``"rho2"``."""
     if not 0.0 <= s <= 1.0 + 0.5 * model.n:
-        raise error(f"the Sobolev order s={s} is outside [0, 1 + n/2]")
+        raise SymbolFormatError(
+            f"the Sobolev order s={s} is outside [0, 1 + n/2]")
     if q == "rho2" and s > 0.5 * model.n:
-        raise error(
+        raise SymbolFormatError(
             f"the Sobolev order s={s} exceeds n/2 = {0.5 * model.n:g} for "
             f"q='rho2': rho^2 psi_r has mean ~r^(2/n), so its decay exponent "
             f"cannot reach the expected (2 + s)/n - 1/2")

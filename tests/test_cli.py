@@ -31,8 +31,8 @@ import pytest
 from gmult import cli
 from gmult.checkers import torus_lattice_symbol
 from gmult.cli import (EXIT_CONFIG, EXIT_FAIL, EXIT_MATH, EXIT_PASS,
-                       load_symbol_file, main, parse_complex, parse_ladder,
-                       parse_scalar_expression, parse_torus_expression)
+                       build_cli_symbol, load_symbol_file, main,
+                       parse_complex, parse_ladder, parse_torus_expression)
 from gmult.errors import GmultError, SymbolFormatError
 from gmult.groups import label_band, label_box
 from gmult.mollifier import grid_normalizer_samples
@@ -107,7 +107,7 @@ def test_parse_torus_expression_keeps_a_full_box_uncopied():
 
 def test_parse_torus_expression_nonfinite_off_origin():
     fn = parse_torus_expression("1/k1", 2)
-    with pytest.raises(GmultError):
+    with pytest.raises(GmultError, match="non-finite at k1=0, k2=1"):
         fn(np.array([0, 0]), np.array([0, 1]))
 
 
@@ -122,14 +122,61 @@ def test_parse_torus_expression_vector_k_guard():
         fn_bad_name(np.array([1]), np.array([2]))
 
 
-def test_parse_scalar_expression():
-    f = parse_scalar_expression("x**-0.5")
-    assert f(0.0) == 0.0  # non-finite at the origin is patched
-    assert f(4.0) == pytest.approx(0.5)
-    g = parse_scalar_expression("exp(-x)")
-    assert g(1.0) == pytest.approx(math.exp(-1.0))
+def test_parse_scalar_expression(su2):
+    # the laplacian-function: route reads its expression in x at the
+    # Laplacian eigenvalues x = (t/2)(t/2 + 1) = 0, 0.75, 2, 3.75, ...
+    def values(expr):
+        sym = build_cli_symbol(su2, f"laplacian-function:{expr}", 4)
+        return [sym.get(t)[0, 0] for t in range(5)]
+
+    f = values("x**-0.5")
+    assert f[0] == 0.0  # non-finite at the origin is patched
+    assert f[2] == pytest.approx(2.0 ** -0.5)
+    g = values("exp(-x)")
+    assert g[1] == pytest.approx(math.exp(-0.75))
     with pytest.raises(GmultError):
-        parse_scalar_expression("1/(x - 1)")(1.0)
+        values("1/(x - 2)")
+
+
+@pytest.mark.parametrize("group, symbol, message", [
+    ("torus-3", "k", "the vector k supports only abs(k)"),
+    ("torus-3", "exp()", "exp takes 1 argument"),
+    ("torus-3", "sqrt(abs(k), abs(k)+100)", "sqrt takes 1 argument"),
+    ("su2", "laplacian-function:exp(x,x)", "exp takes 1 argument"),
+    ("torus-3", "True*k1", "literal True is not numeric"),
+    ("torus-3", "+".join(["k1"] * 2000), "nests too deeply"),
+    ("torus-3", "-" * 3000 + "k1", "could not parse expression"),
+], ids=["vector-k", "no-argument", "two-arguments", "laplacian-two-arguments",
+        "bool-literal", "long-sum", "deep-unary"])
+def test_malformed_expressions_exit_config(group, symbol, message, capsys):
+    # each crashed (k, exp(), exp(x,x)) or ran on a misread expression:
+    # numpy took sqrt's second argument as its output, True read as 1
+    assert main(["check", "--group", group, "--band", "8",
+                 f"--symbol={symbol}", "--checker", "mikhlin"]) == EXIT_CONFIG
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("configuration error: ")
+    assert message in captured.err and "Traceback" not in captured.err
+
+
+def test_integer_literals_evaluate_as_floats(capsys):
+    # in int64, 2**64 wrapped to 0 and 2**-1 was refused
+    assert main(["check", "--group", "torus-3", "--band", "8", "--symbol",
+                 "2**64*k1/abs(k)", "--checker", "mikhlin"]) == EXIT_PASS
+    report = json.loads(capsys.readouterr().out)["results"]["report"]
+    order0 = next(c for c in report["conditions"] if c["name"] == "order-0")
+    assert order0["constant"] == 1.8446744073709552e19
+    assert main(["check", "--group", "su2", "--band", "8", "--symbol",
+                 "laplacian-function:2**64*x", "--checker", "mikhlin"]) \
+        == EXIT_FAIL
+    assert main(["check", "--group", "torus-3", "--band", "8", "--symbol",
+                 "2**-1*k1/abs(k)", "--checker", "mikhlin"]) == EXIT_PASS
+    capsys.readouterr()
+    # past the float range an integer literal reads inf, as 1e999 does
+    assert main(["check", "--group", "torus-3", "--band", "8", "--symbol",
+                 "1" + "0" * 400 + "*k1", "--checker", "mikhlin"]) \
+        == EXIT_MATH
+    assert "non-finite at k1=-12, k2=-12, k3=-12" in capsys.readouterr().err
 
 
 # ---------------------------------------------------------------------------
@@ -746,6 +793,13 @@ def test_memory_error_exits_config_naming_group_and_band(monkeypatch,
                  "--symbol", "identity", "--checker", "mikhlin"]) \
         == EXIT_CONFIG
     assert "torus-6 at band 9" in capsys.readouterr().err
+    # SU(2) blocks grow with the band alone: no torus box, no n to lower
+    assert main(["check", "--group", "su2", "--band", "300",
+                 "--symbol", "identity", "--checker", "mikhlin"]) \
+        == EXIT_CONFIG
+    err = capsys.readouterr().err
+    assert "su2 at band 300" in err and "(t + 1)^2" in err
+    assert "torus" not in err and "lower --band\n" in err
 
 
 # ---------------------------------------------------------------------------
