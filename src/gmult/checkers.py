@@ -343,16 +343,17 @@ def empirical_lp_ratio(sym, p: float, trials: int, band: int,
     model = sym.model
     grid = build_grid(model, band if model.kind == "torus"
                       else max(2, (2 * band + 3) // 4 + 1))
+    weights = grid.weights
     rng = np.random.default_rng(seed)
     ratios = []
     for _ in range(trials):
         while True:
             f = fourier_inverse(random_symbol(model, band, rng), grid)
-            nf = _function_norm_p(f.samples, grid.weights, p)
+            nf = _function_norm_p(f.samples, weights, p)
             if nf >= 1e-12:
                 break
         g = quantize_apply(sym, f)
-        ratios.append(_function_norm_p(g.samples, grid.weights, p) / nf)
+        ratios.append(_function_norm_p(g.samples, weights, p) / nf)
     return {"p": p, "trials": float(trials), "band": float(band),
             "seed": float(seed), "max": float(max(ratios)),
             "median": float(statistics.median(ratios))}

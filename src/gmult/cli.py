@@ -799,7 +799,6 @@ def _build_parser() -> argparse.ArgumentParser:
 def main(argv: Optional[Sequence[str]] = None) -> int:
     parser = _build_parser()
     args = parser.parse_args(argv)
-    band = getattr(args, "band", None)  # probe takes --grid-band instead
     started = time.time()
     try:
         for option in ("band", "range"):
@@ -827,15 +826,30 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         sys.stderr.write(f"configuration error: {exc}\n")
         return EXIT_CONFIG
     except MemoryError:
-        group = args.group or "su2+torus-3"
-        where = "its default band" if band is None else f"band {band}"
-        law = ("an su2 symbol holds the blocks t = 0..band, sum (t + 1)^2 "
-               "entries, so lower --band" if group == "su2" else
-               "a torus-<n> box holds (2 band + 1)^n labels, so lower --band "
-               "or n")
-        sys.stderr.write(f"configuration error: {group} at {where} needs "
-                         f"more memory than is available; {law}\n")
+        sys.stderr.write(f"configuration error: {_memory_advice(args)}\n")
         return EXIT_CONFIG
+
+
+def _memory_advice(args: argparse.Namespace) -> str:
+    """What ran out of memory and which option to change.  ``probe`` takes
+    ``--grid-band``, whose default the coarsest ``--ladder`` scale sets (the
+    ladder is named as given: it may be what ran out); the other commands
+    take ``--band``."""
+    group = args.group or "su2+torus-3"
+    if args.command == "probe":
+        where = ("its default --grid-band" if args.grid_band is None
+                 else f"--grid-band {args.grid_band}")
+        return (f"{group} probe at {where} over --ladder {args.ladder!r} "
+                "needs more memory than is available; lower --grid-band, or "
+                "raise the coarsest --ladder scale, which sets the default "
+                "grid band")
+    band = args.band
+    where = "its default band" if band is None else f"band {band}"
+    law = ("an su2 symbol holds the blocks t = 0..band, sum (t + 1)^2 "
+           "entries, so lower --band" if group == "su2" else
+           "a torus-<n> box holds (2 band + 1)^n labels, so lower --band "
+           "or n")
+    return f"{group} at {where} needs more memory than is available; {law}"
 
 
 if __name__ == "__main__":

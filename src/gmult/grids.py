@@ -37,8 +37,9 @@ _FOUR_PI = 4.0 * math.pi
 class GroupGrid:
     """Product quadrature grid on a group model.
 
-    Treat instances as immutable; the dict fields are lazily filled caches
-    (little-d tables are expensive to rebuild).
+    Treat instances as immutable; ``_misc`` is a lazily filled cache of the
+    transforms' phase tables.  Wigner tables are built where they are read
+    and never held here.
     """
 
     model: GroupModel
@@ -48,7 +49,6 @@ class GroupGrid:
     theta_weights: Optional[np.ndarray] = None
     psis: Optional[np.ndarray] = None
     axis: Optional[np.ndarray] = None
-    _little_d: Dict[int, np.ndarray] = field(default_factory=dict, repr=False, compare=False)
     _misc: Dict[str, np.ndarray] = field(default_factory=dict, repr=False, compare=False)
 
     # -- shape bookkeeping ---------------------------------------------------
@@ -75,28 +75,25 @@ class GroupGrid:
 
     @property
     def weights(self) -> np.ndarray:
-        """Flattened quadrature weights summing to 1."""
-        if "weights" not in self._misc:
-            if self.model.kind == "su2":
-                nphi, npsi = self.phis.size, self.psis.size
-                w = np.broadcast_to(self.theta_weights[None, :, None] / (2.0 * nphi * npsi),
-                                    self.shape)
-                self._misc["weights"] = np.ascontiguousarray(w).reshape(-1)
-            else:
-                self._misc["weights"] = np.full(self.node_count, 1.0 / self.node_count)
-        return self._misc["weights"]
+        """Flattened quadrature weights summing to 1, built on each call
+        (one per node)."""
+        if self.model.kind == "su2":
+            nphi, npsi = self.phis.size, self.psis.size
+            w = np.broadcast_to(self.theta_weights[None, :, None] / (2.0 * nphi * npsi),
+                                self.shape)
+            return np.ascontiguousarray(w).reshape(-1)
+        return np.full(self.node_count, 1.0 / self.node_count)
 
-    # -- cached representation data -------------------------------------------
+    # -- representation data ---------------------------------------------------
 
     def little_d(self, twice_spin: int) -> np.ndarray:
-        """Little-d table at the theta nodes, shape ``(n_theta, d, d)``."""
+        """Little-d table at the theta nodes, shape ``(n_theta, d, d)``,
+        built on each call."""
         from .groups import wigner_little_d
 
         if self.model.kind != "su2":
             raise ValueError("little_d tables exist only on SU(2) grids")
-        if twice_spin not in self._little_d:
-            self._little_d[twice_spin] = wigner_little_d(twice_spin, self.thetas)
-        return self._little_d[twice_spin]
+        return wigner_little_d(twice_spin, self.thetas)
 
     def coefficient_function(self, label: IrrepLabel, i: int = 0, j: int = 0) -> np.ndarray:
         """Samples of the matrix coefficient ``xi(g)_{ij}`` (0-based indices)."""

@@ -16,8 +16,9 @@ by the Wigner matrix
 
 rows and columns running over ``m, n = -l..l`` in ascending order.  The
 little-d matrix is evaluated by the explicit Wigner sum with log-factorial
-stabilization.  ``twice_spin = 1`` is the fundamental (defining) 2x2
-representation and ``twice_spin = 2`` is the adjoint.
+stabilization, as one product of a theta basis and the sum's coefficients.
+``twice_spin = 1`` is the fundamental (defining) 2x2 representation and
+``twice_spin = 2`` is the adjoint.
 
 The "band" of a representation label is ``twice_spin`` on SU(2) and the
 sup-norm ``max_j |k_j|`` on the torus; bands add under pointwise products of
@@ -196,6 +197,41 @@ def _log_factorials(upto: int) -> np.ndarray:
     return np.asarray(_LOG_FACT_CACHE[: upto + 1])
 
 
+#: Terms of the explicit sum formed at once by :func:`_wigner_coefficients`.
+_COEF_CHUNK = 1 << 14
+
+
+def _wigner_coefficients(twice_spin: int) -> np.ndarray:
+    """The explicit Wigner sum's coefficients as a theta-independent matrix
+    ``A[j, m d + n]``: the term of ``d^l_{mn}`` at the auxiliary index
+    ``k`` is ``A[j, (m, n)] cos(theta/2)^(T - j) sin(theta/2)^j`` with
+    ``j = m - n + 2k``, so each ``(j, m, n)`` holds at most one term.  Only
+    the terms whose factorial arguments ``n - k``, ``k``, ``m - n + k`` and
+    ``T - m - k`` are all ``>= 0`` are set, with log-factorial
+    stabilization, a chunk of ``k`` at a time."""
+    T = int(twice_spin)
+    d = T + 1
+    lf = _log_factorials(T)
+    pref = 0.5 * (lf[:, None] + lf[::-1, None] + lf + lf[::-1])
+    ar = np.arange(d)
+    # the terms (k, m, a = n - k) with a <= m <= T - k: for each k, the
+    # first (T - k + 1)(T - k + 2) / 2 pairs of the triangle a <= m
+    tri_m, tri_a = np.nonzero(ar <= ar[:, None])
+    sizes = (d - ar) * (d + 1 - ar) // 2
+    A = np.zeros((d, d, d))
+    step = max(1, _COEF_CHUNK // sizes[0])
+    for lo in range(0, d, step):
+        size = sizes[lo:lo + step]
+        k = np.repeat(ar[lo:lo + step], size)
+        at = np.arange(size.sum()) - np.repeat(np.cumsum(size) - size, size)
+        m, a = tri_m[at], tri_a[at]
+        c, n = m - a, a + k
+        logden = lf[a] + lf[k] + lf[c] + lf[T - m - k]
+        sign = np.where(c & 1, -1.0, 1.0)
+        A[c + k, m, n] = sign * np.exp(pref[m, n] - logden)
+    return A.reshape(d, d * d)
+
+
 def wigner_little_d(twice_spin: int, theta) -> np.ndarray:
     """Wigner little-d matrix ``d^l_{mn}(theta)``, rows/cols ascending in m, n.
 
@@ -207,11 +243,10 @@ def wigner_little_d(twice_spin: int, theta) -> np.ndarray:
         Polar angle(s).  For an array of shape ``(N,)`` the result has shape
         ``(N, d, d)``; a scalar gives ``(d, d)``.
 
-    Evaluated by the explicit sum over Wigner's auxiliary index ``k`` with
-    log-factorial stabilization; real-valued and orthogonal for each theta.
-    Each ``k`` step touches only the entries ``(m, n)`` where its term is
-    nonzero (every factorial argument ``>= 0``), adding the terms in
-    ascending ``k``.
+    Evaluated by the explicit sum over Wigner's auxiliary index ``k``: one
+    real GEMM of the theta basis ``cos(theta/2)^(T - j) sin(theta/2)^j``
+    against the sum's coefficient matrix (:func:`_wigner_coefficients`).
+    Real-valued and orthogonal for each theta.
     """
     if twice_spin < 0:
         raise ValueError("twice_spin must be >= 0")
@@ -219,21 +254,11 @@ def wigner_little_d(twice_spin: int, theta) -> np.ndarray:
     T = int(twice_spin)
     d = T + 1
     half = th / 2.0
-    c, s = np.cos(half), np.sin(half)
     powers = np.arange(T + 1)
-    cp = c[:, None] ** powers[None, :]
-    sp = s[:, None] ** powers[None, :]
-    lf = _log_factorials(T)
-    mi, ni = np.divmod(np.arange(d * d), d)      # flat (m, n) of a block
-    pref = 0.5 * (lf[mi] + lf[T - mi] + lf[ni] + lf[T - ni])
-    out = np.zeros((th.size, d * d))
-    for k in range(T + 1):
-        at = np.flatnonzero((ni >= k) & (mi - ni + k >= 0) & (T - mi >= k))
-        m, n = mi[at], ni[at]
-        logden = lf[n - k] + lf[k] + lf[m - n + k] + lf[T - m - k]
-        sign = np.where((m - n + k) % 2 == 0, 1.0, -1.0)
-        coef = sign * np.exp(pref[at] - logden)
-        out[:, at] += coef * cp[:, T + n - m - 2 * k] * sp[:, m - n + 2 * k]
+    basis = (np.cos(half)[:, None] ** powers[::-1]
+             * np.sin(half)[:, None] ** powers)         # (theta, j)
+    out = np.empty((th.size, d * d))
+    np.matmul(basis, _wigner_coefficients(T), out=out)
     out = out.reshape(th.size, d, d)
     if np.isscalar(theta) or np.asarray(theta).ndim == 0:
         return out[0]

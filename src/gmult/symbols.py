@@ -35,6 +35,7 @@ out like :func:`gmult.groups.bracket_powers`.
 from __future__ import annotations
 
 import copy
+import functools
 import math
 from collections import defaultdict
 from collections.abc import Mapping
@@ -51,10 +52,10 @@ from .groups import (GroupModel, IrrepLabel, angular_momentum, irrep_dimension,
                      label_band, labels_up_to, validate_label)
 
 _GRID_CACHE: Dict[Tuple[str, int, int], GroupGrid] = {}
-#: Complex entries (8 MiB) of the one word stack :func:`word_sup_table`
+#: Complex entries (4 MiB) of the one word stack :func:`word_sup_table`
 #: holds at once: a chunk of words of the SU(2) phase route at the
 #: twice-weights of one parity.
-_STACK_ENTRIES = 1 << 19
+_STACK_ENTRIES = 1 << 18
 #: Relative slack on the bound ``||B||_2 <= ||B||_F`` when it prunes an
 #: SVD: the two norms round differently, and a block of rank one has them
 #: equal.  Far above the rounding of either, far below any gap that matters.
@@ -62,7 +63,7 @@ _FRO_SLACK = 1.0 + 1e-10
 
 
 def default_grid(model: GroupModel, band: int) -> GroupGrid:
-    """Shared grid cache; grids carry memoized representation tables."""
+    """Shared grid cache; grids carry memoized phase tables."""
     key = (model.kind, model.n, int(band))
     if key not in _GRID_CACHE:
         _GRID_CACHE[key] = build_grid(model, band)
@@ -365,17 +366,17 @@ def generator_words(model: GroupModel, order: int) -> List[DifferenceWord]:
     return out
 
 
-def _phase_weights(grid: GroupGrid, combination) -> Dict:
+def _phase_weights(grid: GroupGrid, table, combination) -> Dict:
     """The multiplier ``sum c prod (xi^t_ij - delta_ij)`` over ``combination
     = [(c, factors)]`` in the phase domain: ``{(s, s'): g}`` stands for
     ``sum g(theta) e^{-i s phi / 2} e^{-i s' psi / 2}``, ``g`` a table at
     the theta nodes.  ``xi^t_ij`` is the term ``(2i - t, 2j - t): d^t_ij``,
-    so products add the shifts."""
+    so products add the shifts; ``table(t)`` gives ``d^t`` at the nodes."""
     out: Dict = defaultdict(float)
     for c, factors in combination:
         word = {(0, 0): np.full(grid.thetas.size, c)}
         for t, i, j in factors:
-            q = {(2 * i - t, 2 * j - t): grid.little_d(t)[:, i, j]}
+            q = {(2 * i - t, 2 * j - t): table(t)[:, i, j]}
             if i == j:
                 q[0, 0] = q.get((0, 0), 0.0) - 1.0
             prod: Dict = defaultdict(float)
@@ -415,12 +416,17 @@ def _kernel_planes(sym: MatrixSymbol, wband: int, out_band: int,
     """The kernel's phase planes ``(u, v, theta)`` at every twice-weight
     ``|u| <= out_band + wband`` a shifted read reaches, on a grid exact for
     its products with multipliers of band <= ``wband``: that grid resolves
-    the kernel, so they are its label stage, built with no sampling."""
+    the kernel, so they are its label stage, built with no sampling.
+    Returns the grid, the little-d tables of one difference call
+    (``table(t)``, each built on its first read and dropped with the
+    callable) and the planes."""
     from . import transform
 
     grid = _difference_grid(sym, wband, out_band, grid)
-    return grid, [H.transpose(0, 2, 1) for H in transform._su2_label_planes(
-        grid, sym, out_band + wband)]
+    table = functools.cache(grid.little_d)
+    return grid, table, [H.transpose(0, 2, 1) for H in
+                         transform._su2_label_planes(grid, sym,
+                                                     out_band + wband, table)]
 
 
 def _shifted_sums(grid: GroupGrid, planes, weights: Sequence[Dict],
@@ -441,17 +447,17 @@ def _shifted_sums(grid: GroupGrid, planes, weights: Sequence[Dict],
     return np.moveaxis(stack, 0, 2)                 # (u, v, word, theta)
 
 
-def _word_blocks(grid: GroupGrid, planes, weights: Sequence[Dict],
+def _word_blocks(grid: GroupGrid, table, planes, weights: Sequence[Dict],
                  out_band: int):
     """``(t, blocks)`` at every label through ``out_band``: the theta
-    quadrature of :func:`_shifted_sums`, even labels first, each parity's
-    stack dropped before the next one is built."""
+    quadrature of :func:`_shifted_sums` against ``table(t)``, even labels
+    first, each parity's stack dropped before the next one is built."""
     from . import transform
 
     for p in (0, 1):
         stack = {p: _shifted_sums(grid, planes, weights, out_band, p)}
         yield from transform._su2_theta_sums(grid, stack,
-                                             range(p, out_band + 1, 2))
+                                             range(p, out_band + 1, 2), table)
         del stack
 
 
@@ -468,9 +474,10 @@ def _su2_differences(sym: MatrixSymbol, wband: int,
     off."""
     full = sym.support_band + wband
     out_band = full if band is None else min(band, full)
-    grid, planes = _kernel_planes(sym, wband, out_band, grid)
-    blocks = dict(_word_blocks(grid, planes, [_phase_weights(grid, c)
-                                              for c in combinations], out_band))
+    grid, table, planes = _kernel_planes(sym, wband, out_band, grid)
+    blocks = dict(_word_blocks(grid, table, planes,
+                               [_phase_weights(grid, table, c)
+                                for c in combinations], out_band))
     cert = min(sym.exact_band - wband, grid.exact_total_band - full,
                grid.max_label_band if out_band == full else out_band)
     return [MatrixSymbol(sym.model, {t: blocks[t][w]
@@ -664,13 +671,13 @@ def word_sup_table(sym, order: int, band: int) -> np.ndarray:
                                    for word in words))
     # one label stage of the kernel for every word; the word stacks come a
     # chunk of words and a parity at a time, each label normed as one stack
-    grid, planes = _kernel_planes(sym, wband, band, None)
-    weights = [_phase_weights(grid, [(1.0, w.factors)]) for w in words]
+    grid, table, planes = _kernel_planes(sym, wband, band, None)
+    weights = [_phase_weights(grid, table, [(1.0, w.factors)]) for w in words]
     step = max(1, _STACK_ENTRIES // ((band + 1) ** 2 * grid.thetas.size))
     best = np.zeros(band + 1)
     for lo in range(0, len(words), step):
-        for t, blocks in _word_blocks(grid, planes, weights[lo:lo + step],
-                                      band):
+        for t, blocks in _word_blocks(grid, table, planes,
+                                      weights[lo:lo + step], band):
             best[t] = _op_norm_sup(blocks, best[t])
     return best
 

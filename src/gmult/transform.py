@@ -10,9 +10,10 @@ On the torus this is the ordinary Fourier series with characters
 ``exp(2 pi i k . x)``, evaluated by the FFT between the samples and the
 symbol's dense label box.  On SU(2) the transform separates over the Euler
 product grid: two phase sums (uniform angles) and a Gauss-Legendre sum
-against the little-d tables.  The inverse transform's label stage (the
-blocks against the little-d tables) is the forward phase stage of the
-kernel on any grid that resolves it; the difference route reads it there.
+against the little-d tables, each table built where it is read and dropped
+after.  The inverse transform's label stage (the blocks against the
+little-d tables) is the forward phase stage of the kernel on any grid that
+resolves it; the difference route reads it there.
 
 Exactness accounting: for a function carrying a ``declared_band``
 certificate ``b``, computed coefficients at labels of band ``t`` are exact
@@ -25,7 +26,7 @@ discrete quadrature transform, certified exact nowhere).
 from __future__ import annotations
 
 import math
-from typing import Iterator, Optional, Sequence, Tuple
+from typing import Callable, Iterator, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -75,13 +76,16 @@ def _su2_forward_stages(grid: GroupGrid, samples: np.ndarray, tmax: int):
             for ephi, cols in zip(ephis, (slice(0, n0), slice(n0, None)))]
 
 
-def _su2_theta_sums(grid: GroupGrid, planes,
-                    labels: Sequence[int]) -> Iterator[Tuple[int, np.ndarray]]:
+def _su2_theta_sums(grid: GroupGrid, planes, labels: Sequence[int],
+                    table: Optional[Callable[[int], np.ndarray]] = None
+                    ) -> Iterator[Tuple[int, np.ndarray]]:
     """The theta quadrature against the little-d tables: ``(t, fhat)`` with
     ``fhat_{mn} = sum_a w_a/2 d^t_{nm}(theta_a) A[u=2n, v=2m, a]`` for each
     label, from phase planes ``(u, v, ..., theta)`` with any batch axes
     between the twice-weights and theta; ``fhat`` carries the batch axes
-    first."""
+    first.  ``table(t)`` gives the little-d table at the grid's theta nodes
+    (default: built for the label and dropped after it)."""
+    table = table or grid.little_d
     w2 = grid.theta_weights / 2.0
     for t in labels:
         plane = planes[t % 2]
@@ -89,24 +93,27 @@ def _su2_theta_sums(grid: GroupGrid, planes,
         batch = plane.shape[2:-1]
         block = plane[at, at].reshape(t + 1, t + 1, -1, w2.size)
         # one batched matrix-vector product per (n, m) over theta
-        weights = (grid.little_d(t) * w2[:, None, None]).transpose(1, 2, 0)
+        weights = (table(t) * w2[:, None, None]).transpose(1, 2, 0)
         sums = np.matmul(block, weights[..., None])[..., 0]     # (n, m, b)
         yield t, sums.transpose(2, 1, 0).reshape(batch + (t + 1, t + 1))
 
 
-def _su2_label_planes(grid: GroupGrid, sym: MatrixSymbol, tmax: int):
+def _su2_label_planes(grid: GroupGrid, sym: MatrixSymbol, tmax: int,
+                      table: Optional[Callable[[int], np.ndarray]] = None):
     """The label stage of the inverse transform, ``H[u, a, v] = sum_t
     (t + 1) d^t_{mn}(theta_a) sigma_t[n, m]`` at ``u = 2m``, ``v = 2n``,
     laid out like :func:`_su2_phase_tables` through ``tmax``, theta in the
     middle; built through the support (higher labels reach the rows kept)
     and cropped.  Where the grid's phase sums resolve ``|u| <= tmax``
-    against the symbol's twice-weights, it is the kernel's forward stage."""
+    against the symbol's twice-weights, it is the kernel's forward stage.
+    ``table`` as in :func:`_su2_theta_sums`."""
+    table = table or grid.little_d
     top = max(tmax, sym.support_band)
     H = [np.zeros((n, grid.thetas.size, n), dtype=complex)
          for n in (top + 1 - top % 2, top + top % 2)]
     for t, mat in sym.entries.items():
         at = _plane_slice(H[t % 2], t)
-        H[t % 2][at, :, at] += (t + 1) * (grid.little_d(t).transpose(1, 0, 2)
+        H[t % 2][at, :, at] += (t + 1) * (table(t).transpose(1, 0, 2)
                                           * mat.T[:, None, :])
     keep = [_plane_slice(Hp, tmax - (tmax - p) % 2) for p, Hp in enumerate(H)]
     return [Hp[at, :, at] for Hp, at in zip(H, keep)]
@@ -181,5 +188,14 @@ def sobolev_norm(sym, order: float) -> float:
 
 
 def function_norm_l2(f: GroupFunction) -> float:
-    """Quadrature L2 norm of sampled values."""
-    return math.sqrt(max(float(np.sum(f.grid.weights * np.abs(f.samples) ** 2)), 0.0))
+    """Quadrature L2 norm of sampled values.  On SU(2): ``|f|^2`` averaged
+    over the phi and psi nodes, then summed against the theta weights
+    (which total 2); on the torus, the mean over the nodes.  No per-node
+    weight array is formed."""
+    grid = f.grid
+    power = np.abs(f.samples.reshape(grid.shape)) ** 2
+    if grid.model.kind == "su2":
+        total = float(power.mean(axis=(0, 2)) @ grid.theta_weights) / 2.0
+    else:
+        total = float(power.mean())
+    return math.sqrt(max(total, 0.0))

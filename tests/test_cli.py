@@ -800,6 +800,18 @@ def test_memory_error_exits_config_naming_group_and_band(monkeypatch,
     err = capsys.readouterr().err
     assert "su2 at band 300" in err and "(t + 1)^2" in err
     assert "torus" not in err and "lower --band\n" in err
+    # the probe has no --band: its grid band and its coarsest scale
+    monkeypatch.setattr(cli, "mollifier_scaling_report", out_of_memory)
+    assert main(["probe", "--group", "su2"]) == EXIT_CONFIG
+    err = capsys.readouterr().err
+    assert "su2 probe at its default --grid-band over --ladder '4:9'" in err
+    assert "lower --grid-band, or raise the coarsest --ladder scale" in err
+    assert " --band" not in err
+    assert main(["probe", "--group", "torus-3", "--grid-band", "44",
+                 "--ladder", "0.2,0.1,0.05,0.025"]) == EXIT_CONFIG
+    err = capsys.readouterr().err
+    assert "torus-3 probe at --grid-band 44 over --ladder" in err
+    assert "coarsest --ladder scale" in err and " --band" not in err
 
 
 # ---------------------------------------------------------------------------
@@ -890,7 +902,15 @@ def test_traced_benchmark_run_records_forward_labels(tmp_path):
     assert counts["checkers.empirical_lp_ratio"] == 1
     assert counts["transform.fourier_forward"] == 3
     assert counts["transform.fourier_inverse"] == 6
-    assert counts["grids.GroupGrid.little_d"] == 224
+    # no grid holds a Wigner table: each read of one is a build, a
+    # transform builds each label's table once, and a difference family
+    # builds each of its tables once for the call
+    assert counts["grids.GroupGrid.little_d"] == 107
+    builds = Counter(r["parent"] for r in records
+                     if r["name"] == "groups.wigner_little_d")
+    reads = [i for i, r in enumerate(records)
+             if r["name"] == "grids.GroupGrid.little_d"]
+    assert [builds[i] for i in reads] == [1] * len(reads)
 
     def ancestors(record):
         while record["parent"] >= 0:
@@ -899,6 +919,24 @@ def test_traced_benchmark_run_records_forward_labels(tmp_path):
 
     assert not any("symbols.word_sup_table" in ancestors(r) for r in records
                    if r["name"].startswith("transform."))
+
+
+def test_su2_selftest_holds_one_wigner_table_at_a_time(capsys,
+                                                       monkeypatch):
+    # band 56: 57 twice-spins of tables on 29 nodes are 14 MB, which the
+    # transforms build one at a time and drop; on a fresh grid
+    from gmult import symbols
+
+    monkeypatch.setattr(symbols, "_GRID_CACHE", {})
+    tracemalloc.start()
+    try:
+        assert main(["fourier-selftest", "--group", "su2", "--band",
+                     "56"]) in (EXIT_PASS, EXIT_FAIL)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    capsys.readouterr()
+    assert peak < 20e6
 
 
 def test_traced_runs_build_the_smallest_grids(tmp_path):

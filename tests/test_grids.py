@@ -1,4 +1,6 @@
 """Quadrature grids: normalization, exactness, coefficient functions."""
+import weakref
+
 import numpy as np
 import pytest
 
@@ -92,6 +94,31 @@ def test_little_d_grid_consistency(su2):
     assert np.allclose(table[1], ref, atol=1e-12)
     ref = wigner_little_d(3, float(thetas[2]))
     assert np.allclose(table[2], ref, atol=1e-12)
+
+
+def test_grid_holds_no_wigner_table(su2, rng, monkeypatch):
+    # every table a transform pair or a difference family builds is gone
+    # once the call returns: neither the grid nor anything else keeps it
+    from gmult.grids import GroupGrid
+    from gmult.symbols import random_symbol, word_sup_table
+    from gmult.transform import fourier_forward, fourier_inverse
+
+    real, built = GroupGrid.little_d, []
+
+    def watched(self, twice_spin):
+        table = real(self, twice_spin)
+        built.append(weakref.ref(table))
+        return table
+
+    monkeypatch.setattr(GroupGrid, "little_d", watched)
+    grid = build_grid(su2, 4)
+    assert grid.little_d(3) is not grid.little_d(3)
+    sym = random_symbol(su2, 8, rng, exact_band=8)
+    fourier_forward(fourier_inverse(sym, grid))
+    word_sup_table(sym, 1, 6)
+    assert len(built) > 2 * 9       # the pair alone reads labels 0..8 twice
+    assert all(ref() is None for ref in built)
+    assert all(key[0] == "phases" for key in grid._misc)
 
 
 def test_overflow_guard(su2):

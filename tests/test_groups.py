@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, strategies as st
 from numpy.polynomial.legendre import leggauss
 
+from gmult import groups
 from gmult.groups import (_log_factorials, casimir_lambda, irrep_dimension,
                           japanese_bracket, label_band, labels_up_to,
                           model_from_name, torus_model, validate_label,
@@ -90,8 +91,9 @@ def test_validate_label_rejects(su2, torus3):
 
 def _dense_little_d(twice_spin, theta):
     """The explicit Wigner sum run over the full ``d x d`` block at every
-    ``k``, with masks (zero terms included): the oracle for the nonzero-term
-    loop of :func:`wigner_little_d`."""
+    ``k``, with masks (zero terms included), each term scattered over
+    theta: the oracle for the coefficient matrix and theta basis of
+    :func:`wigner_little_d`."""
     th = np.atleast_1d(np.asarray(theta, dtype=float))
     T = int(twice_spin)
     d = T + 1
@@ -121,18 +123,67 @@ def _dense_little_d(twice_spin, theta):
     return out
 
 
-def test_little_d_matches_dense_sum_bitwise():
-    # a grid of band B tabulates twice_spin 0..2B on its B + 1 Gauss-Legendre
-    # nodes; every such table of bands 1..30 (twice_spin 0..60) must be
-    # bit-identical to the dense sum.  Both sums are elementwise in theta,
-    # so the nodes of the bands that need a twice_spin are evaluated at once.
-    nodes = {b: np.arccos(leggauss(b + 1)[0]) for b in range(1, 31)}
+def _within_dense_rounding(t, theta):
+    """Whether :func:`wigner_little_d` at ``t`` stays within 5% of the dense
+    table's orthogonality defect (the largest Frobenius norm of
+    ``d d^T - I`` over the nodes), plus 1e-14, of the dense sum.  Both
+    evaluate the explicit sum's coefficients; they differ only in how the
+    theta terms are multiplied and added, and the sum's own cancellation
+    sets the defect."""
+    got, want = wigner_little_d(t, theta), _dense_little_d(t, theta)
+    gram = want @ np.swapaxes(want, -1, -2) - np.eye(t + 1)
+    defect = np.linalg.norm(gram, axis=(-2, -1)).max()
+    return np.abs(got - want).max() <= 0.05 * defect + 1e-14
+
+
+def _grid_nodes(t):
+    """The Gauss-Legendre theta nodes of every grid of bands 1..30 that
+    tabulates twice_spin ``t`` (a grid of band B reads twice_spin 0..2B on
+    its B + 1 nodes); both sums are elementwise in theta, so they are
+    evaluated at once."""
+    return np.concatenate([np.arccos(leggauss(b + 1)[0])
+                           for b in range(max(1, (t + 1) // 2), 31)])
+
+
+def test_little_d_matches_dense_sum_within_its_rounding():
     for t in range(61):
-        theta = np.concatenate([nodes[b]
-                                for b in range(max(1, (t + 1) // 2), 31)])
-        assert np.array_equal(wigner_little_d(t, theta),
-                              _dense_little_d(t, theta)), t
-        assert np.array_equal(wigner_little_d(t, 0.7), _dense_little_d(t, 0.7)), t
+        assert _within_dense_rounding(t, _grid_nodes(t)), t
+        assert _within_dense_rounding(t, 0.7), t
+
+
+def test_dense_sum_oracle_sees_one_coefficient_off(monkeypatch):
+    # the largest coefficient at t = 40, moved by 1e-12 of itself, lands
+    # far outside the sums' rounding
+    real = groups._wigner_coefficients
+
+    def perturbed(twice_spin):
+        coef = real(twice_spin)
+        coef.flat[np.abs(coef).argmax()] *= 1.0 + 1e-12
+        return coef
+
+    theta = _grid_nodes(40)
+    assert _within_dense_rounding(40, theta)
+    monkeypatch.setattr(groups, "_wigner_coefficients", perturbed)
+    assert not _within_dense_rounding(40, theta)
+
+
+def test_coefficients_are_the_per_k_terms_bitwise():
+    # the chunked triangle walk against one masked pass over the block per
+    # k, with the same expressions: the coefficients stay bit for bit
+    for T in list(range(61)) + [128]:
+        d = T + 1
+        lf = _log_factorials(T)
+        mi, ni = np.divmod(np.arange(d * d), d)
+        pref = 0.5 * (lf[mi] + lf[T - mi] + lf[ni] + lf[T - ni])
+        want = np.zeros((d, d * d))
+        for k in range(T + 1):
+            at = np.flatnonzero((ni >= k) & (mi - ni + k >= 0)
+                                & (T - mi >= k))
+            m, n = mi[at], ni[at]
+            logden = lf[n - k] + lf[k] + lf[m - n + k] + lf[T - m - k]
+            sign = np.where((m - n + k) % 2 == 0, 1.0, -1.0)
+            want[m - n + 2 * k, at] = sign * np.exp(pref[at] - logden)
+        assert np.array_equal(groups._wigner_coefficients(T), want), T
 
 
 def test_little_d_orthogonal():

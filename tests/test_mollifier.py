@@ -503,6 +503,41 @@ def test_newton_gauss_rule_matches_eigensolver_and_moments(n):
     assert np.max(np.abs(moments - exact)) <= 1e-14
 
 
+def _extended_legendre(n, y):
+    """``P_n`` and ``P_n'`` at ``x = 1 - y`` in np.longdouble, by the
+    recurrence in ``y`` (``D_j = P_j - P_{j-1}``), which stays accurate
+    next to ``x = 1``."""
+    p, dif = 1 - y, -y
+    for j in range(1, n):
+        dif = (j * dif - (2 * j + 1) * y * p) / (j + 1)
+        p = p + dif
+    return p, n * (y * p - dif) / (y * (2 - y))
+
+
+def _extended_gauss_weights(n, x):
+    """Gauss-Legendre weights at the roots next to ``x``: Newton on the
+    angle ``theta`` (``x = cos theta``) in np.longdouble, with ``1 - x =
+    2 sin^2(theta/2)``, then ``2 / ((1 - x^2) P_n'(x)^2)``."""
+    assert np.finfo(np.longdouble).eps < 1e-18     # an extended format
+    theta = np.arccos(x.astype(np.longdouble))
+    for _ in range(3):
+        y = 2 * np.sin(theta / 2) ** 2
+        p, dp = _extended_legendre(n, y)
+        theta = theta + p / (np.sin(theta) * dp)  # dP/dtheta = -sin P'
+    y = 2 * np.sin(theta / 2) ** 2
+    _, dp = _extended_legendre(n, y)
+    return (2 / (y * (2 - y) * dp * dp)).astype(float)
+
+
+@pytest.mark.parametrize("n", [777, 3000])
+def test_leggauss_weights_match_extended_precision(n):
+    # next to +-1, 1 - x^2 cancels: the outermost weights carry it first.
+    # The weights are even in x, and the reference is accurate next to +1
+    x, w = _leggauss(n)
+    want = _extended_gauss_weights(n, np.abs(x))
+    assert np.max(np.abs(w / want - 1.0)) <= 1e-13
+
+
 @pytest.mark.parametrize("n", [48, 96, 311, 777])
 def test_leggauss_makes_one_recurrence_pass(monkeypatch, n):
     # from 48 nodes on, the Taylor steps replace the Newton passes and the

@@ -164,7 +164,7 @@ def test_kernel_planes_are_the_sampled_kernels_phase_stage(su2, wband):
     for support in range(13):
         sym = random_symbol(su2, support, rng)
         for out in sorted({0, support // 2, support, support + wband}):
-            grid, planes = symbols._kernel_planes(sym, wband, out, None)
+            grid, _, planes = symbols._kernel_planes(sym, wband, out, None)
             kernel = fourier_inverse(sym, grid)
             want = transform._su2_forward_stages(grid, kernel.samples,
                                                  out + wband)
@@ -275,9 +275,9 @@ def test_leibniz_residual_shares_kernels(su2, rng, monkeypatch, order,
     calls = []
     label_planes = transform._su2_label_planes
 
-    def counted(grid, sym, tmax):
+    def counted(grid, sym, tmax, table=None):
         calls.append(sym)
-        return label_planes(grid, sym, tmax)
+        return label_planes(grid, sym, tmax, table)
 
     monkeypatch.setattr(transform, "_su2_label_planes", counted)
     a = random_symbol(su2, 4, rng)

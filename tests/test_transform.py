@@ -48,6 +48,18 @@ def test_norm_identity(su2, torus2, rng):
                                                     rel=1e-12)
 
 
+def test_l2_norm_is_the_weighted_node_sum(su2, torus3, rng):
+    # phase means against the theta weights, and the torus mean, against
+    # the flattened weight array, on samples that are not band limited
+    for model, band in ((su2, 1), (su2, 6), (su2, 11), (torus3, 4)):
+        grid = default_grid(model, band)
+        samples = (rng.standard_normal(grid.node_count)
+                   + 1j * rng.standard_normal(grid.node_count))
+        want = np.sqrt(np.sum(grid.weights * np.abs(samples) ** 2))
+        got = function_norm_l2(GroupFunction(grid, samples))
+        assert abs(got - want) <= 1e-14 * want
+
+
 def test_plancherel_weights(su2):
     # a single unit entry at label t contributes dimension * 1 to the
     # squared norm
