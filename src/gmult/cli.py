@@ -36,11 +36,10 @@ import numpy as np
 from . import __version__
 from .errors import (BandOverflowError, ExceptionalValueError, GmultError,
                      SymbolFormatError, UnderResolvedError)
-from .grids import _required_grid_band
+from .grids import _required_grid_band, build_grid
 from .groups import GroupModel, irrep_dimension, model_from_name
-from .symbols import (MatrixSymbol, TorusSymbol, default_grid,
-                      identity_symbol, random_symbol, symbol_add,
-                      symbol_scale)
+from .symbols import (MatrixSymbol, TorusSymbol, identity_symbol,
+                      random_symbol, symbol_add, symbol_scale)
 from .transform import (fourier_forward, fourier_inverse, function_norm_l2,
                         plancherel_norm)
 from .central import function_of_laplacian, riesz_symbol
@@ -95,6 +94,8 @@ def parse_ladder(text: str) -> List[float]:
     list."""
     s = text.strip()
     m = re.fullmatch(r"(\d+):(\d+)", s)
+    if m and max(map(int, m.groups())) > 1074:
+        raise SymbolFormatError(f"ladder {text!r}: 2^-k is 0 for k past 1074")
     try:
         rs = (default_ladder(*sorted(map(int, m.groups()))) if m
               else [float(tok) for tok in s.split(",") if tok.strip()])
@@ -265,7 +266,8 @@ def load_symbol_file(path: str):
         try:
             coords = tuple(int(v) for v in toks[1:di])
             d = int(toks[di + 1])
-            label = coords if model.kind == "torus" else coords[0]
+            label = (coords[0] if model.kind == "su2" and len(coords) == 1
+                     else coords)  # validate_label refuses other su2 counts
             expected = irrep_dimension(model, label)
         except (IndexError, ValueError) as exc:
             raise bad(i, exc)
@@ -600,9 +602,9 @@ def cmd_probe(args: argparse.Namespace) -> Tuple[Dict, Dict, bool]:
         grid_band = required_mollifier_band(model, coarse)
     samples = grid_normalizer_samples(model, grid_band, coarse)
     if samples > _MAX_PROBE_SAMPLES:
-        # the samples grow with the band (band 0 sums at most 2)
+        # the samples grow with the band, and are at least the band
         low = bisect.bisect_right(
-            range(grid_band), _MAX_PROBE_SAMPLES,
+            range(min(grid_band, _MAX_PROBE_SAMPLES)), _MAX_PROBE_SAMPLES,
             key=lambda b: grid_normalizer_samples(model, b, coarse)) - 1
         raise UnderResolvedError(
             f"the grid cross-check on a band-{grid_band} grid sums {samples} "
@@ -612,7 +614,7 @@ def cmd_probe(args: argparse.Namespace) -> Tuple[Dict, Dict, bool]:
             f"{smallest_resolved_scale(model, low):.6g} up")
     # the grid normalizes phi_r at the coarsest scale only, and refuses a
     # grid too coarse for it before any probe runs
-    grid_c = grid_normalizer(model, default_grid(model, grid_band), coarse)
+    grid_c = grid_normalizer(model, build_grid(model, grid_band), coarse)
     radial_c = mollifier_family(model, coarse).c_r
     results: Dict[str, object] = {"grid_cross_check": {
         "grid_band": grid_band, "r": coarse, "grid_c_r": grid_c,
@@ -661,7 +663,7 @@ def _selftest_one(model: GroupModel, band: int, seed: int
                         exact_band=band)
     # the smallest grid exact for the pair: it represents the labels and
     # integrates their products (total band 2 band) exactly
-    grid = default_grid(model, max(1, _required_grid_band(model, band)))
+    grid = build_grid(model, max(1, _required_grid_band(model, band)))
     f = fourier_inverse(sym, grid)
     back = fourier_forward(f, band=band)
     roundtrip = math.sqrt(symbol_add(back, sym, beta=-1.0).energy(band)

@@ -186,15 +186,9 @@ def bracket_powers(model: GroupModel, band: int, exponent: float) -> np.ndarray:
 # Wigner matrices
 # ---------------------------------------------------------------------------
 
-_LOG_FACT_CACHE = [0.0]
-
-
 def _log_factorials(upto: int) -> np.ndarray:
     """Table of log(k!) for k = 0..upto."""
-    while len(_LOG_FACT_CACHE) <= upto:
-        k = len(_LOG_FACT_CACHE)
-        _LOG_FACT_CACHE.append(math.lgamma(k + 1.0))
-    return np.asarray(_LOG_FACT_CACHE[: upto + 1])
+    return np.array([math.lgamma(k + 1.0) for k in range(upto + 1)])
 
 
 #: Terms of the explicit sum formed at once by :func:`_wigner_coefficients`.

@@ -20,8 +20,9 @@ but leaves all scaling exponents unchanged, and it forces the Fourier
 coefficients of the family onto even labels.)  So a Gauss-Legendre rule on
 the first panel, with doubled weights, stands for both (`_su2_half_rule`).
 On the torus the profile is integrated over a small coordinate cube
-containing the support.  The rules come from one pass of the Legendre
-recurrence and Newton steps on a Taylor polynomial (`_leggauss`).
+containing the support.  The rules come from the grids' Gauss-Legendre
+engine (`grids._leggauss`): one pass of the Legendre recurrence and Newton
+steps on a Taylor polynomial.
 The grid cross-check (`grid_normalizer`) normalizes ``phi_r`` by a grid's
 own product rule instead, summed only over nodes whose samples can differ,
 and guards against under-resolved supports.
@@ -41,11 +42,10 @@ from dataclasses import dataclass
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
-from numpy.polynomial import polynomial
 
 from .errors import GmultError, SymbolFormatError, UnderResolvedError
 from .groups import GroupModel
-from .grids import GroupGrid
+from .grids import GroupGrid, _leggauss
 from .central import CentralSequence, _sine_values, delta2
 
 __all__ = [
@@ -89,79 +89,6 @@ def bump_profile(v):
 # ---------------------------------------------------------------------------
 # Radial quadrature backends
 # ---------------------------------------------------------------------------
-
-_LEG_CACHE: Dict[int, Tuple[np.ndarray, np.ndarray]] = {}
-
-
-def _legendre_and_derivative(n: int, x: np.ndarray
-                             ) -> Tuple[np.ndarray, np.ndarray]:
-    """``P_n(x)`` and ``P_n'(x)`` by the three-term recurrence in
-    difference form: with ``y = 1 - x`` and ``D_j = P_j - P_{j-1}``,
-    ``(j + 1) D_{j+1} = j D_j - (2j + 1) y P_j``.  Next to ``x = 1`` the
-    ``P_j`` crowd together, and the plain recurrence loses ~``n^2`` units
-    of rounding to them; this form reads ``y``, exact from ``x = 1/2`` up,
-    and adds small differences."""
-    y = 1.0 - x
-    p, dif, step = x.copy(), -y, np.empty_like(x)
-    for j in range(1, n):
-        # in place: dif <- (j dif - (2j + 1) y p) / (j + 1); p += dif
-        np.multiply(y, p, out=step)
-        step *= (2 * j + 1) / (j + 1)
-        dif *= j / (j + 1)
-        dif -= step
-        p += dif
-    return p, n * (y * p - dif) / (y * (1.0 + x))
-
-
-def _leggauss(n: int) -> Tuple[np.ndarray, np.ndarray]:
-    """Gauss-Legendre rule of ``n >= 1`` nodes on ``[-1, 1]``, ascending.
-
-    Tricomi's asymptotic nodes (with their ``n^-4`` term), on the positive
-    half only (then mirrored), take one recurrence pass for ``P_n`` and
-    ``P_n'``; the Legendre equation ``(1 - x^2) y'' - 2 x y' + n (n + 1) y
-    = 0`` gives the higher derivatives, and Newton steps on that degree-7
-    Taylor polynomial reach the rounding floor (Glaser, Liu & Rokhlin
-    2007).  The weights are ``2 / ((1 - x^2) P_n'(x)^2)``, with the
-    polynomial's ``P_n'`` at the final nodes and ``1 - x`` formed as the
-    expansion node's ``1 - x`` (exact from ``x = 1/2`` up) less the Newton
-    step: rounding the final node next to 1 would cost ~1e-10 of the
-    outermost weights at 3,000 nodes.  Rules below ``n = 48`` (the
-    smallest SU(2) radial rule) take two plain Newton passes first.  A pass
-    is ``n`` vector steps of length ``n/2``, where a dense eigensolve costs
-    ``O(n^3)``.  (`grids.build_grid` keeps numpy's ``leggauss``: at grid
-    sizes the two rules differ only by rounding, which the ill-conditioned
-    ``grid_cross_check.relative_difference`` of `probe` would amplify.)
-    """
-    n = int(n)
-    if n not in _LEG_CACHE:
-        phi = math.pi / (4 * n + 2) * (4.0 * np.arange(1, (n + 3) // 2) - 1.0)
-        x = (1.0 - (n - 1.0) / (8.0 * n ** 3)
-             - (39.0 - 28.0 / np.sin(phi) ** 2) / (384.0 * n ** 4)) \
-            * np.cos(phi)
-        for _ in range(0 if n >= 48 else 2):
-            p, dp = _legendre_and_derivative(n, x)
-            x = x - p / dp
-        # Taylor coefficients c_k = P_n^(k)(x) / k!: (1 - x^2) (k + 1)
-        # (k + 2) c_{k+2} = 2 (k + 1)^2 x c_{k+1} - (n (n + 1) - k (k + 1)) c_k
-        c = list(_legendre_and_derivative(n, x))
-        one_minus = 1.0 - x
-        for k in range(6):
-            c.append((2.0 * (k + 1) ** 2 * x * c[k + 1]
-                      - (n * (n + 1.0) - k * (k + 1.0)) * c[k])
-                     / ((k + 1) * (k + 2) * one_minus * (1.0 + x)))
-        taylor, h = np.array(c), np.zeros_like(x)
-        slope = polynomial.polyder(taylor)
-        for _ in range(3):
-            h -= (polynomial.polyval(h, taylor, tensor=False)
-                  / polynomial.polyval(h, slope, tensor=False))
-        dp = polynomial.polyval(h, slope, tensor=False)
-        w = 2.0 / ((one_minus - h) * (1.0 + x + h) * dp * dp)
-        x = x + h
-        mid = n % 2  # an odd rule holds the node 0 once
-        _LEG_CACHE[n] = (np.concatenate((-x, x[::-1][mid:])),
-                         np.concatenate((w, w[::-1][mid:])))
-    return _LEG_CACHE[n]
-
 
 def _panel(a: float, b: float, n: int) -> Tuple[np.ndarray, np.ndarray]:
     x, w = _leggauss(n)

@@ -48,10 +48,10 @@ import numpy as np
 
 from .errors import BandOverflowError
 from .grids import GroupFunction, GroupGrid, _required_grid_band, build_grid
+from .grids import build_grid as default_grid  # the acceptance suite's name
 from .groups import (GroupModel, IrrepLabel, angular_momentum, irrep_dimension,
                      label_band, labels_up_to, validate_label)
 
-_GRID_CACHE: Dict[Tuple[str, int, int], GroupGrid] = {}
 #: Complex entries (4 MiB) of the one word stack :func:`word_sup_table`
 #: holds at once: a chunk of words of the SU(2) phase route at the
 #: twice-weights of one parity.
@@ -60,14 +60,6 @@ _STACK_ENTRIES = 1 << 18
 #: SVD: the two norms round differently, and a block of rank one has them
 #: equal.  Far above the rounding of either, far below any gap that matters.
 _FRO_SLACK = 1.0 + 1e-10
-
-
-def default_grid(model: GroupModel, band: int) -> GroupGrid:
-    """Shared grid cache; grids carry memoized phase tables."""
-    key = (model.kind, model.n, int(band))
-    if key not in _GRID_CACHE:
-        _GRID_CACHE[key] = build_grid(model, band)
-    return _GRID_CACHE[key]
 
 
 @dataclass
@@ -395,7 +387,7 @@ def _difference_grid(sym, wband: int, out_band: int,
     ``out_band``.  It must represent the symbol's labels, so that the
     kernel can be synthesized, and the labels up to ``out_band``, and
     integrate exactly the forward products of the kernel times the
-    multiplier there.  Default: the smallest such grid, cached; a given
+    multiplier there.  Default: the smallest such grid, built; a given
     ``grid`` that falls short raises BandOverflowError."""
     model = sym.model
     reach = max(sym.support_band, out_band)
@@ -403,7 +395,7 @@ def _difference_grid(sym, wband: int, out_band: int,
     needed = max(1, _required_grid_band(model, reach),
                  (total + 3) // 4 if model.kind == "su2" else (total + 1) // 2)
     if grid is None:
-        return default_grid(model, needed)
+        return build_grid(model, needed)
     if grid.max_label_band < reach or grid.exact_total_band < total:
         raise BandOverflowError(
             f"grid band {grid.band} too small for a difference of word band {wband} "
@@ -515,9 +507,9 @@ def apply_difference(word: DifferenceWord, sym, grid: Optional[GroupGrid] = None
     """Apply a difference word to a symbol.
 
     Torus: each factor ``xi`` is the exact shift ``sigma(k - xi) - sigma(k)``
-    of the box.  SU(2): the phase-domain route on ``grid`` (default: a cached
-    grid exact for the product).  The result's exactness certificate drops
-    by the word's total factor band.
+    of the box.  SU(2): the phase-domain route on ``grid`` (default: the
+    smallest grid exact for the product).  The result's exactness
+    certificate drops by the word's total factor band.
     """
     if word.model != sym.model:
         raise ValueError("word and symbol live on different models")

@@ -43,17 +43,13 @@ def _su2_phase_tables(grid: GroupGrid, tmax: int, sign: int):
     ``U_p`` the largest ``u <= tmax`` of parity ``p``, and the psi table
     with the rows of both parities stacked in that order.  The forward
     tables (``sign = +1``) are divided by their node counts."""
-    key = ("phases", sign, tmax)
-    if key not in grid._misc:
-        u = np.arange(-tmax, tmax + 1)
-        ephi = np.exp(sign * 0.5j * np.outer(u, grid.phis))
-        epsi = np.exp(sign * 0.5j * np.outer(u, grid.psis))
-        if sign > 0:
-            ephi, epsi = ephi / grid.phis.size, epsi / grid.psis.size
-        rows = (slice(tmax % 2, None, 2), slice(1 - tmax % 2, None, 2))
-        grid._misc[key] = ([ephi[r].copy() for r in rows],
-                           np.concatenate([epsi[r] for r in rows]))
-    return grid._misc[key]
+    u = np.arange(-tmax, tmax + 1)
+    ephi = np.exp(sign * 0.5j * np.outer(u, grid.phis))
+    epsi = np.exp(sign * 0.5j * np.outer(u, grid.psis))
+    if sign > 0:
+        ephi, epsi = ephi / grid.phis.size, epsi / grid.psis.size
+    rows = (slice(tmax % 2, None, 2), slice(1 - tmax % 2, None, 2))
+    return [ephi[r] for r in rows], np.concatenate([epsi[r] for r in rows])
 
 
 def _plane_slice(plane: np.ndarray, t: int) -> slice:

@@ -57,7 +57,7 @@ def test_parse_complex_forms():
             parse_complex(text)
 
 
-def test_parse_ladder_dyadic_and_explicit():
+def test_parse_ladder_dyadic_and_explicit(monkeypatch):
     assert parse_ladder("4:7") == [2.0 ** -k for k in range(4, 8)]
     assert parse_ladder("7:4") == [2.0 ** -k for k in range(4, 8)]
     explicit = parse_ladder("0.5, 0.25, 0.125, 0.0625")
@@ -73,6 +73,20 @@ def test_parse_ladder_dyadic_and_explicit():
         parse_ladder("4:6")
     for text in ("nan,0.5,0.25,0.125", "inf,0.5,0.25,0.125"):
         with pytest.raises(SymbolFormatError, match="finite"):
+            parse_ladder(text)
+    # every scale 2^-k past k = 1074 is 0, so such a range is refused
+    # before its list is built (which would run out of memory)
+    built = cli.default_ladder
+
+    def bounded(k_min, k_max):
+        if k_max - k_min + 1 > 2000:
+            raise AssertionError(f"asked for {k_max - k_min + 1} scales")
+        return built(k_min, k_max)
+
+    monkeypatch.setattr(cli, "default_ladder", bounded)
+    assert parse_ladder("1071:1074")[-1] == 2.0 ** -1074
+    for text in ("4:1075", "4:99999999999999999999"):
+        with pytest.raises(SymbolFormatError, match="past 1074"):
             parse_ladder(text)
 
 
@@ -277,7 +291,11 @@ def test_symbol_file_refuses_a_label_listed_twice(tmp_path, capsys, group,
      "line 9: label 0 is listed again (first at line 6)"),
     ("label 0 d 1\n1.0 0.0\n\nlabel 1 d 2\n1.0 0.0 0.0 0.0\n",
      "line 9: record for label 1 is truncated"),
-], ids=["bad-value", "repeated-label", "truncated-record"])
+    ("label 0 7 d 1\n1.0 0.0\n",
+     "line 6: SU(2) labels are nonnegative integers (twice_spin), "
+     "got (0, 7)"),
+], ids=["bad-value", "repeated-label", "truncated-record",
+        "two-coordinate-su2-label"])
 def test_symbol_file_errors_count_blank_lines(tmp_path, capsys, records,
                                               message):
     # blank lines 2 and 5 (and 8): messages give the line in the file, not
@@ -519,13 +537,20 @@ def test_probe_cap_names_the_largest_grid_band_it_admits(su2, capsys):
     assert (grid_normalizer_samples(su2, 1023, 1.0)
             <= cli._MAX_PROBE_SAMPLES
             < grid_normalizer_samples(su2, 1024, 1.0))
-    for argv in (["--grid-band", "1100"],
-                 ["--ladder", "1e-9,2e-9,4e-9,8e-9"]):
-        assert main(["probe", "--group", "su2", *argv]) == EXIT_CONFIG
+    # the last three need grid bands past 2^63 - 1, which the search for
+    # the largest admitted band never indexes (on the torus a band-B
+    # cross-check sums at least its 2B + 1 axis nodes)
+    for group, argv, band in (
+            ("su2", ["--grid-band", "1100"], 1023),
+            ("su2", ["--ladder", "1e-9,2e-9,4e-9,8e-9"], 1023),
+            ("su2", ["--ladder", "180:184"], 1023),
+            ("torus-3", ["--ladder", "180:184"], 2097151),
+            ("su2", ["--grid-band", "9223372036854775808"], 1023)):
+        assert main(["probe", "--group", group, *argv]) == EXIT_CONFIG
         captured = capsys.readouterr()
         assert captured.out == ""
         assert "past the probe cap 4194304" in captured.err
-        assert "admits --grid-band up to 1023," in captured.err
+        assert f"admits --grid-band up to {band}," in captured.err
 
 
 @pytest.mark.parametrize("ladder, scale", [("1,2,4,127", "127.0"),
@@ -921,13 +946,9 @@ def test_traced_benchmark_run_records_forward_labels(tmp_path):
                    if r["name"].startswith("transform."))
 
 
-def test_su2_selftest_holds_one_wigner_table_at_a_time(capsys,
-                                                       monkeypatch):
+def test_su2_selftest_holds_one_wigner_table_at_a_time(capsys):
     # band 56: 57 twice-spins of tables on 29 nodes are 14 MB, which the
-    # transforms build one at a time and drop; on a fresh grid
-    from gmult import symbols
-
-    monkeypatch.setattr(symbols, "_GRID_CACHE", {})
+    # transforms build one at a time and drop
     tracemalloc.start()
     try:
         assert main(["fourier-selftest", "--group", "su2", "--band",
@@ -951,8 +972,8 @@ def test_traced_runs_build_the_smallest_grids(tmp_path):
     records = _traced_spans(tmp_path, "check", "--group", "su2", "--band",
                             "8", "--symbol", "riesz:D3", "--checker",
                             "refined")
-    counts = Counter(r["name"] for r in records)
-    assert counts["grids.build_grid"] == 1
+    grids = [r for r in records if r["name"] == "grids.build_grid"]
+    assert grids and len({r["nodes"] for r in grids}) == 1
 
 
 def test_traced_probes_skip_the_sampled_grid(tmp_path):

@@ -1,11 +1,12 @@
 """Quadrature grids: normalization, exactness, coefficient functions."""
+import dataclasses
 import weakref
 
 import numpy as np
 import pytest
 
 from gmult.errors import BandOverflowError
-from gmult.grids import build_grid
+from gmult.grids import _leggauss, build_grid
 from gmult.groups import irrep_dimension, labels_up_to
 from conftest import integrate, rho_squared_samples
 
@@ -96,6 +97,15 @@ def test_little_d_grid_consistency(su2):
     assert np.allclose(table[2], ref, atol=1e-12)
 
 
+@pytest.mark.parametrize("band", [1, 8, 22, 28, 64, 128])
+def test_su2_theta_rule_is_the_gauss_legendre_engine(su2, band):
+    # grids and the probe's radial rules share one Gauss-Legendre engine
+    x, w = _leggauss(band + 1)
+    grid = build_grid(su2, band)
+    assert np.array_equal(grid.thetas, np.arccos(x))
+    assert np.array_equal(grid.theta_weights, w)
+
+
 def test_grid_holds_no_wigner_table(su2, rng, monkeypatch):
     # every table a transform pair or a difference family builds is gone
     # once the call returns: neither the grid nor anything else keeps it
@@ -118,7 +128,12 @@ def test_grid_holds_no_wigner_table(su2, rng, monkeypatch):
     word_sup_table(sym, 1, 6)
     assert len(built) > 2 * 9       # the pair alone reads labels 0..8 twice
     assert all(ref() is None for ref in built)
-    assert all(key[0] == "phases" for key in grid._misc)
+    # a grid is frozen data: it holds its node arrays and nothing else
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        grid.tables = {}
+    assert set(vars(grid)) == {f.name for f in dataclasses.fields(grid)}
+    assert all(isinstance(getattr(grid, name), np.ndarray)
+               for name in ("phis", "thetas", "theta_weights", "psis"))
 
 
 def test_overflow_guard(su2):

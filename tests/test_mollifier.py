@@ -23,7 +23,7 @@ from gmult.errors import BandOverflowError, GmultError, UnderResolvedError
 from gmult.grids import GroupFunction, GroupGrid
 from gmult.groups import (GroupModel, irrep_dimension, japanese_bracket,
                           labels_up_to, model_from_name)
-from gmult import mollifier
+from gmult import grids, mollifier
 from gmult.mollifier import (_CHUNK_ENTRIES, _adaptive_band,
                              _axis_spacing, _cz_norm_sq, _leggauss, _panel,
                              _psi_radial_values, _require_su2,
@@ -489,10 +489,11 @@ def test_chunked_coefficients_peak_is_the_table_and_a_few_chunks(su2):
     assert peak <= table + output + 4 * 8 * _CHUNK_ENTRIES
 
 
-@pytest.mark.parametrize("n", [1, 2, 3, 5, 12, 24, 47, 48, 49, 96, 311,
-                               498, 777])
+@pytest.mark.parametrize("n", [1, 2, 3, 5, 9, 12, 23, 24, 29, 47, 48, 49,
+                               65, 96, 129, 311, 498, 777])
 def test_newton_gauss_rule_matches_eigensolver_and_moments(n):
-    # 12 and 24 are the torus cube rules, 48 and up the SU(2) radial ones
+    # 12 and 24 are the torus cube rules, 48 and up the SU(2) radial ones;
+    # 9, 23, 29, 65 and 129 are theta rules of SU(2) grids
     x, w = _leggauss(n)
     ref_x, _ = np.polynomial.legendre.leggauss(n)
     assert x.shape == w.shape == (n,)
@@ -529,7 +530,7 @@ def _extended_gauss_weights(n, x):
     return (2 / (y * (2 - y) * dp * dp)).astype(float)
 
 
-@pytest.mark.parametrize("n", [777, 3000])
+@pytest.mark.parametrize("n", [9, 23, 29, 65, 129, 777, 3000])
 def test_leggauss_weights_match_extended_precision(n):
     # next to +-1, 1 - x^2 cancels: the outermost weights carry it first.
     # The weights are even in x, and the reference is accurate next to +1
@@ -544,14 +545,14 @@ def test_leggauss_makes_one_recurrence_pass(monkeypatch, n):
     # weight pass: one recurrence pass per rule (the cache is emptied so
     # the rule is built here)
     calls = []
-    engine = mollifier._legendre_and_derivative
+    engine = grids._legendre_and_derivative
 
     def counted(degree, x):
         calls.append(degree)
         return engine(degree, x)
 
-    monkeypatch.setattr(mollifier, "_LEG_CACHE", {})
-    monkeypatch.setattr(mollifier, "_legendre_and_derivative", counted)
+    monkeypatch.setattr(grids, "_LEG_CACHE", {})
+    monkeypatch.setattr(grids, "_legendre_and_derivative", counted)
     _leggauss(n)
     assert calls == [n]
 
