@@ -11,8 +11,9 @@ from .groups import (GroupModel, casimir_lambda, irrep_dimension,
                      su2_model, torus_model, wigner_little_d)
 from .grids import GroupFunction, GroupGrid, build_grid
 from .symbols import (DifferenceWord, MatrixSymbol, TorusSymbol,
-                      apply_difference, generator_words, laplace_difference,
-                      laplace_leibniz_residual, leibniz_residual,
+                      apply_difference, apply_differences, generator_words,
+                      laplace_difference, laplace_leibniz_residual,
+                      leibniz_residual,
                       quantize_apply, symbol_add, symbol_product,
                       vector_field_symbol, word_sup_table)
 from .transform import (fourier_forward, fourier_inverse, plancherel_norm,

@@ -216,12 +216,15 @@ class GroupFunction:
     ``declared_band`` is the caller's certificate that the function is a
     linear combination of matrix coefficients with label band at most that
     value; ``None`` means no certificate (transforms of such samples are
-    computed but carry no exactness guarantee).
+    computed but carry no exactness guarantee).  ``exact_band`` is the
+    certificate of the symbol the samples stand for, which a forward
+    transform never exceeds.
     """
 
     grid: GroupGrid
     samples: np.ndarray
     declared_band: Optional[int] = None
+    exact_band: float = math.inf
 
     def __post_init__(self) -> None:
         self.samples = np.asarray(self.samples, dtype=complex).reshape(-1)

@@ -224,12 +224,13 @@ _MIN_NODES = 8
 _CHUNK_ENTRIES = 1 << 16
 
 
-def _axis_spacing(grid: GroupGrid) -> float:
-    """Node spacing along the least-resolved axis, in ``rho`` units."""
-    model = grid.model
+def _node_spacing(model: GroupModel, band: int) -> float:
+    """Node spacing of a band-``band`` grid along its least-resolved axis,
+    in ``rho`` units: ``pi / (B + 2)`` on SU(2), ``2 pi / (2B + 1)`` on the
+    torus."""
     if model.kind == "su2":
-        return math.pi / (grid.shape[1] + 1)
-    return 2.0 * math.pi / grid.shape[0]
+        return math.pi / (band + 2)
+    return 2.0 * math.pi / (2 * band + 1)
 
 
 def required_mollifier_band(model: GroupModel, r: float) -> int:
@@ -243,11 +244,7 @@ def required_mollifier_band(model: GroupModel, r: float) -> int:
 
 def smallest_resolved_scale(model: GroupModel, band: int) -> float:
     """Smallest scale ``r`` whose support a band-``band`` grid resolves."""
-    if model.kind == "su2":
-        spacing = math.pi / (band + 2)
-    else:
-        spacing = 2.0 * math.pi / (2 * band + 1)
-    return float((_MIN_NODES * spacing) ** model.n)
+    return float((_MIN_NODES * _node_spacing(model, band)) ** model.n)
 
 
 def grid_normalizer_samples(model: GroupModel, band: int, r: float) -> int:
@@ -285,7 +282,7 @@ def grid_normalizer(model: GroupModel, grid: GroupGrid, r: float) -> float:
     if grid.model != model:
         raise GmultError("grid was built for a different model")
     R = _support_radius(model, r)
-    count = min(R, 2.0) / _axis_spacing(grid)
+    count = min(R, 2.0) / _node_spacing(model, grid.band)
     if count < _MIN_NODES:
         raise UnderResolvedError(
             f"support radius {R:.6g} spans only {count:.2f} grid nodes "

@@ -17,16 +17,19 @@ kernel's forward phase sums by ``(s, s')``.  On a grid that resolves the
 kernel those sums are the inverse transform's label stage, the blocks
 against the Wigner tables, built with no sampling: a difference is a sum
 of shifted, theta-weighted slices of that stage, then a theta quadrature
-against the Wigner tables.  The tests keep the recipe "inverse transform,
-multiply on the grid, forward transform" as the oracle of both routes.
+against the Wigner tables.  The route builds the smallest grid exact for
+the products itself; no difference takes a grid.  The tests keep the
+recipe "inverse transform, multiply on a grid, forward transform" as the
+oracle of both routes.
 
 Band bookkeeping: ``exact_band`` records through which label band the
 stored entries faithfully represent the (possibly infinite) symbol being
 approximated.  ``math.inf`` means the symbol *is* the stored finitely
 supported object.  Every operation derates this certificate: a difference
 word whose factors have total band ``w`` lowers it by ``w``, because entries
-within ``w`` of a truncation edge feel the missing tail.  Checkers only ever
-read labels inside the certificate.
+within ``w`` of a truncation edge feel the missing tail; an SU(2)
+difference read through ``out_band`` certifies at most that band.
+Checkers only ever read labels inside the certificate.
 
 Per-label real quantities (block norms, weights) come as label tables laid
 out like :func:`gmult.groups.bracket_powers`.
@@ -47,7 +50,7 @@ from typing import Dict, Iterator, List, Optional, Sequence, Tuple
 import numpy as np
 
 from .errors import BandOverflowError
-from .grids import GroupFunction, GroupGrid, _required_grid_band, build_grid
+from .grids import GroupFunction, GroupGrid, build_grid
 from .grids import build_grid as default_grid  # the acceptance suite's name
 from .groups import (GroupModel, IrrepLabel, angular_momentum, irrep_dimension,
                      label_band, labels_up_to, validate_label)
@@ -381,44 +384,28 @@ def _phase_weights(grid: GroupGrid, table, combination) -> Dict:
     return out
 
 
-def _difference_grid(sym, wband: int, out_band: int,
-                     grid: Optional[GroupGrid]) -> GroupGrid:
-    """The grid of a difference of word band ``wband`` read through
-    ``out_band``.  It must represent the symbol's labels, so that the
-    kernel can be synthesized, and the labels up to ``out_band``, and
-    integrate exactly the forward products of the kernel times the
-    multiplier there.  Default: the smallest such grid, built; a given
-    ``grid`` that falls short raises BandOverflowError."""
-    model = sym.model
-    reach = max(sym.support_band, out_band)
-    total = sym.support_band + wband + out_band
-    needed = max(1, _required_grid_band(model, reach),
-                 (total + 3) // 4 if model.kind == "su2" else (total + 1) // 2)
-    if grid is None:
-        return build_grid(model, needed)
-    if grid.max_label_band < reach or grid.exact_total_band < total:
-        raise BandOverflowError(
-            f"grid band {grid.band} too small for a difference of word band {wband} "
-            f"on a symbol of support band {sym.support_band}; need band >= {needed}")
-    return grid
-
-
 def _kernel_planes(sym: MatrixSymbol, wband: int, out_band: int,
-                   grid: Optional[GroupGrid]):
-    """The kernel's phase planes ``(u, v, theta)`` at every twice-weight
-    ``|u| <= out_band + wband`` a shifted read reaches, on a grid exact for
-    its products with multipliers of band <= ``wband``: that grid resolves
-    the kernel, so they are its label stage, built with no sampling.
-    Returns the grid, the little-d tables of one difference call
-    (``table(t)``, each built on its first read and dropped with the
-    callable) and the planes."""
+                   combinations: Sequence = ()):
+    """The kernel setup of the SU(2) difference route, for multipliers of
+    band <= ``wband`` read through ``out_band``.  The grid is the smallest
+    that represents the symbol's labels and those through ``out_band`` and
+    integrates exactly the kernel's products with the multipliers there;
+    it resolves the kernel, so the kernel's phase planes ``(u, v, theta)``
+    at every twice-weight ``|u| <= out_band + wband`` a shifted read
+    reaches are its label stage, built with no sampling.  Returns the
+    grid, the little-d tables of one call (``table(t)``, each built on its
+    first read and dropped with the callable), the planes and the
+    :func:`_phase_weights` of each combination."""
     from . import transform
 
-    grid = _difference_grid(sym, wband, out_band, grid)
+    reach = max(sym.support_band, out_band)
+    total = sym.support_band + wband + out_band
+    grid = build_grid(sym.model, max(1, (reach + 1) // 2, (total + 3) // 4))
     table = functools.cache(grid.little_d)
-    return grid, table, [H.transpose(0, 2, 1) for H in
-                         transform._su2_label_planes(grid, sym,
-                                                     out_band + wband, table)]
+    planes = [H.transpose(0, 2, 1) for H in
+              transform._su2_label_planes(grid, sym, out_band + wband, table)]
+    return grid, table, planes, [_phase_weights(grid, table, c)
+                                 for c in combinations]
 
 
 def _shifted_sums(grid: GroupGrid, planes, weights: Sequence[Dict],
@@ -453,25 +440,22 @@ def _word_blocks(grid: GroupGrid, table, planes, weights: Sequence[Dict],
         del stack
 
 
-def _su2_differences(sym: MatrixSymbol, wband: int,
-                     combinations: Sequence, grid: Optional[GroupGrid],
+def _su2_differences(sym: MatrixSymbol, wband: int, combinations: Sequence,
                      band: Optional[int] = None) -> List[MatrixSymbol]:
     """The SU(2) difference route: the products of one kernel with each
     multiplier (a combination for :func:`_phase_weights` of band
     ``wband``, vanishing at the identity), from one label stage and one
     theta quadrature against the Wigner tables, at the labels through
     ``band`` (default: all, through ``support_band + wband``).  The
-    certificate is the symbol's, derated by ``wband``, capped by the grid's
-    exactness for the product kernel and by ``band`` when it cuts labels
-    off."""
-    full = sym.support_band + wband
-    out_band = full if band is None else min(band, full)
-    grid, table, planes = _kernel_planes(sym, wband, out_band, grid)
-    blocks = dict(_word_blocks(grid, table, planes,
-                               [_phase_weights(grid, table, c)
-                                for c in combinations], out_band))
-    cert = min(sym.exact_band - wband, grid.exact_total_band - full,
-               grid.max_label_band if out_band == full else out_band)
+    certificate is ``min(exact_band - wband, out_band)``: the symbol's,
+    derated by ``wband``, and no further than the labels computed."""
+    out_band = sym.support_band + wband
+    if band is not None:
+        out_band = min(band, out_band)
+    grid, table, planes, weights = _kernel_planes(sym, wband, out_band,
+                                                  combinations)
+    blocks = dict(_word_blocks(grid, table, planes, weights, out_band))
+    cert = min(sym.exact_band - wband, out_band)
     return [MatrixSymbol(sym.model, {t: blocks[t][w]
                                      for t in range(out_band + 1)}, cert)
             for w in range(len(combinations))]
@@ -503,41 +487,44 @@ def _box_laplace(table: np.ndarray, shell: Sequence[Sequence[int]]) -> np.ndarra
     return out
 
 
-def apply_difference(word: DifferenceWord, sym, grid: Optional[GroupGrid] = None):
-    """Apply a difference word to a symbol.
+def apply_differences(words: Sequence[DifferenceWord], sym) -> List:
+    """Apply each difference word to a symbol.
 
-    Torus: each factor ``xi`` is the exact shift ``sigma(k - xi) - sigma(k)``
-    of the box.  SU(2): the phase-domain route on ``grid`` (default: the
-    smallest grid exact for the product).  The result's exactness
-    certificate drops by the word's total factor band.
+    Torus: each factor ``xi`` is the exact shift ``sigma(k - xi) -
+    sigma(k)`` of the box.  SU(2): the words of one total band share one
+    label stage of the kernel, on the smallest grid exact for the products.
+    A word of order 0 returns a copy of the symbol.  Each result's
+    exactness certificate drops by its word's total factor band (on SU(2)
+    also to the labels computed, see :func:`_su2_differences`).
     """
-    if word.model != sym.model:
+    if any(word.model != sym.model for word in words):
         raise ValueError("word and symbol live on different models")
-    if word.order == 0:
-        return copy.deepcopy(sym)
-    if sym.model.kind == "torus":
-        table = sym.table
-        for lb, _, _ in word.factors:
-            table = _box_difference(table, lb)
-        return TorusSymbol(sym.model, table, sym.exact_band - word.band_sum)
-    return _su2_differences(sym, word.band_sum, [[(1.0, word.factors)]],
-                            grid)[0]
+    out: List = [None] * len(words)
+    by_band: Dict[int, List[int]] = defaultdict(list)
+    for k, word in enumerate(words):
+        if word.order == 0:
+            out[k] = copy.deepcopy(sym)
+        elif sym.model.kind == "torus":
+            table = reduce(_box_difference, (lb for lb, _, _ in word.factors),
+                           sym.table)
+            out[k] = TorusSymbol(sym.model, table,
+                                 sym.exact_band - word.band_sum)
+        else:
+            by_band[word.band_sum].append(k)
+    for wband, ks in by_band.items():
+        diffs = _su2_differences(sym, wband,
+                                 [[(1.0, words[k].factors)] for k in ks])
+        for k, diff in zip(ks, diffs):
+            out[k] = diff
+    return out
 
 
-def apply_differences(words: Sequence[DifferenceWord], sym,
-                      grid: Optional[GroupGrid] = None) -> List:
-    """:func:`apply_difference` of each word; on SU(2) words of one total
-    band share one label stage of the kernel."""
-    bands = {word.band_sum for word in words}
-    if (sym.model.kind == "torus" or len(bands) != 1 or 0 in bands
-            or any(word.model != sym.model for word in words)):
-        return [apply_difference(word, sym, grid) for word in words]
-    return _su2_differences(sym, bands.pop(),
-                            [[(1.0, word.factors)] for word in words], grid)
+def apply_difference(word: DifferenceWord, sym):
+    """:func:`apply_differences` of one word."""
+    return apply_differences([word], sym)[0]
 
 
-def laplace_difference(sym, grid: Optional[GroupGrid] = None,
-                       band: Optional[int] = None):
+def laplace_difference(sym, grid=None, band: Optional[int] = None):
     """The second-order difference operator driven by ``rho^2``.
 
     Torus: ``2 n sigma(k) - sum_j (sigma(k + e_j) + sigma(k - e_j))`` on the
@@ -545,7 +532,8 @@ def laplace_difference(sym, grid: Optional[GroupGrid] = None,
     the labels through ``band`` (default: every label the result reaches);
     the torus box is a few slices and always comes whole.  The exactness
     certificate drops by the band of ``rho^2`` (2 on SU(2), 1 on the
-    torus), and on SU(2) to ``band`` when that cuts labels off.
+    torus), and on SU(2) to ``band`` when that cuts labels off.  ``grid``
+    is accepted and ignored: the route builds the smallest exact grid.
     """
     model = sym.model
     if model.kind == "torus":
@@ -554,7 +542,7 @@ def laplace_difference(sym, grid: Optional[GroupGrid] = None,
     # rho^2 = sum_i (1 - xi0_ii) over the first shell
     rho2 = [(-1.0, ((lb, i, i),)) for lb in model.delta0
             for i in range(irrep_dimension(model, lb))]
-    return _su2_differences(sym, 2, [rho2], grid, band)[0]
+    return _su2_differences(sym, 2, [rho2], band)[0]
 
 
 # ---------------------------------------------------------------------------
@@ -585,32 +573,26 @@ def _expand_product_terms(word: DifferenceWord):
     return terms
 
 
-def _differences_of(sym, factor_sets, grid: Optional[GroupGrid]) -> Dict:
-    """``{factors: D^factors sym}``, one :func:`apply_differences` call per
-    total band, so words of one band share a kernel."""
-    by_band: Dict[int, List[DifferenceWord]] = {}
-    for factors in sorted(factor_sets):
-        word = DifferenceWord(sym.model, factors)
-        by_band.setdefault(word.band_sum, []).append(word)
-    return {word.factors: diff for words in by_band.values()
-            for word, diff in zip(words, apply_differences(words, sym, grid))}
-
-
 def leibniz_residual(word: DifferenceWord, sym: MatrixSymbol, tau: MatrixSymbol,
-                     grid: Optional[GroupGrid] = None) -> float:
+                     grid=None) -> float:
     """Max deviation (HS norm) of the product rule for a difference word.
 
     Order 1 checks ``D_ij(sigma tau) = (D_ij sigma) tau + sigma (D_ij tau)
     + sum_k (D_kj sigma)(D_ik tau)`` (the cross-term pairing forced by the
     convolution convention ``(phi * psi)^ = psi^ phi^``); higher orders check
-    the iterated expansion of the same rule.
+    the iterated expansion of the same rule.  ``grid`` is accepted and
+    ignored.
     """
     if word.order == 0:
         return 0.0
-    lhs = apply_difference(word, symbol_product(sym, tau), grid)
+    lhs = apply_difference(word, symbol_product(sym, tau))
     terms = _expand_product_terms(word)
-    on_sym = _differences_of(sym, {left for left, _ in terms}, grid)
-    on_tau = _differences_of(tau, {right for _, right in terms}, grid)
+    # {factors: D^factors}, one apply_differences call per side
+    on_sym, on_tau = (
+        dict(zip(keys, apply_differences(
+            [DifferenceWord(word.model, k) for k in keys], side)))
+        for keys, side in ((sorted({left for left, _ in terms}), sym),
+                           (sorted({right for _, right in terms}), tau)))
     rhs: Optional[MatrixSymbol] = None
     for left, right in terms:
         piece = symbol_product(on_sym[left], on_tau[right])
@@ -620,20 +602,21 @@ def leibniz_residual(word: DifferenceWord, sym: MatrixSymbol, tau: MatrixSymbol,
 
 
 def laplace_leibniz_residual(sym: MatrixSymbol, tau: MatrixSymbol,
-                             grid: Optional[GroupGrid] = None) -> float:
+                             grid=None) -> float:
     """Max deviation (HS norm) of the product rule for the rho^2 operator:
     ``A(sigma tau) = (A sigma) tau + sigma (A tau)
-    - sum_{xi0} sum_{ij} (xi0 D_ij sigma)(xi0 D_ji tau)``."""
+    - sum_{xi0} sum_{ij} (xi0 D_ij sigma)(xi0 D_ji tau)``.  ``grid`` is
+    accepted and ignored."""
     model = sym.model
     prod = symbol_product(sym, tau)
-    lhs = laplace_difference(prod, grid)
-    rhs = symbol_add(symbol_product(laplace_difference(sym, grid), tau),
-                     symbol_product(sym, laplace_difference(tau, grid)))
+    lhs = laplace_difference(prod)
+    rhs = symbol_add(symbol_product(laplace_difference(sym), tau),
+                     symbol_product(sym, laplace_difference(tau)))
     gens = difference_generators(model)
     transposed = [DifferenceWord(model, ((lb, j, i),))
                   for ((lb, i, j),) in (w.factors for w in gens)]
-    for d_sym, d_tau in zip(apply_differences(gens, sym, grid),
-                            apply_differences(transposed, tau, grid)):
+    for d_sym, d_tau in zip(apply_differences(gens, sym),
+                            apply_differences(transposed, tau)):
         rhs = symbol_add(rhs, symbol_product(d_sym, d_tau), beta=-1.0)
     return _residual_norm(symbol_add(lhs, rhs, beta=-1.0),
                           min(sym.exact_band, tau.exact_band))
@@ -663,8 +646,8 @@ def word_sup_table(sym, order: int, band: int) -> np.ndarray:
                                    for word in words))
     # one label stage of the kernel for every word; the word stacks come a
     # chunk of words and a parity at a time, each label normed as one stack
-    grid, table, planes = _kernel_planes(sym, wband, band, None)
-    weights = [_phase_weights(grid, table, [(1.0, w.factors)]) for w in words]
+    grid, table, planes, weights = _kernel_planes(
+        sym, wband, band, [[(1.0, w.factors)] for w in words])
     step = max(1, _STACK_ENTRIES // ((band + 1) ** 2 * grid.thetas.size))
     best = np.zeros(band + 1)
     for lo in range(0, len(words), step):

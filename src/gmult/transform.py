@@ -18,7 +18,9 @@ resolves it; the difference route reads it there.
 Exactness accounting: for a function carrying a ``declared_band``
 certificate ``b``, computed coefficients at labels of band ``t`` are exact
 whenever ``b + t <= grid.exact_total_band``; the returned symbol's
-``exact_band`` records the largest such ``t``.  Functions without a
+``exact_band`` records the largest such ``t``, capped by the function's own
+``exact_band`` (the symbol's, for the samples of :func:`fourier_inverse`),
+so a round trip never raises a certificate.  Functions without a
 certificate produce symbols with ``exact_band = -1`` (stored values are the
 discrete quadrature transform, certified exact nowhere).
 """
@@ -135,7 +137,8 @@ def fourier_forward(f: GroupFunction, band: Optional[int] = None):
         cert = -1.0
     else:
         cert = min(float(grid.max_label_band),
-                   float(grid.exact_total_band - f.declared_band))
+                   float(grid.exact_total_band - f.declared_band),
+                   float(f.exact_band))
     if model.kind == "su2":
         planes = _su2_forward_stages(grid, f.samples, band)
         return MatrixSymbol(model, dict(_su2_theta_sums(grid, planes,
@@ -147,7 +150,7 @@ def fourier_forward(f: GroupFunction, band: Optional[int] = None):
 
 def fourier_inverse(sym, grid: GroupGrid) -> GroupFunction:
     """Evaluate ``sum_xi d_xi trace(xi(g) sigma(xi))`` at the grid nodes."""
-    if sym.support_band > grid.max_label_band and sym.entries:
+    if sym.support_band > grid.max_label_band:
         raise BandOverflowError(
             f"symbol support band {sym.support_band} exceeds the grid's "
             f"representable band {grid.max_label_band}")
@@ -162,7 +165,7 @@ def fourier_inverse(sym, grid: GroupGrid) -> GroupFunction:
     else:
         table = np.fft.ifftshift(resize_box(sym.table, grid.band))
         samples = (np.fft.ifftn(table) * table.size).reshape(-1)
-    return GroupFunction(grid, samples, declared_band=sym.support_band)
+    return GroupFunction(grid, samples, sym.support_band, sym.exact_band)
 
 
 def plancherel_norm(sym) -> float:

@@ -148,7 +148,7 @@ def _rotated_differences(model: GroupModel, sym: MatrixSymbol, V1: np.ndarray
     pairs = [(i, j) for i in range(2) for j in range(2)]
     diffs = _su2_differences(sym, 1, [
         [(V1[a, i].conjugate() * V1[b, j], ((1, a, b),)) for a, b in pairs]
-        for i, j in pairs], None)
+        for i, j in pairs])
     return dict(zip(pairs, diffs))
 
 

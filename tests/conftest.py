@@ -10,15 +10,15 @@ the node-space difference route ``grid_differences`` (with
 phase route and of the torus box slices, and the grid quadrature
 ``integrate``."""
 import math
-from typing import Callable, Iterable, Iterator, Optional, Sequence, Tuple
+from typing import Callable, Iterable, Iterator, Sequence, Tuple
 
 import numpy as np
 import pytest
 from hypothesis import settings
 
-from gmult.grids import GroupFunction, GroupGrid
+from gmult.grids import GroupFunction, GroupGrid, build_grid
 from gmult.groups import angular_momentum, model_from_name, wigner_little_d
-from gmult.symbols import DifferenceWord, _difference_grid
+from gmult.symbols import DifferenceWord
 from gmult.symbols import random_symbol  # noqa: F401  (shared by the tests)
 from gmult.transform import fourier_forward, fourier_inverse
 
@@ -184,13 +184,21 @@ def word_samples(grid: GroupGrid, word: DifferenceWord) -> np.ndarray:
 
 
 def grid_differences(sym, wband: int, out_band: int,
-                     multipliers: Iterable[Callable[[GroupGrid], np.ndarray]],
-                     grid: Optional[GroupGrid] = None) -> Iterator:
+                     multipliers: Iterable[Callable[[GroupGrid], np.ndarray]]
+                     ) -> Iterator:
     """The quadrature route by its definition: synthesize the kernel on a
     grid exact for the products, multiply it by each multiplier's samples
     (a function of band <= ``wband`` vanishing at the identity) and
-    transform back through ``out_band``."""
-    grid = _difference_grid(sym, wband, out_band, grid)
+    transform back through ``out_band``.  The grid is one band above the
+    smallest exact one, which the SU(2) route builds, so a match also shows
+    that the result does not depend on the grid."""
+    reach = max(sym.support_band, out_band)
+    total = sym.support_band + wband + out_band
+    if sym.model.kind == "su2":     # twice-spins <= 2B, products <= 4B
+        band = max(1, -(-reach // 2), -(-total // 4))
+    else:                           # |k|_inf <= B, products <= 2B
+        band = max(1, reach, -(-total // 2))
+    grid = build_grid(sym.model, band + 1)
     kernel = fourier_inverse(sym, grid)
     declared = min(kernel.declared_band + wband, grid.max_label_band)
     for multiplier in multipliers:

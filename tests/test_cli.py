@@ -1016,7 +1016,8 @@ README_COMMANDS = _readme_commands()
 
 
 def test_readme_usage_block_is_found():
-    assert len(README_COMMANDS) == 8
+    # the usage block's eight and the install section's console-script run
+    assert len(README_COMMANDS) == 9
 
 
 @pytest.mark.parametrize("argv, exit_code", README_COMMANDS,

@@ -25,7 +25,7 @@ from gmult.groups import (GroupModel, irrep_dimension, japanese_bracket,
                           labels_up_to, model_from_name)
 from gmult import grids, mollifier
 from gmult.mollifier import (_CHUNK_ENTRIES, _adaptive_band,
-                             _axis_spacing, _cz_norm_sq, _leggauss, _panel,
+                             _cz_norm_sq, _leggauss, _node_spacing, _panel,
                              _psi_radial_values, _require_su2,
                              _sobolev_sq_radial,
                              _su2_central_coefficients, _su2_half_rule,
@@ -149,7 +149,7 @@ def build_phi_r(model: GroupModel, grid: GroupGrid,
     if grid.model != model:
         raise GmultError("grid was built for a different model")
     R = _support_radius(model, r)
-    count = min(R, 2.0) / _axis_spacing(grid)
+    count = min(R, 2.0) / _node_spacing(model, grid.band)
     if count < 8:
         raise UnderResolvedError(
             f"support radius {R:.6g} spans only {count:.2f} grid nodes "
@@ -826,8 +826,7 @@ def psi_r_fixed_band(model: GroupModel, r: float,
 
 
 def cz_consistency(model: GroupModel, sym: MatrixSymbol, r: float,
-                   band: int = 20,
-                   grid: Optional[GroupGrid] = None) -> Dict[str, object]:
+                   band: int = 20) -> Dict[str, object]:
     """Check the product-rule bound behind the scaling probe at one scale.
 
     Expands the second difference of ``sigma`` times the dyadic piece by the
@@ -849,12 +848,10 @@ def cz_consistency(model: GroupModel, sym: MatrixSymbol, r: float,
             f"the consistency check at band {store} needs symbol data "
             f"through that band; it is certified only through "
             f"{sym.exact_band}")
-    if grid is None:
-        grid = default_grid(model, store + 4)
     psi_sym = seq.as_symbol(store)
     sigma = sym.restrict(store)
     product = symbol_product(sigma, psi_sym)
-    lhs = plancherel_norm(laplace_difference(product, grid))
+    lhs = plancherel_norm(laplace_difference(product))
 
     # The difference operators push mass two labels past the truncation
     # edge, so every sup and norm on the right side ranges through store+2.
@@ -874,7 +871,7 @@ def cz_consistency(model: GroupModel, sym: MatrixSymbol, r: float,
     terms["order-0"] = weighted_sup(sigma, 0.0) * plancherel_norm(lap_psi)
     # Top order: second difference of sigma against the bracket-compensated
     # dyadic piece.
-    lap_sigma = laplace_difference(sigma, grid)
+    lap_sigma = laplace_difference(sigma)
     terms["order-2"] = (weighted_sup(lap_sigma, 2.0)
                         * sobolev_norm(psi_sym, -2.0))
     # First order: the cross terms of the product rule, pairing transposed
@@ -886,9 +883,8 @@ def cz_consistency(model: GroupModel, sym: MatrixSymbol, r: float,
             for j in range(d):
                 wij = DifferenceWord(model, ((lb, i, j),))
                 wji = DifferenceWord(model, ((lb, j, i),))
-                csym = weighted_sup(apply_difference(wij, sigma, grid), 1.0)
-                cpsi = sobolev_norm(apply_difference(wji, psi_sym, grid),
-                                    -1.0)
+                csym = weighted_sup(apply_difference(wij, sigma), 1.0)
+                cpsi = sobolev_norm(apply_difference(wji, psi_sym), -1.0)
                 cross_total += csym * cpsi
     terms["order-1"] = cross_total
     rhs = sum(terms.values())

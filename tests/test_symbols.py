@@ -2,14 +2,12 @@
 operator quantization."""
 import weakref
 from functools import partial
-from typing import Optional
 
 import numpy as np
 import pytest
 
 from gmult import symbols
 from gmult.errors import BandOverflowError
-from gmult.grids import GroupGrid
 from gmult.groups import irrep_dimension, labels_up_to, model_from_name
 from gmult.symbols import (DifferenceWord, MatrixSymbol, TorusSymbol,
                            apply_difference, apply_differences,
@@ -128,7 +126,9 @@ def test_su2_phase_route_matches_node_space_oracle(su2, band, exact, rng):
     for got, wband, multiplier in cases:
         want = next(grid_differences(sym, wband, sym.support_band + wband,
                                      [multiplier]))
-        assert got.exact_band == want.exact_band
+        assert got.exact_band == min(sym.exact_band - wband,
+                                     sym.support_band + wband)
+        assert got.exact_band <= want.exact_band
         assert sorted(got.entries) == sorted(want.entries)
         scale = max(np.abs(m).max() for m in want.entries.values())
         for t, mat in want.entries.items():
@@ -164,7 +164,7 @@ def test_kernel_planes_are_the_sampled_kernels_phase_stage(su2, wband):
     for support in range(13):
         sym = random_symbol(su2, support, rng)
         for out in sorted({0, support // 2, support, support + wband}):
-            grid, _, planes = symbols._kernel_planes(sym, wband, out, None)
+            grid, _, planes, _ = symbols._kernel_planes(sym, wband, out)
             kernel = fourier_inverse(sym, grid)
             want = transform._su2_forward_stages(grid, kernel.samples,
                                                  out + wband)
@@ -287,16 +287,16 @@ def test_leibniz_residual_shares_kernels(su2, rng, monkeypatch, order,
     assert len(calls) == kernels
 
 
-def laplace_decomposition_residual(sym, grid: Optional[GroupGrid] = None) -> float:
+def laplace_decomposition_residual(sym) -> float:
     """Residual of the first-shell decomposition of the rho^2 operator:
     ``laplace(sigma) + sum_{xi0 in delta0} sum_i xi0 D_ii sigma = 0``."""
     model = sym.model
-    total = laplace_difference(sym, grid)
+    total = laplace_difference(sym)
     for lb in model.delta0:
         d = irrep_dimension(model, lb)
         for i in range(d):
             word = DifferenceWord(model, ((lb, i, i),))
-            total = symbol_add(total, apply_difference(word, sym, grid))
+            total = symbol_add(total, apply_difference(word, sym))
     return float(np.max(total.norms(total.support_band), initial=0.0))
 
 
@@ -322,7 +322,7 @@ def test_difference_of_identity_vanishes(torus3, su2, rng):
 
     ident_s = identity_symbol(su2, 8)
     word_s = DifferenceWord(su2, ((2, 0, 1),))
-    out_s = apply_difference(word_s, ident_s, default_grid(su2, 12))
+    out_s = apply_difference(word_s, ident_s)
     for t in labels_up_to(su2, 6):
         assert np.max(np.abs(out_s.get(t))) < 1e-11
 
@@ -330,10 +330,57 @@ def test_difference_of_identity_vanishes(torus3, su2, rng):
 def test_difference_certificate_drops(su2, rng):
     sym = random_symbol(su2, 6, rng, exact_band=6)
     word = DifferenceWord(su2, ((2, 1, 1),))
-    out = apply_difference(word, sym, default_grid(su2, 10))
-    assert out.exact_band <= 4
+    assert apply_difference(word, sym).exact_band == 4
     two = DifferenceWord(su2, ((2, 0, 0), (2, 1, 2)))
-    assert apply_difference(two, sym, default_grid(su2, 12)).exact_band <= 2
+    assert apply_difference(two, sym).exact_band == 2
+    # the rule: min(exact_band - wband, out_band), read off the symbol and
+    # the labels computed alone, over word bands 1, 2 and 4, supports
+    # 0..8, cut and uncut output bands and three symbol certificates; it
+    # is never above the rule that also read the smallest grid's
+    # exactness (band B: min(exact_band - wband, 4B - full, 2B uncut or
+    # out_band cut)), and equals it when cut
+    for factors in (((1, 0, 1),), ((2, 0, 1),), ((2, 0, 1), (2, 1, 2))):
+        word = DifferenceWord(su2, factors)
+        wband = word.band_sum
+        for support in range(9):
+            full = support + wband
+            for exact in (np.inf, support, support + 3):
+                sym = random_symbol(su2, support, rng, exact_band=exact)
+                assert apply_difference(word, sym).exact_band == min(
+                    exact - wband, full)
+                for band in (0, full // 2, full - 1, full, full + 2):
+                    out = min(band, full)
+                    got = symbols._su2_differences(
+                        sym, wband, [[(1.0, factors)]], band)[0]
+                    assert got.exact_band == min(exact - wband, out)
+                    B = max(1, (max(support, out) + 1) // 2,
+                            (support + wband + out + 3) // 4)
+                    grid_rule = min(exact - wband, 4 * B - full,
+                                    2 * B if out == full else out)
+                    assert got.exact_band <= grid_rule
+                    if out < full:
+                        assert got.exact_band == grid_rule
+
+
+def test_grid_arguments_are_ignored(su2, rng):
+    # the three functions that still accept a grid build their own: with
+    # a grid far above the route's and one near it, each result equals the
+    # call without one bit for bit
+    a = random_symbol(su2, 6, rng, exact_band=6)
+    b = random_symbol(su2, 6, rng, exact_band=6)
+    words = generator_words(su2, 1)[:3] + generator_words(su2, 2)[-2:]
+    lap, cut = laplace_difference(a), laplace_difference(a, band=4)
+    residuals = [leibniz_residual(w, a, b) for w in words]
+    laplace_residual = laplace_leibniz_residual(a, b)
+    for grid in (default_grid(su2, 24), default_grid(su2, 8)):
+        for want, got in ((lap, laplace_difference(a, grid)),
+                          (cut, laplace_difference(a, grid, 4))):
+            assert got.exact_band == want.exact_band
+            assert sorted(got.entries) == sorted(want.entries)
+            assert all(np.array_equal(got.entries[t], m)
+                       for t, m in want.entries.items())
+        assert [leibniz_residual(w, a, b, grid) for w in words] == residuals
+        assert laplace_leibniz_residual(a, b, grid) == laplace_residual
 
 
 def test_leibniz_rule_small(su2, rng):
@@ -357,7 +404,7 @@ def test_laplace_product_rule(su2, rng):
 def test_laplace_decomposition(su2, rng):
     # the distance-squared operator equals its first-shell word expansion
     sym = random_symbol(su2, 5, rng)
-    assert laplace_decomposition_residual(sym, default_grid(su2, 9)) < 1e-10
+    assert laplace_decomposition_residual(sym) < 1e-10
 
 
 def test_laplace_on_characters(su2):

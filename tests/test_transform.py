@@ -39,6 +39,22 @@ def test_roundtrip_property(band, seed):
     assert _roundtrip_error(model, band, np.random.default_rng(seed)) < 1e-11
 
 
+def test_round_trip_keeps_the_symbols_certificate(su2, torus2, rng):
+    # a forward transform never certifies more than the symbol behind its
+    # samples: support 16 certified through 12 on the band-8 SU(2) grid
+    # (the grid alone certifies 16), support 8 through 5 on the band-8
+    # torus-2 grid (the grid alone certifies 8); a symbol certified
+    # everywhere gets the grid's certificate
+    for model, support, exact, grid_cert in ((su2, 16, 12, 16),
+                                             (torus2, 8, 5, 8)):
+        grid = default_grid(model, 8)
+        for cert, want in ((exact, exact), (np.inf, grid_cert)):
+            f = fourier_inverse(random_symbol(model, support, rng,
+                                              exact_band=cert), grid)
+            assert f.exact_band == cert
+            assert fourier_forward(f).exact_band == want
+
+
 def test_norm_identity(su2, torus2, rng):
     for model, band in ((su2, 7), (torus2, 6)):
         sym = random_symbol(model, band, rng)
