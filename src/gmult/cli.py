@@ -21,7 +21,6 @@ from __future__ import annotations
 
 import argparse
 import ast
-import bisect
 import json
 import math
 import os
@@ -50,19 +49,13 @@ from .vfield import (build_field, exceptional_set, invert_vf_symbol,
                      recursion_residuals, verify_s00)
 from .mollifier import (check_sobolev_order, check_torus_dimension,
                         cz_probe, default_ladder, grid_normalizer,
-                        grid_normalizer_samples,
                         identity_diagonals, mollifier_family,
                         mollifier_scaling_report, negative_sobolev_decay,
-                        required_mollifier_band, riesz_field_diagonals,
-                        smallest_resolved_scale)
+                        riesz_field_diagonals)
 
 SCHEMA = "gmult-report/1"
 ENV_OUT_DIR = "GMULT_OUT_DIR"
 EXIT_PASS, EXIT_FAIL, EXIT_MATH, EXIT_CONFIG = 0, 1, 2, 3
-#: Profile samples the probe's grid cross-check may sum.  On the torus the
-#: sum holds them at once, so the cap bounds its memory; on SU(2) it forms a
-#: chunk of polar rows at a time, so the cap bounds its time.
-_MAX_PROBE_SAMPLES = 1 << 22
 
 __all__ = [
     "main", "parse_complex", "parse_ladder", "parse_torus_expression",
@@ -497,11 +490,6 @@ def _default_band(model: GroupModel) -> int:
 def cmd_check(args: argparse.Namespace) -> Tuple[Dict, Dict, bool]:
     model = _group_model(args.group)
     band = args.band if args.band is not None else _default_band(model)
-    if args.range is not None and band < args.range + model.kappa:
-        raise BandOverflowError(
-            f"band {band} cannot cover range {args.range} plus the "
-            f"difference-order margin {model.kappa}; use band >= "
-            f"{args.range + model.kappa}")
     # before the symbol is built: a torus box grows like (2 band + 1)^n
     check_range(model, band)
     sym = build_cli_symbol(model, args.symbol, band)
@@ -594,27 +582,11 @@ def cmd_probe(args: argparse.Namespace) -> Tuple[Dict, Dict, bool]:
             raise SymbolFormatError(
                 f"the scaling probe supports --symbol riesz:<field> or "
                 f"identity, not {probe_symbol!r}")
-    ladder = parse_ladder(args.ladder)
-    ladder = sorted(ladder, reverse=True)
-    coarse = max(ladder)
-    grid_band = args.grid_band
-    if grid_band is None:
-        grid_band = required_mollifier_band(model, coarse)
-    samples = grid_normalizer_samples(model, grid_band, coarse)
-    if samples > _MAX_PROBE_SAMPLES:
-        # the samples grow with the band, and are at least the band
-        low = bisect.bisect_right(
-            range(min(grid_band, _MAX_PROBE_SAMPLES)), _MAX_PROBE_SAMPLES,
-            key=lambda b: grid_normalizer_samples(model, b, coarse)) - 1
-        raise UnderResolvedError(
-            f"the grid cross-check on a band-{grid_band} grid sums {samples} "
-            f"samples, past the probe cap {_MAX_PROBE_SAMPLES}; at the "
-            f"coarsest scale r={coarse:g} the cap admits --grid-band up to "
-            f"{low}, which resolves coarsest scales from "
-            f"{smallest_resolved_scale(model, low):.6g} up")
+    ladder = sorted(parse_ladder(args.ladder), reverse=True)
+    coarse = ladder[0]
     # the grid normalizes phi_r at the coarsest scale only, and refuses a
-    # grid too coarse for it before any probe runs
-    grid_c = grid_normalizer(model, build_grid(model, grid_band), coarse)
+    # scale past its sample cap before any probe runs
+    grid_c, grid_band = grid_normalizer(model, coarse)
     radial_c = mollifier_family(model, coarse).c_r
     results: Dict[str, object] = {"grid_cross_check": {
         "grid_band": grid_band, "r": coarse, "grid_c_r": grid_c,
@@ -681,16 +653,14 @@ def _selftest_one(model: GroupModel, band: int, seed: int
 
 
 def cmd_selftest(args: argparse.Namespace) -> Tuple[Dict, Dict, bool]:
-    if args.group:
-        model = _group_model(args.group)
+    # without --group both bundled models run, each at --band when given
+    models = ([_group_model(args.group)] if args.group else
+              [model_from_name("su2"), model_from_name("torus-3")])
+    results = {}
+    for model in models:
         band = args.band if args.band is not None else (
             8 if model.kind == "su2" else 16)
-        plan = [(model, band)]
-    else:
-        plan = [(model_from_name("su2"), 8),
-                (model_from_name("torus-3"), 16)]
-    results = {model.name: _selftest_one(model, band, args.seed)
-               for model, band in plan}
+        results[model.name] = _selftest_one(model, band, args.seed)
     config = {"group": args.group or "su2+torus-3", "seed": args.seed,
               "format": args.format}
     return config, results, all(r["passed"] for r in results.values())
@@ -700,8 +670,8 @@ def _config_echo(args: argparse.Namespace, model: GroupModel,
                  band: int) -> Dict[str, object]:
     echo: Dict[str, object] = {"group": model.name, "band": band,
                                "seed": args.seed, "format": args.format}
-    for key in ("symbol", "checker", "range", "ladder", "q", "s", "field",
-                "c", "grid_band", "recursion_check"):
+    for key in ("symbol", "checker", "ladder", "q", "s", "field", "c",
+                "recursion_check"):
         if hasattr(args, key) and getattr(args, key) is not None:
             echo[key] = getattr(args, key)
     return echo
@@ -748,9 +718,6 @@ def _build_parser() -> argparse.ArgumentParser:
     p_check.add_argument("--checker", required=True,
                          help="mikhlin | refined | torus3 | "
                               "symbol-class:<order>,<rho>,<max_order>")
-    p_check.add_argument("--range", type=int, default=None,
-                         help="label range the check must cover "
-                              "(validates the band)")
     p_check.set_defaults(func=cmd_check)
 
     p_invert = sub.add_parser("invert",
@@ -784,10 +751,6 @@ def _build_parser() -> argparse.ArgumentParser:
                               "--q rho2 needs s <= n/2")
     p_probe.add_argument("--symbol", default=None,
                          help="probe multiplier: riesz:<field> or identity")
-    p_probe.add_argument("--grid-band", type=int, default=None,
-                         dest="grid_band",
-                         help="grid band for the sampled cross-check "
-                              "(default: auto from the coarsest scale)")
     p_probe.set_defaults(func=cmd_probe)
 
     p_self = sub.add_parser("fourier-selftest",
@@ -803,11 +766,10 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     args = parser.parse_args(argv)
     started = time.time()
     try:
-        for option in ("band", "range"):
-            value = getattr(args, option, None)
-            if value is not None and value < 0:
-                raise SymbolFormatError(
-                    f"--{option} must be a nonnegative integer, got {value}")
+        band = getattr(args, "band", None)
+        if band is not None and band < 0:
+            raise SymbolFormatError(
+                f"--band must be a nonnegative integer, got {band}")
         config, results, passed = args.func(args)
         write_report(make_envelope(args.command, config, results, passed,
                                    started), args.out, args.format)
@@ -833,18 +795,14 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
 
 
 def _memory_advice(args: argparse.Namespace) -> str:
-    """What ran out of memory and which option to change.  ``probe`` takes
-    ``--grid-band``, whose default the coarsest ``--ladder`` scale sets (the
-    ladder is named as given: it may be what ran out); the other commands
-    take ``--band``."""
+    """What ran out of memory and which option to change.  ``probe`` has
+    no ``--band``: its scales set its bands (the ladder is named as given);
+    the other commands take ``--band``."""
     group = args.group or "su2+torus-3"
     if args.command == "probe":
-        where = ("its default --grid-band" if args.grid_band is None
-                 else f"--grid-band {args.grid_band}")
-        return (f"{group} probe at {where} over --ladder {args.ladder!r} "
-                "needs more memory than is available; lower --grid-band, or "
-                "raise the coarsest --ladder scale, which sets the default "
-                "grid band")
+        return (f"{group} probe over --ladder {args.ladder!r} needs more "
+                "memory than is available; raise the --ladder scales, which "
+                "set the probe's bands")
     band = args.band
     where = "its default band" if band is None else f"band {band}"
     law = ("an su2 symbol holds the blocks t = 0..band, sum (t + 1)^2 "

@@ -134,7 +134,7 @@ class GroupGrid:
 
     @property
     def node_count(self) -> int:
-        return int(np.prod(self.shape))
+        return math.prod(self.shape)
 
     @property
     def max_label_band(self) -> int:

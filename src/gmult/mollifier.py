@@ -23,9 +23,12 @@ On the torus the profile is integrated over a small coordinate cube
 containing the support.  The rules come from the grids' Gauss-Legendre
 engine (`grids._leggauss`): one pass of the Legendre recurrence and Newton
 steps on a Taylor polynomial.
-The grid cross-check (`grid_normalizer`) normalizes ``phi_r`` by a grid's
-own product rule instead, summed only over nodes whose samples can differ,
-and guards against under-resolved supports.
+The probe's grid cross-check (`grid_normalizer`) normalizes ``phi_r`` at
+one scale by a grid's own product rule instead, summed only over nodes
+whose samples can differ.  The scale alone picks the grid: the smallest
+band that places `_MIN_NODES` nodes across the support radius.  The sum's
+samples are capped, and a scale past the cap is refused before the grid
+is built, naming the smallest scale the cap admits.
 
 The fine-scale probes need Fourier data of products with ``psi_r`` to high
 label bands.  Both get them from ``psi_r``'s central coefficients, which one
@@ -37,6 +40,8 @@ integral over the class angle (`_cz_norm_sq`).
 """
 from __future__ import annotations
 
+import bisect
+import decimal
 import math
 from dataclasses import dataclass
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
@@ -45,7 +50,7 @@ import numpy as np
 
 from .errors import GmultError, SymbolFormatError, UnderResolvedError
 from .groups import GroupModel
-from .grids import GroupGrid, _leggauss
+from .grids import _leggauss, build_grid
 from .central import CentralSequence, _sine_values, delta2
 
 __all__ = [
@@ -153,6 +158,17 @@ def _torus_rho(points: np.ndarray) -> np.ndarray:
     return np.sqrt(np.sum(4.0 * np.sin(math.pi * points) ** 2, axis=0))
 
 
+def _radial_integral(model: GroupModel, R: float,
+                     f: Callable[[np.ndarray], np.ndarray]) -> float:
+    """Haar integral of ``f(rho)``, for ``f`` vanishing beyond ``rho =
+    R``: the 96-node half rule on SU(2), the cube rule on the torus."""
+    if model.kind == "su2":
+        s, w = _su2_half_rule(R, 96)
+        return float(np.sum(w * f(2.0 * np.sin(0.5 * s))))
+    pts, wts = _torus_cube_rule(model, R)
+    return float(np.sum(wts * f(_torus_rho(pts))))
+
+
 def mollifier_normalizer(model: GroupModel, r: float) -> float:
     """Normalization constant making the scaled `bump_profile` a unit-mass
     density.
@@ -162,12 +178,7 @@ def mollifier_normalizer(model: GroupModel, r: float) -> float:
     comparable to ``r``.
     """
     R = _support_radius(model, r)
-    if model.kind == "su2":
-        s, w = _su2_half_rule(R, 96)
-        mass = float(np.sum(w * bump_profile(2.0 * np.sin(0.5 * s) / R)))
-    else:
-        pts, wts = _torus_cube_rule(model, R)
-        mass = float(np.sum(wts * bump_profile(_torus_rho(pts) / R)))
+    mass = _radial_integral(model, R, lambda rho: bump_profile(rho / R))
     if mass <= 0:
         raise GmultError(f"mollifier profile has nonpositive mass at r={r!r}")
     return 1.0 / mass
@@ -202,18 +213,13 @@ def mollifier_family(model: GroupModel, r: float) -> MollifierFamily:
 def mollifier_l2_norm(model: GroupModel, r: float) -> float:
     """Quadrature L2 norm of ``phi_r``; grows like ``r^{-1/2}``."""
     fam = mollifier_family(model, r)
-    R = fam.support_radius
-    if model.kind == "su2":
-        s, w = _su2_half_rule(R, 96)
-        sq = float(np.sum(w * fam.density(2.0 * np.sin(0.5 * s)) ** 2))
-    else:
-        pts, wts = _torus_cube_rule(model, R)
-        sq = float(np.sum(wts * fam.density(_torus_rho(pts)) ** 2))
+    sq = _radial_integral(model, fam.support_radius,
+                          lambda rho: fam.density(rho) ** 2)
     return math.sqrt(max(sq, 0.0))
 
 
 # ---------------------------------------------------------------------------
-# Grid normalization (resolution-guarded)
+# Grid normalization (the probe's cross-check)
 # ---------------------------------------------------------------------------
 
 #: Grid nodes the support radius of ``phi_r`` must span.
@@ -222,6 +228,10 @@ _MIN_NODES = 8
 #: `grid_normalizer` and the phase rows of `_su2_central_coefficients` are
 #: formed a chunk at a time.
 _CHUNK_ENTRIES = 1 << 16
+#: Profile samples `grid_normalizer` may sum.  On the torus the sum holds
+#: them at once, so the cap bounds its memory; on SU(2) it forms a chunk of
+#: polar rows at a time, so the cap bounds its time.
+_MAX_PROBE_SAMPLES = 1 << 22
 
 
 def _node_spacing(model: GroupModel, band: int) -> float:
@@ -260,14 +270,15 @@ def grid_normalizer_samples(model: GroupModel, band: int, r: float) -> int:
     return max(nodes, min(nodes, 2 * half + 1) ** model.n)
 
 
-def grid_normalizer(model: GroupModel, grid: GroupGrid, r: float) -> float:
-    """Normalization ``c_r`` of ``phi_r`` by the grid's own product rule:
-    the reciprocal of the grid quadrature of ``bump_profile(rho / R)``.
+def grid_normalizer(model: GroupModel, r: float) -> Tuple[float, int]:
+    """Normalization ``c_r`` of ``phi_r`` by a grid's own product rule, and
+    the grid's band: the reciprocal of the grid quadrature of
+    ``bump_profile(rho / R)`` on the band-`required_mollifier_band` grid.
 
-    Raises ``UnderResolvedError`` when fewer than ``_MIN_NODES`` grid
-    nodes span the support radius; the message names both the smallest
-    usable scale for this grid and the band that would resolve the
-    request.
+    Raises ``UnderResolvedError`` before the grid is built when the sum
+    would take more than `_MAX_PROBE_SAMPLES` samples; the message names
+    the smallest scale the cap admits, rounded up to 6 digits so that it
+    is admitted as printed.
 
     The sum runs only where the samples can differ.  On SU(2) the ``N =
     2B + 1`` phi nodes and the ``2N`` psi nodes share the spacing ``2 pi /
@@ -279,17 +290,24 @@ def grid_normalizer(model: GroupModel, grid: GroupGrid, r: float) -> float:
     formed `_CHUNK_ENTRIES` at a time, by whole polar rows, and only their
     row sums are kept.
     """
-    if grid.model != model:
-        raise GmultError("grid was built for a different model")
-    R = _support_radius(model, r)
-    count = min(R, 2.0) / _node_spacing(model, grid.band)
-    if count < _MIN_NODES:
+    band = required_mollifier_band(model, r)
+    samples = grid_normalizer_samples(model, band, r)
+    if samples > _MAX_PROBE_SAMPLES:
+        # the samples grow with the band and are at least the band, so
+        # the largest band the cap admits is below the cap
+        low = bisect.bisect_right(
+            range(_MAX_PROBE_SAMPLES), _MAX_PROBE_SAMPLES,
+            key=lambda b: grid_normalizer_samples(
+                model, b, smallest_resolved_scale(model, b))) - 1
+        up = decimal.Context(prec=6, rounding=decimal.ROUND_CEILING)
+        floor = up.create_decimal(smallest_resolved_scale(model, low))
         raise UnderResolvedError(
-            f"support radius {R:.6g} spans only {count:.2f} grid nodes "
-            f"(need >= {_MIN_NODES}); smallest usable r on this grid is "
-            f"{smallest_resolved_scale(model, grid.band):.6g}, "
-            f"or rebuild the grid with band >= "
-            f"{required_mollifier_band(model, r)}")
+            f"the grid cross-check at r={r:g} needs a band-{band} grid, "
+            f"whose sum takes {samples} samples, past the probe cap "
+            f"{_MAX_PROBE_SAMPLES}; the cap admits coarsest scales from "
+            f"{float(floor):.6g} up")
+    grid = build_grid(model, band)
+    R = _support_radius(model, r)
     if model.kind == "su2":
         cos_theta = np.cos(grid.thetas / 2.0)
         cos_psi = np.cos(grid.psis / 2.0)
@@ -305,16 +323,12 @@ def grid_normalizer(model: GroupModel, grid: GroupGrid, r: float) -> float:
     else:
         terms = 2.0 - 2.0 * np.cos(2.0 * math.pi * grid.axis)
         terms = terms[terms <= R * R]
-        rho_sq = np.zeros((terms.size,) * model.n)
-        for d_axis in range(model.n):
-            sh = [1] * model.n
-            sh[d_axis] = terms.size
-            rho_sq = rho_sq + terms.reshape(sh)
+        rho_sq = sum(np.ix_(*[terms] * model.n))
         raw = bump_profile(np.sqrt(np.maximum(rho_sq, 0.0)) / R)
         mass = float(np.sum(raw)) / grid.node_count
     if mass <= 0:
         raise GmultError("mollifier samples have nonpositive mass")
-    return 1.0 / mass
+    return 1.0 / mass, band
 
 
 # ---------------------------------------------------------------------------

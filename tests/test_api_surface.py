@@ -17,6 +17,7 @@
    assignment or deletion on it, no mutating method call on it, no
    ``global``.  Hidden module state makes a result depend on what ran
    before it; the one exception is ``grids._LEG_CACHE`` (see below).
+5. Every option of every ``gmult`` subcommand is named in the README.
 """
 import ast
 import re
@@ -222,3 +223,19 @@ def test_no_function_mutates_module_state():
     assert mutated == MUTABLE_STATE, (
         f"module-level state that functions mutate: {sorted(mutated)}; "
         f"only {sorted(MUTABLE_STATE)} may be")
+
+
+def test_every_cli_option_is_in_the_readme():
+    from gmult.cli import _build_parser
+
+    readme = (ROOT / "README.md").read_text()
+    commands = next(action for action in _build_parser()._actions
+                    if action.choices).choices
+    missing = sorted(f"{name} {option}"
+                     for name, parser in commands.items()
+                     for action in parser._actions
+                     for option in action.option_strings
+                     if option.startswith("--") and option != "--help"
+                     and not re.search(re.escape(option) + r"(?![\w-])",
+                                       readme))
+    assert not missing, f"options the README does not name: {missing}"

@@ -15,6 +15,7 @@ Covered here:
 All invocations but the harness run go through ``cli.main`` in-process.
 """
 
+import decimal
 import json
 import math
 import re
@@ -34,8 +35,9 @@ from gmult.cli import (EXIT_CONFIG, EXIT_FAIL, EXIT_MATH, EXIT_PASS,
                        build_cli_symbol, load_symbol_file, main,
                        parse_complex, parse_ladder, parse_torus_expression)
 from gmult.errors import GmultError, SymbolFormatError
-from gmult.groups import label_band, label_box
-from gmult.mollifier import grid_normalizer_samples
+from gmult.groups import label_band, label_box, model_from_name
+from gmult.mollifier import (_MAX_PROBE_SAMPLES, grid_normalizer,
+                             grid_normalizer_samples, required_mollifier_band)
 from gmult.symbols import identity_symbol
 
 
@@ -398,6 +400,15 @@ def test_selftest_passes(capsys):
     assert report["command"] == "fourier-selftest"
 
 
+def test_selftest_without_group_runs_both_models_at_the_band(capsys):
+    # --band without --group used to be dropped: both models ran at their
+    # defaults, 8 and 16
+    assert main(["fourier-selftest", "--band", "3"]) == EXIT_PASS
+    results = json.loads(capsys.readouterr().out)["results"]
+    assert {name: r["band"] for name, r in results.items()} == {
+        "su2": 3, "torus-3": 3}
+
+
 @pytest.mark.parametrize("group", ["su2", "torus-3"])
 def test_selftest_at_band_zero_passes(group, capsys):
     assert main(["fourier-selftest", "--group", group,
@@ -526,31 +537,76 @@ def test_bad_ranges_ladders_and_shifts_exit_config(capsys):
 
 
 def test_probe_underresolved_grid_band_exits_config(capsys):
-    code = main(["probe", "--grid-band", "12"])
-    assert code == EXIT_CONFIG
-    assert "smallest" in capsys.readouterr().err
+    # the coarsest scale alone sets the cross-check's band: a band too
+    # coarse for it cannot be asked for, as --grid-band is no option
+    with pytest.raises(SystemExit) as exc:
+        main(["probe", "--grid-band", "12"])
+    assert exc.value.code == EXIT_CONFIG
+    assert "unrecognized arguments: --grid-band 12" in capsys.readouterr().err
+
+
+def _cap_floor(err: str) -> str:
+    """The coarsest scale a cap refusal names, as printed."""
+    return re.search(r"coarsest scales from (\S+) up", err).group(1)
 
 
 def test_probe_cap_names_the_largest_grid_band_it_admits(su2, capsys):
     # on SU(2) a band-B cross-check sums (B + 1) 2 (2B + 1) samples: 4192256
     # at band 1023, 4200450 at band 1024, past the cap 2^22
     assert (grid_normalizer_samples(su2, 1023, 1.0)
-            <= cli._MAX_PROBE_SAMPLES
+            <= _MAX_PROBE_SAMPLES
             < grid_normalizer_samples(su2, 1024, 1.0))
-    # the last three need grid bands past 2^63 - 1, which the search for
+    # the last two need grid bands past 2^63 - 1, which the search for
     # the largest admitted band never indexes (on the torus a band-B
-    # cross-check sums at least its 2B + 1 axis nodes)
-    for group, argv, band in (
-            ("su2", ["--grid-band", "1100"], 1023),
-            ("su2", ["--ladder", "1e-9,2e-9,4e-9,8e-9"], 1023),
-            ("su2", ["--ladder", "180:184"], 1023),
-            ("torus-3", ["--ladder", "180:184"], 2097151),
-            ("su2", ["--grid-band", "9223372036854775808"], 1023)):
-        assert main(["probe", "--group", group, *argv]) == EXIT_CONFIG
+    # cross-check sums at least its 2B + 1 axis nodes); the named scale
+    # needs a band the cap admits, on SU(2) the largest
+    for group, ladder in (("su2", "1e-9,2e-9,4e-9,8e-9"),
+                          ("su2", "180:184"), ("torus-3", "180:184")):
+        assert main(["probe", "--group", group, "--ladder", ladder]) \
+            == EXIT_CONFIG
         captured = capsys.readouterr()
         assert captured.out == ""
         assert "past the probe cap 4194304" in captured.err
-        assert f"admits --grid-band up to {band}," in captured.err
+        model = model_from_name(group)
+        floor = float(_cap_floor(captured.err))
+        band = required_mollifier_band(model, floor)
+        assert grid_normalizer_samples(model, band, floor) \
+            <= _MAX_PROBE_SAMPLES
+        assert band == 1023 or model.kind == "torus"
+
+
+class _PastTheCrossCheck(Exception):
+    """Raised by the probe's scaling laws, which run after the cross-check."""
+
+
+@pytest.mark.parametrize("group, ladder", [
+    ("su2", "1e-9,2e-9,4e-9,8e-9"), ("torus-1", "180:184"),
+    ("torus-3", "180:184")])
+def test_probe_cap_names_a_scale_it_admits(group, ladder, monkeypatch,
+                                           capsys):
+    # the refusal's scale, fed back as the coarsest, passes the cap and the
+    # cross-check; one unit less in its last printed digit is refused.  The
+    # scale was rounded to nearest, below the true floor on su2 and
+    # torus-1 (1.47417e-05 and 1.19842e-05, both refused), and on torus-3
+    # the cross-check's node count overflowed int64 there (exit 2)
+    def finer(coarse: str) -> str:
+        return ",".join([coarse] + [repr(f * float(coarse))
+                                    for f in (0.9, 0.8, 0.7)])
+
+    assert main(["probe", "--group", group, "--ladder", ladder]) \
+        == EXIT_CONFIG
+    floor = _cap_floor(capsys.readouterr().err)
+    below = str(decimal.Context(prec=6).next_minus(decimal.Decimal(floor)))
+    assert main(["probe", "--group", group, "--ladder", finer(below)]) \
+        == EXIT_CONFIG
+    assert "past the probe cap" in capsys.readouterr().err
+
+    def stop(*args):
+        raise _PastTheCrossCheck
+
+    monkeypatch.setattr(cli, "mollifier_scaling_report", stop)
+    with pytest.raises(_PastTheCrossCheck):
+        main(["probe", "--group", group, "--ladder", finer(floor)])
 
 
 @pytest.mark.parametrize("ladder, scale", [("1,2,4,127", "127.0"),
@@ -583,15 +639,17 @@ def test_probe_refuses_scales_past_the_coefficient_ceiling(capsys,
     assert "use larger scales" in captured.err
 
 
-def test_probe_accepts_the_grid_band_it_picks(capsys):
-    # the grid normalizes phi_r only at the coarsest scale, so the band
-    # the plain probe picks is accepted when given explicitly
-    assert main(["probe", "--group", "su2"]) == EXIT_PASS
-    plain = json.loads(capsys.readouterr().out)["results"]
-    assert plain["grid_cross_check"]["grid_band"] == 62
-    assert main(["probe", "--group", "su2", "--grid-band", "62"]) \
-        == EXIT_PASS
-    assert json.loads(capsys.readouterr().out)["results"] == plain
+def test_probe_accepts_the_grid_band_it_picks(su2, capsys):
+    # the grid normalizes phi_r only at the coarsest scale, which picks
+    # its band: the report's cross-check is grid_normalizer's, and the
+    # band is echoed as the probe's
+    assert main(["probe", "--group", su2.name]) == EXIT_PASS
+    report = json.loads(capsys.readouterr().out)
+    check = report["results"]["grid_cross_check"]
+    assert (check["grid_c_r"], check["grid_band"]) \
+        == grid_normalizer(su2, 0.0625) == (check["grid_c_r"], 62)
+    assert report["config"]["band"] == 62
+    assert "grid_band" not in report["config"]
 
 @pytest.mark.parametrize("group", ["torus-1", "torus-2"])
 def test_probe_default_ladder_passes_on_low_dimensional_tori(group, capsys):
@@ -608,17 +666,18 @@ def test_probe_default_ladder_passes_on_low_dimensional_tori(group, capsys):
     (["--group", "torus-1"], EXIT_PASS),
     (["--group", "torus-2"], EXIT_PASS),
     (["--group", "torus-3"], EXIT_PASS),
-    # a coarse scale beyond the torus: the cross-check's own advice (the
-    # huge scales fail the scaling fit, but the band is accepted)
+    # a coarse scale beyond the torus (the huge scales fail the scaling
+    # fit, but the band is accepted)
     (["--group", "torus-2", "--ladder", "400,300,200,100"], EXIT_FAIL),
 ])
 def test_probe_accepts_the_grid_band_it_advises(argv, exit_code, capsys):
-    assert main(["probe", *argv, "--grid-band", "3"]) == EXIT_CONFIG
-    advised = re.search(r"band >= (\d+)", capsys.readouterr().err)
-    assert advised is not None
-    assert main(["probe", *argv, "--grid-band", advised.group(1)]) \
-        == exit_code
-    capsys.readouterr()
+    # the cross-check runs on the band that resolves the coarsest scale
+    assert main(["probe", *argv]) == exit_code
+    report = json.loads(capsys.readouterr().out)
+    coarse = report["results"]["grid_cross_check"]["r"]
+    assert coarse == max(report["results"]["mollifier_scaling"]["ladder"])
+    assert report["results"]["grid_cross_check"]["grid_band"] \
+        == required_mollifier_band(model_from_name(argv[1]), coarse)
 
 
 @pytest.mark.parametrize("q", ["one", "rho2", "adcoef"])
@@ -665,8 +724,8 @@ def test_config_errors_exit_3(capsys, tmp_path):
     bad.write_text("garbage\n")
     assert main(["check", "--group", "su2", "--symbol", str(bad),
                  "--checker", "mikhlin"]) == EXIT_CONFIG
-    # checker range exceeding what the band supports
-    assert main(["check", "--group", "su2", "--band", "12", "--range", "20",
+    # a band too small for the checker's differences
+    assert main(["check", "--group", "su2", "--band", "1",
                  "--symbol", "identity", "--checker", "mikhlin"]) \
         == EXIT_CONFIG
     capsys.readouterr()
@@ -771,12 +830,14 @@ def test_negative_band_is_refused_by_name(argv, capsys):
 
 
 def test_negative_range_is_refused_by_name(capsys):
-    assert main(["check", "--group", "su2", "--band", "24", "--symbol",
-                 "riesz:D3", "--checker", "mikhlin", "--range", "-1"]) \
-        == EXIT_CONFIG
+    # check has no --range: the band alone sets the labels it reads
+    with pytest.raises(SystemExit) as exc:
+        main(["check", "--group", "su2", "--band", "24", "--symbol",
+              "riesz:D3", "--checker", "mikhlin", "--range", "-1"])
+    assert exc.value.code == EXIT_CONFIG
     captured = capsys.readouterr()
     assert captured.out == ""
-    assert "--range must be a nonnegative integer, got -1" in captured.err
+    assert "unrecognized arguments: --range -1" in captured.err
 
 
 @pytest.mark.parametrize("order", ["nan", "-inf", "inf"])
@@ -825,18 +886,17 @@ def test_memory_error_exits_config_naming_group_and_band(monkeypatch,
     err = capsys.readouterr().err
     assert "su2 at band 300" in err and "(t + 1)^2" in err
     assert "torus" not in err and "lower --band\n" in err
-    # the probe has no --band: its grid band and its coarsest scale
+    # the probe has no --band: its scales set its bands
     monkeypatch.setattr(cli, "mollifier_scaling_report", out_of_memory)
     assert main(["probe", "--group", "su2"]) == EXIT_CONFIG
     err = capsys.readouterr().err
-    assert "su2 probe at its default --grid-band over --ladder '4:9'" in err
-    assert "lower --grid-band, or raise the coarsest --ladder scale" in err
-    assert " --band" not in err
-    assert main(["probe", "--group", "torus-3", "--grid-band", "44",
+    assert "su2 probe over --ladder '4:9'" in err
+    assert "raise the --ladder scales" in err and " --band" not in err
+    assert main(["probe", "--group", "torus-3",
                  "--ladder", "0.2,0.1,0.05,0.025"]) == EXIT_CONFIG
     err = capsys.readouterr().err
-    assert "torus-3 probe at --grid-band 44 over --ladder" in err
-    assert "coarsest --ladder scale" in err and " --band" not in err
+    assert "torus-3 probe over --ladder '0.2,0.1,0.05,0.025'" in err
+    assert " --band" not in err
 
 
 # ---------------------------------------------------------------------------

@@ -175,32 +175,27 @@ def test_build_phi_r_normalized(su2, torus3):
 
 
 def test_build_phi_r_under_resolved(su2):
+    # the oracle takes any grid, so it keeps a guard: grid_normalizer
+    # picks the band that resolves its scale
     grid = default_grid(su2, 12)
     with pytest.raises(UnderResolvedError) as exc:
         build_phi_r(su2, grid, 0.01)
-    msg = str(exc.value)
-    assert "band" in msg
-    # the reduced sum keeps the oracle's guard and message
-    with pytest.raises(UnderResolvedError) as fast:
-        grid_normalizer(su2, grid, 0.01)
-    assert str(fast.value) == msg
+    assert f"band >= {required_mollifier_band(su2, 0.01)}" in str(exc.value)
     with pytest.raises(GmultError, match="different model"):
-        grid_normalizer(model_from_name("torus-3"), grid, 1.0)
+        build_phi_r(model_from_name("torus-3"), grid, 1.0)
 
 
 @pytest.mark.parametrize("group", ["su2", "torus-2", "torus-3"])
 @pytest.mark.parametrize("r", [1.0 / 16.0, 0.5, 8.0])
 def test_grid_normalizer_matches_sampled_oracle(group, r):
     # r = 8 puts the whole group inside the support (R >= 2: one panel on
-    # SU(2), the full box on the torus); each case runs at the smallest
-    # resolving band and three bands above it
+    # SU(2), the full box on the torus); the sum runs on the smallest
+    # resolving band, which it reports
     model = model_from_name(group)
-    band = required_mollifier_band(model, r)
-    for b in (band, band + 3):
-        grid = default_grid(model, b)
-        _, oracle = build_phi_r(model, grid, r)
-        assert grid_normalizer(model, grid, r) == pytest.approx(
-            oracle, rel=1e-13, abs=0.0)
+    c_r, band = grid_normalizer(model, r)
+    assert band == required_mollifier_band(model, r)
+    _, oracle = build_phi_r(model, default_grid(model, band), r)
+    assert c_r == pytest.approx(oracle, rel=1e-13, abs=0.0)
 
 
 def one_shot_grid_normalizer(grid: GroupGrid, r: float) -> float:
@@ -220,30 +215,28 @@ def one_shot_grid_normalizer(grid: GroupGrid, r: float) -> float:
 def test_grid_normalizer_chunks_match_one_shot_bitwise(su2, monkeypatch,
                                                        entries):
     # chunks of the module's size, of one polar row, and of three rows of
-    # the band-12 grid (2N = 50), whose 13 rows leave a remainder of one;
-    # r = 8 puts the whole group inside the support; each scale runs at
-    # its smallest resolving band (12 for r = 8)
+    # the band-12 grid (2N = 50) that r = 6 needs, whose 13 rows leave a
+    # remainder of one; r = 8 puts the whole group inside the support
     monkeypatch.setattr(mollifier, "_CHUNK_ENTRIES", entries)
-    for r in (8.0, 0.5, 1.0 / 16.0):
-        band = required_mollifier_band(su2, r)
-        grid = default_grid(su2, band + (r == 8.0))
-        assert grid_normalizer(su2, grid, r) == one_shot_grid_normalizer(
-            grid, r)
+    assert required_mollifier_band(su2, 6.0) == 12
+    for r in (8.0, 6.0, 0.5, 1.0 / 16.0):
+        c_r, band = grid_normalizer(su2, r)
+        assert c_r == one_shot_grid_normalizer(default_grid(su2, band), r)
 
 
 def test_grid_normalizer_peak_is_a_few_chunks(su2):
     # the fine ladder's grid (band 582, 583 x 2330 samples per plane):
-    # the one-shot samples held ~6 planes, 68 MB
+    # the one-shot samples held ~6 planes, 68 MB; the peak counts the grid
+    # the call builds
     r = 8e-5
-    grid = default_grid(su2, required_mollifier_band(su2, r))
-    assert grid.band == 582
-    plane = 8 * grid.thetas.size * grid.psis.size
     tracemalloc.start()
     try:
-        grid_normalizer(su2, grid, r)
+        _, band = grid_normalizer(su2, r)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
+    assert band == 582
+    plane = 8 * (band + 1) * 2 * (2 * band + 1)
     assert peak <= 8 * 8 * _CHUNK_ENTRIES < plane / 2
 
 

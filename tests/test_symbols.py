@@ -5,6 +5,7 @@ from functools import partial
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from gmult import symbols
 from gmult.errors import BandOverflowError
@@ -497,3 +498,76 @@ def test_band_guard(su2, rng):
     small = default_grid(su2, 2)
     with pytest.raises(BandOverflowError):
         fourier_inverse(sym, small)
+
+
+# ---------------------------------------------------------------------------
+# Certificates cannot be raised: a tail-perturbation audit
+# ---------------------------------------------------------------------------
+
+def _with_new_tail(sym, cert: int, rng: np.random.Generator):
+    """A copy of ``sym`` with fresh random entries at the labels beyond
+    ``cert``, and the same support and certificate."""
+    if sym.model.kind == "torus":
+        radius = sym.radius
+        kinf = np.max(np.abs(np.indices(sym.table.shape) - radius), axis=0)
+        table = sym.table.copy()
+        tail = kinf > cert
+        table[tail] = (rng.standard_normal(int(tail.sum()))
+                       + 1j * rng.standard_normal(int(tail.sum())))
+        return TorusSymbol(sym.model, table, sym.exact_band)
+    entries = {t: (m if t <= cert else rng.standard_normal(m.shape)
+                   + 1j * rng.standard_normal(m.shape))
+               for t, m in sym.entries.items()}
+    return MatrixSymbol(sym.model, entries, sym.exact_band)
+
+
+def _certified(sym) -> np.ndarray:
+    """The entries of ``sym`` at the labels inside its certificate, flat."""
+    band = int(min(sym.exact_band, sym.support_band))
+    if band < 0:
+        return np.zeros(0)
+    if sym.model.kind == "torus":
+        return resize_box(sym.table, band).ravel()
+    return np.concatenate([sym.get(t).ravel() for t in range(band + 1)])
+
+
+def _assert_unmoved(a: np.ndarray, b: np.ndarray) -> None:
+    scale = float(np.max(np.abs(a), initial=0.0))
+    assert float(np.max(np.abs(a - b), initial=0.0)) <= 1e-10 * scale
+
+
+@settings(max_examples=25)
+@given(group=st.sampled_from(["su2", "torus-2"]),
+       support=st.integers(min_value=5, max_value=9),
+       gap=st.integers(min_value=1, max_value=4),
+       seed=st.integers(min_value=0, max_value=10 ** 6))
+def test_tail_beyond_the_certificate_moves_no_certified_output(group, support,
+                                                               gap, seed):
+    # a symbol certified through c, changed only beyond c: no route moves
+    # an output entry inside the output's own certificate (c >= 4, the
+    # largest band of an order-2 word on SU(2))
+    model = model_from_name(group)
+    cert = max(4, support - gap)
+    rng = np.random.default_rng(seed)
+    sym = random_symbol(model, support, rng, exact_band=cert)
+    other = _with_new_tail(sym, cert, rng)
+    tau = random_symbol(model, support, rng)
+    grid = default_grid(model, -(-support // 2) if model.kind == "su2"
+                        else support)
+    routes = {
+        "differences": lambda s: apply_differences(
+            generator_words(model, 1) + generator_words(model, 2), s),
+        "laplace": lambda s: [laplace_difference(s)],
+        "product": lambda s: [symbol_product(s, tau)],
+        "round trip": lambda s: [fourier_forward(fourier_inverse(s, grid))],
+    }
+    for name, route in routes.items():
+        for out, moved in zip(route(sym), route(other)):
+            assert out.exact_band == moved.exact_band <= cert, name
+            _assert_unmoved(_certified(out), _certified(moved))
+    for order in range(3):
+        wband = max(w.band_sum for w in generator_words(model, order))
+        band = cert - wband
+        _assert_unmoved(word_sup_table(sym, order, band),
+                        word_sup_table(other, order, band))
+
