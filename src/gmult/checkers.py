@@ -247,7 +247,7 @@ def _laplace_power_constants(sym, power: int, weight: float,
     if band > cur.exact_band:
         raise BandOverflowError(
             f"label band {band} beyond the laplace certificate "
-            f"{cur.exact_band}; extend the stored symbol")
+            f"{int(cur.exact_band)}; extend the stored symbol")
     return _weighted_sups(sym.model, cur.norms(band), weight, band)
 
 

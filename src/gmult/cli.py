@@ -51,7 +51,7 @@ from .mollifier import (check_sobolev_order, check_torus_dimension,
                         cz_probe, default_ladder, grid_normalizer,
                         identity_diagonals, mollifier_family,
                         mollifier_scaling_report, negative_sobolev_decay,
-                        riesz_field_diagonals)
+                        psi_hat_coefficients, riesz_field_diagonals)
 
 SCHEMA = "gmult-report/1"
 ENV_OUT_DIR = "GMULT_OUT_DIR"
@@ -339,9 +339,10 @@ def _parse_field(text: str) -> Tuple[float, float, float]:
     return parts
 
 
-def build_cli_symbol(model: GroupModel, text: str, band: int):
+def build_cli_symbol(model: GroupModel, text: str, band: int, max_order: int):
     """Resolve ``--symbol``: a named builder, a lattice expression (torus),
-    or a path to a symbol file.  Returns a checker-ready symbol."""
+    or a path to a symbol file (taken as stored).  Returns a checker-ready
+    symbol."""
     spec = text.strip()
     path = spec[1:] if spec.startswith("@") else spec
     if spec.startswith("@") or os.path.exists(path):
@@ -355,7 +356,7 @@ def build_cli_symbol(model: GroupModel, text: str, band: int):
                 f"symbol file certifies band {sym.exact_band}; this check "
                 f"needs band {band} — rebuild the file with band >= {band}")
         return sym
-    pad = 2 * model.kappa  # headroom for difference words at the band edge
+    pad = 2 * max(model.kappa, max_order)  # for the words at the band edge
     if spec == "identity":
         return identity_symbol(model, band + pad)
     if spec == "zero":
@@ -495,22 +496,8 @@ def cmd_check(args: argparse.Namespace) -> Tuple[Dict, Dict, bool]:
     band = args.band if args.band is not None else _default_band(model)
     # before the symbol is built: a torus box grows like (2 band + 1)^n
     check_range(model, band)
-    sym = build_cli_symbol(model, args.symbol, band)
-    checker = args.checker
-    extras: Dict[str, object] = {}
-    if checker == "mikhlin":
-        report = check_mikhlin(sym, band)
-        if model.kind == "su2":
-            extras["empirical_l4"] = empirical_lp_ratio(
-                sym, 4.0, trials=3, band=min(band, 8), seed=args.seed)
-    elif checker == "refined":
-        report = check_refined(sym, band)
-    elif checker == "torus3":
-        if model.kind != "torus" or model.n != 3:
-            raise SymbolFormatError(
-                "the torus3 checker applies to --group torus-3 only")
-        report = check_torus3(sym, band)
-    elif checker.startswith("symbol-class:"):
+    checker, spec = args.checker, None
+    if checker.startswith("symbol-class:"):
         parts = checker[len("symbol-class:"):].split(",")
         if len(parts) != 3:
             raise SymbolFormatError(
@@ -521,11 +508,27 @@ def cmd_check(args: argparse.Namespace) -> Tuple[Dict, Dict, bool]:
                                    int(parts[2]))
         except ValueError as exc:
             raise SymbolFormatError(f"bad symbol-class parameters: {exc}")
-        report = check_symbol_class(sym, spec, band)
-    else:
+    elif checker not in ("mikhlin", "refined", "torus3"):
         raise SymbolFormatError(
             f"unknown checker {args.checker!r}; choose mikhlin, refined, "
             "torus3 or symbol-class:<order>,<rho>,<max_order>")
+    elif checker == "torus3" and (model.kind != "torus" or model.n != 3):
+        raise SymbolFormatError(
+            "the torus3 checker applies to --group torus-3 only")
+    sym = build_cli_symbol(model, args.symbol, band,
+                           spec.max_order if spec else 0)
+    extras: Dict[str, object] = {}
+    if checker == "mikhlin":
+        report = check_mikhlin(sym, band)
+        if model.kind == "su2":
+            extras["empirical_l4"] = empirical_lp_ratio(
+                sym, 4.0, trials=3, band=min(band, 8), seed=args.seed)
+    elif checker == "refined":
+        report = check_refined(sym, band)
+    elif checker == "torus3":
+        report = check_torus3(sym, band)
+    else:
+        report = check_symbol_class(sym, spec, band)
     results = {"report": report.as_dict()}
     if extras:
         results["extras"] = extras
@@ -611,8 +614,9 @@ def cmd_probe(args: argparse.Namespace) -> Tuple[Dict, Dict, bool]:
         "r": scaling["ladder"], "c_r": scaling["c_r"], "l2": scaling["l2"]})
 
     if model.kind == "su2":
+        pieces = [psi_hat_coefficients(model, r) for r in ladder]
         decay = negative_sobolev_decay(model, q=args.q, s=args.s,
-                                       ladder=ladder)
+                                       ladder=pieces)
         decay_pass = (abs(decay["fit"]["slope"] - decay["expected_slope"])
                       <= 0.1)
         passes.append(decay_pass)
@@ -621,7 +625,7 @@ def cmd_probe(args: argparse.Namespace) -> Tuple[Dict, Dict, bool]:
             "r": decay["ladder"], "norm": decay["norms"],
             "band": [float(b) for b in decay["bands"]]})
 
-        cz = cz_probe(model, provider, ladder=ladder)
+        cz = cz_probe(model, provider, ladder=pieces)
         passes.append(bool(cz["passed"]))
         results["cz_probe"] = cz
         results["cz_probe_csv"] = ladder_csv({
@@ -773,10 +777,10 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     args = parser.parse_args(argv)
     started = time.time()
     try:
-        band = getattr(args, "band", None)
-        if band is not None and band < 0:
-            raise SymbolFormatError(
-                f"--band must be a nonnegative integer, got {band}")
+        for option in ("band", "seed"):
+            if (getattr(args, option, None) or 0) < 0:
+                raise SymbolFormatError(f"--{option} must be a nonnegative "
+                                        f"integer, got {vars(args)[option]}")
         config, results, passed = args.func(args)
         write_report(make_envelope(args.command, config, results, passed,
                                    started), args.out, args.format)

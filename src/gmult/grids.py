@@ -22,7 +22,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Dict, Optional, Tuple
+from typing import Optional, Tuple
 
 import numpy as np
 from numpy.polynomial import polynomial
@@ -32,12 +32,6 @@ from .groups import GroupModel, IrrepLabel, validate_label
 
 _TWO_PI = 2.0 * math.pi
 _FOUR_PI = 4.0 * math.pi
-
-#: Rules by node count, the package's one module-level cache.  It pays for
-#: itself in the probe: the 1e-4 and 1e-9 walks of each scale ask for the
-#: same node counts, and the 96-node radial rule serves 12 calls; without
-#: it the two probes take 0.22 s in process instead of 0.13 s.
-_LEG_CACHE: Dict[int, Tuple[np.ndarray, np.ndarray]] = {}
 
 
 def _legendre_and_derivative(n: int, x: np.ndarray
@@ -62,7 +56,8 @@ def _legendre_and_derivative(n: int, x: np.ndarray
 
 def _leggauss(n: int) -> Tuple[np.ndarray, np.ndarray]:
     """Gauss-Legendre rule of ``n >= 1`` nodes on ``[-1, 1]``, ascending:
-    the theta rule of every SU(2) grid and the probe's radial rules.
+    the theta rule of every SU(2) grid and the probe's radial rules, built
+    on each call (the probe's fixed rules are `mollifier` constants).
 
     Tricomi's asymptotic nodes (with their ``n^-4`` term), on the positive
     half only (then mirrored), take one recurrence pass for ``P_n`` and
@@ -79,34 +74,31 @@ def _leggauss(n: int) -> Tuple[np.ndarray, np.ndarray]:
     ``O(n^3)``.
     """
     n = int(n)
-    if n not in _LEG_CACHE:
-        phi = math.pi / (4 * n + 2) * (4.0 * np.arange(1, (n + 3) // 2) - 1.0)
-        x = (1.0 - (n - 1.0) / (8.0 * n ** 3)
-             - (39.0 - 28.0 / np.sin(phi) ** 2) / (384.0 * n ** 4)) \
-            * np.cos(phi)
-        for _ in range(0 if n >= 48 else 2):
-            p, dp = _legendre_and_derivative(n, x)
-            x = x - p / dp
-        # Taylor coefficients c_k = P_n^(k)(x) / k!: (1 - x^2) (k + 1)
-        # (k + 2) c_{k+2} = 2 (k + 1)^2 x c_{k+1} - (n (n + 1) - k (k + 1)) c_k
-        c = list(_legendre_and_derivative(n, x))
-        one_minus = 1.0 - x
-        for k in range(6):
-            c.append((2.0 * (k + 1) ** 2 * x * c[k + 1]
-                      - (n * (n + 1.0) - k * (k + 1.0)) * c[k])
-                     / ((k + 1) * (k + 2) * one_minus * (1.0 + x)))
-        taylor, h = np.array(c), np.zeros_like(x)
-        slope = polynomial.polyder(taylor)
-        for _ in range(3):
-            h -= (polynomial.polyval(h, taylor, tensor=False)
-                  / polynomial.polyval(h, slope, tensor=False))
-        dp = polynomial.polyval(h, slope, tensor=False)
-        w = 2.0 / ((one_minus - h) * (1.0 + x + h) * dp * dp)
-        x = x + h
-        mid = n % 2  # an odd rule holds the node 0 once
-        _LEG_CACHE[n] = (np.concatenate((-x, x[::-1][mid:])),
-                         np.concatenate((w, w[::-1][mid:])))
-    return _LEG_CACHE[n]
+    phi = math.pi / (4 * n + 2) * (4.0 * np.arange(1, (n + 3) // 2) - 1.0)
+    x = (1.0 - (n - 1.0) / (8.0 * n ** 3)
+         - (39.0 - 28.0 / np.sin(phi) ** 2) / (384.0 * n ** 4)) * np.cos(phi)
+    for _ in range(0 if n >= 48 else 2):
+        p, dp = _legendre_and_derivative(n, x)
+        x = x - p / dp
+    # Taylor coefficients c_k = P_n^(k)(x) / k!: (1 - x^2) (k + 1)
+    # (k + 2) c_{k+2} = 2 (k + 1)^2 x c_{k+1} - (n (n + 1) - k (k + 1)) c_k
+    c = list(_legendre_and_derivative(n, x))
+    one_minus = 1.0 - x
+    for k in range(6):
+        c.append((2.0 * (k + 1) ** 2 * x * c[k + 1]
+                  - (n * (n + 1.0) - k * (k + 1.0)) * c[k])
+                 / ((k + 1) * (k + 2) * one_minus * (1.0 + x)))
+    taylor, h = np.array(c), np.zeros_like(x)
+    slope = polynomial.polyder(taylor)
+    for _ in range(3):
+        h -= (polynomial.polyval(h, taylor, tensor=False)
+              / polynomial.polyval(h, slope, tensor=False))
+    dp = polynomial.polyval(h, slope, tensor=False)
+    w = 2.0 / ((one_minus - h) * (1.0 + x + h) * dp * dp)
+    x = x + h
+    mid = n % 2  # an odd rule holds the node 0 once
+    return (np.concatenate((-x, x[::-1][mid:])),
+            np.concatenate((w, w[::-1][mid:])))
 
 
 @dataclass(frozen=True)

@@ -56,7 +56,7 @@ from .central import CentralSequence, _sine_values, delta2
 __all__ = [
     "bump_profile", "MollifierFamily", "mollifier_family",
     "mollifier_normalizer", "mollifier_l2_norm", "grid_normalizer",
-    "grid_normalizer_samples",
+    "grid_normalizer_samples", "DyadicPiece",
     "required_mollifier_band", "smallest_resolved_scale",
     "psi_hat_coefficients", "SlopeFit", "fit_loglog", "default_ladder",
     "mollifier_scaling_report", "check_sobolev_order",
@@ -95,8 +95,12 @@ def bump_profile(v):
 # Radial quadrature backends
 # ---------------------------------------------------------------------------
 
-def _panel(a: float, b: float, n: int) -> Tuple[np.ndarray, np.ndarray]:
-    x, w = _leggauss(n)
+#: The fixed rules, built once: SU(2) radial, torus cube axes (n <= 3, 4).
+_RADIAL_RULE, _CUBE_AXIS, _CUBE_AXIS_4 = map(_leggauss, (96, 24, 12))
+
+
+def _panel(a: float, b: float, rule) -> Tuple[np.ndarray, np.ndarray]:
+    x, w = rule  # a Gauss-Legendre rule on [-1, 1]
     mid, half = 0.5 * (a + b), 0.5 * (b - a)
     return mid + half * x, half * w
 
@@ -113,19 +117,19 @@ def _su2_support_width(R: float) -> float:
     return 2.0 * math.pi if R >= 2.0 else 2.0 * math.asin(0.5 * R)
 
 
-def _su2_half_rule(R: float, nodes: int) -> Tuple[np.ndarray, np.ndarray]:
+def _su2_half_rule(R: float, rule) -> Tuple[np.ndarray, np.ndarray]:
     """Nodes/weights for ``(1/pi) integral F(s) sin^2(s/2) ds`` over ``rho
-    = 2 sin(s/2) <= R``, for ``F`` a function of ``rho``: the ``nodes``-point
-    rule on ``[0, s_+]``, with doubled weights for its mirror panel at ``2
-    pi``.  Once ``R >= 2`` it is the first half of the rule on ``[0, 2
-    pi]``, whose middle node (odd ``nodes``) keeps its single weight."""
-    s, w = _panel(0.0, _su2_support_width(R), nodes)
+    = 2 sin(s/2) <= R``, for ``F`` a function of ``rho``: the Gauss-Legendre
+    ``rule`` on ``[0, s_+]``, with doubled weights for its mirror panel at
+    ``2 pi``.  Once ``R >= 2`` it is the first half of the rule on ``[0, 2
+    pi]``, whose middle node (an odd rule) keeps its single weight."""
+    s, w = _panel(0.0, _su2_support_width(R), rule)
     w = 2.0 * w
     if R >= 2.0:
-        half = (nodes + 1) // 2
+        half = (s.size + 1) // 2
+        if s.size % 2:
+            w[half - 1] *= 0.5
         s, w = s[:half], w[:half]
-        if nodes % 2:
-            w[-1] *= 0.5
     return s, w * np.sin(0.5 * s) ** 2 / math.pi
 
 
@@ -145,17 +149,9 @@ def _torus_cube_rule(model: GroupModel,
     check_torus_dimension(model)
     n = model.n
     L = 0.5 if R >= 2.0 else math.asin(0.5 * R) / math.pi
-    x1, w1 = _panel(-L, L, 24 if n <= 3 else 12)
-    axes = np.meshgrid(*([x1] * n), indexing="ij")
-    pts = np.stack([a.reshape(-1) for a in axes], axis=0)
-    wts = np.ones(pts.shape[1])
-    for wnd in np.meshgrid(*([w1] * n), indexing="ij"):
-        wts = wts * wnd.reshape(-1)
-    return pts, wts
-
-
-def _torus_rho(points: np.ndarray) -> np.ndarray:
-    return np.sqrt(np.sum(4.0 * np.sin(math.pi * points) ** 2, axis=0))
+    x1, w1 = _panel(-L, L, _CUBE_AXIS if n <= 3 else _CUBE_AXIS_4)
+    pts = np.stack([a.ravel() for a in np.meshgrid(*[x1] * n, indexing="ij")])
+    return pts, math.prod(np.meshgrid(*[w1] * n, indexing="ij")).ravel()
 
 
 def _radial_integral(model: GroupModel, R: float,
@@ -163,10 +159,11 @@ def _radial_integral(model: GroupModel, R: float,
     """Haar integral of ``f(rho)``, for ``f`` vanishing beyond ``rho =
     R``: the 96-node half rule on SU(2), the cube rule on the torus."""
     if model.kind == "su2":
-        s, w = _su2_half_rule(R, 96)
+        s, w = _su2_half_rule(R, _RADIAL_RULE)
         return float(np.sum(w * f(2.0 * np.sin(0.5 * s))))
     pts, wts = _torus_cube_rule(model, R)
-    return float(np.sum(wts * f(_torus_rho(pts))))
+    rho = np.sqrt(np.sum(4.0 * np.sin(math.pi * pts) ** 2, axis=0))
+    return float(np.sum(wts * f(rho)))
 
 
 def mollifier_normalizer(model: GroupModel, r: float) -> float:
@@ -361,7 +358,7 @@ def _su2_central_coefficients(values_fn: Callable[[np.ndarray], np.ndarray],
     rows, so each output entry is one dot over the same ``2N`` terms.
     """
     nodes = max(48, int(0.35 * (band + 2) * _su2_support_width(R)) + 16)
-    s, w = _su2_half_rule(R, nodes)
+    s, w = _su2_half_rule(R, _leggauss(nodes))
     theta = 0.5 * s
     g = values_fn(s) * w / np.sin(theta)
     evens = band // 2 + 1
@@ -404,56 +401,69 @@ def _psi_radial_values(model: GroupModel, r: float) -> Tuple[Callable, float]:
     return values, fam_c.support_radius
 
 
-def _adaptive_band(values_fn: Callable, R: float, start: int,
-                   rel_tol: float) -> np.ndarray:
-    """Grow the coefficient band until the trailing Plancherel-weighted
-    window drops below ``rel_tol`` of the accumulated norm, then trim the
-    sub-threshold tail.  A band past 40,000 that has not decayed raises
-    ``UnderResolvedError``: the scale is too fine for the walk."""
-    band = max(start, 16)
-    while True:
-        coeffs = _su2_central_coefficients(values_fn, R, band)
-        weighted = (np.arange(band + 1) + 1.0) * np.abs(coeffs)
-        total = float(np.sum(weighted ** 2))
-        tail = float(np.max(weighted[-8:]))
-        if total == 0.0 or tail <= rel_tol * math.sqrt(total):
-            keep = np.nonzero(weighted > rel_tol * math.sqrt(total))[0]
-            return coeffs[:int(keep[-1]) + 1] if keep.size else coeffs[:1]
-        if band > 40000:
-            raise UnderResolvedError(
-                f"the radial coefficients of psi_r at r={R ** 3:.6g} did not "
-                f"decay below {rel_tol:g} by band {band} (the walk stops "
-                "past band 40000); use larger scales")
-        band = int(band * 1.6) + 16
+@dataclass(frozen=True)
+class DyadicPiece:
+    """``psi_r`` at the scale ``r``, by its central coefficients at both
+    cuts of one walk: ``cz`` (1e-4) and ``decay`` (1e-9)."""
+
+    r: float
+    cz: CentralSequence
+    decay: CentralSequence
 
 
-def psi_hat_coefficients(model: GroupModel, r: float,
-                         rel_tol: float = 1e-9) -> CentralSequence:
-    """Central Fourier coefficients of the dyadic difference ``psi_r``.
+def psi_hat_coefficients(model: GroupModel, r: float) -> DyadicPiece:
+    """Central Fourier coefficients of the dyadic difference ``psi_r``, at
+    both cuts of one walk.
 
-    The band grows adaptively until the trailing Plancherel-weighted
-    coefficients fall below ``rel_tol`` of the accumulated norm; the
-    sub-threshold tail is then dropped, so the support certificate of the
-    returned sequence means "negligible at the requested relative
-    tolerance", not exact vanishing (the smooth bump's spectrum has no
-    finite support).  The coefficients on odd labels are exact zeros by
+    The band grows until the trailing Plancherel-weighted window falls
+    below 1e-4 (``cz``), then 1e-9 (``decay``), of the accumulated norm;
+    each cut keeps its first passing band, where a walk to it alone stops,
+    with the sub-threshold tail dropped: each support certificate means
+    "negligible at its relative tolerance" (the smooth bump's spectrum has
+    no finite support).  The coefficients on odd labels are exact zeros by
     construction: the radial coordinate does not separate the two central
     elements, so the mirror support panels cancel there.
 
     Raises ``UnderResolvedError`` when every coefficient is 0, at scales
     where ``phi_r`` and ``phi_{r/2}`` are both the uniform density, and
-    when the coefficients have not decayed by band 40,000.
+    when the coefficients have not decayed below 1e-9 by band 40,000.
     """
     _require_su2(model, "psi_hat_coefficients")
     values_fn, R = _psi_radial_values(model, r)
-    coeffs = _adaptive_band(values_fn, R, max(32, int(12.0 / R)), rel_tol)
-    coeffs[np.abs(coeffs) < 1e-14 * np.max(np.abs(coeffs), initial=0.0)] = 0.0
-    if not coeffs.any():
+    band, cuts = max(32, int(12.0 / R)), []
+    while True:
+        coeffs = _su2_central_coefficients(values_fn, R, band)
+        weighted = (np.arange(band + 1) + 1.0) * np.abs(coeffs)
+        norm = math.sqrt(float(np.sum(weighted ** 2)))
+        for cut in (1e-4, 1e-9)[len(cuts):]:
+            if not (norm == 0.0 or np.max(weighted[-8:]) <= cut * norm):
+                break
+            keep = np.nonzero(weighted > cut * norm)[0]
+            c = coeffs[:keep[-1] + 1 if keep.size else 1]
+            cuts.append(np.where(np.abs(c) < 1e-14 * np.max(np.abs(c)), 0, c))
+        if len(cuts) == 2:
+            break
+        if band > 40000:
+            raise UnderResolvedError(
+                f"the radial coefficients of psi_r at r={R ** 3:.6g} did not "
+                f"decay below 1e-09 by band {band} (the walk stops "
+                "past band 40000); use larger scales")
+        band = int(band * 1.6) + 16
+    if not cuts[-1].any():
         raise UnderResolvedError(
             f"the dyadic piece psi_r vanishes at r={r!r}: phi_r and "
             "phi_{r/2} are both the uniform density there; use smaller "
             "scales")
-    return CentralSequence(model, coeffs, zero_beyond=True)
+    return DyadicPiece(float(r), *(CentralSequence(model, c, zero_beyond=True)
+                                   for c in cuts))
+
+
+def _ladder_pieces(model: GroupModel, ladder) -> List[DyadicPiece]:
+    """A ladder's pieces (``None``: the default ladder's), scales walked."""
+    rows = list(ladder) if ladder is not None else default_ladder()
+    _check_ladder([getattr(p, "r", p) for p in rows])
+    return [p if isinstance(p, DyadicPiece) else psi_hat_coefficients(model, p)
+            for p in rows]
 
 
 # ---------------------------------------------------------------------------
@@ -578,7 +588,7 @@ def check_sobolev_order(model: GroupModel, q: str, s: float) -> None:
 
 
 def negative_sobolev_decay(model: GroupModel, q: str = "rho2", s: float = 0.0,
-                           ladder: Optional[Sequence[float]] = None
+                           ladder: Optional[Sequence] = None
                            ) -> Dict[str, object]:
     """Fitted decay exponent of ``|| q psi_r ||_{H^{-s}}`` over a ladder.
 
@@ -588,26 +598,21 @@ def negative_sobolev_decay(model: GroupModel, q: str = "rho2", s: float = 0.0,
     coefficient, order 1).  The expected exponent is
     ``(order + s)/n - 1/2``; `check_sobolev_order` gives the accepted ``s``.
 
-    Each scale takes the central coefficients of ``psi_r`` once
-    (`psi_hat_coefficients`, truncated at 1e-9), applies ``q`` as
-    an exact lattice operator (`_times_q`) and sums
-    ``(t+1)^2 <t>^{-2s} v_t^2``.  ``bands`` reports the coefficient band of
-    ``psi_r`` at each scale.
+    ``ladder`` holds scales or `DyadicPiece`s (`psi_hat_coefficients`).
+    Each scale reads the piece's 1e-9 cut, applies ``q`` as an exact
+    lattice operator (`_times_q`) and sums ``(t+1)^2 <t>^{-2s} v_t^2``.
+    ``bands`` reports the coefficient band of that cut at each scale.
     """
     _require_su2(model, "negative_sobolev_decay")
     if q not in _VANISHING_ORDERS:
         raise GmultError(f"unknown vanishing factor {q!r}; "
                          f"choose from {sorted(_VANISHING_ORDERS)}")
     check_sobolev_order(model, q, s)
-    rs = list(ladder) if ladder is not None else default_ladder()
-    _check_ladder(rs)
-    norms: List[float] = []
-    bands: List[int] = []
-    for r in rs:
-        seq = psi_hat_coefficients(model, r)
-        v = _times_q(q, seq)
-        norms.append(math.sqrt(_sobolev_sq_radial(v, s)))
-        bands.append(seq.support_band)
+    pieces = _ladder_pieces(model, ladder)
+    rs = [p.r for p in pieces]
+    norms = [math.sqrt(_sobolev_sq_radial(_times_q(q, p.decay), s))
+             for p in pieces]
+    bands = [p.decay.support_band for p in pieces]
     fit = fit_loglog(rs, norms)
     order = _VANISHING_ORDERS[q]
     expected = (order + s) / model.n - 0.5
@@ -691,7 +696,7 @@ def _cz_norm_sq(multiplier: _DiagonalMultiplier, coeffs: np.ndarray,
 
 
 def cz_probe(model: GroupModel, diagonal: _DiagonalMultiplier,
-             ladder: Optional[Sequence[float]] = None) -> Dict[str, object]:
+             ladder: Optional[Sequence] = None) -> Dict[str, object]:
     """Scaling probe for dyadically localized second differences of a
     diagonal multiplier symbol.
 
@@ -705,6 +710,8 @@ def cz_probe(model: GroupModel, diagonal: _DiagonalMultiplier,
     ``2 m / n - 1/2 - 0.1``, the exponent forced by the scaling of the
     dyadic pieces, and the fit's r^2 is at least 0.95.  ``m`` is half the
     even differentiability budget of the model (1 on the 3-sphere model).
+    ``ladder`` holds scales or `DyadicPiece`s, whose 1e-4 cut it reads; a
+    scale is walked to 1e-9 too, so r below about 1e-6 is refused.
 
     `_cz_norm_sq` integrates the coefficients it is given exactly, but
     they are inexact twice over: the Gauss rule of
@@ -722,14 +729,11 @@ def cz_probe(model: GroupModel, diagonal: _DiagonalMultiplier,
                          "riesz_field_diagonals(model) or identity_diagonals, "
                          f"not {diagonal!r}")
     m = model.kappa // 2
-    rs = list(ladder) if ladder is not None else default_ladder()
-    _check_ladder(rs)
-    norms: List[float] = []
-    bands: List[int] = []
-    for r in rs:
-        seq = psi_hat_coefficients(model, r, rel_tol=1e-4)
-        norms.append(math.sqrt(_cz_norm_sq(diagonal, seq.table.real, m)))
-        bands.append(seq.support_band)
+    pieces = _ladder_pieces(model, ladder)
+    rs = [p.r for p in pieces]
+    norms = [math.sqrt(_cz_norm_sq(diagonal, p.cz.table.real, m))
+             for p in pieces]
+    bands = [p.cz.support_band for p in pieces]
     fit = fit_loglog(rs, norms)
     target = 2.0 * m / model.n - 0.5
     return {

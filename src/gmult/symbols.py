@@ -635,7 +635,7 @@ def word_sup_table(sym, order: int, band: int) -> np.ndarray:
     if band > cap:
         raise BandOverflowError(
             f"labels up to band {band} requested, but order-{order} "
-            f"differences are only exact through band {cap}; "
+            f"differences are only exact through band {int(cap)}; "
             f"extend the stored symbol")
     if order == 0:
         return sym.norms(band)

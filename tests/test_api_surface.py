@@ -15,13 +15,18 @@
    passing every parameter.
 4. No function of ``src/gmult`` mutates a module-level name: no subscript
    assignment or deletion on it, no mutating method call on it, no
-   ``global``.  Hidden module state makes a result depend on what ran
-   before it; the one exception is ``grids._LEG_CACHE`` (see below).
+   ``global``; and no module-level ``functools.cache`` or ``lru_cache``
+   exists, whether it decorates a function (or a method of a top-level
+   class) or is bound to a name.  Hidden module state makes a result
+   depend on what ran before it.  A cache made inside a function, for one
+   call, is allowed.
 5. Every option of every ``gmult`` subcommand is named in the README.
 """
 import ast
 import re
 from pathlib import Path
+
+import pytest
 
 ROOT = Path(__file__).resolve().parents[1]
 SRC = ROOT / "src" / "gmult"
@@ -160,12 +165,10 @@ def test_every_option_is_set_by_some_caller():
         f"sets; make them constants: {unset}")
 
 
-#: Module-level state that functions may mutate, with the measured reason.
-#: ``grids._LEG_CACHE`` holds Gauss-Legendre rules by node count: the
-#: probe's 1e-4 and 1e-9 walks of each scale ask for the same node counts
-#: and the 96-node radial rule serves 12 calls; without it the two probes
-#: take 0.22 s in process instead of 0.13 s.
-MUTABLE_STATE = {("grids", "_LEG_CACHE")}
+#: Module-level state that functions may mutate, each with its measured
+#: reason.  None: the probe's fixed rules are constants built at import,
+#: and its one walk per scale asks for each band-sized rule once.
+MUTABLE_STATE = set()
 _MUTATORS = {"append", "extend", "insert", "update", "setdefault", "pop",
              "popitem", "clear", "add", "discard", "remove"}
 
@@ -212,6 +215,38 @@ def _mutated_module_names(fn, module_names):
     return hit & (module_names - _local_names(fn))
 
 
+_CACHES = {"cache", "lru_cache"}
+
+
+def _is_cache(node):
+    """Whether an expression is ``functools.cache`` or ``lru_cache``, bare
+    or through the module, or a call of one (``lru_cache(maxsize=8)`` and
+    ``cache(f)`` alike)."""
+    if isinstance(node, ast.Call):
+        return _is_cache(node.func)
+    return ((isinstance(node, ast.Name) and node.id in _CACHES)
+            or (isinstance(node, ast.Attribute) and node.attr in _CACHES))
+
+
+def _module_caches(tree):
+    """Names of the module-level caches: top-level functions and methods
+    of top-level classes with a cache decorator, and top-level names bound
+    to a cache."""
+    defs = [node for node in tree.body
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef))]
+    defs += [sub for node in tree.body if isinstance(node, ast.ClassDef)
+             for sub in node.body
+             if isinstance(sub, (ast.FunctionDef, ast.AsyncFunctionDef))]
+    names = {fn.name for fn in defs if any(map(_is_cache, fn.decorator_list))}
+    for node in tree.body:
+        if isinstance(node, (ast.Assign, ast.AnnAssign)) and node.value \
+                is not None and _is_cache(node.value):
+            targets = (node.targets if isinstance(node, ast.Assign)
+                       else [node.target])
+            names |= {t.id for t in targets if isinstance(t, ast.Name)}
+    return names
+
+
 def test_no_function_mutates_module_state():
     mutated = set()
     for mod, tree in _modules().items():
@@ -220,9 +255,28 @@ def test_no_function_mutates_module_state():
             if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
                 mutated |= {(mod, name)
                             for name in _mutated_module_names(node, names)}
+        mutated |= {(mod, name) for name in _module_caches(tree)}
     assert mutated == MUTABLE_STATE, (
-        f"module-level state that functions mutate: {sorted(mutated)}; "
-        f"only {sorted(MUTABLE_STATE)} may be")
+        f"module-level state that functions mutate or caches hold: "
+        f"{sorted(mutated)}; only {sorted(MUTABLE_STATE)} may be")
+
+
+@pytest.mark.parametrize("source, caches", [
+    ("import functools\n@functools.cache\ndef f(n): pass", {"f"}),
+    ("from functools import lru_cache\n@lru_cache(maxsize=None)\n"
+     "def f(n): pass", {"f"}),
+    ("import functools\ndef f(n): pass\ng = functools.lru_cache(f)",
+     {"g"}),
+    ("import functools\nh = functools.cache(lambda n: n)", {"h"}),
+    ("import functools\nclass A:\n    @functools.cache\n"
+     "    def f(self): pass", {"f"}),
+    # a cache made inside a function lives for one call
+    ("import functools\ndef f(n):\n    @functools.cache\n"
+     "    def g(k): pass\n    return g(n)", set()),
+    ("import functools\ndef f(n): pass", set()),
+])
+def test_module_caches_are_found(source, caches):
+    assert _module_caches(ast.parse(source)) == caches
 
 
 def test_every_cli_option_is_in_the_readme():

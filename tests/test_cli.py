@@ -30,11 +30,12 @@ import numpy as np
 import pytest
 
 from gmult import cli
-from gmult.checkers import torus_lattice_symbol
+from gmult.checkers import (SymbolClassSpec, check_symbol_class,
+                            torus_lattice_symbol)
 from gmult.cli import (EXIT_CONFIG, EXIT_FAIL, EXIT_MATH, EXIT_PASS,
                        build_cli_symbol, load_symbol_file, main,
                        parse_complex, parse_ladder, parse_torus_expression)
-from gmult.errors import GmultError, SymbolFormatError
+from gmult.errors import BandOverflowError, GmultError, SymbolFormatError
 from gmult.groups import label_band, label_box, model_from_name
 from gmult.mollifier import (_MAX_PROBE_SAMPLES, grid_normalizer,
                              grid_normalizer_samples, required_mollifier_band)
@@ -142,7 +143,7 @@ def test_parse_scalar_expression(su2):
     # the laplacian-function: route reads its expression in x at the
     # Laplacian eigenvalues x = (t/2)(t/2 + 1) = 0, 0.75, 2, 3.75, ...
     def values(expr):
-        sym = build_cli_symbol(su2, f"laplacian-function:{expr}", 4)
+        sym = build_cli_symbol(su2, f"laplacian-function:{expr}", 4, 2)
         return [sym.get(t)[0, 0] for t in range(5)]
 
     f = values("x**-0.5")
@@ -329,6 +330,40 @@ def test_check_reads_symbol_file(su2, tmp_path, monkeypatch, capsys):
 def _conditions(capsys):
     report = json.loads(capsys.readouterr().out)
     return report["results"]["report"]["conditions"]
+
+
+@pytest.mark.parametrize("group, band, symbol, max_order", [
+    ("su2", 8, "riesz:D3", 3),
+    ("su2", 8, "vf-inverse", 3),
+    ("su2", 8, "laplacian-function:1/(1+x)", 3),
+    ("torus-3", 6, "k1/abs(k)", 5),
+])
+def test_named_symbols_are_padded_for_the_checkers_order(group, band, symbol,
+                                                         max_order, capsys):
+    # a named builder or an expression is built with headroom for the
+    # checker's highest difference order, not for kappa alone: each of
+    # these was refused with "order-<max_order> differences are only exact
+    # through band <band - 2>" (band - 1 on the torus)
+    code = main(["check", "--group", group, "--band", str(band), "--symbol",
+                 symbol, "--checker", f"symbol-class:0,1,{max_order}"])
+    assert code in (EXIT_PASS, EXIT_FAIL)
+    names = [c["name"] for c in _conditions(capsys)]
+    assert f"order-{max_order}" in names
+
+
+def test_symbol_files_keep_the_refusal_in_integer_bands(su2, tmp_path,
+                                                        capsys):
+    # a file is taken as stored: the user extends the file
+    path = str(tmp_path / "ident.gsym")
+    write_symbol_file(identity_symbol(su2, 12), path)
+    assert main(["check", "--group", "su2", "--band", "8", "--symbol", path,
+                 "--checker", "symbol-class:0,1,3"]) == EXIT_CONFIG
+    assert ("order-3 differences are only exact through band 6; extend "
+            "the stored symbol") in capsys.readouterr().err
+    # a central symbol certifies a float band; the refusal prints it whole
+    sym = build_cli_symbol(su2, "laplacian-function:1/(1+x)", 8, 2)
+    with pytest.raises(BandOverflowError, match=r"through band 6; "):
+        check_symbol_class(sym, SymbolClassSpec(0.0, 1.0, 3), 8)
 
 
 @pytest.mark.parametrize("value", ["nan", "inf", "-inf", "1e999"])
@@ -870,6 +905,24 @@ def test_negative_band_is_refused_by_name(argv, capsys):
     assert "--band must be a nonnegative integer" in captured.err
 
 
+@pytest.mark.parametrize("argv", [
+    ["check", "--group", "su2", "--symbol", "riesz:D3", "--checker",
+     "mikhlin"],
+    ["invert"],
+    ["probe", "--group", "torus-1"],
+    ["fourier-selftest", "--group", "su2"],
+])
+@pytest.mark.parametrize("seed", ["-1", "-3"])
+def test_negative_seed_is_refused_by_name(argv, seed, capsys):
+    # numpy's own refusal named no option, and the probe, which draws no
+    # random numbers, took any seed
+    assert main(argv + ["--seed", seed]) == EXIT_CONFIG
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert (f"--seed must be a nonnegative integer, got {seed}"
+            in captured.err)
+
+
 def test_negative_range_is_refused_by_name(capsys):
     # check has no --range: the band alone sets the labels it reads
     with pytest.raises(SystemExit) as exc:
@@ -1081,7 +1134,7 @@ def test_traced_probes_skip_the_sampled_grid(tmp_path):
     # the grid cross-check sums the profile over the symmetry-reduced node
     # set, so no run samples a function on the whole grid (no transform)
     # or builds a Wigner table on it; the su2 probe takes the coefficients
-    # of psi_r once per scale for each of its two fine-scale probes
+    # of psi_r once per scale, one walk for both fine-scale probes
     sampled = ("transform.fourier_forward", "transform.fourier_inverse",
                "grids.GroupGrid.little_d")
     records = _traced_spans(tmp_path, "probe", "--group", "su2")
@@ -1089,7 +1142,7 @@ def test_traced_probes_skip_the_sampled_grid(tmp_path):
     assert [counts[name] for name in sampled] == [0, 0, 0]
     assert counts["grids.build_grid"] == 1
     assert counts["mollifier.grid_normalizer"] == 1
-    assert counts["mollifier.psi_hat_coefficients"] == 12
+    assert counts["mollifier.psi_hat_coefficients"] == 6
     records = _traced_spans(tmp_path, "probe", "--group", "torus-3",
                             "--ladder", "4:9")
     counts = Counter(r["name"] for r in records)

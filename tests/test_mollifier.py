@@ -8,10 +8,13 @@ sampled mollifier `build_phi_r` (the oracle of `grid_normalizer`), the
 sampled dyadic difference `build_psi_r` (the grid oracle of
 `psi_hat_coefficients`) and `cz_consistency` (the grid oracle of
 `_cz_norm_sq`), both fed by the fixed-band truncation `psi_r_fixed_band`
-of the dyadic piece; and the full-square ``chi_1`` label stencil
-`_times_chi1` (the engine of a third oracle of `_cz_norm_sq`)."""
+of the dyadic piece; the full-square ``chi_1`` label stencil
+`_times_chi1` (the engine of a third oracle of `_cz_norm_sq`); and the
+walk to a single cut `one_cut_walk` (the oracle of each cut of
+`psi_hat_coefficients` and of the ``rho2`` stencil)."""
 import math
 import tracemalloc
+from functools import partial
 from typing import Dict, Optional, Tuple
 
 import numpy as np
@@ -24,10 +27,9 @@ from gmult.grids import GroupFunction, GroupGrid
 from gmult.groups import (GroupModel, irrep_dimension, japanese_bracket,
                           labels_up_to, model_from_name)
 from gmult import grids, mollifier
-from gmult.mollifier import (_CHUNK_ENTRIES, _adaptive_band,
-                             _cz_norm_sq, _leggauss, _node_spacing, _panel,
-                             _psi_radial_values, _require_su2,
-                             _sobolev_sq_radial,
+from gmult.mollifier import (_CHUNK_ENTRIES, _cz_norm_sq, _leggauss,
+                             _node_spacing, _panel, _psi_radial_values,
+                             _require_su2, _sobolev_sq_radial,
                              _su2_central_coefficients, _su2_half_rule,
                              _su2_support_width, _support_radius, _times_q,
                              bump_profile, cz_probe, default_ladder,
@@ -277,7 +279,7 @@ def test_psi_hat_matches_grid_transform(su2):
     grid = default_grid(su2, 24)
     psi = build_psi_r(su2, grid, r)
     hat = fourier_forward(psi, band=8)
-    seq = psi_hat_coefficients(su2, r)
+    seq = psi_hat_coefficients(su2, r).decay
     assert seq.zero_beyond
     for t in range(9):
         block = hat.get(t)
@@ -292,7 +294,7 @@ def test_psi_hat_l2_identity(su2):
     # Parseval on the radial coefficients vs direct class-measure
     # quadrature of |psi|^2
     r = 0.5
-    seq = psi_hat_coefficients(su2, r, rel_tol=1e-9)
+    seq = psi_hat_coefficients(su2, r).decay
     spectral = sum((t + 1) ** 2 * abs(seq.value(t)) ** 2
                    for t in range(seq.support_band + 1))
     fam_r = mollifier_family(su2, r)
@@ -310,9 +312,10 @@ def test_psi_hat_l2_identity(su2):
 
 
 def test_psi_hat_tolerance_monotone(su2):
-    loose = psi_hat_coefficients(su2, 0.25, rel_tol=1e-4)
-    tight = psi_hat_coefficients(su2, 0.25, rel_tol=1e-7)
-    assert loose.support_band <= tight.support_band
+    # the two cuts of one walk: the 1e-4 cut stops at a smaller band
+    piece = psi_hat_coefficients(su2, 0.25)
+    loose, tight = piece.cz, piece.decay
+    assert loose.support_band < tight.support_band
     # the two agree well inside the loose support; coefficients near the
     # truncation edge carry noise of order the tolerance, so normalize
     # against the peak coefficient
@@ -342,7 +345,8 @@ def two_panel_rule(R, nodes):
     panels = ([(0.0, width)] if R >= 2.0
               else [(0.0, width), (2.0 * math.pi - width, 2.0 * math.pi)])
     s, w = (np.concatenate(parts)
-            for parts in zip(*(_panel(a, b, nodes) for a, b in panels)))
+            for parts in zip(*(_panel(a, b, _leggauss(nodes))
+                               for a, b in panels)))
     return s, w * np.sin(0.5 * s) ** 2 / math.pi
 
 
@@ -384,7 +388,7 @@ def one_shot_central_coefficients(values_fn, R, band):
     """Oracle for `_su2_central_coefficients`: the same blocked rule as one
     product ``H E^T`` of the whole phase tables, on the half rule and the
     even labels."""
-    s, w = _su2_half_rule(R, _coefficient_nodes(R, band))
+    s, w = _su2_half_rule(R, _leggauss(_coefficient_nodes(R, band)))
     theta = 0.5 * s
     g = values_fn(s) * w / np.sin(theta)
     evens = band // 2 + 1
@@ -468,7 +472,7 @@ def test_chunked_coefficients_peak_is_the_table_and_a_few_chunks(su2):
     # try at r = 1e-5): the one-shot product peaked at 8.1 MB
     values_fn, R = _psi_radial_values(su2, 1e-5)
     band = 39964
-    nodes = _su2_half_rule(R, _coefficient_nodes(R, band))[0].size
+    nodes = _su2_half_rule(R, _leggauss(_coefficient_nodes(R, band)))[0].size
     evens = band // 2 + 1
     K = math.isqrt(evens - 1) + 1
     table = 8 * K * 2 * nodes                  # E, held whole
@@ -535,8 +539,7 @@ def test_leggauss_weights_match_extended_precision(n):
 @pytest.mark.parametrize("n", [48, 96, 311, 777])
 def test_leggauss_makes_one_recurrence_pass(monkeypatch, n):
     # from 48 nodes on, the Taylor steps replace the Newton passes and the
-    # weight pass: one recurrence pass per rule (the cache is emptied so
-    # the rule is built here)
+    # weight pass: one recurrence pass per rule
     calls = []
     engine = grids._legendre_and_derivative
 
@@ -544,19 +547,74 @@ def test_leggauss_makes_one_recurrence_pass(monkeypatch, n):
         calls.append(degree)
         return engine(degree, x)
 
-    monkeypatch.setattr(grids, "_LEG_CACHE", {})
     monkeypatch.setattr(grids, "_legendre_and_derivative", counted)
     _leggauss(n)
     assert calls == [n]
 
 
 def test_default_ladder_bands_are_pinned(su2):
-    # the quadrature, growth schedule and trimming rule fix every band
-    ladder = default_ladder()
-    assert [psi_hat_coefficients(su2, r, rel_tol=1e-4).support_band
-            for r in ladder] == [454, 572, 720, 860, 952, 1198]
-    assert [psi_hat_coefficients(su2, r, rel_tol=1e-9).support_band
-            for r in ladder] == [2226, 2808, 3504, 4300, 5372, 6768]
+    # the quadrature, growth schedule and trimming rule fix every band of
+    # both cuts of the one walk per scale
+    pieces = [psi_hat_coefficients(su2, r) for r in default_ladder()]
+    assert [p.cz.support_band for p in pieces] \
+        == [454, 572, 720, 860, 952, 1198]
+    assert [p.decay.support_band for p in pieces] \
+        == [2226, 2808, 3504, 4300, 5372, 6768]
+
+
+def one_cut_walk(values_fn, R, cut):
+    """Oracle for each cut of `psi_hat_coefficients`: a walk to that cut
+    alone.  The band grows by the walk's schedule until the trailing
+    Plancherel-weighted window is below ``cut`` of the norm; that band's
+    coefficients are trimmed at the cut."""
+    band = max(32, int(12.0 / R))
+    while True:
+        coeffs = _su2_central_coefficients(values_fn, R, band)
+        weighted = (np.arange(band + 1) + 1.0) * np.abs(coeffs)
+        total = float(np.sum(weighted ** 2))
+        if total == 0.0 or np.max(weighted[-8:]) <= cut * math.sqrt(total):
+            keep = np.nonzero(weighted > cut * math.sqrt(total))[0]
+            return coeffs[:int(keep[-1]) + 1] if keep.size else coeffs[:1]
+        assert band <= 40000
+        band = int(band * 1.6) + 16
+
+
+def one_cut_psi_hat(model, r, cut):
+    """`one_cut_walk` of ``psi_r``, with the entries below 1e-14 of the
+    largest zeroed."""
+    coeffs = one_cut_walk(*_psi_radial_values(model, r), cut)
+    coeffs[np.abs(coeffs) < 1e-14 * np.max(np.abs(coeffs))] = 0.0
+    return coeffs
+
+
+@pytest.mark.parametrize("ladder", [default_ladder(),
+                                    [1e-5, 2e-5, 4e-5, 8e-5]])
+def test_both_cuts_are_the_one_cut_walks(su2, ladder):
+    # each cut of the one walk is bit for bit what a walk to that cut
+    # alone gives, on the default ladder and on the fine ladder, where the
+    # 1e-9 walk nears its band-40,000 limit
+    for r in ladder:
+        piece = psi_hat_coefficients(su2, r)
+        assert piece.r == r
+        assert np.array_equal(piece.cz.table, one_cut_psi_hat(su2, r, 1e-4))
+        assert np.array_equal(piece.decay.table,
+                              one_cut_psi_hat(su2, r, 1e-9))
+
+
+def test_probes_read_the_pieces_they_are_given(su2, monkeypatch):
+    # a ladder of pieces walks nothing, and the reports equal those of the
+    # plain scales, which each walk once
+    ladder = [0.5, 0.25, 0.125, 0.0625]
+    pieces = [psi_hat_coefficients(su2, r) for r in ladder]
+    probes = (partial(negative_sobolev_decay, su2, q="adcoef"),
+              partial(cz_probe, su2, riesz_field_diagonals(su2)))
+    reports = [probe(ladder=ladder) for probe in probes]
+
+    def no_walk(*args):
+        raise AssertionError("a piece was walked again")
+
+    monkeypatch.setattr(mollifier, "_su2_central_coefficients", no_walk)
+    assert [probe(ladder=pieces) for probe in probes] == reports
 
 
 # ---------------------------------------------------------------------------
@@ -693,7 +751,7 @@ def test_rho2_refuses_s_beyond_half_dimension(su2):
 
 def test_negative_sobolev_reports_psi_bands(su2):
     ladder = [0.5, 0.25, 0.125, 0.0625]
-    bands = [psi_hat_coefficients(su2, r).support_band for r in ladder]
+    bands = [psi_hat_coefficients(su2, r).decay.support_band for r in ladder]
     for q in ("one", "rho2", "adcoef"):
         assert negative_sobolev_decay(su2, q=q, ladder=ladder)["bands"] \
             == bands
@@ -746,7 +804,7 @@ def _line_adcoef_masses(coeffs):
 
 def test_adcoef_formula_matches_line_recurrence(su2):
     for r in (0.5, 0.25, 1.0 / 64.0):
-        seq = psi_hat_coefficients(su2, r, rel_tol=1e-4)
+        seq = psi_hat_coefficients(su2, r).cz
         masses = _line_adcoef_masses(seq.table.real)
         brackets = np.array([japanese_bracket(su2, u)
                              for u in range(masses.size)])
@@ -763,10 +821,9 @@ def test_rho2_stencil_matches_weighted_quadrature(su2):
     # directly and truncates its own band
     for r in default_ladder():
         values_fn, R = _psi_radial_values(su2, r)
-        quad = _adaptive_band(
-            lambda sv: (2.0 - 2.0 * np.cos(sv)) * values_fn(sv), R,
-            max(32, int(12.0 / R)), 1e-9)
-        stencil = _times_q("rho2", psi_hat_coefficients(su2, r))
+        quad = one_cut_walk(
+            lambda sv: (2.0 - 2.0 * np.cos(sv)) * values_fn(sv), R, 1e-9)
+        stencil = _times_q("rho2", psi_hat_coefficients(su2, r).decay)
         for s in (0.0, 0.5, 1.0):
             assert _sobolev_sq_radial(stencil, s) == pytest.approx(
                 _sobolev_sq_radial(quad, s), rel=1e-12)

@@ -8,6 +8,7 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from gmult import symbols
+from gmult.central import CentralSequence
 from gmult.checkers import (SymbolClassSpec, check_mikhlin, check_refined,
                             check_symbol_class)
 from gmult.errors import BandOverflowError
@@ -23,6 +24,7 @@ from gmult.symbols import (DifferenceWord, MatrixSymbol, TorusSymbol,
                            word_sup_table)
 from gmult.symbols import resize_box
 from gmult.transform import fourier_forward, fourier_inverse
+from gmult.vfield import build_field, invert_vf_symbol
 from conftest import (grid_differences, op_norm, random_symbol,
                       rho_squared_samples, su2_exp_point, wigner_matrix,
                       word_samples)
@@ -570,7 +572,8 @@ def test_tail_beyond_the_certificate_moves_no_certified_output(group, support,
     # a symbol certified through c, changed only beyond c: no route moves
     # an output entry inside the output's own certificate (c >= 4, the
     # largest band of an order-2 word on SU(2)), and no checker moves a
-    # constant
+    # constant.  On SU(2) the central sequences and the frame-field
+    # inverses, whose inputs are not symbols, take their own tails
     model = model_from_name(group)
     cert = max(4, support - gap)
     rng = np.random.default_rng(seed)
@@ -595,6 +598,30 @@ def test_tail_beyond_the_certificate_moves_no_certified_output(group, support,
         band = cert - wband
         _assert_unmoved(word_sup_table(sym, order, band),
                         word_sup_table(other, order, band))
+    if model.kind == "su2":
+        # a central sequence's values changed past the band its symbol is
+        # certified through, with or without a declared finite support
+        values = rng.standard_normal(support + 1)
+        tail = np.arange(support + 1) > cert
+        changed = np.where(tail, rng.standard_normal(support + 1), values)
+        for finite in (False, True):
+            out, moved = (CentralSequence(model, v, finite).as_symbol(cert)
+                          for v in (values, changed))
+            assert out.exact_band == moved.exact_band == cert
+            _assert_unmoved(_certified(out), _certified(moved))
+        # a shifted field's inverse, from the field built through c and
+        # past it: blocks and word sups inside c do not move (the shift's
+        # real part keeps it off the imaginary exceptional set)
+        coeffs = rng.standard_normal(3)
+        c = complex(1.0 + rng.random(), rng.standard_normal())
+        out, moved = (invert_vf_symbol(build_field(model, coeffs, b), c)
+                      for b in (cert, support))
+        assert out.exact_band == cert < moved.exact_band
+        _assert_unmoved(_certified(out), _certified(moved.restrict(cert)))
+        for order in (1, 2):
+            band = cert - 2 * order
+            _assert_unmoved(word_sup_table(out, order, band),
+                            word_sup_table(moved, order, band))
     # the checkers at their smallest range (8 labels per direction), on a
     # symbol certified just through what their order-kappa words need
     band = 7 if model.kind == "su2" else 4
