@@ -11,7 +11,8 @@ from .groups import (GroupModel, casimir_lambda, irrep_dimension,
                      su2_model, torus_model, wigner_little_d)
 from .grids import GroupFunction, GroupGrid, build_grid
 from .symbols import (DifferenceWord, MatrixSymbol, TorusSymbol,
-                      apply_difference, apply_differences, generator_words,
+                      apply_difference, apply_differences,
+                      difference_sup_tables, generator_words,
                       laplace_difference, laplace_leibniz_residual,
                       leibniz_residual,
                       quantize_apply, symbol_add, symbol_product,

@@ -7,12 +7,11 @@ full range to the constant on the nested half range — stays below
 ``GROWTH_THRESHOLD``; this is the honest finite-range rendering of an
 all-label bound, and reports say so.
 
-One code path serves both models.  The difference tables come from
-:func:`gmult.symbols.word_sup_table` and
-:func:`gmult.symbols.laplace_difference` (lattice slices of the dense box on
-the torus, quadrature on SU(2)) as label tables, and every constant is a
-weighted sup over such a table.  Reads stay inside the symbol's exactness
-certificate.
+One code path serves both models.  The difference tables of a check come
+from one :func:`gmult.symbols.difference_sup_tables` call (lattice slices
+of the dense box on the torus, one quadrature walk over the labels on
+SU(2)) as label tables, and every constant is a weighted sup over such a
+table.  Reads stay inside the symbol's exactness certificate.
 """
 
 from __future__ import annotations
@@ -28,8 +27,8 @@ from .errors import BandOverflowError, GmultError
 from .groups import GroupModel, bracket_powers, label_box
 from .grids import build_grid
 from .symbols import (DifferenceWord, TorusSymbol, apply_difference,
-                      laplace_difference, quantize_apply, random_symbol,
-                      symbol_scale, word_sup_table)
+                      difference_sup_tables, laplace_difference,
+                      quantize_apply, random_symbol, symbol_scale)
 from .transform import fourier_inverse
 
 GROWTH_THRESHOLD = 1.25
@@ -214,14 +213,24 @@ def _weighted_sups(model: GroupModel, table: np.ndarray, weight: float,
     return _nested_sups(model, bracket_powers(model, band, weight) * table, band)
 
 
-def _order_constants(sym, band: int, top: int, rho: float,
-                     order: float) -> Dict[str, Tuple[float, float]]:
+def _order_constants(sym, band: int, top: int, rho: float, order: float,
+                     laplace: Optional[float] = None
+                     ) -> Dict[str, Tuple[float, float]]:
     """(full, half) sups of ``<xi>^{rho a - order} max_words ||D^alpha
-    sigma||_op`` for every order ``a <= top``, named ``order-<a>``."""
-    return {f"order-{a}": _weighted_sups(sym.model,
-                                         word_sup_table(sym, a, band),
-                                         rho * a - order, band)
-            for a in range(top + 1)}
+    sigma||_op`` for every order ``a <= top``, named ``order-<a>``, and
+    with a ``laplace`` weight that of ``<xi>^laplace ||A^{kappa/2}
+    sigma||_op``, named ``laplace-<kappa/2>``: every table from one
+    :func:`difference_sup_tables` call."""
+    families: List = list(range(top + 1))
+    names = [f"order-{a}" for a in families]
+    weights = [rho * a - order for a in families]
+    if laplace is not None:
+        families.append("laplace")
+        names.append(f"laplace-{sym.model.kappa // 2}")
+        weights.append(laplace)
+    tables = difference_sup_tables(sym, families, band)
+    return {name: _weighted_sups(sym.model, table, weight, band)
+            for name, table, weight in zip(names, tables, weights)}
 
 
 # ---------------------------------------------------------------------------
@@ -236,21 +245,6 @@ def check_mikhlin(sym, band: int) -> MultiplierReport:
         _order_constants(sym, band, sym.model.kappa, 1.0, 0.0)))
 
 
-def _laplace_power_constants(sym, power: int, weight: float,
-                             band: int) -> Tuple[float, float]:
-    """(full, half) sups of ``<xi>^weight ||A^power sigma(xi)||_op``; the
-    last application computes only the labels through ``band``, which on
-    SU(2) puts it on the grid of the order-1 words."""
-    cur = sym
-    for k in range(power):
-        cur = laplace_difference(cur, band=band if k == power - 1 else None)
-    if band > cur.exact_band:
-        raise BandOverflowError(
-            f"label band {band} beyond the laplace certificate "
-            f"{int(cur.exact_band)}; extend the stored symbol")
-    return _weighted_sups(sym.model, cur.norms(band), weight, band)
-
-
 def check_refined(sym, band: int) -> MultiplierReport:
     """Reduced condition set: the top-order condition is carried by the
     distance-squared operator alone, ``<xi>^kappa ||A^{kappa/2} sigma||_op``,
@@ -258,9 +252,8 @@ def check_refined(sym, band: int) -> MultiplierReport:
     model = sym.model
     check_range(model, band)
     kappa = model.kappa
-    constants = _order_constants(sym, band, kappa - 1, 1.0, 0.0)
-    constants[f"laplace-{kappa // 2}"] = _laplace_power_constants(
-        sym, kappa // 2, float(kappa), band)
+    constants = _order_constants(sym, band, kappa - 1, 1.0, 0.0,
+                                 laplace=float(kappa))
     report = _report(model, "refined", band, _conditions(constants))
     if report.passed:
         report.notes.append("refined conditions passed; the full difference "

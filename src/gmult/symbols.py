@@ -56,9 +56,10 @@ from .grids import build_grid as default_grid  # the acceptance suite's name
 from .groups import (GroupModel, IrrepLabel, angular_momentum, irrep_dimension,
                      label_band, labels_up_to, validate_label)
 
-#: Relative slack on the bound ``||B||_2 <= ||B||_F`` when it prunes an
-#: SVD: the two norms round differently, and a block of rank one has them
-#: equal.  Far above the rounding of either, far below any gap that matters.
+#: Relative slack on the bounds ``||B||_2 <= ||B||_F`` and ``||B||_2^2 <=
+#: ||B^H B||_inf`` when they prune an SVD: the norms round differently, and
+#: a block of rank one (unitary, for the Gram bound) has them equal.  Far
+#: above the rounding of either, far below any gap that matters.
 _FRO_SLACK = 1.0 + 1e-10
 
 
@@ -426,32 +427,34 @@ def _label_blocks(sym: MatrixSymbol, wband: int, out_band: int,
     shifts = [(s, r, [w for w, _ in ws], np.array([g for _, g in ws]))
               for (s, r), ws in carriers.items()]
     w2 = grid.theta_weights / 2.0
+    planes = [p.transpose(2, 0, 1) for p in planes]      # (theta, u, v)
     for t in range(out_band + 1):
         quad = table(t) * w2[:, None, None]                 # (theta, n, m)
         blocks = np.zeros((len(weights), t + 1, t + 1), dtype=complex)
         for s, r, ws, g in shifts:
             src = planes[(t - s) % 2]
-            top = src.shape[0] - 1
+            top = src.shape[1] - 1
             rows = slice((top - t - s) // 2, (top + t - s) // 2 + 1)
             cols = slice((top - t - r) // 2, (top + t - r) // 2 + 1)
-            shifted = np.moveaxis(src[rows, cols], 2, 0) * quad
-            blocks[ws] += (g @ shifted.reshape(w2.size, -1)).reshape(
-                len(ws), t + 1, t + 1)
+            shifted = (src[:, rows, cols] * quad).reshape(w2.size, -1)
+            # real weights (every word's) take a real GEMM on the
+            # interleaved parts: half the flops of a complex one
+            prod = ((g @ shifted.view(float)).view(complex)
+                    if g.dtype == float else g @ shifted)
+            blocks[ws] += prod.reshape(len(ws), t + 1, t + 1)
         yield t, blocks.transpose(0, 2, 1)
 
 
-def _su2_differences(sym: MatrixSymbol, wband: int, combinations: Sequence,
-                     band: Optional[int] = None) -> List[MatrixSymbol]:
+def _su2_differences(sym: MatrixSymbol, wband: int, combinations: Sequence
+                     ) -> List[MatrixSymbol]:
     """The SU(2) difference route: the products of one kernel with each
     multiplier (a combination for :func:`_phase_weights` of band
     ``wband``, vanishing at the identity), from one label stage and one
-    theta quadrature against the Wigner tables, at the labels through
-    ``band`` (default: all, through ``support_band + wband``).  The
-    certificate is ``min(exact_band - wband, out_band)``: the symbol's,
-    derated by ``wband``, and no further than the labels computed."""
+    theta quadrature against the Wigner tables, at every label through
+    ``out_band = support_band + wband``.  The certificate is
+    ``min(exact_band - wband, out_band)``: the symbol's, derated by
+    ``wband``, and no further than the labels computed."""
     out_band = sym.support_band + wband
-    if band is not None:
-        out_band = min(band, out_band)
     blocks = dict(_label_blocks(sym, wband, out_band, combinations))
     cert = min(sym.exact_band - wband, out_band)
     return [MatrixSymbol(sym.model, {t: blocks[t][w]
@@ -522,25 +525,29 @@ def apply_difference(word: DifferenceWord, sym):
     return apply_differences([word], sym)[0]
 
 
-def laplace_difference(sym, grid=None, band: Optional[int] = None):
+def laplace_difference(sym, grid=None):
     """The second-order difference operator driven by ``rho^2``.
 
     Torus: ``2 n sigma(k) - sum_j (sigma(k + e_j) + sigma(k - e_j))`` on the
     box.  SU(2): the phase-domain route with ``rho^2 = 3 - trace Ad``, at
-    the labels through ``band`` (default: every label the result reaches);
-    the torus box is a few slices and always comes whole.  The exactness
+    every label the result reaches (a checker reads its norms through a
+    band from :func:`difference_sup_tables` instead).  The exactness
     certificate drops by the band of ``rho^2`` (2 on SU(2), 1 on the
-    torus), and on SU(2) to ``band`` when that cuts labels off.  ``grid``
-    is accepted and ignored: the route builds the smallest exact grid.
+    torus).  ``grid`` is accepted and ignored: the route builds the
+    smallest exact grid.
     """
     model = sym.model
     if model.kind == "torus":
         return TorusSymbol(model, _box_laplace(sym.table, model.delta0),
                            sym.exact_band - 1)
-    # rho^2 = sum_i (1 - xi0_ii) over the first shell
-    rho2 = [(-1.0, ((lb, i, i),)) for lb in model.delta0
+    return _su2_differences(sym, 2, [_rho2(model)])[0]
+
+
+def _rho2(model: GroupModel) -> List:
+    """``rho^2 = sum_i (1 - xi0_ii)`` over the SU(2) first shell, as a
+    combination for :func:`_phase_weights` of band 2."""
+    return [(-1.0, ((lb, i, i),)) for lb in model.delta0
             for i in range(irrep_dimension(model, lb))]
-    return _su2_differences(sym, 2, [rho2], band)[0]
 
 
 # ---------------------------------------------------------------------------
@@ -626,37 +633,83 @@ def laplace_leibniz_residual(sym: MatrixSymbol, tau: MatrixSymbol,
 
 def word_sup_table(sym, order: int, band: int) -> np.ndarray:
     """Label table through ``band`` of the sup over all generator words of
-    the given order of ``||D^alpha sigma(xi)||_op``.  The band must lie
-    within the derated exactness certificate, else BandOverflowError."""
+    the given order of ``||D^alpha sigma(xi)||_op``: the one-family call
+    of :func:`difference_sup_tables`."""
+    return difference_sup_tables(sym, [order], band)[0]
+
+
+def difference_sup_tables(sym, families: Sequence, band: int
+                          ) -> List[np.ndarray]:
+    """One label table through ``band`` per family: for an order ``a``,
+    the sup over all generator words of that order of ``||D^alpha
+    sigma(xi)||_op``; for ``"laplace"``, ``||A^{kappa/2} sigma(xi)||_op``
+    with ``A`` the ``rho^2`` difference of :func:`laplace_difference`.
+    The band must lie within every family's derated exactness
+    certificate, else BandOverflowError.
+
+    Torus: each word and each ``A`` is a box slice.  SU(2) (``kappa =
+    2``, so the Laplace family is ``rho^2`` itself): every word and
+    ``rho^2`` of the families is one combination of a single
+    :func:`_label_blocks` walk on the grid of the widest family, and each
+    label's stack is normed family by family."""
     model = sym.model
-    words = generator_words(model, order)
-    wband = max(w.band_sum for w in words)
-    cap = sym.exact_band - wband
-    if band > cap:
-        raise BandOverflowError(
-            f"labels up to band {band} requested, but order-{order} "
-            f"differences are only exact through band {int(cap)}; "
-            f"extend the stored symbol")
-    if order == 0:
-        return sym.norms(band)
-    if model.kind == "torus":
-        return reduce(np.maximum, (apply_difference(word, sym).norms(band)
-                                   for word in words))
-    # one label stage of the kernel for every word, each label's blocks
-    # normed as one stack
-    return np.array([_op_norm_sup(blocks) for _, blocks in _label_blocks(
-        sym, wband, band, [[(1.0, w.factors)] for w in words])])
+    su2 = model.kind == "su2"
+    out: List = [None] * len(families)
+    walked = []                     # (family index, band, combinations)
+    for k, family in enumerate(families):
+        if family == "laplace":
+            if su2:      # the labels rho^2 reaches, as laplace_difference
+                cert = min(sym.exact_band - 2, sym.support_band + 2)
+                walked.append((k, 2, [_rho2(model)]))
+            else:
+                lap = sym
+                for _ in range(model.kappa // 2):
+                    lap = laplace_difference(lap)
+                cert, out[k] = lap.exact_band, lap.norms(band)
+            if band > cert:
+                raise BandOverflowError(
+                    f"label band {band} beyond the laplace certificate "
+                    f"{int(cert)}; extend the stored symbol")
+            continue
+        words = generator_words(model, family)
+        wband = max(w.band_sum for w in words)
+        cap = sym.exact_band - wband
+        if band > cap:
+            raise BandOverflowError(
+                f"labels up to band {band} requested, but order-{family} "
+                f"differences are only exact through band {int(cap)}; "
+                f"extend the stored symbol")
+        if family == 0:
+            out[k] = sym.norms(band)
+        elif not su2:
+            out[k] = reduce(np.maximum, (apply_difference(word, sym).norms(band)
+                                         for word in words))
+        else:
+            walked.append((k, wband, [[(1.0, w.factors)] for w in words]))
+    if walked:
+        edges = np.cumsum([0] + [len(cs) for _, _, cs in walked])
+        sups = [[] for _ in walked]
+        for _, blocks in _label_blocks(sym, max(w for _, w, _ in walked), band,
+                                       [c for _, _, cs in walked for c in cs]):
+            for sup, lo, hi in zip(sups, edges[:-1], edges[1:]):
+                sup.append(_op_norm_sup(blocks[lo:hi]))
+        for (k, _, _), sup in zip(walked, sups):
+            out[k] = np.array(sup)
+    return out
 
 
 def _op_norm_sup(blocks: np.ndarray) -> float:
     """``max_k ||blocks[k]||_2``, bit for bit, with an SVD only for the
-    blocks that can raise it: one for the block of largest Frobenius norm,
-    then one batch for those whose Frobenius norm exceeds its norm
-    (``||B||_2 <= ||B||_F``)."""
-    fro = np.linalg.norm(blocks, axis=(1, 2)) * _FRO_SLACK
-    top = int(fro.argmax())
+    blocks that can raise it: one for the block of largest bound, then one
+    batch for those whose bound exceeds its norm.  The bound is
+    ``min(||B||_F, sqrt(max_i sum_j |(B^H B)_ij|))``: the infinity norm of
+    the Hermitian Gram matrix bounds its spectral radius ``||B||_2^2``."""
+    gram = np.abs(blocks.conj().transpose(0, 2, 1) @ blocks).sum(axis=2)
+    bound = np.minimum(np.linalg.norm(blocks, axis=(1, 2)),
+                       np.sqrt(gram.max(axis=1))) * _FRO_SLACK
+    top = int(bound.argmax())
     best = np.linalg.norm(blocks[top], 2)
-    rest = fro > best
+    rest = bound > best
     rest[top] = False
     if rest.any():
         best = max(best, np.linalg.norm(blocks[rest], 2, axis=(1, 2)).max())

@@ -1070,21 +1070,22 @@ def test_traced_benchmark_run_records_forward_labels(tmp_path):
     forward = [r for r in records if r["name"] == "transform.fourier_forward"]
     assert forward
     assert all(r["labels"] == 9 ** 3 for r in forward)
-    # an SU(2) check makes no transform for its differences: each
-    # difference family reads the kernel's label stage once and shifts it
-    # per word.  The 3 forward and 6 inverse transforms are the L^p probe's
+    # an SU(2) check makes no transform for its differences: one call
+    # reads the kernel's label stage once and shifts it per word of every
+    # order.  The 3 forward and 6 inverse transforms are the L^p probe's
     records = _traced_spans(tmp_path, "check", "--group", "su2", "--band",
                             "8", "--symbol", "riesz:D3", "--checker",
                             "mikhlin")
     counts = Counter(r["name"] for r in records)
-    assert counts["symbols.word_sup_table"] == 3
+    assert counts["symbols.difference_sup_tables"] == 1
+    assert counts["symbols.word_sup_table"] == 0
     assert counts["checkers.empirical_lp_ratio"] == 1
     assert counts["transform.fourier_forward"] == 3
     assert counts["transform.fourier_inverse"] == 6
     # no grid holds a Wigner table: each read of one is a build, a
-    # transform builds each label's table once, and a difference family
-    # builds each of its tables once for the call
-    assert counts["grids.GroupGrid.little_d"] == 107
+    # transform builds each label's table once, and the one difference
+    # walk builds each of its 13 tables (the symbol's labels) once
+    assert counts["grids.GroupGrid.little_d"] == 94
     builds = Counter(r["parent"] for r in records
                      if r["name"] == "groups.wigner_little_d")
     reads = [i for i, r in enumerate(records)
@@ -1096,8 +1097,8 @@ def test_traced_benchmark_run_records_forward_labels(tmp_path):
             record = records[record["parent"]]
             yield record["name"]
 
-    assert not any("symbols.word_sup_table" in ancestors(r) for r in records
-                   if r["name"].startswith("transform."))
+    assert not any("symbols.difference_sup_tables" in ancestors(r)
+                   for r in records if r["name"].startswith("transform."))
 
 
 def test_su2_selftest_holds_one_wigner_table_at_a_time(capsys):

@@ -16,7 +16,7 @@ from gmult.groups import irrep_dimension, labels_up_to, model_from_name
 from gmult.symbols import (DifferenceWord, MatrixSymbol, TorusSymbol,
                            apply_difference, apply_differences,
                            default_grid,
-                           difference_generators,
+                           difference_generators, difference_sup_tables,
                            generator_words, identity_symbol,
                            laplace_difference, laplace_leibniz_residual,
                            leibniz_residual, quantize_apply, symbol_add,
@@ -24,7 +24,8 @@ from gmult.symbols import (DifferenceWord, MatrixSymbol, TorusSymbol,
                            word_sup_table)
 from gmult.symbols import resize_box
 from gmult.transform import fourier_forward, fourier_inverse
-from gmult.vfield import build_field, invert_vf_symbol
+from gmult.vfield import (build_field, invert_vf_symbol, recursion_residuals,
+                          verify_s00)
 from conftest import (grid_differences, op_norm, random_symbol,
                       rho_squared_samples, su2_exp_point, wigner_matrix,
                       word_samples)
@@ -248,6 +249,77 @@ def test_apply_differences_makes_one_label_pass_per_word_band(su2, rng,
         assert sorted(diff.entries) == list(range(7 + word.band_sum + 1))
 
 
+@pytest.mark.parametrize("band", [8, 13, 20])
+def test_fused_sup_tables_are_the_one_family_tables(su2, band):
+    # orders 0..3 and rho^2 from one walk on the order-3 words' grid,
+    # against each family's own walk (on the same grid: the symbol is
+    # certified through its support); rho^2 also against the full route,
+    # on the larger grid its labels through support + 2 need
+    rng = np.random.default_rng(band)
+    sym = random_symbol(su2, band + 6, rng, exact_band=band + 6)
+    families = [0, 1, 2, 3, "laplace"]
+    fused = difference_sup_tables(sym, families, band)
+    for family, got in zip(families, fused):
+        want = difference_sup_tables(sym, [family], band)[0]
+        if family != "laplace":
+            assert np.array_equal(want, word_sup_table(sym, family, band))
+        assert got.shape == want.shape == (band + 1,)
+        assert np.abs(got - want).max() <= 1e-14 * want.max()
+    want = laplace_difference(sym).norms(band)
+    assert np.abs(fused[-1] - want).max() <= 1e-12 * want.max()
+
+
+def test_checkers_walk_the_labels_once_per_symbol(su2, rng, monkeypatch):
+    # every order and rho^2 of a check share one walk over the symbol's
+    # labels (each walk recorded by its word band); symbol-class walks
+    # once more for its reweighted reduction, and the frame-field
+    # inverse's recursion check once for its rotated fundamental
+    # differences
+    real, walks = symbols._label_blocks, []
+
+    def watched(sym, wband, out_band, combinations):
+        walks.append(wband)
+        yield from real(sym, wband, out_band, combinations)
+
+    monkeypatch.setattr(symbols, "_label_blocks", watched)
+    sym = random_symbol(su2, 12, rng, exact_band=12)
+    spec = SymbolClassSpec(order=0.0, rho=0.0, max_order=2)
+    for check, want in ((check_mikhlin, [4]), (check_refined, [2]),
+                        (partial(check_symbol_class, spec=spec), [4, 4])):
+        walks.clear()
+        check(sym, band=8)
+        assert walks == want
+    field = build_field(su2, [0.3, -0.2, 0.9], 12)
+    walks.clear()
+    verify_s00(field, 0.7 + 0.1j, 8)
+    recursion_residuals(field, 0.7 + 0.1j, 8)
+    assert walks == [4, 4, 1]
+
+
+def test_fused_sup_tables_refuse_as_each_family_did(su2, rng):
+    # the first family past its certificate names itself, as the
+    # one-family routes did: the order message, and the laplace message
+    # of a symbol certified beyond its support
+    sym = random_symbol(su2, 10, rng, exact_band=10)
+    order_msg = ("labels up to band 7 requested, but order-2 differences "
+                 "are only exact through band 6; extend the stored symbol")
+    for call in (lambda: difference_sup_tables(sym, [0, 1, 2, "laplace"], 7),
+                 lambda: word_sup_table(sym, 2, 7),
+                 lambda: check_mikhlin(sym, band=7)):
+        with pytest.raises(BandOverflowError) as err:
+            call()
+        assert str(err.value) == order_msg
+    sym = random_symbol(su2, 4, rng)
+    assert difference_sup_tables(sym, [1], 7)[0].shape == (8,)
+    laplace_msg = ("label band 7 beyond the laplace certificate 6; extend "
+                   "the stored symbol")
+    for call in (lambda: difference_sup_tables(sym, [0, 1, "laplace"], 7),
+                 lambda: check_refined(sym, band=7)):
+        with pytest.raises(BandOverflowError) as err:
+            call()
+        assert str(err.value) == laplace_msg
+
+
 def test_pruned_operator_norm_sup_is_the_stacked_norm_bitwise(rng):
     # the sup over a label's words against the norm of every block:
     # random stacks of several sizes; rank-one blocks, whose computed
@@ -262,22 +334,42 @@ def test_pruned_operator_norm_sup_is_the_stacked_norm_bitwise(rng):
     tied = np.array([[[1, 1], [1, -1]], [[1, 1], [1, 1]], [[1, 1], [1, 1]],
                      [[1, -1], [1, 1]]], dtype=complex)
     stacks += [tied, 0.5 * tied, np.zeros((5, 3, 3), dtype=complex)]
+    # near-unitary blocks, whose Gram bound is their norm up to rounding,
+    # alone and under a rank-one block of larger norm but smaller
+    # Frobenius norm: the Gram bound prunes them where Frobenius keeps them
+    unitary = np.linalg.qr(gaussian(20, 5, 5))[0]
+    unitary *= 1.0 + 1e-12 * rng.standard_normal((20, 1, 1))
+    spike = 1.5 * np.outer(*np.eye(5)[:2]).astype(complex)[None]
+    stacks += [unitary, np.concatenate([unitary, spike])]
+    real_norm, svds = np.linalg.norm, []
+
+    def counted(x, ord=None, axis=None, **kw):
+        if ord == 2:
+            svds.append(1 if x.ndim == 2 else x.shape[0])
+        return real_norm(x, ord, axis, **kw)
+
     for blocks in stacks:
         want = np.linalg.norm(blocks, 2, axis=(1, 2)).max()
-        assert symbols._op_norm_sup(blocks) == want
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(np.linalg, "norm", counted)
+            svds.clear()
+            assert symbols._op_norm_sup(blocks) == want
+    assert svds == [1]
+    fro = real_norm(stacks[-1], axis=(1, 2))
+    assert (fro[:-1] > fro[-1]).all()
 
 
 def test_su2_laplace_through_a_band_matches_the_full_route(su2, rng):
-    # the labels through the band on the order-1 words' grid against every
-    # label on the grid the full result needs
+    # the rho^2 norms through the band, walked with the order-1 and
+    # order-2 words on the order-2 words' grid, against every label on the
+    # grid the full result needs
     sym = random_symbol(su2, 12, rng, exact_band=12)
     full = laplace_difference(sym)
-    cut = laplace_difference(sym, band=8)
-    assert sorted(cut.entries) == list(range(9))
-    assert cut.exact_band == 8
-    scale = max(np.abs(m).max() for m in full.entries.values())
-    for t in range(9):
-        assert np.abs(cut.get(t) - full.get(t)).max() <= 1e-12 * scale
+    assert full.exact_band == 10
+    want = full.norms(8)
+    for families in (["laplace"], [1, 2, "laplace"]):
+        got = difference_sup_tables(sym, families, 8)[-1]
+        assert np.abs(got - want).max() <= 1e-12 * want.max()
 
 
 @pytest.mark.parametrize("order, kernels", [(1, 3), (2, 5)])
@@ -348,12 +440,11 @@ def test_difference_certificate_drops(su2, rng):
     assert apply_difference(word, sym).exact_band == 4
     two = DifferenceWord(su2, ((2, 0, 0), (2, 1, 2)))
     assert apply_difference(two, sym).exact_band == 2
-    # the rule: min(exact_band - wband, out_band), read off the symbol and
-    # the labels computed alone, over word bands 1, 2 and 4, supports
-    # 0..8, cut and uncut output bands and three symbol certificates; it
-    # is never above the rule that also read the smallest grid's
-    # exactness (band B: min(exact_band - wband, 4B - full, 2B uncut or
-    # out_band cut)), and equals it when cut
+    # the rule: min(exact_band - wband, support + wband), read off the
+    # symbol and the labels computed alone, over word bands 1, 2 and 4,
+    # supports 0..8 and three symbol certificates; it is never above the
+    # rule that also read the smallest grid's exactness (band B:
+    # min(exact_band - wband, 4B - full, 2B))
     for factors in (((1, 0, 1),), ((2, 0, 1),), ((2, 0, 1), (2, 1, 2))):
         word = DifferenceWord(su2, factors)
         wband = word.band_sum
@@ -361,20 +452,10 @@ def test_difference_certificate_drops(su2, rng):
             full = support + wband
             for exact in (np.inf, support, support + 3):
                 sym = random_symbol(su2, support, rng, exact_band=exact)
-                assert apply_difference(word, sym).exact_band == min(
-                    exact - wband, full)
-                for band in (0, full // 2, full - 1, full, full + 2):
-                    out = min(band, full)
-                    got = symbols._su2_differences(
-                        sym, wband, [[(1.0, factors)]], band)[0]
-                    assert got.exact_band == min(exact - wband, out)
-                    B = max(1, (max(support, out) + 1) // 2,
-                            (support + wband + out + 3) // 4)
-                    grid_rule = min(exact - wband, 4 * B - full,
-                                    2 * B if out == full else out)
-                    assert got.exact_band <= grid_rule
-                    if out < full:
-                        assert got.exact_band == grid_rule
+                got = apply_difference(word, sym).exact_band
+                assert got == min(exact - wband, full)
+                B = max(1, (full + 1) // 2, (2 * full + 3) // 4)
+                assert got <= min(exact - wband, 4 * B - full, 2 * B)
 
 
 def test_grid_arguments_are_ignored(su2, rng):
@@ -384,16 +465,15 @@ def test_grid_arguments_are_ignored(su2, rng):
     a = random_symbol(su2, 6, rng, exact_band=6)
     b = random_symbol(su2, 6, rng, exact_band=6)
     words = generator_words(su2, 1)[:3] + generator_words(su2, 2)[-2:]
-    lap, cut = laplace_difference(a), laplace_difference(a, band=4)
+    lap = laplace_difference(a)
     residuals = [leibniz_residual(w, a, b) for w in words]
     laplace_residual = laplace_leibniz_residual(a, b)
     for grid in (default_grid(su2, 24), default_grid(su2, 8)):
-        for want, got in ((lap, laplace_difference(a, grid)),
-                          (cut, laplace_difference(a, grid, 4))):
-            assert got.exact_band == want.exact_band
-            assert sorted(got.entries) == sorted(want.entries)
-            assert all(np.array_equal(got.entries[t], m)
-                       for t, m in want.entries.items())
+        got = laplace_difference(a, grid)
+        assert got.exact_band == lap.exact_band
+        assert sorted(got.entries) == sorted(lap.entries)
+        assert all(np.array_equal(got.entries[t], m)
+                   for t, m in lap.entries.items())
         assert [leibniz_residual(w, a, b, grid) for w in words] == residuals
         assert laplace_leibniz_residual(a, b, grid) == laplace_residual
 
