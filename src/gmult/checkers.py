@@ -17,22 +17,25 @@ table.  Reads stay inside the symbol's exactness certificate.
 from __future__ import annotations
 
 import math
-import statistics
 from dataclasses import dataclass, field
 from typing import Callable, Dict, List, Optional, Tuple
 
 import numpy as np
 
-from .errors import BandOverflowError, GmultError
+from .errors import BandOverflowError, GmultError, SymbolFormatError
 from .groups import GroupModel, bracket_powers, label_box
 from .grids import build_grid
 from .symbols import (DifferenceWord, TorusSymbol, apply_difference,
-                      difference_sup_tables, laplace_difference,
-                      quantize_apply, random_symbol, symbol_scale)
+                      difference_generators, difference_sup_tables,
+                      laplace_difference, quantize_apply, random_symbol,
+                      symbol_scale)
 from .transform import fourier_inverse
 
 GROWTH_THRESHOLD = 1.25
 _MIN_LABELS_PER_DIRECTION = 8
+#: words of orders <= max_order one symbol-class walk may hold: admits
+#: max_order 5 on SU(2) (2,002 words) and 8 on the three-torus (3,003)
+_MAX_CLASS_WORDS = 4096
 
 
 # ---------------------------------------------------------------------------
@@ -193,6 +196,23 @@ def check_range(model: GroupModel, band: int) -> None:
             f"need at least {_MIN_LABELS_PER_DIRECTION}")
 
 
+def check_word_count(model: GroupModel, max_order: int) -> None:
+    """Refuse a ``symbol-class`` ``max_order`` whose difference words of
+    orders ``<= max_order``, ``C(g + max_order, max_order)`` of them for
+    ``g`` first-order generators, exceed ``_MAX_CLASS_WORDS``
+    (SymbolFormatError, naming the largest order the cap admits)."""
+    g = len(difference_generators(model))
+    words = math.comb(g + max_order, max_order)
+    if words > _MAX_CLASS_WORDS:
+        top = 0
+        while math.comb(g + top + 1, top + 1) <= _MAX_CLASS_WORDS:
+            top += 1
+        raise SymbolFormatError(
+            f"symbol-class max_order {max_order} needs {words} difference "
+            f"words on {model.name}, past the cap {_MAX_CLASS_WORDS}; the "
+            f"cap admits max_order <= {top} there")
+
+
 def _nested_sups(model: GroupModel, values: np.ndarray,
                  band: int) -> Tuple[float, float]:
     """(full, half) sups of a label table through ``band`` and over its
@@ -306,6 +326,7 @@ def check_symbol_class(sym, spec: SymbolClassSpec,
     ``<xi>^{-m - kappa (1 - rho)} sigma`` must pass check_mikhlin."""
     model = sym.model
     check_range(model, band)
+    check_word_count(model, spec.max_order)
     kappa = model.kappa
     conds = _conditions(_order_constants(sym, band, spec.max_order,
                                          spec.rho, spec.order))
@@ -349,4 +370,4 @@ def empirical_lp_ratio(sym, p: float, trials: int, band: int,
         ratios.append(_function_norm_p(g.samples, weights, p) / nf)
     return {"p": p, "trials": float(trials), "band": float(band),
             "seed": float(seed), "max": float(max(ratios)),
-            "median": float(statistics.median(ratios))}
+            "median": float(np.median(ratios))}

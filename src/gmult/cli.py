@@ -44,7 +44,8 @@ from .transform import (fourier_forward, fourier_inverse, function_norm_l2,
 from .central import function_of_laplacian, riesz_symbol
 from .checkers import (SymbolClassSpec, check_mikhlin, check_range,
                        check_refined, check_symbol_class, check_torus3,
-                       empirical_lp_ratio, torus_lattice_symbol)
+                       check_word_count, empirical_lp_ratio,
+                       torus_lattice_symbol)
 from .vfield import (build_field, exceptional_set, invert_vf_symbol,
                      recursion_residuals, verify_s00)
 from .mollifier import (check_sobolev_order, check_torus_dimension,
@@ -508,6 +509,8 @@ def cmd_check(args: argparse.Namespace) -> Tuple[Dict, Dict, bool]:
                                    int(parts[2]))
         except ValueError as exc:
             raise SymbolFormatError(f"bad symbol-class parameters: {exc}")
+        # before the symbol is built: it is padded by 2 max_order
+        check_word_count(model, spec.max_order)
     elif checker not in ("mikhlin", "refined", "torus3"):
         raise SymbolFormatError(
             f"unknown checker {args.checker!r}; choose mikhlin, refined, "

@@ -25,7 +25,6 @@ from dataclasses import dataclass
 from typing import Optional, Tuple
 
 import numpy as np
-from numpy.polynomial import polynomial
 
 from .errors import BandOverflowError
 from .groups import GroupModel, IrrepLabel, validate_label
@@ -52,6 +51,15 @@ def _legendre_and_derivative(n: int, x: np.ndarray
         dif -= step
         p += dif
     return p, n * (y * p - dif) / (y * (1.0 + x))
+
+
+def _horner(coefficients, h: np.ndarray) -> np.ndarray:
+    """``sum_k coefficients[k] h^k`` by Horner's rule, each coefficient an
+    array over the nodes: the operations of numpy's ``polyval``."""
+    value = coefficients[-1] + h * 0
+    for c in coefficients[-2::-1]:
+        value = c + value * h
+    return value
 
 
 def _leggauss(n: int) -> Tuple[np.ndarray, np.ndarray]:
@@ -88,12 +96,10 @@ def _leggauss(n: int) -> Tuple[np.ndarray, np.ndarray]:
         c.append((2.0 * (k + 1) ** 2 * x * c[k + 1]
                   - (n * (n + 1.0) - k * (k + 1.0)) * c[k])
                  / ((k + 1) * (k + 2) * one_minus * (1.0 + x)))
-    taylor, h = np.array(c), np.zeros_like(x)
-    slope = polynomial.polyder(taylor)
+    slope, h = [k * c[k] for k in range(1, len(c))], np.zeros_like(x)
     for _ in range(3):
-        h -= (polynomial.polyval(h, taylor, tensor=False)
-              / polynomial.polyval(h, slope, tensor=False))
-    dp = polynomial.polyval(h, slope, tensor=False)
+        h -= _horner(c, h) / _horner(slope, h)
+    dp = _horner(slope, h)
     w = 2.0 / ((one_minus - h) * (1.0 + x + h) * dp * dp)
     x = x + h
     mid = n % 2  # an odd rule holds the node 0 once

@@ -41,7 +41,6 @@ integral over the class angle (`_cz_norm_sq`).
 from __future__ import annotations
 
 import bisect
-import decimal
 import math
 from dataclasses import dataclass
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
@@ -296,6 +295,7 @@ def grid_normalizer(model: GroupModel, r: float) -> Tuple[float, int]:
             range(_MAX_PROBE_SAMPLES), _MAX_PROBE_SAMPLES,
             key=lambda b: grid_normalizer_samples(
                 model, b, smallest_resolved_scale(model, b))) - 1
+        import decimal  # for this message only: not loaded at start-up
         up = decimal.Context(prec=6, rounding=decimal.ROUND_CEILING)
         floor = up.create_decimal(smallest_resolved_scale(model, low))
         raise UnderResolvedError(
@@ -491,6 +491,11 @@ def _check_ladder(scales: Sequence[float]) -> None:
 
 
 def fit_loglog(scales: Sequence[float], values: Sequence[float]) -> SlopeFit:
+    """Least-squares line through ``(log scale, log value)`` in closed form
+    from centred sums, ``slope = sum dx (y - mean y) / sum dx^2`` and
+    ``intercept = mean y - slope mean x``, so the probes run no LAPACK
+    solve for two parameters.  Needs >= 4 distinct scales, positive scales
+    and values, and matching lengths (GmultError)."""
     xs = np.asarray(scales, dtype=float)
     ys = np.asarray(values, dtype=float)
     if xs.size != ys.size:
@@ -499,10 +504,12 @@ def fit_loglog(scales: Sequence[float], values: Sequence[float]) -> SlopeFit:
     if np.any(xs <= 0) or np.any(ys <= 0):
         raise GmultError("slope fits need positive scales and values")
     lx, ly = np.log(xs), np.log(ys)
-    slope, intercept = np.polyfit(lx, ly, 1)
+    dx, dy = lx - np.mean(lx), ly - np.mean(ly)
+    slope = np.sum(dx * dy) / np.sum(dx * dx)
+    intercept = np.mean(ly) - slope * np.mean(lx)
     fitted = slope * lx + intercept
     ss_res = float(np.sum((ly - fitted) ** 2))
-    ss_tot = float(np.sum((ly - np.mean(ly)) ** 2))
+    ss_tot = float(np.sum(dy ** 2))
     r2 = 1.0 if ss_tot == 0.0 else 1.0 - ss_res / ss_tot
     return SlopeFit(float(slope), float(intercept), float(r2), int(xs.size))
 

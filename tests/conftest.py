@@ -7,8 +7,8 @@ per-block operator norm), the Euler-chart chain ``wigner_matrix``,
 points for the five-point-stencil oracle of the frame-field symbols, and
 the node-space difference route ``grid_differences`` (with
 ``word_samples`` and ``rho_squared_samples``), the oracle of the SU(2)
-phase route and of the torus box slices, and the grid quadrature
-``integrate``."""
+phase route and of the torus box slices, the grid quadrature
+``integrate``, and the ``no_lapack`` fixture."""
 import math
 from typing import Callable, Iterable, Iterator, Sequence, Tuple
 
@@ -48,6 +48,23 @@ def torus2():
 @pytest.fixture
 def rng():
     return np.random.default_rng(20240816)
+
+
+class _NoLapack:
+    def __getattr__(self, name):
+        raise AssertionError(f"LAPACK routine {name} called")
+
+
+@pytest.fixture
+def no_lapack(monkeypatch):
+    """Any LAPACK call raises: numpy's LAPACK gufunc module, behind every
+    ``numpy.linalg`` solver and ``np.polyfit``'s own reference to
+    ``lstsq``, is replaced, and ``np.linalg.lstsq`` itself."""
+    def refuse(*args, **kwargs):
+        raise AssertionError("np.linalg.lstsq called")
+
+    monkeypatch.setattr(np.linalg, "lstsq", refuse)
+    monkeypatch.setattr("numpy.linalg._linalg._umath_linalg", _NoLapack())
 
 
 def op_norm(mat: np.ndarray) -> float:

@@ -31,7 +31,7 @@ import pytest
 
 from gmult import cli
 from gmult.checkers import (SymbolClassSpec, check_symbol_class,
-                            torus_lattice_symbol)
+                            check_word_count, torus_lattice_symbol)
 from gmult.cli import (EXIT_CONFIG, EXIT_FAIL, EXIT_MATH, EXIT_PASS,
                        build_cli_symbol, load_symbol_file, main,
                        parse_complex, parse_ladder, parse_torus_expression)
@@ -840,6 +840,47 @@ def test_probe_refuses_torus_beyond_four_before_any_work(capsys, tmp_path,
         "supports n <= 4" in captured.err
 
 
+def test_unbounded_symbol_class_order_exits_config_before_the_symbol(
+        capsys, tmp_path, monkeypatch):
+    # the words of orders <= 12 on SU(2) are C(9 + 12, 12) = 293,930: the
+    # order is refused before its padded symbol is built
+    def no_symbol(*args, **kwargs):
+        raise AssertionError("the symbol was built before checking "
+                             "max_order")
+
+    monkeypatch.setattr(cli, "build_cli_symbol", no_symbol)
+    out = tmp_path / "report.json"
+    assert main(["check", "--group", "su2", "--band", "8", "--symbol",
+                 "riesz:D3", "--checker", "symbol-class:0,1,12", "--out",
+                 str(out)]) == EXIT_CONFIG
+    captured = capsys.readouterr()
+    assert captured.out == "" and not out.exists()
+    assert ("symbol-class max_order 12 needs 293930 difference words on "
+            "su2, past the cap 4096; the cap admits max_order <= 5 there"
+            ) in captured.err
+
+
+@pytest.mark.parametrize("group, top", [("su2", 5), ("torus-3", 8)])
+def test_symbol_class_word_cap_names_the_largest_order(group, top):
+    # library callers meet the same check; the cap admits ``top``
+    model = model_from_name(group)
+    check_word_count(model, top)
+    with pytest.raises(SymbolFormatError,
+                       match=f"the cap admits max_order <= {top} there"):
+        check_word_count(model, top + 1)
+    sym = identity_symbol(model, 8 + 2 * (top + 1))
+    with pytest.raises(SymbolFormatError, match=f"max_order {top + 1} "):
+        check_symbol_class(sym, SymbolClassSpec(0.0, 1.0, top + 1), 8)
+
+
+@pytest.mark.parametrize("group", ["su2", "torus-3"])
+def test_probe_makes_no_lapack_call(group, no_lapack, capsys):
+    # the probe's slope fits are closed-form lines (np.polyfit would reach
+    # LAPACK through lstsq)
+    assert main(["probe", "--group", group]) == EXIT_PASS
+    assert json.loads(capsys.readouterr().out)["passed"] is True
+
+
 @pytest.mark.parametrize("field", ["0,0,0", "nan,0,1", "inf,0,1",
                                    "1e-200,0,0", "1e200,0,0"])
 @pytest.mark.parametrize("command", ["check", "probe", "invert"])
@@ -883,11 +924,14 @@ def test_malformed_command_lines_exit_config(argv, capsys):
     assert exc.value.code == 0
 
 
-def test_cli_import_loads_no_fft():
-    # numpy.fft is imported by the calls that use it: the CLI's start-up
-    # time and the SU(2) commands' memory do not pay for it
+@pytest.mark.parametrize("module", ["numpy.fft", "numpy.polynomial",
+                                    "statistics", "fractions", "decimal"])
+def test_cli_import_loads_no_unused_module(module):
+    # a module is imported by the calls that use it (numpy >= 2 loads its
+    # submodules lazily): every command's start-up time and memory do not
+    # pay for it
     code = ("import sys, gmult.cli; "
-            "sys.exit('numpy.fft' in sys.modules)")
+            f"sys.exit({module!r} in sys.modules)")
     src = str(Path(cli.__file__).resolve().parents[1])
     proc = subprocess.run([sys.executable, "-c", code], capture_output=True,
                           text=True, env={"PYTHONPATH": src})

@@ -131,6 +131,57 @@ def test_fit_loglog_short_ladder_rejected(su2):
         negative_sobolev_decay(su2, ladder=ladder)
 
 
+@pytest.mark.parametrize("scales, values, message", [
+    ([0.5, 0.25, 0.125, 0.0625], [1.0, 2.0, 0.0, 8.0], "positive"),
+    ([0.5, 0.25, -0.125, 0.0625], [1.0, 2.0, 4.0, 8.0], "positive"),
+    ([0.5, 0.25, 0.125, 0.0625], [1.0, 2.0, 4.0], "matching lengths"),
+])
+def test_fit_loglog_refuses_bad_points(scales, values, message):
+    with pytest.raises(GmultError, match=message):
+        fit_loglog(scales, values)
+
+
+def _polyfit_line(scales, values):
+    """(slope, intercept, r^2) of the log-log line by ``np.polyfit``."""
+    lx, ly = np.log(scales), np.log(values)
+    slope, intercept = np.polyfit(lx, ly, 1)
+    ss_res = np.sum((ly - (slope * lx + intercept)) ** 2)
+    return slope, intercept, 1.0 - ss_res / np.sum((ly - ly.mean()) ** 2)
+
+
+def _fitted_ladders():
+    """(scales, values): the scaling report's c_r and l2 columns on the
+    default ladder for SU(2) and the three-torus, then seeded noisy power
+    laws on random ladders of 4 to 17 scales."""
+    for model in map(model_from_name, ("su2", "torus-3")):
+        rep = mollifier_scaling_report(model, default_ladder())
+        yield rep["ladder"], rep["c_r"]
+        yield rep["ladder"], rep["l2"]
+    rng = np.random.default_rng(7919)
+    for size in (4, 5, 6, 9, 17):
+        scales = rng.uniform(1e-4, 1.0, size)
+        noise = np.exp(rng.normal(0.0, 0.1, size))
+        yield scales, (rng.uniform(2.0, 10.0)
+                       * scales ** rng.uniform(-3.0, 1.0) * noise)
+
+
+def test_fit_loglog_matches_polyfit():
+    # the closed-form line is polyfit's least-squares line, up to rounding
+    for scales, values in _fitted_ladders():
+        fit = fit_loglog(scales, values)
+        want = _polyfit_line(scales, values)
+        assert (fit.slope, fit.intercept, fit.r_squared) == pytest.approx(
+            want, rel=1e-12)
+
+
+def test_fit_loglog_makes_no_lapack_call(no_lapack):
+    for scales, values in _fitted_ladders():
+        fit_loglog(scales, values)
+    # the guard sees the call that np.polyfit makes
+    with pytest.raises(AssertionError, match="LAPACK"):
+        np.polyfit(np.arange(4.0), np.arange(4.0), 1)
+
+
 def test_default_ladder():
     assert default_ladder() == [2.0 ** -k for k in range(4, 10)]
     assert default_ladder(2, 4) == [0.25, 0.125, 0.0625]
@@ -534,6 +585,42 @@ def test_leggauss_weights_match_extended_precision(n):
     x, w = _leggauss(n)
     want = _extended_gauss_weights(n, np.abs(x))
     assert np.max(np.abs(w / want - 1.0)) <= 1e-13
+
+
+def _polyval_leggauss(n):
+    """`_leggauss` with its Newton steps on the Taylor polynomial taken by
+    numpy's ``polyder`` and ``polyval``."""
+    from numpy.polynomial import polynomial
+    phi = math.pi / (4 * n + 2) * (4.0 * np.arange(1, (n + 3) // 2) - 1.0)
+    x = (1.0 - (n - 1.0) / (8.0 * n ** 3)
+         - (39.0 - 28.0 / np.sin(phi) ** 2) / (384.0 * n ** 4)) * np.cos(phi)
+    for _ in range(0 if n >= 48 else 2):
+        p, dp = grids._legendre_and_derivative(n, x)
+        x = x - p / dp
+    c = list(grids._legendre_and_derivative(n, x))
+    one_minus = 1.0 - x
+    for k in range(6):
+        c.append((2.0 * (k + 1) ** 2 * x * c[k + 1]
+                  - (n * (n + 1.0) - k * (k + 1.0)) * c[k])
+                 / ((k + 1) * (k + 2) * one_minus * (1.0 + x)))
+    taylor, h = np.array(c), np.zeros_like(x)
+    slope = polynomial.polyder(taylor)
+    for _ in range(3):
+        h -= (polynomial.polyval(h, taylor, tensor=False)
+              / polynomial.polyval(h, slope, tensor=False))
+    dp = polynomial.polyval(h, slope, tensor=False)
+    w = 2.0 / ((one_minus - h) * (1.0 + x + h) * dp * dp)
+    x = x + h
+    mid = n % 2
+    return (np.concatenate((-x, x[::-1][mid:])),
+            np.concatenate((w, w[::-1][mid:])))
+
+
+@pytest.mark.parametrize("n", [1, 2, 5, 47, 48, 97, 300, 2000, 3001])
+def test_leggauss_horner_is_polyval_bit_for_bit(n):
+    # both Newton regimes (below 48 nodes two plain passes come first)
+    for got, want in zip(_leggauss(n), _polyval_leggauss(n)):
+        assert got.tobytes() == want.tobytes()
 
 
 @pytest.mark.parametrize("n", [48, 96, 311, 777])
