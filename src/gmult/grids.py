@@ -159,7 +159,9 @@ class GroupGrid:
 
     def little_d(self, twice_spin: int) -> np.ndarray:
         """Little-d table at the theta nodes, shape ``(n_theta, d, d)``,
-        built on each call."""
+        built on each call.  Its readers are the SU(2) difference route
+        (``symbols._kernel_planes``) and :meth:`coefficient_function`; the
+        transforms read none."""
         from .groups import wigner_little_d
 
         if self.model.kind != "su2":

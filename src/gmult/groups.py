@@ -278,3 +278,14 @@ def angular_momentum(coeffs: Sequence[float], twice_spin: int) -> np.ndarray:
     return (a[0] * 0.5 * (raising + lowering)
             + a[1] * (raising - lowering) / 2j + a[2] * np.diag(0.5 * twice_m))
 
+
+def jx_eigenbasis(twice_spin: int) -> np.ndarray:
+    """Orthogonal eigenvectors ``V`` of the real tridiagonal ``J_x = V K
+    V^T`` (:func:`angular_momentum`'s rows) from one real ``eigh``: column
+    ``k`` holds the eigenvalue ``k - l``.  A quarter turn about the z-axis
+    takes ``J_x`` to ``J_y``, so ``d^l_{mn}(theta) = e^{-i pi (m - n) / 2}
+    sum_k V_mk V_nk e^{-i theta (k - l)}`` (Risbo, J. Geodesy 70, 1996).
+    Each column's sign is arbitrary and cancels in ``V_mk V_nk``."""
+    jx = angular_momentum((1.0, 0.0, 0.0), twice_spin).real
+    return np.linalg.eigh(jx)[1]
+

@@ -9,11 +9,16 @@ Conventions (matching :mod:`gmult.groups`):
 On the torus this is the ordinary Fourier series with characters
 ``exp(2 pi i k . x)``, evaluated by the FFT between the samples and the
 symbol's dense label box.  On SU(2) the transform separates over the Euler
-product grid: two phase sums (uniform angles) and a Gauss-Legendre sum
-against the little-d tables, each table built where it is read and dropped
-after.  The inverse transform's label stage (the blocks against the
-little-d tables) is the forward phase stage of the kernel on any grid that
-resolves it; the difference route reads it there.
+product grid (Kostelec & Rockmore 2008): two phase sums (uniform angles)
+and a Gauss-Legendre sum in theta, which reads no Wigner table.  With the
+eigenvectors ``V`` of ``J_x`` (:func:`gmult.groups.jx_eigenbasis`),
+``d^t_{mn}(theta) = e^{-i pi (m - n)/2} sum_k V_mk V_nk e^{-i theta k}``
+(Risbo 1996), so per twice-weight parity one GEMM moves theta between the
+nodes and the modes ``k``, and each label is an ``O(t^3)`` sum against the
+real ``V_mk V_nk``: ``O(B^4)`` in all, where per-label tables cost
+``O(B^5)``.  The inverse transform's label stage against the little-d
+tables (:func:`_su2_label_planes`) is the forward phase stage of the
+kernel on any grid that resolves it; the difference route reads it there.
 
 Exactness accounting: for a function carrying a ``declared_band``
 certificate ``b``, computed coefficients at labels of band ``t`` are exact
@@ -28,13 +33,14 @@ discrete quadrature transform, certified exact nowhere).
 from __future__ import annotations
 
 import math
-from typing import Callable, Iterator, Optional, Sequence, Tuple
+from typing import Callable, Optional, Tuple
 
 import numpy as np
 
 from .errors import BandOverflowError
 from .grids import GroupFunction, GroupGrid
-from .groups import bracket_powers, irrep_dimension, japanese_bracket
+from .groups import (bracket_powers, irrep_dimension, japanese_bracket,
+                     jx_eigenbasis)
 from .symbols import MatrixSymbol, TorusSymbol, resize_box
 
 
@@ -74,34 +80,119 @@ def _su2_forward_stages(grid: GroupGrid, samples: np.ndarray, tmax: int):
             for ephi, cols in zip(ephis, (slice(0, n0), slice(n0, None)))]
 
 
-def _su2_theta_sums(grid: GroupGrid, planes, labels: Sequence[int]
-                    ) -> Iterator[Tuple[int, np.ndarray]]:
-    """The theta quadrature against the little-d tables: ``(t, fhat)`` with
-    ``fhat_{mn} = sum_a w_a/2 d^t_{nm}(theta_a) A[u=2n, v=2m, a]`` for each
-    label, from phase planes ``(u, v, theta)``; each table is built for its
-    label and dropped after it."""
-    w2 = grid.theta_weights / 2.0
-    for t in labels:
-        plane = planes[t % 2]
-        at = _plane_slice(plane, t)
-        block = plane[at, at][:, :, None]
-        # one matrix-vector product per (n, m) over theta
-        weights = (grid.little_d(t) * w2[:, None, None]).transpose(1, 2, 0)
-        sums = np.matmul(block, weights[..., None])[..., 0]     # (n, m, 1)
-        yield t, sums.transpose(2, 1, 0).reshape(t + 1, t + 1)
+#: ``e^{-i pi (m - n) / 2}`` by ``(m - n) mod 4``, the ``-i`` of odd
+#: ``m - n`` moved into the sine mode
+_QUARTER_SIGNS = np.array([1.0, -1.0, -1.0, 1.0])
+
+
+def _su2_label_kernel(t: int):
+    """``(V, signs)`` of label ``t``: the columns of :func:`jx_eigenbasis`
+    at its eigenvalues ``k >= 0``, and ``signs[m, n]``.  The terms ``k``
+    and ``-k`` of the eigenbasis sum fold into ``d^t_{mn}(theta) =
+    signs[m, n] sum_k V_mk V_nk c_k(theta)``, with ``c_k`` the cosine mode
+    of :func:`_su2_theta_modes` for even ``m - n`` and the sine mode for
+    odd: the kernel is real."""
+    ar = np.arange(t + 1)
+    return (jx_eigenbasis(t)[:, (t + 1) // 2:],
+            _QUARTER_SIGNS[(ar[:, None] - ar) % 4])
+
+
+def _su2_theta_modes(grid: GroupGrid, top: int, parity: int):
+    """The theta modes of one twice-weight parity, shaped ``(node, k)`` at
+    ``2k = parity, parity + 2, .., top``: ``cos(k theta)`` doubled but at
+    ``k = 0``, and ``2 sin(k theta)``."""
+    kappa = np.arange(parity, top + 1, 2)
+    arg = 0.5 * np.outer(grid.thetas, kappa)
+    return np.cos(arg) * np.where(kappa == 0, 1.0, 2.0), 2.0 * np.sin(arg)
+
+
+def _checkerboard_matmul(cube: np.ndarray, even: np.ndarray, odd: np.ndarray,
+                         out: np.ndarray) -> np.ndarray:
+    """``out[i, j] = cube[i, j] @ (even if i - j is even else odd)``: in a
+    parity plane ``i - j`` has the parity of ``m - n``."""
+    for a in (0, 1):
+        for b in (0, 1):
+            out[a::2, b::2] = cube[a::2, b::2] @ (odd if a != b else even)
+    return out
+
+
+def _smaller_parity_first(planes) -> Tuple[int, int]:
+    """The parities in the order their stages run: the smaller plane
+    first, so that the larger one's blocks, allocated after the smaller
+    one's are freed, stay above the allocator's mmap threshold and go back
+    to the system when freed, not to the heap."""
+    return (0, 1) if planes[0].shape[0] < planes[1].shape[0] else (1, 0)
+
+
+def _su2_forward_labels(grid: GroupGrid, samples: np.ndarray, band: int):
+    """The forward transform's blocks ``{t: fhat}`` through ``band`` on the
+    ``J_x`` eigenbasis.  Per parity, one GEMM takes the phase plane
+    ``A[u, v, theta]`` of :func:`_su2_forward_stages` to ``Q[u, v, k] =
+    sum_a w_a/2 c_k(theta_a) A[u, v, a]``; each label is then ``fhat_{mn}
+    = signs[n, m] sum_k V_nk V_mk Q[2n, 2m, k]`` (:func:`_su2_label_kernel`).
+    One parity's ``Q`` is held at a time."""
+    planes = _su2_forward_stages(grid, samples, band)
+    w2 = grid.theta_weights[:, None] / 2.0
+    out = {}
+    for p in _smaller_parity_first(planes):
+        plane, planes[p] = planes[p], None
+        cos, sin = _su2_theta_modes(grid, plane.shape[0] - 1, p)
+        Q = _checkerboard_matmul(plane, w2 * cos, w2 * sin, np.empty(
+            plane.shape[:2] + cos.shape[1:], dtype=complex))
+        for t in range(p, band + 1, 2):
+            V, signs = _su2_label_kernel(t)
+            at = _plane_slice(Q, t)
+            sums = np.einsum("nk,mk,nmk->nm", V, V, Q[at, at, :V.shape[1]])
+            out[t] = (signs * sums).T
+        del Q
+    return {t: out[t] for t in range(band + 1)}
+
+
+def _su2_inverse_stages(grid: GroupGrid, sym: MatrixSymbol) -> np.ndarray:
+    """The inverse transform's samples ``(phi, theta, psi)`` on the ``J_x``
+    eigenbasis.  Per parity, each label adds ``(t + 1) signs[m, n] V_mk
+    V_nk sigma_t[n, m]`` into ``G[u = 2m, v = 2n, k]``; one GEMM takes
+    ``k`` to theta, giving ``H[u, a, v] = sum_t (t + 1) d^t_{mn}(theta_a)
+    sigma_t[n, m]``, and the phi and psi stages sum ``e^{-i m phi}`` and
+    ``e^{-i n psi}``.  One parity's ``G`` is held at a time."""
+    top = sym.support_band
+    ephis, epsi = _su2_phase_tables(grid, top, -1)
+    # the phi stage of each parity, (phi, theta, v), side by side in v
+    mid = np.empty((grid.phis.size, grid.thetas.size, epsi.shape[0]),
+                   dtype=complex)
+    for p in _smaller_parity_first(ephis):
+        ephi, n = ephis[p], ephis[p].shape[0]
+        start = p * ephis[0].shape[0]
+        cos, sin = _su2_theta_modes(grid, n - 1, p)
+        G = np.zeros((n, n, cos.shape[1]), dtype=complex)
+        for t in range(p, top + 1, 2):
+            if t in sym.entries:
+                V, signs = _su2_label_kernel(t)
+                at = _plane_slice(G, t)
+                rows = (t + 1) * signs * sym.entries[t].T
+                # one row m at a time: no (t + 1)^3 temporary
+                for m, row in enumerate(rows):
+                    G[at.start + m, at, :V.shape[1]] += (row[:, None]
+                                                         * (V[m] * V))
+        H = np.empty((n, grid.thetas.size, n), dtype=complex)
+        _checkerboard_matmul(G, cos.T, sin.T, H.transpose(0, 2, 1))
+        del G
+        mid[:, :, start:start + n] = np.tensordot(ephi, H, axes=(0, 0))
+    return np.tensordot(mid, epsi, axes=(2, 0))
 
 
 def _su2_label_planes(grid: GroupGrid, sym: MatrixSymbol, tmax: int,
-                      table: Optional[Callable[[int], np.ndarray]] = None):
-    """The label stage of the inverse transform, ``H[u, a, v] = sum_t
-    (t + 1) d^t_{mn}(theta_a) sigma_t[n, m]`` at ``u = 2m``, ``v = 2n``,
-    laid out like :func:`_su2_phase_tables` through ``tmax``, theta in the
-    middle; built through the support (higher labels reach the rows kept)
-    and cropped.  Where the grid's phase sums resolve ``|u| <= tmax``
-    against the symbol's twice-weights, it is the kernel's forward stage.
-    ``table(t)`` gives the little-d table at the grid's theta nodes
-    (default: built for the label and dropped after it)."""
-    table = table or grid.little_d
+                      table: Callable[[int], np.ndarray]):
+    """The inverse transform's label stage against the little-d tables,
+    ``H[u, a, v] = sum_t (t + 1) d^t_{mn}(theta_a) sigma_t[n, m]`` at ``u =
+    2m``, ``v = 2n``, laid out like :func:`_su2_phase_tables` through
+    ``tmax``, theta in the middle; built through the support (higher labels
+    reach the rows kept) and cropped.  Where the grid's phase sums resolve
+    ``|u| <= tmax`` against the symbol's twice-weights, it is the kernel's
+    forward stage.  ``table(t)`` gives the little-d table at the grid's
+    theta nodes.  Its one reader is the SU(2) difference route
+    (``symbols._kernel_planes``), which shares the tables with its phase
+    weights; the transforms take the eigenbasis route and read no table."""
     top = max(tmax, sym.support_band)
     H = [np.zeros((n, grid.thetas.size, n), dtype=complex)
          for n in (top + 1 - top % 2, top + top % 2)]
@@ -136,9 +227,7 @@ def fourier_forward(f: GroupFunction, band: Optional[int] = None):
                    float(grid.exact_total_band - f.declared_band),
                    float(f.exact_band))
     if model.kind == "su2":
-        planes = _su2_forward_stages(grid, f.samples, band)
-        return MatrixSymbol(model, dict(_su2_theta_sums(grid, planes,
-                                                        range(band + 1))),
+        return MatrixSymbol(model, _su2_forward_labels(grid, f.samples, band),
                             exact_band=cert)
     table = np.fft.fftshift(np.fft.fftn(f.samples.reshape(grid.shape)))
     return TorusSymbol(model, resize_box(table, band) / f.samples.size, cert)
@@ -151,13 +240,7 @@ def fourier_inverse(sym, grid: GroupGrid) -> GroupFunction:
             f"symbol support band {sym.support_band} exceeds the grid's "
             f"representable band {grid.max_label_band}")
     if grid.model.kind == "su2":
-        # f = sum_t d_t sum_{mn} e^{-i m phi} d^t_{mn} e^{-i n psi} sigma_{nm}:
-        # the phi stage of each parity, (phi, theta, v), side by side in v
-        ephis, epsi = _su2_phase_tables(grid, sym.support_band, -1)
-        planes = _su2_label_planes(grid, sym, sym.support_band)
-        mid = np.concatenate([np.tensordot(ephi, H, axes=(0, 0))
-                              for ephi, H in zip(ephis, planes)], axis=2)
-        samples = np.tensordot(mid, epsi, axes=(2, 0)).reshape(-1)
+        samples = _su2_inverse_stages(grid, sym).reshape(-1)
     else:
         table = np.fft.ifftshift(resize_box(sym.table, grid.band))
         samples = (np.fft.ifftn(table) * table.size).reshape(-1)

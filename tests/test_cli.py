@@ -463,6 +463,16 @@ def test_selftest_at_band_zero_passes(group, capsys):
     assert report["results"][group]["passed"] is True
 
 
+def test_su2_selftest_at_band_64_is_at_rounding_level(capsys):
+    # the explicit sum's tables cancelled from band ~48 (round trip 4.1e-8
+    # at band 56); the eigenbasis route holds both errors at rounding level
+    assert main(["fourier-selftest", "--group", "su2", "--band",
+                 "64"]) == EXIT_PASS
+    result = json.loads(capsys.readouterr().out)["results"]["su2"]
+    assert result["roundtrip_relative_error"] <= 1e-12
+    assert result["norm_identity_relative_error"] <= 1e-12
+
+
 def _riesz_order0_constant(band: int) -> float:
     """Largest operator norm of the unit-field Riesz symbol through
     ``band``: ``(t/2) / sqrt((t/2)(t/2 + 1))``, increasing in ``t``."""
@@ -938,6 +948,21 @@ def test_cli_import_loads_no_unused_module(module):
     assert proc.returncode == 0, proc.stderr
 
 
+def test_su2_mikhlin_check_loads_no_numpy_ma():
+    # the empirical L^4 probe takes the middle of its sorted ratios, where
+    # np.median would import numpy.ma (~10 ms and ~1.25 MB of every SU(2)
+    # mikhlin child)
+    code = ("import contextlib, io, sys, gmult.cli\n"
+            "with contextlib.redirect_stdout(io.StringIO()):\n"
+            "    code = gmult.cli.main(['check', '--group', 'su2', '--band',"
+            " '8', '--symbol', 'riesz:D3', '--checker', 'mikhlin'])\n"
+            "sys.exit(code or 10 * ('numpy.ma' in sys.modules))")
+    src = str(Path(cli.__file__).resolve().parents[1])
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                          text=True, env={"PYTHONPATH": src})
+    assert proc.returncode == 0, proc.stderr
+
+
 @pytest.mark.parametrize("argv", [
     ["fourier-selftest", "--group", "torus-3", "--band", "-2"],
     ["invert", "--band", "-1"],
@@ -1126,32 +1151,38 @@ def test_traced_benchmark_run_records_forward_labels(tmp_path):
     assert counts["checkers.empirical_lp_ratio"] == 1
     assert counts["transform.fourier_forward"] == 3
     assert counts["transform.fourier_inverse"] == 6
-    # no grid holds a Wigner table: each read of one is a build, a
-    # transform builds each label's table once, and the one difference
-    # walk builds each of its 13 tables (the symbol's labels) once
-    assert counts["grids.GroupGrid.little_d"] == 94
-    builds = Counter(r["parent"] for r in records
-                     if r["name"] == "groups.wigner_little_d")
-    reads = [i for i, r in enumerate(records)
-             if r["name"] == "grids.GroupGrid.little_d"]
-    assert [builds[i] for i in reads] == [1] * len(reads)
-
     def ancestors(record):
         while record["parent"] >= 0:
             record = records[record["parent"]]
             yield record["name"]
 
+    # no grid holds a Wigner table and no transform reads one: each read
+    # is a build, and the one difference walk builds each of its 13
+    # tables (the symbol's labels) once.  The transforms take one J_x
+    # eigenbasis per label they read: 9 transforms of labels 0..8
+    assert counts["grids.GroupGrid.little_d"] == 13
+    builds = Counter(r["parent"] for r in records
+                     if r["name"] == "groups.wigner_little_d")
+    reads = [i for i, r in enumerate(records)
+             if r["name"] == "grids.GroupGrid.little_d"]
+    assert [builds[i] for i in reads] == [1] * len(reads)
+    assert not any(name.startswith("transform.")
+                   for i in reads for name in ancestors(records[i]))
+    assert counts["groups.jx_eigenbasis"] == 9 * 9
+    assert all(any(name.startswith("transform.") for name in ancestors(r))
+               for r in records if r["name"] == "groups.jx_eigenbasis")
     assert not any("symbols.difference_sup_tables" in ancestors(r)
                    for r in records if r["name"].startswith("transform."))
 
 
-def test_su2_selftest_holds_one_wigner_table_at_a_time(capsys):
-    # band 56: 57 twice-spins of tables on 29 nodes are 14 MB, which the
-    # transforms build one at a time and drop
+def test_su2_selftest_holds_one_parity_cube_at_a_time(capsys):
+    # band 56: 57 twice-spins of Wigner tables on 29 nodes would be 14 MB;
+    # the transforms read none, and hold one parity's (u, v, k) cube
+    # (57 x 57 x 29 complex, 1.5 MB) at a time
     tracemalloc.start()
     try:
         assert main(["fourier-selftest", "--group", "su2", "--band",
-                     "56"]) in (EXIT_PASS, EXIT_FAIL)
+                     "56"]) == EXIT_PASS
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()

@@ -107,8 +107,9 @@ def test_su2_theta_rule_is_the_gauss_legendre_engine(su2, band):
 
 
 def test_grid_holds_no_wigner_table(su2, rng, monkeypatch):
-    # every table a transform pair or a difference family builds is gone
-    # once the call returns: neither the grid nor anything else keeps it
+    # a transform pair reads no table, and every table a difference family
+    # builds is gone once the call returns: neither the grid nor anything
+    # else keeps it
     from gmult.grids import GroupGrid
     from gmult.symbols import random_symbol, word_sup_table
     from gmult.transform import fourier_forward, fourier_inverse
@@ -125,8 +126,9 @@ def test_grid_holds_no_wigner_table(su2, rng, monkeypatch):
     assert grid.little_d(3) is not grid.little_d(3)
     sym = random_symbol(su2, 8, rng, exact_band=8)
     fourier_forward(fourier_inverse(sym, grid))
+    assert len(built) == 2          # the two reads above
     word_sup_table(sym, 1, 6)
-    assert len(built) > 2 * 9       # the pair alone reads labels 0..8 twice
+    assert len(built) == 2 + 9      # the walk builds labels 0..8 once each
     assert all(ref() is None for ref in built)
     # a grid is frozen data: it holds its node arrays and nothing else
     with pytest.raises(dataclasses.FrozenInstanceError):

@@ -7,10 +7,10 @@ from hypothesis import given, strategies as st
 from numpy.polynomial.legendre import leggauss
 
 from gmult import groups
-from gmult.groups import (_log_factorials, casimir_lambda, irrep_dimension,
-                          japanese_bracket, label_band, labels_up_to,
-                          model_from_name, torus_model, validate_label,
-                          wigner_little_d)
+from gmult.groups import (_log_factorials, angular_momentum, casimir_lambda,
+                          irrep_dimension, japanese_bracket, jx_eigenbasis,
+                          label_band, labels_up_to, model_from_name,
+                          torus_model, validate_label, wigner_little_d)
 
 from conftest import su2_exp, wigner_matrix
 
@@ -184,6 +184,29 @@ def test_coefficients_are_the_per_k_terms_bitwise():
             sign = np.where((m - n + k) % 2 == 0, 1.0, -1.0)
             want[m - n + 2 * k, at] = sign * np.exp(pref[at] - logden)
         assert np.array_equal(groups._wigner_coefficients(T), want), T
+
+
+@pytest.mark.parametrize("t", [0, 1, 2, 7, 40, 255])
+def test_jx_eigenbasis_diagonalizes_jx(t):
+    # orthogonal columns at the eigenvalues k - l, ascending
+    V = jx_eigenbasis(t)
+    jx = angular_momentum((1.0, 0.0, 0.0), t).real
+    k = np.arange(t + 1) - t / 2.0
+    assert np.abs(V.T @ V - np.eye(t + 1)).max() <= 1e-13
+    assert np.abs(jx @ V - V * k).max() <= 1e-14 * (t + 1)
+
+
+@pytest.mark.parametrize("t", [0, 1, 2, 3, 6, 11])
+def test_jx_eigenbasis_gives_little_d(t):
+    # d_mn(theta) = e^{-i pi (m - n)/2} sum_k V_mk V_nk e^{-i theta (k - l)}
+    # against the explicit sum, where that sum is good to ~1e-14
+    theta = np.array([0.0, 0.3, 1.7, 2.9, math.pi])
+    V = jx_eigenbasis(t)
+    m = np.arange(t + 1)
+    phase = np.exp(-0.5j * math.pi * (m[:, None] - m))
+    modes = np.exp(-1j * np.outer(theta, m - t / 2.0))
+    d = phase * np.einsum("mk,nk,ak->amn", V, V, modes)
+    assert np.abs(d - wigner_little_d(t, theta)).max() <= 1e-13
 
 
 def test_little_d_orthogonal():

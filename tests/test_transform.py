@@ -125,11 +125,12 @@ def test_constant_function_transform(su2):
     assert np.allclose(back.get(2), 0.0, atol=1e-13)
 
 
-@pytest.mark.parametrize("band", range(1, 7))
-def test_su2_transforms_match_direct_quadrature(su2, band):
-    # each coefficient as one weighted sum over the grid nodes,
-    # fhat(t)_{mn} = sum_g w_g f(g) conj(xi_t(g)_{nm}), and each sample as
-    # f(g) = sum_t (t + 1) sum_{mn} xi_t(g)_{mn} sigma(t)_{nm}
+def _direct_quadrature_errors(su2, band):
+    """Relative errors of both SU(2) transforms on the band's grid against
+    node sums of the explicit-sum Wigner tables, each coefficient as one
+    weighted sum over the grid nodes, ``fhat(t)_{mn} = sum_g w_g f(g)
+    conj(xi_t(g)_{nm})``, and each sample as ``f(g) = sum_t (t + 1)
+    sum_{mn} xi_t(g)_{mn} sigma(t)_{nm}``: ``(forward, inverse)``."""
     grid = default_grid(su2, band)
     rng = np.random.default_rng(band)
     samples = (rng.standard_normal(grid.node_count)
@@ -138,6 +139,7 @@ def test_su2_transforms_match_direct_quadrature(su2, band):
     got = fourier_forward(GroupFunction(grid, samples), band=top)
     sym = random_symbol(su2, top, rng)
     back = np.zeros(grid.node_count, dtype=complex)
+    forward = 0.0
     for t in range(top + 1):
         want = np.empty((t + 1, t + 1), dtype=complex)
         for m in range(t + 1):
@@ -145,6 +147,35 @@ def test_su2_transforms_match_direct_quadrature(su2, band):
                 xi = grid.coefficient_function(t, n, m)
                 want[m, n] = np.sum(grid.weights * samples * np.conj(xi))
                 back += (t + 1) * sym.get(t)[m, n] * xi
-        assert np.max(np.abs(got.get(t) - want)) <= 1e-13 * np.max(np.abs(want))
-    err = np.max(np.abs(fourier_inverse(sym, grid).samples - back))
-    assert err <= 1e-13 * np.max(np.abs(back))
+        forward = max(forward, np.max(np.abs(got.get(t) - want))
+                      / np.max(np.abs(want)))
+    inverse = (np.max(np.abs(fourier_inverse(sym, grid).samples - back))
+               / np.max(np.abs(back)))
+    return forward, inverse
+
+
+@pytest.mark.parametrize("band", range(1, 8))
+def test_su2_transforms_match_direct_quadrature(su2, band):
+    # the explicit-sum tables are an oracle of the eigenbasis route while
+    # their own error stays below it: against a 40-digit sum they are off
+    # by 8e-14 at twice-spin 16 (band 8) and 2.6e-13 at 20, the eigenbasis
+    # route by 3e-15
+    assert max(_direct_quadrature_errors(su2, band)) <= 1e-13
+
+
+def test_direct_quadrature_sees_one_eigenbasis_entry_off(su2, monkeypatch):
+    # a 1e-9 change to one entry of one label's J_x eigenbasis fails the
+    # oracle above in both transforms
+    from gmult import transform
+
+    real = transform.jx_eigenbasis
+
+    def perturbed(twice_spin):
+        V = real(twice_spin)
+        if twice_spin == 3:
+            V[1, -1] += 1e-9
+        return V
+
+    monkeypatch.setattr(transform, "jx_eigenbasis", perturbed)
+    forward, inverse = _direct_quadrature_errors(su2, 2)
+    assert forward > 1e-11 and inverse > 1e-11
