@@ -159,9 +159,11 @@ class GroupGrid:
 
     def little_d(self, twice_spin: int) -> np.ndarray:
         """Little-d table at the theta nodes, shape ``(n_theta, d, d)``,
-        built on each call.  Its readers are the SU(2) difference route
-        (``symbols._kernel_planes``) and :meth:`coefficient_function`; the
-        transforms read none."""
+        built on each call.  Its readers are the SU(2) difference route,
+        whose ``symbols._kernel_planes`` builds the kernel's label stage
+        and phase weights against it, and :meth:`coefficient_function`;
+        the transforms read none (they take the ``J_x`` eigenbases as spin
+        powers, :func:`gmult.groups.spin_powers`)."""
         from .groups import wigner_little_d
 
         if self.model.kind != "su2":

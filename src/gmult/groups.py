@@ -279,13 +279,26 @@ def angular_momentum(coeffs: Sequence[float], twice_spin: int) -> np.ndarray:
             + a[1] * (raising - lowering) / 2j + a[2] * np.diag(0.5 * twice_m))
 
 
-def jx_eigenbasis(twice_spin: int) -> np.ndarray:
-    """Orthogonal eigenvectors ``V`` of the real tridiagonal ``J_x = V K
-    V^T`` (:func:`angular_momentum`'s rows) from one real ``eigh``: column
-    ``k`` holds the eigenvalue ``k - l``.  A quarter turn about the z-axis
-    takes ``J_x`` to ``J_y``, so ``d^l_{mn}(theta) = e^{-i pi (m - n) / 2}
-    sum_k V_mk V_nk e^{-i theta (k - l)}`` (Risbo, J. Geodesy 70, 1996).
-    Each column's sign is arbitrary and cancels in ``V_mk V_nk``."""
-    jx = angular_momentum((1.0, 0.0, 0.0), twice_spin).real
-    return np.linalg.eigh(jx)[1]
-
+def spin_powers(V: np.ndarray, band: int) -> Iterator[np.ndarray]:
+    """The spin-``t/2`` representations of a 2x2 matrix ``V``, ``t =
+    0..band``, in ``V``'s dtype (rows and columns ascending in ``m``, the
+    basis of :func:`angular_momentum`): label ``t`` couples label ``t - 1``
+    with ``V`` by the stretched Clebsch-Gordan weights ``sqrt(i / t)``,
+    ``sqrt((t - i) / t)``, an isometry; renormalized columns keep the
+    rounding near ``1e-16 t``.  The powers of a fundamental eigenbasis
+    diagonalize every label's block: those of ``[[-1, 1], [1, 1]] /
+    sqrt(2)`` give the eigenvectors of ``J_x``, column ``k`` at the
+    eigenvalue ``k - l`` (Ruzhansky & Turunen, *Pseudo-Differential
+    Operators and Symmetries*, 2010, SU(2) chapter)."""
+    U = np.ones((1, 1), dtype=V.dtype)
+    yield U
+    for t in range(1, band + 1):
+        pad = np.zeros((t + 2, t + 2), dtype=V.dtype)
+        pad[1:-1, 1:-1] = U
+        w = np.sqrt(np.arange(t + 1) / t)
+        w = (w[::-1], w)                      # m - 1/2, then m + 1/2
+        U = sum(V[k, l] * (w[k][:, None] * w[l])
+                * pad[1 - k:t + 2 - k, 1 - l:t + 2 - l]
+                for k in (0, 1) for l in (0, 1))
+        U /= np.linalg.norm(U, axis=0)
+        yield U

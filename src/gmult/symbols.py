@@ -14,12 +14,12 @@ so a difference is an exact lattice shift and the distance-squared
 that zero-extend the box by the factor's band.  On SU(2) a factor is a
 sum of terms ``e^{-i s phi/2} g(theta) e^{-i s' psi/2}``, which shift the
 kernel's forward phase sums by ``(s, s')``.  On a grid that resolves the
-kernel those sums are the inverse transform's label stage, the blocks
-against the Wigner tables, built with no sampling.  The words' blocks then
-come one label at a time: per shift, one GEMM of the words' theta weights
-against the shifted slice of that stage times the label's theta
-quadrature against its Wigner table.  The route builds the smallest grid
-exact for the products itself; no difference takes a grid.  The tests
+kernel those sums are its label stage, the blocks against the Wigner
+tables, built here with no sampling.  The words' blocks then come one
+label at a time: per shift, one GEMM of the words' theta weights against
+the shifted slice of that stage times the label's theta quadrature
+against its Wigner table.  The route builds the smallest grid exact for
+the products itself; no difference takes a grid.  The tests
 keep the recipe "inverse transform, multiply on a grid, forward
 transform" as the oracle of both routes.
 
@@ -382,26 +382,40 @@ def _phase_weights(grid: GroupGrid, table, combination) -> Dict:
     return out
 
 
+def _rows(top: int, t: int, shift: int = 0) -> slice:
+    """Rows of the twice-weights ``-t - shift, .., t - shift`` in an axis
+    of the twice-weights ``-top, -top + 2, .., top``."""
+    return slice((top - t - shift) // 2, (top + t - shift) // 2 + 1)
+
+
 def _kernel_planes(sym: MatrixSymbol, wband: int, out_band: int,
                    combinations: Sequence = ()):
     """The kernel setup of the SU(2) difference route, for multipliers of
     band <= ``wband`` read through ``out_band``.  The grid is the smallest
     that represents the symbol's labels and those through ``out_band`` and
     integrates exactly the kernel's products with the multipliers there;
-    it resolves the kernel, so the kernel's phase planes ``(u, v, theta)``
-    at every twice-weight ``|u| <= out_band + wband`` a shifted read
-    reaches are its label stage, built with no sampling.  Returns the
-    grid, the little-d tables of one call (``table(t)``, each built on its
-    first read and dropped with the callable), the planes and the
+    it resolves the kernel, so the kernel's forward phase planes are its
+    label stage against the little-d tables, built with no sampling:
+    ``P[a, u, v] = sum_t (t + 1) d^t_{mn}(theta_a) sigma_t[n, m]`` at the
+    twice-weights ``u = 2m - t``, ``v = 2n - t``, one plane ``(theta, u,
+    v)`` per parity of ``u`` and ``v``, each through its largest
+    twice-weight ``<= out_band + wband`` (the reach of a shifted read;
+    higher labels add their middle rows).  Returns the grid, the
+    little-d tables of one call (``table(t)``, each built on its first
+    read and dropped with the callable), the planes and the
     :func:`_phase_weights` of each combination."""
-    from . import transform
-
     reach = max(sym.support_band, out_band)
     total = sym.support_band + wband + out_band
     grid = build_grid(sym.model, max(1, (reach + 1) // 2, (total + 3) // 4))
     table = functools.cache(grid.little_d)
-    planes = [H.transpose(0, 2, 1) for H in
-              transform._su2_label_planes(grid, sym, out_band + wband, table)]
+    tops = [out_band + wband - (out_band + wband - p) % 2 for p in (0, 1)]
+    planes = [np.zeros((grid.thetas.size, top + 1, top + 1), dtype=complex)
+              for top in tops]
+    for t, mat in sym.entries.items():
+        top = tops[t % 2]
+        at, keep = _rows(top, min(t, top)), _rows(t, min(t, top))
+        planes[t % 2][:, at, at] += (t + 1) * (table(t)[:, keep, keep]
+                                               * mat.T[keep, keep])
     return grid, table, planes, [_phase_weights(grid, table, c)
                                  for c in combinations]
 
@@ -427,16 +441,14 @@ def _label_blocks(sym: MatrixSymbol, wband: int, out_band: int,
     shifts = [(s, r, [w for w, _ in ws], np.array([g for _, g in ws]))
               for (s, r), ws in carriers.items()]
     w2 = grid.theta_weights / 2.0
-    planes = [p.transpose(2, 0, 1) for p in planes]      # (theta, u, v)
     for t in range(out_band + 1):
         quad = table(t) * w2[:, None, None]                 # (theta, n, m)
         blocks = np.zeros((len(weights), t + 1, t + 1), dtype=complex)
         for s, r, ws, g in shifts:
             src = planes[(t - s) % 2]
             top = src.shape[1] - 1
-            rows = slice((top - t - s) // 2, (top + t - s) // 2 + 1)
-            cols = slice((top - t - r) // 2, (top + t - r) // 2 + 1)
-            shifted = (src[:, rows, cols] * quad).reshape(w2.size, -1)
+            shifted = (src[:, _rows(top, t, s), _rows(top, t, r)]
+                       * quad).reshape(w2.size, -1)
             # real weights (every word's) take a real GEMM on the
             # interleaved parts: half the flops of a complex one
             prod = ((g @ shifted.view(float)).view(complex)

@@ -10,15 +10,14 @@ On the torus this is the ordinary Fourier series with characters
 ``exp(2 pi i k . x)``, evaluated by the FFT between the samples and the
 symbol's dense label box.  On SU(2) the transform separates over the Euler
 product grid (Kostelec & Rockmore 2008): two phase sums (uniform angles)
-and a Gauss-Legendre sum in theta, which reads no Wigner table.  With the
-eigenvectors ``V`` of ``J_x`` (:func:`gmult.groups.jx_eigenbasis`),
-``d^t_{mn}(theta) = e^{-i pi (m - n)/2} sum_k V_mk V_nk e^{-i theta k}``
+and a Gauss-Legendre sum in theta, which reads no Wigner table and makes
+no eigensolve.  The eigenvectors ``V`` of ``J_x`` at label ``t`` are the
+spin-``t/2`` power of those at label 1 (:func:`gmult.groups.spin_powers`),
+and ``d^t_{mn}(theta) = e^{-i pi (m - n)/2} sum_k V_mk V_nk e^{-i theta k}``
 (Risbo 1996), so per twice-weight parity one GEMM moves theta between the
 nodes and the modes ``k``, and each label is an ``O(t^3)`` sum against the
 real ``V_mk V_nk``: ``O(B^4)`` in all, where per-label tables cost
-``O(B^5)``.  The inverse transform's label stage against the little-d
-tables (:func:`_su2_label_planes`) is the forward phase stage of the
-kernel on any grid that resolves it; the difference route reads it there.
+``O(B^5)``.  Each transform holds one parity's cube at a time.
 
 Exactness accounting: for a function carrying a ``declared_band``
 certificate ``b``, computed coefficients at labels of band ``t`` are exact
@@ -33,68 +32,66 @@ discrete quadrature transform, certified exact nowhere).
 from __future__ import annotations
 
 import math
-from typing import Callable, Optional, Tuple
+from itertools import islice
+from typing import Optional, Tuple
 
 import numpy as np
 
 from .errors import BandOverflowError
 from .grids import GroupFunction, GroupGrid
 from .groups import (bracket_powers, irrep_dimension, japanese_bracket,
-                     jx_eigenbasis)
-from .symbols import MatrixSymbol, TorusSymbol, resize_box
+                     spin_powers)
+from .symbols import MatrixSymbol, TorusSymbol, _rows, resize_box
 
 
 def _su2_phase_tables(grid: GroupGrid, tmax: int, sign: int):
     """Phase matrices ``e^{sign i u phi / 2}`` and ``e^{sign i v psi / 2}``,
-    shaped ``(twice-weight, node)``: the phi tables as one matrix per
-    twice-weight parity ``p``, rows ``u = -U_p, -U_p + 2, ..., U_p`` with
-    ``U_p`` the largest ``u <= tmax`` of parity ``p``, and the psi table
-    with the rows of both parities stacked in that order.  The forward
-    tables (``sign = +1``) are divided by their node counts."""
+    shaped ``(twice-weight, node)``, as the phi tables and the psi tables
+    of the twice-weight parities ``p = 0, 1``: rows ``u = -U_p, -U_p + 2,
+    ..., U_p`` with ``U_p`` the largest ``u <= tmax`` of parity ``p``.  The
+    forward tables (``sign = +1``) are divided by their node counts."""
     u = np.arange(-tmax, tmax + 1)
     ephi = np.exp(sign * 0.5j * np.outer(u, grid.phis))
     epsi = np.exp(sign * 0.5j * np.outer(u, grid.psis))
     if sign > 0:
         ephi, epsi = ephi / grid.phis.size, epsi / grid.psis.size
     rows = (slice(tmax % 2, None, 2), slice(1 - tmax % 2, None, 2))
-    return [ephi[r] for r in rows], np.concatenate([epsi[r] for r in rows])
+    return [ephi[r] for r in rows], [epsi[r] for r in rows]
 
 
-def _plane_slice(plane: np.ndarray, t: int) -> slice:
-    """Rows of the twice-weights ``-t..t`` in a plane of their parity."""
-    top = plane.shape[0] - 1
-    return slice((top - t) // 2, (top + t) // 2 + 1)
+def _su2_forward_plane(grid: GroupGrid, samples: np.ndarray,
+                       ephi: np.ndarray, epsi: np.ndarray) -> np.ndarray:
+    """Collapse the phi and psi axes at one twice-weight parity: ``A[u, v,
+    a] = (1/(Nphi Npsi)) sum_{j,k} f(phi_j, theta_a, psi_k) e^{i u phi_j /
+    2} e^{i v psi_k / 2}``, shaped ``(u, v, theta)``, from that parity's
+    forward tables of :func:`_su2_phase_tables`.  The psi stage reads the
+    samples transposed in place, as BLAS's transposed operand."""
+    f = samples.reshape(grid.shape).transpose(0, 2, 1)  # (phi, psi, theta)
+    B = np.matmul(epsi, f)                              # (phi, v, theta)
+    return np.tensordot(ephi, B, axes=(1, 0))
 
 
-def _su2_forward_stages(grid: GroupGrid, samples: np.ndarray, tmax: int):
-    """Collapse the phi and psi axes: ``A[u, v, a] = (1/(Nphi Npsi))
-    sum_{j,k} f(phi_j, theta_a, psi_k) e^{i u phi_j / 2} e^{i v psi_k / 2}``
-    at the twice-weight pairs a label reads, ``u = v = p (mod 2)``, as the
-    two planes ``p = 0, 1`` laid out like :func:`_su2_phase_tables`."""
-    ephis, epsi = _su2_phase_tables(grid, tmax, +1)
-    B = np.tensordot(samples.reshape(grid.shape), epsi,
-                     axes=(2, 1))                   # (phi, theta, v)
-    n0 = ephis[0].shape[0]
-    return [np.tensordot(ephi, B[:, :, cols].transpose(0, 2, 1),
-                         axes=(1, 0))               # (u, v, theta)
-            for ephi, cols in zip(ephis, (slice(0, n0), slice(n0, None)))]
-
+#: The eigenvectors of ``J_x`` at label 1, column ``k`` at the eigenvalue
+#: ``k - 1/2``; their spin powers are those of every label
+_JX_BASIS = np.array([[-1.0, 1.0], [1.0, 1.0]]) / math.sqrt(2.0)
 
 #: ``e^{-i pi (m - n) / 2}`` by ``(m - n) mod 4``, the ``-i`` of odd
 #: ``m - n`` moved into the sine mode
 _QUARTER_SIGNS = np.array([1.0, -1.0, -1.0, 1.0])
 
 
-def _su2_label_kernel(t: int):
-    """``(V, signs)`` of label ``t``: the columns of :func:`jx_eigenbasis`
-    at its eigenvalues ``k >= 0``, and ``signs[m, n]``.  The terms ``k``
-    and ``-k`` of the eigenbasis sum fold into ``d^t_{mn}(theta) =
-    signs[m, n] sum_k V_mk V_nk c_k(theta)``, with ``c_k`` the cosine mode
+def _su2_label_kernels(top: int, parity: int):
+    """``(t, V, signs)`` at the labels ``t = parity, parity + 2, .., top``:
+    the columns of label ``t``'s ``J_x`` eigenbasis (the spin power of
+    ``_JX_BASIS``) at its eigenvalues ``k >= 0``, and ``signs[m, n]``.  The
+    terms ``k`` and ``-k`` of the eigenbasis sum fold into ``d^t_{mn}(theta)
+    = signs[m, n] sum_k V_mk V_nk c_k(theta)``, with ``c_k`` the cosine mode
     of :func:`_su2_theta_modes` for even ``m - n`` and the sine mode for
     odd: the kernel is real."""
-    ar = np.arange(t + 1)
-    return (jx_eigenbasis(t)[:, (t + 1) // 2:],
-            _QUARTER_SIGNS[(ar[:, None] - ar) % 4])
+    for t, U in islice(enumerate(spin_powers(_JX_BASIS, top)), parity,
+                       None, 2):
+        ar = np.arange(t + 1)
+        yield t, U[:, (t + 1) // 2:], _QUARTER_SIGNS[(ar[:, None] - ar) % 4]
 
 
 def _su2_theta_modes(grid: GroupGrid, top: int, parity: int):
@@ -116,32 +113,33 @@ def _checkerboard_matmul(cube: np.ndarray, even: np.ndarray, odd: np.ndarray,
     return out
 
 
-def _smaller_parity_first(planes) -> Tuple[int, int]:
-    """The parities in the order their stages run: the smaller plane
-    first, so that the larger one's blocks, allocated after the smaller
-    one's are freed, stay above the allocator's mmap threshold and go back
-    to the system when freed, not to the heap."""
-    return (0, 1) if planes[0].shape[0] < planes[1].shape[0] else (1, 0)
+def _smaller_parity_first(tmax: int) -> Tuple[int, int]:
+    """The parities in the order their stages run: the one with fewer
+    twice-weights ``|u| <= tmax`` first, so that the larger one's blocks,
+    allocated after the smaller one's are freed, stay above the
+    allocator's mmap threshold and go back to the system when freed, not
+    to the heap."""
+    return 1 - tmax % 2, tmax % 2
 
 
 def _su2_forward_labels(grid: GroupGrid, samples: np.ndarray, band: int):
     """The forward transform's blocks ``{t: fhat}`` through ``band`` on the
     ``J_x`` eigenbasis.  Per parity, one GEMM takes the phase plane
-    ``A[u, v, theta]`` of :func:`_su2_forward_stages` to ``Q[u, v, k] =
+    ``A[u, v, theta]`` of :func:`_su2_forward_plane` to ``Q[u, v, k] =
     sum_a w_a/2 c_k(theta_a) A[u, v, a]``; each label is then ``fhat_{mn}
-    = signs[n, m] sum_k V_nk V_mk Q[2n, 2m, k]`` (:func:`_su2_label_kernel`).
-    One parity's ``Q`` is held at a time."""
-    planes = _su2_forward_stages(grid, samples, band)
+    = signs[n, m] sum_k V_nk V_mk Q[2n, 2m, k]`` (:func:`_su2_label_kernels`).
+    One parity's plane, then its ``Q``, is held at a time."""
+    ephis, epsis = _su2_phase_tables(grid, band, +1)
     w2 = grid.theta_weights[:, None] / 2.0
     out = {}
-    for p in _smaller_parity_first(planes):
-        plane, planes[p] = planes[p], None
+    for p in _smaller_parity_first(band):
+        plane = _su2_forward_plane(grid, samples, ephis[p], epsis[p])
         cos, sin = _su2_theta_modes(grid, plane.shape[0] - 1, p)
         Q = _checkerboard_matmul(plane, w2 * cos, w2 * sin, np.empty(
             plane.shape[:2] + cos.shape[1:], dtype=complex))
-        for t in range(p, band + 1, 2):
-            V, signs = _su2_label_kernel(t)
-            at = _plane_slice(Q, t)
+        del plane
+        for t, V, signs in _su2_label_kernels(band, p):
+            at = _rows(Q.shape[0] - 1, t)
             sums = np.einsum("nk,mk,nmk->nm", V, V, Q[at, at, :V.shape[1]])
             out[t] = (signs * sums).T
         del Q
@@ -157,18 +155,18 @@ def _su2_inverse_stages(grid: GroupGrid, sym: MatrixSymbol) -> np.ndarray:
     ``e^{-i n psi}``.  One parity's ``G`` is held at a time."""
     top = sym.support_band
     ephis, epsi = _su2_phase_tables(grid, top, -1)
+    epsi = np.concatenate(epsi)
     # the phi stage of each parity, (phi, theta, v), side by side in v
     mid = np.empty((grid.phis.size, grid.thetas.size, epsi.shape[0]),
                    dtype=complex)
-    for p in _smaller_parity_first(ephis):
+    for p in _smaller_parity_first(top):
         ephi, n = ephis[p], ephis[p].shape[0]
         start = p * ephis[0].shape[0]
         cos, sin = _su2_theta_modes(grid, n - 1, p)
         G = np.zeros((n, n, cos.shape[1]), dtype=complex)
-        for t in range(p, top + 1, 2):
+        for t, V, signs in _su2_label_kernels(top, p):
             if t in sym.entries:
-                V, signs = _su2_label_kernel(t)
-                at = _plane_slice(G, t)
+                at = _rows(n - 1, t)
                 rows = (t + 1) * signs * sym.entries[t].T
                 # one row m at a time: no (t + 1)^3 temporary
                 for m, row in enumerate(rows):
@@ -179,29 +177,6 @@ def _su2_inverse_stages(grid: GroupGrid, sym: MatrixSymbol) -> np.ndarray:
         del G
         mid[:, :, start:start + n] = np.tensordot(ephi, H, axes=(0, 0))
     return np.tensordot(mid, epsi, axes=(2, 0))
-
-
-def _su2_label_planes(grid: GroupGrid, sym: MatrixSymbol, tmax: int,
-                      table: Callable[[int], np.ndarray]):
-    """The inverse transform's label stage against the little-d tables,
-    ``H[u, a, v] = sum_t (t + 1) d^t_{mn}(theta_a) sigma_t[n, m]`` at ``u =
-    2m``, ``v = 2n``, laid out like :func:`_su2_phase_tables` through
-    ``tmax``, theta in the middle; built through the support (higher labels
-    reach the rows kept) and cropped.  Where the grid's phase sums resolve
-    ``|u| <= tmax`` against the symbol's twice-weights, it is the kernel's
-    forward stage.  ``table(t)`` gives the little-d table at the grid's
-    theta nodes.  Its one reader is the SU(2) difference route
-    (``symbols._kernel_planes``), which shares the tables with its phase
-    weights; the transforms take the eigenbasis route and read no table."""
-    top = max(tmax, sym.support_band)
-    H = [np.zeros((n, grid.thetas.size, n), dtype=complex)
-         for n in (top + 1 - top % 2, top + top % 2)]
-    for t, mat in sym.entries.items():
-        at = _plane_slice(H[t % 2], t)
-        H[t % 2][at, :, at] += (t + 1) * (table(t).transpose(1, 0, 2)
-                                          * mat.T[:, None, :])
-    keep = [_plane_slice(Hp, tmax - (tmax - p) % 2) for p, Hp in enumerate(H)]
-    return [Hp[at, :, at] for Hp, at in zip(H, keep)]
 
 
 def fourier_forward(f: GroupFunction, band: Optional[int] = None):

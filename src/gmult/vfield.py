@@ -3,8 +3,9 @@
 The symbol of a real left-invariant field ``X = a . frame`` is the exact
 spin-matrix action ``-i a . J``: each block is skew-Hermitian with
 eigenvalues ``-i |a| m``, diagonalized at label ``t`` by the spin-``t/2``
-power of the fundamental block's eigenbasis.  So ``X + c`` is inverted a
-block at a time against the exact eigenvalues, and the four first-order
+power of the fundamental block's eigenbasis
+(:func:`gmult.groups.spin_powers`).  So ``X + c`` is inverted a block at
+a time against the exact eigenvalues, and the four first-order
 differences built from the rotated fundamental coefficients act on the
 field symbol as the constants ``tau = diag(i |a| / 2, -i |a| / 2)``.  That
 yields a closed-form expression for the diagonal differences of the
@@ -18,12 +19,12 @@ still certifies labels <= B because every difference word is lattice-local
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, Iterator, List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
 from .errors import ExceptionalValueError, GmultError
-from .groups import GroupModel, angular_momentum
+from .groups import GroupModel, angular_momentum, spin_powers
 from .symbols import (MatrixSymbol, _residual_norm, _su2_differences,
                       symbol_add, symbol_product)
 from .checkers import MultiplierReport, SymbolClassSpec, check_symbol_class
@@ -100,24 +101,6 @@ def _nearest_eigenvalue(spec: VectorFieldSpec, c: complex,
     return abs(ev + c), abs(twice_m), ev
 
 
-def _spin_powers(V: np.ndarray, band: int) -> Iterator[np.ndarray]:
-    """The spin-``t/2`` representations of a 2x2 unitary, ``t = 0..band``
-    (rows and columns ascending in ``m``): label ``t`` couples label ``t -
-    1`` with ``V`` by the stretched Clebsch-Gordan weights ``sqrt(i / t)``,
-    ``sqrt((t - i) / t)``, an isometry; renormalized columns keep the
-    rounding near ``1e-16 t``."""
-    U = np.ones((1, 1), dtype=complex)
-    yield U
-    for t in range(1, band + 1):
-        pad, w = np.pad(U, 1), np.sqrt(np.arange(t + 1) / t)
-        w = (w[::-1], w)                      # m - 1/2, then m + 1/2
-        U = sum(V[k, l] * np.outer(w[k], w[l])
-                * pad[1 - k:t + 2 - k, 1 - l:t + 2 - l]
-                for k in (0, 1) for l in (0, 1))
-        U /= np.linalg.norm(U, axis=0)
-        yield U
-
-
 def invert_vf_symbol(spec: VectorFieldSpec, c: complex,
                      band: Optional[int] = None) -> MatrixSymbol:
     """Per-label inverse of the shifted-field symbol, each block solved in
@@ -136,7 +119,7 @@ def invert_vf_symbol(spec: VectorFieldSpec, c: complex,
     try:
         with np.errstate(over="raise"):
             entries = {t: (U / (spec.eigenvalues(t) + c)) @ U.conj().T
-                       for t, U in enumerate(_spin_powers(spec.basis, band))}
+                       for t, U in enumerate(spin_powers(spec.basis, band))}
     except FloatingPointError:
         raise ValueError(f"shift c = {c} is too large: the inverse blocks "
                          "1/(eigenvalue + c) overflow in floating point; "

@@ -891,6 +891,14 @@ def test_probe_makes_no_lapack_call(group, no_lapack, capsys):
     assert json.loads(capsys.readouterr().out)["passed"] is True
 
 
+def test_su2_selftest_makes_no_lapack_call(no_lapack, capsys):
+    # the transforms take every label's J_x eigenbasis as a spin power of
+    # the label-1 basis: no eigensolve
+    assert main(["fourier-selftest", "--group", "su2", "--band",
+                 "16"]) == EXIT_PASS
+    assert json.loads(capsys.readouterr().out)["passed"] is True
+
+
 @pytest.mark.parametrize("field", ["0,0,0", "nan,0,1", "inf,0,1",
                                    "1e-200,0,0", "1e200,0,0"])
 @pytest.mark.parametrize("command", ["check", "probe", "invert"])
@@ -1158,8 +1166,8 @@ def test_traced_benchmark_run_records_forward_labels(tmp_path):
 
     # no grid holds a Wigner table and no transform reads one: each read
     # is a build, and the one difference walk builds each of its 13
-    # tables (the symbol's labels) once.  The transforms take one J_x
-    # eigenbasis per label they read: 9 transforms of labels 0..8
+    # tables (the symbol's labels) once.  The transforms take the J_x
+    # eigenbases as spin powers, one walk per parity: 9 transforms
     assert counts["grids.GroupGrid.little_d"] == 13
     builds = Counter(r["parent"] for r in records
                      if r["name"] == "groups.wigner_little_d")
@@ -1168,9 +1176,9 @@ def test_traced_benchmark_run_records_forward_labels(tmp_path):
     assert [builds[i] for i in reads] == [1] * len(reads)
     assert not any(name.startswith("transform.")
                    for i in reads for name in ancestors(records[i]))
-    assert counts["groups.jx_eigenbasis"] == 9 * 9
+    assert counts["groups.spin_powers"] == 9 * 2
     assert all(any(name.startswith("transform.") for name in ancestors(r))
-               for r in records if r["name"] == "groups.jx_eigenbasis")
+               for r in records if r["name"] == "groups.spin_powers")
     assert not any("symbols.difference_sup_tables" in ancestors(r)
                    for r in records if r["name"].startswith("transform."))
 

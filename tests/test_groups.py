@@ -8,8 +8,8 @@ from numpy.polynomial.legendre import leggauss
 
 from gmult import groups
 from gmult.groups import (_log_factorials, angular_momentum, casimir_lambda,
-                          irrep_dimension, japanese_bracket, jx_eigenbasis,
-                          label_band, labels_up_to, model_from_name,
+                          irrep_dimension, japanese_bracket, label_band,
+                          labels_up_to, model_from_name, spin_powers,
                           torus_model, validate_label, wigner_little_d)
 
 from conftest import su2_exp, wigner_matrix
@@ -186,14 +186,26 @@ def test_coefficients_are_the_per_k_terms_bitwise():
         assert np.array_equal(groups._wigner_coefficients(T), want), T
 
 
+def jx_eigenbasis(t):
+    """Label ``t``'s ``J_x`` eigenbasis: the spin power of label 1's."""
+    *_, V = spin_powers(np.array([[-1.0, 1.0], [1.0, 1.0]]) / math.sqrt(2.0),
+                        t)
+    return V
+
+
 @pytest.mark.parametrize("t", [0, 1, 2, 7, 40, 255])
 def test_jx_eigenbasis_diagonalizes_jx(t):
-    # orthogonal columns at the eigenvalues k - l, ascending
+    # orthogonal columns at the eigenvalues k - l, ascending, each column's
+    # projector V_mk V_nk that of LAPACK's eigh (the eigenvalues are simple)
     V = jx_eigenbasis(t)
     jx = angular_momentum((1.0, 0.0, 0.0), t).real
     k = np.arange(t + 1) - t / 2.0
+    assert V.dtype == float
     assert np.abs(V.T @ V - np.eye(t + 1)).max() <= 1e-13
     assert np.abs(jx @ V - V * k).max() <= 1e-14 * (t + 1)
+    W = np.linalg.eigh(jx)[1]
+    assert max(np.abs(np.outer(v, v) - np.outer(w, w)).max()
+               for v, w in zip(V.T, W.T)) <= 1e-13
 
 
 @pytest.mark.parametrize("t", [0, 1, 2, 3, 6, 11])

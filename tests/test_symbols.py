@@ -175,7 +175,8 @@ def test_su2_word_sup_table_matches_node_space_oracle(su2, rng, monkeypatch,
 @pytest.mark.parametrize("wband", [1, 2, 4])
 def test_kernel_planes_are_the_sampled_kernels_phase_stage(su2, wband):
     # the label stage read directly against the forward phase stage of the
-    # kernel synthesized on the difference grid, both parities, at output
+    # kernel synthesized on the difference grid, both parities laid out
+    # (theta, u, v), at output
     # bands 0 and half the support (planes cropped where out + wband falls
     # below the support), at the support and at support + wband
     from gmult import transform
@@ -186,8 +187,9 @@ def test_kernel_planes_are_the_sampled_kernels_phase_stage(su2, wband):
         for out in sorted({0, support // 2, support, support + wband}):
             grid, _, planes, _ = symbols._kernel_planes(sym, wband, out)
             kernel = fourier_inverse(sym, grid)
-            want = transform._su2_forward_stages(grid, kernel.samples,
-                                                 out + wband)
+            want = [transform._su2_forward_plane(grid, kernel.samples, *pq)
+                    .transpose(2, 0, 1) for pq in
+                    zip(*transform._su2_phase_tables(grid, out + wband, +1))]
             scale = max(np.abs(w).max() for w in want)
             for got, ref in zip(planes, want):
                 assert got.shape == ref.shape
@@ -377,16 +379,14 @@ def test_leibniz_residual_shares_kernels(su2, rng, monkeypatch, order,
                                          kernels):
     # one kernel label stage for the product, and one per symbol and word
     # band: the differences on sigma and tau come from apply_differences
-    from gmult import transform
-
     calls = []
-    label_planes = transform._su2_label_planes
+    kernel_planes = symbols._kernel_planes
 
-    def counted(grid, sym, tmax, table=None):
+    def counted(sym, *args):
         calls.append(sym)
-        return label_planes(grid, sym, tmax, table)
+        return kernel_planes(sym, *args)
 
-    monkeypatch.setattr(transform, "_su2_label_planes", counted)
+    monkeypatch.setattr(symbols, "_kernel_planes", counted)
     a = random_symbol(su2, 4, rng)
     b = random_symbol(su2, 4, rng)
     word = generator_words(su2, order)[-1]

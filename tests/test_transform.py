@@ -1,4 +1,6 @@
 """Forward/inverse transform: roundtrip, norm identities, linearity."""
+import weakref
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -164,18 +166,51 @@ def test_su2_transforms_match_direct_quadrature(su2, band):
 
 
 def test_direct_quadrature_sees_one_eigenbasis_entry_off(su2, monkeypatch):
-    # a 1e-9 change to one entry of one label's J_x eigenbasis fails the
-    # oracle above in both transforms
+    # a 1e-9 change to one entry of one label's J_x eigenbasis (its spin
+    # power, the labels above it untouched) fails the oracle above in both
+    # transforms
     from gmult import transform
 
-    real = transform.jx_eigenbasis
+    real = transform.spin_powers
 
-    def perturbed(twice_spin):
-        V = real(twice_spin)
-        if twice_spin == 3:
-            V[1, -1] += 1e-9
-        return V
+    def perturbed(V, band):
+        for t, U in enumerate(real(V, band)):
+            if t == 3:
+                U = U.copy()
+                U[1, -1] += 1e-9
+            yield U
 
-    monkeypatch.setattr(transform, "jx_eigenbasis", perturbed)
+    monkeypatch.setattr(transform, "spin_powers", perturbed)
     forward, inverse = _direct_quadrature_errors(su2, 2)
     assert forward > 1e-11 and inverse > 1e-11
+
+
+def test_su2_forward_holds_one_parity_plane_at_a_time(su2, rng, monkeypatch):
+    # when a parity's Q is formed from its phase plane, the plane is the one
+    # array of the phase stages still alive: no other parity's plane, and
+    # no psi stage B of either parity
+    from gmult import transform
+
+    made, formed = [], []
+    checkerboard = transform._checkerboard_matmul
+
+    def recorded(stage):
+        def call(*args, **kwargs):
+            out = stage(*args, **kwargs)
+            made.append(weakref.ref(out))
+            return out
+        return call
+
+    def checked(cube, *args):
+        alive = [r() for r in made if r() is not None]
+        formed.append(len(alive) == 1 and alive[0] is cube)
+        del alive
+        return checkerboard(cube, *args)
+
+    for name in ("tensordot", "matmul"):
+        monkeypatch.setattr(np, name, recorded(getattr(np, name)))
+    monkeypatch.setattr(transform, "_checkerboard_matmul", checked)
+    grid = default_grid(su2, 6)
+    samples = rng.standard_normal(grid.node_count) + 0j
+    fourier_forward(GroupFunction(grid, samples), band=6)
+    assert formed == [True, True] and len(made) == 4

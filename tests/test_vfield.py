@@ -9,14 +9,13 @@ from hypothesis import given, settings, strategies as st
 
 from gmult.errors import ExceptionalValueError, GmultError
 from gmult.groups import (GroupModel, angular_momentum, labels_up_to,
-                          model_from_name)
+                          model_from_name, spin_powers)
 from gmult.symbols import (MatrixSymbol, identity_symbol, symbol_add,
                            symbol_product, vector_field_symbol)
 from gmult.vfield import (_SPECTRAL_MARGIN, VectorFieldSpec,
                           _nearest_eigenvalue, _rotated_differences,
-                          _spin_powers, build_field, exceptional_set,
-                          invert_vf_symbol, recursion_residual,
-                          recursion_residuals, verify_s00)
+                          build_field, exceptional_set, invert_vf_symbol,
+                          recursion_residual, recursion_residuals, verify_s00)
 
 from conftest import op_norm
 
@@ -321,7 +320,7 @@ def test_spin_powers_diagonalize_every_block(su2):
     # the block's spectral radius (every fifth label read)
     for coeffs in DIRECTIONS + [np.array((0.36, 0.48, 0.8))]:
         spec = build_field(su2, coeffs, 1)
-        for t, U in enumerate(_spin_powers(spec.basis, 200)):
+        for t, U in enumerate(spin_powers(spec.basis, 200)):
             if t % 5:
                 continue
             block = -1j * angular_momentum(coeffs, t)
