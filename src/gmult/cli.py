@@ -543,6 +543,8 @@ def cmd_invert(args: argparse.Namespace) -> Tuple[Dict, Dict, bool]:
     if model.kind != "su2":
         raise SymbolFormatError("invert runs on --group su2 only")
     band = args.band if args.band is not None else 40
+    # before the field is built or the shift tested
+    check_range(model, band)
     coeffs = np.asarray(_parse_field(args.field), dtype=float)
     amp = float(np.linalg.norm(coeffs))
     c = parse_complex(args.c)

@@ -17,7 +17,8 @@ and ``d^t_{mn}(theta) = e^{-i pi (m - n)/2} sum_k V_mk V_nk e^{-i theta k}``
 (Risbo 1996), so per twice-weight parity one GEMM moves theta between the
 nodes and the modes ``k``, and each label is an ``O(t^3)`` sum against the
 real ``V_mk V_nk``: ``O(B^4)`` in all, where per-label tables cost
-``O(B^5)``.  Each transform holds one parity's cube at a time.
+``O(B^5)``.  Each transform walks the spin powers once, for both parities,
+and holds one parity's cube at a time.
 
 Exactness accounting: for a function carrying a ``declared_band``
 certificate ``b``, computed coefficients at labels of band ``t`` are exact
@@ -32,8 +33,7 @@ discrete quadrature transform, certified exact nowhere).
 from __future__ import annotations
 
 import math
-from itertools import islice
-from typing import Optional, Tuple
+from typing import Optional
 
 import numpy as np
 
@@ -44,27 +44,12 @@ from .groups import (bracket_powers, irrep_dimension, japanese_bracket,
 from .symbols import MatrixSymbol, TorusSymbol, _rows, resize_box
 
 
-def _su2_phase_tables(grid: GroupGrid, tmax: int, sign: int):
-    """Phase matrices ``e^{sign i u phi / 2}`` and ``e^{sign i v psi / 2}``,
-    shaped ``(twice-weight, node)``, as the phi tables and the psi tables
-    of the twice-weight parities ``p = 0, 1``: rows ``u = -U_p, -U_p + 2,
-    ..., U_p`` with ``U_p`` the largest ``u <= tmax`` of parity ``p``.  The
-    forward tables (``sign = +1``) are divided by their node counts."""
-    u = np.arange(-tmax, tmax + 1)
-    ephi = np.exp(sign * 0.5j * np.outer(u, grid.phis))
-    epsi = np.exp(sign * 0.5j * np.outer(u, grid.psis))
-    if sign > 0:
-        ephi, epsi = ephi / grid.phis.size, epsi / grid.psis.size
-    rows = (slice(tmax % 2, None, 2), slice(1 - tmax % 2, None, 2))
-    return [ephi[r] for r in rows], [epsi[r] for r in rows]
-
-
 def _su2_forward_plane(grid: GroupGrid, samples: np.ndarray,
                        ephi: np.ndarray, epsi: np.ndarray) -> np.ndarray:
     """Collapse the phi and psi axes at one twice-weight parity: ``A[u, v,
     a] = (1/(Nphi Npsi)) sum_{j,k} f(phi_j, theta_a, psi_k) e^{i u phi_j /
     2} e^{i v psi_k / 2}``, shaped ``(u, v, theta)``, from that parity's
-    forward tables of :func:`_su2_phase_tables`.  The psi stage reads the
+    forward tables of :func:`_su2_parities`.  The psi stage reads the
     samples transposed in place, as BLAS's transposed operand."""
     f = samples.reshape(grid.shape).transpose(0, 2, 1)  # (phi, psi, theta)
     B = np.matmul(epsi, f)                              # (phi, v, theta)
@@ -80,27 +65,41 @@ _JX_BASIS = np.array([[-1.0, 1.0], [1.0, 1.0]]) / math.sqrt(2.0)
 _QUARTER_SIGNS = np.array([1.0, -1.0, -1.0, 1.0])
 
 
-def _su2_label_kernels(top: int, parity: int):
-    """``(t, V, signs)`` at the labels ``t = parity, parity + 2, .., top``:
-    the columns of label ``t``'s ``J_x`` eigenbasis (the spin power of
-    ``_JX_BASIS``) at its eigenvalues ``k >= 0``, and ``signs[m, n]``.  The
-    terms ``k`` and ``-k`` of the eigenbasis sum fold into ``d^t_{mn}(theta)
-    = signs[m, n] sum_k V_mk V_nk c_k(theta)``, with ``c_k`` the cosine mode
-    of :func:`_su2_theta_modes` for even ``m - n`` and the sine mode for
-    odd: the kernel is real."""
-    for t, U in islice(enumerate(spin_powers(_JX_BASIS, top)), parity,
-                       None, 2):
-        ar = np.arange(t + 1)
-        yield t, U[:, (t + 1) // 2:], _QUARTER_SIGNS[(ar[:, None] - ar) % 4]
-
-
-def _su2_theta_modes(grid: GroupGrid, top: int, parity: int):
-    """The theta modes of one twice-weight parity, shaped ``(node, k)`` at
-    ``2k = parity, parity + 2, .., top``: ``cos(k theta)`` doubled but at
-    ``k = 0``, and ``2 sin(k theta)``."""
-    kappa = np.arange(parity, top + 1, 2)
-    arg = 0.5 * np.outer(grid.thetas, kappa)
-    return np.cos(arg) * np.where(kappa == 0, 1.0, 2.0), 2.0 * np.sin(arg)
+def _su2_parities(grid: GroupGrid, top: int, sign: int):
+    """Per twice-weight parity ``p``, in the order the stages run, ``(p,
+    ephi, epsi, cos, sin, kernels)``.  ``ephi``, ``epsi``: the phase
+    matrices ``e^{sign i u phi / 2}``, ``e^{sign i v psi / 2}`` shaped
+    ``(twice-weight, node)`` at the rows ``u = -U, -U + 2, .., U``, ``U``
+    the largest ``u <= top`` of parity ``p``, divided by their node counts
+    when forward (``sign = +1``).  ``cos``, ``sin``: the theta modes
+    ``(node, k)`` at ``2k = p, p + 2, .., U``: ``cos(k theta)`` doubled but
+    at ``k = 0``, and ``2 sin(k theta)``.  ``kernels``: ``(t, V, signs)``
+    at the labels ``t = p, p + 2, .., top``, all from one spin-power walk:
+    a copy of the columns of label ``t``'s ``J_x`` eigenbasis (the spin
+    power of ``_JX_BASIS``) at its eigenvalues ``k >= 0``, and ``signs[m,
+    n]``; the terms ``k`` and ``-k`` of the eigenbasis sum fold into
+    ``d^t_{mn}(theta) = signs[m, n] sum_k V_mk V_nk c_k(theta)``, ``c_k``
+    the cosine mode for even ``m - n`` and the sine mode for odd: the
+    kernel is real.  The parity with fewer twice-weights ``|u| <= top``
+    runs first, so that the larger one's blocks, allocated after the
+    smaller one's are freed, stay above the allocator's mmap threshold and
+    go back to the system when freed, not to the heap."""
+    u = np.arange(-top, top + 1)
+    ephi = np.exp(sign * 0.5j * np.outer(u, grid.phis))
+    epsi = np.exp(sign * 0.5j * np.outer(u, grid.psis))
+    if sign > 0:
+        ephi, epsi = ephi / grid.phis.size, epsi / grid.psis.size
+    ar = np.arange(top + 1)
+    signs = _QUARTER_SIGNS[(ar[:, None] - ar) % 4]
+    labels = [(t, U[:, (t + 1) // 2:].copy(), signs[:t + 1, :t + 1])
+              for t, U in enumerate(spin_powers(_JX_BASIS, top))]
+    for p in (1 - top % 2, top % 2):
+        rows = slice((top + p) % 2, None, 2)
+        kappa = np.arange(p, top + 1, 2)
+        arg = 0.5 * np.outer(grid.thetas, kappa)
+        yield (p, ephi[rows], epsi[rows],
+               np.cos(arg) * np.where(kappa == 0, 1.0, 2.0),
+               2.0 * np.sin(arg), labels[p::2])
 
 
 def _checkerboard_matmul(cube: np.ndarray, even: np.ndarray, odd: np.ndarray,
@@ -113,32 +112,21 @@ def _checkerboard_matmul(cube: np.ndarray, even: np.ndarray, odd: np.ndarray,
     return out
 
 
-def _smaller_parity_first(tmax: int) -> Tuple[int, int]:
-    """The parities in the order their stages run: the one with fewer
-    twice-weights ``|u| <= tmax`` first, so that the larger one's blocks,
-    allocated after the smaller one's are freed, stay above the
-    allocator's mmap threshold and go back to the system when freed, not
-    to the heap."""
-    return 1 - tmax % 2, tmax % 2
-
-
 def _su2_forward_labels(grid: GroupGrid, samples: np.ndarray, band: int):
     """The forward transform's blocks ``{t: fhat}`` through ``band`` on the
     ``J_x`` eigenbasis.  Per parity, one GEMM takes the phase plane
     ``A[u, v, theta]`` of :func:`_su2_forward_plane` to ``Q[u, v, k] =
     sum_a w_a/2 c_k(theta_a) A[u, v, a]``; each label is then ``fhat_{mn}
-    = signs[n, m] sum_k V_nk V_mk Q[2n, 2m, k]`` (:func:`_su2_label_kernels`).
+    = signs[n, m] sum_k V_nk V_mk Q[2n, 2m, k]`` (:func:`_su2_parities`).
     One parity's plane, then its ``Q``, is held at a time."""
-    ephis, epsis = _su2_phase_tables(grid, band, +1)
     w2 = grid.theta_weights[:, None] / 2.0
     out = {}
-    for p in _smaller_parity_first(band):
-        plane = _su2_forward_plane(grid, samples, ephis[p], epsis[p])
-        cos, sin = _su2_theta_modes(grid, plane.shape[0] - 1, p)
+    for p, ephi, epsi, cos, sin, kernels in _su2_parities(grid, band, +1):
+        plane = _su2_forward_plane(grid, samples, ephi, epsi)
         Q = _checkerboard_matmul(plane, w2 * cos, w2 * sin, np.empty(
             plane.shape[:2] + cos.shape[1:], dtype=complex))
         del plane
-        for t, V, signs in _su2_label_kernels(band, p):
+        for t, V, signs in kernels:
             at = _rows(Q.shape[0] - 1, t)
             sums = np.einsum("nk,mk,nmk->nm", V, V, Q[at, at, :V.shape[1]])
             out[t] = (signs * sums).T
@@ -154,17 +142,16 @@ def _su2_inverse_stages(grid: GroupGrid, sym: MatrixSymbol) -> np.ndarray:
     sigma_t[n, m]``, and the phi and psi stages sum ``e^{-i m phi}`` and
     ``e^{-i n psi}``.  One parity's ``G`` is held at a time."""
     top = sym.support_band
-    ephis, epsi = _su2_phase_tables(grid, top, -1)
-    epsi = np.concatenate(epsi)
     # the phi stage of each parity, (phi, theta, v), side by side in v
-    mid = np.empty((grid.phis.size, grid.thetas.size, epsi.shape[0]),
+    # (parity 0 first), and the psi table of each parity
+    mid = np.empty((grid.phis.size, grid.thetas.size, 2 * top + 1),
                    dtype=complex)
-    for p in _smaller_parity_first(top):
-        ephi, n = ephis[p], ephis[p].shape[0]
-        start = p * ephis[0].shape[0]
-        cos, sin = _su2_theta_modes(grid, n - 1, p)
+    epsis = {}
+    for p, ephi, epsi, cos, sin, kernels in _su2_parities(grid, top, -1):
+        epsis[p] = epsi
+        n, start = ephi.shape[0], p * (top + 1 - top % 2)
         G = np.zeros((n, n, cos.shape[1]), dtype=complex)
-        for t, V, signs in _su2_label_kernels(top, p):
+        for t, V, signs in kernels:
             if t in sym.entries:
                 at = _rows(n - 1, t)
                 rows = (t + 1) * signs * sym.entries[t].T
@@ -176,7 +163,8 @@ def _su2_inverse_stages(grid: GroupGrid, sym: MatrixSymbol) -> np.ndarray:
         _checkerboard_matmul(G, cos.T, sin.T, H.transpose(0, 2, 1))
         del G
         mid[:, :, start:start + n] = np.tensordot(ephi, H, axes=(0, 0))
-    return np.tensordot(mid, epsi, axes=(2, 0))
+    return np.tensordot(mid, np.concatenate([epsis[0], epsis[1]]),
+                        axes=(2, 0))
 
 
 def fourier_forward(f: GroupFunction, band: Optional[int] = None):

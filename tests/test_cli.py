@@ -551,6 +551,23 @@ def test_invert_exceptional_shift_exits_math(capsys):
     assert "half-integer" in err
 
 
+@pytest.mark.parametrize("c", ["0.5i", "1"])
+def test_invert_refuses_a_small_band_before_the_field(c, capsys,
+                                                      monkeypatch):
+    # band 3 has 4 labels per direction, too few for the checker, as in
+    # check: refused before the field is built (it exited 2 on the
+    # exceptional shift 0.5i, and 3 only after inverting the field at c = 1)
+    def no_field(*args, **kwargs):
+        raise AssertionError("the field was built before checking the band")
+
+    monkeypatch.setattr(cli, "build_field", no_field)
+    assert main(["invert", "--band", "3", "--c", c]) == EXIT_CONFIG
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert ("range too small: 4 labels per direction, need at least 8"
+            in captured.err)
+
+
 def test_invert_recursion_check_passes(capsys):
     code = main(["invert", "--band", "8", "--c", "1",
                  "--recursion-check"])
@@ -1167,7 +1184,7 @@ def test_traced_benchmark_run_records_forward_labels(tmp_path):
     # no grid holds a Wigner table and no transform reads one: each read
     # is a build, and the one difference walk builds each of its 13
     # tables (the symbol's labels) once.  The transforms take the J_x
-    # eigenbases as spin powers, one walk per parity: 9 transforms
+    # eigenbases as spin powers, one walk per transform: 9 transforms
     assert counts["grids.GroupGrid.little_d"] == 13
     builds = Counter(r["parent"] for r in records
                      if r["name"] == "groups.wigner_little_d")
@@ -1176,7 +1193,7 @@ def test_traced_benchmark_run_records_forward_labels(tmp_path):
     assert [builds[i] for i in reads] == [1] * len(reads)
     assert not any(name.startswith("transform.")
                    for i in reads for name in ancestors(records[i]))
-    assert counts["groups.spin_powers"] == 9 * 2
+    assert counts["groups.spin_powers"] == 9
     assert all(any(name.startswith("transform.") for name in ancestors(r))
                for r in records if r["name"] == "groups.spin_powers")
     assert not any("symbols.difference_sup_tables" in ancestors(r)

@@ -187,9 +187,11 @@ def test_kernel_planes_are_the_sampled_kernels_phase_stage(su2, wband):
         for out in sorted({0, support // 2, support, support + wband}):
             grid, _, planes, _ = symbols._kernel_planes(sym, wband, out)
             kernel = fourier_inverse(sym, grid)
-            want = [transform._su2_forward_plane(grid, kernel.samples, *pq)
-                    .transpose(2, 0, 1) for pq in
-                    zip(*transform._su2_phase_tables(grid, out + wband, +1))]
+            tables = {p: (ephi, epsi) for p, ephi, epsi, *_ in
+                      transform._su2_parities(grid, out + wband, +1)}
+            want = [transform._su2_forward_plane(grid, kernel.samples,
+                                                 *tables[p])
+                    .transpose(2, 0, 1) for p in (0, 1)]
             scale = max(np.abs(w).max() for w in want)
             for got, ref in zip(planes, want):
                 assert got.shape == ref.shape

@@ -214,3 +214,47 @@ def test_su2_forward_holds_one_parity_plane_at_a_time(su2, rng, monkeypatch):
     samples = rng.standard_normal(grid.node_count) + 0j
     fourier_forward(GroupFunction(grid, samples), band=6)
     assert formed == [True, True] and len(made) == 4
+
+
+def test_su2_inverse_holds_one_parity_cube_at_a_time(su2, rng, monkeypatch):
+    # when a parity's H is formed from its (u, v, k) cube G, that G is the
+    # one cube alive: the other parity's G is freed first or not yet made
+    from gmult import transform
+
+    made, formed = [], []
+    checkerboard, zeros = transform._checkerboard_matmul, np.zeros
+
+    def recorded(*args, **kwargs):
+        out = zeros(*args, **kwargs)
+        if out.ndim == 3:
+            made.append(weakref.ref(out))
+        return out
+
+    def checked(cube, *args):
+        alive = [r() for r in made if r() is not None]
+        formed.append(len(alive) == 1 and alive[0] is cube)
+        del alive
+        return checkerboard(cube, *args)
+
+    monkeypatch.setattr(np, "zeros", recorded)
+    monkeypatch.setattr(transform, "_checkerboard_matmul", checked)
+    fourier_inverse(random_symbol(su2, 6, rng), default_grid(su2, 6))
+    assert formed == [True, True] and len(made) == 2
+
+
+def test_su2_transforms_walk_the_spin_powers_once(su2, rng, monkeypatch):
+    # both parities' label kernels come from one walk through the top label
+    from gmult import transform
+
+    calls, real = [], transform.spin_powers
+
+    def counted(V, band):
+        calls.append(band)
+        return real(V, band)
+
+    monkeypatch.setattr(transform, "spin_powers", counted)
+    grid = default_grid(su2, 6)
+    f = fourier_inverse(random_symbol(su2, 6, rng), grid)
+    assert calls == [6]
+    fourier_forward(f, band=6)
+    assert calls == [6, 6]
