@@ -651,12 +651,12 @@ def _selftest_one(model: GroupModel, band: int, seed: int
     # integrates their products (total band 2 band) exactly
     grid = build_grid(model, max(1, _required_grid_band(model, band)))
     f = fourier_inverse(sym, grid)
+    fn = function_norm_l2(f)
     back = fourier_forward(f, band=band)
+    del f
     roundtrip = math.sqrt(symbol_add(back, sym, beta=-1.0).energy(band)
                           / sym.energy(band))
-    pn = plancherel_norm(sym)
-    fn = function_norm_l2(f)
-    parseval = abs(pn / fn - 1.0)
+    parseval = abs(plancherel_norm(sym) / fn - 1.0)
     return {
         "band": band,
         "roundtrip_relative_error": roundtrip,

@@ -39,7 +39,6 @@ out like :func:`gmult.groups.bracket_powers`.
 from __future__ import annotations
 
 import copy
-import functools
 import math
 from collections import defaultdict
 from collections.abc import Mapping
@@ -401,13 +400,20 @@ def _kernel_planes(sym: MatrixSymbol, wband: int, out_band: int,
     v)`` per parity of ``u`` and ``v``, each through its largest
     twice-weight ``<= out_band + wband`` (the reach of a shifted read;
     higher labels add their middle rows).  Returns the grid, the
-    little-d tables of one call (``table(t)``, each built on its first
-    read and dropped with the callable), the planes and the
+    little-d tables read here through ``out_band`` (``{t: table}``; one
+    past ``out_band`` is dropped after its read), the planes and the
     :func:`_phase_weights` of each combination."""
     reach = max(sym.support_band, out_band)
     total = sym.support_band + wband + out_band
     grid = build_grid(sym.model, max(1, (reach + 1) // 2, (total + 3) // 4))
-    table = functools.cache(grid.little_d)
+    tables: Dict = {}
+
+    def table(t: int) -> np.ndarray:
+        d = tables[t] if t in tables else grid.little_d(t)
+        if t <= out_band:
+            tables[t] = d
+        return d
+
     tops = [out_band + wband - (out_band + wband - p) % 2 for p in (0, 1)]
     planes = [np.zeros((grid.thetas.size, top + 1, top + 1), dtype=complex)
               for top in tops]
@@ -416,8 +422,8 @@ def _kernel_planes(sym: MatrixSymbol, wband: int, out_band: int,
         at, keep = _rows(top, min(t, top)), _rows(t, min(t, top))
         planes[t % 2][:, at, at] += (t + 1) * (table(t)[:, keep, keep]
                                                * mat.T[keep, keep])
-    return grid, table, planes, [_phase_weights(grid, table, c)
-                                 for c in combinations]
+    return grid, tables, planes, [_phase_weights(grid, table, c)
+                                  for c in combinations]
 
 
 def _label_blocks(sym: MatrixSymbol, wband: int, out_band: int,
@@ -430,9 +436,10 @@ def _label_blocks(sym: MatrixSymbol, wband: int, out_band: int,
     shift a label is one GEMM of the theta weights of the multipliers that
     carry it against the shifted slice of the kernel's planes times the
     theta quadrature ``table(t) w/2``.  One label's stack is built at a
-    time."""
-    grid, table, planes, weights = _kernel_planes(sym, wband, out_band,
-                                                  combinations)
+    time, and each little-d table is dropped once its label has formed
+    that quadrature."""
+    grid, tables, planes, weights = _kernel_planes(sym, wband, out_band,
+                                                   combinations)
     carriers: Dict = defaultdict(list)
     for w, terms in enumerate(weights):
         for key, g in terms.items():
@@ -442,7 +449,8 @@ def _label_blocks(sym: MatrixSymbol, wband: int, out_band: int,
               for (s, r), ws in carriers.items()]
     w2 = grid.theta_weights / 2.0
     for t in range(out_band + 1):
-        quad = table(t) * w2[:, None, None]                 # (theta, n, m)
+        quad = ((tables.pop(t) if t in tables else grid.little_d(t))
+                * w2[:, None, None])                        # (theta, n, m)
         blocks = np.zeros((len(weights), t + 1, t + 1), dtype=complex)
         for s, r, ws, g in shifts:
             src = planes[(t - s) % 2]

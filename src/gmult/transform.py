@@ -18,7 +18,9 @@ and ``d^t_{mn}(theta) = e^{-i pi (m - n)/2} sum_k V_mk V_nk e^{-i theta k}``
 nodes and the modes ``k``, and each label is an ``O(t^3)`` sum against the
 real ``V_mk V_nk``: ``O(B^4)`` in all, where per-label tables cost
 ``O(B^5)``.  Each transform walks the spin powers once, for both parities,
-and holds one parity's cube at a time.
+and holds one parity's cube and one samples array at a time: the forward
+forms its phase planes in slabs of ``v`` columns, and the inverse adds
+each parity's stages into the samples.
 
 Exactness accounting: for a function carrying a ``declared_band``
 certificate ``b``, computed coefficients at labels of band ``t`` are exact
@@ -49,7 +51,8 @@ def _su2_forward_plane(grid: GroupGrid, samples: np.ndarray,
     """Collapse the phi and psi axes at one twice-weight parity: ``A[u, v,
     a] = (1/(Nphi Npsi)) sum_{j,k} f(phi_j, theta_a, psi_k) e^{i u phi_j /
     2} e^{i v psi_k / 2}``, shaped ``(u, v, theta)``, from that parity's
-    forward tables of :func:`_su2_parities`.  The psi stage reads the
+    forward tables of :func:`_su2_parities` (``epsi`` may be a slab of its
+    rows ``v``).  The psi stage reads the
     samples transposed in place, as BLAS's transposed operand."""
     f = samples.reshape(grid.shape).transpose(0, 2, 1)  # (phi, psi, theta)
     B = np.matmul(epsi, f)                              # (phi, v, theta)
@@ -114,20 +117,27 @@ def _checkerboard_matmul(cube: np.ndarray, even: np.ndarray, odd: np.ndarray,
 
 def _su2_forward_labels(grid: GroupGrid, samples: np.ndarray, band: int):
     """The forward transform's blocks ``{t: fhat}`` through ``band`` on the
-    ``J_x`` eigenbasis.  Per parity, one GEMM takes the phase plane
-    ``A[u, v, theta]`` of :func:`_su2_forward_plane` to ``Q[u, v, k] =
-    sum_a w_a/2 c_k(theta_a) A[u, v, a]``; each label is then ``fhat_{mn}
-    = signs[n, m] sum_k V_nk V_mk Q[2n, 2m, k]`` (:func:`_su2_parities`).
-    One parity's plane, then its ``Q``, is held at a time."""
+    ``J_x`` eigenbasis.  Per parity, the phase plane ``A[u, v, theta]`` of
+    :func:`_su2_forward_plane` is formed in slabs of an eighth of the
+    ``v`` columns, each starting at an even column so that it keeps the
+    checkerboard of ``m - n``, and one GEMM per slab takes it to ``Q[u,
+    v, k] = sum_a w_a/2 c_k(theta_a) A[u, v, a]``; each label is then
+    ``fhat_{mn} = signs[n, m] sum_k V_nk V_mk Q[2n, 2m, k]``
+    (:func:`_su2_parities`).  One parity's ``Q`` and one slab's plane are
+    held at a time, beside the one samples array."""
     w2 = grid.theta_weights[:, None] / 2.0
     out = {}
     for p, ephi, epsi, cos, sin, kernels in _su2_parities(grid, band, +1):
-        plane = _su2_forward_plane(grid, samples, ephi, epsi)
-        Q = _checkerboard_matmul(plane, w2 * cos, w2 * sin, np.empty(
-            plane.shape[:2] + cos.shape[1:], dtype=complex))
-        del plane
+        n = ephi.shape[0]
+        even, odd = w2 * cos, w2 * sin
+        Q = np.empty((n, n, cos.shape[1]), dtype=complex)
+        step = 2 * max(1, -(-n // 16))         # even, and > 0 at n = 0
+        for v in range(0, n, step):
+            _checkerboard_matmul(_su2_forward_plane(
+                grid, samples, ephi, epsi[v:v + step]), even, odd,
+                Q[:, v:v + step])
         for t, V, signs in kernels:
-            at = _rows(Q.shape[0] - 1, t)
+            at = _rows(n - 1, t)
             sums = np.einsum("nk,mk,nmk->nm", V, V, Q[at, at, :V.shape[1]])
             out[t] = (signs * sums).T
         del Q
@@ -140,16 +150,13 @@ def _su2_inverse_stages(grid: GroupGrid, sym: MatrixSymbol) -> np.ndarray:
     V_nk sigma_t[n, m]`` into ``G[u = 2m, v = 2n, k]``; one GEMM takes
     ``k`` to theta, giving ``H[u, a, v] = sum_t (t + 1) d^t_{mn}(theta_a)
     sigma_t[n, m]``, and the phi and psi stages sum ``e^{-i m phi}`` and
-    ``e^{-i n psi}``.  One parity's ``G`` is held at a time."""
-    top = sym.support_band
-    # the phi stage of each parity, (phi, theta, v), side by side in v
-    # (parity 0 first), and the psi table of each parity
-    mid = np.empty((grid.phis.size, grid.thetas.size, 2 * top + 1),
-                   dtype=complex)
-    epsis = {}
+    ``e^{-i n psi}``.  Each parity runs end to end into the samples: the
+    first one's psi stage allocates them, the second adds its psi stage a
+    quarter of the theta rows at a time.  One parity's ``G`` and one
+    samples array are held at a time."""
+    top, samples = sym.support_band, None
     for p, ephi, epsi, cos, sin, kernels in _su2_parities(grid, top, -1):
-        epsis[p] = epsi
-        n, start = ephi.shape[0], p * (top + 1 - top % 2)
+        n = ephi.shape[0]
         G = np.zeros((n, n, cos.shape[1]), dtype=complex)
         for t, V, signs in kernels:
             if t in sym.entries:
@@ -162,9 +169,17 @@ def _su2_inverse_stages(grid: GroupGrid, sym: MatrixSymbol) -> np.ndarray:
         H = np.empty((n, grid.thetas.size, n), dtype=complex)
         _checkerboard_matmul(G, cos.T, sin.T, H.transpose(0, 2, 1))
         del G
-        mid[:, :, start:start + n] = np.tensordot(ephi, H, axes=(0, 0))
-    return np.tensordot(mid, np.concatenate([epsis[0], epsis[1]]),
-                        axes=(2, 0))
+        mid = np.tensordot(ephi, H, axes=(0, 0))          # (phi, theta, v)
+        del H
+        if samples is None:
+            samples = np.tensordot(mid, epsi, axes=(2, 0))
+        else:
+            step = -(-grid.thetas.size // 4)
+            for a in range(0, grid.thetas.size, step):
+                samples[:, a:a + step] += np.tensordot(mid[:, a:a + step],
+                                                       epsi, axes=(2, 0))
+        del mid
+    return samples
 
 
 def fourier_forward(f: GroupFunction, band: Optional[int] = None):
@@ -234,7 +249,8 @@ def function_norm_l2(f: GroupFunction) -> float:
     (which total 2); on the torus, the mean over the nodes.  No per-node
     weight array is formed."""
     grid = f.grid
-    power = np.abs(f.samples.reshape(grid.shape)) ** 2
+    power = np.abs(f.samples.reshape(grid.shape))
+    power **= 2
     if grid.model.kind == "su2":
         total = float(power.mean(axis=(0, 2)) @ grid.theta_weights) / 2.0
     else:

@@ -226,6 +226,37 @@ def test_word_sup_table_holds_one_parity_stack_at_a_time(
         assert seen == [(words, t + 1, t + 1) for t in range(band + 1)]
 
 
+def test_difference_walk_frees_each_wigner_table_after_its_label(
+        su2, rng, monkeypatch):
+    # when the walk yields label t, no little-d table of a label <= t is
+    # alive (each went once its quadrature was formed), nor any past the
+    # output band (those feed only the kernel's planes); the symbol runs
+    # past the output band, so such tables are built
+    from gmult.grids import GroupGrid
+
+    real, built, checked = GroupGrid.little_d, [], []
+
+    def watched(self, t):
+        table = real(self, t)
+        built.append((t, weakref.ref(table)))
+        return table
+
+    def walk(sym, wband, out_band, combinations):
+        for t, blocks in real_blocks(sym, wband, out_band, combinations):
+            alive = {s for s, ref in built if ref() is not None}
+            assert not {s for s in alive if s <= t or s > out_band}
+            checked.append(t)
+            yield t, blocks
+
+    real_blocks = symbols._label_blocks
+    monkeypatch.setattr(GroupGrid, "little_d", watched)
+    monkeypatch.setattr(symbols, "_label_blocks", walk)
+    sym = random_symbol(su2, 12, rng, exact_band=12)
+    difference_sup_tables(sym, [0, 1, 2], 8)
+    assert checked == list(range(9))
+    assert {t for t, _ in built} == set(range(13))
+
+
 def test_apply_differences_makes_one_label_pass_per_word_band(su2, rng,
                                                               monkeypatch):
     # the words of one band share one pass over the labels, which yields

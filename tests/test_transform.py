@@ -186,9 +186,11 @@ def test_direct_quadrature_sees_one_eigenbasis_entry_off(su2, monkeypatch):
 
 
 def test_su2_forward_holds_one_parity_plane_at_a_time(su2, rng, monkeypatch):
-    # when a parity's Q is formed from its phase plane, the plane is the one
-    # array of the phase stages still alive: no other parity's plane, and
-    # no psi stage B of either parity
+    # the plane is formed and taken to Q in slabs of v columns: when a
+    # slab's Q columns are formed from its phase plane, that plane is the
+    # one array of the phase stages still alive (no other slab's or
+    # parity's plane, and no psi stage B), and no slab spans more than a
+    # quarter of its parity's columns
     from gmult import transform
 
     made, formed = [], []
@@ -203,17 +205,19 @@ def test_su2_forward_holds_one_parity_plane_at_a_time(su2, rng, monkeypatch):
 
     def checked(cube, *args):
         alive = [r() for r in made if r() is not None]
-        formed.append(len(alive) == 1 and alive[0] is cube)
+        formed.append((len(alive) == 1 and alive[0] is cube,
+                       4 * cube.shape[1] <= cube.shape[0]))
         del alive
         return checkerboard(cube, *args)
 
     for name in ("tensordot", "matmul"):
         monkeypatch.setattr(np, name, recorded(getattr(np, name)))
     monkeypatch.setattr(transform, "_checkerboard_matmul", checked)
-    grid = default_grid(su2, 6)
+    grid = default_grid(su2, 8)
     samples = rng.standard_normal(grid.node_count) + 0j
-    fourier_forward(GroupFunction(grid, samples), band=6)
-    assert formed == [True, True] and len(made) == 4
+    fourier_forward(GroupFunction(grid, samples), band=16)
+    assert len(formed) >= 8 and set(formed) == {(True, True)}
+    assert len(made) == 2 * len(formed)
 
 
 def test_su2_inverse_holds_one_parity_cube_at_a_time(su2, rng, monkeypatch):
@@ -240,6 +244,45 @@ def test_su2_inverse_holds_one_parity_cube_at_a_time(su2, rng, monkeypatch):
     monkeypatch.setattr(transform, "_checkerboard_matmul", checked)
     fourier_inverse(random_symbol(su2, 6, rng), default_grid(su2, 6))
     assert formed == [True, True] and len(made) == 2
+
+
+def test_su2_inverse_holds_one_samples_array(su2, rng, monkeypatch):
+    # no two arrays larger than three quarters of the samples are ever
+    # alive at once: each parity adds into the one samples array, at the
+    # grid's top label too, where the psi twice-weights nearly fill it
+    from gmult import transform
+
+    grid = default_grid(su2, 6)
+    big, most = [], []
+
+    def recorded(stage):
+        def call(*args, **kwargs):
+            out = stage(*args, **kwargs)
+            if 4 * out.size > 3 * grid.node_count:
+                big.append(weakref.ref(out))
+                most.append(sum(r() is not None for r in big))
+            return out
+        return call
+
+    for name in ("zeros", "empty", "tensordot", "matmul", "concatenate"):
+        monkeypatch.setattr(np, name, recorded(getattr(np, name)))
+    f = fourier_inverse(random_symbol(su2, 12, rng), grid)
+    assert most == [1] and f.samples.size == grid.node_count
+
+
+@pytest.mark.parametrize("grid_band", [1, 2])
+@pytest.mark.parametrize("label", [0, 1])
+def test_su2_round_trip_of_one_label(su2, rng, label, grid_band):
+    # a symbol at label 0 alone leaves one parity without twice-weights:
+    # its slabs and stages do nothing, and the round trip still holds
+    d = label + 1
+    block = rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d))
+    sym = MatrixSymbol(su2, {label: block})
+    grid = default_grid(su2, grid_band)
+    back = fourier_forward(fourier_inverse(sym, grid), band=label)
+    assert sorted(back.entries) == list(range(label + 1))
+    for t in range(label + 1):
+        assert np.abs(back.get(t) - sym.get(t)).max() <= 1e-13
 
 
 def test_su2_transforms_walk_the_spin_powers_once(su2, rng, monkeypatch):
