@@ -24,6 +24,7 @@ import ast
 import json
 import math
 import os
+import random
 import re
 import sys
 import tempfile
@@ -643,10 +644,29 @@ def cmd_probe(args: argparse.Namespace) -> Tuple[Dict, Dict, bool]:
     return _config_echo(args, model, grid_band), results, all(passes)
 
 
+class _GaussianDraws:
+    """Standard normal draws from ``random.Random(seed)``, for
+    :func:`random_symbol`: Box-Muller on 53-bit uniforms read from
+    ``randbytes``, so the self-test needs no ``numpy.random`` (about 6 MB
+    of every child that imports it; ``random`` comes with ``tempfile``)."""
+
+    def __init__(self, seed: int):
+        self._random = random.Random(seed)
+
+    def standard_normal(self, shape) -> np.ndarray:
+        n = math.prod(shape)
+        pairs = (n + 1) // 2
+        bits = np.frombuffer(self._random.randbytes(16 * pairs), dtype="<u8")
+        uniform = (bits >> np.uint64(11)) * 2.0 ** -53      # [0, 1)
+        radius = np.sqrt(-2.0 * np.log1p(-uniform[:pairs]))  # 1 - u in (0, 1]
+        angle = 2.0 * math.pi * uniform[pairs:]
+        return np.concatenate((radius * np.cos(angle),
+                               radius * np.sin(angle)))[:n].reshape(shape)
+
+
 def _selftest_one(model: GroupModel, band: int, seed: int
                   ) -> Dict[str, object]:
-    sym = random_symbol(model, band, np.random.default_rng(seed),
-                        exact_band=band)
+    sym = random_symbol(model, band, _GaussianDraws(seed), exact_band=band)
     # the smallest grid exact for the pair: it represents the labels and
     # integrates their products (total band 2 band) exactly
     grid = build_grid(model, max(1, _required_grid_band(model, band)))

@@ -161,7 +161,8 @@ class GroupGrid:
         """Little-d table at the theta nodes, shape ``(n_theta, d, d)``,
         built on each call.  Its readers are the SU(2) difference route,
         whose ``symbols._kernel_planes`` builds the kernel's label stage
-        and phase weights against it, and :meth:`coefficient_function`;
+        and phase weights against it and ``symbols._label_blocks`` each
+        label's theta quadrature, and :meth:`coefficient_function`;
         the transforms read none (they take the ``J_x`` eigenbases as spin
         powers, :func:`gmult.groups.spin_powers`)."""
         from .groups import wigner_little_d

@@ -61,6 +61,11 @@ from .groups import (GroupModel, IrrepLabel, angular_momentum, irrep_dimension,
 #: above the rounding of either, far below any gap that matters.
 _FRO_SLACK = 1.0 + 1e-10
 
+#: Blocks per chunk of :func:`_op_norm_sup`'s bounds and SVDs: a label's
+#: stack holds every word's block (45 of order 2), and a Gram matrix and
+#: conjugate copy of the whole stack would each be one more stack.
+_NORM_CHUNK = 8
+
 
 @dataclass
 class MatrixSymbol:
@@ -253,10 +258,13 @@ def identity_symbol(model: GroupModel, band: int):
     return MatrixSymbol(model, entries, exact_band=band)
 
 
-def random_symbol(model: GroupModel, band: int, rng: np.random.Generator,
+def random_symbol(model: GroupModel, band: int, rng,
                   exact_band: float = math.inf):
     """Symbol through ``band`` with independent standard complex Gaussian
-    entries (real parts drawn before imaginary parts)."""
+    entries (real parts drawn before imaginary parts).  ``rng`` is any
+    source with a ``standard_normal(shape)`` method returning an array of
+    that shape: a ``numpy.random.Generator``, or the self-test's draws from
+    ``random.Random`` (:mod:`gmult.cli`)."""
     if model.kind == "torus":
         shape = (2 * band + 1,) * model.n
         return TorusSymbol(model, rng.standard_normal(shape)
@@ -399,18 +407,21 @@ def _kernel_planes(sym: MatrixSymbol, wband: int, out_band: int,
     twice-weights ``u = 2m - t``, ``v = 2n - t``, one plane ``(theta, u,
     v)`` per parity of ``u`` and ``v``, each through its largest
     twice-weight ``<= out_band + wband`` (the reach of a shifted read;
-    higher labels add their middle rows).  Returns the grid, the
-    little-d tables read here through ``out_band`` (``{t: table}``; one
-    past ``out_band`` is dropped after its read), the planes and the
+    higher labels add their middle rows).  Each little-d table is built
+    and dropped where it is read, except those of the labels the
+    combinations' factors name (the first shell): :func:`_phase_weights`
+    reads them once per combination, so they are built once and dropped
+    on return.  Returns the grid, the planes and the
     :func:`_phase_weights` of each combination."""
     reach = max(sym.support_band, out_band)
     total = sym.support_band + wband + out_band
     grid = build_grid(sym.model, max(1, (reach + 1) // 2, (total + 3) // 4))
+    shell = {t for c in combinations for _, factors in c for t, _, _ in factors}
     tables: Dict = {}
 
     def table(t: int) -> np.ndarray:
         d = tables[t] if t in tables else grid.little_d(t)
-        if t <= out_band:
+        if t in shell:
             tables[t] = d
         return d
 
@@ -422,8 +433,8 @@ def _kernel_planes(sym: MatrixSymbol, wband: int, out_band: int,
         at, keep = _rows(top, min(t, top)), _rows(t, min(t, top))
         planes[t % 2][:, at, at] += (t + 1) * (table(t)[:, keep, keep]
                                                * mat.T[keep, keep])
-    return grid, tables, planes, [_phase_weights(grid, table, c)
-                                  for c in combinations]
+    return grid, planes, [_phase_weights(grid, table, c)
+                          for c in combinations]
 
 
 def _label_blocks(sym: MatrixSymbol, wband: int, out_band: int,
@@ -436,10 +447,11 @@ def _label_blocks(sym: MatrixSymbol, wband: int, out_band: int,
     shift a label is one GEMM of the theta weights of the multipliers that
     carry it against the shifted slice of the kernel's planes times the
     theta quadrature ``table(t) w/2``.  One label's stack is built at a
-    time, and each little-d table is dropped once its label has formed
-    that quadrature."""
-    grid, tables, planes, weights = _kernel_planes(sym, wband, out_band,
-                                                   combinations)
+    time, and so is its little-d table: built again here (bitwise the
+    table the planes read) and dropped once it has formed that
+    quadrature, so no table is held across labels."""
+    grid, planes, weights = _kernel_planes(sym, wband, out_band,
+                                           combinations)
     carriers: Dict = defaultdict(list)
     for w, terms in enumerate(weights):
         for key, g in terms.items():
@@ -449,8 +461,7 @@ def _label_blocks(sym: MatrixSymbol, wband: int, out_band: int,
               for (s, r), ws in carriers.items()]
     w2 = grid.theta_weights / 2.0
     for t in range(out_band + 1):
-        quad = ((tables.pop(t) if t in tables else grid.little_d(t))
-                * w2[:, None, None])                        # (theta, n, m)
+        quad = grid.little_d(t) * w2[:, None, None]        # (theta, n, m)
         blocks = np.zeros((len(weights), t + 1, t + 1), dtype=complex)
         for s, r, ws, g in shifts:
             src = planes[(t - s) % 2]
@@ -462,7 +473,9 @@ def _label_blocks(sym: MatrixSymbol, wband: int, out_band: int,
             prod = ((g @ shifted.view(float)).view(complex)
                     if g.dtype == float else g @ shifted)
             blocks[ws] += prod.reshape(len(ws), t + 1, t + 1)
+            del shifted, prod           # not held beside the next shift's
         yield t, blocks.transpose(0, 2, 1)
+        del quad, blocks                # not held beside the next label's
 
 
 def _su2_differences(sym: MatrixSymbol, wband: int, combinations: Sequence
@@ -713,6 +726,7 @@ def difference_sup_tables(sym, families: Sequence, band: int
                                        [c for _, _, cs in walked for c in cs]):
             for sup, lo, hi in zip(sups, edges[:-1], edges[1:]):
                 sup.append(_op_norm_sup(blocks[lo:hi]))
+            del blocks      # the walk builds the next label's stack alone
         for (k, _, _), sup in zip(walked, sups):
             out[k] = np.array(sup)
     return out
@@ -720,17 +734,27 @@ def difference_sup_tables(sym, families: Sequence, band: int
 
 def _op_norm_sup(blocks: np.ndarray) -> float:
     """``max_k ||blocks[k]||_2``, bit for bit, with an SVD only for the
-    blocks that can raise it: one for the block of largest bound, then one
-    batch for those whose bound exceeds its norm.  The bound is
-    ``min(||B||_F, sqrt(max_i sum_j |(B^H B)_ij|))``: the infinity norm of
-    the Hermitian Gram matrix bounds its spectral radius ``||B||_2^2``."""
-    gram = np.abs(blocks.conj().transpose(0, 2, 1) @ blocks).sum(axis=2)
-    bound = np.minimum(np.linalg.norm(blocks, axis=(1, 2)),
-                       np.sqrt(gram.max(axis=1))) * _FRO_SLACK
+    blocks that can raise it: one for the block of largest bound, then
+    those whose bound exceeds its norm.  The bound is ``min(||B||_F,
+    sqrt(max_i sum_j |(B^H B)_ij|))``: the infinity norm of the Hermitian
+    Gram matrix bounds its spectral radius ``||B||_2^2``.  Bounds and
+    SVDs go ``_NORM_CHUNK`` blocks at a time, so their temporaries (the
+    conjugate copy, the Gram matrices, the gathered blocks) hold a chunk,
+    not the stack.  Whatever the chunks round, ``_FRO_SLACK`` keeps a
+    bound at or above its block's computed norm: they may change which
+    blocks get an SVD, never the max."""
+    bound = np.empty(len(blocks))
+    for lo in range(0, len(blocks), _NORM_CHUNK):
+        part = blocks[lo:lo + _NORM_CHUNK]
+        gram = np.abs(part.conj().transpose(0, 2, 1) @ part).sum(axis=2)
+        bound[lo:lo + _NORM_CHUNK] = np.minimum(
+            np.linalg.norm(part, axis=(1, 2)), np.sqrt(gram.max(axis=1)))
+    bound *= _FRO_SLACK
     top = int(bound.argmax())
     best = np.linalg.norm(blocks[top], 2)
-    rest = bound > best
-    rest[top] = False
-    if rest.any():
-        best = max(best, np.linalg.norm(blocks[rest], 2, axis=(1, 2)).max())
+    bound[top] = 0.0
+    rest = np.flatnonzero(bound > best)
+    for lo in range(0, rest.size, _NORM_CHUNK):
+        best = max(best, np.linalg.norm(blocks[rest[lo:lo + _NORM_CHUNK]], 2,
+                                        axis=(1, 2)).max())
     return best

@@ -988,6 +988,34 @@ def test_su2_mikhlin_check_loads_no_numpy_ma():
     assert proc.returncode == 0, proc.stderr
 
 
+def test_fourier_selftest_loads_no_numpy_random():
+    # the self-test draws its symbol from random.Random (which tempfile
+    # loads anyway), where numpy.random would add ~6 MB to every child
+    code = ("import contextlib, io, sys, gmult.cli\n"
+            "with contextlib.redirect_stdout(io.StringIO()):\n"
+            "    code = gmult.cli.main(['fourier-selftest', '--group', 'su2',"
+            " '--band', '8'])\n"
+            "sys.exit(code or 10 * ('numpy.random' in sys.modules))")
+    src = str(Path(cli.__file__).resolve().parents[1])
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                          text=True, env={"PYTHONPATH": src})
+    assert proc.returncode == 0, proc.stderr
+
+
+def test_selftest_draws_are_seeded_standard_normals():
+    # Box-Muller on random.Random: reproducible per seed, any shape (odd
+    # sizes take half a pair), and standard normal in its first moments
+    # and its 95% interval
+    draws = cli._GaussianDraws
+    first = draws(3).standard_normal((3, 5))
+    assert first.shape == (3, 5) and first.dtype == float
+    assert np.array_equal(first, draws(3).standard_normal((3, 5)))
+    assert not np.array_equal(first, draws(4).standard_normal((3, 5)))
+    z = draws(0).standard_normal((200_001,))
+    assert abs(z.mean()) < 0.01 and abs(z.var() - 1.0) < 0.01
+    assert abs(np.mean(np.abs(z) < 1.959964) - 0.95) < 0.003
+
+
 @pytest.mark.parametrize("argv", [
     ["fourier-selftest", "--group", "torus-3", "--band", "-2"],
     ["invert", "--band", "-1"],
@@ -1182,10 +1210,12 @@ def test_traced_benchmark_run_records_forward_labels(tmp_path):
             yield record["name"]
 
     # no grid holds a Wigner table and no transform reads one: each read
-    # is a build, and the one difference walk builds each of its 13
-    # tables (the symbol's labels) once.  The transforms take the J_x
-    # eigenbases as spin powers, one walk per transform: 9 transforms
-    assert counts["grids.GroupGrid.little_d"] == 13
+    # is a build.  The one difference walk builds the symbol's 13 tables
+    # once for the kernel's planes (label 2's also serves every word's
+    # phase weights) and the 9 through band 8 again, one per label, for
+    # their quadratures.  The transforms take the J_x eigenbases as spin
+    # powers, one walk per transform: 9 transforms
+    assert counts["grids.GroupGrid.little_d"] == 13 + 9
     builds = Counter(r["parent"] for r in records
                      if r["name"] == "groups.wigner_little_d")
     reads = [i for i, r in enumerate(records)

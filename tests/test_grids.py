@@ -128,7 +128,9 @@ def test_grid_holds_no_wigner_table(su2, rng, monkeypatch):
     fourier_forward(fourier_inverse(sym, grid))
     assert len(built) == 2          # the two reads above
     word_sup_table(sym, 1, 6)
-    assert len(built) == 2 + 9      # the walk builds labels 0..8 once each
+    # the walk builds labels 0..8 once each for the kernel's planes and
+    # labels 0..6 again, one per label, for their quadratures
+    assert len(built) == 2 + 9 + 7
     assert all(ref() is None for ref in built)
     # a grid is frozen data: it holds its node arrays and nothing else
     with pytest.raises(dataclasses.FrozenInstanceError):

@@ -1,5 +1,6 @@
 """Symbol algebra and difference calculus: product rules, certificates,
 operator quantization."""
+import tracemalloc
 import weakref
 from functools import partial
 
@@ -185,7 +186,7 @@ def test_kernel_planes_are_the_sampled_kernels_phase_stage(su2, wband):
     for support in range(13):
         sym = random_symbol(su2, support, rng)
         for out in sorted({0, support // 2, support, support + wband}):
-            grid, _, planes, _ = symbols._kernel_planes(sym, wband, out)
+            grid, planes, _ = symbols._kernel_planes(sym, wband, out)
             kernel = fourier_inverse(sym, grid)
             tables = {p: (ephi, epsi) for p, ephi, epsi, *_ in
                       transform._su2_parities(grid, out + wband, +1)}
@@ -226,15 +227,14 @@ def test_word_sup_table_holds_one_parity_stack_at_a_time(
         assert seen == [(words, t + 1, t + 1) for t in range(band + 1)]
 
 
-def test_difference_walk_frees_each_wigner_table_after_its_label(
-        su2, rng, monkeypatch):
-    # when the walk yields label t, no little-d table of a label <= t is
-    # alive (each went once its quadrature was formed), nor any past the
-    # output band (those feed only the kernel's planes); the symbol runs
-    # past the output band, so such tables are built
+def _tables_alive_at_each_label(su2, rng, monkeypatch):
+    """``[(t, labels of the little-d tables alive)]`` at each label ``t``
+    a ``difference_sup_tables(sym, [0, 1, 2], 8)`` walk yields, for a
+    symbol of support 12: past the output band, so the kernel's planes
+    build tables the walk never reads."""
     from gmult.grids import GroupGrid
 
-    real, built, checked = GroupGrid.little_d, [], []
+    real, built, alive_at = GroupGrid.little_d, [], []
 
     def watched(self, t):
         table = real(self, t)
@@ -243,9 +243,7 @@ def test_difference_walk_frees_each_wigner_table_after_its_label(
 
     def walk(sym, wband, out_band, combinations):
         for t, blocks in real_blocks(sym, wband, out_band, combinations):
-            alive = {s for s, ref in built if ref() is not None}
-            assert not {s for s in alive if s <= t or s > out_band}
-            checked.append(t)
+            alive_at.append((t, {s for s, ref in built if ref() is not None}))
             yield t, blocks
 
     real_blocks = symbols._label_blocks
@@ -253,8 +251,51 @@ def test_difference_walk_frees_each_wigner_table_after_its_label(
     monkeypatch.setattr(symbols, "_label_blocks", walk)
     sym = random_symbol(su2, 12, rng, exact_band=12)
     difference_sup_tables(sym, [0, 1, 2], 8)
-    assert checked == list(range(9))
+    assert [t for t, _ in alive_at] == list(range(9))
     assert {t for t, _ in built} == set(range(13))
+    return alive_at
+
+
+def test_difference_walk_frees_each_wigner_table_after_its_label(
+        su2, rng, monkeypatch):
+    # when the walk yields label t, no little-d table of a label <= t is
+    # alive (each went once its quadrature was formed), nor any past the
+    # output band (those feed only the kernel's planes)
+    for t, alive in _tables_alive_at_each_label(su2, rng, monkeypatch):
+        assert not {s for s in alive if s <= t or s > 8}
+
+
+def test_difference_walk_holds_one_wigner_table_at_a_time(
+        su2, rng, monkeypatch):
+    # when the walk yields label t, the only little-d tables alive are
+    # t's own and the first shell's (which the words' phase weights
+    # read): no table is held from the kernel's planes to its label
+    for t, alive in _tables_alive_at_each_label(su2, rng, monkeypatch):
+        assert alive <= {t, 1, 2}
+
+
+def test_difference_walk_builds_each_label_stack_alone(su2, rng,
+                                                      monkeypatch):
+    # when the walk allocates a label's stack of 9 + 45 word blocks, no
+    # earlier label's stack is alive: neither the walk nor
+    # difference_sup_tables keeps one across labels
+    stacks = []
+
+    class Numpy:
+        def __getattr__(self, name):
+            return getattr(np, name)
+
+        def zeros(self, shape, dtype=float):
+            out = np.zeros(shape, dtype=dtype)
+            if isinstance(shape, tuple) and shape[:1] == (9 + 45,):
+                assert all(ref() is None for ref in stacks)
+                stacks.append(weakref.ref(out))
+            return out
+
+    monkeypatch.setattr(symbols, "np", Numpy())
+    sym = random_symbol(su2, 12, rng, exact_band=12)
+    difference_sup_tables(sym, [0, 1, 2], 8)
+    assert len(stacks) == 9
 
 
 def test_apply_differences_makes_one_label_pass_per_word_band(su2, rng,
@@ -392,6 +433,37 @@ def test_pruned_operator_norm_sup_is_the_stacked_norm_bitwise(rng):
     assert svds == [1]
     fro = real_norm(stacks[-1], axis=(1, 2))
     assert (fro[:-1] > fro[-1]).all()
+
+
+def test_op_norm_sup_is_the_dense_max_in_chunks(rng):
+    # the chunked bounds and SVDs against the norm of every block, bit for
+    # bit, on stacks of one chunk, one chunk and one block past it, and
+    # several chunks: Gaussian blocks with the max in the last chunk,
+    # tied rank-one blocks (operator norm equal to the Frobenius norm) and
+    # transposed views, as the walk passes them
+    def gaussian(*shape):
+        return rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+
+    outer = gaussian(5)[:, None] * gaussian(5)[None, :]
+    for n in (1, 8, 9, 54):
+        spiked = gaussian(n, 5, 5)
+        spiked[-1] *= 3.0
+        tied = np.repeat(outer[None], n, axis=0)
+        raised = tied.copy()
+        raised[-1] *= 1.0 + 2.0 ** -40
+        for blocks in (spiked, tied, raised, spiked.transpose(0, 2, 1)):
+            want = max(np.linalg.norm(b, 2) for b in blocks)
+            assert symbols._op_norm_sup(blocks) == want
+    # the temporaries hold a chunk: below one stack, where the whole
+    # stack's conjugate copy and Gram matrices are each one stack
+    blocks = gaussian(54, 41, 41).transpose(0, 2, 1)
+    tracemalloc.start()
+    try:
+        symbols._op_norm_sup(blocks)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < blocks.nbytes
 
 
 def test_su2_laplace_through_a_band_matches_the_full_route(su2, rng):
