@@ -582,8 +582,10 @@ def cmd_invert(args: argparse.Namespace) -> Tuple[Dict, Dict, bool]:
 def cmd_probe(args: argparse.Namespace) -> Tuple[Dict, Dict, bool]:
     model = _group_model(args.group)
     check_torus_dimension(model)
+    check_sobolev_order(model, args.q, args.s)
+    if model.kind != "su2" and args.symbol is not None:
+        raise SymbolFormatError("--symbol: the probe's multiplier is su2-only")
     if model.kind == "su2":
-        check_sobolev_order(model, args.q, args.s)
         probe_symbol = args.symbol or "riesz:D3"
         if probe_symbol.startswith("riesz:"):
             # every direction has D3's norms: a rotation conjugates each

@@ -472,7 +472,9 @@ def _label_blocks(sym: MatrixSymbol, wband: int, out_band: int,
             # interleaved parts: half the flops of a complex one
             prod = ((g @ shifted.view(float)).view(complex)
                     if g.dtype == float else g @ shifted)
-            blocks[ws] += prod.reshape(len(ws), t + 1, t + 1)
+            # word by word in place: no copy of the carrying words' blocks
+            for w, block in zip(ws, prod.reshape(len(ws), t + 1, t + 1)):
+                blocks[w] += block
             del shifted, prod           # not held beside the next shift's
         yield t, blocks.transpose(0, 2, 1)
         del quad, blocks                # not held beside the next label's

@@ -18,9 +18,9 @@ and ``d^t_{mn}(theta) = e^{-i pi (m - n)/2} sum_k V_mk V_nk e^{-i theta k}``
 nodes and the modes ``k``, and each label is an ``O(t^3)`` sum against the
 real ``V_mk V_nk``: ``O(B^4)`` in all, where per-label tables cost
 ``O(B^5)``.  Each transform walks the spin powers once, for both parities,
-and holds one parity's cube and one samples array at a time: the forward
-forms its phase planes in slabs of ``v`` columns, and the inverse adds
-each parity's stages into the samples.
+and per parity streams quarters of the theta rows: the forward adds each
+quarter's phase plane into the parity's cube, the inverse each quarter's
+phase stages into the one samples array, each sample once per parity.
 
 Exactness accounting: for a function carrying a ``declared_band``
 certificate ``b``, computed coefficients at labels of band ``t`` are exact
@@ -46,17 +46,23 @@ from .groups import (bracket_powers, irrep_dimension, japanese_bracket,
 from .symbols import MatrixSymbol, TorusSymbol, _rows, resize_box
 
 
-def _su2_forward_plane(grid: GroupGrid, samples: np.ndarray,
-                       ephi: np.ndarray, epsi: np.ndarray) -> np.ndarray:
-    """Collapse the phi and psi axes at one twice-weight parity: ``A[u, v,
-    a] = (1/(Nphi Npsi)) sum_{j,k} f(phi_j, theta_a, psi_k) e^{i u phi_j /
-    2} e^{i v psi_k / 2}``, shaped ``(u, v, theta)``, from that parity's
-    forward tables of :func:`_su2_parities` (``epsi`` may be a slab of its
-    rows ``v``).  The psi stage reads the
-    samples transposed in place, as BLAS's transposed operand."""
-    f = samples.reshape(grid.shape).transpose(0, 2, 1)  # (phi, psi, theta)
-    B = np.matmul(epsi, f)                              # (phi, v, theta)
+def _su2_forward_plane(block: np.ndarray, ephi: np.ndarray,
+                       epsi: np.ndarray) -> np.ndarray:
+    """Collapse the phi and psi axes of a ``(phi, theta, psi)`` block of
+    samples at one twice-weight parity: ``A[u, v, a] = (1/(Nphi Npsi))
+    sum_{j,k} f(phi_j, theta_a, psi_k) e^{i u phi_j / 2} e^{i v psi_k /
+    2}``, shaped ``(u, v, theta)``, from that parity's forward tables of
+    :func:`_su2_parities`.  The psi stage reads the block transposed in
+    place, as BLAS's transposed operand."""
+    B = np.matmul(epsi, block.transpose(0, 2, 1))      # (phi, v, theta)
     return np.tensordot(ephi, B, axes=(1, 0))
+
+
+def _theta_quarters(grid: GroupGrid):
+    """Slices of at most a quarter of the theta rows each, in order, that
+    partition them: the blocks both SU(2) transforms stream per parity."""
+    step = -(-grid.thetas.size // 4)
+    return [slice(a, a + step) for a in range(0, grid.thetas.size, step)]
 
 
 #: The eigenvectors of ``J_x`` at label 1, column ``k`` at the eigenvalue
@@ -69,7 +75,7 @@ _QUARTER_SIGNS = np.array([1.0, -1.0, -1.0, 1.0])
 
 
 def _su2_parities(grid: GroupGrid, top: int, sign: int):
-    """Per twice-weight parity ``p``, in the order the stages run, ``(p,
+    """Per twice-weight parity ``p = 0, 1``, ``(p,
     ephi, epsi, cos, sin, kernels)``.  ``ephi``, ``epsi``: the phase
     matrices ``e^{sign i u phi / 2}``, ``e^{sign i v psi / 2}`` shaped
     ``(twice-weight, node)`` at the rows ``u = -U, -U + 2, .., U``, ``U``
@@ -83,10 +89,7 @@ def _su2_parities(grid: GroupGrid, top: int, sign: int):
     n]``; the terms ``k`` and ``-k`` of the eigenbasis sum fold into
     ``d^t_{mn}(theta) = signs[m, n] sum_k V_mk V_nk c_k(theta)``, ``c_k``
     the cosine mode for even ``m - n`` and the sine mode for odd: the
-    kernel is real.  The parity with fewer twice-weights ``|u| <= top``
-    runs first, so that the larger one's blocks, allocated after the
-    smaller one's are freed, stay above the allocator's mmap threshold and
-    go back to the system when freed, not to the heap."""
+    kernel is real."""
     u = np.arange(-top, top + 1)
     ephi = np.exp(sign * 0.5j * np.outer(u, grid.phis))
     epsi = np.exp(sign * 0.5j * np.outer(u, grid.psis))
@@ -96,7 +99,7 @@ def _su2_parities(grid: GroupGrid, top: int, sign: int):
     signs = _QUARTER_SIGNS[(ar[:, None] - ar) % 4]
     labels = [(t, U[:, (t + 1) // 2:].copy(), signs[:t + 1, :t + 1])
               for t, U in enumerate(spin_powers(_JX_BASIS, top))]
-    for p in (1 - top % 2, top % 2):
+    for p in (0, 1):
         rows = slice((top + p) % 2, None, 2)
         kappa = np.arange(p, top + 1, 2)
         arg = 0.5 * np.outer(grid.thetas, kappa)
@@ -107,35 +110,33 @@ def _su2_parities(grid: GroupGrid, top: int, sign: int):
 
 def _checkerboard_matmul(cube: np.ndarray, even: np.ndarray, odd: np.ndarray,
                          out: np.ndarray) -> np.ndarray:
-    """``out[i, j] = cube[i, j] @ (even if i - j is even else odd)``: in a
+    """``out[i, j] += cube[i, j] @ (even if i - j is even else odd)``: in a
     parity plane ``i - j`` has the parity of ``m - n``."""
     for a in (0, 1):
         for b in (0, 1):
-            out[a::2, b::2] = cube[a::2, b::2] @ (odd if a != b else even)
+            out[a::2, b::2] += cube[a::2, b::2] @ (odd if a != b else even)
     return out
 
 
 def _su2_forward_labels(grid: GroupGrid, samples: np.ndarray, band: int):
     """The forward transform's blocks ``{t: fhat}`` through ``band`` on the
-    ``J_x`` eigenbasis.  Per parity, the phase plane ``A[u, v, theta]`` of
-    :func:`_su2_forward_plane` is formed in slabs of an eighth of the
-    ``v`` columns, each starting at an even column so that it keeps the
-    checkerboard of ``m - n``, and one GEMM per slab takes it to ``Q[u,
-    v, k] = sum_a w_a/2 c_k(theta_a) A[u, v, a]``; each label is then
-    ``fhat_{mn} = signs[n, m] sum_k V_nk V_mk Q[2n, 2m, k]``
-    (:func:`_su2_parities`).  One parity's ``Q`` and one slab's plane are
-    held at a time, beside the one samples array."""
+    ``J_x`` eigenbasis.  Per parity, each theta quarter of the samples
+    (:func:`_theta_quarters`) gives its phase plane ``A[u, v, a]``
+    (:func:`_su2_forward_plane`), and one GEMM adds it into ``Q[u, v, k]
+    = sum_a w_a/2 c_k(theta_a) A[u, v, a]``; each label is then ``fhat_{mn}
+    = signs[n, m] sum_k V_nk V_mk Q[2n, 2m, k]`` (:func:`_su2_parities`).
+    One parity's ``Q`` and one quarter's plane are held at a time, beside
+    the one samples array, and each sample is read once per parity."""
+    f = samples.reshape(grid.shape)
     w2 = grid.theta_weights[:, None] / 2.0
     out = {}
     for p, ephi, epsi, cos, sin, kernels in _su2_parities(grid, band, +1):
         n = ephi.shape[0]
         even, odd = w2 * cos, w2 * sin
-        Q = np.empty((n, n, cos.shape[1]), dtype=complex)
-        step = 2 * max(1, -(-n // 16))         # even, and > 0 at n = 0
-        for v in range(0, n, step):
-            _checkerboard_matmul(_su2_forward_plane(
-                grid, samples, ephi, epsi[v:v + step]), even, odd,
-                Q[:, v:v + step])
+        Q = np.zeros((n, n, cos.shape[1]), dtype=complex)
+        for a in _theta_quarters(grid):
+            _checkerboard_matmul(_su2_forward_plane(f[:, a], ephi, epsi),
+                                 even[a], odd[a], Q)
         for t, V, signs in kernels:
             at = _rows(n - 1, t)
             sums = np.einsum("nk,mk,nmk->nm", V, V, Q[at, at, :V.shape[1]])
@@ -147,15 +148,15 @@ def _su2_forward_labels(grid: GroupGrid, samples: np.ndarray, band: int):
 def _su2_inverse_stages(grid: GroupGrid, sym: MatrixSymbol) -> np.ndarray:
     """The inverse transform's samples ``(phi, theta, psi)`` on the ``J_x``
     eigenbasis.  Per parity, each label adds ``(t + 1) signs[m, n] V_mk
-    V_nk sigma_t[n, m]`` into ``G[u = 2m, v = 2n, k]``; one GEMM takes
-    ``k`` to theta, giving ``H[u, a, v] = sum_t (t + 1) d^t_{mn}(theta_a)
-    sigma_t[n, m]``, and the phi and psi stages sum ``e^{-i m phi}`` and
-    ``e^{-i n psi}``.  Each parity runs end to end into the samples: the
-    first one's psi stage allocates them, the second adds its psi stage a
-    quarter of the theta rows at a time.  One parity's ``G`` and one
-    samples array are held at a time."""
-    top, samples = sym.support_band, None
-    for p, ephi, epsi, cos, sin, kernels in _su2_parities(grid, top, -1):
+    V_nk sigma_t[n, m]`` into ``G[u = 2m, v = 2n, k]``; per theta quarter
+    (:func:`_theta_quarters`) one GEMM takes ``k`` to theta, giving ``H[u,
+    a, v] = sum_t (t + 1) d^t_{mn}(theta_a) sigma_t[n, m]``, and the phi
+    and psi stages add ``e^{-i m phi}`` and ``e^{-i n psi}`` sums into
+    those rows of the samples.  One parity's ``G``, one quarter's ``H``
+    and the one samples array are held at a time."""
+    samples = np.zeros(grid.shape, dtype=complex)
+    for p, ephi, epsi, cos, sin, kernels in _su2_parities(
+            grid, sym.support_band, -1):
         n = ephi.shape[0]
         G = np.zeros((n, n, cos.shape[1]), dtype=complex)
         for t, V, signs in kernels:
@@ -166,19 +167,12 @@ def _su2_inverse_stages(grid: GroupGrid, sym: MatrixSymbol) -> np.ndarray:
                 for m, row in enumerate(rows):
                     G[at.start + m, at, :V.shape[1]] += (row[:, None]
                                                          * (V[m] * V))
-        H = np.empty((n, grid.thetas.size, n), dtype=complex)
-        _checkerboard_matmul(G, cos.T, sin.T, H.transpose(0, 2, 1))
-        del G
-        mid = np.tensordot(ephi, H, axes=(0, 0))          # (phi, theta, v)
-        del H
-        if samples is None:
-            samples = np.tensordot(mid, epsi, axes=(2, 0))
-        else:
-            step = -(-grid.thetas.size // 4)
-            for a in range(0, grid.thetas.size, step):
-                samples[:, a:a + step] += np.tensordot(mid[:, a:a + step],
-                                                       epsi, axes=(2, 0))
-        del mid
+        for a in _theta_quarters(grid):
+            H = np.zeros((n, cos[a].shape[0], n), dtype=complex)
+            _checkerboard_matmul(G, cos[a].T, sin[a].T, H.transpose(0, 2, 1))
+            samples[:, a] += np.tensordot(np.tensordot(ephi, H, axes=(0, 0)),
+                                          epsi, axes=(2, 0))
+        del G, H
     return samples
 
 

@@ -816,6 +816,23 @@ def test_probe_refuses_out_of_range_s_before_any_work(q, capsys, tmp_path,
     assert captured.out == "" and not out.exists()
 
 
+def test_probe_on_a_torus_refuses_su2_options(capsys, tmp_path):
+    # --symbol names the su2 probe's multiplier, so a torus refuses it;
+    # --q and --s are checked on every group, against the torus dimension
+    out = tmp_path / "report.json"
+    for argv, message in (
+            (["--symbol", "garbage"], "--symbol"),
+            (["--symbol", "identity"], "--symbol"),
+            (["--q", "adcoef", "--s", "99"], "outside [0, 1 + n/2]"),
+            (["--s", "1.5"], "n/2 = 1"),
+    ):
+        assert main(["probe", "--group", "torus-2", "--ladder", "4:7",
+                     "--out", str(out), *argv]) == EXIT_CONFIG
+        captured = capsys.readouterr()
+        assert message in captured.err
+        assert captured.out == "" and not out.exists()
+
+
 def test_config_errors_exit_3(capsys, tmp_path):
     assert main(["check", "--group", "nosuch", "--symbol", "identity",
                  "--checker", "mikhlin"]) == EXIT_CONFIG

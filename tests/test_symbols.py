@@ -190,8 +190,8 @@ def test_kernel_planes_are_the_sampled_kernels_phase_stage(su2, wband):
             kernel = fourier_inverse(sym, grid)
             tables = {p: (ephi, epsi) for p, ephi, epsi, *_ in
                       transform._su2_parities(grid, out + wband, +1)}
-            want = [transform._su2_forward_plane(grid, kernel.samples,
-                                                 *tables[p])
+            block = kernel.samples.reshape(grid.shape)
+            want = [transform._su2_forward_plane(block, *tables[p])
                     .transpose(2, 0, 1) for p in (0, 1)]
             scale = max(np.abs(w).max() for w in want)
             for got, ref in zip(planes, want):
@@ -225,6 +225,33 @@ def test_word_sup_table_holds_one_parity_stack_at_a_time(
         word_sup_table(sym, order, band)
         words = len(generator_words(su2, order))
         assert seen == [(words, t + 1, t + 1) for t in range(band + 1)]
+
+
+def test_label_blocks_add_each_shift_in_place(su2, rng):
+    # 60 multipliers all carry both shifts of their one factor (2, 0, 0);
+    # at label 40 a shift's update holds the label's word stack beside its
+    # product (another word stack) and the two theta stacks of the shifted
+    # slice and its quadrature: a copy of the carrying words' blocks
+    # (fancy-index read-modify-write) would add a third word stack
+    sym = random_symbol(su2, 38, rng)
+    combinations = [[(1.0 + w, ((2, 0, 0),))] for w in range(60)]
+    walk = symbols._label_blocks(sym, 2, 40, combinations)
+    thetas = symbols._kernel_planes(sym, 2, 40)[0].thetas.size
+    tracemalloc.start()
+    try:
+        for t, _ in walk:
+            if t == 39:
+                break
+        tracemalloc.reset_peak()
+        before = tracemalloc.get_traced_memory()[0]
+        t, blocks = next(walk)
+        peak = tracemalloc.get_traced_memory()[1] - before
+    finally:
+        tracemalloc.stop()
+    stack = 41 * 41 * 16                      # one complex label-40 block
+    words = blocks.nbytes
+    assert t == 40 and words == 60 * stack
+    assert peak < 2 * words + 2 * thetas * stack
 
 
 def _tables_alive_at_each_label(su2, rng, monkeypatch):

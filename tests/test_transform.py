@@ -1,5 +1,6 @@
 """Forward/inverse transform: roundtrip, norm identities, linearity."""
 import weakref
+from collections import Counter
 
 import numpy as np
 import pytest
@@ -185,12 +186,13 @@ def test_direct_quadrature_sees_one_eigenbasis_entry_off(su2, monkeypatch):
     assert forward > 1e-11 and inverse > 1e-11
 
 
-def test_su2_forward_holds_one_parity_plane_at_a_time(su2, rng, monkeypatch):
-    # the plane is formed and taken to Q in slabs of v columns: when a
-    # slab's Q columns are formed from its phase plane, that plane is the
-    # one array of the phase stages still alive (no other slab's or
-    # parity's plane, and no psi stage B), and no slab spans more than a
-    # quarter of its parity's columns
+def _phase_stage_checks(monkeypatch, stages, keep, theta_axis):
+    """Wrap ``np.<stage>`` for each of ``stages`` to keep a weak reference
+    to each 3-D array it returns for which ``keep(out)`` holds, and
+    ``transform._checkerboard_matmul`` to record, at each call, whether
+    its cube and the array under ``out`` are the only ones of those still
+    alive, and the theta rows of that call's quarter (axis ``theta_axis``
+    of its theta modes).  Returns the records and the kept references."""
     from gmult import transform
 
     made, formed = [], []
@@ -199,51 +201,90 @@ def test_su2_forward_holds_one_parity_plane_at_a_time(su2, rng, monkeypatch):
     def recorded(stage):
         def call(*args, **kwargs):
             out = stage(*args, **kwargs)
-            made.append(weakref.ref(out))
+            if out.ndim == 3 and keep(out):
+                made.append(weakref.ref(out))
             return out
         return call
 
-    def checked(cube, *args):
+    def checked(cube, even, odd, out):
         alive = [r() for r in made if r() is not None]
-        formed.append((len(alive) == 1 and alive[0] is cube,
-                       4 * cube.shape[1] <= cube.shape[0]))
+        owner = out if out.base is None else out.base
+        formed.append((len(alive) == 2 and any(a is cube for a in alive)
+                       and any(a is owner for a in alive),
+                       even.shape[theta_axis]))
         del alive
-        return checkerboard(cube, *args)
+        return checkerboard(cube, even, odd, out)
 
-    for name in ("tensordot", "matmul"):
+    for name in stages:
         monkeypatch.setattr(np, name, recorded(getattr(np, name)))
     monkeypatch.setattr(transform, "_checkerboard_matmul", checked)
+    return formed, made
+
+
+def test_su2_forward_holds_one_parity_plane_at_a_time(su2, rng, monkeypatch):
+    # Q is formed a theta quarter at a time: when a quarter's phase plane
+    # is added into its parity's Q, that plane and Q are the only arrays
+    # of the phase stages alive (no other quarter's or parity's plane or
+    # Q, and no psi stage B), and each parity's quarters partition the
+    # 9 theta rows of the band-8 grid, at most ceil(9 / 4) = 3 each
+    formed, made = _phase_stage_checks(
+        monkeypatch, ("zeros", "tensordot", "matmul"), lambda out: True, 0)
     grid = default_grid(su2, 8)
     samples = rng.standard_normal(grid.node_count) + 0j
     fourier_forward(GroupFunction(grid, samples), band=16)
-    assert len(formed) >= 8 and set(formed) == {(True, True)}
-    assert len(made) == 2 * len(formed)
+    assert formed == 2 * [(True, 3), (True, 3), (True, 3)]
+    # per quarter a psi stage B and a plane, per parity one Q
+    assert len(made) == 2 * len(formed) + 2
 
 
 def test_su2_inverse_holds_one_parity_cube_at_a_time(su2, rng, monkeypatch):
-    # when a parity's H is formed from its (u, v, k) cube G, that G is the
-    # one cube alive: the other parity's G is freed first or not yet made
-    from gmult import transform
+    # when a theta quarter's H is formed from its parity's (u, v, k) cube
+    # G, that G and H are the only arrays of the phase stages alive (no
+    # other parity's G, no other quarter's H, and no phi stage), and each
+    # parity's quarters partition the 7 theta rows of the band-6 grid, at
+    # most ceil(7 / 4) = 2 each
+    grid = default_grid(su2, 6)
+    formed, made = _phase_stage_checks(
+        monkeypatch, ("zeros", "tensordot"),
+        lambda out: out.shape != grid.shape, 1)         # not the samples
+    fourier_inverse(random_symbol(su2, 6, rng), grid)
+    assert formed == 2 * [(True, 2), (True, 2), (True, 2), (True, 1)]
+    # per quarter an H and its phi and psi stages, per parity one G
+    assert len(made) == 3 * len(formed) + 2
 
-    made, formed = [], []
-    checkerboard, zeros = transform._checkerboard_matmul, np.zeros
 
-    def recorded(*args, **kwargs):
-        out = zeros(*args, **kwargs)
-        if out.ndim == 3:
-            made.append(weakref.ref(out))
-        return out
+def test_su2_forward_reads_each_theta_row_once_per_parity(su2, rng,
+                                                         monkeypatch):
+    # every operand of the phase stages that views the samples, mapped
+    # back to the samples' theta rows, covers each row exactly once per
+    # parity: no stage re-reads samples another has read
+    grid = default_grid(su2, 8)
+    samples = rng.standard_normal(grid.node_count) + 0j
+    index = np.arange(samples.size)
+    origin = samples.__array_interface__["data"][0]
+    reads = Counter()
 
-    def checked(cube, *args):
-        alive = [r() for r in made if r() is not None]
-        formed.append(len(alive) == 1 and alive[0] is cube)
-        del alive
-        return checkerboard(cube, *args)
+    def watched(stage):
+        def call(*args, **kwargs):
+            for x in args:
+                if isinstance(x, np.ndarray) and np.may_share_memory(
+                        x, samples):
+                    start = ((x.__array_interface__["data"][0] - origin)
+                             // samples.itemsize)
+                    at = np.lib.stride_tricks.as_strided(
+                        index[start:], x.shape,
+                        [st // samples.itemsize * index.itemsize
+                         for st in x.strides])
+                    reads.update((at // grid.shape[2] % grid.shape[1])
+                                 .ravel().tolist())
+            return stage(*args, **kwargs)
+        return call
 
-    monkeypatch.setattr(np, "zeros", recorded)
-    monkeypatch.setattr(transform, "_checkerboard_matmul", checked)
-    fourier_inverse(random_symbol(su2, 6, rng), default_grid(su2, 6))
-    assert formed == [True, True] and len(made) == 2
+    for name in ("tensordot", "matmul"):
+        monkeypatch.setattr(np, name, watched(getattr(np, name)))
+    fourier_forward(GroupFunction(grid, samples), band=16)
+    per_row = 2 * grid.shape[0] * grid.shape[2]         # two parities
+    assert reads == {a: per_row for a in range(grid.shape[1])}
 
 
 def test_su2_inverse_holds_one_samples_array(su2, rng, monkeypatch):
@@ -270,11 +311,13 @@ def test_su2_inverse_holds_one_samples_array(su2, rng, monkeypatch):
     assert most == [1] and f.samples.size == grid.node_count
 
 
-@pytest.mark.parametrize("grid_band", [1, 2])
+@pytest.mark.parametrize("grid_band", [1, 2, 4, 28])
 @pytest.mark.parametrize("label", [0, 1])
 def test_su2_round_trip_of_one_label(su2, rng, label, grid_band):
     # a symbol at label 0 alone leaves one parity without twice-weights:
-    # its slabs and stages do nothing, and the round trip still holds
+    # its stages do nothing, and the round trip still holds; the band-B
+    # grid has B + 1 theta rows, here 2, 3, 5 and 29, no count a multiple
+    # of 4, so the theta quarters come short or fewer than four
     d = label + 1
     block = rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d))
     sym = MatrixSymbol(su2, {label: block})
